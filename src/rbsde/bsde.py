@@ -66,8 +66,9 @@ def check_stepsize(driver, dt: float) -> None:
 
 
 def terminal_values(tree: ScenarioTree, terminal) -> np.ndarray:
+    """Caller-owned leaf values (a copy of the shared evaluation)."""
     if isinstance(terminal, TerminalSpec):
-        return terminal.evaluate(tree)
+        return terminal.evaluate(tree).copy()
     values = np.asarray(terminal, dtype=float)
     if values.shape != (tree.level_size(tree.num_steps),):
         raise ValueError("terminal array must hold one value per leaf")
@@ -83,7 +84,12 @@ def barrier_values(tree: ScenarioTree, barrier) -> BarrierValues:
 
 
 def project_level(tree: ScenarioTree, y_next: np.ndarray):
-    """(z, v, residual) arrays over all nodes of the assigning level."""
+    """(z, v, residual) arrays over all nodes of the assigning level.
+
+    The residual is the conditional L2 norm of what the projection leaves
+    over: child values minus mean + z*dB + sum_i v_i*dN~_i, rebuilt as one
+    product of the coefficients with the basis (1, dB, dN~).
+    """
     branching = tree.branching
     table = np.asarray(y_next, dtype=float).reshape(-1, branching)
     mean = table @ tree.branch_prob
@@ -95,8 +101,12 @@ def project_level(tree: ScenarioTree, y_next: np.ndarray):
         v = (table @ weights) / scale[None, :]
     else:
         v = np.zeros((table.shape[0], 0))
-    recon = mean[:, None] + np.outer(z, tree.branch_db) + v @ tree.branch_comp.T
-    resid = np.sqrt(np.maximum(((table - recon) ** 2) @ tree.branch_prob, 0.0))
+    basis = np.vstack((np.ones(branching), tree.branch_db, tree.branch_comp.T))
+    remainder = np.column_stack((mean, z, v)) @ basis
+    remainder -= table
+    np.square(remainder, out=remainder)
+    resid = remainder @ tree.branch_prob
+    np.sqrt(np.maximum(resid, 0.0, out=resid), out=resid)
     return z, v, resid
 
 

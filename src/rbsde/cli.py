@@ -146,13 +146,25 @@ def _solution_payload_two(tree, sol, full: bool) -> dict:
     return payload
 
 
-def _solution_from_payload(payload: dict):
+def _solution_from_payload(payload: dict, tree: ScenarioTree):
+    """Per-node solution from a ``--full`` dump, shape-checked against the tree."""
+    n, m = tree.num_steps, tree.marks.count
+
     def levels(name, marked=False):
         raw = payload["nodes"][name]
-        if marked:
-            return [np.asarray(level, dtype=float).reshape(len(level), -1)
-                    if len(level) else np.zeros((0, 0)) for level in raw]
-        return [np.asarray(level, dtype=float) for level in raw]
+        count = n if name in ("z", "v") else n + 1
+        if len(raw) != count:
+            raise ConfigError(f"solution field {name!r} has {len(raw)} levels, "
+                              f"expected {count}")
+        out = []
+        for k, level in enumerate(raw):
+            values = np.asarray(level, dtype=float)
+            shape = (tree.level_size(k), m) if marked else (tree.level_size(k),)
+            if values.shape != shape:
+                raise ConfigError(f"solution field {name!r} level {k} has shape "
+                                  f"{values.shape}, expected {shape}")
+            out.append(values)
+        return out
 
     if "nodes" not in payload:
         raise ConfigError("solution file lacks per-node data; rerun with --full")
@@ -301,8 +313,11 @@ def cmd_verify(args) -> int:
         payload = json.loads(Path(args.solution).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read solution: {exc}") from exc
-    sol = _solution_from_payload(payload)
     tree = _build(problem, options)
+    try:
+        sol = _solution_from_payload(payload, tree)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed solution file: {type(exc).__name__}: {exc}") from exc
     if payload["kind"] == "one_barrier":
         if problem.kind != "one_barrier":
             raise ConfigError("solution kind does not match the configuration")

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import jsonschema
 
@@ -150,21 +152,31 @@ class SolverOptions:
     node_cap: int | None = None
 
 
-def _piecewise(pieces) -> float | object:
-    pairs = tuple((float(t), float(v)) for t, v in pieces)
-    if len(pairs) == 1 and pairs[0][0] == 0.0:
-        return pairs[0][1]
-    times = [t for t, _ in pairs]
-    values = [v for _, v in pairs]
+def _reject_non_finite(value, where: str = "configuration") -> None:
+    """Raise ConfigError on NaN or infinite numbers anywhere in the mapping."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} is {value!r}; numbers must be finite")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{i}]")
 
-    def step(t: float) -> float:
-        idx = 0
-        for i, start in enumerate(times):
-            if start <= t:
-                idx = i
-        return values[idx]
 
-    return step
+def _reject_constant(name: str):
+    raise ConfigError(f"configuration contains {name}; numbers must be finite")
+
+
+def _driver_source(g_raw) -> float | Callable[[float], float]:
+    """Constant g, or the step function of validated (start, value) pieces."""
+    if isinstance(g_raw, (int, float)):
+        return float(g_raw)
+    try:
+        return BarrierSpec(pieces=tuple((float(t), float(v)) for t, v in g_raw)
+                           ).deterministic_at
+    except ValueError as exc:
+        raise ConfigError(f"driver g pieces: {exc}") from exc
 
 
 def _build_path_fn(obj: dict):
@@ -204,6 +216,7 @@ def _build_barrier(obj: dict, marks: MarkSet) -> BarrierSpec:
 
 def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
     """Validate a configuration mapping and build the problem it describes."""
+    _reject_non_finite(data)
     try:
         jsonschema.validate(data, SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -230,9 +243,8 @@ def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
         if barrier is None:
             raise ConfigError("a penalty term needs the problem obstacle")
         penalty = PenaltyTerm(weight=float(drv["penalty"]["n"]), barrier=barrier)
-    g_raw = drv.get("g", 0.0)
-    base = float(g_raw) if isinstance(g_raw, (int, float)) else _piecewise(g_raw)
-    driver = DriverSpec(base=base, a=float(drv.get("a", 0.0)),
+    driver = DriverSpec(base=_driver_source(drv.get("g", 0.0)),
+                        a=float(drv.get("a", 0.0)),
                         b=float(drv.get("b", 0.0)), c=float(drv.get("c", 0.0)),
                         marks=marks, penalty=penalty)
 
@@ -265,7 +277,8 @@ def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
 
 def load_config(path: str | Path) -> tuple[ProblemSpec, SolverOptions]:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          parse_constant=_reject_constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
     if not isinstance(data, dict):

@@ -5,13 +5,21 @@ breakpoints are the declared predictable jump times) and an optional
 stochastic part driven by the node state.  Left limits at declared jump
 times are recorded explicitly, because the split of the reflection
 compensator into continuous-type and jump-type mass needs them.
+
+Terminals and obstacles are evaluated once per tree: ladders, Picard
+rounds, envelope recursions and checks solve repeatedly on one tree with
+the same data, so the evaluated arrays are memoised per (tree, spec) and
+handed out read-only.  Payoff and obstacle functions must therefore be
+pure functions of ``(t, w, counts)``.
 """
 
 from __future__ import annotations
 
 import bisect
+import weakref
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -24,6 +32,25 @@ PathFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 ObstacleFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
 GRID_SNAP = 1e-9
+
+# tree -> {id(spec): (spec, evaluated)}.  Trees hash by identity and the
+# entry keeps its spec alive, so an id cannot be reused while it is cached;
+# the whole table goes with the tree.
+_EVALUATED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _memoised(tree: ScenarioTree, spec, compute: Callable):
+    per_tree = _EVALUATED.setdefault(tree, {})
+    entry = per_tree.get(id(spec))
+    if entry is None:
+        entry = (spec, compute())
+        per_tree[id(spec)] = entry
+    return entry[1]
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -38,6 +65,14 @@ class TerminalSpec:
             raise ValueError("specify exactly one of constant or payoff")
 
     def evaluate(self, tree: ScenarioTree) -> np.ndarray:
+        """Leaf values, computed once per tree and returned read-only.
+
+        ``payoff`` must be a pure function of ``(w, counts)``: later calls
+        on the same tree return the first result without calling it.
+        """
+        return _memoised(tree, self, lambda: _read_only(self._evaluate(tree)))
+
+    def _evaluate(self, tree: ScenarioTree) -> np.ndarray:
         leaves = tree.level_size(tree.num_steps)
         if self.constant is not None:
             return np.full(leaves, float(self.constant))
@@ -103,7 +138,7 @@ class BarrierValues:
     """Obstacle evaluated on a tree, with left limits at declared jumps."""
 
     values: tuple[np.ndarray, ...]
-    left: dict[int, np.ndarray]
+    left: Mapping[int, np.ndarray]
     jump_levels: tuple[int, ...]
 
 
@@ -116,7 +151,17 @@ def grid_level(t: float, num_steps: int) -> int:
 
 
 def eval_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
-    """Evaluate an obstacle on every node and record declared left limits."""
+    """Evaluate an obstacle on every node and record declared left limits.
+
+    The result is computed once per tree and shared, with read-only
+    arrays.  ``spec.stochastic`` must be a pure function of
+    ``(t, w, counts)``: later calls on the same tree return the first
+    result without calling it.
+    """
+    return _memoised(tree, spec, lambda: _evaluate_barrier(spec, tree))
+
+
+def _evaluate_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
     n = tree.num_steps
     values = []
     for k in range(n + 1):
@@ -129,7 +174,7 @@ def eval_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
             vals = det + np.array(np.broadcast_to(raw, (tree.level_size(k),)), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"obstacle is not finite at level {k}")
-        values.append(vals)
+        values.append(_read_only(vals))
 
     left: dict[int, np.ndarray] = {}
     for t_j, offset in spec.declared_jumps:
@@ -144,8 +189,9 @@ def eval_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
                              dtype=float)
             parent = np.array(np.broadcast_to(raw, (tree.level_size(level - 1),)), dtype=float)
             left[level] = base + tree.lift(parent)
+        _read_only(left[level])
 
-    return BarrierValues(values=tuple(values), left=left,
+    return BarrierValues(values=tuple(values), left=MappingProxyType(left),
                          jump_levels=tuple(sorted(left)))
 
 

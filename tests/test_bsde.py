@@ -145,3 +145,35 @@ def test_apriori_bound():
         max_g = max(abs(driver.base_at(tree.time(k))) for k in range(tree.num_steps))
         bound = np.exp(driver.lipschitz_constant) * (xi_scale + max_g)
         assert max(float(np.max(np.abs(level))) for level in sol.y) <= bound + 1e-12
+
+
+def _reference_projection(tree, y_next):
+    """Three-term reconstruction: mean + z*dB + v @ comp.T, then the L2 remainder."""
+    table = np.asarray(y_next, dtype=float).reshape(-1, tree.branching)
+    mean = table @ tree.branch_prob
+    z = (table @ (tree.branch_prob * tree.branch_db)) / tree.dt
+    if tree.marks.count:
+        weights = tree.branch_prob[:, None] * tree.branch_comp
+        v = (table @ weights) / (tree.marks.intensity_array * tree.dt)[None, :]
+    else:
+        v = np.zeros((table.shape[0], 0))
+    recon = mean[:, None] + np.outer(z, tree.branch_db) + v @ tree.branch_comp.T
+    resid = np.sqrt(np.maximum(((table - recon) ** 2) @ tree.branch_prob, 0.0))
+    return z, v, resid
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_project_level_matches_three_term_reference(m):
+    from rbsde.bsde import project_level
+    rng = np.random.default_rng(70 + m)
+    marks = MarkSet(sizes=tuple(1.0 + i for i in range(m)),
+                    intensities=tuple(rng.uniform(0.2, 0.8, m)))
+    tree = build_tree(3, marks)
+    for level in range(tree.num_steps):
+        y_next = rng.normal(scale=3.0, size=tree.level_size(level + 1))
+        z, v, resid = project_level(tree, y_next)
+        z_ref, v_ref, resid_ref = _reference_projection(tree, y_next)
+        assert np.array_equal(z, z_ref)
+        assert np.array_equal(v, v_ref)
+        assert resid.shape == resid_ref.shape == (tree.level_size(level),)
+        assert np.max(np.abs(resid - resid_ref)) <= 1e-13

@@ -163,3 +163,106 @@ def test_contraction_study(tmp_path):
     assert len(rows) == 2
     assert all(r["converged"] == "true" for r in rows)
     assert all(float(r["max_ratio"]) < 1.0 for r in rows)
+
+
+def _truncate_levels(payload):
+    payload["nodes"]["y"] = payload["nodes"]["y"][:-1]
+
+
+def _shorten_level(payload):
+    payload["nodes"]["k"][3] = payload["nodes"]["k"][3][:-1]
+
+
+def _drop_field(payload):
+    del payload["nodes"]["k_c"]
+
+
+def _drop_kind(payload):
+    del payload["kind"]
+
+
+def _ragged_marks(payload):
+    payload["nodes"]["v"][1][0] = []
+
+
+def _text_values(payload):
+    payload["nodes"]["z"][0] = ["x"]
+
+
+@pytest.fixture(scope="module")
+def counterexample_solution(tmp_path_factory):
+    out = tmp_path_factory.mktemp("solve-one")
+    assert run("solve-one", "--config", CONFIGS / "counterexample.json",
+               "--out", out) == 0
+    return out / "solution.json"
+
+
+@pytest.mark.parametrize("damage", [_truncate_levels, _shorten_level, _drop_field,
+                                    _drop_kind, _ragged_marks, _text_values])
+def test_verify_malformed_solution_exits_2(tmp_path, capsys, counterexample_solution,
+                                           damage):
+    payload = json.loads(counterexample_solution.read_text())
+    damage(payload)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    assert run("verify", "--config", CONFIGS / "counterexample.json",
+               "--solution", broken, "--out", tmp_path / "v") == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_verify_cut_off_solution_file_exits_2(tmp_path, counterexample_solution):
+    cut = tmp_path / "cut.json"
+    cut.write_bytes(counterexample_solution.read_bytes()[:5000])
+    assert run("verify", "--config", CONFIGS / "counterexample.json",
+               "--solution", cut, "--out", tmp_path / "v") == 2
+
+
+BASE_CONFIG = {
+    "grid": {"steps": 4},
+    "terminal": {"kind": "constant", "value": 0.5},
+    "driver": {"g": [[0.0, 0.1], [0.5, 0.2]]},
+    "barrier": {"pieces": [[0.0, 0.0]]},
+    "solver": {"kind": "one_barrier"},
+}
+
+
+# 1e400 overflows to inf inside json.loads without reaching parse_constant.
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_config_file_exits_2(tmp_path, capsys, token):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BASE_CONFIG).replace('"value": 0.5', f'"value": {token}'))
+    assert token in path.read_text()
+    assert run("solve-one", "--config", path, "--out", tmp_path / "out") == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["terminal", "driver"])
+def test_non_finite_config_mapping_rejected(where):
+    from rbsde import ConfigError
+    from rbsde.config import parse_config
+    data = json.loads(json.dumps(BASE_CONFIG))
+    if where == "terminal":
+        data["terminal"]["value"] = float("nan")
+    else:
+        data["driver"]["g"][1][1] = float("inf")
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("pieces", [[[0.5, 1.0], [0.2, 3.0]], [[0.25, 1.0]],
+                                    [[0.0, 1.0], [0.5, 2.0], [0.5, 3.0]],
+                                    [[0.0, 1.0], [1.5, 2.0]]])
+def test_driver_g_pieces_validated(tmp_path, capsys, pieces):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["driver"]["g"] = pieces
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run("solve-one", "--config", path, "--out", tmp_path / "out") == 2
+    assert "driver g pieces" in capsys.readouterr().err
+
+
+def test_driver_g_pieces_step_function():
+    from rbsde.config import parse_config
+    problem, _ = parse_config(BASE_CONFIG)
+    assert [problem.driver.base_at(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)] == \
+        [0.1, 0.1, 0.2, 0.2, 0.2]

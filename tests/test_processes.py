@@ -124,3 +124,78 @@ def test_barrier_spec_validation():
         BarrierSpec(pieces=((0.0, 1.0), (0.2, 2.0), (0.2, 3.0)))
     with pytest.raises(ValueError):
         BarrierSpec(jumps=((0.0, 1.0),))
+
+
+# ---------------------------------------------------------------------------
+# evaluation memo: once per (tree, spec), read-only, freed with the tree
+
+
+def _marks(m):
+    return MarkSet(sizes=tuple(1.0 + i for i in range(m)),
+                   intensities=tuple(0.3 + 0.1 * i for i in range(m)))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_memo_matches_fresh_evaluation(m):
+    from rbsde.processes import _evaluate_barrier, linear_payoff
+    marks = _marks(m)
+    tree = build_tree(3, marks)
+    coeffs = tuple(0.2 + 0.1 * i for i in range(m))
+    barrier = BarrierSpec(pieces=((0.0, 1.0), (1 / 3, -0.5)),
+                          stochastic=linear_obstacle(0.1, 0.4, coeffs, compensate=marks))
+    terminal = TerminalSpec(payoff=linear_payoff(0.3, -0.2, coeffs))
+
+    first, second = eval_barrier(barrier, tree), eval_barrier(barrier, tree)
+    assert second is first
+    fresh = _evaluate_barrier(barrier, tree)
+    assert all(np.array_equal(a, b) for a, b in zip(first.values, fresh.values))
+    assert first.jump_levels == fresh.jump_levels == (1,)
+    assert np.array_equal(first.left[1], fresh.left[1])
+
+    assert terminal.evaluate(tree) is terminal.evaluate(tree)
+    assert np.array_equal(terminal.evaluate(tree), terminal._evaluate(tree))
+    # another tree of the same shape gets its own evaluation
+    assert terminal.evaluate(build_tree(3, marks)) is not terminal.evaluate(tree)
+
+
+def test_memo_arrays_are_read_only():
+    tree = build_tree(2)
+    obstacle = eval_barrier(BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0))), tree)
+    with pytest.raises(ValueError):
+        obstacle.values[1][0] = 5.0
+    with pytest.raises(ValueError):
+        obstacle.left[1][0] = 5.0
+    with pytest.raises(TypeError):
+        obstacle.left[2] = np.zeros(16)
+    with pytest.raises(ValueError):
+        TerminalSpec(constant=0.5).evaluate(tree)[0] = 1.0
+
+
+def test_solution_terminal_is_caller_owned():
+    from rbsde import solve_reflected_one
+    tree = build_tree(3)
+    terminal = TerminalSpec(payoff=lambda w, c: np.maximum(w, 0.0) + 1.0)
+    barrier = BarrierSpec(pieces=((0.0, 0.5),))
+    sol = solve_reflected_one(tree, DriverSpec(), terminal, barrier)
+    cached = terminal.evaluate(tree)
+    assert sol.y[-1].flags.writeable
+    assert not np.shares_memory(sol.y[-1], cached)
+    sol.y[-1] += 1.0
+    assert np.array_equal(cached, terminal._evaluate(tree))
+    again = solve_reflected_one(tree, DriverSpec(), terminal, barrier)
+    assert np.array_equal(again.y[-1], cached)
+
+
+def test_memo_is_freed_with_the_tree():
+    import gc
+    import weakref
+
+    from rbsde.processes import _EVALUATED
+    spec = BarrierSpec(pieces=((0.0, 1.0),))
+    tree = build_tree(2)
+    eval_barrier(spec, tree)
+    ref = weakref.ref(tree)
+    assert tree in _EVALUATED
+    del tree
+    gc.collect()
+    assert ref() is None
