@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import StepsizeTooLarge
 from .processes import BarrierSpec, BarrierValues, TerminalSpec, eval_barrier
-from .tree import Process, ScenarioTree
+from .tree import Process, ScenarioTree, _children, _parent_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,15 +83,13 @@ def barrier_values(tree: ScenarioTree, barrier) -> BarrierValues:
     raise TypeError("expected a BarrierSpec or pre-evaluated BarrierValues")
 
 
-def project_level(tree: ScenarioTree, y_next: np.ndarray):
-    """(z, v, residual) arrays over all nodes of the assigning level.
+def _project_block(tree: ScenarioTree, table: np.ndarray):
+    """(mean, z, v, residual) of a (parents, B) block of child values.
 
     The residual is the conditional L2 norm of what the projection leaves
     over: child values minus mean + z*dB + sum_i v_i*dN~_i, rebuilt as one
     product of the coefficients with the basis (1, dB, dN~).
     """
-    branching = tree.branching
-    table = np.asarray(y_next, dtype=float).reshape(-1, branching)
     mean = table @ tree.branch_prob
     z = (table @ (tree.branch_prob * tree.branch_db)) / tree.dt
     m = tree.marks.count
@@ -101,12 +99,19 @@ def project_level(tree: ScenarioTree, y_next: np.ndarray):
         v = (table @ weights) / scale[None, :]
     else:
         v = np.zeros((table.shape[0], 0))
-    basis = np.vstack((np.ones(branching), tree.branch_db, tree.branch_comp.T))
+    basis = np.vstack((np.ones(tree.branching), tree.branch_db, tree.branch_comp.T))
     remainder = np.column_stack((mean, z, v)) @ basis
     remainder -= table
     np.square(remainder, out=remainder)
     resid = remainder @ tree.branch_prob
     np.sqrt(np.maximum(resid, 0.0, out=resid), out=resid)
+    return mean, z, v, resid
+
+
+def project_level(tree: ScenarioTree, y_next: np.ndarray):
+    """(z, v, residual) arrays over all nodes of the assigning level."""
+    table = np.asarray(y_next, dtype=float).reshape(-1, tree.branching)
+    _, z, v, resid = _project_block(tree, table)
     return z, v, resid
 
 
@@ -120,10 +125,13 @@ def project_zv(tree: ScenarioTree, y_children) -> tuple[float, np.ndarray, float
 
 
 def _source_term(driver, tree: ScenarioTree, level: int,
-                 z: np.ndarray, v: np.ndarray):
-    """Everything in the driver except the implicit y and penalty parts."""
+                 z: np.ndarray, v: np.ndarray, rows: slice = slice(None)):
+    """Everything in the driver except the implicit y and penalty parts.
+
+    ``z`` and ``v`` hold the ``rows`` nodes of the level (all by default).
+    """
     if isinstance(driver, FrozenDriver):
-        return np.asarray(driver.values[level], dtype=float)
+        return np.asarray(driver.values[level], dtype=float)[rows]
     out = driver.base_at(tree.time(level)) + driver.b * z
     lam = tree.marks.intensity_array
     if lam.size and driver.c != 0.0:
@@ -164,29 +172,48 @@ def backward_step(tree: ScenarioTree, level: int, y_children, driver,
     return StepOutput(y=float(y[0]), z=z, v=v, representation_residual=resid)
 
 
-def solve_bsde(tree: ScenarioTree, driver, terminal) -> SolutionQuadruple:
-    """Full backward sweep without reflection (compensator identically 0)."""
-    check_stepsize(driver, tree.dt)
+def _backward_sweep(tree: ScenarioTree, driver, xi: np.ndarray, settle):
+    """Backward induction over cache-sized parent blocks of each level.
+
+    Each block is projected once: its conditional mean feeds the implicit
+    right-hand side ``E[Y_next] + source*dt``, and ``settle(level, rows,
+    rhs)`` returns the block's solution values (booking any compensator
+    increments on the way).  Returns (y, z, v, projection residual).
+    """
     n = tree.num_steps
     dt = tree.dt
-    pen = getattr(driver, "penalty", None)
-    pen_values = eval_barrier(pen.barrier, tree).values if pen is not None else None
-
     y: Process = [None] * (n + 1)
-    y[n] = terminal_values(tree, terminal)
+    y[n] = xi
     z: Process = [None] * n
     v: Process = [None] * n
     resid: Process = [None] * n
     for k in range(n - 1, -1, -1):
-        zk, vk, rk = project_level(tree, y[k + 1])
-        rhs = tree.cond_exp(y[k + 1]) + _source_term(driver, tree, k, zk, vk) * dt
-        if pen is not None:
-            y[k] = _implicit_y(rhs, driver.a, dt, pen.weight, pen_values[k])
-        else:
-            y[k] = _implicit_y(rhs, driver.a, dt)
-        z[k], v[k], resid[k] = zk, vk, rk
+        size = tree.level_size(k)
+        y[k], z[k], resid[k] = np.empty(size), np.empty(size), np.empty(size)
+        v[k] = np.empty((size, tree.marks.count))
+        for rows in _parent_blocks(tree, k):
+            mean, zb, vb, rb = _project_block(tree, _children(tree, y[k + 1], rows))
+            rhs = mean + _source_term(driver, tree, k, zb, vb, rows) * dt
+            y[k][rows] = settle(k, rows, rhs)
+            z[k][rows], v[k][rows], resid[k][rows] = zb, vb, rb
+    return y, z, v, resid
 
-    zero = [np.zeros(tree.level_size(k)) for k in range(n + 1)]
+
+def solve_bsde(tree: ScenarioTree, driver, terminal) -> SolutionQuadruple:
+    """Full backward sweep without reflection (compensator identically 0)."""
+    check_stepsize(driver, tree.dt)
+    pen = getattr(driver, "penalty", None)
+    if pen is not None:
+        pen_values = eval_barrier(pen.barrier, tree).values
+
+        def settle(k, rows, rhs):
+            return _implicit_y(rhs, driver.a, tree.dt, pen.weight, pen_values[k][rows])
+    else:
+        def settle(k, rows, rhs):
+            return _implicit_y(rhs, driver.a, tree.dt)
+
+    y, z, v, resid = _backward_sweep(tree, driver, terminal_values(tree, terminal), settle)
+    zero = [np.zeros(tree.level_size(k)) for k in range(tree.num_steps + 1)]
     return SolutionQuadruple(y=y, z=z, v=v, k=zero,
                              k_c=[lv.copy() for lv in zero],
                              k_d=[lv.copy() for lv in zero],

@@ -26,7 +26,7 @@ from .penalty import sweep
 from .processes import ProblemSpec
 from .reflected import obstacle_payoff, solve_reflected_one
 from .snell import optimal_stopping_time, regularity_check, snell
-from .tree import ScenarioTree
+from .tree import ScenarioTree, _increments
 from .twobarrier import SolutionQuintuple, solve_double_obstacle
 from .verify import check_solution_one, check_solution_two
 
@@ -105,8 +105,7 @@ def _mark_columns(tree, v):
 def _jump_increment_means(tree, k_d) -> list:
     out = [0.0]
     for k in range(tree.num_steps):
-        inc = k_d[k + 1] - tree.lift(k_d[k])
-        out.append(tree.expectation(k + 1, inc))
+        out.append(tree.expectation(k + 1, _increments(tree, k_d, k).ravel()))
     return out
 
 

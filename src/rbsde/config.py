@@ -152,6 +152,11 @@ class SolverOptions:
     node_cap: int | None = None
 
 
+# Built once: the schema itself is a constant, checked against its
+# metaschema by the test suite rather than on every load.
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
 def _reject_non_finite(value, where: str = "configuration") -> None:
     """Raise ConfigError on NaN or infinite numbers anywhere in the mapping."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -217,10 +222,9 @@ def _build_barrier(obj: dict, marks: MarkSet) -> BarrierSpec:
 def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
     """Validate a configuration mapping and build the problem it describes."""
     _reject_non_finite(data)
-    try:
-        jsonschema.validate(data, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"configuration rejected: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    if error is not None:
+        raise ConfigError(f"configuration rejected: {error.message}")
 
     try:
         marks = MarkSet(

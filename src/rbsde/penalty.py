@@ -16,7 +16,7 @@ from .bsde import SolutionQuadruple, barrier_values, solve_bsde
 from .errors import MonotonicityViolation
 from .processes import BarrierSpec, DriverSpec, PenaltyTerm
 from .reflected import solve_reflected_one
-from .tree import Process, ScenarioTree, sup_diff
+from .tree import Process, ScenarioTree, _accumulate, sup_diff
 
 MONOTONE_TOL = 1e-12
 
@@ -41,7 +41,7 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
     kn: Process = [np.zeros(1)]
     for k in range(tree.num_steps):
         flux = float(n) * tree.dt * np.maximum(obstacle.values[k] - solution.y[k], 0.0)
-        kn.append(tree.lift(kn[k] + flux))
+        kn.append(_accumulate(tree, kn[k], flux))
     return PenalizedSolution(level=float(n), solution=solution, kn=kn)
 
 

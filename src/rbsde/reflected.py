@@ -2,44 +2,54 @@
 
 The backward induction reflects after the implicit driver solve:
 Y_k = max(S_k, candidate), candidate solving y = E[Y_{k+1}] + f dt, so
-the compensator increment Y_k - candidate is nonnegative and assigned
-one step ahead.  The jump-type part of the compensator is extracted at
-the declared predictable jump times of the obstacle via the left-limit
-formula, with a binding tolerance on the preceding grid slot.
+the compensator increment (1 - a dt)(Y_k - candidate) is nonnegative and
+assigned one step ahead; the factor makes the step identity hold with
+the driver evaluated at the reflected Y_k.  The jump-type part of the
+compensator is extracted at the declared predictable jump times of the
+obstacle via the left-limit formula, with a binding tolerance on the
+preceding grid slot.  Each level is processed in cache-sized blocks of
+parents and their children.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bsde import (SolutionQuadruple, _implicit_y, _source_term, barrier_values,
-                   check_stepsize, project_level, terminal_values)
+from .bsde import (SolutionQuadruple, _backward_sweep, _implicit_y, barrier_values,
+                   check_stepsize, terminal_values)
+from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import DriverNotCoefficientFree, TerminalBelowBarrier
 from .processes import DriverSpec
 from .snell import BIND_TOL, snell
-from .tree import Process, ScenarioTree
+from .tree import Process, ScenarioTree, _accumulate, _children, _parent_blocks
 
 TERMINAL_SLACK = 1e-12
 
 
-def _split_jump_mass(tree: ScenarioTree, y: Process, k_total: Process,
-                     obstacle, bind_tol: float = BIND_TOL):
-    """Jump-type compensator mass at declared obstacle jump times.
+def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle, sign: int,
+                bind_tol: float = BIND_TOL):
+    """(K_c, K_d) of one compensator, level by level over parent blocks.
 
-    At a declared level the increment is (S_left - Y_k)^+ on the event
-    that the solution sat on the left limit one step earlier; the k - 1
-    slot stands in for the left limit of Y.
+    At a declared level the jump-type increment is (sign*(left - Y_k))^+
+    on the event that the solution sat on the left limit one step
+    earlier; the k - 1 slot stands in for the left limit of Y.  ``sign``
+    is +1 for an obstacle below the solution and -1 for one above it.
     """
     n = tree.num_steps
-    k_d: Process = [np.zeros(tree.level_size(k)) for k in range(n + 1)]
+    k_d: Process = [np.zeros(1)]
     for k in range(1, n + 1):
-        inc = np.zeros(tree.level_size(k))
-        if k in obstacle.left:
-            left = obstacle.left[k]
-            prev = tree.lift(y[k - 1])
-            binding = np.abs(prev - left) <= bind_tol
-            inc = np.where(binding, np.maximum(left - y[k], 0.0), 0.0)
-        k_d[k] = tree.lift(k_d[k - 1]) + inc
+        left = obstacle.left.get(k)
+        if left is None:
+            k_d.append(_accumulate(tree, k_d[k - 1]))
+            continue
+        kd = np.empty(tree.level_size(k))
+        for rows in _parent_blocks(tree, k - 1):
+            left_b = _children(tree, left, rows)
+            binding = np.abs(y[k - 1][rows, None] - left_b) <= bind_tol
+            gap = np.maximum(sign * (left_b - _children(tree, y[k], rows)), 0.0)
+            np.add(k_d[k - 1][rows, None], np.where(binding, gap, 0.0),
+                   out=_children(tree, kd, rows))
+        k_d.append(kd)
     k_c = [k_total[k] - k_d[k] for k in range(n + 1)]
     return k_c, k_d
 
@@ -63,25 +73,23 @@ def solve_reflected_one(tree: ScenarioTree, driver, terminal, barrier) -> Soluti
 
     n = tree.num_steps
     dt = tree.dt
-    y: Process = [None] * (n + 1)
-    y[n] = xi
-    z: Process = [None] * n
-    v: Process = [None] * n
-    resid: Process = [None] * n
-    k: Process = [np.zeros(1)]
-    inc_list = []
-    for kk in range(n - 1, -1, -1):
-        zk, vk, rk = project_level(tree, y[kk + 1])
-        rhs = tree.cond_exp(y[kk + 1]) + _source_term(driver, tree, kk, zk, vk) * dt
-        candidate = _implicit_y(rhs, driver.a, dt)
-        y[kk] = np.maximum(obstacle.values[kk], candidate)
-        inc_list.append(y[kk] - candidate)
-        z[kk], v[kk], resid[kk] = zk, vk, rk
-    inc_list.reverse()
-    for kk in range(n):
-        k.append(tree.lift(k[kk] + inc_list[kk]))
+    # The driver is evaluated at the reflected y, so the increment closing
+    # y = E[Y_next] + f(y) dt + dK is (1 - a dt)(y - candidate).
+    scale = 1.0 - driver.a * dt
+    inc: Process = [np.empty(tree.level_size(kk)) for kk in range(n)]
 
-    k_c, k_d = _split_jump_mass(tree, y, k, obstacle)
+    def settle(kk, rows, rhs):
+        candidate = _implicit_y(rhs, driver.a, dt)
+        yk = np.maximum(obstacle.values[kk][rows], candidate)
+        inc[kk][rows] = scale * (yk - candidate)
+        return yk
+
+    y, z, v, resid = _backward_sweep(tree, driver, xi, settle)
+    k: Process = [np.zeros(1)]
+    for kk in range(n):
+        k.append(_accumulate(tree, k[kk], inc[kk]))
+
+    k_c, k_d = _split_side(tree, y, k, obstacle, +1)
     return SolutionQuadruple(y=y, z=z, v=v, k=k, k_c=k_c, k_d=k_d,
                              projection_residual=resid)
 

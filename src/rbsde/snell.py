@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import NotMonotone, TooLargeToEnumerate
-from .tree import Process, ScenarioTree
+from .tree import Process, ScenarioTree, _accumulate
 
 BIND_TOL = 1e-9
 
@@ -55,7 +55,7 @@ def snell(tree: ScenarioTree, payoff: Process) -> SnellResult:
         inc[k] = env[k] - cont
     comp: Process = [np.zeros(1)]
     for k in range(n):
-        comp.append(tree.lift(comp[k] + inc[k]))
+        comp.append(_accumulate(tree, comp[k], inc[k]))
     mart = [env[k] + comp[k] for k in range(n + 1)]
     stop = [env[k] <= np.asarray(payoff[k], dtype=float) for k in range(n + 1)]
     stop[n] = np.ones(tree.level_size(n), dtype=bool)

@@ -1,9 +1,10 @@
 """Two-obstacle reflected solver: direct induction and envelope recursion.
 
 The direct route clips the implicit candidate into the band [L, U] and
-books the two compensator increments.  The constructive route shifts the
-problem by the conditional mean of the terminal-plus-source mass and
-iterates the coupled envelope recursion
+books the two compensator increments, (1 - a dt)(L - candidate)^+ and
+(1 - a dt)(candidate - U)^+, level by level over cache-sized blocks.
+The constructive route shifts the problem by the conditional mean of the
+terminal-plus-source mass and iterates the coupled envelope recursion
 N+ <- R(N- + L~), N- <- R(N+ - U~) from zero, which is monotone and
 bounded by the witness supermartingales; at the fixed point the
 reassembled solution coincides with the direct induction node by node.
@@ -15,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (_implicit_y, _source_term, barrier_values, check_stepsize,
+from .bsde import (_backward_sweep, _implicit_y, barrier_values, check_stepsize,
                    project_level, terminal_values)
 from .errors import (BarriersTouch, DriverNotCoefficientFree, MaxIterExceeded,
                      MokobodskiFailed, MonotonicityViolation, TerminalOutsideBarriers)
 from .processes import DriverSpec
+from .reflected import _split_side
 from .snell import BIND_TOL, snell
-from .tree import Process, ScenarioTree, copy_process, sup_diff
+from .tree import Process, ScenarioTree, _accumulate, copy_process, sup_diff
 
 TERMINAL_SLACK = 1e-12
 
@@ -133,25 +135,8 @@ def _validate_band(tree: ScenarioTree, low, up, xi) -> None:
 
 def _split_two_sided(tree: ScenarioTree, y: Process, k_plus: Process, k_minus: Process,
                      low, up, bind_tol: float = BIND_TOL):
-    n = tree.num_steps
-    kpd: Process = [np.zeros(tree.level_size(k)) for k in range(n + 1)]
-    kmd: Process = [np.zeros(tree.level_size(k)) for k in range(n + 1)]
-    for k in range(1, n + 1):
-        prev = tree.lift(y[k - 1])
-        inc_p = np.zeros(tree.level_size(k))
-        inc_m = np.zeros(tree.level_size(k))
-        if k in low.left:
-            left = low.left[k]
-            inc_p = np.where(np.abs(prev - left) <= bind_tol,
-                             np.maximum(left - y[k], 0.0), 0.0)
-        if k in up.left:
-            left = up.left[k]
-            inc_m = np.where(np.abs(prev - left) <= bind_tol,
-                             np.maximum(y[k] - left, 0.0), 0.0)
-        kpd[k] = tree.lift(kpd[k - 1]) + inc_p
-        kmd[k] = tree.lift(kmd[k - 1]) + inc_m
-    kpc = [k_plus[k] - kpd[k] for k in range(n + 1)]
-    kmc = [k_minus[k] - kmd[k] for k in range(n + 1)]
+    kpc, kpd = _split_side(tree, y, k_plus, low, +1, bind_tol)
+    kmc, kmd = _split_side(tree, y, k_minus, up, -1, bind_tol)
     return kpc, kpd, kmc, kmd
 
 
@@ -175,34 +160,31 @@ def solve_double_obstacle(tree: ScenarioTree, driver, terminal, lower, upper,
 
     n = tree.num_steps
     dt = tree.dt
-    y: Process = [None] * (n + 1)
-    y[n] = xi
-    z: Process = [None] * n
-    v: Process = [None] * n
-    resid: Process = [None] * n
-    inc_p, inc_m = [], []
-    for k in range(n - 1, -1, -1):
-        zk, vk, rk = project_level(tree, y[k + 1])
-        rhs = tree.cond_exp(y[k + 1]) + _source_term(driver, tree, k, zk, vk) * dt
-        cand = _implicit_y(rhs, driver.a, dt)
-        if order == "median":
-            yk = np.clip(cand, low.values[k], up.values[k])
-        elif order == "max_min":
-            yk = np.minimum(np.maximum(cand, low.values[k]), up.values[k])
-        else:
-            yk = np.maximum(np.minimum(cand, up.values[k]), low.values[k])
-        y[k] = yk
-        inc_p.append(np.maximum(low.values[k] - cand, 0.0))
-        inc_m.append(np.maximum(cand - up.values[k], 0.0))
-        z[k], v[k], resid[k] = zk, vk, rk
-    inc_p.reverse()
-    inc_m.reverse()
+    # The driver is evaluated at the clipped y, so dK+ - dK- closes the
+    # step identity only when both carry the factor (1 - a dt).
+    scale = 1.0 - driver.a * dt
+    inc_p: Process = [np.empty(tree.level_size(k)) for k in range(n)]
+    inc_m: Process = [np.empty(tree.level_size(k)) for k in range(n)]
 
+    def settle(k, rows, rhs):
+        cand = _implicit_y(rhs, driver.a, dt)
+        lo, hi = low.values[k][rows], up.values[k][rows]
+        if order == "median":
+            yk = np.clip(cand, lo, hi)
+        elif order == "max_min":
+            yk = np.minimum(np.maximum(cand, lo), hi)
+        else:
+            yk = np.maximum(np.minimum(cand, hi), lo)
+        inc_p[k][rows] = scale * np.maximum(lo - cand, 0.0)
+        inc_m[k][rows] = scale * np.maximum(cand - hi, 0.0)
+        return yk
+
+    y, z, v, resid = _backward_sweep(tree, driver, xi, settle)
     k_plus: Process = [np.zeros(1)]
     k_minus: Process = [np.zeros(1)]
     for k in range(n):
-        k_plus.append(tree.lift(k_plus[k] + inc_p[k]))
-        k_minus.append(tree.lift(k_minus[k] + inc_m[k]))
+        k_plus.append(_accumulate(tree, k_plus[k], inc_p[k]))
+        k_minus.append(_accumulate(tree, k_minus[k], inc_m[k]))
 
     kpc, kpd, kmc, kmd = _split_two_sided(tree, y, k_plus, k_minus, low, up)
     return SolutionQuintuple(y=y, z=z, v=v, k_plus=k_plus, k_minus=k_minus,
@@ -312,8 +294,8 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     k_plus: Process = [np.zeros(1)]
     k_minus: Process = [np.zeros(1)]
     for k in range(n):
-        k_plus.append(tree.lift(k_plus[k] + res_plus.increments[k]))
-        k_minus.append(tree.lift(k_minus[k] + res_minus.increments[k]))
+        k_plus.append(_accumulate(tree, k_plus[k], res_plus.increments[k]))
+        k_minus.append(_accumulate(tree, k_minus[k], res_minus.increments[k]))
 
     kpc, kpd, kmc, kmd = _split_two_sided(tree, y, k_plus, k_minus, low, up)
     solution = SolutionQuintuple(y=y, z=z, v=v, k_plus=k_plus, k_minus=k_minus,

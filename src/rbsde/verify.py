@@ -3,7 +3,10 @@
 Every clause of the reflected equations becomes a residual: the
 projected dynamics identity, obstacle dominance, the minimality sums for
 the continuous-type compensator mass, the left-limit jump formulas, and
-compensator monotonicity.  The probes re-solve problems along
+compensator monotonicity.  All clauses come from one pass per level
+over cache-sized parent blocks, in which each increment of K, K_c and
+K_d is taken once from the cumulative processes stored in the solution.
+The probes re-solve problems along
 independent routes (uniqueness) and run the penalty ladder against the
 jump-type mass (regularity dichotomy).
 """
@@ -18,10 +21,10 @@ from .bsde import (SolutionQuadruple, _source_term, barrier_values, solve_bsde,
                    terminal_values)
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
-from .processes import DriverSpec, ProblemSpec
+from .processes import BarrierValues, DriverSpec, ProblemSpec
 from .reflected import obstacle_payoff, solve_reflected_one
 from .snell import snell
-from .tree import Process, ScenarioTree, sup_diff
+from .tree import Process, ScenarioTree, _children, _increments, _parent_blocks, sup_diff
 from .twobarrier import picard_snell_solve, solve_double_obstacle
 
 CHECK_TOL = 1e-10
@@ -54,115 +57,133 @@ class CheckReport:
         }
 
 
-def _increments(tree: ScenarioTree, process: Process, level: int) -> np.ndarray:
-    """Child-level increment of an adapted accumulating process."""
-    return process[level + 1] - tree.lift(process[level])
+@dataclass(eq=False)
+class _Side:
+    """One obstacle with its compensator K = K_c + K_d and the clause residuals.
+
+    ``sign`` is +1 for an obstacle below the solution and -1 for one
+    above it, so that ``sign*(Y - obstacle)`` is the slack.
+    """
+
+    obstacle: BarrierValues
+    k: Process
+    k_c: Process
+    k_d: Process
+    sign: int
+    contain: float = 0.0
+    skorokhod: float = 0.0
+    jump: float = 0.0
+    monotone: float = 0.0
+    split: float = 0.0
+    left_integral: float = 0.0
 
 
-def _driver_values(tree: ScenarioTree, driver, level: int, y, z, v,
+def _driver_values(tree: ScenarioTree, driver, level: int, rows: slice, y, z, v,
                    pen_barrier=None) -> np.ndarray:
-    out = _source_term(driver, tree, level, np.asarray(z, dtype=float),
-                       np.asarray(v, dtype=float))
-    out = out + driver.a * np.asarray(y, dtype=float)
+    out = _source_term(driver, tree, level, z, v, rows) + driver.a * y
     pen = getattr(driver, "penalty", None)
     if pen is not None:
         if pen_barrier is None:
             raise ValueError("penalty drivers need obstacle values")
-        out = out + pen.weight * np.maximum(pen_barrier - np.asarray(y, dtype=float), 0.0)
-    return np.asarray(out, dtype=float) + np.zeros(tree.level_size(level))
+        out = out + pen.weight * np.maximum(pen_barrier - y, 0.0)
+    return out
 
 
-def _dynamics_residual(tree: ScenarioTree, y: Process, z: Process, v: Process,
-                       driver, xi: np.ndarray, signed_increment) -> float:
+def _abs_max(values: np.ndarray) -> float:
+    """max |values| from two reductions, without an |values| temporary."""
+    return float(max(np.max(values), -np.min(values)))
+
+
+def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray, sides,
+                  bind_tol: float) -> tuple[float, float]:
+    """Every clause residual in one pass per level over parent blocks.
+
+    Each increment of K, K_c and K_d is taken once per block, as the
+    (parents, B) children minus their parent, and feeds every clause that
+    reads it.  Fills the per-side residuals; returns the dynamics residual
+    and, for two sides, the worst simultaneous jump-type mass.
+    """
+    n = tree.num_steps
+    prob = tree.branch_prob
+    y = [np.asarray(level, dtype=float) for level in sol.y]
     pen = getattr(driver, "penalty", None)
     pen_values = barrier_values(tree, pen.barrier).values if pen is not None else None
-    worst = float(np.max(np.abs(y[tree.num_steps] - xi)))
-    for k in range(tree.num_steps):
-        f_val = _driver_values(tree, driver, k, y[k], z[k], v[k],
-                               pen_values[k] if pen_values is not None else None)
-        rhs = tree.cond_exp(y[k + 1]) + f_val * tree.dt + signed_increment(k)
-        worst = max(worst, float(np.max(np.abs(y[k] - rhs))))
-    return worst
-
-
-def _skorokhod_max(tree: ScenarioTree, slack: Process, k_c: Process) -> float:
-    """Largest per-node product of obstacle slack and continuous-type mass."""
-    worst = 0.0
-    for k in range(tree.num_steps):
-        inc = _increments(tree, k_c, k)
-        worst = max(worst, float(np.max(np.abs(tree.lift(slack[k]) * inc))))
-    return worst
-
-
-def _jump_formula_residual(tree: ScenarioTree, y: Process, k_d: Process,
-                           obstacle, sign: int, bind_tol: float) -> float:
-    worst = 0.0
-    for k in range(1, tree.num_steps + 1):
-        inc = _increments(tree, k_d, k - 1)
-        if k in obstacle.left:
-            left = obstacle.left[k]
-            prev = tree.lift(y[k - 1])
-            binding = np.abs(prev - left) <= bind_tol
-            formula = np.where(binding, np.maximum(sign * (left - y[k]), 0.0), 0.0)
-            worst = max(worst, float(np.max(np.abs(inc - formula))))
-        else:
-            worst = max(worst, float(np.max(np.abs(inc))))
-    return worst
-
-
-def _monotone_residual(tree: ScenarioTree, k: Process) -> float:
-    worst = float(np.max(np.abs(k[0])))
-    for level in range(tree.num_steps):
-        worst = max(worst, float(np.max(-_increments(tree, k, level))))
-    return worst
-
-
-def _left_limit_integral(tree: ScenarioTree, y: Process, obstacle,
-                         k_c: Process, k_d: Process, sign: int) -> float:
-    """Probability-weighted left-limit minimality integral.
-
-    Continuous-type mass pairs with the slack at the assigning slot;
-    jump-type mass pairs with the recorded left limits against the
-    previous-slot solution values.
-    """
-    total = 0.0
-    for k in range(tree.num_steps):
-        slack = tree.lift(sign * (y[k] - obstacle.values[k]))
-        total += float(tree.atom_prob[k + 1] @ (slack * _increments(tree, k_c, k)))
-    for k, left in obstacle.left.items():
-        slack = sign * (tree.lift(y[k - 1]) - left)
-        total += float(tree.atom_prob[k] @ (slack * _increments(tree, k_d, k - 1)))
-    return total
+    dyn = float(np.max(np.abs(y[n] - xi)))
+    simultaneous = 0.0
+    for side in sides:
+        side.contain = float(np.max(side.sign * (side.obstacle.values[n] - y[n])))
+        side.monotone = float(np.max(np.abs(side.k[0])))
+        side.split = float(np.max(np.abs(side.k[0] - side.k_c[0] - side.k_d[0])))
+    for k in range(n):
+        z_level = np.asarray(sol.z[k], dtype=float)
+        v_level = np.asarray(sol.v[k], dtype=float)
+        for rows in _parent_blocks(tree, k):
+            y_par = y[k][rows]
+            y_child = _children(tree, y[k + 1], rows)
+            parent_prob = tree.atom_prob[k][rows]
+            f_val = _driver_values(tree, driver, k, rows, y_par, z_level[rows],
+                                   v_level[rows],
+                                   pen_values[k][rows] if pen_values is not None else None)
+            dk_incs, kd_incs = [], []
+            for side in sides:
+                split = np.subtract(_children(tree, side.k[k + 1], rows),
+                                    _children(tree, side.k_c[k + 1], rows))
+                split -= _children(tree, side.k_d[k + 1], rows)
+                side.split = max(side.split, _abs_max(split))
+                d_k = _increments(tree, side.k, k, rows)
+                d_kc = _increments(tree, side.k_c, k, rows)
+                d_kd = _increments(tree, side.k_d, k, rows)
+                dk_incs.append(d_k)
+                kd_incs.append(d_kd)
+                slack = side.sign * (y_par - side.obstacle.values[k][rows])
+                side.contain = max(side.contain, -float(np.min(slack)))
+                mass_c = np.multiply(d_kc, slack[:, None], out=d_kc)
+                side.skorokhod = max(side.skorokhod, _abs_max(mass_c))
+                # left-limit minimality integral, weighting each child by
+                # P(parent) * branch probability: continuous-type mass pairs
+                # with the slack at the assigning slot, jump-type mass (below)
+                # with the left limit against the previous-slot solution
+                side.left_integral += float(parent_prob @ (mass_c @ prob))
+                side.monotone = max(side.monotone, -float(np.min(d_k)))
+                left = side.obstacle.left.get(k + 1)
+                if left is None:
+                    side.jump = max(side.jump, _abs_max(d_kd))
+                    continue
+                left = _children(tree, left, rows)
+                gap = side.sign * (y_par[:, None] - left)
+                binding = np.abs(gap) <= bind_tol
+                formula = np.where(binding, np.maximum(side.sign * (left - y_child), 0.0), 0.0)
+                side.jump = max(side.jump, _abs_max(d_kd - formula))
+                side.left_integral += float(parent_prob @ ((gap * d_kd) @ prob))
+            # K+ - K- for two sides, K alone for one
+            compensator = dk_incs[0] if len(sides) == 1 else dk_incs[0] - dk_incs[1]
+            rhs = y_child @ prob + f_val * tree.dt + compensator @ prob
+            dyn = max(dyn, float(np.max(np.abs(y_par - rhs))))
+            if len(kd_incs) == 2:
+                simultaneous = max(simultaneous,
+                                   float(np.max(np.minimum(kd_incs[0], kd_incs[1]))))
+    return dyn, simultaneous
 
 
 def check_solution_one(tree: ScenarioTree, sol: SolutionQuadruple, driver,
                        terminal, barrier, tol: float = CHECK_TOL,
                        bind_tol: float = 1e-9) -> CheckReport:
     """Check every clause of the one-obstacle equation on a solution."""
-    obstacle = barrier_values(tree, barrier)
-    xi = terminal_values(tree, terminal)
-
-    dyn = _dynamics_residual(
-        tree, sol.y, sol.z, sol.v, driver, xi,
-        lambda k: tree.cond_exp(_increments(tree, sol.k, k)))
-    dominance = max(0.0, max(
-        float(np.max(obstacle.values[k] - sol.y[k])) for k in range(tree.num_steps + 1)))
-    slack = [sol.y[k] - obstacle.values[k] for k in range(tree.num_steps + 1)]
-    sk_c = _skorokhod_max(tree, slack, sol.k_c)
-    jump = _jump_formula_residual(tree, sol.y, sol.k_d, obstacle, +1, bind_tol)
-    mono = _monotone_residual(tree, sol.k)
-    split = max(float(np.max(np.abs(sol.k[k] - sol.k_c[k] - sol.k_d[k])))
-                for k in range(tree.num_steps + 1))
-    left = abs(_left_limit_integral(tree, sol.y, obstacle, sol.k_c, sol.k_d, +1))
+    side = _Side(barrier_values(tree, barrier), sol.k, sol.k_c, sol.k_d, +1)
+    dyn, _ = _check_levels(tree, sol, driver, terminal_values(tree, terminal), [side],
+                           bind_tol)
+    dominance = max(0.0, side.contain)
+    mono = max(side.monotone, side.split)
+    left = abs(side.left_integral)
 
     clauses = {
         "dynamics": ClauseCheck(dyn <= tol, dyn, "projected step identity and terminal"),
         "barrier_dominance": ClauseCheck(dominance <= tol, dominance, "Y >= S"),
-        "skorokhod_c": ClauseCheck(sk_c <= tol, sk_c,
+        "skorokhod_c": ClauseCheck(side.skorokhod <= tol, side.skorokhod,
                                    "continuous-type mass only where Y touches S"),
-        "jump_formula_d": ClauseCheck(jump <= tol, jump,
+        "jump_formula_d": ClauseCheck(side.jump <= tol, side.jump,
                                       "jump-type mass matches the left-limit formula"),
-        "compensator_monotone": ClauseCheck(max(mono, split) <= tol, max(mono, split),
+        "compensator_monotone": ClauseCheck(mono <= tol, mono,
                                             "K nondecreasing from zero, split adds up"),
         "left_limit_skorokhod": ClauseCheck(left <= tol, left,
                                             "left-limit minimality integral"),
@@ -173,49 +194,25 @@ def check_solution_one(tree: ScenarioTree, sol: SolutionQuadruple, driver,
 def check_solution_two(tree: ScenarioTree, sol, driver, terminal, lower, upper,
                        tol: float = CHECK_TOL, bind_tol: float = 1e-9) -> CheckReport:
     """Check every clause of the two-obstacle equation on a solution."""
-    low = barrier_values(tree, lower)
-    up = barrier_values(tree, upper)
-    xi = terminal_values(tree, terminal)
-
-    dyn = _dynamics_residual(
-        tree, sol.y, sol.z, sol.v, driver, xi,
-        lambda k: tree.cond_exp(_increments(tree, sol.k_plus, k)
-                                - _increments(tree, sol.k_minus, k)))
-    contain = 0.0
-    for k in range(tree.num_steps + 1):
-        contain = max(contain, float(np.max(low.values[k] - sol.y[k])),
-                      float(np.max(sol.y[k] - up.values[k])))
-    contain = max(0.0, contain)
-
-    slack_low = [sol.y[k] - low.values[k] for k in range(tree.num_steps + 1)]
-    slack_up = [up.values[k] - sol.y[k] for k in range(tree.num_steps + 1)]
-    sk_low = _skorokhod_max(tree, slack_low, sol.k_plus_c)
-    sk_up = _skorokhod_max(tree, slack_up, sol.k_minus_c)
-    jump_low = _jump_formula_residual(tree, sol.y, sol.k_plus_d, low, +1, bind_tol)
-    jump_up = _jump_formula_residual(tree, sol.y, sol.k_minus_d, up, -1, bind_tol)
-    mono = max(_monotone_residual(tree, sol.k_plus), _monotone_residual(tree, sol.k_minus))
-    split = 0.0
-    for k in range(tree.num_steps + 1):
-        split = max(split,
-                    float(np.max(np.abs(sol.k_plus[k] - sol.k_plus_c[k] - sol.k_plus_d[k]))),
-                    float(np.max(np.abs(sol.k_minus[k] - sol.k_minus_c[k] - sol.k_minus_d[k]))))
-    simultaneous = 0.0
-    for k in range(tree.num_steps):
-        inc_p = _increments(tree, sol.k_plus_d, k)
-        inc_m = _increments(tree, sol.k_minus_d, k)
-        simultaneous = max(simultaneous, float(np.max(np.minimum(inc_p, inc_m))))
+    low = _Side(barrier_values(tree, lower), sol.k_plus, sol.k_plus_c, sol.k_plus_d, +1)
+    up = _Side(barrier_values(tree, upper), sol.k_minus, sol.k_minus_c, sol.k_minus_d, -1)
+    dyn, simultaneous = _check_levels(tree, sol, driver, terminal_values(tree, terminal),
+                                      [low, up], bind_tol)
+    contain = max(0.0, low.contain, up.contain)
+    mono = max(low.monotone, up.monotone, low.split, up.split)
     simultaneous = max(0.0, simultaneous)
-    left = max(abs(_left_limit_integral(tree, sol.y, low, sol.k_plus_c, sol.k_plus_d, +1)),
-               abs(_left_limit_integral(tree, sol.y, up, sol.k_minus_c, sol.k_minus_d, -1)))
+    left = max(abs(low.left_integral), abs(up.left_integral))
 
     clauses = {
         "dynamics": ClauseCheck(dyn <= tol, dyn, "projected step identity and terminal"),
         "containment": ClauseCheck(contain <= tol, contain, "L <= Y <= U"),
-        "skorokhod_lower_c": ClauseCheck(sk_low <= tol, sk_low, "K+ c-mass only on L"),
-        "skorokhod_upper_c": ClauseCheck(sk_up <= tol, sk_up, "K- c-mass only on U"),
-        "jump_formula_lower": ClauseCheck(jump_low <= tol, jump_low, "K+ jump formula"),
-        "jump_formula_upper": ClauseCheck(jump_up <= tol, jump_up, "K- jump formula"),
-        "compensator_monotone": ClauseCheck(max(mono, split) <= tol, max(mono, split),
+        "skorokhod_lower_c": ClauseCheck(low.skorokhod <= tol, low.skorokhod,
+                                         "K+ c-mass only on L"),
+        "skorokhod_upper_c": ClauseCheck(up.skorokhod <= tol, up.skorokhod,
+                                         "K- c-mass only on U"),
+        "jump_formula_lower": ClauseCheck(low.jump <= tol, low.jump, "K+ jump formula"),
+        "jump_formula_upper": ClauseCheck(up.jump <= tol, up.jump, "K- jump formula"),
+        "compensator_monotone": ClauseCheck(mono <= tol, mono,
                                             "K+- nondecreasing from zero, splits add up"),
         "no_simultaneous_jumps": ClauseCheck(simultaneous <= tol, simultaneous,
                                              "K+d and K-d never fire together"),

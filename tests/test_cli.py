@@ -36,6 +36,26 @@ def test_solve_one_counterexample(tmp_path, capsys):
     assert solution["summary"]["expected_terminal_kd"] == pytest.approx(0.5)
 
 
+def test_solve_one_with_linear_y_coefficient(tmp_path, capsys):
+    # The compensator increment carries the factor (1 - a dt) so that the
+    # step identity holds with the driver evaluated at the reflected y.
+    config = json.loads((CONFIGS / "counterexample.json").read_text())
+    config["driver"] = {"g": 0.1, "a": 0.3}
+    config["terminal"] = {"kind": "call", "strike": -0.5}
+    path = tmp_path / "coefficient.json"
+    path.write_text(json.dumps(config))
+    assert run("solve-one", "--config", path, "--out", tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is True
+    assert report["clauses"]["dynamics"]["residual"] <= 1e-14
+
+
+def test_config_schema_is_valid():
+    from jsonschema.validators import validator_for
+    from rbsde.config import SCHEMA
+    validator_for(SCHEMA).check_schema(SCHEMA)
+
+
 def test_terminal_below_barrier_exits_3(tmp_path, capsys):
     config = {
         "grid": {"steps": 4},
