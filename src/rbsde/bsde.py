@@ -67,12 +67,17 @@ def check_stepsize(driver, dt: float) -> None:
 
 def terminal_values(tree: ScenarioTree, terminal) -> np.ndarray:
     """Caller-owned leaf values (a copy of the shared evaluation)."""
+    return _leaf_values(tree, terminal).copy()
+
+
+def _leaf_values(tree: ScenarioTree, terminal) -> np.ndarray:
+    """Leaf values for reading only: the shared evaluation or the given array."""
     if isinstance(terminal, TerminalSpec):
-        return terminal.evaluate(tree).copy()
+        return terminal.evaluate(tree)
     values = np.asarray(terminal, dtype=float)
     if values.shape != (tree.level_size(tree.num_steps),):
         raise ValueError("terminal array must hold one value per leaf")
-    return values.copy()
+    return values
 
 
 def barrier_values(tree: ScenarioTree, barrier) -> BarrierValues:

@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import JumpTimeOffGrid
-from .tree import MarkSet, ScenarioTree, build_tree
+from .tree import _BLOCK_NODES, MarkSet, ScenarioTree, build_tree
 
 # Terminal payoffs see the leaf state; obstacle functions also see time,
 # so that conditional-mean processes with compensator drift are exact.
@@ -46,6 +46,17 @@ def _memoised(tree: ScenarioTree, spec, compute: Callable):
         entry = (spec, compute())
         per_tree[id(spec)] = entry
     return entry[1]
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Exact finiteness test, from one sum in the common case.
+
+    A finite sum means every value is finite; only a sum that is NaN or
+    overflows falls back to the element-wise test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    return bool(np.isfinite(total)) or bool(np.all(np.isfinite(values)))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -78,7 +89,7 @@ class TerminalSpec:
             return np.full(leaves, float(self.constant))
         raw = np.asarray(self.payoff(tree.w[-1], tree.counts[-1]), dtype=float)
         values = np.array(np.broadcast_to(raw, (leaves,)), dtype=float)
-        if not np.all(np.isfinite(values)):
+        if not _all_finite(values):
             raise ValueError("terminal payoff must be finite on every leaf")
         return values
 
@@ -171,8 +182,8 @@ def _evaluate_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
             vals = np.full(tree.level_size(k), det)
         else:
             raw = np.asarray(spec.stochastic(t, tree.w[k], tree.counts[k]), dtype=float)
-            vals = det + np.array(np.broadcast_to(raw, (tree.level_size(k),)), dtype=float)
-        if not np.all(np.isfinite(vals)):
+            vals = np.add(det, np.broadcast_to(raw, (tree.level_size(k),)))
+        if not _all_finite(vals):
             raise ValueError(f"obstacle is not finite at level {k}")
         values.append(_read_only(vals))
 
@@ -187,8 +198,9 @@ def _evaluate_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
         else:
             raw = np.asarray(spec.stochastic(t_j, tree.w[level - 1], tree.counts[level - 1]),
                              dtype=float)
-            parent = np.array(np.broadcast_to(raw, (tree.level_size(level - 1),)), dtype=float)
-            left[level] = base + tree.lift(parent)
+            # each child's left limit is its parent's value: add, then repeat
+            parents = np.broadcast_to(raw, (tree.level_size(level - 1),))
+            left[level] = tree.lift(np.add(base, parents))
         _read_only(left[level])
 
     return BarrierValues(values=tuple(values), left=MappingProxyType(left),
@@ -295,30 +307,67 @@ class ProblemSpec:
         return build_tree(self.num_steps, self.marks, node_cap=node_cap)
 
 
+def _linear_form(intercept: float, w_coeff: float, coeffs: np.ndarray, w: np.ndarray,
+                 counts: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """intercept + w_coeff*w + (counts - shift) @ coeffs, over row blocks.
+
+    Each value takes the same float operations as the whole-level
+    expression, but every temporary is one block long and stays in
+    cache.  Blocks hold a multiple of 64 rows, so the matrix product keeps
+    the whole level's BLAS row grouping and gives the same bits.
+    """
+    out = np.empty(len(w))
+    for lo in range(0, len(w), _BLOCK_NODES):
+        rows = slice(lo, lo + _BLOCK_NODES)
+        block = np.multiply(w[rows], w_coeff, out=out[rows])
+        block += intercept
+        if coeffs.size:
+            counted = counts[rows, :coeffs.size]
+            if shift is not None:
+                counted = _shift_columns(counted, shift)
+            block += counted @ coeffs
+    return out
+
+
+def _shift_columns(table: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Row-major ``table - shifts``, one strided pass per column.
+
+    numpy's inner loop then runs over the rows instead of the few
+    columns of a row-major broadcast.  The result stays row-major, so the
+    matrix product that follows takes the same BLAS route and gives the
+    same bits.
+    """
+    out = np.empty(table.shape)
+    for j, shift in enumerate(shifts):
+        np.subtract(table[:, j], shift, out=out[:, j])
+    return out
+
+
 def linear_payoff(intercept: float = 0.0, w_coeff: float = 0.0,
                   count_coeffs: tuple[float, ...] = ()) -> PathFn:
     """Leaf payoff intercept + w_coeff*w + sum_i count_coeffs[i]*counts_i."""
     coeffs = np.asarray(count_coeffs, dtype=float)
 
     def payoff(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        out = intercept + w_coeff * w
-        if coeffs.size:
-            out = out + counts[:, :coeffs.size] @ coeffs
-        return out
+        return _linear_form(intercept, w_coeff, coeffs, w, counts)
 
     return payoff
 
 
 def call_payoff(strike: float, w_coeff: float = 1.0) -> PathFn:
     def payoff(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        return np.maximum(w_coeff * w - strike, 0.0)
+        out = np.multiply(w, w_coeff)
+        out -= strike
+        return np.maximum(out, 0.0, out=out)
 
     return payoff
 
 
 def put_payoff(strike: float, w_coeff: float = 1.0) -> PathFn:
     def payoff(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        return np.maximum(strike - w_coeff * w, 0.0)
+        out = np.multiply(w, w_coeff)
+        np.subtract(strike, out, out=out)
+        return np.maximum(out, 0.0, out=out)
 
     return payoff
 
@@ -336,12 +385,7 @@ def linear_obstacle(intercept: float = 0.0, w_coeff: float = 0.0,
     lam = compensate.intensity_array if compensate is not None else None
 
     def obstacle(t: float, w: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        out = intercept + w_coeff * w
-        if coeffs.size:
-            counted = counts[:, :coeffs.size]
-            if lam is not None:
-                counted = counted - t * lam[None, :coeffs.size]
-            out = out + counted @ coeffs
-        return out
+        shift = t * lam[:coeffs.size] if lam is not None else None
+        return _linear_form(intercept, w_coeff, coeffs, w, counts, shift)
 
     return obstacle

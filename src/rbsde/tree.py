@@ -64,11 +64,17 @@ class MarkSet:
 class ScenarioTree:
     """Non-recombining tree encoding the filtration of both noises.
 
-    Level k holds ``branching**k`` nodes (the atoms of F_{t_k}); the
+    Level k holds ``n_k = branching**k`` nodes (the atoms of F_{t_k}); the
     children of node ``i`` at the next level occupy the contiguous slice
-    ``i*branching : (i+1)*branching``.  Branch ``b`` carries a Brownian
-    sign (+ for b < m+1, - otherwise) and a jump outcome (``b % (m+1)``,
-    0 meaning no jump, j > 0 meaning mark j-1 fires).
+    ``i*branching : (i+1)*branching``, so child ``i*B + b`` is node ``i``
+    followed along branch ``b``.  Branch ``b`` carries a Brownian sign
+    (+ for b < m+1, - otherwise) and a jump outcome (``b % (m+1)``, 0
+    meaning no jump, j > 0 meaning mark j-1 fires).
+
+    Every level array is C-contiguous float64: ``w[k]`` and
+    ``atom_prob[k]`` have shape ``(n_k,)``, ``counts[k]`` has shape
+    ``(n_k, m)``.  The level kernels reshape them into ``(parents, B)``
+    views and rely on this layout.
     """
 
     num_steps: int
@@ -185,15 +191,43 @@ def build_tree(num_steps: int, mark_set: MarkSet | None = None,
     counts = [np.zeros((1, m))]
     atom = [np.ones(1)]
     for _ in range(num_steps):
-        w.append((w[-1][:, None] + db[None, :]).ravel())
-        counts.append((counts[-1][:, None, :] + jump[None, :, :])
-                      .reshape(len(counts[-1]) * branching, m))
-        atom.append((atom[-1][:, None] * prob[None, :]).ravel())
+        w.append(_branch_pass(np.add, w[-1], db))
+        atom.append(_branch_pass(np.multiply, atom[-1], prob))
+        counts.append(_count_pass(counts[-1], branching))
 
     return ScenarioTree(num_steps=num_steps, marks=marks, dt=dt,
                         branch_prob=prob, branch_db=db,
                         branch_jump=jump, branch_comp=comp,
                         w=tuple(w), counts=tuple(counts), atom_prob=tuple(atom))
+
+
+def _branch_pass(op, parents: np.ndarray, per_branch: np.ndarray) -> np.ndarray:
+    """Child level ``op(parents[i], per_branch[b])`` at ``i*B + b``.
+
+    One strided pass per branch, so numpy's inner loop runs over the
+    parents rather than the B branches of a row-major broadcast.
+    """
+    out = np.empty((len(parents), len(per_branch)))
+    for b, value in enumerate(per_branch):
+        op(parents, value, out=out[:, b])
+    return out.ravel()
+
+
+def _count_pass(parents: np.ndarray, branching: int) -> np.ndarray:
+    """Child jump counts: each parent row repeated B times, plus one on a firing mark.
+
+    Branches 1+i and m+2+i fire mark i (see ``branch_outcome``); every
+    other count is copied, which is what adding a zero indicator gave.
+    """
+    n, m = parents.shape
+    if not m:  # np.repeat would still walk every zero-width row
+        return np.empty((n * branching, 0))
+    out = np.repeat(parents, branching, axis=0)
+    table = out.reshape(n, branching, m)
+    for i in range(m):
+        table[:, 1 + i, i] += 1.0
+        table[:, m + 2 + i, i] += 1.0
+    return out
 
 
 def _parent_blocks(tree: ScenarioTree, level: int) -> list[slice]:

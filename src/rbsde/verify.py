@@ -13,12 +13,13 @@ jump-type mass (regularity dichotomy).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (SolutionQuadruple, _source_term, barrier_values, solve_bsde,
-                   terminal_values)
+from .bsde import (SolutionQuadruple, _leaf_values, _source_term, barrier_values,
+                   solve_bsde)
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
 from .processes import BarrierValues, DriverSpec, ProblemSpec
@@ -89,9 +90,20 @@ def _driver_values(tree: ScenarioTree, driver, level: int, rows: slice, y, z, v,
     return out
 
 
+def _worst(*values: float) -> float:
+    """Largest residual, or NaN if any residual is NaN.
+
+    Python's ``max`` keeps its first argument unless a later one compares
+    greater, so a NaN that is not first would drop out and a clause on
+    non-finite data would pass.
+    """
+    worst = max(values)
+    return worst if all(v == v for v in values) else math.nan
+
+
 def _abs_max(values: np.ndarray) -> float:
     """max |values| from two reductions, without an |values| temporary."""
-    return float(max(np.max(values), -np.min(values)))
+    return _worst(float(np.max(values)), -float(np.min(values)))
 
 
 def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray, sides,
@@ -129,39 +141,39 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray, sides,
                 split = np.subtract(_children(tree, side.k[k + 1], rows),
                                     _children(tree, side.k_c[k + 1], rows))
                 split -= _children(tree, side.k_d[k + 1], rows)
-                side.split = max(side.split, _abs_max(split))
+                side.split = _worst(side.split, _abs_max(split))
                 d_k = _increments(tree, side.k, k, rows)
                 d_kc = _increments(tree, side.k_c, k, rows)
                 d_kd = _increments(tree, side.k_d, k, rows)
                 dk_incs.append(d_k)
                 kd_incs.append(d_kd)
                 slack = side.sign * (y_par - side.obstacle.values[k][rows])
-                side.contain = max(side.contain, -float(np.min(slack)))
+                side.contain = _worst(side.contain, -float(np.min(slack)))
                 mass_c = np.multiply(d_kc, slack[:, None], out=d_kc)
-                side.skorokhod = max(side.skorokhod, _abs_max(mass_c))
+                side.skorokhod = _worst(side.skorokhod, _abs_max(mass_c))
                 # left-limit minimality integral, weighting each child by
                 # P(parent) * branch probability: continuous-type mass pairs
                 # with the slack at the assigning slot, jump-type mass (below)
                 # with the left limit against the previous-slot solution
                 side.left_integral += float(parent_prob @ (mass_c @ prob))
-                side.monotone = max(side.monotone, -float(np.min(d_k)))
+                side.monotone = _worst(side.monotone, -float(np.min(d_k)))
                 left = side.obstacle.left.get(k + 1)
                 if left is None:
-                    side.jump = max(side.jump, _abs_max(d_kd))
+                    side.jump = _worst(side.jump, _abs_max(d_kd))
                     continue
                 left = _children(tree, left, rows)
                 gap = side.sign * (y_par[:, None] - left)
                 binding = np.abs(gap) <= bind_tol
                 formula = np.where(binding, np.maximum(side.sign * (left - y_child), 0.0), 0.0)
-                side.jump = max(side.jump, _abs_max(d_kd - formula))
+                side.jump = _worst(side.jump, _abs_max(d_kd - formula))
                 side.left_integral += float(parent_prob @ ((gap * d_kd) @ prob))
             # K+ - K- for two sides, K alone for one
             compensator = dk_incs[0] if len(sides) == 1 else dk_incs[0] - dk_incs[1]
             rhs = y_child @ prob + f_val * tree.dt + compensator @ prob
-            dyn = max(dyn, float(np.max(np.abs(y_par - rhs))))
+            dyn = _worst(dyn, float(np.max(np.abs(y_par - rhs))))
             if len(kd_incs) == 2:
-                simultaneous = max(simultaneous,
-                                   float(np.max(np.minimum(kd_incs[0], kd_incs[1]))))
+                simultaneous = _worst(simultaneous,
+                                      float(np.max(np.minimum(kd_incs[0], kd_incs[1]))))
     return dyn, simultaneous
 
 
@@ -170,10 +182,10 @@ def check_solution_one(tree: ScenarioTree, sol: SolutionQuadruple, driver,
                        bind_tol: float = 1e-9) -> CheckReport:
     """Check every clause of the one-obstacle equation on a solution."""
     side = _Side(barrier_values(tree, barrier), sol.k, sol.k_c, sol.k_d, +1)
-    dyn, _ = _check_levels(tree, sol, driver, terminal_values(tree, terminal), [side],
+    dyn, _ = _check_levels(tree, sol, driver, _leaf_values(tree, terminal), [side],
                            bind_tol)
-    dominance = max(0.0, side.contain)
-    mono = max(side.monotone, side.split)
+    dominance = _worst(0.0, side.contain)
+    mono = _worst(side.monotone, side.split)
     left = abs(side.left_integral)
 
     clauses = {
@@ -196,12 +208,12 @@ def check_solution_two(tree: ScenarioTree, sol, driver, terminal, lower, upper,
     """Check every clause of the two-obstacle equation on a solution."""
     low = _Side(barrier_values(tree, lower), sol.k_plus, sol.k_plus_c, sol.k_plus_d, +1)
     up = _Side(barrier_values(tree, upper), sol.k_minus, sol.k_minus_c, sol.k_minus_d, -1)
-    dyn, simultaneous = _check_levels(tree, sol, driver, terminal_values(tree, terminal),
+    dyn, simultaneous = _check_levels(tree, sol, driver, _leaf_values(tree, terminal),
                                       [low, up], bind_tol)
-    contain = max(0.0, low.contain, up.contain)
-    mono = max(low.monotone, up.monotone, low.split, up.split)
-    simultaneous = max(0.0, simultaneous)
-    left = max(abs(low.left_integral), abs(up.left_integral))
+    contain = _worst(0.0, low.contain, up.contain)
+    mono = _worst(low.monotone, up.monotone, low.split, up.split)
+    simultaneous = _worst(0.0, simultaneous)
+    left = _worst(abs(low.left_integral), abs(up.left_integral))
 
     clauses = {
         "dynamics": ClauseCheck(dyn <= tol, dyn, "projected step identity and terminal"),
@@ -247,7 +259,7 @@ def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2,
         routes.append(solve_bsde(tree, driver, problem.terminal).y)
         if coefficient_free:
             routes.append(_mean_mass_route(tree, driver,
-                                           terminal_values(tree, problem.terminal)))
+                                           _leaf_values(tree, problem.terminal)))
         else:
             for rng in rngs:
                 sol, _ = picard_solve(tree, driver, problem.terminal,

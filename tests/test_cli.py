@@ -230,6 +230,20 @@ def test_verify_malformed_solution_exits_2(tmp_path, capsys, counterexample_solu
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_verify_nan_solution_exits_4(tmp_path, capsys, counterexample_solution):
+    payload = json.loads(counterexample_solution.read_text())
+    payload["nodes"]["k"][3][1] = float("nan")
+    payload["nodes"]["z"][2][0] = float("nan")
+    poisoned = tmp_path / "nan.json"
+    poisoned.write_text(json.dumps(payload))
+    assert run("verify", "--config", CONFIGS / "counterexample.json",
+               "--solution", poisoned, "--out", tmp_path / "v") == 4
+    assert "verification failed" in capsys.readouterr().err
+    clauses = json.loads((tmp_path / "v" / "report.json").read_text())["clauses"]
+    assert not clauses["dynamics"]["passed"]
+    assert not clauses["compensator_monotone"]["passed"]
+
+
 def test_verify_cut_off_solution_file_exits_2(tmp_path, counterexample_solution):
     cut = tmp_path / "cut.json"
     cut.write_bytes(counterexample_solution.read_bytes()[:5000])

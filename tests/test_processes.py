@@ -199,3 +199,68 @@ def test_memo_is_freed_with_the_tree():
     del tree
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# evaluation path: blocked linear forms and the finiteness guard
+
+
+def _old_linear_obstacle(intercept, w_coeff, coeffs, lam):
+    """The whole-level broadcast formulas that the blocked forms replace."""
+    coeffs = np.asarray(coeffs, dtype=float)
+
+    def obstacle(t, w, counts):
+        out = intercept + w_coeff * w
+        counted = counts[:, :coeffs.size]
+        if lam is not None:
+            counted = counted - t * lam[None, :coeffs.size]
+        return out + counted @ coeffs
+
+    return obstacle
+
+
+@pytest.mark.parametrize("m,steps", [(1, 9), (2, 7), (3, 5)])
+def test_linear_forms_match_broadcast_formulas_bit_for_bit(m, steps):
+    from rbsde.processes import linear_payoff
+    marks = _marks(m)
+    # the deepest levels span several row blocks, the last one partial for m=2
+    tree = build_tree(steps, marks)
+    coeffs = tuple(0.17 + 0.11 * i for i in range(m))
+    compensated = linear_obstacle(-0.3, 0.45, coeffs, compensate=marks)
+    old_compensated = _old_linear_obstacle(-0.3, 0.45, coeffs, marks.intensity_array)
+    payoff = linear_payoff(0.25, -0.6, coeffs)
+    old_payoff = _old_linear_obstacle(0.25, -0.6, coeffs, None)
+    for k in range(steps + 1):
+        t = tree.time(k)
+        assert np.array_equal(compensated(t, tree.w[k], tree.counts[k]),
+                              old_compensated(t, tree.w[k], tree.counts[k]))
+    assert np.array_equal(payoff(tree.w[-1], tree.counts[-1]),
+                          old_payoff(1.0, tree.w[-1], tree.counts[-1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_single_non_finite_node_is_rejected(bad):
+    tree = build_tree(3, _marks(1))
+    leaves = tree.level_size(3)
+
+    def poisoned(w, node):
+        out = np.zeros(len(w))
+        if len(w) == leaves:
+            out[node] = bad
+        return out
+
+    with pytest.raises(ValueError, match="not finite at level 3"):
+        eval_barrier(BarrierSpec(stochastic=lambda t, w, c: poisoned(w, leaves // 3)), tree)
+    with pytest.raises(ValueError, match="finite on every leaf"):
+        TerminalSpec(payoff=lambda w, c: poisoned(w, leaves - 1)).evaluate(tree)
+
+
+def test_finite_values_whose_sum_overflows_are_accepted():
+    tree = build_tree(3, _marks(1))
+    huge = BarrierSpec(stochastic=lambda t, w, counts: np.full(len(w), 1e308))
+    values = eval_barrier(huge, tree).values
+    assert all(np.all(level == 1e308) for level in values)
+    with np.errstate(over="ignore"):
+        assert np.isinf(values[-1].sum())
+    leaves = TerminalSpec(payoff=lambda w, c: np.full(len(w), -1e308)).evaluate(tree)
+    assert np.all(leaves == -1e308)

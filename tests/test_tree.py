@@ -115,3 +115,48 @@ def test_node_navigation():
     assert tree.branch_outcome(0) is None
     assert tree.branch_outcome(1) == 0
     assert tree.branch_outcome(5) == 1
+
+
+def _broadcast_levels(tree):
+    """The row-major broadcast construction of w, counts and atom_prob."""
+    branching, m = tree.branching, tree.marks.count
+    w, counts, atom = [np.zeros(1)], [np.zeros((1, m))], [np.ones(1)]
+    for _ in range(tree.num_steps):
+        w.append((w[-1][:, None] + tree.branch_db[None, :]).ravel())
+        counts.append((counts[-1][:, None, :] + tree.branch_jump[None, :, :])
+                      .reshape(len(counts[-1]) * branching, m))
+        atom.append((atom[-1][:, None] * tree.branch_prob[None, :]).ravel())
+    return w, counts, atom
+
+
+@pytest.mark.parametrize("m,steps", [(0, 9), (1, 5), (2, 4), (3, 3)])
+def test_build_matches_broadcast_formulas_bit_for_bit(m, steps):
+    marks = MarkSet(sizes=tuple(1.0 + i for i in range(m)),
+                    intensities=tuple(0.3 + 0.2 * i for i in range(m)))
+    tree = build_tree(steps, marks)
+    w, counts, atom = _broadcast_levels(tree)
+    for k in range(steps + 1):
+        assert np.array_equal(tree.w[k], w[k])
+        assert np.array_equal(tree.counts[k], counts[k])
+        assert np.array_equal(tree.atom_prob[k], atom[k])
+
+
+@pytest.mark.parametrize("m,steps", [(0, 6), (1, 4), (2, 3), (3, 2)])
+def test_level_arrays_follow_the_layout_contract(m, steps):
+    marks = MarkSet(sizes=tuple(1.0 + i for i in range(m)),
+                    intensities=tuple(0.2 + 0.1 * i for i in range(m)))
+    tree = build_tree(steps, marks)
+    for k in range(steps + 1):
+        size = tree.branching ** k
+        for level, shape in ((tree.w[k], (size,)), (tree.atom_prob[k], (size,)),
+                             (tree.counts[k], (size, m))):
+            assert level.shape == shape
+            assert level.dtype == np.float64
+            assert level.flags.c_contiguous
+    # child i*B + b is parent i followed along branch b
+    last = tree.num_steps
+    parents = np.arange(tree.level_size(last)) // tree.branching
+    branches = np.arange(tree.level_size(last)) % tree.branching
+    assert np.array_equal(tree.w[last], tree.w[last - 1][parents] + tree.branch_db[branches])
+    assert np.array_equal(tree.counts[last],
+                          tree.counts[last - 1][parents] + tree.branch_jump[branches])

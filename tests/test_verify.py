@@ -40,6 +40,36 @@ def test_counterexample_report_is_clean():
     assert all(c.residual <= 1e-13 for c in report.clauses.values())
 
 
+# NaN at one node must fail the clauses that read it, not drop out of a maximum
+@pytest.mark.parametrize("poison,failing", [
+    ((("k", 3, 1),), {"dynamics", "compensator_monotone"}),
+    ((("z", 2, 0),), {"dynamics"}),
+    ((("k", 3, 1), ("z", 2, 0)), {"dynamics", "compensator_monotone"}),
+    ((("k_d", 4, 3),), {"jump_formula_d", "compensator_monotone"}),
+])
+def test_nan_in_one_barrier_solution_fails_its_clauses(poison, failing):
+    tree, driver, terminal, barrier = counterexample_pieces()
+    sol = solve_reflected_one(tree, driver, terminal, barrier)
+    for field, level, node in poison:
+        getattr(sol, field)[level][node] = np.nan
+    report = check_solution_one(tree, sol, driver, terminal, barrier)
+    assert {name for name, c in report.clauses.items() if not c.passed} == failing
+    assert all(np.isnan(report.clauses[name].residual) for name in failing)
+
+
+@pytest.mark.parametrize("field", ["k_minus", "k_plus_d", "y"])
+def test_nan_in_two_barrier_solution_fails(field):
+    problem = random_two_barrier(np.random.default_rng(31))
+    tree = problem.build_tree()
+    sol = solve_double_obstacle(tree, problem.driver, problem.terminal,
+                                problem.lower, problem.upper)
+    getattr(sol, field)[tree.num_steps][-1] = np.nan
+    report = check_solution_two(tree, sol, problem.driver, problem.terminal,
+                                problem.lower, problem.upper)
+    assert not report.passed
+    assert any(np.isnan(c.residual) for c in report.clauses.values())
+
+
 @pytest.mark.parametrize("case", one_barrier_mutants(),
                          ids=[entry[0] for entry in one_barrier_mutants()])
 def test_one_barrier_mutants_flip_exactly_their_clause(case):
