@@ -179,17 +179,12 @@ def _solution_from_payload(payload: dict, tree: ScenarioTree):
 
 
 def _prepare(args) -> tuple[ProblemSpec, SolverOptions, Path]:
-    problem, options = load_config(args.config)
+    overrides = {key: value for key, value in (("tol", args.tol),
+                                               ("max_iter", args.max_iter))
+                 if value is not None}
+    problem, options = load_config(args.config, overrides)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.tol is not None:
-        options = SolverOptions(kind=options.kind, alpha=options.alpha,
-                                tol=args.tol, max_iter=options.max_iter,
-                                node_cap=options.node_cap)
-    if args.max_iter is not None:
-        options = SolverOptions(kind=options.kind, alpha=options.alpha,
-                                tol=options.tol, max_iter=args.max_iter,
-                                node_cap=options.node_cap)
     return problem, options, out
 
 
@@ -289,8 +284,7 @@ def cmd_snell(args) -> int:
     regularity = regularity_check(tree, result, left)
     named = [("envelope", result.envelope, tree.num_steps + 1),
              ("compensator", result.compensator, tree.num_steps + 1)]
-    stop_fraction = [float(tree.atom_prob[k] @ result.stop[k])
-                     for k in range(tree.num_steps + 1)]
+    stop_fraction = [tree.expectation(k, result.stop[k]) for k in range(tree.num_steps + 1)]
     extra = [("stop_fraction", stop_fraction)]
     header, rows = _summary_columns(tree, named, extra)
     _write_csv(out / "snell.csv", header, rows)

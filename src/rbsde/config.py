@@ -1,14 +1,21 @@
-"""JSON problem configurations: schema, validation and construction."""
+"""JSON problem configurations: schema, validation and construction.
+
+``SCHEMA`` is a JSON Schema (draft 2020-12) document, and configurations
+are validated against it by a small built-in checker that implements
+exactly the keywords the schema uses (``_KEYWORDS``).  A rejected
+configuration raises ``ConfigError`` with a message that names the JSON
+path of the offending value, such as ``$.grid.steps`` or
+``$.marks[0].intensity``.
+"""
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
-
-import jsonschema
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .processes import (BarrierSpec, DriverSpec, MarkSet, PenaltyTerm, ProblemSpec,
@@ -152,21 +159,189 @@ class SolverOptions:
     node_cap: int | None = None
 
 
-# Built once: the schema itself is a constant, checked against its
-# metaschema by the test suite rather than on every load.
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+def _json_path(path: tuple) -> str:
+    """``$.grid.steps`` style rendering of a tuple of keys and indices."""
+    parts = ["$"]
+    for step in path:
+        if isinstance(step, int):
+            parts.append(f"[{step}]")
+        elif step.isidentifier():
+            parts.append(f".{step}")
+        else:
+            parts.append(f"[{json.dumps(step)}]")
+    return "".join(parts)
 
 
-def _reject_non_finite(value, where: str = "configuration") -> None:
+def _show(value) -> str:
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _reject_non_finite(value, path: tuple = ()) -> None:
     """Raise ConfigError on NaN or infinite numbers anywhere in the mapping."""
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where} is {value!r}; numbers must be finite")
+        raise ConfigError(f"{_json_path(path)} is {value!r}; numbers must be finite")
     if isinstance(value, dict):
         for key, item in value.items():
-            _reject_non_finite(item, f"{where}.{key}")
+            _reject_non_finite(item, path + (key,))
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            _reject_non_finite(item, f"{where}[{i}]")
+            _reject_non_finite(item, path + (i,))
+
+
+# Checker for the JSON Schema subset that SCHEMA uses.  Types follow
+# draft 2020-12: a bool is neither a number nor equal to one, and an
+# integer is any number with an integral value (1.0 included).
+
+class _Violation(NamedTuple):
+    path: tuple
+    message: str
+    # const/enum misses: in a oneOf they say "other alternative", not "bad value"
+    weak: bool = False
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "number": _is_number,
+    "integer": lambda value: (isinstance(value, int) and not isinstance(value, bool))
+    or (isinstance(value, float) and value.is_integer()),
+    "boolean": lambda value: isinstance(value, bool),
+    "null": lambda value: value is None,
+}
+
+
+def _json_equal(a, b) -> bool:
+    """JSON equality: 1 == 1.0, but true != 1; arrays and objects by content."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool) and a == b
+    if _is_number(a) and _is_number(b):
+        return a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+def _check_type(value, names, schema, path):
+    names = [names] if isinstance(names, str) else names
+    if not any(_TYPES[name](value) for name in names):
+        return _Violation(path, f"{_show(value)} is not of type {' or '.join(names)}")
+
+
+def _check_const(value, expected, schema, path):
+    if not _json_equal(value, expected):
+        return _Violation(path, f"{_show(value)} is not {_show(expected)}", weak=True)
+
+
+def _check_enum(value, options, schema, path):
+    if not any(_json_equal(value, option) for option in options):
+        return _Violation(path, f"{_show(value)} is not one of {_show(options)}",
+                          weak=True)
+
+
+def _check_minimum(value, bound, schema, path):
+    if _is_number(value) and value < bound:
+        return _Violation(path, f"{_show(value)} is less than the minimum of {bound}")
+
+
+def _check_exclusive_minimum(value, bound, schema, path):
+    if _is_number(value) and value <= bound:
+        return _Violation(path, f"{_show(value)} is not greater than {bound}")
+
+
+def _check_min_items(value, count, schema, path):
+    if isinstance(value, list) and len(value) < count:
+        return _Violation(path, f"{_show(value)} has fewer than {count} items")
+
+
+def _check_max_items(value, count, schema, path):
+    if isinstance(value, list) and len(value) > count:
+        return _Violation(path, f"{_show(value)} has more than {count} items")
+
+
+def _check_items(value, item_schema, schema, path):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            found = _first_violation(item, item_schema, path + (i,))
+            if found:
+                return found
+
+
+def _check_properties(value, properties, schema, path):
+    if isinstance(value, dict):
+        for key, sub in properties.items():
+            if key in value:
+                found = _first_violation(value[key], sub, path + (key,))
+                if found:
+                    return found
+
+
+def _check_required(value, names, schema, path):
+    if isinstance(value, dict):
+        for name in names:
+            if name not in value:
+                return _Violation(path + (name,), "required property is missing")
+
+
+def _check_additional(value, allowed, schema, path):
+    # only ``additionalProperties: false`` is implemented (and used)
+    if isinstance(value, dict):
+        known = schema.get("properties", {})
+        for key in value:
+            if key not in known:
+                return _Violation(path + (key,), "property is not allowed here")
+
+
+def _check_one_of(value, branches, schema, path):
+    misses = [_first_violation(value, branch, path) for branch in branches]
+    matched = misses.count(None)
+    if matched == 1:
+        return None
+    if matched > 1:
+        return _Violation(path, f"{_show(value)} matches {matched} alternatives "
+                                f"of a oneOf, not exactly one")
+    # Report the alternative that got furthest: one whose discriminating
+    # const/enum matched, failing deepest; a tie says only that none fits.
+    rank = [(not miss.weak, len(miss.path)) for miss in misses]
+    best = max(rank)
+    if rank.count(best) == 1:
+        return misses[rank.index(best)]
+    return _Violation(path, f"{_show(value)} matches none of the alternatives")
+
+
+# Every keyword the checker implements, applied in the schema's key order.
+# "$schema" is an annotation and checks nothing.
+_KEYWORDS = {
+    "$schema": None,
+    "type": _check_type,
+    "const": _check_const,
+    "enum": _check_enum,
+    "minimum": _check_minimum,
+    "exclusiveMinimum": _check_exclusive_minimum,
+    "minItems": _check_min_items,
+    "maxItems": _check_max_items,
+    "items": _check_items,
+    "properties": _check_properties,
+    "required": _check_required,
+    "additionalProperties": _check_additional,
+    "oneOf": _check_one_of,
+}
+
+
+def _first_violation(value, schema: dict, path: tuple = ()) -> _Violation | None:
+    """The first keyword of ``schema`` (in key order) that ``value`` violates."""
+    for keyword, argument in schema.items():
+        check = _KEYWORDS[keyword]
+        found = check and check(value, argument, schema, path)
+        if found:
+            return found
+    return None
 
 
 def _reject_constant(name: str):
@@ -222,9 +397,10 @@ def _build_barrier(obj: dict, marks: MarkSet) -> BarrierSpec:
 def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
     """Validate a configuration mapping and build the problem it describes."""
     _reject_non_finite(data)
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
-    if error is not None:
-        raise ConfigError(f"configuration rejected: {error.message}")
+    violation = _first_violation(data, SCHEMA)
+    if violation is not None:
+        raise ConfigError(f"configuration rejected: {_json_path(violation.path)}: "
+                          f"{violation.message}")
 
     try:
         marks = MarkSet(
@@ -279,7 +455,14 @@ def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
     return problem, options
 
 
-def load_config(path: str | Path) -> tuple[ProblemSpec, SolverOptions]:
+def load_config(path: str | Path,
+                solver_overrides: dict | None = None) -> tuple[ProblemSpec, SolverOptions]:
+    """Read, validate and build a configuration file.
+
+    ``solver_overrides`` (such as command-line ``tol``/``max_iter`` values)
+    replace entries of the ``solver`` section before validation, so they
+    are checked exactly like values written in the file.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"),
                           parse_constant=_reject_constant)
@@ -287,4 +470,6 @@ def load_config(path: str | Path) -> tuple[ProblemSpec, SolverOptions]:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
+    if solver_overrides and isinstance(data.get("solver"), dict):
+        data["solver"].update(solver_overrides)
     return parse_config(data)

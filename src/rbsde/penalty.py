@@ -45,10 +45,6 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
     return PenalizedSolution(level=float(n), solution=solution, kn=kn)
 
 
-def _weighted_l2(tree: ScenarioTree, level: int, values: np.ndarray) -> float:
-    return float(tree.atom_prob[level] @ np.asarray(values, dtype=float))
-
-
 def dt_dp_gap(tree: ScenarioTree, p: Process, q: Process,
               mark_weights: np.ndarray | None = None) -> float:
     """Gap in the dt (x) dP norm, optionally intensity-weighted per mark."""
@@ -62,7 +58,7 @@ def dt_dp_gap(tree: ScenarioTree, p: Process, q: Process,
                 sq = (diff ** 2).sum(axis=1)
         else:
             sq = diff ** 2
-        total += tree.dt * _weighted_l2(tree, k, sq)
+        total += tree.dt * tree.expectation(k, sq)
     return float(np.sqrt(total))
 
 
@@ -111,8 +107,8 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
     z_gaps = tuple(dt_dp_gap(tree, s.solution.z, reflected.z) for s in solutions)
     v_gaps = tuple(dt_dp_gap(tree, s.solution.v, reflected.v, lam) for s in solutions)
     k_gaps = tuple(
-        float(np.sqrt(_weighted_l2(tree, probe_level,
-                                   (s.kn[probe_level] - reflected.k[probe_level]) ** 2)))
+        float(np.sqrt(tree.expectation(probe_level,
+                                       (s.kn[probe_level] - reflected.k[probe_level]) ** 2)))
         for s in solutions)
     return PenalizationReport(levels=levels, solutions=solutions, reflected=reflected,
                               sup_gaps=sup_gaps, z_gaps=z_gaps, v_gaps=v_gaps,

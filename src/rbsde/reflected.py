@@ -21,7 +21,7 @@ from .bsde import project_level  # noqa: F401  (kept importable from this module
 from .errors import DriverNotCoefficientFree, TerminalBelowBarrier
 from .processes import DriverSpec
 from .snell import BIND_TOL, snell
-from .tree import Process, ScenarioTree, _accumulate, _children, _parent_blocks
+from .tree import Process, ScenarioTree, _accumulate, _children, _parent_blocks, _worst
 
 TERMINAL_SLACK = 1e-12
 
@@ -125,5 +125,5 @@ def snell_representation_check(tree: ScenarioTree, solution: SolutionQuadruple,
     envelope = snell(tree, payoff).envelope
     worst = 0.0
     for k in range(tree.num_steps + 1):
-        worst = max(worst, float(np.max(np.abs(solution.y[k] + cum[k] - envelope[k]))))
+        worst = _worst(worst, float(np.max(np.abs(solution.y[k] + cum[k] - envelope[k]))))
     return worst

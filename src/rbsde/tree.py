@@ -10,6 +10,7 @@ layout, which keeps all per-level operations vectorisable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +136,15 @@ class ScenarioTree:
         return np.repeat(np.asarray(values, dtype=float), self.branching, axis=0)
 
     def expectation(self, level: int, values: np.ndarray) -> float:
-        return float(self.atom_prob[level] @ np.asarray(values, dtype=float))
+        """Probability-weighted sum of node values over one level.
+
+        Every whole-level weighted sum in the package comes from here.  It
+        multiplies and then adds with numpy's pairwise reduction, whose
+        order depends on the length alone: a BLAS dot product splits the
+        sum by thread count, so output bytes would depend on
+        ``OPENBLAS_NUM_THREADS``.
+        """
+        return float(np.add.reduce(np.multiply(self.atom_prob[level], values)))
 
     def constant(self, value: float) -> Process:
         return [np.full(self.level_size(k), float(value)) for k in range(self.num_steps + 1)]
@@ -282,12 +291,23 @@ def conditional_expectation(tree: ScenarioTree, values_next: np.ndarray) -> np.n
     return tree.cond_exp(values_next)
 
 
+def _worst(*values: float) -> float:
+    """Largest value, or NaN if any value is NaN.
+
+    Python's ``max`` keeps its first argument unless a later one compares
+    greater, so a NaN that is not first would drop out and a gap or
+    residual on non-finite data would read as small.
+    """
+    worst = max(values)
+    return worst if all(v == v for v in values) else math.nan
+
+
 def sup_diff(p: Process, q: Process) -> float:
-    """Largest absolute node-wise gap between two per-level processes."""
+    """Largest absolute node-wise gap between two per-level processes (NaN kept)."""
     worst = 0.0
     for a, b in zip(p, q):
         if np.asarray(a).size:
-            worst = max(worst, float(np.max(np.abs(np.asarray(a) - np.asarray(b)))))
+            worst = _worst(worst, float(np.max(np.abs(np.asarray(a) - np.asarray(b)))))
     return worst
 
 

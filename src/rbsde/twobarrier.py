@@ -23,7 +23,7 @@ from .errors import (BarriersTouch, DriverNotCoefficientFree, MaxIterExceeded,
 from .processes import DriverSpec
 from .reflected import _split_side
 from .snell import BIND_TOL, snell
-from .tree import Process, ScenarioTree, _accumulate, copy_process, sup_diff
+from .tree import Process, ScenarioTree, _accumulate, _worst, copy_process, sup_diff
 
 TERMINAL_SLACK = 1e-12
 
@@ -264,7 +264,7 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
         res_plus = snell(tree, [n_minus[k] + l_tilde[k] for k in range(n + 1)])
         res_minus = snell(tree, [n_plus[k] - u_tilde[k] for k in range(n + 1)])
         new_plus, new_minus = res_plus.envelope, res_minus.envelope
-        change = max(sup_diff(new_plus, n_plus), sup_diff(new_minus, n_minus))
+        change = _worst(sup_diff(new_plus, n_plus), sup_diff(new_minus, n_minus))
         n_plus, n_minus = new_plus, new_minus
         iterates.append((copy_process(n_plus), copy_process(n_minus)))
         changes.append(change)

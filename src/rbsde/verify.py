@@ -13,7 +13,6 @@ jump-type mass (regularity dichotomy).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,8 @@ from .penalty import solve_penalized, sweep
 from .processes import BarrierValues, DriverSpec, ProblemSpec
 from .reflected import obstacle_payoff, solve_reflected_one
 from .snell import snell
-from .tree import Process, ScenarioTree, _children, _increments, _parent_blocks, sup_diff
+from .tree import (Process, ScenarioTree, _children, _increments, _parent_blocks, _worst,
+                   sup_diff)
 from .twobarrier import picard_snell_solve, solve_double_obstacle
 
 CHECK_TOL = 1e-10
@@ -88,17 +88,6 @@ def _driver_values(tree: ScenarioTree, driver, level: int, rows: slice, y, z, v,
             raise ValueError("penalty drivers need obstacle values")
         out = out + pen.weight * np.maximum(pen_barrier - y, 0.0)
     return out
-
-
-def _worst(*values: float) -> float:
-    """Largest residual, or NaN if any residual is NaN.
-
-    Python's ``max`` keeps its first argument unless a later one compares
-    greater, so a NaN that is not first would drop out and a clause on
-    non-finite data would pass.
-    """
-    worst = max(values)
-    return worst if all(v == v for v in values) else math.nan
 
 
 def _abs_max(values: np.ndarray) -> float:
@@ -301,7 +290,7 @@ def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2,
     worst = 0.0
     for i in range(len(routes)):
         for j in range(i + 1, len(routes)):
-            worst = max(worst, sup_diff(routes[i], routes[j]))
+            worst = _worst(worst, sup_diff(routes[i], routes[j]))
     return worst
 
 
@@ -340,8 +329,8 @@ def regularity_probe(problem: ProblemSpec, ladder=DEFAULT_LADDER) -> RegularityP
         worst = 0.0
         for level in obstacle.jump_levels:
             # non-uniformity shows at the slot announcing the jump
-            worst = max(worst, float(np.max(np.abs(sol.solution.y[level - 1]
-                                                   - reflected.y[level - 1]))))
+            worst = _worst(worst, float(np.max(np.abs(sol.solution.y[level - 1]
+                                                      - reflected.y[level - 1]))))
         gaps_at_jumps.append(worst)
 
     verdict = "irregular" if kd_mass > 1e-10 else "regular"

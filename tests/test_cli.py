@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,28 @@ def test_config_schema_is_valid():
     from jsonschema.validators import validator_for
     from rbsde.config import SCHEMA
     validator_for(SCHEMA).check_schema(SCHEMA)
+
+
+def test_cli_import_loads_no_jsonschema():
+    # jsonschema is a test-only reference; the CLI validates configs itself
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, rbsde.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('jsonschema', 'referencing', 'rpds')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--max-iter", "-3"),
+                                         ("--tol", "0"), ("--tol", "-1"),
+                                         ("--tol", "nan")])
+def test_out_of_range_solver_flags_exit_2(tmp_path, capsys, flag, value):
+    code = run("contraction-study", "--config", CONFIGS / "contraction.json",
+               "--out", tmp_path, flag, value)
+    assert code == 2
+    assert "$.solver." in capsys.readouterr().err
 
 
 def test_terminal_below_barrier_exits_3(tmp_path, capsys):

@@ -1,0 +1,195 @@
+"""The built-in schema checker against jsonschema's draft 2020-12 validator.
+
+``rbsde.config`` validates configurations with its own checker for the
+keywords ``SCHEMA`` uses.  Here jsonschema is the reference: on mutated
+configs (wrong types, dropped or added keys, out-of-range numbers, bools
+in place of numbers) both must accept and reject the same documents.
+Derandomised, so the suite is deterministic.
+"""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from jsonschema import Draft202012Validator
+
+from rbsde import ConfigError
+from rbsde.config import _KEYWORDS, _TYPES, SCHEMA, _first_violation, parse_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REFERENCE = Draft202012Validator(SCHEMA)
+SETTINGS = settings(derandomize=True, max_examples=400, deadline=None)
+
+# Replacement values: wrong types, bools for numbers, integral and
+# non-integral floats, boundary and out-of-range numbers, every enum value.
+SUBSTITUTES = (True, False, None, "", "x", [], {}, [1.0], [[0.0, 1.0]],
+               [[0.0, 1.0, 2.0]], [[0.0]], {"kind": "linear"}, {"n": 1},
+               0, 1, -1, 2, 0.0, 1.0, -0.5, 1.5, 1e-300, -1e-300, 10 ** 20,
+               "constant", "linear", "call", "put", "standard", "one_barrier",
+               "two_barrier")
+EXTRA_KEYS = ("extra", "kind", "value", "strike", "steps", "n", "pieces")
+
+
+def _base_configs() -> list:
+    return [json.loads(p.read_text(encoding="utf-8")) for p in sorted(CONFIGS.glob("*.json"))]
+
+
+@st.composite
+def _generated(draw) -> dict:
+    """A schema-valid configuration touching every section of SCHEMA."""
+    number = st.floats(-3.0, 3.0, allow_nan=False)
+    pieces = st.lists(st.tuples(st.floats(0.0, 1.0), number).map(list),
+                      min_size=1, max_size=3)
+    marks = draw(st.lists(st.fixed_dictionaries(
+        {"size": number, "intensity": st.floats(0.01, 2.0)}), max_size=2))
+    terminal = draw(st.one_of(
+        st.fixed_dictionaries({"kind": st.just("constant"), "value": number}),
+        st.fixed_dictionaries({"kind": st.just("linear")},
+                              optional={"intercept": number, "w_coeff": number,
+                                        "count_coeffs": st.lists(number, max_size=2)}),
+        st.fixed_dictionaries({"kind": st.sampled_from(["call", "put"]), "strike": number},
+                              optional={"w_coeff": number})))
+    barrier = st.fixed_dictionaries({}, optional={
+        "pieces": pieces, "jumps": pieces,
+        "stochastic": st.fixed_dictionaries(
+            {"kind": st.just("linear")},
+            optional={"intercept": number, "w_coeff": number,
+                      "count_coeffs": st.lists(number, max_size=2),
+                      "compensated": st.booleans()})})
+    config = {
+        "grid": draw(st.fixed_dictionaries({"steps": st.integers(1, 6)},
+                                           optional={"node_cap": st.integers(1, 10 ** 7)})),
+        "terminal": terminal,
+        "driver": draw(st.fixed_dictionaries({}, optional={
+            "g": st.one_of(number, pieces), "a": number, "b": number, "c": number,
+            "penalty": st.fixed_dictionaries({"n": st.floats(0.0, 100.0)})})),
+        "solver": draw(st.fixed_dictionaries(
+            {"kind": st.sampled_from(["standard", "one_barrier", "two_barrier"])},
+            optional={"alpha": st.one_of(st.none(), number),
+                      "tol": st.floats(1e-14, 1e-3), "max_iter": st.integers(1, 100)})),
+    }
+    if marks:
+        config["marks"] = marks
+    section = draw(st.sampled_from([None, "barrier", "barriers"]))
+    if section == "barrier":
+        config["barrier"] = draw(barrier)
+    elif section == "barriers":
+        config["barriers"] = {"lower": draw(barrier), "upper": draw(barrier)}
+    return config
+
+
+def _locations(value, path=()):
+    """Every (path, value) in a JSON document, the root included."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _locations(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _locations(item, path + (i,))
+
+
+def _mutate(draw, config: dict) -> dict:
+    config = copy.deepcopy(config)
+    for _ in range(draw(st.integers(1, 3))):
+        path, value = draw(st.sampled_from(list(_locations(config))))
+        parent = config
+        for step in path[:-1]:
+            parent = parent[step]
+        action = draw(st.sampled_from(["replace", "drop", "add"] if path else ["add"]))
+        new = copy.deepcopy(draw(st.sampled_from(SUBSTITUTES)))
+        if action == "add" and isinstance(value, dict):
+            value[draw(st.sampled_from(EXTRA_KEYS))] = new
+        elif action == "add" and isinstance(value, list):
+            value.append(new)
+        elif action == "drop":
+            parent.pop(path[-1])
+        elif path:
+            parent[path[-1]] = new
+    return config
+
+
+@SETTINGS
+@given(st.data())
+def test_checker_agrees_with_jsonschema_on_mutated_configs(data):
+    source = data.draw(st.one_of(st.sampled_from(_base_configs()), _generated()))
+    assert _first_violation(source, SCHEMA) is None
+    config = _mutate(data.draw, source)
+    reference = REFERENCE.is_valid(config)
+    assert (_first_violation(config, SCHEMA) is None) == reference, config
+    if not reference:
+        with pytest.raises(ConfigError, match=r"configuration rejected: \$"):
+            parse_config(config)
+
+
+def test_checker_implements_every_keyword_of_the_schema():
+    def walk(schema, where):
+        assert isinstance(schema, dict), where
+        unknown = set(schema) - set(_KEYWORDS)
+        assert not unknown, f"{where}: {sorted(unknown)}"
+        names = schema.get("type", [])
+        for name in [names] if isinstance(names, str) else names:
+            assert name in _TYPES, f"{where}: type {name!r}"
+        if "additionalProperties" in schema:
+            assert schema["additionalProperties"] is False, where
+        for key, sub in schema.get("properties", {}).items():
+            walk(sub, f"{where}.{key}")
+        if "items" in schema:
+            walk(schema["items"], f"{where}[]")
+        for i, branch in enumerate(schema.get("oneOf", [])):
+            walk(branch, f"{where}|{i}")
+
+    walk(SCHEMA, "$")
+
+
+@pytest.mark.parametrize("value, kind, expected", [
+    (1, "integer", True), (1.0, "integer", True), (1.5, "integer", False),
+    (True, "integer", False), (True, "number", False), (0, "number", True),
+    (None, "null", True), (False, "boolean", True), (0, "boolean", False),
+])
+def test_draft_2020_12_types(value, kind, expected):
+    assert _TYPES[kind](value) is expected
+    assert REFERENCE.TYPE_CHECKER.is_type(value, kind) is expected
+
+
+# Cases SCHEMA itself cannot reach: const/enum against numbers, bools and
+# containers, and oneOf alternatives that overlap.
+KEYWORD_CASES = [
+    ({"const": 1}, [1, 1.0, True, "1", [1]]),
+    ({"const": False}, [False, 0, 0.0, None]),
+    ({"const": [1, {"a": True}]}, [[1.0, {"a": True}], [1, {"a": 1}], [True, {"a": True}]]),
+    ({"enum": [0, "x", None]}, [0, 0.0, False, "x", None, []]),
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, [1, 1.5, "1"]),
+    ({"oneOf": [{"minimum": 0}, {"exclusiveMinimum": 1}]}, [0.5, 2, -1, "x"]),
+    ({"type": ["number", "null"], "minItems": 1}, [None, 1, [], "x"]),
+]
+
+
+@pytest.mark.parametrize("schema, values", KEYWORD_CASES)
+def test_keywords_agree_with_jsonschema(schema, values):
+    reference = Draft202012Validator(schema)
+    for value in values:
+        assert (_first_violation(value, schema) is None) == reference.is_valid(value), value
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda c: c["grid"].update(steps=0), "$.grid.steps"),
+    (lambda c: c["grid"].update(steps=2.5), "$.grid.steps"),
+    (lambda c: c["marks"][0].update(intensity=0), "$.marks[0].intensity"),
+    (lambda c: c["marks"][0].update(size=True), "$.marks[0].size"),
+    (lambda c: c["terminal"].pop("value"), "$.terminal.value"),
+    (lambda c: c.update(terminal={"kind": "call"}), "$.terminal.strike"),
+    (lambda c: c["barrier"].update(pieces=[[0.0, 1.0, 2.0]]), "$.barrier.pieces[0]"),
+    (lambda c: c["driver"].update(g=[[0.0, "x"]]), "$.driver.g[0][1]"),
+    (lambda c: c["solver"].update(tol=0), "$.solver.tol"),
+    (lambda c: c["solver"].update(extra=1), "$.solver.extra"),
+    (lambda c: c.pop("grid"), "$.grid"),
+])
+def test_rejection_names_the_json_path(edit, path):
+    config = json.loads((CONFIGS / "counterexample.json").read_text(encoding="utf-8"))
+    edit(config)
+    with pytest.raises(ConfigError) as info:
+        parse_config(config)
+    assert str(info.value).startswith(f"configuration rejected: {path}: "), info.value

@@ -11,6 +11,9 @@ delete each file above 64 KiB and put its digest in ``SHA256SUMS`` as
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,17 @@ def test_cli_outputs_match_golden(command, tmp_path):
             assert hashlib.sha256(produced).hexdigest() == digests[key], key
         else:
             assert produced == (GOLDEN / command / name).read_bytes(), key
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_penalize_sweep_bytes_do_not_depend_on_blas_threads(threads, tmp_path):
+    # weighted level sums avoid BLAS dot products, which OpenBLAS splits by
+    # thread count; the ladder's k_gap column showed it in its last digits
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, "-m", "rbsde.cli", "penalize-sweep", "--config",
+                    str(CONFIGS / "counterexample.json"), "--out", str(tmp_path)],
+                   env=env, capture_output=True, check=True, timeout=120)
+    for name in COMMANDS["penalize-sweep"][1]:
+        assert (tmp_path / name).read_bytes() == \
+            (GOLDEN / "penalize-sweep" / name).read_bytes(), name

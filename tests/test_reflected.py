@@ -71,6 +71,13 @@ def test_counterexample_snell_representation():
     assert snell_representation_check(tree, sol, driver, terminal, barrier) <= 1e-12
 
 
+def test_snell_representation_keeps_nan():
+    tree, driver, terminal, barrier = counterexample()
+    sol = solve_reflected_one(tree, driver, terminal, barrier)
+    sol.y[2] = np.full_like(sol.y[2], np.nan)
+    assert np.isnan(snell_representation_check(tree, sol, driver, terminal, barrier))
+
+
 def test_martingale_obstacle_keeps_compensator_empty():
     tree = build_tree(4, MarkSet(sizes=(2.0,), intensities=(0.5,)))
     xi = TerminalSpec(payoff=lambda w, c: np.maximum(w, 0.0) + 0.2 * c[:, 0])

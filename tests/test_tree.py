@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rbsde import (InfeasibleIntensity, MarkSet, TreeTooLarge, build_tree,
-                   compensated_increment, conditional_expectation)
+                   compensated_increment, conditional_expectation, sup_diff)
 
 
 def test_single_bernoulli_step():
@@ -160,3 +160,10 @@ def test_level_arrays_follow_the_layout_contract(m, steps):
     assert np.array_equal(tree.w[last], tree.w[last - 1][parents] + tree.branch_db[branches])
     assert np.array_equal(tree.counts[last],
                           tree.counts[last - 1][parents] + tree.branch_jump[branches])
+
+
+def test_sup_diff_keeps_nan():
+    zero = [np.zeros(1), np.zeros(2)]
+    assert np.isnan(sup_diff([np.zeros(1), np.array([np.nan, 1.0])], zero))
+    assert np.isnan(sup_diff([np.array([np.nan]), np.array([0.0, 1.0])], zero))
+    assert sup_diff([np.zeros(1), np.array([-2.0, 1.0])], zero) == 2.0

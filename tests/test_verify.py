@@ -1,12 +1,14 @@
 """Condition checker, fault injection, uniqueness and regularity probes."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
                    build_tree, check_solution_one, check_solution_two,
                    regularity_probe, solve_double_obstacle, solve_reflected_one,
-                   uniqueness_probe)
+                   uniqueness_probe, verify)
 from rbsde.processes import put_payoff
 from conftest import (counterexample_pieces, one_barrier_mutants, random_one_barrier,
                       random_two_barrier, two_barrier_mutants)
@@ -188,3 +190,31 @@ def test_regularity_probe_slack_obstacle_trivial():
     assert report.kd_mass == 0.0
     assert all(g == 0.0 for g in report.y_gaps)
     assert report.verdict == "regular"
+
+
+def test_uniqueness_probe_keeps_a_nan_route(monkeypatch):
+    # the penalised route is the second of three: its gaps must not drop out
+    solve = verify.solve_penalized
+
+    def poisoned(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        out.solution.y[1] = np.full_like(out.solution.y[1], np.nan)
+        return out
+
+    monkeypatch.setattr(verify, "solve_penalized", poisoned)
+    assert math.isnan(uniqueness_probe(counterexample_problem()))
+
+
+def test_regularity_probe_keeps_nan_gaps_at_jumps(monkeypatch):
+    ladder = verify.sweep
+
+    def poisoned(*args, **kwargs):
+        report = ladder(*args, **kwargs)
+        y = report.solutions[0].solution.y
+        y[:] = [np.full_like(level, np.nan) for level in y]
+        return report
+
+    monkeypatch.setattr(verify, "sweep", poisoned)
+    report = regularity_probe(counterexample_problem())
+    assert math.isnan(report.gaps_at_jumps[0])
+    assert not any(math.isnan(g) for g in report.gaps_at_jumps[1:])
