@@ -24,7 +24,7 @@ from .reflected import snell_representation_check, solve_reflected_one
 from .snell import (SnellResult, brute_force_value, monotone_limit_check,
                     optimal_stopping_time, regularity_check, snell)
 from .tree import (ScenarioTree, build_tree, compensated_increment,
-                   conditional_expectation, sup_diff)
+                   conditional_expectation, expand, sup_diff)
 from .twobarrier import (MokobodskiWitness, SolutionQuintuple, check_mokobodski,
                          constant_witness, martingale_witness, monotone_iterate_check,
                          picard_snell_solve, solve_double_obstacle)
@@ -37,7 +37,8 @@ __all__ = [
     "ProblemSpec", "TerminalSpec", "ScenarioTree", "MokobodskiWitness",
     "SolutionQuadruple", "SolutionQuintuple", "SnellResult", "StepOutput",
     "FrozenDriver", "PenalizationReport", "PenalizedSolution", "CheckReport",
-    "build_tree", "compensated_increment", "conditional_expectation", "sup_diff",
+    "build_tree", "compensated_increment", "conditional_expectation", "expand",
+    "sup_diff",
     "eval_barrier", "eval_driver", "snell", "brute_force_value",
     "optimal_stopping_time", "monotone_limit_check", "regularity_check",
     "project_zv", "backward_step", "solve_bsde", "solve_penalized", "sweep",

@@ -48,7 +48,11 @@ class StepOutput:
 
 @dataclass(eq=False)
 class SolutionQuadruple:
-    """(Y, Z, V, K) with the compensator split K = K_c + K_d."""
+    """(Y, Z, V, K) with the compensator split K = K_c + K_d.
+
+    K, K_c and K_d may be stored by the level rule of ``rbsde.tree``;
+    ``rbsde.tree.expand`` gives any of their levels whole.
+    """
 
     y: Process
     z: Process
@@ -218,8 +222,9 @@ def solve_bsde(tree: ScenarioTree, driver, terminal) -> SolutionQuadruple:
             return _implicit_y(rhs, driver.a, tree.dt)
 
     y, z, v, resid = _backward_sweep(tree, driver, terminal_values(tree, terminal), settle)
-    zero = [np.zeros(tree.level_size(k)) for k in range(tree.num_steps + 1)]
-    return SolutionQuadruple(y=y, z=z, v=v, k=zero,
-                             k_c=[lv.copy() for lv in zero],
-                             k_d=[lv.copy() for lv in zero],
+    # zero compensators, each level a root-level array by the level rule
+    levels = range(tree.num_steps + 1)
+    return SolutionQuadruple(y=y, z=z, v=v, k=[np.zeros(1) for _ in levels],
+                             k_c=[np.zeros(1) for _ in levels],
+                             k_d=[np.zeros(1) for _ in levels],
                              projection_residual=resid)

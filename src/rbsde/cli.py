@@ -26,7 +26,7 @@ from .penalty import sweep
 from .processes import ProblemSpec
 from .reflected import obstacle_payoff, solve_reflected_one
 from .snell import optimal_stopping_time, regularity_check, snell
-from .tree import ScenarioTree, _increments
+from .tree import ScenarioTree, expand
 from .twobarrier import SolutionQuintuple, solve_double_obstacle
 from .verify import check_solution_one, check_solution_two
 
@@ -48,7 +48,7 @@ def _stats(tree: ScenarioTree, level: int, values: np.ndarray) -> dict:
 def _process_summary(tree, process, levels) -> dict:
     out = {"mean": [], "std": [], "min": [], "max": []}
     for k in range(levels):
-        st = _stats(tree, k, process[k])
+        st = _stats(tree, k, expand(tree, process[k], k))
         for key in out:
             out[key].append(st[key])
     return out
@@ -64,11 +64,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _nodes_payload(sol, names) -> dict:
+def _nodes_payload(tree, sol, names) -> dict:
     payload = {}
     for name in names:
         process = getattr(sol, name)
-        payload[name] = [np.asarray(level, dtype=float).tolist() for level in process]
+        payload[name] = [expand(tree, np.asarray(level, dtype=float), k).tolist()
+                         for k, level in enumerate(process)]
     return payload
 
 
@@ -105,8 +106,13 @@ def _mark_columns(tree, v):
 def _jump_increment_means(tree, k_d) -> list:
     out = [0.0]
     for k in range(tree.num_steps):
-        out.append(tree.expectation(k + 1, _increments(tree, k_d, k).ravel()))
+        out.append(tree.expectation(k + 1, expand(tree, k_d[k + 1], k + 1)
+                                    - expand(tree, k_d[k], k + 1)))
     return out
+
+
+def _terminal_mean(tree, process) -> float:
+    return tree.expectation(tree.num_steps, expand(tree, process[-1], tree.num_steps))
 
 
 def _solution_payload_one(tree, sol, full: bool) -> dict:
@@ -117,12 +123,12 @@ def _solution_payload_one(tree, sol, full: bool) -> dict:
         "full": full,
         "summary": {
             "y0": float(sol.y[0][0]),
-            "expected_terminal_k": tree.expectation(tree.num_steps, sol.k[-1]),
-            "expected_terminal_kd": tree.expectation(tree.num_steps, sol.k_d[-1]),
+            "expected_terminal_k": _terminal_mean(tree, sol.k),
+            "expected_terminal_kd": _terminal_mean(tree, sol.k_d),
         },
     }
     if full:
-        payload["nodes"] = _nodes_payload(sol, ("y", "z", "v", "k", "k_c", "k_d"))
+        payload["nodes"] = _nodes_payload(tree, sol, ("y", "z", "v", "k", "k_c", "k_d"))
     return payload
 
 
@@ -134,14 +140,14 @@ def _solution_payload_two(tree, sol, full: bool) -> dict:
         "full": full,
         "summary": {
             "y0": float(sol.y[0][0]),
-            "expected_terminal_k_plus": tree.expectation(tree.num_steps, sol.k_plus[-1]),
-            "expected_terminal_k_minus": tree.expectation(tree.num_steps, sol.k_minus[-1]),
+            "expected_terminal_k_plus": _terminal_mean(tree, sol.k_plus),
+            "expected_terminal_k_minus": _terminal_mean(tree, sol.k_minus),
         },
     }
     if full:
         payload["nodes"] = _nodes_payload(
-            sol, ("y", "z", "v", "k_plus", "k_minus", "k_plus_c", "k_plus_d",
-                  "k_minus_c", "k_minus_d"))
+            tree, sol, ("y", "z", "v", "k_plus", "k_minus", "k_plus_c", "k_plus_d",
+                        "k_minus_c", "k_minus_d"))
     return payload
 
 

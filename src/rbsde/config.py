@@ -18,9 +18,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError
-from .processes import (BarrierSpec, DriverSpec, MarkSet, PenaltyTerm, ProblemSpec,
-                        TerminalSpec, call_payoff, linear_obstacle, linear_payoff,
-                        put_payoff)
+from .processes import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
+                        call_payoff, linear_obstacle, linear_payoff, put_payoff)
 
 _PATH_FN_SCHEMA = {
     "type": "object",
@@ -394,13 +393,39 @@ def _build_barrier(obj: dict, marks: MarkSet) -> BarrierSpec:
         raise ConfigError(str(exc)) from exc
 
 
+# Linear path functions whose count_coeffs must hold one entry per mark.
+_LINEAR_SECTIONS = (("terminal",), ("barrier", "stochastic"),
+                    ("barriers", "lower", "stochastic"), ("barriers", "upper", "stochastic"))
+
+
+def _reject(path: tuple, message: str):
+    raise ConfigError(f"configuration rejected: {_json_path(path)}: {message}")
+
+
+def _check_semantics(data: dict) -> None:
+    """Reject schema-valid configurations that no solver can take."""
+    marks = len(data.get("marks", []))
+    for section in _LINEAR_SECTIONS:
+        obj = data
+        for key in section:
+            obj = obj.get(key, {})
+        if "count_coeffs" in obj and len(obj["count_coeffs"]) != marks:
+            _reject(section + ("count_coeffs",),
+                    f"{len(obj['count_coeffs'])} coefficients for {marks} marks")
+    if "penalty" in data.get("driver", {}):
+        # the direct solvers and the fixed-point loop take the bare driver,
+        # and penalize-sweep adds the penalty term itself
+        _reject(("driver", "penalty"),
+                f"the {data['solver']['kind']} solver takes no penalty term")
+
+
 def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
     """Validate a configuration mapping and build the problem it describes."""
     _reject_non_finite(data)
     violation = _first_violation(data, SCHEMA)
     if violation is not None:
-        raise ConfigError(f"configuration rejected: {_json_path(violation.path)}: "
-                          f"{violation.message}")
+        _reject(violation.path, violation.message)
+    _check_semantics(data)
 
     try:
         marks = MarkSet(
@@ -418,15 +443,10 @@ def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
         lower = _build_barrier(data["barriers"]["lower"], marks)
         upper = _build_barrier(data["barriers"]["upper"], marks)
 
-    penalty = None
-    if "penalty" in drv:
-        if barrier is None:
-            raise ConfigError("a penalty term needs the problem obstacle")
-        penalty = PenaltyTerm(weight=float(drv["penalty"]["n"]), barrier=barrier)
     driver = DriverSpec(base=_driver_source(drv.get("g", 0.0)),
                         a=float(drv.get("a", 0.0)),
                         b=float(drv.get("b", 0.0)), c=float(drv.get("c", 0.0)),
-                        marks=marks, penalty=penalty)
+                        marks=marks)
 
     solver = data["solver"]
     options = SolverOptions(kind=solver["kind"],
@@ -442,13 +462,13 @@ def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
         raise ConfigError("two_barrier solver needs a 'barriers' section")
     if kind != "two_barrier" and lower is not None:
         raise ConfigError("'barriers' given but solver kind is not two_barrier")
-    if kind != "one_barrier" and barrier is not None and penalty is None:
+    if kind != "one_barrier" and barrier is not None:
         raise ConfigError("'barrier' given but solver kind is not one_barrier")
 
     try:
         problem = ProblemSpec(num_steps=int(data["grid"]["steps"]), marks=marks,
                               terminal=terminal, driver=driver,
-                              barrier=barrier if kind == "one_barrier" else None,
+                              barrier=barrier,
                               lower=lower, upper=upper)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

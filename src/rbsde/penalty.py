@@ -16,7 +16,7 @@ from .bsde import SolutionQuadruple, barrier_values, solve_bsde
 from .errors import MonotonicityViolation
 from .processes import BarrierSpec, DriverSpec, PenaltyTerm
 from .reflected import solve_reflected_one
-from .tree import Process, ScenarioTree, _accumulate, sup_diff
+from .tree import Process, ScenarioTree, _accumulate, _worst, expand, sup_diff
 
 MONOTONE_TOL = 1e-12
 
@@ -25,7 +25,7 @@ MONOTONE_TOL = 1e-12
 class PenalizedSolution:
     level: float
     solution: SolutionQuadruple
-    kn: Process  # accumulated penalty flux n*(Y^n - S)^- dt
+    kn: Process  # accumulated penalty flux n*(Y^n - S)^- dt, by the level rule
 
 
 def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec,
@@ -38,10 +38,9 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
     pen_driver = replace(driver, penalty=PenaltyTerm(weight=float(n), barrier=barrier))
     solution = solve_bsde(tree, pen_driver, terminal)
     obstacle = barrier_values(tree, barrier)
-    kn: Process = [np.zeros(1)]
-    for k in range(tree.num_steps):
-        flux = float(n) * tree.dt * np.maximum(obstacle.values[k] - solution.y[k], 0.0)
-        kn.append(_accumulate(tree, kn[k], flux))
+    fluxes = [float(n) * tree.dt * np.maximum(obstacle.values[k] - solution.y[k], 0.0)
+              for k in range(tree.num_steps)]
+    kn = _accumulate(fluxes)
     return PenalizedSolution(level=float(n), solution=solution, kn=kn)
 
 
@@ -96,8 +95,8 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
     violation = 0.0
     for lo, hi in zip(solutions, solutions[1:]):
         for a, b in zip(lo.solution.y, hi.solution.y):
-            violation = max(violation, float(np.max(a - b)))
-    if violation > MONOTONE_TOL:
+            violation = _worst(violation, float(np.max(a - b)))
+    if not violation <= MONOTONE_TOL:  # NaN fails too
         raise MonotonicityViolation(
             f"penalty ladder decreased by {violation:.3g} somewhere")
 
@@ -106,9 +105,10 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
     sup_gaps = tuple(sup_diff(s.solution.y, reflected.y) for s in solutions)
     z_gaps = tuple(dt_dp_gap(tree, s.solution.z, reflected.z) for s in solutions)
     v_gaps = tuple(dt_dp_gap(tree, s.solution.v, reflected.v, lam) for s in solutions)
+    reflected_k = expand(tree, reflected.k[probe_level], probe_level)
     k_gaps = tuple(
-        float(np.sqrt(tree.expectation(probe_level,
-                                       (s.kn[probe_level] - reflected.k[probe_level]) ** 2)))
+        float(np.sqrt(tree.expectation(
+            probe_level, (expand(tree, s.kn[probe_level], probe_level) - reflected_k) ** 2)))
         for s in solutions)
     return PenalizationReport(levels=levels, solutions=solutions, reflected=reflected,
                               sup_gaps=sup_gaps, z_gaps=z_gaps, v_gaps=v_gaps,

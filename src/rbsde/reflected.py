@@ -8,49 +8,56 @@ the driver evaluated at the reflected Y_k.  The jump-type part of the
 compensator is extracted at the declared predictable jump times of the
 obstacle via the left-limit formula, with a binding tolerance on the
 preceding grid slot.  Each level is processed in cache-sized blocks of
-parents and their children.
+parents and their children.  The compensators follow the level rule of
+``rbsde.tree``: K_{k+1} is kept at level k, K_d only at declared levels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bsde import (SolutionQuadruple, _backward_sweep, _implicit_y, barrier_values,
-                   check_stepsize, terminal_values)
+from .bsde import (SolutionQuadruple, _backward_sweep, _implicit_y, _leaf_values,
+                   barrier_values, check_stepsize)
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import DriverNotCoefficientFree, TerminalBelowBarrier
 from .processes import DriverSpec
 from .snell import BIND_TOL, snell
-from .tree import Process, ScenarioTree, _accumulate, _children, _parent_blocks, _worst
+from .tree import (Process, ScenarioTree, _accumulate, _block_rows, _children,
+                   _parent_blocks, _worst, expand)
 
 TERMINAL_SLACK = 1e-12
 
 
 def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle, sign: int,
                 bind_tol: float = BIND_TOL):
-    """(K_c, K_d) of one compensator, level by level over parent blocks.
+    """(K_c, K_d) of one compensator K stored by the level rule, over parent blocks.
 
     At a declared level the jump-type increment is (sign*(left - Y_k))^+
     on the event that the solution sat on the left limit one step
     earlier; the k - 1 slot stands in for the left limit of Y.  ``sign``
     is +1 for an obstacle below the solution and -1 for one above it.
+    K_d is a whole-level array at declared levels and shared by the
+    levels after them; K_c = K - K_d is a parent-level array like K,
+    except at declared levels.
     """
     n = tree.num_steps
     k_d: Process = [np.zeros(1)]
+    k_c: Process = [k_total[0] - k_d[0]]
     for k in range(1, n + 1):
         left = obstacle.left.get(k)
         if left is None:
-            k_d.append(_accumulate(tree, k_d[k - 1]))
+            k_d.append(k_d[k - 1])
+            k_c.append(k_total[k] - expand(tree, k_d[k], k - 1))
             continue
         kd = np.empty(tree.level_size(k))
         for rows in _parent_blocks(tree, k - 1):
             left_b = _children(tree, left, rows)
             binding = np.abs(y[k - 1][rows, None] - left_b) <= bind_tol
             gap = np.maximum(sign * (left_b - _children(tree, y[k], rows)), 0.0)
-            np.add(k_d[k - 1][rows, None], np.where(binding, gap, 0.0),
-                   out=_children(tree, kd, rows))
+            np.add(_block_rows(tree, k_d[k - 1], k - 1, rows)[:, None],
+                   np.where(binding, gap, 0.0), out=_children(tree, kd, rows))
         k_d.append(kd)
-    k_c = [k_total[k] - k_d[k] for k in range(n + 1)]
+        k_c.append(expand(tree, k_total[k], k) - kd)
     return k_c, k_d
 
 
@@ -65,7 +72,7 @@ def solve_reflected_one(tree: ScenarioTree, driver, terminal, barrier) -> Soluti
     if getattr(driver, "penalty", None) is not None:
         raise ValueError("reflected solves take the bare driver, not a penalised one")
     obstacle = barrier_values(tree, barrier)
-    xi = terminal_values(tree, terminal)
+    xi = _leaf_values(tree, terminal)
     shortfall = float(np.min(xi - obstacle.values[tree.num_steps]))
     if shortfall < -TERMINAL_SLACK:
         raise TerminalBelowBarrier(
@@ -85,10 +92,7 @@ def solve_reflected_one(tree: ScenarioTree, driver, terminal, barrier) -> Soluti
         return yk
 
     y, z, v, resid = _backward_sweep(tree, driver, xi, settle)
-    k: Process = [np.zeros(1)]
-    for kk in range(n):
-        k.append(_accumulate(tree, k[kk], inc[kk]))
-
+    k = _accumulate(inc)
     k_c, k_d = _split_side(tree, y, k, obstacle, +1)
     return SolutionQuadruple(y=y, z=z, v=v, k=k, k_c=k_c, k_d=k_d,
                              projection_residual=resid)
@@ -108,7 +112,7 @@ def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
     else:
         raise DriverNotCoefficientFree("the stopping representation needs a plain driver")
     obstacle = barrier_values(tree, barrier)
-    xi = terminal_values(tree, terminal)
+    xi = _leaf_values(tree, terminal)
     n = tree.num_steps
     cum = np.concatenate(([0.0], np.cumsum(
         [driver.base_at(tree.time(k)) * tree.dt for k in range(n)])))

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import NotMonotone, TooLargeToEnumerate
-from .tree import Process, ScenarioTree, _accumulate
+from .tree import Process, ScenarioTree, _accumulate, _worst, copy_process, expand
 
 BIND_TOL = 1e-9
 
@@ -53,9 +53,8 @@ def snell(tree: ScenarioTree, payoff: Process) -> SnellResult:
         cont = tree.cond_exp(env[k + 1])
         env[k] = np.maximum(np.asarray(payoff[k], dtype=float), cont)
         inc[k] = env[k] - cont
-    comp: Process = [np.zeros(1)]
-    for k in range(n):
-        comp.append(_accumulate(tree, comp[k], inc[k]))
+    comp = [expand(tree, level, k)
+            for k, level in enumerate(_accumulate(copy_process(inc)))]
     mart = [env[k] + comp[k] for k in range(n + 1)]
     stop = [env[k] <= np.asarray(payoff[k], dtype=float) for k in range(n + 1)]
     stop[n] = np.ones(tree.level_size(n), dtype=bool)
@@ -243,11 +242,11 @@ def monotone_limit_check(tree: ScenarioTree, payoffs: list[Process],
     violation = 0.0
     for lo, hi in zip(envelopes, envelopes[1:]):
         for a, b in zip(lo, hi):
-            violation = max(violation, float(np.max(a - b)))
+            violation = _worst(violation, float(np.max(a - b)))
     final_gap = 0.0
     for env in envelopes[:-1]:
         for a, b in zip(env, envelopes[-1]):
-            final_gap = max(final_gap, float(np.max(a - b)))
+            final_gap = _worst(final_gap, float(np.max(a - b)))
     passed = violation <= tol and final_gap <= tol
     return MonotoneLimitReport(envelope_violation=violation,
                                final_dominates=final_gap, passed=passed)

@@ -6,6 +6,18 @@ Brownian sign (+-sqrt(dt)) and a one-jump multinomial over the marks
 is a finite weighted sum and the martingale identities hold to rounding
 error.  The tree is homogeneous: every node has the same 2*(m+1) branch
 layout, which keeps all per-level operations vectorisable.
+
+Level rule for compensators.  A process is a list of level arrays, and
+a level array may be shorter than its level: then it holds the values
+of the ancestor level ``j`` where the process was last set, and node
+``i`` of level ``k`` reads ``arr[i // B**(k - j)]``.  A compensator
+increment assigned at level k is F_k-measurable, so K_{k+1} is stored
+as a level-k array; the jump-type part K_d is set only at the obstacle's
+declared jump levels and shared by the levels after them.  Three
+readers cover every use: ``_block_rows`` (the rows of a parent block),
+``_block_children`` (their (parents, B) children) and ``expand`` (a
+whole level).  Whole-level arrays are the case ``j = k``, so processes
+built level by level in full read the same way.
 """
 
 from __future__ import annotations
@@ -27,7 +39,9 @@ _BLOCK_NODES = 1 << 16
 # same memory alignment and BLAS row grouping as the whole level would.
 _BLOCK_ALIGN = 64
 
-# An adapted process is a list of per-level arrays (index 0 = root).
+# An adapted process is a list of per-level arrays (index 0 = root).  A
+# level array shorter than its level is stored at the ancestor level where
+# it was last set (the level rule in the module docstring).
 Process = list
 
 
@@ -252,27 +266,64 @@ def _children(tree: ScenarioTree, values_next: np.ndarray, parents: slice) -> np
     return values_next[start * tree.branching:stop * tree.branching].reshape(-1, tree.branching)
 
 
-def _increments(tree: ScenarioTree, process: Process, level: int,
-                parents: slice = slice(None)) -> np.ndarray:
-    """(parents, B) increments from ``level`` to its children of an accumulating process.
+def _ratio(tree: ScenarioTree, values: np.ndarray, level: int) -> int:
+    """Nodes of ``level`` per stored value: B**(level - j) for an array set at level j."""
+    size = tree.level_size(level)
+    ratio = size // max(len(values), 1)
+    if ratio < 1 or ratio * len(values) != size:
+        raise ValueError(f"{len(values)} values cannot hold level {level} "
+                         f"of {size} nodes")
+    return ratio
 
-    The result is laid out parent-fastest (Fortran order): numpy then runs
-    its inner loop over the parents instead of the B branches, which
-    builds it several times faster than the row-major broadcast.
+
+def _block_rows(tree: ScenarioTree, values: np.ndarray, level: int,
+                rows: slice) -> np.ndarray:
+    """Values of the ``rows`` nodes of ``level`` from an array stored by the level rule."""
+    ratio = _ratio(tree, values, level)
+    if ratio == 1:
+        return values[rows]
+    start, stop, _ = rows.indices(tree.level_size(level))
+    first = start // ratio
+    lifted = np.repeat(values[first:(stop - 1) // ratio + 1], ratio, axis=0)
+    return lifted[start - first * ratio:stop - first * ratio]
+
+
+def _block_children(tree: ScenarioTree, values: np.ndarray, level: int,
+                    rows: slice) -> np.ndarray:
+    """(parents, B) values at ``level + 1`` below the ``rows`` nodes of ``level``.
+
+    A whole next level gives a view; an array set at ``level`` or earlier
+    gives its parent values broadcast (read-only) over the B children.
     """
-    return np.subtract(_children(tree, process[level + 1], parents),
-                       process[level][parents, None], order="F")
+    if len(values) == tree.level_size(level + 1):
+        return _children(tree, values, rows)
+    parents = _block_rows(tree, values, level, rows)
+    return np.broadcast_to(parents[:, None], (len(parents), tree.branching))
 
 
-def _accumulate(tree: ScenarioTree, parent_values: np.ndarray,
-                increment: np.ndarray | None = None) -> np.ndarray:
-    """Child-level values of a cumulative process from its assigned increments.
+def expand(tree: ScenarioTree, values: np.ndarray, level: int) -> np.ndarray:
+    """Whole ``level`` of an array stored by the level rule.
 
-    Every child inherits its parent's value plus the increment assigned
-    at the parent (known one step ahead).
+    A whole-level array comes back as it is, not copied.  An array set at
+    an earlier level also expands to any later level it is shared with.
     """
-    total = parent_values if increment is None else parent_values + increment
-    return np.repeat(total, tree.branching)
+    ratio = _ratio(tree, values, level)
+    return values if ratio == 1 else np.repeat(values, ratio, axis=0)
+
+
+def _accumulate(increments: Process) -> Process:
+    """Cumulative process K_0 = 0, K_{k+1} = K_k + increments[k], by the level rule.
+
+    The increment assigned at level k is known there, so K_{k+1} is a
+    level-k array: the increment plus its parent's K_k, added into the
+    increment arrays themselves (callers that keep them pass copies).
+    """
+    total: Process = [np.zeros(1)]
+    for inc in increments:
+        table = inc.reshape(len(total[-1]), -1)
+        np.add(table, total[-1][:, None], out=table)
+        total.append(inc)
+    return total
 
 
 def compensated_increment(tree: ScenarioTree, branch: int) -> np.ndarray:

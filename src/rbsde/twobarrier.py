@@ -2,7 +2,8 @@
 
 The direct route clips the implicit candidate into the band [L, U] and
 books the two compensator increments, (1 - a dt)(L - candidate)^+ and
-(1 - a dt)(candidate - U)^+, level by level over cache-sized blocks.
+(1 - a dt)(candidate - U)^+, level by level over cache-sized blocks,
+and stores K+ and K- by the level rule of ``rbsde.tree``.
 The constructive route shifts the problem by the conditional mean of the
 terminal-plus-source mass and iterates the coupled envelope recursion
 N+ <- R(N- + L~), N- <- R(N+ - U~) from zero, which is monotone and
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (_backward_sweep, _implicit_y, barrier_values, check_stepsize,
-                   project_level, terminal_values)
+from .bsde import (_backward_sweep, _implicit_y, _leaf_values, barrier_values,
+                   check_stepsize, project_level, terminal_values)
 from .errors import (BarriersTouch, DriverNotCoefficientFree, MaxIterExceeded,
                      MokobodskiFailed, MonotonicityViolation, TerminalOutsideBarriers)
 from .processes import DriverSpec
@@ -30,7 +31,10 @@ TERMINAL_SLACK = 1e-12
 
 @dataclass(eq=False)
 class SolutionQuintuple:
-    """(Y, Z, V, K+, K-) with each compensator split into c/d parts."""
+    """(Y, Z, V, K+, K-) with each compensator split into c/d parts.
+
+    The compensators may be stored by the level rule of ``rbsde.tree``.
+    """
 
     y: Process
     z: Process
@@ -155,7 +159,7 @@ def solve_double_obstacle(tree: ScenarioTree, driver, terminal, lower, upper,
         raise ValueError(f"unknown truncation order {order!r}")
     low = barrier_values(tree, lower)
     up = barrier_values(tree, upper)
-    xi = terminal_values(tree, terminal)
+    xi = _leaf_values(tree, terminal)
     _validate_band(tree, low, up, xi)
 
     n = tree.num_steps
@@ -180,12 +184,8 @@ def solve_double_obstacle(tree: ScenarioTree, driver, terminal, lower, upper,
         return yk
 
     y, z, v, resid = _backward_sweep(tree, driver, xi, settle)
-    k_plus: Process = [np.zeros(1)]
-    k_minus: Process = [np.zeros(1)]
-    for k in range(n):
-        k_plus.append(_accumulate(tree, k_plus[k], inc_p[k]))
-        k_minus.append(_accumulate(tree, k_minus[k], inc_m[k]))
-
+    k_plus = _accumulate(inc_p)
+    k_minus = _accumulate(inc_m)
     kpc, kpd, kmc, kmd = _split_two_sided(tree, y, k_plus, k_minus, low, up)
     return SolutionQuintuple(y=y, z=z, v=v, k_plus=k_plus, k_minus=k_minus,
                              k_plus_c=kpc, k_plus_d=kpd, k_minus_c=kmc, k_minus_d=kmd,
@@ -291,12 +291,8 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
         v[k] = vp - vm + ve
         _, _, resid[k] = project_level(tree, y[k + 1])
 
-    k_plus: Process = [np.zeros(1)]
-    k_minus: Process = [np.zeros(1)]
-    for k in range(n):
-        k_plus.append(_accumulate(tree, k_plus[k], res_plus.increments[k]))
-        k_minus.append(_accumulate(tree, k_minus[k], res_minus.increments[k]))
-
+    k_plus = _accumulate(copy_process(res_plus.increments))
+    k_minus = _accumulate(copy_process(res_minus.increments))
     kpc, kpd, kmc, kmd = _split_two_sided(tree, y, k_plus, k_minus, low, up)
     solution = SolutionQuintuple(y=y, z=z, v=v, k_plus=k_plus, k_minus=k_minus,
                                  k_plus_c=kpc, k_plus_d=kpd, k_minus_c=kmc,
@@ -319,16 +315,16 @@ def monotone_iterate_check(tree: ScenarioTree, trace: TwoBarrierTrace,
     negativity = 0.0
     bound = 0.0
     for n_plus, n_minus in trace.iterates:
-        negativity = max(negativity,
-                         max(float(np.max(-lv)) for lv in n_plus),
-                         max(float(np.max(-lv)) for lv in n_minus))
+        negativity = _worst(negativity, *(float(np.max(-lv)) for lv in n_plus),
+                            *(float(np.max(-lv)) for lv in n_minus))
         for k in range(tree.num_steps + 1):
-            bound = max(bound, float(np.max(n_plus[k] - trace.upper_bound_plus[k])),
-                        float(np.max(n_minus[k] - trace.upper_bound_minus[k])))
+            bound = _worst(bound, float(np.max(n_plus[k] - trace.upper_bound_plus[k])),
+                           float(np.max(n_minus[k] - trace.upper_bound_minus[k])))
     for (p0, m0), (p1, m1) in zip(trace.iterates, trace.iterates[1:]):
         for k in range(tree.num_steps + 1):
-            decrease = max(decrease, float(np.max(p0[k] - p1[k])),
-                           float(np.max(m0[k] - m1[k])))
+            decrease = _worst(decrease, float(np.max(p0[k] - p1[k])),
+                              float(np.max(m0[k] - m1[k])))
+    # written so that a NaN anywhere fails the check
     passed = decrease <= tol and negativity <= tol and bound <= tol
     if not passed:
         raise MonotonicityViolation(

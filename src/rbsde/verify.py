@@ -6,6 +6,9 @@ the continuous-type compensator mass, the left-limit jump formulas, and
 compensator monotonicity.  All clauses come from one pass per level
 over cache-sized parent blocks, in which each increment of K, K_c and
 K_d is taken once from the cumulative processes stored in the solution.
+The compensators are read through the level-rule readers of
+``rbsde.tree``, so compact solver output and whole-level solutions (a
+loaded dump, a hand-built mutant) go through the same checker.
 The probes re-solve problems along
 independent routes (uniqueness) and run the penalty ladder against the
 jump-type mass (regularity dichotomy).
@@ -24,8 +27,8 @@ from .penalty import solve_penalized, sweep
 from .processes import BarrierValues, DriverSpec, ProblemSpec
 from .reflected import obstacle_payoff, solve_reflected_one
 from .snell import snell
-from .tree import (Process, ScenarioTree, _children, _increments, _parent_blocks, _worst,
-                   sup_diff)
+from .tree import (Process, ScenarioTree, _block_children, _block_rows, _children,
+                   _parent_blocks, _worst, expand, sup_diff)
 from .twobarrier import picard_snell_solve, solve_double_obstacle
 
 CHECK_TOL = 1e-10
@@ -95,6 +98,26 @@ def _abs_max(values: np.ndarray) -> float:
     return _worst(float(np.max(values)), -float(np.min(values)))
 
 
+def _block_increments(tree: ScenarioTree, process: Process, level: int,
+                      rows: slice) -> np.ndarray:
+    """(parents, B) increments from the ``rows`` nodes of ``level`` to their children.
+
+    Laid out parent-fastest (Fortran order), which numpy builds several
+    times faster than the row-major broadcast and which fixes the
+    summation order of the products taken from it.  A next level stored
+    at ``level`` or earlier gives one increment per parent, copied to
+    its children.
+    """
+    parents = _block_rows(tree, process[level], level, rows)
+    later = process[level + 1]
+    out = np.empty((len(parents), tree.branching), order="F")
+    if len(later) <= tree.level_size(level):
+        out[...] = (_block_rows(tree, later, level, rows) - parents)[:, None]
+    else:
+        np.subtract(_children(tree, later, rows), parents[:, None], out=out)
+    return out
+
+
 def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray, sides,
                   bind_tol: float) -> tuple[float, float]:
     """Every clause residual in one pass per level over parent blocks.
@@ -127,13 +150,18 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray, sides,
                                    pen_values[k][rows] if pen_values is not None else None)
             dk_incs, kd_incs = [], []
             for side in sides:
-                split = np.subtract(_children(tree, side.k[k + 1], rows),
-                                    _children(tree, side.k_c[k + 1], rows))
-                split -= _children(tree, side.k_d[k + 1], rows)
+                # the split compares stored values: once per parent when no
+                # part of it is a whole next level
+                parts = (side.k[k + 1], side.k_c[k + 1], side.k_d[k + 1])
+                read = (_block_rows if max(map(len, parts)) <= tree.level_size(k)
+                        else _block_children)
+                split = np.subtract(read(tree, parts[0], k, rows),
+                                    read(tree, parts[1], k, rows))
+                split -= read(tree, parts[2], k, rows)
                 side.split = _worst(side.split, _abs_max(split))
-                d_k = _increments(tree, side.k, k, rows)
-                d_kc = _increments(tree, side.k_c, k, rows)
-                d_kd = _increments(tree, side.k_d, k, rows)
+                d_k = _block_increments(tree, side.k, k, rows)
+                d_kc = _block_increments(tree, side.k_c, k, rows)
+                d_kd = _block_increments(tree, side.k_d, k, rows)
                 dk_incs.append(d_k)
                 kd_incs.append(d_kd)
                 slack = side.sign * (y_par - side.obstacle.values[k][rows])
@@ -321,7 +349,8 @@ def regularity_probe(problem: ProblemSpec, ladder=DEFAULT_LADDER) -> RegularityP
     tree = problem.build_tree()
     report = sweep(tree, problem.driver, problem.barrier, problem.terminal, ladder)
     reflected = report.reflected
-    kd_mass = tree.expectation(tree.num_steps, reflected.k_d[tree.num_steps])
+    kd_mass = tree.expectation(tree.num_steps,
+                               expand(tree, reflected.k_d[tree.num_steps], tree.num_steps))
 
     obstacle = barrier_values(tree, problem.barrier)
     gaps_at_jumps = []

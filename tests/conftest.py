@@ -7,7 +7,7 @@ import numpy as np
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
                    build_tree, solve_reflected_one)
 from rbsde.processes import linear_obstacle, linear_payoff
-from rbsde.tree import copy_process
+from rbsde.tree import copy_process, expand
 
 
 def step_function(pairs):
@@ -135,21 +135,34 @@ def binding_pieces(tree_steps: int = 4, b_coeff: float = 0.5):
     return tree, driver, terminal, barrier
 
 
-def clone_quadruple(sol):
+def _whole(tree, process):
+    """Own copies of every level, expanded to whole levels for in-place edits."""
+    return [np.array(expand(tree, np.asarray(level, dtype=float), k))
+            for k, level in enumerate(process)]
+
+
+def clone_quadruple(tree, sol):
+    """Whole-level copy of a one-obstacle solution, safe for the mutants to edit.
+
+    The solvers store compensators by the level rule of ``rbsde.tree``, where
+    an edit to one stored value would reach every node sharing it; the copy
+    expands each level first, so an edit moves exactly the nodes it names.
+    """
     from rbsde import SolutionQuadruple
-    return SolutionQuadruple(y=copy_process(sol.y), z=copy_process(sol.z),
-                             v=copy_process(sol.v), k=copy_process(sol.k),
-                             k_c=copy_process(sol.k_c), k_d=copy_process(sol.k_d),
+    return SolutionQuadruple(y=_whole(tree, sol.y), z=copy_process(sol.z),
+                             v=copy_process(sol.v), k=_whole(tree, sol.k),
+                             k_c=_whole(tree, sol.k_c), k_d=_whole(tree, sol.k_d),
                              projection_residual=sol.projection_residual)
 
 
-def clone_quintuple(sol):
+def clone_quintuple(tree, sol):
+    """Whole-level copy of a two-obstacle solution (see ``clone_quadruple``)."""
     from rbsde import SolutionQuintuple
     return SolutionQuintuple(
-        y=copy_process(sol.y), z=copy_process(sol.z), v=copy_process(sol.v),
-        k_plus=copy_process(sol.k_plus), k_minus=copy_process(sol.k_minus),
-        k_plus_c=copy_process(sol.k_plus_c), k_plus_d=copy_process(sol.k_plus_d),
-        k_minus_c=copy_process(sol.k_minus_c), k_minus_d=copy_process(sol.k_minus_d),
+        y=_whole(tree, sol.y), z=copy_process(sol.z), v=copy_process(sol.v),
+        k_plus=_whole(tree, sol.k_plus), k_minus=_whole(tree, sol.k_minus),
+        k_plus_c=_whole(tree, sol.k_plus_c), k_plus_d=_whole(tree, sol.k_plus_d),
+        k_minus_c=_whole(tree, sol.k_minus_c), k_minus_d=_whole(tree, sol.k_minus_d),
         projection_residual=sol.projection_residual)
 
 
@@ -163,14 +176,14 @@ def one_barrier_mutants():
 
     # dynamics: bump Y at a node with slack and no compensator nearby
     tree, driver, terminal, barrier = counterexample_pieces()
-    sol = clone_quadruple(solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
     sol.y[3][0] += 1e-6
     entries.append(("dynamics", tree, driver, terminal, barrier, sol))
 
     # barrier dominance: dip the root below an everywhere-binding obstacle,
     # compensating the dynamics through the z-coefficient of the driver
     tree, driver, terminal, barrier = binding_pieces()
-    sol = clone_quadruple(solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
     sol.y[0][0] -= 1e-6
     sol.z[0][0] -= 1e-6 / (driver.b * tree.dt)
     entries.append(("barrier_dominance", tree, driver, terminal, barrier, sol))
@@ -183,7 +196,7 @@ def one_barrier_mutants():
     driver = DriverSpec()
     terminal = TerminalSpec(payoff=lambda w, counts: w)
     barrier = BarrierSpec(pieces=((0.0, -10.0),))
-    sol = clone_quadruple(solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
     level, node = 5, 0
     slack = float(sol.y[level][node] + 10.0)
     delta = 1e-9 / slack
@@ -201,7 +214,7 @@ def one_barrier_mutants():
 
     # jump formula: move mass between the c and d parts at the declared jump
     tree, driver, terminal, barrier = counterexample_pieces()
-    sol = clone_quadruple(solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
     for lvl in range(2, tree.num_steps + 1):
         sol.k_d[lvl] -= 0.2
         sol.k_c[lvl] += 0.2
@@ -209,7 +222,7 @@ def one_barrier_mutants():
 
     # compensator start: shift the whole compensator away from zero
     tree, driver, terminal, barrier = counterexample_pieces()
-    sol = clone_quadruple(solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
     for lvl in range(tree.num_steps + 1):
         sol.k[lvl] += 0.1
         sol.k_c[lvl] += 0.1
@@ -218,7 +231,7 @@ def one_barrier_mutants():
     # left-limit integral: sit the pre-jump solution a whisker above the
     # left limit (inside the binding tolerance, outside the integral's)
     tree, driver, terminal, barrier = counterexample_pieces(b_coeff=0.5)
-    sol = clone_quadruple(solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
     eps = 5e-10
     sol.y[1] += eps
     sol.z[1] += eps / (driver.b * tree.dt)
@@ -258,14 +271,14 @@ def two_barrier_mutants():
 
     # dynamics
     tree, driver, terminal, lower, upper = _transplant_pieces()
-    sol = clone_quintuple(solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
     sol.y[3][0] += 1e-6
     entries.append(("dynamics", tree, driver, terminal, lower, upper, sol))
 
     # containment: everywhere-binding lower obstacle, dip the root below it
     tree, driver, terminal, barrier = binding_pieces()
     upper = BarrierSpec(stochastic=lambda t, w, counts: w + 0.5 * (1.0 - t) + 1.0)
-    sol = clone_quintuple(solve_double_obstacle(tree, driver, terminal, barrier, upper))
+    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, barrier, upper))
     sol.y[0][0] -= 1e-6
     sol.z[0][0] -= 1e-6 / (driver.b * tree.dt)
     entries.append(("containment", tree, driver, terminal, barrier, upper, sol))
@@ -276,7 +289,7 @@ def two_barrier_mutants():
     terminal = TerminalSpec(payoff=lambda w, counts: w)
     lower = BarrierSpec(pieces=((0.0, -10.0),))
     upper = BarrierSpec(pieces=((0.0, 10.0),))
-    sol = clone_quintuple(solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
     delta = 1e-9 / float(sol.y[5][0] + 10.0)
     for lvl in range(6, tree.num_steps + 1):
         span = tree.branching ** (lvl - 5)
@@ -286,7 +299,7 @@ def two_barrier_mutants():
     entries.append(("skorokhod_lower_c", tree, driver, terminal, lower, upper, sol))
 
     # continuous-type Skorokhod, upper side (solution cascades down)
-    sol = clone_quintuple(solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
     delta = 1e-9 / float(10.0 - sol.y[5][0])
     for lvl in range(6, tree.num_steps + 1):
         span = tree.branching ** (lvl - 5)
@@ -297,14 +310,14 @@ def two_barrier_mutants():
 
     # declared-jump formulas, each side on its own transplant
     tree, driver, terminal, lower, upper = _transplant_pieces()
-    sol = clone_quintuple(solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
     for lvl in range(2, tree.num_steps + 1):
         sol.k_plus_d[lvl] -= 0.2
         sol.k_plus_c[lvl] += 0.2
     entries.append(("jump_formula_lower", tree, driver, terminal, lower, upper, sol))
 
     tree, driver, terminal, lower, upper = _transplant_pieces(mirrored=True)
-    sol = clone_quintuple(solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
     for lvl in range(2, tree.num_steps + 1):
         sol.k_minus_d[lvl] -= 0.2
         sol.k_minus_c[lvl] += 0.2
@@ -312,7 +325,7 @@ def two_barrier_mutants():
 
     # compensator start
     tree, driver, terminal, lower, upper = _transplant_pieces()
-    sol = clone_quintuple(solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
     for lvl in range(tree.num_steps + 1):
         sol.k_plus[lvl] += 0.1
         sol.k_plus_c[lvl] += 0.1
@@ -320,7 +333,7 @@ def two_barrier_mutants():
 
     # left-limit integral, binding-tolerance whisker
     tree, driver, terminal, lower, upper = _transplant_pieces(b_coeff=0.5)
-    sol = clone_quintuple(solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
     eps = 5e-10
     sol.y[1] += eps
     sol.z[1] += eps / (driver.b * tree.dt)

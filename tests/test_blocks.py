@@ -130,26 +130,26 @@ def _one_barrier_defects():
     last = int(parents[-1])
     defects = []
 
-    mutant = clone_quadruple(sol)
+    mutant = clone_quadruple(tree, sol)
     mutant.y[N - 1][last] += 1e-6
     defects.append(("dynamics", mutant))
 
-    mutant = clone_quadruple(sol)
+    mutant = clone_quadruple(tree, sol)
     mutant.k[N][_children(tree, slack_parent)] += 1e-3
     mutant.k_c[N][_children(tree, slack_parent)] += 1e-3
     defects.append(("skorokhod_c", mutant))
 
-    mutant = clone_quadruple(sol)
+    mutant = clone_quadruple(tree, sol)
     mutant.k_d[N][-1] += 1e-6
     mutant.k_c[N][-1] -= 1e-6
     defects.append(("jump_formula_d", mutant))
 
-    mutant = clone_quadruple(sol)
+    mutant = clone_quadruple(tree, sol)
     mutant.k[N][-1] -= 1.0
     mutant.k_c[N][-1] -= 1.0
     defects.append(("compensator_monotone", mutant))
 
-    mutant = clone_quadruple(sol)
+    mutant = clone_quadruple(tree, sol)
     mutant.k_d[N][_children(tree, loose_parent)] += 1.0
     defects.append(("left_limit_skorokhod", mutant))
     return tree, driver, terminal, barrier, defects
@@ -161,16 +161,16 @@ def _two_barrier_defects():
     last = int(_last_parents(tree)[-1])
     defects = []
 
-    mutant = clone_quintuple(sol)
+    mutant = clone_quintuple(tree, sol)
     mutant.y[N][-1] += 1.0
     defects.append(("containment", mutant))
 
-    mutant = clone_quintuple(sol)
+    mutant = clone_quintuple(tree, sol)
     mutant.k_minus_d[N][_children(tree, last)] += 1e-6
     mutant.k_minus_c[N][_children(tree, last)] -= 1e-6
     defects.append(("jump_formula_upper", mutant))
 
-    mutant = clone_quintuple(sol)
+    mutant = clone_quintuple(tree, sol)
     mutant.k_plus_d[N][-1] += 1e-6
     mutant.k_minus_d[N][-1] += 1e-6
     defects.append(("no_simultaneous_jumps", mutant))

@@ -1,15 +1,20 @@
 """CLI front end: commands, exit codes, artifacts and determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rbsde.cli import main
+from test_config import _base_configs, _generated
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -325,3 +330,31 @@ def test_driver_g_pieces_step_function():
     problem, _ = parse_config(BASE_CONFIG)
     assert [problem.driver.base_at(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)] == \
         [0.1, 0.1, 0.2, 0.2, 0.2]
+
+
+# Every command that reads a configuration; a solve is followed by a verify
+# of its dump.
+CONFIG_COMMANDS = (("solve-one",), ("solve-two",), ("penalize-sweep", "--n-list", "1,2"),
+                   ("snell",), ("contraction-study",))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.sampled_from(_base_configs()), _generated()))
+def test_cli_exit_codes_on_schema_valid_configs(config):
+    """Every schema-valid config ends in a documented exit code, never a traceback.
+
+    The generator keeps N <= 6 and the configs under ``configs/`` N <= 8.
+    """
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        for command in CONFIG_COMMANDS:
+            out = Path(folder) / command[0]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = run(*command, "--config", path, "--out", out, "--full")
+                assert code in (0, 2, 3, 4), (command, config)
+                if code == 0 and command[0].startswith("solve"):
+                    assert run("verify", "--config", path, "--out", out / "verify",
+                               "--solution", out / "solution.json") == 0, config

@@ -72,7 +72,11 @@ def _generated(draw) -> dict:
     }
     if marks:
         config["marks"] = marks
-    section = draw(st.sampled_from([None, "barrier", "barriers"]))
+    # half the time the obstacle section the solver kind needs, so that
+    # configs also get past parse_config's kind checks and reach a solver
+    matching = {"standard": None, "one_barrier": "barrier", "two_barrier": "barriers"}
+    section = draw(st.one_of(st.just(matching[config["solver"]["kind"]]),
+                             st.sampled_from([None, "barrier", "barriers"])))
     if section == "barrier":
         config["barrier"] = draw(barrier)
     elif section == "barriers":
@@ -193,3 +197,47 @@ def test_rejection_names_the_json_path(edit, path):
     with pytest.raises(ConfigError) as info:
         parse_config(config)
     assert str(info.value).startswith(f"configuration rejected: {path}: "), info.value
+
+
+def _with_marks(config: dict, count: int) -> dict:
+    config["marks"] = [{"size": 1.0 + i, "intensity": 0.5} for i in range(count)]
+    return config
+
+
+@pytest.mark.parametrize("config, path", [
+    # a linear terminal, payoff or obstacle with one coefficient too many or too few
+    ({"grid": {"steps": 1}, "terminal": {"kind": "linear", "count_coeffs": [1.6, 1.6]},
+      "driver": {}, "solver": {"kind": "standard"}}, "$.terminal.count_coeffs"),
+    (_with_marks({"grid": {"steps": 2}, "terminal": {"kind": "linear", "count_coeffs": []},
+                  "driver": {}, "solver": {"kind": "standard"}}, 1),
+     "$.terminal.count_coeffs"),
+    ({"grid": {"steps": 2}, "terminal": {"kind": "constant", "value": 1.0}, "driver": {},
+      "solver": {"kind": "one_barrier"},
+      "barrier": {"stochastic": {"kind": "linear", "count_coeffs": [0.2]}}},
+     "$.barrier.stochastic.count_coeffs"),
+    (_with_marks({"grid": {"steps": 2}, "terminal": {"kind": "constant", "value": 0.0},
+                  "driver": {}, "solver": {"kind": "two_barrier"},
+                  "barriers": {"lower": {"pieces": [[0.0, -1.0]]},
+                               "upper": {"stochastic": {"kind": "linear",
+                                                        "count_coeffs": [0.1, 0.2]}}}}, 1),
+     "$.barriers.upper.stochastic.count_coeffs"),
+    # a penalised driver, which the solver of every kind rejects
+    ({"grid": {"steps": 1}, "terminal": {"kind": "constant", "value": 1.0},
+      "driver": {"penalty": {"n": 5.0}}, "solver": {"kind": "standard"},
+      "barrier": {"pieces": [[0.0, 0.5]]}}, "$.driver.penalty"),
+    ({"grid": {"steps": 2}, "terminal": {"kind": "constant", "value": 1.0},
+      "driver": {"penalty": {"n": 5.0}}, "solver": {"kind": "one_barrier"},
+      "barrier": {"pieces": [[0.0, 0.5]]}}, "$.driver.penalty"),
+])
+def test_schema_valid_configs_no_solver_takes_are_rejected(tmp_path, capsys, config, path):
+    from rbsde.cli import main
+    assert REFERENCE.is_valid(config)
+    with pytest.raises(ConfigError) as info:
+        parse_config(config)
+    assert str(info.value).startswith(f"configuration rejected: {path}: "), info.value
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps(config), encoding="utf-8")
+    command = {"standard": "contraction-study", "one_barrier": "solve-one",
+               "two_barrier": "solve-two"}[config["solver"]["kind"]]
+    assert main([command, "--config", str(file), "--out", str(tmp_path / "out")]) == 2
+    assert path in capsys.readouterr().err

@@ -108,3 +108,20 @@ def test_kn_converges_to_reflected_compensator():
                    COUNTEREXAMPLE["terminal"], [2 ** j for j in range(11)])
     assert all(b <= a + 1e-12 for a, b in zip(report.k_gaps, report.k_gaps[1:]))
     assert report.k_gaps[-1] < 1e-3
+
+
+def test_sweep_monotonicity_catches_a_nan(monkeypatch):
+    import rbsde.penalty
+    from rbsde import MonotonicityViolation
+    solve = rbsde.penalty.solve_penalized
+
+    def poisoned(tree, driver, barrier, terminal, n):
+        out = solve(tree, driver, barrier, terminal, n)
+        if n == 4.0:
+            out.solution.y[2][1] = np.nan
+        return out
+
+    monkeypatch.setattr(rbsde.penalty, "solve_penalized", poisoned)
+    with pytest.raises(MonotonicityViolation):
+        sweep(build_tree(4), COUNTEREXAMPLE["driver"], COUNTEREXAMPLE["barrier"],
+              COUNTEREXAMPLE["terminal"], [1, 2, 4, 8])

@@ -171,16 +171,22 @@ def test_memo_arrays_are_read_only():
         TerminalSpec(constant=0.5).evaluate(tree)[0] = 1.0
 
 
-def test_solution_terminal_is_caller_owned():
-    from rbsde import solve_reflected_one
+def test_solution_terminal_is_the_read_only_leaf_evaluation():
+    # the direct solvers keep the shared leaf evaluation as Y_N instead of a
+    # copy; being read-only, it cannot be corrupted through the solution
+    from rbsde import solve_double_obstacle, solve_reflected_one
     tree = build_tree(3)
     terminal = TerminalSpec(payoff=lambda w, c: np.maximum(w, 0.0) + 1.0)
     barrier = BarrierSpec(pieces=((0.0, 0.5),))
-    sol = solve_reflected_one(tree, DriverSpec(), terminal, barrier)
     cached = terminal.evaluate(tree)
-    assert sol.y[-1].flags.writeable
-    assert not np.shares_memory(sol.y[-1], cached)
-    sol.y[-1] += 1.0
+    solutions = [solve_reflected_one(tree, DriverSpec(), terminal, barrier),
+                 solve_double_obstacle(tree, DriverSpec(), terminal, barrier,
+                                       BarrierSpec(pieces=((0.0, 10.0),)))]
+    for sol in solutions:
+        assert sol.y[-1] is cached
+        assert not sol.y[-1].flags.writeable
+        with pytest.raises(ValueError):
+            sol.y[-1] += 1.0
     assert np.array_equal(cached, terminal._evaluate(tree))
     again = solve_reflected_one(tree, DriverSpec(), terminal, barrier)
     assert np.array_equal(again.y[-1], cached)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rbsde import (BarrierSpec, DriverNotCoefficientFree, DriverSpec, MarkSet,
-                   TerminalBelowBarrier, TerminalSpec, build_tree,
+                   TerminalBelowBarrier, TerminalSpec, build_tree, expand,
                    snell_representation_check, solve_reflected_one, sup_diff)
 from rbsde.processes import linear_obstacle
 from rbsde.reflected import obstacle_payoff
@@ -138,13 +138,15 @@ def test_dynamics_and_skorokhod_invariants():
     from rbsde import eval_barrier
     obstacle = eval_barrier(problem.barrier, tree)
     total = 0.0
+    k_all = [expand(tree, level, j) for j, level in enumerate(sol.k)]
+    k_c = [expand(tree, level, j) for j, level in enumerate(sol.k_c)]
     for k in range(tree.num_steps):
-        inc = tree.cond_exp(sol.k[k + 1]) - sol.k[k]
+        inc = tree.cond_exp(k_all[k + 1]) - k_all[k]
         rhs = tree.cond_exp(sol.y[k + 1]) \
             + problem.driver.base_at(tree.time(k)) * tree.dt + inc
         assert np.max(np.abs(sol.y[k] - rhs)) <= 1e-12
         slack = sol.y[k] - obstacle.values[k]
-        inc_c = sol.k_c[k + 1] - tree.lift(sol.k_c[k])
+        inc_c = k_c[k + 1] - tree.lift(k_c[k])
         total += float(tree.atom_prob[k + 1] @ (tree.lift(slack) * inc_c))
         assert np.max(np.abs(tree.lift(slack) * inc_c)) <= 1e-12
     assert abs(total) <= 1e-12

@@ -165,3 +165,13 @@ def test_regularity_no_declared_jumps_is_regular():
     report = regularity_check(tree, snell(tree, payoff), {})
     assert report.regular
     assert report.kd_mass == 0.0
+
+
+def test_monotone_limit_check_catches_a_nan():
+    tree = build_tree(3)
+    ladder = [[np.full(tree.level_size(k), value) for k in range(4)]
+              for value in (0.0, 0.5, 1.0)]
+    ladder[-1][2][1] = np.nan
+    report = monotone_limit_check(tree, ladder)
+    assert not report.passed
+    assert np.isnan(report.envelope_violation)

@@ -5,9 +5,9 @@ import pytest
 
 from rbsde import (BarriersTouch, BarrierSpec, DriverNotCoefficientFree, DriverSpec,
                    MarkSet, MokobodskiFailed, TerminalOutsideBarriers, TerminalSpec,
-                   build_tree, check_mokobodski, constant_witness, martingale_witness,
-                   monotone_iterate_check, picard_snell_solve, solve_double_obstacle,
-                   solve_reflected_one, sup_diff)
+                   build_tree, check_mokobodski, constant_witness, expand,
+                   martingale_witness, monotone_iterate_check, picard_snell_solve,
+                   solve_double_obstacle, solve_reflected_one, sup_diff)
 from rbsde.errors import MonotonicityViolation
 from conftest import random_two_barrier
 
@@ -166,8 +166,8 @@ def test_step_complementarity_where_separated():
         sol = solve_double_obstacle(tree, problem.driver, problem.terminal,
                                     problem.lower, problem.upper)
         for k in range(tree.num_steps):
-            inc_p = sol.k_plus[k + 1] - tree.lift(sol.k_plus[k])
-            inc_m = sol.k_minus[k + 1] - tree.lift(sol.k_minus[k])
+            inc_p = expand(tree, sol.k_plus[k + 1], k + 1) - expand(tree, sol.k_plus[k], k + 1)
+            inc_m = expand(tree, sol.k_minus[k + 1], k + 1) - expand(tree, sol.k_minus[k], k + 1)
             assert np.max(inc_p * inc_m) <= 1e-15
 
 
@@ -179,5 +179,17 @@ def test_monotone_iterate_check_rejects_doctored_trace():
     _, trace = picard_snell_solve(tree, DriverSpec(base=1.5), xi, lower, upper,
                                   witness=martingale_witness(tree, xi))
     trace.iterates[-1][0][0][0] -= 1.0
+    with pytest.raises(MonotonicityViolation):
+        monotone_iterate_check(tree, trace)
+
+
+def test_monotone_iterate_check_catches_a_nan():
+    tree = build_tree(4)
+    lower = BarrierSpec(pieces=((0.0, -1.0),), stochastic=lambda t, w, c: 0.2 * w)
+    upper = BarrierSpec(pieces=((0.0, 1.0),), stochastic=lambda t, w, c: 0.2 * w)
+    xi = TerminalSpec(payoff=lambda w, c: 0.2 * w)
+    _, trace = picard_snell_solve(tree, DriverSpec(base=1.5), xi, lower, upper,
+                                  witness=martingale_witness(tree, xi))
+    trace.iterates[1][1][2][3] = np.nan
     with pytest.raises(MonotonicityViolation):
         monotone_iterate_check(tree, trace)

@@ -10,8 +10,9 @@ from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
                    regularity_probe, solve_double_obstacle, solve_reflected_one,
                    uniqueness_probe, verify)
 from rbsde.processes import put_payoff
-from conftest import (counterexample_pieces, one_barrier_mutants, random_one_barrier,
-                      random_two_barrier, two_barrier_mutants)
+from conftest import (clone_quadruple, clone_quintuple, counterexample_pieces,
+                      one_barrier_mutants, random_one_barrier, random_two_barrier,
+                      two_barrier_mutants)
 
 
 def test_checker_passes_solver_outputs():
@@ -51,7 +52,7 @@ def test_counterexample_report_is_clean():
 ])
 def test_nan_in_one_barrier_solution_fails_its_clauses(poison, failing):
     tree, driver, terminal, barrier = counterexample_pieces()
-    sol = solve_reflected_one(tree, driver, terminal, barrier)
+    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
     for field, level, node in poison:
         getattr(sol, field)[level][node] = np.nan
     report = check_solution_one(tree, sol, driver, terminal, barrier)
@@ -63,8 +64,8 @@ def test_nan_in_one_barrier_solution_fails_its_clauses(poison, failing):
 def test_nan_in_two_barrier_solution_fails(field):
     problem = random_two_barrier(np.random.default_rng(31))
     tree = problem.build_tree()
-    sol = solve_double_obstacle(tree, problem.driver, problem.terminal,
-                                problem.lower, problem.upper)
+    sol = clone_quintuple(tree, solve_double_obstacle(tree, problem.driver, problem.terminal,
+                                                      problem.lower, problem.upper))
     getattr(sol, field)[tree.num_steps][-1] = np.nan
     report = check_solution_two(tree, sol, problem.driver, problem.terminal,
                                 problem.lower, problem.upper)
@@ -98,13 +99,12 @@ def test_simultaneous_jump_clause_fires_with_its_entailed_formula():
     # positive jump-type mass on both sides at once cannot respect the
     # left-limit formulas when the obstacles are separated, so this clause
     # is entailed: the mutant flips it together with one jump formula.
-    from conftest import clone_quintuple
     tree = build_tree(4)
     lower = BarrierSpec(pieces=((0.0, 1.0), (0.5, -10.0)))
     upper = BarrierSpec(pieces=((0.0, 10.0),))
     sol = solve_double_obstacle(tree, DriverSpec(), TerminalSpec(constant=0.5),
                                 lower, upper)
-    mutant = clone_quintuple(sol)
+    mutant = clone_quintuple(tree, sol)
     for lvl in range(2, 5):
         mutant.k_minus_d[lvl] += 1e-6
         mutant.k_minus_c[lvl] -= 1e-6
