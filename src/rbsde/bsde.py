@@ -4,8 +4,9 @@ One step solves y = E[Y_next] + f(t, y, z, v) dt implicitly in y (exact,
 piecewise-linear when a penalty term is present) with (z, v) obtained by
 projecting Y_next against the Brownian increment and the compensated
 jump increments.  The projection is not an exact martingale
-representation at finite dt: the orthogonal remainder is carried as a
-per-node diagnostic and must shrink under grid refinement.
+representation at finite dt: ``project_level`` returns the orthogonal
+remainder per node as a diagnostic, which must shrink under grid
+refinement.  ``Solution`` is the output type of every direct solver.
 """
 
 from __future__ import annotations
@@ -39,28 +40,33 @@ class FrozenDriver:
 
 
 @dataclass(eq=False)
-class StepOutput:
-    y: float
-    z: float
-    v: np.ndarray
-    representation_residual: float
-
-
-@dataclass(eq=False)
-class SolutionQuadruple:
-    """(Y, Z, V, K) with the compensator split K = K_c + K_d.
+class Compensator:
+    """Reflecting process K of one obstacle, split as K = K_c + K_d.
 
     K, K_c and K_d may be stored by the level rule of ``rbsde.tree``;
     ``rbsde.tree.expand`` gives any of their levels whole.
     """
 
-    y: Process
-    z: Process
-    v: Process
     k: Process
     k_c: Process
     k_d: Process
-    projection_residual: Process
+
+
+@dataclass(eq=False)
+class Solution:
+    """(Y, Z, V) and the compensator of each obstacle present.
+
+    ``lower`` is K (K+ with two obstacles), which pushes Y up onto the
+    lower obstacle; ``upper`` is K-, which pushes Y down onto the upper
+    one.  A side without an obstacle is None, both for the unreflected
+    equation.
+    """
+
+    y: Process
+    z: Process
+    v: Process
+    lower: Compensator | None = None
+    upper: Compensator | None = None
 
 
 def check_stepsize(driver, dt: float) -> None:
@@ -93,12 +99,7 @@ def barrier_values(tree: ScenarioTree, barrier) -> BarrierValues:
 
 
 def _project_block(tree: ScenarioTree, table: np.ndarray):
-    """(mean, z, v, residual) of a (parents, B) block of child values.
-
-    The residual is the conditional L2 norm of what the projection leaves
-    over: child values minus mean + z*dB + sum_i v_i*dN~_i, rebuilt as one
-    product of the coefficients with the basis (1, dB, dN~).
-    """
+    """(mean, z, v) of a (parents, B) block of child values."""
     mean = table @ tree.branch_prob
     z = (table @ (tree.branch_prob * tree.branch_db)) / tree.dt
     m = tree.marks.count
@@ -108,29 +109,25 @@ def _project_block(tree: ScenarioTree, table: np.ndarray):
         v = (table @ weights) / scale[None, :]
     else:
         v = np.zeros((table.shape[0], 0))
+    return mean, z, v
+
+
+def project_level(tree: ScenarioTree, y_next: np.ndarray):
+    """(z, v, residual) arrays over all nodes of the assigning level.
+
+    The residual is the conditional L2 norm of what the projection leaves
+    over: child values minus mean + z*dB + sum_i v_i*dN~_i, rebuilt as one
+    product of the coefficients with the basis (1, dB, dN~).
+    """
+    table = np.asarray(y_next, dtype=float).reshape(-1, tree.branching)
+    mean, z, v = _project_block(tree, table)
     basis = np.vstack((np.ones(tree.branching), tree.branch_db, tree.branch_comp.T))
     remainder = np.column_stack((mean, z, v)) @ basis
     remainder -= table
     np.square(remainder, out=remainder)
     resid = remainder @ tree.branch_prob
     np.sqrt(np.maximum(resid, 0.0, out=resid), out=resid)
-    return mean, z, v, resid
-
-
-def project_level(tree: ScenarioTree, y_next: np.ndarray):
-    """(z, v, residual) arrays over all nodes of the assigning level."""
-    table = np.asarray(y_next, dtype=float).reshape(-1, tree.branching)
-    _, z, v, resid = _project_block(tree, table)
     return z, v, resid
-
-
-def project_zv(tree: ScenarioTree, y_children) -> tuple[float, np.ndarray, float]:
-    """Single-node projection of child values against the noise increments."""
-    y_children = np.asarray(y_children, dtype=float)
-    if y_children.shape != (tree.branching,):
-        raise ValueError("need one child value per branch")
-    z, v, resid = project_level(tree, y_children)
-    return float(z[0]), v[0], float(resid[0])
 
 
 def _source_term(driver, tree: ScenarioTree, level: int,
@@ -161,33 +158,13 @@ def _implicit_y(rhs, a: float, dt: float, pen_weight: float = 0.0, pen_barrier=N
     return np.where(unconstrained >= pen_barrier, unconstrained, penalised)
 
 
-def backward_step(tree: ScenarioTree, level: int, y_children, driver,
-                  barrier_value: float | None = None) -> StepOutput:
-    """One implicit backward step at a single node."""
-    check_stepsize(driver, tree.dt)
-    y_children = np.asarray(y_children, dtype=float)
-    z, v, resid = project_zv(tree, y_children)
-    mean = float(tree.branch_prob @ y_children)
-    src = _source_term(driver, tree, level, np.asarray([z]), v[None, :])
-    src = float(np.asarray(src).reshape(-1)[0])
-    pen = getattr(driver, "penalty", None)
-    if pen is not None:
-        if barrier_value is None:
-            raise ValueError("penalty drivers need the obstacle value at the node")
-        y = _implicit_y(np.asarray([mean + src * tree.dt]), driver.a, tree.dt,
-                        pen.weight, np.asarray([float(barrier_value)]))
-    else:
-        y = _implicit_y(np.asarray([mean + src * tree.dt]), driver.a, tree.dt)
-    return StepOutput(y=float(y[0]), z=z, v=v, representation_residual=resid)
-
-
 def _backward_sweep(tree: ScenarioTree, driver, xi: np.ndarray, settle):
     """Backward induction over cache-sized parent blocks of each level.
 
     Each block is projected once: its conditional mean feeds the implicit
     right-hand side ``E[Y_next] + source*dt``, and ``settle(level, rows,
     rhs)`` returns the block's solution values (booking any compensator
-    increments on the way).  Returns (y, z, v, projection residual).
+    increments on the way).  Returns (y, z, v).
     """
     n = tree.num_steps
     dt = tree.dt
@@ -195,21 +172,20 @@ def _backward_sweep(tree: ScenarioTree, driver, xi: np.ndarray, settle):
     y[n] = xi
     z: Process = [None] * n
     v: Process = [None] * n
-    resid: Process = [None] * n
     for k in range(n - 1, -1, -1):
         size = tree.level_size(k)
-        y[k], z[k], resid[k] = np.empty(size), np.empty(size), np.empty(size)
+        y[k], z[k] = np.empty(size), np.empty(size)
         v[k] = np.empty((size, tree.marks.count))
         for rows in _parent_blocks(tree, k):
-            mean, zb, vb, rb = _project_block(tree, _children(tree, y[k + 1], rows))
+            mean, zb, vb = _project_block(tree, _children(tree, y[k + 1], rows))
             rhs = mean + _source_term(driver, tree, k, zb, vb, rows) * dt
             y[k][rows] = settle(k, rows, rhs)
-            z[k][rows], v[k][rows], resid[k][rows] = zb, vb, rb
-    return y, z, v, resid
+            z[k][rows], v[k][rows] = zb, vb
+    return y, z, v
 
 
-def solve_bsde(tree: ScenarioTree, driver, terminal) -> SolutionQuadruple:
-    """Full backward sweep without reflection (compensator identically 0)."""
+def solve_bsde(tree: ScenarioTree, driver, terminal) -> Solution:
+    """Full backward sweep without reflection (no compensator)."""
     check_stepsize(driver, tree.dt)
     pen = getattr(driver, "penalty", None)
     if pen is not None:
@@ -221,10 +197,5 @@ def solve_bsde(tree: ScenarioTree, driver, terminal) -> SolutionQuadruple:
         def settle(k, rows, rhs):
             return _implicit_y(rhs, driver.a, tree.dt)
 
-    y, z, v, resid = _backward_sweep(tree, driver, terminal_values(tree, terminal), settle)
-    # zero compensators, each level a root-level array by the level rule
-    levels = range(tree.num_steps + 1)
-    return SolutionQuadruple(y=y, z=z, v=v, k=[np.zeros(1) for _ in levels],
-                             k_c=[np.zeros(1) for _ in levels],
-                             k_d=[np.zeros(1) for _ in levels],
-                             projection_residual=resid)
+    y, z, v = _backward_sweep(tree, driver, terminal_values(tree, terminal), settle)
+    return Solution(y=y, z=z, v=v)

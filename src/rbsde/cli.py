@@ -5,7 +5,9 @@ plus plot-ready CSV tables into the output directory, and exits with
 0 on success, 2 on configuration errors, 3 on solver errors and 4 when
 a produced (or supplied) solution fails the condition checks.  The
 backend is exact, so identical configurations give byte-identical
-output; --seed is accepted for interface stability but unused.
+output.  ``solve-one`` and ``solve-two`` are one command on one solver
+and checker; only the names under which the compensators are written
+depend on the solution kind (``_KIND_NAMES``).
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .bsde import SolutionQuadruple
+from .bsde import Compensator, Solution
 from .config import SolverOptions, load_config
 from .errors import ConfigError, RbsdeError
 from .fixpoint import alpha_rule, picard_solve
@@ -27,10 +30,43 @@ from .processes import ProblemSpec
 from .reflected import obstacle_payoff, solve_reflected_one
 from .snell import optimal_stopping_time, regularity_check, snell
 from .tree import ScenarioTree, expand
-from .twobarrier import SolutionQuintuple, solve_double_obstacle
+from .twobarrier import solve_double_obstacle
 from .verify import check_solution_one, check_solution_two
 
 AUTO_FULL_NODES = 200_000
+
+
+class _Names(NamedTuple):
+    """Output names of one solution kind.
+
+    ``sides`` names each side's K, K_c and K_d in solution.json, lower
+    side first; ``columns`` are the compensator columns of summary.csv;
+    ``increments`` pairs each jump-increment column with the K_d it
+    differences, and ``means`` each terminal mean of the solution summary
+    with the process it averages.
+    """
+
+    sides: tuple
+    columns: tuple
+    increments: tuple
+    means: tuple
+
+
+_KIND_NAMES = {
+    "one_barrier": _Names(
+        sides=(("k", "k_c", "k_d"),),
+        columns=("k", "k_c", "k_d"),
+        increments=(("kd_increment", "k_d"),),
+        means=(("expected_terminal_k", "k"), ("expected_terminal_kd", "k_d"))),
+    "two_barrier": _Names(
+        sides=(("k_plus", "k_plus_c", "k_plus_d"), ("k_minus", "k_minus_c", "k_minus_d")),
+        columns=("k_plus", "k_minus"),
+        increments=(("k_plus_d_increment", "k_plus_d"),
+                    ("k_minus_d_increment", "k_minus_d")),
+        means=(("expected_terminal_k_plus", "k_plus"),
+               ("expected_terminal_k_minus", "k_minus"))),
+}
+_SOLVE_KINDS = {"solve-one": "one_barrier", "solve-two": "two_barrier"}
 
 
 def _fmt(x) -> str:
@@ -64,13 +100,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _nodes_payload(tree, sol, names) -> dict:
-    payload = {}
-    for name in names:
-        process = getattr(sol, name)
-        payload[name] = [expand(tree, np.asarray(level, dtype=float), k).tolist()
-                         for k, level in enumerate(process)]
-    return payload
+def _nodes_payload(tree, processes: dict) -> dict:
+    return {name: [expand(tree, np.asarray(level, dtype=float), k).tolist()
+                   for k, level in enumerate(process)]
+            for name, process in processes.items()}
 
 
 def _summary_columns(tree, named_processes, extra_columns) -> tuple[list[str], list[list[str]]]:
@@ -115,39 +148,29 @@ def _terminal_mean(tree, process) -> float:
     return tree.expectation(tree.num_steps, expand(tree, process[-1], tree.num_steps))
 
 
-def _solution_payload_one(tree, sol, full: bool) -> dict:
+def _compensators(sol: Solution, kind: str) -> dict:
+    """Every compensator process of a solution, under its output name."""
+    out = {}
+    for names, side in zip(_KIND_NAMES[kind].sides, (sol.lower, sol.upper)):
+        out.update(zip(names, (side.k, side.k_c, side.k_d)))
+    return out
+
+
+def _solution_payload(tree, sol: Solution, kind: str, full: bool) -> dict:
+    processes = _compensators(sol, kind)
+    summary = {"y0": float(sol.y[0][0])}
+    summary.update((key, _terminal_mean(tree, processes[name]))
+                   for key, name in _KIND_NAMES[kind].means)
     payload = {
-        "kind": "one_barrier",
+        "kind": kind,
         "num_steps": tree.num_steps,
         "version": __version__,
         "full": full,
-        "summary": {
-            "y0": float(sol.y[0][0]),
-            "expected_terminal_k": _terminal_mean(tree, sol.k),
-            "expected_terminal_kd": _terminal_mean(tree, sol.k_d),
-        },
+        "summary": summary,
     }
     if full:
-        payload["nodes"] = _nodes_payload(tree, sol, ("y", "z", "v", "k", "k_c", "k_d"))
-    return payload
-
-
-def _solution_payload_two(tree, sol, full: bool) -> dict:
-    payload = {
-        "kind": "two_barrier",
-        "num_steps": tree.num_steps,
-        "version": __version__,
-        "full": full,
-        "summary": {
-            "y0": float(sol.y[0][0]),
-            "expected_terminal_k_plus": _terminal_mean(tree, sol.k_plus),
-            "expected_terminal_k_minus": _terminal_mean(tree, sol.k_minus),
-        },
-    }
-    if full:
-        payload["nodes"] = _nodes_payload(
-            tree, sol, ("y", "z", "v", "k_plus", "k_minus", "k_plus_c", "k_plus_d",
-                        "k_minus_c", "k_minus_d"))
+        payload["nodes"] = _nodes_payload(tree, {"y": sol.y, "z": sol.z, "v": sol.v,
+                                                 **processes})
     return payload
 
 
@@ -173,15 +196,9 @@ def _solution_from_payload(payload: dict, tree: ScenarioTree):
 
     if "nodes" not in payload:
         raise ConfigError("solution file lacks per-node data; rerun with --full")
-    if payload["kind"] == "one_barrier":
-        return SolutionQuadruple(y=levels("y"), z=levels("z"), v=levels("v", True),
-                                 k=levels("k"), k_c=levels("k_c"), k_d=levels("k_d"),
-                                 projection_residual=None)
-    return SolutionQuintuple(y=levels("y"), z=levels("z"), v=levels("v", True),
-                             k_plus=levels("k_plus"), k_minus=levels("k_minus"),
-                             k_plus_c=levels("k_plus_c"), k_plus_d=levels("k_plus_d"),
-                             k_minus_c=levels("k_minus_c"), k_minus_d=levels("k_minus_d"),
-                             projection_residual=None)
+    sides = [Compensator(*(levels(name) for name in names))
+             for names in _KIND_NAMES[payload["kind"]].sides]
+    return Solution(levels("y"), levels("z"), levels("v", True), *sides)
 
 
 def _prepare(args) -> tuple[ProblemSpec, SolverOptions, Path]:
@@ -198,55 +215,43 @@ def _build(problem: ProblemSpec, options: SolverOptions) -> ScenarioTree:
     return problem.build_tree(node_cap=options.node_cap)
 
 
-def cmd_solve_one(args) -> int:
+def _entry_points(problem: ProblemSpec):
+    """Obstacles of a one- or two-obstacle problem, lower first, with its solve and check.
+
+    Each kind's solve and check names are bound to one function
+    (``solve_reflected``, ``check_solution``); calling the name of the
+    problem's kind keeps the kinds apart for wrappers installed on this
+    module, such as the benchmark's tracer.
+    """
+    if problem.upper is None:
+        return (problem.barrier,), solve_reflected_one, check_solution_one
+    return (problem.lower, problem.upper), solve_double_obstacle, check_solution_two
+
+
+def cmd_solve(args) -> int:
     problem, options, out = _prepare(args)
-    if problem.kind != "one_barrier":
-        raise ConfigError("solve-one needs a one_barrier configuration")
+    kind = _SOLVE_KINDS[args.command]
+    if problem.kind != kind:
+        raise ConfigError(f"{args.command} needs a {kind} configuration")
     tree = _build(problem, options)
-    sol = solve_reflected_one(tree, problem.driver, problem.terminal, problem.barrier)
-    report = check_solution_one(tree, sol, problem.driver, problem.terminal,
-                                problem.barrier)
+    obstacles, solve, check = _entry_points(problem)
+    sol = solve(tree, problem.driver, problem.terminal, *obstacles)
+    report = check(tree, sol, problem.driver, problem.terminal, *obstacles)
     full = args.full or tree.node_count <= AUTO_FULL_NODES
-    _write_json(out / "solution.json", _solution_payload_one(tree, sol, full))
+    _write_json(out / "solution.json", _solution_payload(tree, sol, kind, full))
     _write_json(out / "report.json", report.to_dict())
+    names, processes = _KIND_NAMES[kind], _compensators(sol, kind)
     named = [("y", sol.y, tree.num_steps + 1), ("z", sol.z, tree.num_steps)]
     named += _mark_columns(tree, sol.v)
-    named += [("k", sol.k, tree.num_steps + 1), ("k_c", sol.k_c, tree.num_steps + 1),
-              ("k_d", sol.k_d, tree.num_steps + 1)]
-    extra = [("kd_increment", _jump_increment_means(tree, sol.k_d))]
+    named += [(name, processes[name], tree.num_steps + 1) for name in names.columns]
+    extra = [(column, _jump_increment_means(tree, processes[name]))
+             for column, name in names.increments]
     header, rows = _summary_columns(tree, named, extra)
     _write_csv(out / "summary.csv", header, rows)
     if not report.passed:
         print("condition checks failed; see report.json", file=sys.stderr)
         return 4
-    print(f"solve-one ok: Y0 = {float(sol.y[0][0])!r}")
-    return 0
-
-
-def cmd_solve_two(args) -> int:
-    problem, options, out = _prepare(args)
-    if problem.kind != "two_barrier":
-        raise ConfigError("solve-two needs a two_barrier configuration")
-    tree = _build(problem, options)
-    sol = solve_double_obstacle(tree, problem.driver, problem.terminal,
-                                problem.lower, problem.upper)
-    report = check_solution_two(tree, sol, problem.driver, problem.terminal,
-                                problem.lower, problem.upper)
-    full = args.full or tree.node_count <= AUTO_FULL_NODES
-    _write_json(out / "solution.json", _solution_payload_two(tree, sol, full))
-    _write_json(out / "report.json", report.to_dict())
-    named = [("y", sol.y, tree.num_steps + 1), ("z", sol.z, tree.num_steps)]
-    named += _mark_columns(tree, sol.v)
-    named += [("k_plus", sol.k_plus, tree.num_steps + 1),
-              ("k_minus", sol.k_minus, tree.num_steps + 1)]
-    extra = [("k_plus_d_increment", _jump_increment_means(tree, sol.k_plus_d)),
-             ("k_minus_d_increment", _jump_increment_means(tree, sol.k_minus_d))]
-    header, rows = _summary_columns(tree, named, extra)
-    _write_csv(out / "summary.csv", header, rows)
-    if not report.passed:
-        print("condition checks failed; see report.json", file=sys.stderr)
-        return 4
-    print(f"solve-two ok: Y0 = {float(sol.y[0][0])!r}")
+    print(f"{args.command} ok: Y0 = {float(sol.y[0][0])!r}")
     return 0
 
 
@@ -317,16 +322,10 @@ def cmd_verify(args) -> int:
         sol = _solution_from_payload(payload, tree)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed solution file: {type(exc).__name__}: {exc}") from exc
-    if payload["kind"] == "one_barrier":
-        if problem.kind != "one_barrier":
-            raise ConfigError("solution kind does not match the configuration")
-        report = check_solution_one(tree, sol, problem.driver, problem.terminal,
-                                    problem.barrier)
-    else:
-        if problem.kind != "two_barrier":
-            raise ConfigError("solution kind does not match the configuration")
-        report = check_solution_two(tree, sol, problem.driver, problem.terminal,
-                                    problem.lower, problem.upper)
+    if payload["kind"] != problem.kind:
+        raise ConfigError("solution kind does not match the configuration")
+    obstacles, _, check = _entry_points(problem)
+    report = check(tree, sol, problem.driver, problem.terminal, *obstacles)
     _write_json(out / "report.json", report.to_dict())
     if not report.passed:
         print("verification failed; see report.json", file=sys.stderr)
@@ -373,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force per-node dumps (files grow exponentially)")
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; the exact backend uses no randomness")
         if solution:
             p.add_argument("--solution", required=True, help="solution.json to verify")
         if n_list:
@@ -397,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "solve-one": cmd_solve_one,
-    "solve-two": cmd_solve_two,
+    "solve-one": cmd_solve,
+    "solve-two": cmd_solve,
     "penalize-sweep": cmd_penalize_sweep,
     "snell": cmd_snell,
     "verify": cmd_verify,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bsde import SolutionQuadruple, barrier_values, solve_bsde
+from .bsde import Solution, barrier_values, solve_bsde
 from .errors import MonotonicityViolation
 from .processes import BarrierSpec, DriverSpec, PenaltyTerm
 from .reflected import solve_reflected_one
@@ -24,7 +24,7 @@ MONOTONE_TOL = 1e-12
 @dataclass(eq=False)
 class PenalizedSolution:
     level: float
-    solution: SolutionQuadruple
+    solution: Solution
     kn: Process  # accumulated penalty flux n*(Y^n - S)^- dt, by the level rule
 
 
@@ -65,7 +65,7 @@ def dt_dp_gap(tree: ScenarioTree, p: Process, q: Process,
 class PenalizationReport:
     levels: tuple[float, ...]
     solutions: list
-    reflected: SolutionQuadruple
+    reflected: Solution
     sup_gaps: tuple[float, ...]
     z_gaps: tuple[float, ...]
     v_gaps: tuple[float, ...]
@@ -105,7 +105,7 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
     sup_gaps = tuple(sup_diff(s.solution.y, reflected.y) for s in solutions)
     z_gaps = tuple(dt_dp_gap(tree, s.solution.z, reflected.z) for s in solutions)
     v_gaps = tuple(dt_dp_gap(tree, s.solution.v, reflected.v, lam) for s in solutions)
-    reflected_k = expand(tree, reflected.k[probe_level], probe_level)
+    reflected_k = expand(tree, reflected.lower.k[probe_level], probe_level)
     k_gaps = tuple(
         float(np.sqrt(tree.expectation(
             probe_level, (expand(tree, s.kn[probe_level], probe_level) - reflected_k) ** 2)))

@@ -1,25 +1,30 @@
-"""One-obstacle reflected solver and its Snell-envelope cross check.
+"""Reflected solver for one obstacle or two, and its Snell-envelope cross check.
 
-The backward induction reflects after the implicit driver solve:
-Y_k = max(S_k, candidate), candidate solving y = E[Y_{k+1}] + f dt, so
-the compensator increment (1 - a dt)(Y_k - candidate) is nonnegative and
-assigned one step ahead; the factor makes the step identity hold with
-the driver evaluated at the reflected Y_k.  The jump-type part of the
-compensator is extracted at the declared predictable jump times of the
-obstacle via the left-limit formula, with a binding tolerance on the
-preceding grid slot.  Each level is processed in cache-sized blocks of
-parents and their children.  The compensators follow the level rule of
-``rbsde.tree``: K_{k+1} is kept at level k, K_d only at declared levels.
+One backward induction solves both problems: one obstacle is the
+two-obstacle problem with no upper side (U = +inf).  Each step solves
+the implicit driver equation for a candidate y = E[Y_{k+1}] + f dt and
+then applies each obstacle present in turn, lower first: Y_k =
+max(candidate, L_k), then min(., U_k).  Each side books its compensator
+increment, (1 - a dt)(L - candidate)^+ for K (K+) and (1 - a dt)
+(candidate - U)^+ for K-, one step ahead; the factor makes the step
+identity hold with the driver evaluated at the reflected Y_k.  The
+jump-type part of each compensator is extracted at the declared
+predictable jump times of its obstacle via the left-limit formula, with
+a binding tolerance on the preceding grid slot.  Each level is processed
+in cache-sized blocks of parents and their children.  The compensators
+follow the level rule of ``rbsde.tree``: K_{k+1} is kept at level k, K_d
+only at declared levels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bsde import (SolutionQuadruple, _backward_sweep, _implicit_y, _leaf_values,
+from .bsde import (Compensator, Solution, _backward_sweep, _implicit_y, _leaf_values,
                    barrier_values, check_stepsize)
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
-from .errors import DriverNotCoefficientFree, TerminalBelowBarrier
+from .errors import (BarriersTouch, DriverNotCoefficientFree, TerminalBelowBarrier,
+                     TerminalOutsideBarriers)
 from .processes import DriverSpec
 from .snell import BIND_TOL, snell
 from .tree import (Process, ScenarioTree, _accumulate, _block_rows, _children,
@@ -29,8 +34,8 @@ TERMINAL_SLACK = 1e-12
 
 
 def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle, sign: int,
-                bind_tol: float = BIND_TOL):
-    """(K_c, K_d) of one compensator K stored by the level rule, over parent blocks.
+                bind_tol: float = BIND_TOL) -> Compensator:
+    """K = K_c + K_d of one compensator stored by the level rule, over parent blocks.
 
     At a declared level the jump-type increment is (sign*(left - Y_k))^+
     on the event that the solution sat on the left limit one step
@@ -58,44 +63,77 @@ def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle, sign
                    np.where(binding, gap, 0.0), out=_children(tree, kd, rows))
         k_d.append(kd)
         k_c.append(expand(tree, k_total[k], k) - kd)
-    return k_c, k_d
+    return Compensator(k=k_total, k_c=k_c, k_d=k_d)
 
 
-def solve_reflected_one(tree: ScenarioTree, driver, terminal, barrier) -> SolutionQuadruple:
-    """Solve the one-obstacle problem by direct obstacle backward induction.
+def _validate_obstacles(tree: ScenarioTree, xi: np.ndarray, low, up=None) -> None:
+    """Terminal payoff inside [L, U] at every leaf, and L < U before the horizon."""
+    n = tree.num_steps
+    below = float(np.min(xi - low.values[n]))
+    if up is None:
+        if below < -TERMINAL_SLACK:
+            raise TerminalBelowBarrier(
+                f"terminal payoff dips {-below:.3g} below the obstacle at a leaf")
+        return
+    above = float(np.min(up.values[n] - xi))
+    if below < -TERMINAL_SLACK or above < -TERMINAL_SLACK:
+        raise TerminalOutsideBarriers("terminal payoff leaves the obstacle band at a leaf")
+    for k in range(n):
+        gap = float(np.min(up.values[k] - low.values[k]))
+        if gap <= 0.0:
+            raise BarriersTouch(
+                f"obstacles touch at level {k} (gap {gap:.3g}); strict separation "
+                "before the horizon is required")
 
-    Preconditions: the terminal payoff dominates the obstacle at every
-    leaf and dt times the driver coefficient Lipschitz constant is below
-    one.  Penalty drivers belong to the penalisation scheme, not here.
+
+def solve_reflected(tree: ScenarioTree, driver, terminal, lower, upper=None) -> Solution:
+    """Solve the reflected equation by direct obstacle backward induction.
+
+    ``upper=None`` means U = +inf, the one-obstacle problem, and costs
+    nothing: no upper values, increments or compensator exist for it.
+    Preconditions: the terminal payoff lies in [L, U] at every leaf, the
+    obstacles are strictly separated before the horizon, and dt times the
+    driver coefficient Lipschitz constant is below one.  Penalty drivers
+    belong to the penalisation scheme, not here.
     """
     check_stepsize(driver, tree.dt)
     if getattr(driver, "penalty", None) is not None:
         raise ValueError("reflected solves take the bare driver, not a penalised one")
-    obstacle = barrier_values(tree, barrier)
+    low = barrier_values(tree, lower)
+    up = None if upper is None else barrier_values(tree, upper)
     xi = _leaf_values(tree, terminal)
-    shortfall = float(np.min(xi - obstacle.values[tree.num_steps]))
-    if shortfall < -TERMINAL_SLACK:
-        raise TerminalBelowBarrier(
-            f"terminal payoff dips {-shortfall:.3g} below the obstacle at a leaf")
+    _validate_obstacles(tree, xi, low, up)
 
     n = tree.num_steps
     dt = tree.dt
-    # The driver is evaluated at the reflected y, so the increment closing
-    # y = E[Y_next] + f(y) dt + dK is (1 - a dt)(y - candidate).
+    # The driver is evaluated at the reflected y, so the increments closing
+    # y = E[Y_next] + f(y) dt + dK+ - dK- carry the factor (1 - a dt).
     scale = 1.0 - driver.a * dt
-    inc: Process = [np.empty(tree.level_size(kk)) for kk in range(n)]
+    inc_p: Process = [np.empty(tree.level_size(k)) for k in range(n)]
+    inc_m: Process = [] if up is None else [np.empty(tree.level_size(k)) for k in range(n)]
 
-    def settle(kk, rows, rhs):
-        candidate = _implicit_y(rhs, driver.a, dt)
-        yk = np.maximum(obstacle.values[kk][rows], candidate)
-        inc[kk][rows] = scale * (yk - candidate)
+    # maximum(cand, lo) and minimum(y, hi) return the obstacle on a tie, so
+    # even the sign of a zero Y is the same with or without an upper side
+    def settle(k, rows, rhs):
+        cand = _implicit_y(rhs, driver.a, dt)
+        lo = low.values[k][rows]
+        inc_p[k][rows] = scale * np.maximum(lo - cand, 0.0)
+        yk = np.maximum(cand, lo)
+        if up is not None:
+            hi = up.values[k][rows]
+            inc_m[k][rows] = scale * np.maximum(cand - hi, 0.0)
+            np.minimum(yk, hi, out=yk)
         return yk
 
-    y, z, v, resid = _backward_sweep(tree, driver, xi, settle)
-    k = _accumulate(inc)
-    k_c, k_d = _split_side(tree, y, k, obstacle, +1)
-    return SolutionQuadruple(y=y, z=z, v=v, k=k, k_c=k_c, k_d=k_d,
-                             projection_residual=resid)
+    y, z, v = _backward_sweep(tree, driver, xi, settle)
+    k_plus = _split_side(tree, y, _accumulate(inc_p), low, +1)
+    k_minus = None if up is None else _split_side(tree, y, _accumulate(inc_m), up, -1)
+    return Solution(y=y, z=z, v=v, lower=k_plus, upper=k_minus)
+
+
+# The one-obstacle name of the same function: call sites that pass one obstacle
+# use it, so the benchmark's tracer (bench/tracing.py) times them as their own layer.
+solve_reflected_one = solve_reflected
 
 
 def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
@@ -122,7 +160,7 @@ def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
     return payoff, left, cum
 
 
-def snell_representation_check(tree: ScenarioTree, solution: SolutionQuadruple,
+def snell_representation_check(tree: ScenarioTree, solution: Solution,
                                driver, terminal, barrier) -> float:
     """Largest node-wise gap between the solver output and the envelope route."""
     payoff, _, cum = obstacle_payoff(tree, driver, terminal, barrier)

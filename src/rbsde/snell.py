@@ -70,33 +70,6 @@ def _check_oracle_size(tree: ScenarioTree, level: int) -> None:
             "is too large for the stopping oracle")
 
 
-def brute_force_value(tree: ScenarioTree, payoff: Process,
-                      level: int = 0, node: int = 0) -> float:
-    """Best stopping value from one node, by stop-vs-continue recursion.
-
-    Independent of :func:`snell`: plain per-node Python recursion, no
-    arrays, no shared sweep.  Guarded by hard size caps since the cost is
-    the full subtree.
-    """
-    _check_oracle_size(tree, level)
-    probs = [float(p) for p in tree.branch_prob]
-    branching = tree.branching
-    pay = [np.asarray(p, dtype=float) for p in payoff]
-    last = tree.num_steps
-
-    def best(k: int, idx: int) -> float:
-        here = float(pay[k][idx])
-        if k == last:
-            return here
-        cont = 0.0
-        base = idx * branching
-        for b in range(branching):
-            cont += probs[b] * best(k + 1, base + b)
-        return here if here >= cont else cont
-
-    return best(level, node)
-
-
 def brute_force_values(tree: ScenarioTree, payoff: Process) -> Process:
     """Stop-vs-continue oracle value at every node, in one traversal."""
     _check_oracle_size(tree, 0)

@@ -326,22 +326,6 @@ def _accumulate(increments: Process) -> Process:
     return total
 
 
-def compensated_increment(tree: ScenarioTree, branch: int) -> np.ndarray:
-    """Per-mark compensated count increment along one branch.
-
-    The tree is homogeneous, so the increment depends only on the branch
-    index of the child (``child_index % tree.branching``), not on the node.
-    """
-    if not 0 <= branch < tree.branching:
-        raise ValueError(f"branch must lie in [0, {tree.branching})")
-    return tree.branch_comp[branch].copy()
-
-
-def conditional_expectation(tree: ScenarioTree, values_next: np.ndarray) -> np.ndarray:
-    """Exact one-step conditional expectation, one value per parent node."""
-    return tree.cond_exp(values_next)
-
-
 def _worst(*values: float) -> float:
     """Largest value, or NaN if any value is NaN.
 

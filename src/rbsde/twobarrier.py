@@ -1,14 +1,13 @@
-"""Two-obstacle reflected solver: direct induction and envelope recursion.
+"""Two-obstacle envelope route: the Mokobodski witness and the coupled recursion.
 
-The direct route clips the implicit candidate into the band [L, U] and
-books the two compensator increments, (1 - a dt)(L - candidate)^+ and
-(1 - a dt)(candidate - U)^+, level by level over cache-sized blocks,
-and stores K+ and K- by the level rule of ``rbsde.tree``.
-The constructive route shifts the problem by the conditional mean of the
-terminal-plus-source mass and iterates the coupled envelope recursion
-N+ <- R(N- + L~), N- <- R(N+ - U~) from zero, which is monotone and
-bounded by the witness supermartingales; at the fixed point the
-reassembled solution coincides with the direct induction node by node.
+The direct two-obstacle induction is ``rbsde.reflected.solve_reflected``
+with both obstacles (``solve_double_obstacle`` here is the same
+function).  The constructive route shifts the problem by the conditional
+mean of the terminal-plus-source mass and iterates the coupled envelope
+recursion N+ <- R(N- + L~), N- <- R(N+ - U~) from zero, which is
+monotone and bounded by the witness supermartingales; at the fixed point
+the reassembled solution coincides with the direct induction node by
+node.
 """
 
 from __future__ import annotations
@@ -17,35 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (_backward_sweep, _implicit_y, _leaf_values, barrier_values,
-                   check_stepsize, project_level, terminal_values)
-from .errors import (BarriersTouch, DriverNotCoefficientFree, MaxIterExceeded,
-                     MokobodskiFailed, MonotonicityViolation, TerminalOutsideBarriers)
+from .bsde import Solution, barrier_values, project_level, terminal_values
+from .errors import (DriverNotCoefficientFree, MaxIterExceeded, MokobodskiFailed,
+                     MonotonicityViolation)
 from .processes import DriverSpec
-from .reflected import _split_side
-from .snell import BIND_TOL, snell
+from .reflected import _split_side, _validate_obstacles, solve_reflected
+from .snell import snell
 from .tree import Process, ScenarioTree, _accumulate, _worst, copy_process, sup_diff
 
-TERMINAL_SLACK = 1e-12
-
-
-@dataclass(eq=False)
-class SolutionQuintuple:
-    """(Y, Z, V, K+, K-) with each compensator split into c/d parts.
-
-    The compensators may be stored by the level rule of ``rbsde.tree``.
-    """
-
-    y: Process
-    z: Process
-    v: Process
-    k_plus: Process
-    k_minus: Process
-    k_plus_c: Process
-    k_plus_d: Process
-    k_minus_c: Process
-    k_minus_d: Process
-    projection_residual: Process
+# The two-obstacle name of the same function: call sites that pass two obstacles
+# use it, so the benchmark's tracer (bench/tracing.py) times them as their own layer.
+solve_double_obstacle = solve_reflected
 
 
 @dataclass(eq=False)
@@ -124,74 +105,6 @@ def check_mokobodski(tree: ScenarioTree, witness: MokobodskiWitness,
                            max_band_violation=band, detail=detail)
 
 
-def _validate_band(tree: ScenarioTree, low, up, xi) -> None:
-    over = float(np.min(xi - low.values[tree.num_steps]))
-    under = float(np.min(up.values[tree.num_steps] - xi))
-    if over < -TERMINAL_SLACK or under < -TERMINAL_SLACK:
-        raise TerminalOutsideBarriers("terminal payoff leaves the obstacle band at a leaf")
-    for k in range(tree.num_steps):
-        gap = float(np.min(up.values[k] - low.values[k]))
-        if gap <= 0.0:
-            raise BarriersTouch(
-                f"obstacles touch at level {k} (gap {gap:.3g}); strict separation "
-                "before the horizon is required")
-
-
-def _split_two_sided(tree: ScenarioTree, y: Process, k_plus: Process, k_minus: Process,
-                     low, up, bind_tol: float = BIND_TOL):
-    kpc, kpd = _split_side(tree, y, k_plus, low, +1, bind_tol)
-    kmc, kmd = _split_side(tree, y, k_minus, up, -1, bind_tol)
-    return kpc, kpd, kmc, kmd
-
-
-def solve_double_obstacle(tree: ScenarioTree, driver, terminal, lower, upper,
-                          order: str = "median") -> SolutionQuintuple:
-    """Direct two-obstacle backward induction.
-
-    ``order`` picks the truncation route (median clip, max-then-min or
-    min-then-max); with strictly separated obstacles all three coincide,
-    which the uniqueness probe exploits as cheap re-solves.
-    """
-    check_stepsize(driver, tree.dt)
-    if getattr(driver, "penalty", None) is not None:
-        raise ValueError("reflected solves take the bare driver, not a penalised one")
-    if order not in ("median", "max_min", "min_max"):
-        raise ValueError(f"unknown truncation order {order!r}")
-    low = barrier_values(tree, lower)
-    up = barrier_values(tree, upper)
-    xi = _leaf_values(tree, terminal)
-    _validate_band(tree, low, up, xi)
-
-    n = tree.num_steps
-    dt = tree.dt
-    # The driver is evaluated at the clipped y, so dK+ - dK- closes the
-    # step identity only when both carry the factor (1 - a dt).
-    scale = 1.0 - driver.a * dt
-    inc_p: Process = [np.empty(tree.level_size(k)) for k in range(n)]
-    inc_m: Process = [np.empty(tree.level_size(k)) for k in range(n)]
-
-    def settle(k, rows, rhs):
-        cand = _implicit_y(rhs, driver.a, dt)
-        lo, hi = low.values[k][rows], up.values[k][rows]
-        if order == "median":
-            yk = np.clip(cand, lo, hi)
-        elif order == "max_min":
-            yk = np.minimum(np.maximum(cand, lo), hi)
-        else:
-            yk = np.maximum(np.minimum(cand, hi), lo)
-        inc_p[k][rows] = scale * np.maximum(lo - cand, 0.0)
-        inc_m[k][rows] = scale * np.maximum(cand - hi, 0.0)
-        return yk
-
-    y, z, v, resid = _backward_sweep(tree, driver, xi, settle)
-    k_plus = _accumulate(inc_p)
-    k_minus = _accumulate(inc_m)
-    kpc, kpd, kmc, kmd = _split_two_sided(tree, y, k_plus, k_minus, low, up)
-    return SolutionQuintuple(y=y, z=z, v=v, k_plus=k_plus, k_minus=k_minus,
-                             k_plus_c=kpc, k_plus_d=kpd, k_minus_c=kmc, k_minus_d=kmd,
-                             projection_residual=resid)
-
-
 @dataclass(eq=False)
 class TwoBarrierTrace:
     """Recorded envelope iteration, with the bounding processes."""
@@ -225,7 +138,7 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     low = barrier_values(tree, lower)
     up = barrier_values(tree, upper)
     xi = terminal_values(tree, terminal)
-    _validate_band(tree, low, up, xi)
+    _validate_obstacles(tree, xi, low, up)
     if witness is None:
         witness = martingale_witness(tree, xi)
     wcheck = check_mokobodski(tree, witness, low, up)
@@ -282,21 +195,17 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     y = [n_plus[k] - n_minus[k] + mean_mass[k] for k in range(n + 1)]
     z: Process = [None] * n
     v: Process = [None] * n
-    resid: Process = [None] * n
     for k in range(n):
         zp, vp, _ = project_level(tree, n_plus[k + 1])
         zm, vm, _ = project_level(tree, n_minus[k + 1])
         ze, ve, _ = project_level(tree, xi_mart[k + 1])
         z[k] = zp - zm + ze
         v[k] = vp - vm + ve
-        _, _, resid[k] = project_level(tree, y[k + 1])
 
     k_plus = _accumulate(copy_process(res_plus.increments))
     k_minus = _accumulate(copy_process(res_minus.increments))
-    kpc, kpd, kmc, kmd = _split_two_sided(tree, y, k_plus, k_minus, low, up)
-    solution = SolutionQuintuple(y=y, z=z, v=v, k_plus=k_plus, k_minus=k_minus,
-                                 k_plus_c=kpc, k_plus_d=kpd, k_minus_c=kmc,
-                                 k_minus_d=kmd, projection_residual=resid)
+    solution = Solution(y=y, z=z, v=v, lower=_split_side(tree, y, k_plus, low, +1),
+                        upper=_split_side(tree, y, k_minus, up, -1))
     return solution, trace
 
 

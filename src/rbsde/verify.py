@@ -8,10 +8,10 @@ over cache-sized parent blocks, in which each increment of K, K_c and
 K_d is taken once from the cumulative processes stored in the solution.
 The compensators are read through the level-rule readers of
 ``rbsde.tree``, so compact solver output and whole-level solutions (a
-loaded dump, a hand-built mutant) go through the same checker.
-The probes re-solve problems along
-independent routes (uniqueness) and run the penalty ladder against the
-jump-type mass (regularity dichotomy).
+loaded dump, a hand-built mutant) go through the same checker, which
+takes one obstacle or two as the solver does.  The probes re-solve
+problems along independent routes (uniqueness) and run the penalty
+ladder against the jump-type mass (regularity dichotomy).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (SolutionQuadruple, _leaf_values, _source_term, barrier_values,
+from .bsde import (Compensator, Solution, _leaf_values, _source_term, barrier_values,
                    solve_bsde)
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
@@ -70,9 +70,7 @@ class _Side:
     """
 
     obstacle: BarrierValues
-    k: Process
-    k_c: Process
-    k_d: Process
+    compensator: Compensator
     sign: int
     contain: float = 0.0
     skorokhod: float = 0.0
@@ -135,9 +133,10 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray, sides,
     dyn = float(np.max(np.abs(y[n] - xi)))
     simultaneous = 0.0
     for side in sides:
+        comp = side.compensator
         side.contain = float(np.max(side.sign * (side.obstacle.values[n] - y[n])))
-        side.monotone = float(np.max(np.abs(side.k[0])))
-        side.split = float(np.max(np.abs(side.k[0] - side.k_c[0] - side.k_d[0])))
+        side.monotone = float(np.max(np.abs(comp.k[0])))
+        side.split = float(np.max(np.abs(comp.k[0] - comp.k_c[0] - comp.k_d[0])))
     for k in range(n):
         z_level = np.asarray(sol.z[k], dtype=float)
         v_level = np.asarray(sol.v[k], dtype=float)
@@ -152,16 +151,17 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray, sides,
             for side in sides:
                 # the split compares stored values: once per parent when no
                 # part of it is a whole next level
-                parts = (side.k[k + 1], side.k_c[k + 1], side.k_d[k + 1])
+                comp = side.compensator
+                parts = (comp.k[k + 1], comp.k_c[k + 1], comp.k_d[k + 1])
                 read = (_block_rows if max(map(len, parts)) <= tree.level_size(k)
                         else _block_children)
                 split = np.subtract(read(tree, parts[0], k, rows),
                                     read(tree, parts[1], k, rows))
                 split -= read(tree, parts[2], k, rows)
                 side.split = _worst(side.split, _abs_max(split))
-                d_k = _block_increments(tree, side.k, k, rows)
-                d_kc = _block_increments(tree, side.k_c, k, rows)
-                d_kd = _block_increments(tree, side.k_d, k, rows)
+                d_k = _block_increments(tree, comp.k, k, rows)
+                d_kc = _block_increments(tree, comp.k_c, k, rows)
+                d_kd = _block_increments(tree, comp.k_d, k, rows)
                 dk_incs.append(d_k)
                 kd_incs.append(d_kd)
                 slack = side.sign * (y_par - side.obstacle.values[k][rows])
@@ -194,61 +194,60 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray, sides,
     return dyn, simultaneous
 
 
-def check_solution_one(tree: ScenarioTree, sol: SolutionQuadruple, driver,
-                       terminal, barrier, tol: float = CHECK_TOL,
-                       bind_tol: float = 1e-9) -> CheckReport:
-    """Check every clause of the one-obstacle equation on a solution."""
-    side = _Side(barrier_values(tree, barrier), sol.k, sol.k_c, sol.k_d, +1)
-    dyn, _ = _check_levels(tree, sol, driver, _leaf_values(tree, terminal), [side],
-                           bind_tol)
-    dominance = _worst(0.0, side.contain)
-    mono = _worst(side.monotone, side.split)
-    left = abs(side.left_integral)
-
-    clauses = {
-        "dynamics": ClauseCheck(dyn <= tol, dyn, "projected step identity and terminal"),
-        "barrier_dominance": ClauseCheck(dominance <= tol, dominance, "Y >= S"),
-        "skorokhod_c": ClauseCheck(side.skorokhod <= tol, side.skorokhod,
-                                   "continuous-type mass only where Y touches S"),
-        "jump_formula_d": ClauseCheck(side.jump <= tol, side.jump,
-                                      "jump-type mass matches the left-limit formula"),
-        "compensator_monotone": ClauseCheck(mono <= tol, mono,
-                                            "K nondecreasing from zero, split adds up"),
-        "left_limit_skorokhod": ClauseCheck(left <= tol, left,
-                                            "left-limit minimality integral"),
-    }
-    return CheckReport(tolerance=tol, clauses=clauses)
+# Clause names and notes by obstacle count: the containment clause, one
+# Skorokhod and one jump-formula clause per side (lower side first), and
+# the notes of the monotonicity and left-limit clauses.
+_CLAUSE_NAMES = {
+    1: (("barrier_dominance", "Y >= S"),
+        (("skorokhod_c", "continuous-type mass only where Y touches S"),),
+        (("jump_formula_d", "jump-type mass matches the left-limit formula"),),
+        "K nondecreasing from zero, split adds up", "left-limit minimality integral"),
+    2: (("containment", "L <= Y <= U"),
+        (("skorokhod_lower_c", "K+ c-mass only on L"),
+         ("skorokhod_upper_c", "K- c-mass only on U")),
+        (("jump_formula_lower", "K+ jump formula"), ("jump_formula_upper", "K- jump formula")),
+        "K+- nondecreasing from zero, splits add up", "left-limit minimality integrals"),
+}
 
 
-def check_solution_two(tree: ScenarioTree, sol, driver, terminal, lower, upper,
-                       tol: float = CHECK_TOL, bind_tol: float = 1e-9) -> CheckReport:
-    """Check every clause of the two-obstacle equation on a solution."""
-    low = _Side(barrier_values(tree, lower), sol.k_plus, sol.k_plus_c, sol.k_plus_d, +1)
-    up = _Side(barrier_values(tree, upper), sol.k_minus, sol.k_minus_c, sol.k_minus_d, -1)
+def check_solution(tree: ScenarioTree, sol: Solution, driver, terminal, lower, upper=None,
+                   *, tol: float = CHECK_TOL, bind_tol: float = 1e-9) -> CheckReport:
+    """Check every clause of the reflected equation on a solution.
+
+    ``upper=None`` checks the one-obstacle equation (U = +inf) against
+    ``sol.lower``; with an upper obstacle ``sol.upper`` is checked too.
+    """
+    sides = [_Side(barrier_values(tree, lower), sol.lower, +1)]
+    if upper is not None:
+        sides.append(_Side(barrier_values(tree, upper), sol.upper, -1))
     dyn, simultaneous = _check_levels(tree, sol, driver, _leaf_values(tree, terminal),
-                                      [low, up], bind_tol)
-    contain = _worst(0.0, low.contain, up.contain)
-    mono = _worst(low.monotone, up.monotone, low.split, up.split)
-    simultaneous = _worst(0.0, simultaneous)
-    left = _worst(abs(low.left_integral), abs(up.left_integral))
+                                      sides, bind_tol)
+    contain, skorokhod, jump, monotone_note, left_note = _CLAUSE_NAMES[len(sides)]
+
+    def clause(residual: float, note: str) -> ClauseCheck:
+        return ClauseCheck(residual <= tol, residual, note)
 
     clauses = {
-        "dynamics": ClauseCheck(dyn <= tol, dyn, "projected step identity and terminal"),
-        "containment": ClauseCheck(contain <= tol, contain, "L <= Y <= U"),
-        "skorokhod_lower_c": ClauseCheck(low.skorokhod <= tol, low.skorokhod,
-                                         "K+ c-mass only on L"),
-        "skorokhod_upper_c": ClauseCheck(up.skorokhod <= tol, up.skorokhod,
-                                         "K- c-mass only on U"),
-        "jump_formula_lower": ClauseCheck(low.jump <= tol, low.jump, "K+ jump formula"),
-        "jump_formula_upper": ClauseCheck(up.jump <= tol, up.jump, "K- jump formula"),
-        "compensator_monotone": ClauseCheck(mono <= tol, mono,
-                                            "K+- nondecreasing from zero, splits add up"),
-        "no_simultaneous_jumps": ClauseCheck(simultaneous <= tol, simultaneous,
-                                             "K+d and K-d never fire together"),
-        "left_limit_skorokhod": ClauseCheck(left <= tol, left,
-                                            "left-limit minimality integrals"),
+        "dynamics": clause(dyn, "projected step identity and terminal"),
+        contain[0]: clause(_worst(0.0, *(s.contain for s in sides)), contain[1]),
     }
+    for (name, note), side in zip(skorokhod, sides):
+        clauses[name] = clause(side.skorokhod, note)
+    for (name, note), side in zip(jump, sides):
+        clauses[name] = clause(side.jump, note)
+    clauses["compensator_monotone"] = clause(
+        _worst(*(s.monotone for s in sides), *(s.split for s in sides)), monotone_note)
+    if upper is not None:
+        clauses["no_simultaneous_jumps"] = clause(_worst(0.0, simultaneous),
+                                                  "K+d and K-d never fire together")
+    clauses["left_limit_skorokhod"] = clause(
+        _worst(*(abs(s.left_integral) for s in sides)), left_note)
     return CheckReport(tolerance=tol, clauses=clauses)
+
+
+# The one- and two-obstacle names of the same checker, for the call sites of
+# each kind and the benchmark's tracer (bench/tracing.py).
+check_solution_one = check_solution_two = check_solution
 
 
 def _mean_mass_route(tree: ScenarioTree, driver: DriverSpec, xi: np.ndarray) -> Process:
@@ -268,52 +267,35 @@ def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2,
         raise ValueError("need at least two restarts")
     tree = problem.build_tree()
     driver = problem.driver
-    coefficient_free = driver.is_coefficient_free
     routes: list[Process] = []
     rngs = [np.random.default_rng(911 + 13 * i) for i in range(max(n_restarts - 1, 1))]
 
     if problem.kind == "standard":
         routes.append(solve_bsde(tree, driver, problem.terminal).y)
-        if coefficient_free:
-            routes.append(_mean_mass_route(tree, driver,
-                                           _leaf_values(tree, problem.terminal)))
-        else:
-            for rng in rngs:
-                sol, _ = picard_solve(tree, driver, problem.terminal,
-                                      initial=random_triple(tree, rng))
-                routes.append(sol.y)
     elif problem.kind == "one_barrier":
         routes.append(solve_reflected_one(tree, driver, problem.terminal,
                                           problem.barrier).y)
         routes.append(solve_penalized(tree, driver, problem.barrier, problem.terminal,
                                       EXACT_PENALTY_LEVEL).solution.y)
-        if coefficient_free:
-            payoff, _, cum = obstacle_payoff(tree, driver, problem.terminal,
-                                             problem.barrier)
-            envelope = snell(tree, payoff).envelope
-            routes.append([envelope[k] - cum[k] for k in range(tree.num_steps + 1)])
-        else:
-            for rng in rngs:
-                sol, _ = picard_solve(tree, driver, problem.terminal,
-                                      solver_kind="one_barrier", barrier=problem.barrier,
-                                      initial=random_triple(tree, rng))
-                routes.append(sol.y)
     else:
-        for order in ("median", "max_min", "min_max"):
-            routes.append(solve_double_obstacle(tree, driver, problem.terminal,
-                                                problem.lower, problem.upper,
-                                                order=order).y)
-        if coefficient_free:
-            sol, _ = picard_snell_solve(tree, driver, problem.terminal,
-                                        problem.lower, problem.upper, witness=witness)
+        routes.append(solve_double_obstacle(tree, driver, problem.terminal,
+                                            problem.lower, problem.upper).y)
+    if not driver.is_coefficient_free:
+        for rng in rngs:
+            sol, _ = picard_solve(tree, driver, problem.terminal, solver_kind=problem.kind,
+                                  barrier=problem.barrier, lower=problem.lower,
+                                  upper=problem.upper, initial=random_triple(tree, rng))
             routes.append(sol.y)
-        else:
-            for rng in rngs:
-                sol, _ = picard_solve(tree, driver, problem.terminal,
-                                      solver_kind="two_barrier", lower=problem.lower,
-                                      upper=problem.upper,
-                                      initial=random_triple(tree, rng))
-                routes.append(sol.y)
+    elif problem.kind == "standard":
+        routes.append(_mean_mass_route(tree, driver, _leaf_values(tree, problem.terminal)))
+    elif problem.kind == "one_barrier":
+        payoff, _, cum = obstacle_payoff(tree, driver, problem.terminal, problem.barrier)
+        envelope = snell(tree, payoff).envelope
+        routes.append([envelope[k] - cum[k] for k in range(tree.num_steps + 1)])
+    else:
+        sol, _ = picard_snell_solve(tree, driver, problem.terminal,
+                                    problem.lower, problem.upper, witness=witness)
+        routes.append(sol.y)
 
     worst = 0.0
     for i in range(len(routes)):
@@ -349,8 +331,8 @@ def regularity_probe(problem: ProblemSpec, ladder=DEFAULT_LADDER) -> RegularityP
     tree = problem.build_tree()
     report = sweep(tree, problem.driver, problem.barrier, problem.terminal, ladder)
     reflected = report.reflected
-    kd_mass = tree.expectation(tree.num_steps,
-                               expand(tree, reflected.k_d[tree.num_steps], tree.num_steps))
+    kd_mass = tree.expectation(
+        tree.num_steps, expand(tree, reflected.lower.k_d[tree.num_steps], tree.num_steps))
 
     obstacle = barrier_values(tree, problem.barrier)
     gaps_at_jumps = []

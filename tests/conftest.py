@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
-                   build_tree, solve_reflected_one)
+                   build_tree, solve_reflected)
 from rbsde.processes import linear_obstacle, linear_payoff
 from rbsde.tree import copy_process, expand
 
@@ -141,29 +141,29 @@ def _whole(tree, process):
             for k, level in enumerate(process)]
 
 
-def clone_quadruple(tree, sol):
-    """Whole-level copy of a one-obstacle solution, safe for the mutants to edit.
+def clone_solution(tree, sol):
+    """Whole-level copy of a solution, safe for the mutants to edit.
 
     The solvers store compensators by the level rule of ``rbsde.tree``, where
     an edit to one stored value would reach every node sharing it; the copy
     expands each level first, so an edit moves exactly the nodes it names.
     """
-    from rbsde import SolutionQuadruple
-    return SolutionQuadruple(y=_whole(tree, sol.y), z=copy_process(sol.z),
-                             v=copy_process(sol.v), k=_whole(tree, sol.k),
-                             k_c=_whole(tree, sol.k_c), k_d=_whole(tree, sol.k_d),
-                             projection_residual=sol.projection_residual)
+    from rbsde import Compensator, Solution
+
+    def whole_side(side):
+        return None if side is None else Compensator(
+            k=_whole(tree, side.k), k_c=_whole(tree, side.k_c), k_d=_whole(tree, side.k_d))
+
+    return Solution(y=_whole(tree, sol.y), z=copy_process(sol.z), v=copy_process(sol.v),
+                    lower=whole_side(sol.lower), upper=whole_side(sol.upper))
 
 
-def clone_quintuple(tree, sol):
-    """Whole-level copy of a two-obstacle solution (see ``clone_quadruple``)."""
-    from rbsde import SolutionQuintuple
-    return SolutionQuintuple(
-        y=_whole(tree, sol.y), z=copy_process(sol.z), v=copy_process(sol.v),
-        k_plus=_whole(tree, sol.k_plus), k_minus=_whole(tree, sol.k_minus),
-        k_plus_c=_whole(tree, sol.k_plus_c), k_plus_d=_whole(tree, sol.k_plus_d),
-        k_minus_c=_whole(tree, sol.k_minus_c), k_minus_d=_whole(tree, sol.k_minus_d),
-        projection_residual=sol.projection_residual)
+def process_of(sol, name):
+    """A solution process by its output name: y, z, v, k, k_c, k_plus, k_minus_d, ..."""
+    if name in ("y", "z", "v"):
+        return getattr(sol, name)
+    side = sol.upper if name.startswith("k_minus") else sol.lower
+    return getattr(side, {"c": "k_c", "d": "k_d"}.get(name.rsplit("_", 1)[-1], "k"))
 
 
 def one_barrier_mutants():
@@ -176,14 +176,14 @@ def one_barrier_mutants():
 
     # dynamics: bump Y at a node with slack and no compensator nearby
     tree, driver, terminal, barrier = counterexample_pieces()
-    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, barrier))
     sol.y[3][0] += 1e-6
     entries.append(("dynamics", tree, driver, terminal, barrier, sol))
 
     # barrier dominance: dip the root below an everywhere-binding obstacle,
     # compensating the dynamics through the z-coefficient of the driver
     tree, driver, terminal, barrier = binding_pieces()
-    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, barrier))
     sol.y[0][0] -= 1e-6
     sol.z[0][0] -= 1e-6 / (driver.b * tree.dt)
     entries.append(("barrier_dominance", tree, driver, terminal, barrier, sol))
@@ -196,15 +196,15 @@ def one_barrier_mutants():
     driver = DriverSpec()
     terminal = TerminalSpec(payoff=lambda w, counts: w)
     barrier = BarrierSpec(pieces=((0.0, -10.0),))
-    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, barrier))
     level, node = 5, 0
     slack = float(sol.y[level][node] + 10.0)
     delta = 1e-9 / slack
     for lvl in range(level + 1, tree.num_steps + 1):
         lo = node * tree.branching ** (lvl - level)
         hi = (node + 1) * tree.branching ** (lvl - level)
-        sol.k[lvl][lo:hi] += delta
-        sol.k_c[lvl][lo:hi] += delta
+        sol.lower.k[lvl][lo:hi] += delta
+        sol.lower.k_c[lvl][lo:hi] += delta
     bump = delta
     for lvl in range(level, -1, -1):
         idx = node // tree.branching ** (level - lvl)
@@ -214,24 +214,24 @@ def one_barrier_mutants():
 
     # jump formula: move mass between the c and d parts at the declared jump
     tree, driver, terminal, barrier = counterexample_pieces()
-    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, barrier))
     for lvl in range(2, tree.num_steps + 1):
-        sol.k_d[lvl] -= 0.2
-        sol.k_c[lvl] += 0.2
+        sol.lower.k_d[lvl] -= 0.2
+        sol.lower.k_c[lvl] += 0.2
     entries.append(("jump_formula_d", tree, driver, terminal, barrier, sol))
 
     # compensator start: shift the whole compensator away from zero
     tree, driver, terminal, barrier = counterexample_pieces()
-    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, barrier))
     for lvl in range(tree.num_steps + 1):
-        sol.k[lvl] += 0.1
-        sol.k_c[lvl] += 0.1
+        sol.lower.k[lvl] += 0.1
+        sol.lower.k_c[lvl] += 0.1
     entries.append(("compensator_monotone", tree, driver, terminal, barrier, sol))
 
     # left-limit integral: sit the pre-jump solution a whisker above the
     # left limit (inside the binding tolerance, outside the integral's)
     tree, driver, terminal, barrier = counterexample_pieces(b_coeff=0.5)
-    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, barrier))
     eps = 5e-10
     sol.y[1] += eps
     sol.z[1] += eps / (driver.b * tree.dt)
@@ -266,19 +266,18 @@ def _transplant_pieces(tree_steps: int = 4, b_coeff: float = 0.0, mirrored: bool
 
 def two_barrier_mutants():
     """Isolated mutant builders for the two-obstacle checker clauses."""
-    from rbsde import solve_double_obstacle
     entries = []
 
     # dynamics
     tree, driver, terminal, lower, upper = _transplant_pieces()
-    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, lower, upper))
     sol.y[3][0] += 1e-6
     entries.append(("dynamics", tree, driver, terminal, lower, upper, sol))
 
     # containment: everywhere-binding lower obstacle, dip the root below it
     tree, driver, terminal, barrier = binding_pieces()
     upper = BarrierSpec(stochastic=lambda t, w, counts: w + 0.5 * (1.0 - t) + 1.0)
-    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, barrier, upper))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, barrier, upper))
     sol.y[0][0] -= 1e-6
     sol.z[0][0] -= 1e-6 / (driver.b * tree.dt)
     entries.append(("containment", tree, driver, terminal, barrier, upper, sol))
@@ -289,51 +288,51 @@ def two_barrier_mutants():
     terminal = TerminalSpec(payoff=lambda w, counts: w)
     lower = BarrierSpec(pieces=((0.0, -10.0),))
     upper = BarrierSpec(pieces=((0.0, 10.0),))
-    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, lower, upper))
     delta = 1e-9 / float(sol.y[5][0] + 10.0)
     for lvl in range(6, tree.num_steps + 1):
         span = tree.branching ** (lvl - 5)
-        sol.k_plus[lvl][:span] += delta
-        sol.k_plus_c[lvl][:span] += delta
+        sol.lower.k[lvl][:span] += delta
+        sol.lower.k_c[lvl][:span] += delta
     _cascade_bump(tree, sol, 5, 0, delta)
     entries.append(("skorokhod_lower_c", tree, driver, terminal, lower, upper, sol))
 
     # continuous-type Skorokhod, upper side (solution cascades down)
-    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, lower, upper))
     delta = 1e-9 / float(10.0 - sol.y[5][0])
     for lvl in range(6, tree.num_steps + 1):
         span = tree.branching ** (lvl - 5)
-        sol.k_minus[lvl][:span] += delta
-        sol.k_minus_c[lvl][:span] += delta
+        sol.upper.k[lvl][:span] += delta
+        sol.upper.k_c[lvl][:span] += delta
     _cascade_bump(tree, sol, 5, 0, -delta)
     entries.append(("skorokhod_upper_c", tree, driver, terminal, lower, upper, sol))
 
     # declared-jump formulas, each side on its own transplant
     tree, driver, terminal, lower, upper = _transplant_pieces()
-    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, lower, upper))
     for lvl in range(2, tree.num_steps + 1):
-        sol.k_plus_d[lvl] -= 0.2
-        sol.k_plus_c[lvl] += 0.2
+        sol.lower.k_d[lvl] -= 0.2
+        sol.lower.k_c[lvl] += 0.2
     entries.append(("jump_formula_lower", tree, driver, terminal, lower, upper, sol))
 
     tree, driver, terminal, lower, upper = _transplant_pieces(mirrored=True)
-    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, lower, upper))
     for lvl in range(2, tree.num_steps + 1):
-        sol.k_minus_d[lvl] -= 0.2
-        sol.k_minus_c[lvl] += 0.2
+        sol.upper.k_d[lvl] -= 0.2
+        sol.upper.k_c[lvl] += 0.2
     entries.append(("jump_formula_upper", tree, driver, terminal, lower, upper, sol))
 
     # compensator start
     tree, driver, terminal, lower, upper = _transplant_pieces()
-    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, lower, upper))
     for lvl in range(tree.num_steps + 1):
-        sol.k_plus[lvl] += 0.1
-        sol.k_plus_c[lvl] += 0.1
+        sol.lower.k[lvl] += 0.1
+        sol.lower.k_c[lvl] += 0.1
     entries.append(("compensator_monotone", tree, driver, terminal, lower, upper, sol))
 
     # left-limit integral, binding-tolerance whisker
     tree, driver, terminal, lower, upper = _transplant_pieces(b_coeff=0.5)
-    sol = clone_quintuple(tree, solve_double_obstacle(tree, driver, terminal, lower, upper))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, lower, upper))
     eps = 5e-10
     sol.y[1] += eps
     sol.z[1] += eps / (driver.b * tree.dt)

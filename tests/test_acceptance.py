@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
-                   alpha_rule, build_tree, check_solution_one, check_solution_two,
-                   picard_solve, regularity_probe, snell_representation_check,
-                   solve_bsde, solve_double_obstacle, solve_reflected_one, sup_diff,
+                   alpha_rule, build_tree, check_solution, picard_solve, regularity_probe,
+                   snell_representation_check, solve_bsde, solve_reflected, sup_diff,
                    sweep)
 from rbsde.processes import linear_obstacle, put_payoff
 from rbsde.reflected import obstacle_payoff
@@ -47,7 +46,7 @@ def test_criterion_1_counterexample_reproduction():
                                  (4, MarkSet()),
                                  (6, MarkSet(sizes=(1.0, 2.0), intensities=(0.4, 0.2)))):
             tree = build_tree(num_steps, marks)
-            sol = solve_reflected_one(
+            sol = solve_reflected(
                 tree, DriverSpec(marks=marks), TerminalSpec(constant=0.5),
                 BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0))))
             half = num_steps // 2
@@ -55,9 +54,9 @@ def test_criterion_1_counterexample_reproduction():
                 y_expected = 1.0 if k < half else 0.5
                 k_expected = 0.0 if k < half else 0.5
                 assert np.max(np.abs(sol.y[k] - y_expected)) <= 1e-12
-                assert np.max(np.abs(sol.k[k] - k_expected)) <= 1e-12
-                assert np.max(np.abs(sol.k_d[k] - k_expected)) <= 1e-12
-                assert np.max(np.abs(sol.k_c[k])) <= 1e-12
+                assert np.max(np.abs(sol.lower.k[k] - k_expected)) <= 1e-12
+                assert np.max(np.abs(sol.lower.k_d[k] - k_expected)) <= 1e-12
+                assert np.max(np.abs(sol.lower.k_c[k])) <= 1e-12
             for k in range(num_steps):
                 assert np.max(np.abs(sol.z[k])) <= 1e-12
                 if marks.count:
@@ -68,8 +67,8 @@ def test_criterion_2_snell_vs_brute_force():
     with criterion("criterion 2: envelope route and stopping oracle", 60.0):
         for problem in one_barrier_corpus():
             tree = problem.build_tree()
-            sol = solve_reflected_one(tree, problem.driver, problem.terminal,
-                                      problem.barrier)
+            sol = solve_reflected(tree, problem.driver, problem.terminal,
+                                  problem.barrier)
             dev = snell_representation_check(tree, sol, problem.driver,
                                              problem.terminal, problem.barrier)
             assert dev <= 1e-12
@@ -110,18 +109,18 @@ def test_criterion_4_solution_condition_suite():
         for _ in range(20):
             problem = random_one_barrier(rng, max_steps=5)
             tree = problem.build_tree()
-            sol = solve_reflected_one(tree, problem.driver, problem.terminal,
-                                      problem.barrier)
-            report = check_solution_one(tree, sol, problem.driver, problem.terminal,
-                                        problem.barrier, tol=1e-10)
+            sol = solve_reflected(tree, problem.driver, problem.terminal,
+                                  problem.barrier)
+            report = check_solution(tree, sol, problem.driver, problem.terminal,
+                                    problem.barrier, tol=1e-10)
             assert report.passed, report.to_dict()
         for _ in range(10):
             problem = random_two_barrier(rng)
             tree = problem.build_tree()
-            sol = solve_double_obstacle(tree, problem.driver, problem.terminal,
-                                        problem.lower, problem.upper)
-            report = check_solution_two(tree, sol, problem.driver, problem.terminal,
-                                        problem.lower, problem.upper, tol=1e-10)
+            sol = solve_reflected(tree, problem.driver, problem.terminal,
+                                  problem.lower, problem.upper)
+            report = check_solution(tree, sol, problem.driver, problem.terminal,
+                                    problem.lower, problem.upper, tol=1e-10)
             assert report.passed, report.to_dict()
         # a fixed-point output must pass the same clauses
         marks = MarkSet(sizes=(1.0,), intensities=(0.5,))
@@ -132,16 +131,16 @@ def test_criterion_4_solution_condition_suite():
         xi = TerminalSpec(payoff=lambda w, c: np.maximum(0.2 * w, -0.6))
         sol, _ = picard_solve(tree, driver, xi, solver_kind="one_barrier",
                               barrier=barrier)
-        assert check_solution_one(tree, sol, driver, xi, barrier, tol=1e-10).passed
+        assert check_solution(tree, sol, driver, xi, barrier, tol=1e-10).passed
 
         # fault injection: every mutant flips exactly its targeted clause
         for clause, tree, driver, terminal, barrier, mutant in one_barrier_mutants():
-            report = check_solution_one(tree, mutant, driver, terminal, barrier)
+            report = check_solution(tree, mutant, driver, terminal, barrier)
             assert not report.clauses[clause].passed
             assert all(result.passed for name, result in report.clauses.items()
                        if name != clause), (clause, report.to_dict())
         for clause, tree, driver, terminal, lower, upper, mutant in two_barrier_mutants():
-            report = check_solution_two(tree, mutant, driver, terminal, lower, upper)
+            report = check_solution(tree, mutant, driver, terminal, lower, upper)
             assert not report.clauses[clause].passed
             assert all(result.passed for name, result in report.clauses.items()
                        if name != clause), (clause, report.to_dict())
@@ -153,8 +152,8 @@ def test_criterion_5_two_barrier_cross_algorithm():
         for _ in range(100):
             problem = random_two_barrier(rng)
             tree = problem.build_tree()
-            direct = solve_double_obstacle(tree, problem.driver, problem.terminal,
-                                           problem.lower, problem.upper)
+            direct = solve_reflected(tree, problem.driver, problem.terminal,
+                                     problem.lower, problem.upper)
             sol, trace = picard_snell_solve(tree, problem.driver, problem.terminal,
                                             problem.lower, problem.upper)
             assert sup_diff(direct.y, sol.y) <= 1e-10
@@ -193,7 +192,7 @@ def test_criterion_6_contraction_certification():
                                   stochastic=linear_obstacle(0.0, 0.25))
             xi_b = TerminalSpec(payoff=lambda w, c: -0.4 + 0.25 * w
                                 + np.maximum(-0.25 * w, 0.0) + 0.1)
-            direct_b = solve_reflected_one(tree, driver, xi_b, barrier)
+            direct_b = solve_reflected(tree, driver, xi_b, barrier)
             sol_b, trace_b = picard_solve(tree, driver, xi_b,
                                           solver_kind="one_barrier", barrier=barrier,
                                           alpha=alpha, tol=1e-12, max_iter=60)

@@ -10,15 +10,15 @@ import pytest
 
 import rbsde.tree
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree,
-                   check_solution_one, check_solution_two, solve_bsde,
-                   solve_double_obstacle, solve_reflected_one)
-from rbsde.bsde import barrier_values
+                   check_solution, solve_bsde, solve_reflected)
+from rbsde.bsde import barrier_values, project_level
 from rbsde.processes import PenaltyTerm
-from conftest import clone_quadruple, clone_quintuple
+from conftest import clone_solution, process_of
 
 N = 9
 SINGLE_BLOCK = 1 << 60
-ONE_FIELDS = ("y", "z", "v", "k", "k_c", "k_d")
+PLAIN_FIELDS = ("y", "z", "v")
+ONE_FIELDS = PLAIN_FIELDS + ("k", "k_c", "k_d")
 TWO_FIELDS = ("y", "z", "v", "k_plus", "k_minus", "k_plus_c", "k_plus_d",
               "k_minus_c", "k_minus_d")
 
@@ -53,12 +53,13 @@ def _whole_levels(monkeypatch):
     monkeypatch.setattr(rbsde.tree, "_BLOCK_NODES", SINGLE_BLOCK)
 
 
-def _assert_identical(a, b, fields):
+def _assert_identical(tree, a, b, fields):
     for name in fields:
-        for level_a, level_b in zip(getattr(a, name), getattr(b, name)):
+        for level_a, level_b in zip(process_of(a, name), process_of(b, name)):
             assert np.array_equal(level_a, level_b), name
-    for level_a, level_b in zip(a.projection_residual, b.projection_residual):
-        assert np.max(np.abs(level_a - level_b)) <= 1e-15
+    for level_a, level_b in zip(a.y[1:], b.y[1:]):
+        resid_a, resid_b = project_level(tree, level_a)[2], project_level(tree, level_b)[2]
+        assert np.max(np.abs(resid_a - resid_b)) <= 1e-15
 
 
 def _assert_same_report(a, b):
@@ -70,29 +71,29 @@ def _assert_same_report(a, b):
 
 def test_one_obstacle_solve_and_check_match_single_block(monkeypatch):
     tree, driver, terminal, barrier = _one_problem()
-    blocked = solve_reflected_one(tree, driver, terminal, barrier)
-    report = check_solution_one(tree, blocked, driver, terminal, barrier)
+    blocked = solve_reflected(tree, driver, terminal, barrier)
+    report = check_solution(tree, blocked, driver, terminal, barrier)
     assert report.passed, report.to_dict()
-    assert float(np.max(blocked.k_d[N])) > 0.0
+    assert float(np.max(blocked.lower.k_d[N])) > 0.0
 
     _whole_levels(monkeypatch)
-    whole = solve_reflected_one(tree, driver, terminal, barrier)
-    _assert_identical(blocked, whole, ONE_FIELDS)
-    _assert_same_report(report, check_solution_one(tree, blocked, driver, terminal, barrier))
+    whole = solve_reflected(tree, driver, terminal, barrier)
+    _assert_identical(tree, blocked, whole, ONE_FIELDS)
+    _assert_same_report(report, check_solution(tree, blocked, driver, terminal, barrier))
 
 
 def test_two_obstacle_solve_and_check_match_single_block(monkeypatch):
     tree, driver, terminal, lower, upper = _two_problem()
-    blocked = solve_double_obstacle(tree, driver, terminal, lower, upper)
-    report = check_solution_two(tree, blocked, driver, terminal, lower, upper)
+    blocked = solve_reflected(tree, driver, terminal, lower, upper)
+    report = check_solution(tree, blocked, driver, terminal, lower, upper)
     assert report.passed, report.to_dict()
-    assert float(np.max(blocked.k_minus[N])) > 0.0
+    assert float(np.max(blocked.upper.k[N])) > 0.0
 
     _whole_levels(monkeypatch)
-    whole = solve_double_obstacle(tree, driver, terminal, lower, upper)
-    _assert_identical(blocked, whole, TWO_FIELDS)
-    _assert_same_report(report, check_solution_two(tree, blocked, driver, terminal,
-                                                   lower, upper))
+    whole = solve_reflected(tree, driver, terminal, lower, upper)
+    _assert_identical(tree, blocked, whole, TWO_FIELDS)
+    _assert_same_report(report, check_solution(tree, blocked, driver, terminal,
+                                               lower, upper))
 
 
 def test_penalised_and_plain_solves_match_single_block(monkeypatch):
@@ -104,7 +105,7 @@ def test_penalised_and_plain_solves_match_single_block(monkeypatch):
     blocked = [solve_bsde(tree, driver, terminal) for driver in drivers]
     _whole_levels(monkeypatch)
     for driver, sol in zip(drivers, blocked):
-        _assert_identical(sol, solve_bsde(tree, driver, terminal), ONE_FIELDS)
+        _assert_identical(tree, sol, solve_bsde(tree, driver, terminal), PLAIN_FIELDS)
 
 
 def _last_parents(tree):
@@ -120,7 +121,7 @@ def _children(tree, parent):
 
 def _one_barrier_defects():
     tree, driver, terminal, barrier = _one_problem()
-    sol = solve_reflected_one(tree, driver, terminal, barrier)
+    sol = solve_reflected(tree, driver, terminal, barrier)
     obstacle = barrier_values(tree, barrier)
     parents = _last_parents(tree)
     slack = sol.y[N - 1][parents] - obstacle.values[N - 1][parents]
@@ -130,70 +131,70 @@ def _one_barrier_defects():
     last = int(parents[-1])
     defects = []
 
-    mutant = clone_quadruple(tree, sol)
+    mutant = clone_solution(tree, sol)
     mutant.y[N - 1][last] += 1e-6
     defects.append(("dynamics", mutant))
 
-    mutant = clone_quadruple(tree, sol)
-    mutant.k[N][_children(tree, slack_parent)] += 1e-3
-    mutant.k_c[N][_children(tree, slack_parent)] += 1e-3
+    mutant = clone_solution(tree, sol)
+    mutant.lower.k[N][_children(tree, slack_parent)] += 1e-3
+    mutant.lower.k_c[N][_children(tree, slack_parent)] += 1e-3
     defects.append(("skorokhod_c", mutant))
 
-    mutant = clone_quadruple(tree, sol)
-    mutant.k_d[N][-1] += 1e-6
-    mutant.k_c[N][-1] -= 1e-6
+    mutant = clone_solution(tree, sol)
+    mutant.lower.k_d[N][-1] += 1e-6
+    mutant.lower.k_c[N][-1] -= 1e-6
     defects.append(("jump_formula_d", mutant))
 
-    mutant = clone_quadruple(tree, sol)
-    mutant.k[N][-1] -= 1.0
-    mutant.k_c[N][-1] -= 1.0
+    mutant = clone_solution(tree, sol)
+    mutant.lower.k[N][-1] -= 1.0
+    mutant.lower.k_c[N][-1] -= 1.0
     defects.append(("compensator_monotone", mutant))
 
-    mutant = clone_quadruple(tree, sol)
-    mutant.k_d[N][_children(tree, loose_parent)] += 1.0
+    mutant = clone_solution(tree, sol)
+    mutant.lower.k_d[N][_children(tree, loose_parent)] += 1.0
     defects.append(("left_limit_skorokhod", mutant))
     return tree, driver, terminal, barrier, defects
 
 
 def _two_barrier_defects():
     tree, driver, terminal, lower, upper = _two_problem()
-    sol = solve_double_obstacle(tree, driver, terminal, lower, upper)
+    sol = solve_reflected(tree, driver, terminal, lower, upper)
     last = int(_last_parents(tree)[-1])
     defects = []
 
-    mutant = clone_quintuple(tree, sol)
+    mutant = clone_solution(tree, sol)
     mutant.y[N][-1] += 1.0
     defects.append(("containment", mutant))
 
-    mutant = clone_quintuple(tree, sol)
-    mutant.k_minus_d[N][_children(tree, last)] += 1e-6
-    mutant.k_minus_c[N][_children(tree, last)] -= 1e-6
+    mutant = clone_solution(tree, sol)
+    mutant.upper.k_d[N][_children(tree, last)] += 1e-6
+    mutant.upper.k_c[N][_children(tree, last)] -= 1e-6
     defects.append(("jump_formula_upper", mutant))
 
-    mutant = clone_quintuple(tree, sol)
-    mutant.k_plus_d[N][-1] += 1e-6
-    mutant.k_minus_d[N][-1] += 1e-6
+    mutant = clone_solution(tree, sol)
+    mutant.lower.k_d[N][-1] += 1e-6
+    mutant.upper.k_d[N][-1] += 1e-6
     defects.append(("no_simultaneous_jumps", mutant))
     return tree, driver, terminal, lower, upper, defects
 
 
 def test_last_block_defects_fail_their_clause(monkeypatch):
     tree, driver, terminal, barrier, defects = _one_barrier_defects()
-    reports = [check_solution_one(tree, mutant, driver, terminal, barrier)
+    reports = [check_solution(tree, mutant, driver, terminal, barrier)
                for _, mutant in defects]
     tree2, driver2, terminal2, lower, upper, defects2 = _two_barrier_defects()
-    reports2 = [check_solution_two(tree2, mutant, driver2, terminal2, lower, upper)
+    reports2 = [check_solution(tree2, mutant, driver2, terminal2, lower, upper)
                 for _, mutant in defects2]
     for (clause, _), report in zip(defects + defects2, reports + reports2):
         assert not report.clauses[clause].passed, (clause, report.to_dict())
 
     _whole_levels(monkeypatch)
     for (_, mutant), report in zip(defects, reports):
-        _assert_same_report(report, check_solution_one(tree, mutant, driver, terminal,
-                                                       barrier))
+        _assert_same_report(report, check_solution(tree, mutant, driver, terminal,
+                                                   barrier))
     for (_, mutant), report in zip(defects2, reports2):
-        _assert_same_report(report, check_solution_two(tree2, mutant, driver2, terminal2,
-                                                       lower, upper))
+        _assert_same_report(report, check_solution(tree2, mutant, driver2, terminal2,
+                                                   lower, upper))
 
 
 @pytest.mark.parametrize("marks,steps", [(0, 18), (1, N), (2, 7)])

@@ -4,61 +4,65 @@ import numpy as np
 import pytest
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, PenaltyTerm, StepsizeTooLarge,
-                   TerminalSpec, backward_step, build_tree, project_zv, solve_bsde)
+                   TerminalSpec, build_tree, solve_bsde)
+from rbsde.bsde import project_level
 from conftest import random_marks, random_step_driver
 
 
 def test_project_constant():
     tree = build_tree(2, MarkSet(sizes=(1.0,), intensities=(0.5,)))
-    z, v, resid = project_zv(tree, np.full(tree.branching, 7.0))
-    assert z == pytest.approx(0.0, abs=1e-14)
-    assert v == pytest.approx([0.0], abs=1e-14)
-    assert resid == pytest.approx(0.0, abs=1e-14)
+    z, v, resid = project_level(tree, np.full(tree.branching, 7.0))
+    assert z[0] == pytest.approx(0.0, abs=1e-14)
+    assert v[0] == pytest.approx([0.0], abs=1e-14)
+    assert resid[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_project_brownian_increment_no_marks():
     tree = build_tree(4)
     db = tree.branch_db
-    z, v, resid = project_zv(tree, db)
-    assert z == pytest.approx(1.0, abs=1e-14)
-    assert v.size == 0
-    assert resid <= 1e-14
+    z, v, resid = project_level(tree, db)
+    assert z[0] == pytest.approx(1.0, abs=1e-14)
+    assert v[0].size == 0
+    assert resid[0] <= 1e-14
 
 
 def test_project_compensated_jump():
     marks = MarkSet(sizes=(1.0,), intensities=(0.6,))
     tree = build_tree(3, marks)
     lam_dt = 0.6 * tree.dt
-    z, v, resid = project_zv(tree, tree.branch_comp[:, 0])
-    assert z == pytest.approx(0.0, abs=1e-14)
+    z, v, resid = project_level(tree, tree.branch_comp[:, 0])
+    assert z[0] == pytest.approx(0.0, abs=1e-14)
     # E[mu~^2]/(lam dt) = 1 - lam dt at finite step size
-    assert v[0] == pytest.approx(1.0 - lam_dt, abs=1e-13)
+    assert v[0, 0] == pytest.approx(1.0 - lam_dt, abs=1e-13)
     expected_resid = np.sqrt((lam_dt ** 2) * lam_dt * (1 - lam_dt))
-    assert resid == pytest.approx(expected_resid, rel=1e-10)
+    assert resid[0] == pytest.approx(expected_resid, rel=1e-10)
+
+
+def _root_step(driver, children) -> float:
+    """Y_0 of a one-step tree whose leaves hold ``children``: one backward step."""
+    return float(solve_bsde(build_tree(1), driver, np.asarray(children, dtype=float)).y[0][0])
 
 
 def test_backward_step_zero_driver():
-    tree = build_tree(4)
-    out = backward_step(tree, 0, np.array([2.0, 4.0]), DriverSpec())
-    assert out.y == pytest.approx(3.0)
+    assert _root_step(DriverSpec(), [2.0, 4.0]) == pytest.approx(3.0)
 
 
 def test_backward_step_linear_closed_form():
-    # y = E + a*y*dt with E = 2, a = 1, dt = 1/4 gives y = 8/3
-    tree = build_tree(4)
-    out = backward_step(tree, 0, np.full(2, 2.0), DriverSpec(a=1.0))
-    assert out.y == pytest.approx(8.0 / 3.0, abs=1e-14)
-    assert out.y == pytest.approx(2.0 + out.y * 0.25)  # residual substitution
+    # y = E + a*y*dt with E = 2, a = 1/4, dt = 1 gives y = 8/3
+    y = _root_step(DriverSpec(a=0.25), [2.0, 2.0])
+    assert y == pytest.approx(8.0 / 3.0, abs=1e-14)
+    assert y == pytest.approx(2.0 + y * 0.25)  # residual substitution
 
 
 def test_backward_step_penalty_kink():
-    tree = build_tree(4)
-    driver = DriverSpec(penalty=PenaltyTerm(weight=4.0, barrier=BarrierSpec()))
-    out = backward_step(tree, 0, np.full(2, 0.5), driver, barrier_value=1.0)
-    assert out.y == pytest.approx(0.75, abs=1e-14)
-    assert out.y == pytest.approx(0.5 + 1.0 * (1.0 - out.y))  # substitution
-    with pytest.raises(ValueError):
-        backward_step(tree, 0, np.full(2, 0.5), driver)
+    # y = E + n*dt*(S - y)^+ with E = 0.5, S = 1, n = 1, dt = 1 gives y = 3/4
+    barrier = BarrierSpec(pieces=((0.0, 1.0),))
+    driver = DriverSpec(penalty=PenaltyTerm(weight=1.0, barrier=barrier))
+    y = _root_step(driver, [0.5, 0.5])
+    assert y == pytest.approx(0.75, abs=1e-14)
+    assert y == pytest.approx(0.5 + 1.0 * (1.0 - y))  # substitution
+    # above the obstacle the penalty is inactive
+    assert _root_step(driver, [1.5, 2.5]) == pytest.approx(2.0)
 
 
 def test_stepsize_guard():
@@ -75,7 +79,7 @@ def test_solve_constant_terminal():
     for k in range(3):
         assert np.max(np.abs(sol.z[k])) <= 1e-13
         assert np.max(np.abs(sol.v[k])) <= 1e-13
-        assert np.all(sol.k[k] == 0.0)
+    assert sol.lower is None and sol.upper is None
 
 
 def test_solve_brownian_terminal():
@@ -85,7 +89,7 @@ def test_solve_brownian_terminal():
         assert np.max(np.abs(sol.y[k] - tree.w[k])) <= 1e-13
     for k in range(4):
         assert np.max(np.abs(sol.z[k] - 1.0)) <= 1e-13
-        assert np.max(np.abs(sol.projection_residual[k])) <= 1e-13
+        assert np.max(np.abs(project_level(tree, sol.y[k + 1])[2])) <= 1e-13
 
 
 def test_solve_compensated_count_terminal():
@@ -125,7 +129,7 @@ def test_representation_residual_decays_under_refinement():
     def total_residual(num_steps):
         tree = build_tree(num_steps, marks)
         sol = solve_bsde(tree, DriverSpec(marks=marks), TerminalSpec(payoff=smooth))
-        return sum(tree.dt * tree.expectation(k, sol.projection_residual[k] ** 2)
+        return sum(tree.dt * tree.expectation(k, project_level(tree, sol.y[k + 1])[2] ** 2)
                    for k in range(num_steps))
 
     assert total_residual(6) < total_residual(3)
@@ -164,7 +168,6 @@ def _reference_projection(tree, y_next):
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_project_level_matches_three_term_reference(m):
-    from rbsde.bsde import project_level
     rng = np.random.default_rng(70 + m)
     marks = MarkSet(sizes=tuple(1.0 + i for i in range(m)),
                     intensities=tuple(rng.uniform(0.2, 0.8, m)))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rbsde.cli import main
-from test_config import _base_configs, _generated
+from test_config import _base_configs, _generated, _solvable
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -358,3 +358,24 @@ def test_cli_exit_codes_on_schema_valid_configs(config):
                 if code == 0 and command[0].startswith("solve"):
                     assert run("verify", "--config", path, "--out", out / "verify",
                                "--solution", out / "solution.json") == 0, config
+
+
+@settings(derandomize=True, max_examples=1, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.lists(_solvable(), min_size=24, max_size=24))
+def test_generated_solvable_configs_reach_the_solvers(configs):
+    """The fuzz's solvable branch mostly solves, checks and verifies."""
+    solved = 0
+    with tempfile.TemporaryDirectory() as folder:
+        for i, config in enumerate(configs):
+            path = Path(folder) / f"config{i}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            out = Path(folder) / f"out{i}"
+            command = "solve-one" if config["solver"]["kind"] == "one_barrier" else "solve-two"
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                if (run(command, "--config", path, "--out", out, "--full") == 0
+                        and run("verify", "--config", path, "--out", out / "verify",
+                                "--solution", out / "solution.json") == 0):
+                    solved += 1
+    assert solved >= len(configs) // 2, solved

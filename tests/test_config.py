@@ -37,7 +37,7 @@ def _base_configs() -> list:
 
 
 @st.composite
-def _generated(draw) -> dict:
+def _schema_valid(draw) -> dict:
     """A schema-valid configuration touching every section of SCHEMA."""
     number = st.floats(-3.0, 3.0, allow_nan=False)
     pieces = st.lists(st.tuples(st.floats(0.0, 1.0), number).map(list),
@@ -82,6 +82,67 @@ def _generated(draw) -> dict:
     elif section == "barriers":
         config["barriers"] = {"lower": draw(barrier), "upper": draw(barrier)}
     return config
+
+
+def _grid_pieces(draw, steps: int, lo: float, hi: float) -> list:
+    """Step-function pieces from time 0 with breakpoints on the grid."""
+    levels = sorted(draw(st.sets(st.integers(1, steps), max_size=2)))
+    return [[level / steps, draw(st.floats(lo, hi))] for level in [0] + levels]
+
+
+@st.composite
+def _solvable(draw) -> dict:
+    """A configuration that solve-one or solve-two takes and solves.
+
+    Obstacle and g pieces start at 0, obstacle breakpoints lie on the
+    grid, the obstacles share the terminal's state part and sit below it
+    (one obstacle) or around it (a band) at the horizon, and |a|, |b|,
+    |c| and the intensities keep dt*C_f below one on every grid.
+    """
+    steps = draw(st.integers(1, 5))
+    count = draw(st.integers(0, 2))
+    marks = [{"size": float(i + 1), "intensity": draw(st.floats(0.05, 0.45))}
+             for i in range(count)]
+    small = st.floats(-0.3, 0.3)
+    state = {"w_coeff": draw(st.floats(-1.0, 1.0)),
+             "count_coeffs": [draw(st.floats(-0.5, 0.5)) for _ in range(count)]}
+    intercept = draw(st.floats(-2.0, 2.0))
+    g = draw(st.floats(-2.0, 2.0))
+    if draw(st.booleans()):
+        times = sorted({0.0} | draw(st.sets(st.floats(0.05, 1.0), max_size=2)))
+        g = [[t, draw(st.floats(-2.0, 2.0))] for t in times]
+    config = {
+        "grid": {"steps": steps},
+        "terminal": {"kind": "linear", "intercept": intercept, **state},
+        "driver": {"g": g, "a": draw(small), "b": draw(small), "c": draw(small)},
+        "solver": {"kind": draw(st.sampled_from(["one_barrier", "two_barrier"]))},
+    }
+    if marks:
+        config["marks"] = marks
+
+    def obstacle(lo, hi, last_lo, last_hi):
+        pieces = _grid_pieces(draw, steps, lo, hi)
+        pieces[-1][1] = draw(st.floats(last_lo, last_hi))
+        return {"pieces": pieces,
+                "stochastic": {"kind": "linear", "intercept": intercept, **state}}
+
+    if config["solver"]["kind"] == "one_barrier":
+        config["barrier"] = obstacle(-1.0, 1.0, -0.5, 0.0)
+    else:
+        config["barriers"] = {"lower": obstacle(-1.0, -0.05, -0.5, -0.05),
+                              "upper": obstacle(0.05, 1.0, 0.05, 0.5)}
+    return config
+
+
+def _miscounted(config: dict) -> dict:
+    """A solvable configuration with one terminal count coefficient too many."""
+    config["terminal"]["count_coeffs"].append(0.1)
+    return config
+
+
+def _generated():
+    """Schema-valid configurations, a share of them solvable or solvable but for one field."""
+    return st.one_of(_schema_valid(), _solvable(), _solvable().map(_miscounted))
 
 
 def _locations(value, path=()):

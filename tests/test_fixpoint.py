@@ -5,7 +5,7 @@ import pytest
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, MaxIterExceeded, TerminalSpec,
                    alpha_norm, alpha_rule, build_tree, picard_solve, solve_bsde,
-                   solve_reflected_one, sup_diff)
+                   solve_reflected, sup_diff)
 from rbsde.fixpoint import random_triple, zero_triple
 from rbsde.processes import linear_obstacle
 
@@ -73,7 +73,7 @@ def test_one_barrier_fixed_point_contracts():
               + driver.b * sol.z[k] + driver.c * (sol.v[k] @ lam)
               for k in range(tree.num_steps)]
     from rbsde.bsde import FrozenDriver
-    refit = solve_reflected_one(tree, FrozenDriver(values=tuple(frozen)), xi, barrier)
+    refit = solve_reflected(tree, FrozenDriver(values=tuple(frozen)), xi, barrier)
     assert sup_diff(refit.y, sol.y) <= 1e-11
 
 

@@ -17,11 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 import rbsde.reflected
 import rbsde.tree
-import rbsde.twobarrier
-from rbsde import (MarkSet, build_tree, check_solution_one, check_solution_two, expand,
-                   solve_double_obstacle, solve_reflected_one)
+from rbsde import MarkSet, build_tree, check_solution, expand, solve_reflected
 from rbsde.bsde import barrier_values
-from conftest import clone_quadruple, clone_quintuple, random_one_barrier, random_two_barrier
+from conftest import clone_solution, process_of, random_one_barrier, random_two_barrier
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 BIND_TOL = 1e-9
@@ -86,16 +84,16 @@ def test_one_obstacle_levels_match_whole_level_reference(seed, coefficients):
     driver = _with_coefficients(problem, coefficients)
     with pytest.MonkeyPatch.context() as patch:
         recorded = _record_increments(patch, rbsde.reflected)
-        sol = solve_reflected_one(tree, driver, problem.terminal, problem.barrier)
+        sol = solve_reflected(tree, driver, problem.terminal, problem.barrier)
     (increments,) = recorded
     k = _whole_cumulative(tree, increments)
     k_c, k_d = _whole_split(tree, sol.y, k, barrier_values(tree, problem.barrier), +1)
     for name, whole in (("k", k), ("k_c", k_c), ("k_d", k_d)):
-        _assert_expands_to(tree, getattr(sol, name), whole, name)
+        _assert_expands_to(tree, process_of(sol, name), whole, name)
 
-    compact = check_solution_one(tree, sol, driver, problem.terminal, problem.barrier)
-    expanded = check_solution_one(tree, clone_quadruple(tree, sol), driver,
-                                  problem.terminal, problem.barrier)
+    compact = check_solution(tree, sol, driver, problem.terminal, problem.barrier)
+    expanded = check_solution(tree, clone_solution(tree, sol), driver,
+                              problem.terminal, problem.barrier)
     assert compact.to_dict() == expanded.to_dict()
 
 
@@ -106,21 +104,21 @@ def test_two_obstacle_levels_match_whole_level_reference(seed, coefficients):
     tree = problem.build_tree()
     driver = _with_coefficients(problem, coefficients)
     with pytest.MonkeyPatch.context() as patch:
-        recorded = _record_increments(patch, rbsde.twobarrier)
-        sol = solve_double_obstacle(tree, driver, problem.terminal, problem.lower,
-                                    problem.upper)
+        recorded = _record_increments(patch, rbsde.reflected)
+        sol = solve_reflected(tree, driver, problem.terminal, problem.lower,
+                              problem.upper)
     plus, minus = recorded
     k_plus, k_minus = _whole_cumulative(tree, plus), _whole_cumulative(tree, minus)
     kpc, kpd = _whole_split(tree, sol.y, k_plus, barrier_values(tree, problem.lower), +1)
     kmc, kmd = _whole_split(tree, sol.y, k_minus, barrier_values(tree, problem.upper), -1)
     for name, whole in (("k_plus", k_plus), ("k_minus", k_minus), ("k_plus_c", kpc),
                         ("k_plus_d", kpd), ("k_minus_c", kmc), ("k_minus_d", kmd)):
-        _assert_expands_to(tree, getattr(sol, name), whole, name)
+        _assert_expands_to(tree, process_of(sol, name), whole, name)
 
-    compact = check_solution_two(tree, sol, driver, problem.terminal, problem.lower,
-                                 problem.upper)
-    expanded = check_solution_two(tree, clone_quintuple(tree, sol), driver,
-                                  problem.terminal, problem.lower, problem.upper)
+    compact = check_solution(tree, sol, driver, problem.terminal, problem.lower,
+                             problem.upper)
+    expanded = check_solution(tree, clone_solution(tree, sol), driver,
+                              problem.terminal, problem.lower, problem.upper)
     assert compact.to_dict() == expanded.to_dict()
 
 

@@ -174,21 +174,21 @@ def test_memo_arrays_are_read_only():
 def test_solution_terminal_is_the_read_only_leaf_evaluation():
     # the direct solvers keep the shared leaf evaluation as Y_N instead of a
     # copy; being read-only, it cannot be corrupted through the solution
-    from rbsde import solve_double_obstacle, solve_reflected_one
+    from rbsde import solve_reflected
     tree = build_tree(3)
     terminal = TerminalSpec(payoff=lambda w, c: np.maximum(w, 0.0) + 1.0)
     barrier = BarrierSpec(pieces=((0.0, 0.5),))
     cached = terminal.evaluate(tree)
-    solutions = [solve_reflected_one(tree, DriverSpec(), terminal, barrier),
-                 solve_double_obstacle(tree, DriverSpec(), terminal, barrier,
-                                       BarrierSpec(pieces=((0.0, 10.0),)))]
+    solutions = [solve_reflected(tree, DriverSpec(), terminal, barrier),
+                 solve_reflected(tree, DriverSpec(), terminal, barrier,
+                                 BarrierSpec(pieces=((0.0, 10.0),)))]
     for sol in solutions:
         assert sol.y[-1] is cached
         assert not sol.y[-1].flags.writeable
         with pytest.raises(ValueError):
             sol.y[-1] += 1.0
     assert np.array_equal(cached, terminal._evaluate(tree))
-    again = solve_reflected_one(tree, DriverSpec(), terminal, barrier)
+    again = solve_reflected(tree, DriverSpec(), terminal, barrier)
     assert np.array_equal(again.y[-1], cached)
 
 

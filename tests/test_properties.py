@@ -10,8 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree,
-                   check_solution_one, check_solution_two, solve_double_obstacle,
-                   solve_reflected_one)
+                   check_solution, solve_reflected)
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -105,8 +104,8 @@ def two_obstacle_problems(draw):
 @given(one_obstacle_problems())
 def test_one_obstacle_solve_passes_check(problem):
     tree, driver, terminal, barrier = problem
-    sol = solve_reflected_one(tree, driver, terminal, barrier)
-    report = check_solution_one(tree, sol, driver, terminal, barrier)
+    sol = solve_reflected(tree, driver, terminal, barrier)
+    report = check_solution(tree, sol, driver, terminal, barrier)
     assert report.passed, report.to_dict()
 
 
@@ -114,6 +113,6 @@ def test_one_obstacle_solve_passes_check(problem):
 @given(two_obstacle_problems())
 def test_two_obstacle_solve_passes_check(problem):
     tree, driver, terminal, lower, upper = problem
-    sol = solve_double_obstacle(tree, driver, terminal, lower, upper)
-    report = check_solution_two(tree, sol, driver, terminal, lower, upper)
+    sol = solve_reflected(tree, driver, terminal, lower, upper)
+    report = check_solution(tree, sol, driver, terminal, lower, upper)
     assert report.passed, report.to_dict()

@@ -5,7 +5,7 @@ import pytest
 
 from rbsde import (BarrierSpec, DriverNotCoefficientFree, DriverSpec, MarkSet,
                    TerminalBelowBarrier, TerminalSpec, build_tree, expand,
-                   snell_representation_check, solve_reflected_one, sup_diff)
+                   snell_representation_check, solve_reflected, sup_diff)
 from rbsde.processes import linear_obstacle
 from rbsde.reflected import obstacle_payoff
 from rbsde.snell import brute_force_values
@@ -27,15 +27,15 @@ def counterexample(num_steps=4, marks=None):
 ])
 def test_counterexample_closed_form(num_steps, marks):
     tree, driver, terminal, barrier = counterexample(num_steps, marks)
-    sol = solve_reflected_one(tree, driver, terminal, barrier)
+    sol = solve_reflected(tree, driver, terminal, barrier)
     half = num_steps // 2
     for k in range(num_steps + 1):
         expected = 1.0 if k < half else 0.5
         assert np.max(np.abs(sol.y[k] - expected)) <= 1e-12
         expected_k = 0.0 if k < half else 0.5
-        assert np.max(np.abs(sol.k[k] - expected_k)) <= 1e-12
-        assert np.max(np.abs(sol.k_d[k] - expected_k)) <= 1e-12
-        assert np.max(np.abs(sol.k_c[k])) <= 1e-12
+        assert np.max(np.abs(sol.lower.k[k] - expected_k)) <= 1e-12
+        assert np.max(np.abs(sol.lower.k_d[k] - expected_k)) <= 1e-12
+        assert np.max(np.abs(sol.lower.k_c[k])) <= 1e-12
     for k in range(num_steps):
         assert np.max(np.abs(sol.z[k])) <= 1e-12
         if tree.marks.count:
@@ -44,36 +44,36 @@ def test_counterexample_closed_form(num_steps, marks):
 
 def test_slack_barrier_never_binds():
     tree = build_tree(4, MarkSet(sizes=(1.0,), intensities=(0.5,)))
-    sol = solve_reflected_one(tree, DriverSpec(), TerminalSpec(constant=1.25),
-                              BarrierSpec(pieces=((0.0, -10.0),)))
+    sol = solve_reflected(tree, DriverSpec(), TerminalSpec(constant=1.25),
+                          BarrierSpec(pieces=((0.0, -10.0),)))
     for k in range(5):
         assert np.all(np.abs(sol.y[k] - 1.25) <= 1e-14)
-        assert np.all(sol.k[k] == 0.0)
+        assert np.all(sol.lower.k[k] == 0.0)
 
 
 def test_terminal_below_barrier_rejected():
     tree = build_tree(4)
     with pytest.raises(TerminalBelowBarrier):
-        solve_reflected_one(tree, DriverSpec(), TerminalSpec(constant=-0.5),
-                            BarrierSpec(pieces=((0.0, 0.0),)))
+        solve_reflected(tree, DriverSpec(), TerminalSpec(constant=-0.5),
+                        BarrierSpec(pieces=((0.0, 0.0),)))
 
 
 def test_snell_representation_requires_plain_driver():
     tree, _, terminal, barrier = counterexample()
-    sol = solve_reflected_one(tree, DriverSpec(), terminal, barrier)
+    sol = solve_reflected(tree, DriverSpec(), terminal, barrier)
     with pytest.raises(DriverNotCoefficientFree):
         snell_representation_check(tree, sol, DriverSpec(a=0.5), terminal, barrier)
 
 
 def test_counterexample_snell_representation():
     tree, driver, terminal, barrier = counterexample()
-    sol = solve_reflected_one(tree, driver, terminal, barrier)
+    sol = solve_reflected(tree, driver, terminal, barrier)
     assert snell_representation_check(tree, sol, driver, terminal, barrier) <= 1e-12
 
 
 def test_snell_representation_keeps_nan():
     tree, driver, terminal, barrier = counterexample()
-    sol = solve_reflected_one(tree, driver, terminal, barrier)
+    sol = solve_reflected(tree, driver, terminal, barrier)
     sol.y[2] = np.full_like(sol.y[2], np.nan)
     assert np.isnan(snell_representation_check(tree, sol, driver, terminal, barrier))
 
@@ -92,8 +92,8 @@ def test_martingale_obstacle_keeps_compensator_empty():
         return closure[level] - 0.1
 
     barrier = BarrierSpec(stochastic=obstacle)
-    sol = solve_reflected_one(tree, DriverSpec(), xi, barrier)
-    assert all(np.all(level == 0.0) for level in sol.k)
+    sol = solve_reflected(tree, DriverSpec(), xi, barrier)
+    assert all(np.all(level == 0.0) for level in sol.lower.k)
     assert snell_representation_check(tree, sol, DriverSpec(), xi, barrier) <= 1e-12
 
 
@@ -102,8 +102,8 @@ def test_value_matches_stopping_oracle():
     for _ in range(10):
         problem = random_one_barrier(rng, max_steps=5, max_marks=1)
         tree = problem.build_tree()
-        sol = solve_reflected_one(tree, problem.driver, problem.terminal,
-                                  problem.barrier)
+        sol = solve_reflected(tree, problem.driver, problem.terminal,
+                              problem.barrier)
         dev = snell_representation_check(tree, sol, problem.driver, problem.terminal,
                                          problem.barrier)
         assert dev <= 1e-12
@@ -124,8 +124,8 @@ def test_comparison_in_the_obstacle():
         higher = BarrierSpec(pieces=tuple((t, v + shift) for t, v in lower.pieces),
                              stochastic=lower.stochastic)
         xi = TerminalSpec(payoff=lambda w, c, s=shift: problem.terminal.payoff(w, c) + s)
-        low_sol = solve_reflected_one(tree, problem.driver, problem.terminal, lower)
-        high_sol = solve_reflected_one(tree, problem.driver, xi, higher)
+        low_sol = solve_reflected(tree, problem.driver, problem.terminal, lower)
+        high_sol = solve_reflected(tree, problem.driver, xi, higher)
         for a, b in zip(low_sol.y, high_sol.y):
             assert np.min(b - a) >= -1e-12
 
@@ -134,12 +134,12 @@ def test_dynamics_and_skorokhod_invariants():
     rng = np.random.default_rng(61)
     problem = random_one_barrier(rng, max_steps=6, max_marks=1)
     tree = problem.build_tree()
-    sol = solve_reflected_one(tree, problem.driver, problem.terminal, problem.barrier)
+    sol = solve_reflected(tree, problem.driver, problem.terminal, problem.barrier)
     from rbsde import eval_barrier
     obstacle = eval_barrier(problem.barrier, tree)
     total = 0.0
-    k_all = [expand(tree, level, j) for j, level in enumerate(sol.k)]
-    k_c = [expand(tree, level, j) for j, level in enumerate(sol.k_c)]
+    k_all = [expand(tree, level, j) for j, level in enumerate(sol.lower.k)]
+    k_c = [expand(tree, level, j) for j, level in enumerate(sol.lower.k_c)]
     for k in range(tree.num_steps):
         inc = tree.cond_exp(k_all[k + 1]) - k_all[k]
         rhs = tree.cond_exp(sol.y[k + 1]) \
@@ -159,7 +159,7 @@ def test_reflection_with_y_coefficient_agrees_with_penalised_limit():
     barrier = BarrierSpec(pieces=((0.0, 0.6), (0.6, -0.4)),
                           stochastic=linear_obstacle(0.0, 0.25))
     xi = TerminalSpec(payoff=lambda w, c: 0.25 * w + 0.6)
-    direct = solve_reflected_one(tree, driver, xi, barrier)
+    direct = solve_reflected(tree, driver, xi, barrier)
     from rbsde import solve_penalized
     pen = solve_penalized(tree, driver, barrier, xi, 1e13)
     assert sup_diff(direct.y, pen.solution.y) <= 1e-10

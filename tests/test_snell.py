@@ -6,8 +6,7 @@ import pytest
 from rbsde import (MarkSet, NotMonotone, TooLargeToEnumerate, build_tree,
                    monotone_limit_check, optimal_stopping_time, regularity_check,
                    snell, sup_diff)
-from rbsde.snell import (brute_force_value, brute_force_values,
-                         enumerate_stopping_values, stop_flags,
+from rbsde.snell import (brute_force_values, enumerate_stopping_values, stop_flags,
                          stopped_envelope_residual)
 
 
@@ -46,9 +45,9 @@ def test_deterministic_decreasing_sequence():
 def test_brute_force_single_step_examples():
     tree = build_tree(1)
     continue_wins = [np.array([0.0]), np.array([1.5, 0.5])]  # mean 1
-    assert brute_force_value(tree, continue_wins) == pytest.approx(1.0)
+    assert brute_force_values(tree, continue_wins)[0][0] == pytest.approx(1.0)
     stop_wins = [np.array([2.0]), np.array([1.5, 0.5])]
-    assert brute_force_value(tree, stop_wins) == pytest.approx(2.0)
+    assert brute_force_values(tree, stop_wins)[0][0] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -60,14 +59,12 @@ def test_snell_matches_brute_force_everywhere(seed):
     res = snell(tree, payoff)
     oracle = brute_force_values(tree, payoff)
     assert sup_diff(res.envelope, oracle) <= 1e-12
-    assert brute_force_value(tree, payoff, 0, 0) == pytest.approx(
-        float(res.envelope[0][0]), abs=1e-12)
 
 
 def test_brute_force_size_guard():
     tree = build_tree(7)
     with pytest.raises(TooLargeToEnumerate):
-        brute_force_value(tree, [np.zeros(tree.level_size(k)) for k in range(8)])
+        brute_force_values(tree, [np.zeros(tree.level_size(k)) for k in range(8)])
 
 
 def test_enumerated_rules_bounded_by_envelope():

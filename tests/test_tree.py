@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from rbsde import (InfeasibleIntensity, MarkSet, TreeTooLarge, build_tree,
-                   compensated_increment, conditional_expectation, sup_diff)
+from rbsde import InfeasibleIntensity, MarkSet, TreeTooLarge, build_tree, sup_diff
 
 
 def test_single_bernoulli_step():
@@ -46,8 +45,8 @@ def test_mark_set_validation():
 def test_compensated_increment_values():
     # lam = 0.5, dt = 0.5: no-jump branch -0.25, jump branch 0.75
     tree = build_tree(2, MarkSet(sizes=(1.0,), intensities=(0.5,)))
-    assert compensated_increment(tree, 0) == pytest.approx([-0.25])
-    assert compensated_increment(tree, 1) == pytest.approx([0.75])
+    assert tree.branch_comp[0] == pytest.approx([-0.25])
+    assert tree.branch_comp[1] == pytest.approx([0.75])
     mean = tree.branch_prob @ tree.branch_comp
     assert np.all(np.abs(mean) <= 1e-15)
 
@@ -55,9 +54,9 @@ def test_compensated_increment_values():
 def test_conditional_expectation_basics():
     tree = build_tree(2, MarkSet(sizes=(1.0,), intensities=(0.5,)))
     constant = np.full(tree.level_size(1), 3.25)
-    assert conditional_expectation(tree, constant) == pytest.approx([3.25])
+    assert tree.cond_exp(constant) == pytest.approx([3.25])
     db = tree.w[1] - tree.lift(tree.w[0])
-    assert abs(conditional_expectation(tree, db)[0]) <= 1e-15
+    assert abs(tree.cond_exp(db)[0]) <= 1e-15
     comp = tree.counts[1] - tree.marks.intensity_array * tree.dt
     assert np.all(np.abs(tree.cond_exp(comp)) <= 1e-15)
 

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
-                   build_tree, check_solution_one, check_solution_two,
-                   regularity_probe, solve_double_obstacle, solve_reflected_one,
+                   build_tree, check_solution, regularity_probe, solve_reflected,
                    uniqueness_probe, verify)
 from rbsde.processes import put_payoff
-from conftest import (clone_quadruple, clone_quintuple, counterexample_pieces,
-                      one_barrier_mutants, random_one_barrier, random_two_barrier,
-                      two_barrier_mutants)
+from conftest import (clone_solution, counterexample_pieces, one_barrier_mutants, process_of,
+                      random_one_barrier, random_two_barrier, two_barrier_mutants)
 
 
 def test_checker_passes_solver_outputs():
@@ -20,25 +18,25 @@ def test_checker_passes_solver_outputs():
     for _ in range(5):
         problem = random_one_barrier(rng, max_steps=5, max_marks=1)
         tree = problem.build_tree()
-        sol = solve_reflected_one(tree, problem.driver, problem.terminal,
-                                  problem.barrier)
-        report = check_solution_one(tree, sol, problem.driver, problem.terminal,
-                                    problem.barrier)
+        sol = solve_reflected(tree, problem.driver, problem.terminal,
+                              problem.barrier)
+        report = check_solution(tree, sol, problem.driver, problem.terminal,
+                                problem.barrier)
         assert report.passed, report.to_dict()
     for _ in range(5):
         problem = random_two_barrier(rng)
         tree = problem.build_tree()
-        sol = solve_double_obstacle(tree, problem.driver, problem.terminal,
-                                    problem.lower, problem.upper)
-        report = check_solution_two(tree, sol, problem.driver, problem.terminal,
-                                    problem.lower, problem.upper)
+        sol = solve_reflected(tree, problem.driver, problem.terminal,
+                              problem.lower, problem.upper)
+        report = check_solution(tree, sol, problem.driver, problem.terminal,
+                                problem.lower, problem.upper)
         assert report.passed, report.to_dict()
 
 
 def test_counterexample_report_is_clean():
     tree, driver, terminal, barrier = counterexample_pieces()
-    sol = solve_reflected_one(tree, driver, terminal, barrier)
-    report = check_solution_one(tree, sol, driver, terminal, barrier)
+    sol = solve_reflected(tree, driver, terminal, barrier)
+    report = check_solution(tree, sol, driver, terminal, barrier)
     assert report.passed
     assert all(c.residual <= 1e-13 for c in report.clauses.values())
 
@@ -52,10 +50,10 @@ def test_counterexample_report_is_clean():
 ])
 def test_nan_in_one_barrier_solution_fails_its_clauses(poison, failing):
     tree, driver, terminal, barrier = counterexample_pieces()
-    sol = clone_quadruple(tree, solve_reflected_one(tree, driver, terminal, barrier))
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, barrier))
     for field, level, node in poison:
-        getattr(sol, field)[level][node] = np.nan
-    report = check_solution_one(tree, sol, driver, terminal, barrier)
+        process_of(sol, field)[level][node] = np.nan
+    report = check_solution(tree, sol, driver, terminal, barrier)
     assert {name for name, c in report.clauses.items() if not c.passed} == failing
     assert all(np.isnan(report.clauses[name].residual) for name in failing)
 
@@ -64,11 +62,11 @@ def test_nan_in_one_barrier_solution_fails_its_clauses(poison, failing):
 def test_nan_in_two_barrier_solution_fails(field):
     problem = random_two_barrier(np.random.default_rng(31))
     tree = problem.build_tree()
-    sol = clone_quintuple(tree, solve_double_obstacle(tree, problem.driver, problem.terminal,
-                                                      problem.lower, problem.upper))
-    getattr(sol, field)[tree.num_steps][-1] = np.nan
-    report = check_solution_two(tree, sol, problem.driver, problem.terminal,
-                                problem.lower, problem.upper)
+    sol = clone_solution(tree, solve_reflected(tree, problem.driver, problem.terminal,
+                                               problem.lower, problem.upper))
+    process_of(sol, field)[tree.num_steps][-1] = np.nan
+    report = check_solution(tree, sol, problem.driver, problem.terminal,
+                            problem.lower, problem.upper)
     assert not report.passed
     assert any(np.isnan(c.residual) for c in report.clauses.values())
 
@@ -77,7 +75,7 @@ def test_nan_in_two_barrier_solution_fails(field):
                          ids=[entry[0] for entry in one_barrier_mutants()])
 def test_one_barrier_mutants_flip_exactly_their_clause(case):
     clause, tree, driver, terminal, barrier, mutant = case
-    report = check_solution_one(tree, mutant, driver, terminal, barrier)
+    report = check_solution(tree, mutant, driver, terminal, barrier)
     assert not report.clauses[clause].passed, report.to_dict()
     for name, result in report.clauses.items():
         if name != clause:
@@ -88,7 +86,7 @@ def test_one_barrier_mutants_flip_exactly_their_clause(case):
                          ids=[entry[0] for entry in two_barrier_mutants()])
 def test_two_barrier_mutants_flip_exactly_their_clause(case):
     clause, tree, driver, terminal, lower, upper, mutant = case
-    report = check_solution_two(tree, mutant, driver, terminal, lower, upper)
+    report = check_solution(tree, mutant, driver, terminal, lower, upper)
     assert not report.clauses[clause].passed, report.to_dict()
     for name, result in report.clauses.items():
         if name != clause:
@@ -102,14 +100,14 @@ def test_simultaneous_jump_clause_fires_with_its_entailed_formula():
     tree = build_tree(4)
     lower = BarrierSpec(pieces=((0.0, 1.0), (0.5, -10.0)))
     upper = BarrierSpec(pieces=((0.0, 10.0),))
-    sol = solve_double_obstacle(tree, DriverSpec(), TerminalSpec(constant=0.5),
-                                lower, upper)
-    mutant = clone_quintuple(tree, sol)
+    sol = solve_reflected(tree, DriverSpec(), TerminalSpec(constant=0.5),
+                          lower, upper)
+    mutant = clone_solution(tree, sol)
     for lvl in range(2, 5):
-        mutant.k_minus_d[lvl] += 1e-6
-        mutant.k_minus_c[lvl] -= 1e-6
-    report = check_solution_two(tree, mutant, DriverSpec(), TerminalSpec(constant=0.5),
-                                lower, upper)
+        mutant.upper.k_d[lvl] += 1e-6
+        mutant.upper.k_c[lvl] -= 1e-6
+    report = check_solution(tree, mutant, DriverSpec(), TerminalSpec(constant=0.5),
+                            lower, upper)
     assert not report.clauses["no_simultaneous_jumps"].passed
     assert not report.clauses["jump_formula_upper"].passed
     for name in ("dynamics", "containment", "jump_formula_lower",
@@ -119,8 +117,8 @@ def test_simultaneous_jump_clause_fires_with_its_entailed_formula():
 
 def test_report_serialisation_round_trip():
     tree, driver, terminal, barrier = counterexample_pieces()
-    sol = solve_reflected_one(tree, driver, terminal, barrier)
-    payload = check_solution_one(tree, sol, driver, terminal, barrier).to_dict()
+    sol = solve_reflected(tree, driver, terminal, barrier)
+    payload = check_solution(tree, sol, driver, terminal, barrier).to_dict()
     assert payload["passed"] is True
     assert set(payload["clauses"]) == {
         "dynamics", "barrier_dominance", "skorokhod_c", "jump_formula_d",
