@@ -11,16 +11,22 @@ ratios instead of being asserted impossible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import FrozenDriver, solve_bsde
+from .bsde import FrozenDriver, Solution, _backward_sweep, _implicit_y, terminal_values
 from .errors import MaxIterExceeded, NoContractionObserved
 from .processes import DriverSpec
-from .reflected import solve_reflected_one
-from .tree import Process, ScenarioTree
-from .twobarrier import solve_double_obstacle
+from .reflected import _book, _obstacle_inputs, _reflected_sweep
+from .tree import ScenarioTree
+
+# The rounds call the sweeps directly; these solver names stay importable from
+# this module for code that looks them up here (the benchmark's bench/tracing.py).
+from .bsde import solve_bsde  # noqa: F401
+from .reflected import solve_reflected_one  # noqa: F401
+from .twobarrier import solve_double_obstacle  # noqa: F401
 
 SOLVER_KINDS = ("standard", "one_barrier", "two_barrier")
 
@@ -38,15 +44,26 @@ def alpha_norm(tree: ScenarioTree, triple, alpha: float) -> float:
     Discrete form: sqrt(sum_{k<N} e^{alpha t_k} E[Y_k^2 + Z_k^2 +
     sum_i lam_i V_{k,i}^2] dt), left-endpoint weights on the grid.
     """
+    return _weighted_norm(tree, zip(*triple), alpha)
+
+
+def _alpha_distance(tree: ScenarioTree, p, q, alpha: float) -> float:
+    """``alpha_norm`` of p - q, with one level of differences alive at a time."""
+    levels = ((yp - yq, zp - zq, vp - vq)
+              for yp, yq, zp, zq, vp, vq in zip(p[0], q[0], p[1], q[1], p[2], q[2]))
+    return _weighted_norm(tree, levels, alpha)
+
+
+def _weighted_norm(tree: ScenarioTree, levels, alpha: float) -> float:
+    """The weighted norm over (y_k, z_k, v_k) for k < N, taken as ``levels`` yields them."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    y, z, v = triple
     lam = tree.marks.intensity_array
     total = 0.0
-    for k in range(tree.num_steps):
+    for k, (yk, zk, vk) in zip(range(tree.num_steps), levels):
         weight = np.exp(alpha * tree.time(k)) * tree.dt
-        sq = np.asarray(y[k], dtype=float) ** 2 + np.asarray(z[k], dtype=float) ** 2
-        vk = np.asarray(v[k], dtype=float)
+        sq = np.asarray(yk, dtype=float) ** 2 + np.asarray(zk, dtype=float) ** 2
+        vk = np.asarray(vk, dtype=float)
         if vk.size:
             sq = sq + (vk ** 2) @ lam
         total += weight * tree.expectation(k, sq)
@@ -55,8 +72,9 @@ def alpha_norm(tree: ScenarioTree, triple, alpha: float) -> float:
 
 @dataclass(eq=False)
 class FixpointTrace:
+    """The measured moves of a Picard run; only the last iterate is ever held."""
+
     alpha: float
-    iterates: list          # (y, z, v) triples, one per solve
     distances: list         # weighted distance between consecutive iterates
     ratios: list            # successive distance ratios
     converged: bool
@@ -68,31 +86,25 @@ def _freeze(tree: ScenarioTree, driver: DriverSpec, triple) -> FrozenDriver:
     lam = tree.marks.intensity_array
     values = []
     for k in range(tree.num_steps):
-        src = driver.base_at(tree.time(k)) + driver.a * np.asarray(y[k], dtype=float) \
+        # + 0.0 turns a -0.0 base into +0.0, so no source value is ever -0.0
+        base = driver.base_at(tree.time(k)) + 0.0
+        src = base + driver.a * np.asarray(y[k], dtype=float) \
             + driver.b * np.asarray(z[k], dtype=float)
         vk = np.asarray(v[k], dtype=float)
         if lam.size and driver.c != 0.0:
             src = src + driver.c * (vk @ lam)
-        values.append(np.asarray(src, dtype=float) + np.zeros(tree.level_size(k)))
+        values.append(src)
     return FrozenDriver(values=tuple(values))
 
 
-def _solve_frozen(tree, frozen, terminal, solver_kind, barrier, lower, upper):
-    if solver_kind == "standard":
-        return solve_bsde(tree, frozen, terminal)
-    if solver_kind == "one_barrier":
-        return solve_reflected_one(tree, frozen, terminal, barrier)
-    return solve_double_obstacle(tree, frozen, terminal, lower, upper)
+def _sweep(tree: ScenarioTree, frozen: FrozenDriver, xi: np.ndarray, sides):
+    """One round: Y, Z, V and the compensator increments (None for the standard kind)."""
+    if sides is not None:
+        return _reflected_sweep(tree, frozen, xi, *sides)
 
-
-def _triple_of(solution) -> tuple[Process, Process, Process]:
-    return solution.y, solution.z, solution.v
-
-
-def _diff_triple(a, b):
-    return ([x - y for x, y in zip(a[0], b[0])],
-            [x - y for x, y in zip(a[1], b[1])],
-            [x - y for x, y in zip(a[2], b[2])])
+    def settle(k, rows, rhs):
+        return _implicit_y(rhs, frozen.a, tree.dt)
+    return (*_backward_sweep(tree, frozen, xi, settle), None, None)
 
 
 def zero_triple(tree: ScenarioTree):
@@ -114,9 +126,11 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
                  initial=None):
     """Iterate the frozen-input map until the weighted move falls below tol.
 
-    Returns the final solve (with its compensators) and the trace.
-    Raises NoContractionObserved when three consecutive distance ratios
-    reach one, and MaxIterExceeded when the budget runs out.
+    Returns the final solve (with its compensators) and the trace.  Each
+    round holds only the previous iterate; the obstacles and terminal are
+    checked once, and the compensators are booked once, on the round that
+    converged.  Raises NoContractionObserved when three consecutive
+    distance ratios reach one, and MaxIterExceeded when the budget runs out.
     """
     if solver_kind not in SOLVER_KINDS:
         raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
@@ -126,21 +140,33 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
         raise ValueError("one_barrier solves need an obstacle")
     if solver_kind == "two_barrier" and (lower is None or upper is None):
         raise ValueError("two_barrier solves need both obstacles")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if alpha is None:
         alpha = alpha_rule(driver.lipschitz_constant)
 
-    current = initial if initial is not None else zero_triple(tree)
-    solution = _solve_frozen(tree, _freeze(tree, driver, current), terminal,
-                             solver_kind, barrier, lower, upper)
-    iterates = [_triple_of(solution)]
+    sides = None
+    if solver_kind == "standard":
+        xi = terminal_values(tree, terminal)
+    else:
+        obstacles = (barrier,) if solver_kind == "one_barrier" else (lower, upper)
+        low, up, xi = _obstacle_inputs(tree, terminal, *obstacles)
+        sides = (low, up)
+
+    start = zero_triple(tree) if initial is None else initial
+    swept = _sweep(tree, _freeze(tree, driver, start), xi, sides)
+    del start  # a zero start is not held through the loop
     distances: list[float] = []
     ratios: list[float] = []
     flat_run = 0
     for _ in range(max_iter):
-        solution = _solve_frozen(tree, _freeze(tree, driver, iterates[-1]), terminal,
-                                 solver_kind, barrier, lower, upper)
-        iterates.append(_triple_of(solution))
-        d = alpha_norm(tree, _diff_triple(iterates[-1], iterates[-2]), alpha)
+        # a round that did not converge passes on its (Y, Z, V), not its increments
+        previous = swept[:3]
+        del swept
+        swept = _sweep(tree, _freeze(tree, driver, previous), xi, sides)
+        d = _alpha_distance(tree, swept, previous, alpha)
         if distances and distances[-1] > 0.0:
             r = d / distances[-1]
             ratios.append(r)
@@ -151,8 +177,11 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
                     f"{ratios[-3:]}", ratios=ratios)
         distances.append(d)
         if d < tol:
-            trace = FixpointTrace(alpha=alpha, iterates=iterates, distances=distances,
-                                  ratios=ratios, converged=True, iterations=len(distances))
+            y, z, v = swept[:3]
+            solution = Solution(y=y, z=z, v=v) if sides is None \
+                else _book(tree, swept, *sides)
+            trace = FixpointTrace(alpha=alpha, distances=distances, ratios=ratios,
+                                  converged=True, iterations=len(distances))
             return solution, trace
     raise MaxIterExceeded(f"no fixed point within {max_iter} rounds "
                           f"(last move {distances[-1]:.3g})")

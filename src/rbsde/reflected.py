@@ -86,31 +86,27 @@ def _validate_obstacles(tree: ScenarioTree, xi: np.ndarray, low, up=None) -> Non
                 "before the horizon is required")
 
 
-def solve_reflected(tree: ScenarioTree, driver, terminal, lower, upper=None) -> Solution:
-    """Solve the reflected equation by direct obstacle backward induction.
-
-    ``upper=None`` means U = +inf, the one-obstacle problem, and costs
-    nothing: no upper values, increments or compensator exist for it.
-    Preconditions: the terminal payoff lies in [L, U] at every leaf, the
-    obstacles are strictly separated before the horizon, and dt times the
-    driver coefficient Lipschitz constant is below one.  Penalty drivers
-    belong to the penalisation scheme, not here.
-    """
-    check_stepsize(driver, tree.dt)
-    if getattr(driver, "penalty", None) is not None:
-        raise ValueError("reflected solves take the bare driver, not a penalised one")
+def _obstacle_inputs(tree: ScenarioTree, terminal, lower, upper=None):
+    """(L, U, xi) once the terminal lies in [L, U] and L < U; U is None for +inf."""
     low = barrier_values(tree, lower)
     up = None if upper is None else barrier_values(tree, upper)
     xi = _leaf_values(tree, terminal)
     _validate_obstacles(tree, xi, low, up)
+    return low, up, xi
 
+
+def _reflected_sweep(tree: ScenarioTree, driver, xi: np.ndarray, low, up=None):
+    """Y, Z, V and the assigned compensator increments of each side.
+
+    Returns (y, z, v, inc_p, inc_m); ``inc_m`` is None without an upper side.
+    """
     n = tree.num_steps
     dt = tree.dt
     # The driver is evaluated at the reflected y, so the increments closing
     # y = E[Y_next] + f(y) dt + dK+ - dK- carry the factor (1 - a dt).
     scale = 1.0 - driver.a * dt
     inc_p: Process = [np.empty(tree.level_size(k)) for k in range(n)]
-    inc_m: Process = [] if up is None else [np.empty(tree.level_size(k)) for k in range(n)]
+    inc_m = None if up is None else [np.empty(tree.level_size(k)) for k in range(n)]
 
     # maximum(cand, lo) and minimum(y, hi) return the obstacle on a tie, so
     # even the sign of a zero Y is the same with or without an upper side
@@ -126,9 +122,32 @@ def solve_reflected(tree: ScenarioTree, driver, terminal, lower, upper=None) -> 
         return yk
 
     y, z, v = _backward_sweep(tree, driver, xi, settle)
+    return y, z, v, inc_p, inc_m
+
+
+def _book(tree: ScenarioTree, swept, low, up=None) -> Solution:
+    """Solution of a ``_reflected_sweep`` result, each side's K accumulated and split."""
+    y, z, v, inc_p, inc_m = swept
     k_plus = _split_side(tree, y, _accumulate(inc_p), low, +1)
     k_minus = None if up is None else _split_side(tree, y, _accumulate(inc_m), up, -1)
     return Solution(y=y, z=z, v=v, lower=k_plus, upper=k_minus)
+
+
+def solve_reflected(tree: ScenarioTree, driver, terminal, lower, upper=None) -> Solution:
+    """Solve the reflected equation by direct obstacle backward induction.
+
+    ``upper=None`` means U = +inf, the one-obstacle problem, and costs
+    nothing: no upper values, increments or compensator exist for it.
+    Preconditions: the terminal payoff lies in [L, U] at every leaf, the
+    obstacles are strictly separated before the horizon, and dt times the
+    driver coefficient Lipschitz constant is below one.  Penalty drivers
+    belong to the penalisation scheme, not here.
+    """
+    check_stepsize(driver, tree.dt)
+    if getattr(driver, "penalty", None) is not None:
+        raise ValueError("reflected solves take the bare driver, not a penalised one")
+    low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
+    return _book(tree, _reflected_sweep(tree, driver, xi, low, up), low, up)
 
 
 # The one-obstacle name of the same function: call sites that pass one obstacle

@@ -46,13 +46,7 @@ class SnellResult:
 def snell(tree: ScenarioTree, payoff: Process) -> SnellResult:
     """Smallest supermartingale dominating ``payoff`` on the tree."""
     n = tree.num_steps
-    env: Process = [None] * (n + 1)
-    env[n] = np.asarray(payoff[n], dtype=float).copy()
-    inc: Process = [None] * n
-    for k in range(n - 1, -1, -1):
-        cont = tree.cond_exp(env[k + 1])
-        env[k] = np.maximum(np.asarray(payoff[k], dtype=float), cont)
-        inc[k] = env[k] - cont
+    env, inc = _envelope(tree, [*payoff[:n], np.array(payoff[n], dtype=float)])
     comp = [expand(tree, level, k)
             for k, level in enumerate(_accumulate(copy_process(inc)))]
     mart = [env[k] + comp[k] for k in range(n + 1)]
@@ -60,6 +54,22 @@ def snell(tree: ScenarioTree, payoff: Process) -> SnellResult:
     stop[n] = np.ones(tree.level_size(n), dtype=bool)
     return SnellResult(envelope=env, martingale=mart, compensator=comp,
                        increments=inc, stop=stop)
+
+
+def _envelope(tree: ScenarioTree, payoff: Process):
+    """Envelope levels and their assigned compensator increments, nothing else.
+
+    The envelope's last level is ``payoff[n]`` itself, not a copy.
+    """
+    n = tree.num_steps
+    env: Process = [None] * (n + 1)
+    env[n] = np.asarray(payoff[n], dtype=float)
+    inc: Process = [None] * n
+    for k in range(n - 1, -1, -1):
+        cont = tree.cond_exp(env[k + 1])
+        env[k] = np.maximum(np.asarray(payoff[k], dtype=float), cont)
+        inc[k] = env[k] - cont
+    return env, inc
 
 
 def _check_oracle_size(tree: ScenarioTree, level: int) -> None:

@@ -16,13 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import Solution, barrier_values, project_level, terminal_values
+from .bsde import _project_block, barrier_values, terminal_values
+from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import (DriverNotCoefficientFree, MaxIterExceeded, MokobodskiFailed,
                      MonotonicityViolation)
 from .processes import DriverSpec
-from .reflected import _split_side, _validate_obstacles, solve_reflected
-from .snell import snell
-from .tree import Process, ScenarioTree, _accumulate, _worst, copy_process, sup_diff
+from .reflected import _book, _obstacle_inputs, solve_reflected
+from .snell import _envelope
+from .snell import snell  # noqa: F401  (kept importable from this module)
+from .tree import Process, ScenarioTree, _worst, sup_diff
 
 # The two-obstacle name of the same function: call sites that pass two obstacles
 # use it, so the benchmark's tracer (bench/tracing.py) times them as their own layer.
@@ -135,10 +137,7 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     martingale witness is used when none is supplied).
     """
     driver = _require_plain_driver(driver)
-    low = barrier_values(tree, lower)
-    up = barrier_values(tree, upper)
-    xi = terminal_values(tree, terminal)
-    _validate_obstacles(tree, xi, low, up)
+    low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
     if witness is None:
         witness = martingale_witness(tree, xi)
     wcheck = check_mokobodski(tree, witness, low, up)
@@ -169,17 +168,18 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
 
     n_plus = tree.zero_adapted()
     n_minus = tree.zero_adapted()
-    iterates = [(copy_process(n_plus), copy_process(n_minus))]
+    # every round's envelopes are fresh arrays that nothing writes to later,
+    # so the trace keeps them without copies
+    iterates = [(n_plus, n_minus)]
     changes = []
     converged = False
-    res_plus = res_minus = None
+    inc_plus = inc_minus = None
     for _ in range(max_iter):
-        res_plus = snell(tree, [n_minus[k] + l_tilde[k] for k in range(n + 1)])
-        res_minus = snell(tree, [n_plus[k] - u_tilde[k] for k in range(n + 1)])
-        new_plus, new_minus = res_plus.envelope, res_minus.envelope
+        new_plus, inc_plus = _envelope(tree, [n_minus[k] + l_tilde[k] for k in range(n + 1)])
+        new_minus, inc_minus = _envelope(tree, [n_plus[k] - u_tilde[k] for k in range(n + 1)])
         change = _worst(sup_diff(new_plus, n_plus), sup_diff(new_minus, n_minus))
         n_plus, n_minus = new_plus, new_minus
-        iterates.append((copy_process(n_plus), copy_process(n_minus)))
+        iterates.append((n_plus, n_minus))
         changes.append(change)
         if change < tol:
             converged = True
@@ -195,17 +195,17 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     y = [n_plus[k] - n_minus[k] + mean_mass[k] for k in range(n + 1)]
     z: Process = [None] * n
     v: Process = [None] * n
+    b = tree.branching
     for k in range(n):
-        zp, vp, _ = project_level(tree, n_plus[k + 1])
-        zm, vm, _ = project_level(tree, n_minus[k + 1])
-        ze, ve, _ = project_level(tree, xi_mart[k + 1])
+        # (z, v) only: project_level's remainder is not needed here
+        _, zp, vp = _project_block(tree, n_plus[k + 1].reshape(-1, b))
+        _, zm, vm = _project_block(tree, n_minus[k + 1].reshape(-1, b))
+        _, ze, ve = _project_block(tree, xi_mart[k + 1].reshape(-1, b))
         z[k] = zp - zm + ze
         v[k] = vp - vm + ve
 
-    k_plus = _accumulate(copy_process(res_plus.increments))
-    k_minus = _accumulate(copy_process(res_minus.increments))
-    solution = Solution(y=y, z=z, v=v, lower=_split_side(tree, y, k_plus, low, +1),
-                        upper=_split_side(tree, y, k_minus, up, -1))
+    # the converged round's increments belong to nothing else: accumulate in place
+    solution = _book(tree, (y, z, v, inc_plus, inc_minus), low, up)
     return solution, trace
 
 

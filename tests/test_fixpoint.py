@@ -1,13 +1,16 @@
 """Weighted norm, weight-exponent rule and the frozen-input iteration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, MaxIterExceeded, TerminalSpec,
-                   alpha_norm, alpha_rule, build_tree, picard_solve, solve_bsde,
+                   alpha_norm, alpha_rule, build_tree, expand, picard_solve, solve_bsde,
                    solve_reflected, sup_diff)
 from rbsde.fixpoint import random_triple, zero_triple
 from rbsde.processes import linear_obstacle
+from conftest import random_one_barrier, random_two_barrier
 
 
 def test_alpha_rule_values():
@@ -106,3 +109,72 @@ def test_rejects_penalty_and_missing_obstacles():
     with pytest.raises(ValueError):
         picard_solve(tree, DriverSpec(), TerminalSpec(constant=0.0),
                      solver_kind="one_barrier")
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_rejects_empty_iteration_budget(max_iter):
+    tree = build_tree(3)
+    with pytest.raises(ValueError, match="max_iter"):
+        picard_solve(tree, DriverSpec(a=0.3), TerminalSpec(constant=1.0), max_iter=max_iter)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+def test_rejects_tolerance_that_cannot_stop(tol):
+    tree = build_tree(3)
+    with pytest.raises(ValueError, match="tol"):
+        picard_solve(tree, DriverSpec(a=0.3), TerminalSpec(constant=1.0), tol=tol)
+
+
+def test_memory_does_not_grow_with_rounds():
+    # only the previous iterate is held, so a loose and a tight stop peak alike
+    marks = MarkSet(sizes=(1.0,), intensities=(0.5,))
+    tree = build_tree(8, marks)
+    driver = DriverSpec(base=0.1, a=0.3, b=-0.4, c=0.25, marks=marks)
+    xi = TerminalSpec(payoff=lambda w, c: np.sin(w) + 0.3 * c[:, 0])
+    xi.evaluate(tree)  # the shared leaf evaluation is made outside the traced runs
+    peaks, rounds = [], []
+    for tol in (1e-3, 1e-12):
+        tracemalloc.start()
+        try:
+            _, trace = picard_solve(tree, driver, xi, tol=tol)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rounds.append(trace.iterations)
+    assert rounds[1] >= rounds[0] + 5
+    assert abs(peaks[1] - peaks[0]) <= 0.15 * peaks[0], peaks
+
+
+def _bits(tree, process):
+    return [expand(tree, np.asarray(level), k).tobytes() for k, level in enumerate(process)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["standard", "one_barrier", "two_barrier"])
+def test_coefficient_free_matches_direct_solve_bit_for_bit(kind, seed):
+    rng = np.random.default_rng(70 + seed)
+    if kind == "two_barrier":
+        problem = random_two_barrier(rng)
+    else:
+        problem = random_one_barrier(rng)
+    tree = problem.build_tree()
+    if kind == "standard":
+        direct = solve_bsde(tree, problem.driver, problem.terminal)
+    elif kind == "one_barrier":
+        direct = solve_reflected(tree, problem.driver, problem.terminal, problem.barrier)
+    else:
+        direct = solve_reflected(tree, problem.driver, problem.terminal,
+                                 problem.lower, problem.upper)
+    sol, trace = picard_solve(tree, problem.driver, problem.terminal, solver_kind=kind,
+                              barrier=problem.barrier, lower=problem.lower,
+                              upper=problem.upper)
+    assert trace.iterations == 1
+    for name in ("y", "z", "v"):
+        assert _bits(tree, getattr(sol, name)) == _bits(tree, getattr(direct, name)), name
+    for side in ("lower", "upper"):
+        mine, theirs = getattr(sol, side), getattr(direct, side)
+        assert (mine is None) == (theirs is None), side
+        if theirs is not None:
+            for name in ("k", "k_c", "k_d"):
+                assert _bits(tree, getattr(mine, name)) == \
+                    _bits(tree, getattr(theirs, name)), (side, name)
