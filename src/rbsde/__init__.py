@@ -9,7 +9,7 @@ iteration for Lipschitz drivers and a full solution-condition checker.
 
 __version__ = "0.1.0"
 
-from .bsde import Compensator, FrozenDriver, Solution, solve_bsde
+from .bsde import Compensator, Solution, solve_bsde
 from .errors import (BarriersTouch, ConfigError, DriverNotCoefficientFree,
                      InfeasibleIntensity, JumpTimeOffGrid, MaxIterExceeded,
                      MokobodskiFailed, MonotonicityViolation, NoContractionObserved,
@@ -17,8 +17,8 @@ from .errors import (BarriersTouch, ConfigError, DriverNotCoefficientFree,
                      TerminalOutsideBarriers, TooLargeToEnumerate, TreeTooLarge)
 from .fixpoint import alpha_norm, alpha_rule, picard_solve
 from .penalty import PenalizationReport, PenalizedSolution, solve_penalized, sweep
-from .processes import (BarrierSpec, BarrierValues, DriverSpec, MarkSet, PenaltyTerm,
-                        ProblemSpec, TerminalSpec, eval_barrier, eval_driver)
+from .processes import (BarrierSpec, BarrierValues, DriverSpec, MarkSet, ProblemSpec,
+                        TerminalSpec, eval_barrier, eval_driver)
 from .reflected import snell_representation_check, solve_reflected
 from .snell import (SnellResult, monotone_limit_check, optimal_stopping_time,
                     regularity_check, snell)
@@ -29,9 +29,9 @@ from .verify import CheckReport, check_solution, regularity_probe, uniqueness_pr
 
 __all__ = [
     "__version__",
-    "BarrierSpec", "BarrierValues", "DriverSpec", "MarkSet", "PenaltyTerm",
+    "BarrierSpec", "BarrierValues", "DriverSpec", "MarkSet",
     "ProblemSpec", "TerminalSpec", "ScenarioTree", "MokobodskiWitness",
-    "Solution", "Compensator", "SnellResult", "FrozenDriver",
+    "Solution", "Compensator", "SnellResult",
     "PenalizationReport", "PenalizedSolution", "CheckReport",
     "build_tree", "expand", "sup_diff",
     "eval_barrier", "eval_driver", "snell",

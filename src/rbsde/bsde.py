@@ -1,42 +1,26 @@
 """Backward solver for the unreflected equation.
 
-One step solves y = E[Y_next] + f(t, y, z, v) dt implicitly in y (exact,
-piecewise-linear when a penalty term is present) with (z, v) obtained by
-projecting Y_next against the Brownian increment and the compensated
-jump increments.  The projection is not an exact martingale
-representation at finite dt: ``project_level`` returns the orthogonal
-remainder per node as a diagnostic, which must shrink under grid
-refinement.  ``Solution`` is the output type of every direct solver.
+One step solves y = E[Y_next] + f(t, y, z, v) dt implicitly in y with
+(z, v) obtained by projecting Y_next against the Brownian increment and
+the compensated jump increments.  The projection is not an exact
+martingale representation at finite dt: ``project_level`` returns the
+orthogonal remainder per node as a diagnostic, which must shrink under
+grid refinement.  ``Solution`` is the output type of every direct
+solver.  The sweep takes the driver as a ``source(k, rows, z, v)`` of
+the explicit part and a ``settle`` rule for the implicit step, so the
+penalised step (``rbsde.penalty``) and Picard's frozen source
+(``rbsde.fixpoint``) are rules of the modules that use them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StepsizeTooLarge
 from .processes import BarrierSpec, BarrierValues, TerminalSpec, eval_barrier
 from .tree import Process, ScenarioTree, _children, _parent_blocks
-
-
-@dataclass(frozen=True, eq=False)
-class FrozenDriver:
-    """Coefficient-free driver whose source term is a stored process.
-
-    Used by the Picard fixed-point loop: the source at level k is
-    f(t_k, y_k, z_k, v_k) of the previous iterate, one value per node.
-    """
-
-    values: tuple[np.ndarray, ...]
-    a: float = field(default=0.0, init=False)
-    b: float = field(default=0.0, init=False)
-    c: float = field(default=0.0, init=False)
-    penalty: None = field(default=None, init=False)
-
-    @property
-    def coefficient_lipschitz(self) -> float:
-        return 0.0
 
 
 @dataclass(eq=False)
@@ -70,7 +54,7 @@ class Solution:
 
 
 def check_stepsize(driver, dt: float) -> None:
-    c = driver.coefficient_lipschitz
+    c = driver.lipschitz_constant
     if c * dt >= 1.0:
         raise StepsizeTooLarge(f"dt*C_f = {c * dt:.6g} >= 1; refine the grid")
 
@@ -130,14 +114,8 @@ def project_level(tree: ScenarioTree, y_next: np.ndarray):
     return z, v, resid
 
 
-def _source_term(driver, tree: ScenarioTree, level: int,
-                 z: np.ndarray, v: np.ndarray, rows: slice = slice(None)):
-    """Everything in the driver except the implicit y and penalty parts.
-
-    ``z`` and ``v`` hold the ``rows`` nodes of the level (all by default).
-    """
-    if isinstance(driver, FrozenDriver):
-        return np.asarray(driver.values[level], dtype=float)[rows]
+def _source_term(driver, tree: ScenarioTree, level: int, z: np.ndarray, v: np.ndarray):
+    """Everything in the driver except the implicit y part, at (z, v) of one level."""
     out = driver.base_at(tree.time(level)) + driver.b * z
     lam = tree.marks.intensity_array
     if lam.size and driver.c != 0.0:
@@ -145,25 +123,23 @@ def _source_term(driver, tree: ScenarioTree, level: int,
     return out
 
 
-def _implicit_y(rhs, a: float, dt: float, pen_weight: float = 0.0, pen_barrier=None):
-    """Exact solve of y = rhs + a*dt*y + pen_weight*dt*(y - s)^-.
-
-    Piecewise linear in y with a kink at y = s; both slopes are positive
-    once a*dt < 1, so the case split below picks the unique root.
-    """
-    unconstrained = rhs / (1.0 - a * dt)
-    if pen_weight == 0.0 or pen_barrier is None:
-        return unconstrained
-    penalised = (rhs + pen_weight * dt * pen_barrier) / (1.0 - a * dt + pen_weight * dt)
-    return np.where(unconstrained >= pen_barrier, unconstrained, penalised)
+def _sweep_source(tree: ScenarioTree, driver):
+    """The ``source(k, rows, z, v)`` of ``_backward_sweep`` for a driver."""
+    return lambda k, rows, z, v: _source_term(driver, tree, k, z, v)
 
 
-def _backward_sweep(tree: ScenarioTree, driver, xi: np.ndarray, settle):
+def _implicit_y(rhs, a: float, dt: float):
+    """Exact solve of y = rhs + a*dt*y; a*dt < 1 by the stepsize guard."""
+    return rhs / (1.0 - a * dt)
+
+
+def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle):
     """Backward induction over cache-sized parent blocks of each level.
 
     Each block is projected once: its conditional mean feeds the implicit
-    right-hand side ``E[Y_next] + source*dt``, and ``settle(level, rows,
-    rhs)`` returns the block's solution values (booking any compensator
+    right-hand side ``E[Y_next] + source(level, rows, z, v)*dt``, where
+    (z, v) are the block's projections, and ``settle(level, rows, rhs)``
+    returns the block's solution values (booking any compensator
     increments on the way).  Returns (y, z, v).
     """
     n = tree.num_steps
@@ -178,7 +154,7 @@ def _backward_sweep(tree: ScenarioTree, driver, xi: np.ndarray, settle):
         v[k] = np.empty((size, tree.marks.count))
         for rows in _parent_blocks(tree, k):
             mean, zb, vb = _project_block(tree, _children(tree, y[k + 1], rows))
-            rhs = mean + _source_term(driver, tree, k, zb, vb, rows) * dt
+            rhs = mean + source(k, rows, zb, vb) * dt
             y[k][rows] = settle(k, rows, rhs)
             z[k][rows], v[k][rows] = zb, vb
     return y, z, v
@@ -187,15 +163,10 @@ def _backward_sweep(tree: ScenarioTree, driver, xi: np.ndarray, settle):
 def solve_bsde(tree: ScenarioTree, driver, terminal) -> Solution:
     """Full backward sweep without reflection (no compensator)."""
     check_stepsize(driver, tree.dt)
-    pen = getattr(driver, "penalty", None)
-    if pen is not None:
-        pen_values = eval_barrier(pen.barrier, tree).values
 
-        def settle(k, rows, rhs):
-            return _implicit_y(rhs, driver.a, tree.dt, pen.weight, pen_values[k][rows])
-    else:
-        def settle(k, rows, rhs):
-            return _implicit_y(rhs, driver.a, tree.dt)
+    def settle(k, rows, rhs):
+        return _implicit_y(rhs, driver.a, tree.dt)
 
-    y, z, v = _backward_sweep(tree, driver, terminal_values(tree, terminal), settle)
+    y, z, v = _backward_sweep(tree, _sweep_source(tree, driver),
+                              terminal_values(tree, terminal), settle)
     return Solution(y=y, z=z, v=v)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -211,6 +212,21 @@ def _prepare(args) -> tuple[ProblemSpec, SolverOptions, Path]:
     return problem, options, out
 
 
+def _number_list(flag: str, text: str, least: int, ascending: bool = False) -> list:
+    """The finite, nonnegative entries of a comma-separated flag, or ConfigError."""
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(x) and x >= 0.0 for x in values):
+        raise ConfigError(f"{flag} entries must be finite and nonnegative, got {text!r}")
+    if len(values) < least:
+        raise ConfigError(f"{flag} has {len(values)} entries, needs at least {least}")
+    if ascending and any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{flag} entries must be strictly ascending, got {text!r}")
+    return values
+
+
 def _build(problem: ProblemSpec, options: SolverOptions) -> ScenarioTree:
     return problem.build_tree(node_cap=options.node_cap)
 
@@ -256,10 +272,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_penalize_sweep(args) -> int:
+    n_list = _number_list("--n-list", args.n_list, 2, ascending=True)
     problem, options, out = _prepare(args)
     if problem.kind != "one_barrier":
         raise ConfigError("penalize-sweep needs a one_barrier configuration")
-    n_list = [float(x) for x in args.n_list.split(",") if x.strip()]
     tree = _build(problem, options)
     report = sweep(tree, problem.driver, problem.barrier, problem.terminal, n_list)
     header = ["n", "y0", "sup_gap", "z_gap", "v_gap", "k_gap"]
@@ -335,11 +351,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_contraction_study(args) -> int:
+    alphas = _number_list("--alpha-list", args.alpha_list, 1) if args.alpha_list else None
     problem, options, out = _prepare(args)
     tree = _build(problem, options)
-    if args.alpha_list:
-        alphas = [float(x) for x in args.alpha_list.split(",") if x.strip()]
-    else:
+    if alphas is None:
         alphas = [alpha_rule(problem.driver.lipschitz_constant)]
     header = ["alpha", "iterations", "converged", "max_ratio", "final_distance",
               "ratios"]

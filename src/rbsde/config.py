@@ -116,12 +116,6 @@ SCHEMA = {
                 "a": {"type": "number"},
                 "b": {"type": "number"},
                 "c": {"type": "number"},
-                "penalty": {
-                    "type": "object",
-                    "properties": {"n": {"type": "number", "minimum": 0}},
-                    "required": ["n"],
-                    "additionalProperties": False,
-                },
             },
             "additionalProperties": False,
         },
@@ -412,11 +406,6 @@ def _check_semantics(data: dict) -> None:
         if "count_coeffs" in obj and len(obj["count_coeffs"]) != marks:
             _reject(section + ("count_coeffs",),
                     f"{len(obj['count_coeffs'])} coefficients for {marks} marks")
-    if "penalty" in data.get("driver", {}):
-        # the direct solvers and the fixed-point loop take the bare driver,
-        # and penalize-sweep adds the penalty term itself
-        _reject(("driver", "penalty"),
-                f"the {data['solver']['kind']} solver takes no penalty term")
 
 
 def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import FrozenDriver, Solution, _backward_sweep, _implicit_y, terminal_values
+from .bsde import Solution, _backward_sweep, terminal_values
 from .errors import MaxIterExceeded, NoContractionObserved
 from .processes import DriverSpec
 from .reflected import _book, _obstacle_inputs, _reflected_sweep
@@ -81,7 +81,8 @@ class FixpointTrace:
     iterations: int
 
 
-def _freeze(tree: ScenarioTree, driver: DriverSpec, triple) -> FrozenDriver:
+def _freeze(tree: ScenarioTree, driver: DriverSpec, triple) -> list:
+    """f(t_k, y_k, z_k, v_k) of an iterate, one array per level k < N."""
     y, z, v = triple
     lam = tree.marks.intensity_array
     values = []
@@ -94,17 +95,21 @@ def _freeze(tree: ScenarioTree, driver: DriverSpec, triple) -> FrozenDriver:
         if lam.size and driver.c != 0.0:
             src = src + driver.c * (vk @ lam)
         values.append(src)
-    return FrozenDriver(values=tuple(values))
+    return values
 
 
-def _sweep(tree: ScenarioTree, frozen: FrozenDriver, xi: np.ndarray, sides):
-    """One round: Y, Z, V and the compensator increments (None for the standard kind)."""
+def _sweep(tree: ScenarioTree, frozen: list, xi: np.ndarray, sides):
+    """One round: Y, Z, V and the compensator increments (None for the standard kind).
+
+    The frozen driver values are the whole source, with no implicit y
+    part, so a standard step's y is its right-hand side.
+    """
+    def source(k, rows, z, v):
+        return frozen[k][rows]
+
     if sides is not None:
-        return _reflected_sweep(tree, frozen, xi, *sides)
-
-    def settle(k, rows, rhs):
-        return _implicit_y(rhs, frozen.a, tree.dt)
-    return (*_backward_sweep(tree, frozen, xi, settle), None, None)
+        return _reflected_sweep(tree, source, 0.0, xi, *sides)
+    return (*_backward_sweep(tree, source, xi, lambda k, rows, rhs: rhs), None, None)
 
 
 def zero_triple(tree: ScenarioTree):
@@ -134,8 +139,6 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
     """
     if solver_kind not in SOLVER_KINDS:
         raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
-    if not isinstance(driver, DriverSpec) or driver.penalty is not None:
-        raise ValueError("the fixed-point loop takes a plain linear driver")
     if solver_kind == "one_barrier" and barrier is None:
         raise ValueError("one_barrier solves need an obstacle")
     if solver_kind == "two_barrier" and (lower is None or upper is None):

@@ -8,15 +8,20 @@ report records how the gaps close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import Solution, barrier_values, solve_bsde
+from .bsde import (Solution, _backward_sweep, _implicit_y, _sweep_source, barrier_values,
+                   check_stepsize, terminal_values)
 from .errors import MonotonicityViolation
-from .processes import BarrierSpec, DriverSpec, PenaltyTerm
+from .processes import BarrierSpec, DriverSpec
 from .reflected import solve_reflected_one
 from .tree import Process, ScenarioTree, _accumulate, _worst, expand, sup_diff
+
+# The penalised solves call the sweep directly; this name stays importable from
+# this module for code that looks it up here (the benchmark's bench/tracing.py).
+from .bsde import solve_bsde  # noqa: F401
 
 MONOTONE_TOL = 1e-12
 
@@ -30,18 +35,34 @@ class PenalizedSolution:
 
 def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec,
                     terminal, n: float) -> PenalizedSolution:
-    """Solve the unreflected equation with penalty weight ``n``."""
-    if driver.penalty is not None:
-        raise ValueError("base driver already carries a penalty term")
+    """Solve the unreflected equation with the driver plus n*(y - S)^-.
+
+    Each step solves y = rhs + a*dt*y + n*dt*(y - S)^- exactly: piecewise
+    linear in y with a kink at y = S, and both slopes are positive once
+    a*dt < 1, so the case split picks the unique root.  The flux
+    n*dt*(S - Y)^+ is booked block by block as each block settles.
+    """
     if n < 0:
         raise ValueError("penalty weight must be nonnegative")
-    pen_driver = replace(driver, penalty=PenaltyTerm(weight=float(n), barrier=barrier))
-    solution = solve_bsde(tree, pen_driver, terminal)
-    obstacle = barrier_values(tree, barrier)
-    fluxes = [float(n) * tree.dt * np.maximum(obstacle.values[k] - solution.y[k], 0.0)
-              for k in range(tree.num_steps)]
-    kn = _accumulate(fluxes)
-    return PenalizedSolution(level=float(n), solution=solution, kn=kn)
+    check_stepsize(driver, tree.dt)
+    weight, dt = float(n), tree.dt
+    obstacle = barrier_values(tree, barrier).values
+    flux: Process = [np.empty(tree.level_size(k)) for k in range(tree.num_steps)]
+
+    def settle(k, rows, rhs):
+        s = obstacle[k][rows]
+        y = _implicit_y(rhs, driver.a, dt)
+        # at n = 0 the plain root stands: the penalised quotient would turn -0.0 into +0.0
+        if weight != 0.0:
+            penalised = (rhs + weight * dt * s) / (1.0 - driver.a * dt + weight * dt)
+            y = np.where(y >= s, y, penalised)
+        flux[k][rows] = weight * dt * np.maximum(s - y, 0.0)
+        return y
+
+    y, z, v = _backward_sweep(tree, _sweep_source(tree, driver),
+                              terminal_values(tree, terminal), settle)
+    return PenalizedSolution(level=weight, solution=Solution(y=y, z=z, v=v),
+                             kn=_accumulate(flux))
 
 
 def dt_dp_gap(tree: ScenarioTree, p: Process, q: Process,

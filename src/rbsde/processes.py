@@ -208,25 +208,11 @@ def _evaluate_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
 
 
 @dataclass(frozen=True)
-class PenaltyTerm:
-    """Penalisation term n*(y - S_t)^- composed onto a driver."""
-
-    weight: float
-    barrier: BarrierSpec
-
-    def __post_init__(self) -> None:
-        if self.weight < 0.0:
-            raise ValueError("penalty weight must be nonnegative")
-
-
-@dataclass(frozen=True)
 class DriverSpec:
-    """Driver f(t, y, z, v) = g(t) + a*y + b*z + c*sum_i v_i lam_i (+ penalty).
+    """Driver f(t, y, z, v) = g(t) + a*y + b*z + c*sum_i v_i lam_i.
 
-    The coefficient Lipschitz constant |a| + |b| + |c|*sqrt(sum lam) is
-    the one the stepsize guard uses; the recorded ``lipschitz_constant``
-    additionally counts the penalty weight, which is the constant the
-    sampled Lipschitz property must hold with.
+    Its Lipschitz constant |a| + |b| + |c|*sqrt(sum lam) is the one the
+    stepsize guard uses and the sampled Lipschitz property holds with.
     """
 
     base: float | Callable[[float], float] = 0.0
@@ -234,7 +220,6 @@ class DriverSpec:
     b: float = 0.0
     c: float = 0.0
     marks: MarkSet = MarkSet()
-    penalty: PenaltyTerm | None = None
 
     def base_at(self, t: float) -> float:
         if callable(self.base):
@@ -242,25 +227,16 @@ class DriverSpec:
         return float(self.base)
 
     @property
-    def coefficient_lipschitz(self) -> float:
+    def lipschitz_constant(self) -> float:
         return abs(self.a) + abs(self.b) + abs(self.c) * np.sqrt(self.marks.total_intensity)
 
     @property
-    def lipschitz_constant(self) -> float:
-        extra = self.penalty.weight if self.penalty is not None else 0.0
-        return self.coefficient_lipschitz + extra
-
-    @property
     def is_coefficient_free(self) -> bool:
-        return self.a == 0.0 and self.b == 0.0 and self.c == 0.0 and self.penalty is None
+        return self.a == 0.0 and self.b == 0.0 and self.c == 0.0
 
 
-def eval_driver(spec: DriverSpec, t: float, y: float, z: float, v,
-                barrier_value: float | None = None) -> float:
-    """Evaluate the driver at a single point.
-
-    ``barrier_value`` supplies S_t when the driver carries a penalty term.
-    """
+def eval_driver(spec: DriverSpec, t: float, y: float, z: float, v) -> float:
+    """Evaluate the driver at a single point."""
     v = np.asarray(v, dtype=float)
     lam = spec.marks.intensity_array
     if v.shape != lam.shape:
@@ -268,10 +244,6 @@ def eval_driver(spec: DriverSpec, t: float, y: float, z: float, v,
     value = spec.base_at(t) + spec.a * y + spec.b * z
     if lam.size:
         value += spec.c * float(v @ lam)
-    if spec.penalty is not None:
-        if barrier_value is None:
-            raise ValueError("penalty drivers need the obstacle value at (t, node)")
-        value += spec.penalty.weight * max(0.0, float(barrier_value) - y)
     return float(value)
 
 

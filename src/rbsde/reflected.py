@@ -21,12 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from .bsde import (Compensator, Solution, _backward_sweep, _implicit_y, _leaf_values,
-                   barrier_values, check_stepsize)
+                   _sweep_source, barrier_values, check_stepsize)
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import (BarriersTouch, DriverNotCoefficientFree, TerminalBelowBarrier,
                      TerminalOutsideBarriers)
-from .processes import DriverSpec
-from .snell import BIND_TOL, snell
+from .snell import BIND_TOL, _envelope
+from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (Process, ScenarioTree, _accumulate, _block_rows, _children,
                    _parent_blocks, _worst, expand)
 
@@ -95,23 +95,25 @@ def _obstacle_inputs(tree: ScenarioTree, terminal, lower, upper=None):
     return low, up, xi
 
 
-def _reflected_sweep(tree: ScenarioTree, driver, xi: np.ndarray, low, up=None):
+def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, up=None):
     """Y, Z, V and the assigned compensator increments of each side.
 
-    Returns (y, z, v, inc_p, inc_m); ``inc_m`` is None without an upper side.
+    ``source`` is the ``_backward_sweep`` source and ``a`` the driver's
+    coefficient of y, solved for implicitly.  Returns (y, z, v, inc_p,
+    inc_m); ``inc_m`` is None without an upper side.
     """
     n = tree.num_steps
     dt = tree.dt
     # The driver is evaluated at the reflected y, so the increments closing
     # y = E[Y_next] + f(y) dt + dK+ - dK- carry the factor (1 - a dt).
-    scale = 1.0 - driver.a * dt
+    scale = 1.0 - a * dt
     inc_p: Process = [np.empty(tree.level_size(k)) for k in range(n)]
     inc_m = None if up is None else [np.empty(tree.level_size(k)) for k in range(n)]
 
     # maximum(cand, lo) and minimum(y, hi) return the obstacle on a tie, so
     # even the sign of a zero Y is the same with or without an upper side
     def settle(k, rows, rhs):
-        cand = _implicit_y(rhs, driver.a, dt)
+        cand = _implicit_y(rhs, a, dt)
         lo = low.values[k][rows]
         inc_p[k][rows] = scale * np.maximum(lo - cand, 0.0)
         yk = np.maximum(cand, lo)
@@ -121,7 +123,7 @@ def _reflected_sweep(tree: ScenarioTree, driver, xi: np.ndarray, low, up=None):
             np.minimum(yk, hi, out=yk)
         return yk
 
-    y, z, v = _backward_sweep(tree, driver, xi, settle)
+    y, z, v = _backward_sweep(tree, source, xi, settle)
     return y, z, v, inc_p, inc_m
 
 
@@ -140,14 +142,12 @@ def solve_reflected(tree: ScenarioTree, driver, terminal, lower, upper=None) -> 
     nothing: no upper values, increments or compensator exist for it.
     Preconditions: the terminal payoff lies in [L, U] at every leaf, the
     obstacles are strictly separated before the horizon, and dt times the
-    driver coefficient Lipschitz constant is below one.  Penalty drivers
-    belong to the penalisation scheme, not here.
+    driver's Lipschitz constant is below one.
     """
     check_stepsize(driver, tree.dt)
-    if getattr(driver, "penalty", None) is not None:
-        raise ValueError("reflected solves take the bare driver, not a penalised one")
     low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
-    return _book(tree, _reflected_sweep(tree, driver, xi, low, up), low, up)
+    swept = _reflected_sweep(tree, _sweep_source(tree, driver), driver.a, xi, low, up)
+    return _book(tree, swept, low, up)
 
 
 # The one-obstacle name of the same function: call sites that pass one obstacle
@@ -162,12 +162,9 @@ def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
     accumulated source plus the terminal payoff at it.  Also returns the
     matching left-limit table and the accumulated source per level.
     """
-    if isinstance(driver, DriverSpec):
-        if not driver.is_coefficient_free:
-            raise DriverNotCoefficientFree(
-                "the stopping representation needs a driver without (y, z, v) terms")
-    else:
-        raise DriverNotCoefficientFree("the stopping representation needs a plain driver")
+    if not driver.is_coefficient_free:
+        raise DriverNotCoefficientFree(
+            "the stopping representation needs a driver without (y, z, v) terms")
     obstacle = barrier_values(tree, barrier)
     xi = _leaf_values(tree, terminal)
     n = tree.num_steps
@@ -183,7 +180,7 @@ def snell_representation_check(tree: ScenarioTree, solution: Solution,
                                driver, terminal, barrier) -> float:
     """Largest node-wise gap between the solver output and the envelope route."""
     payoff, _, cum = obstacle_payoff(tree, driver, terminal, barrier)
-    envelope = snell(tree, payoff).envelope
+    envelope, _ = _envelope(tree, payoff)
     worst = 0.0
     for k in range(tree.num_steps + 1):
         worst = _worst(worst, float(np.max(np.abs(solution.y[k] + cum[k] - envelope[k]))))

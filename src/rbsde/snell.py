@@ -221,7 +221,7 @@ def monotone_limit_check(tree: ScenarioTree, payoffs: list[Process],
         for a, b in zip(lo, hi):
             if np.any(np.asarray(b) < np.asarray(a) - tol):
                 raise NotMonotone("payoff ladder is not pointwise nondecreasing")
-    envelopes = [snell(tree, p).envelope for p in payoffs]
+    envelopes = [_envelope(tree, p)[0] for p in payoffs]
     violation = 0.0
     for lo, hi in zip(envelopes, envelopes[1:]):
         for a, b in zip(lo, hi):

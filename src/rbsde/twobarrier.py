@@ -121,7 +121,7 @@ class TwoBarrierTrace:
 
 
 def _require_plain_driver(driver) -> DriverSpec:
-    if not isinstance(driver, DriverSpec) or not driver.is_coefficient_free:
+    if not driver.is_coefficient_free:
         raise DriverNotCoefficientFree(
             "the envelope construction needs a deterministic source driver")
     return driver

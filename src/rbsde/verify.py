@@ -26,7 +26,8 @@ from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
 from .processes import BarrierValues, DriverSpec, ProblemSpec
 from .reflected import obstacle_payoff, solve_reflected_one
-from .snell import snell
+from .snell import _envelope
+from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (Process, ScenarioTree, _block_children, _block_rows, _children,
                    _parent_blocks, _worst, expand, sup_diff)
 from .twobarrier import picard_snell_solve, solve_double_obstacle
@@ -80,17 +81,6 @@ class _Side:
     left_integral: float = 0.0
 
 
-def _driver_values(tree: ScenarioTree, driver, level: int, rows: slice, y, z, v,
-                   pen_barrier=None) -> np.ndarray:
-    out = _source_term(driver, tree, level, z, v, rows) + driver.a * y
-    pen = getattr(driver, "penalty", None)
-    if pen is not None:
-        if pen_barrier is None:
-            raise ValueError("penalty drivers need obstacle values")
-        out = out + pen.weight * np.maximum(pen_barrier - y, 0.0)
-    return out
-
-
 def _abs_max(values: np.ndarray) -> float:
     """max |values| from two reductions, without an |values| temporary."""
     return _worst(float(np.max(values)), -float(np.min(values)))
@@ -128,8 +118,6 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray, sides,
     n = tree.num_steps
     prob = tree.branch_prob
     y = [np.asarray(level, dtype=float) for level in sol.y]
-    pen = getattr(driver, "penalty", None)
-    pen_values = barrier_values(tree, pen.barrier).values if pen is not None else None
     dyn = float(np.max(np.abs(y[n] - xi)))
     simultaneous = 0.0
     for side in sides:
@@ -144,9 +132,8 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray, sides,
             y_par = y[k][rows]
             y_child = _children(tree, y[k + 1], rows)
             parent_prob = tree.atom_prob[k][rows]
-            f_val = _driver_values(tree, driver, k, rows, y_par, z_level[rows],
-                                   v_level[rows],
-                                   pen_values[k][rows] if pen_values is not None else None)
+            f_val = _source_term(driver, tree, k, z_level[rows], v_level[rows]) \
+                + driver.a * y_par
             dk_incs, kd_incs = [], []
             for side in sides:
                 # the split compares stored values: once per parent when no
@@ -290,7 +277,7 @@ def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2,
         routes.append(_mean_mass_route(tree, driver, _leaf_values(tree, problem.terminal)))
     elif problem.kind == "one_barrier":
         payoff, _, cum = obstacle_payoff(tree, driver, problem.terminal, problem.barrier)
-        envelope = snell(tree, payoff).envelope
+        envelope, _ = _envelope(tree, payoff)
         routes.append([envelope[k] - cum[k] for k in range(tree.num_steps + 1)])
     else:
         sol, _ = picard_snell_solve(tree, driver, problem.terminal,

@@ -10,9 +10,8 @@ import pytest
 
 import rbsde.tree
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree,
-                   check_solution, solve_bsde, solve_reflected)
+                   check_solution, solve_bsde, solve_penalized, solve_reflected)
 from rbsde.bsde import barrier_values, project_level
-from rbsde.processes import PenaltyTerm
 from conftest import clone_solution, process_of
 
 N = 9
@@ -100,12 +99,16 @@ def test_penalised_and_plain_solves_match_single_block(monkeypatch):
     tree = build_tree(18)
     terminal = TerminalSpec(payoff=lambda w, counts: np.abs(w))
     barrier = BarrierSpec(pieces=((0.0, 0.3),), stochastic=lambda t, w, c: 0.5 * w)
-    drivers = [DriverSpec(base=0.2, a=0.4, b=0.3),
-               DriverSpec(base=-0.2, a=0.1, penalty=PenaltyTerm(weight=50.0, barrier=barrier))]
-    blocked = [solve_bsde(tree, driver, terminal) for driver in drivers]
+    plain_driver = DriverSpec(base=0.2, a=0.4, b=0.3)
+    pen_driver = DriverSpec(base=-0.2, a=0.1)
+    plain = solve_bsde(tree, plain_driver, terminal)
+    penalised = solve_penalized(tree, pen_driver, barrier, terminal, 50.0)
     _whole_levels(monkeypatch)
-    for driver, sol in zip(drivers, blocked):
-        _assert_identical(tree, sol, solve_bsde(tree, driver, terminal), PLAIN_FIELDS)
+    _assert_identical(tree, plain, solve_bsde(tree, plain_driver, terminal), PLAIN_FIELDS)
+    whole = solve_penalized(tree, pen_driver, barrier, terminal, 50.0)
+    _assert_identical(tree, penalised.solution, whole.solution, PLAIN_FIELDS)
+    for level_a, level_b in zip(penalised.kn, whole.kn, strict=True):
+        assert np.array_equal(level_a, level_b), "kn"
 
 
 def _last_parents(tree):

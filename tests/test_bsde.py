@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rbsde import (BarrierSpec, DriverSpec, MarkSet, PenaltyTerm, StepsizeTooLarge,
-                   TerminalSpec, build_tree, solve_bsde)
+from rbsde import (BarrierSpec, DriverSpec, MarkSet, StepsizeTooLarge, TerminalSpec,
+                   build_tree, solve_bsde, solve_penalized)
 from rbsde.bsde import project_level
 from conftest import random_marks, random_step_driver
 
@@ -57,12 +57,20 @@ def test_backward_step_linear_closed_form():
 def test_backward_step_penalty_kink():
     # y = E + n*dt*(S - y)^+ with E = 0.5, S = 1, n = 1, dt = 1 gives y = 3/4
     barrier = BarrierSpec(pieces=((0.0, 1.0),))
-    driver = DriverSpec(penalty=PenaltyTerm(weight=1.0, barrier=barrier))
-    y = _root_step(driver, [0.5, 0.5])
+
+    def root_step(children):
+        return solve_penalized(build_tree(1), DriverSpec(), barrier,
+                               np.asarray(children, dtype=float), 1.0)
+
+    below = root_step([0.5, 0.5])
+    y = float(below.solution.y[0][0])
     assert y == pytest.approx(0.75, abs=1e-14)
     assert y == pytest.approx(0.5 + 1.0 * (1.0 - y))  # substitution
+    assert below.kn[1][0] == pytest.approx(1.0 - y, abs=1e-14)  # flux n*dt*(S - y)^+
     # above the obstacle the penalty is inactive
-    assert _root_step(driver, [1.5, 2.5]) == pytest.approx(2.0)
+    above = root_step([1.5, 2.5])
+    assert float(above.solution.y[0][0]) == pytest.approx(2.0)
+    assert above.kn[1][0] == 0.0
 
 
 def test_stepsize_guard():

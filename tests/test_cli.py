@@ -86,6 +86,27 @@ def test_out_of_range_solver_flags_exit_2(tmp_path, capsys, flag, value):
     assert "$.solver." in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, flag", [
+    ("penalize-sweep", "counterexample.json", "--n-list=abc"),
+    ("penalize-sweep", "counterexample.json", "--n-list=4"),
+    ("penalize-sweep", "counterexample.json", "--n-list=2,1"),
+    ("penalize-sweep", "counterexample.json", "--n-list=1,1"),
+    ("penalize-sweep", "counterexample.json", "--n-list=-1,2"),
+    ("penalize-sweep", "counterexample.json", "--n-list=nan,2"),
+    ("penalize-sweep", "counterexample.json", "--n-list=1,inf"),
+    ("contraction-study", "contraction.json", "--alpha-list=abc"),
+    ("contraction-study", "contraction.json", "--alpha-list=-1"),
+    ("contraction-study", "contraction.json", "--alpha-list=,"),
+    ("contraction-study", "contraction.json", "--alpha-list=nan"),
+    ("contraction-study", "contraction.json", "--alpha-list=inf"),
+])
+def test_bad_list_flags_exit_2(tmp_path, capsys, command, config, flag):
+    code = run(command, "--config", CONFIGS / config, "--out", tmp_path, flag)
+    assert code == 2
+    assert flag.split("=")[0] in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_terminal_below_barrier_exits_3(tmp_path, capsys):
     config = {
         "grid": {"steps": 4},

@@ -63,8 +63,7 @@ def _schema_valid(draw) -> dict:
                                            optional={"node_cap": st.integers(1, 10 ** 7)})),
         "terminal": terminal,
         "driver": draw(st.fixed_dictionaries({}, optional={
-            "g": st.one_of(number, pieces), "a": number, "b": number, "c": number,
-            "penalty": st.fixed_dictionaries({"n": st.floats(0.0, 100.0)})})),
+            "g": st.one_of(number, pieces), "a": number, "b": number, "c": number})),
         "solver": draw(st.fixed_dictionaries(
             {"kind": st.sampled_from(["standard", "one_barrier", "two_barrier"])},
             optional={"alpha": st.one_of(st.none(), number),
@@ -282,17 +281,25 @@ def _with_marks(config: dict, count: int) -> dict:
                                "upper": {"stochastic": {"kind": "linear",
                                                         "count_coeffs": [0.1, 0.2]}}}}, 1),
      "$.barriers.upper.stochastic.count_coeffs"),
-    # a penalised driver, which the solver of every kind rejects
-    ({"grid": {"steps": 1}, "terminal": {"kind": "constant", "value": 1.0},
-      "driver": {"penalty": {"n": 5.0}}, "solver": {"kind": "standard"},
-      "barrier": {"pieces": [[0.0, 0.5]]}}, "$.driver.penalty"),
-    ({"grid": {"steps": 2}, "terminal": {"kind": "constant", "value": 1.0},
-      "driver": {"penalty": {"n": 5.0}}, "solver": {"kind": "one_barrier"},
-      "barrier": {"pieces": [[0.0, 0.5]]}}, "$.driver.penalty"),
 ])
 def test_schema_valid_configs_no_solver_takes_are_rejected(tmp_path, capsys, config, path):
-    from rbsde.cli import main
     assert REFERENCE.is_valid(config)
+    _assert_rejected(tmp_path, capsys, config, path)
+
+
+@pytest.mark.parametrize("kind, steps", [("standard", 1), ("one_barrier", 2)])
+def test_driver_penalty_is_not_in_the_schema(tmp_path, capsys, kind, steps):
+    # penalize-sweep applies the penalty itself; no driver carries one
+    config = {"grid": {"steps": steps}, "terminal": {"kind": "constant", "value": 1.0},
+              "driver": {"penalty": {"n": 5.0}}, "solver": {"kind": kind},
+              "barrier": {"pieces": [[0.0, 0.5]]}}
+    assert not REFERENCE.is_valid(config)
+    _assert_rejected(tmp_path, capsys, config, "$.driver.penalty")
+
+
+def _assert_rejected(tmp_path, capsys, config, path):
+    """parse_config and the CLI command of the config's kind reject it at ``path``."""
+    from rbsde.cli import main
     with pytest.raises(ConfigError) as info:
         parse_config(config)
     assert str(info.value).startswith(f"configuration rejected: {path}: "), info.value

@@ -8,7 +8,8 @@ import pytest
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, MaxIterExceeded, TerminalSpec,
                    alpha_norm, alpha_rule, build_tree, expand, picard_solve, solve_bsde,
                    solve_reflected, sup_diff)
-from rbsde.fixpoint import random_triple, zero_triple
+from rbsde.bsde import barrier_values, terminal_values
+from rbsde.fixpoint import _sweep, random_triple, zero_triple
 from rbsde.processes import linear_obstacle
 from conftest import random_one_barrier, random_two_barrier
 
@@ -75,9 +76,9 @@ def test_one_barrier_fixed_point_contracts():
     frozen = [driver.base_at(tree.time(k)) + driver.a * sol.y[k]
               + driver.b * sol.z[k] + driver.c * (sol.v[k] @ lam)
               for k in range(tree.num_steps)]
-    from rbsde.bsde import FrozenDriver
-    refit = solve_reflected(tree, FrozenDriver(values=tuple(frozen)), xi, barrier)
-    assert sup_diff(refit.y, sol.y) <= 1e-11
+    sides = (barrier_values(tree, barrier), None)
+    refit_y, *_ = _sweep(tree, frozen, terminal_values(tree, xi), sides)
+    assert sup_diff(refit_y, sol.y) <= 1e-11
 
 
 def test_initialisation_independence():
@@ -100,15 +101,14 @@ def test_iteration_budget_enforced():
         picard_solve(tree, driver, TerminalSpec(constant=1.0), max_iter=2)
 
 
-def test_rejects_penalty_and_missing_obstacles():
+def test_rejects_missing_obstacles():
     tree = build_tree(4)
-    from rbsde import PenaltyTerm
-    pen = DriverSpec(penalty=PenaltyTerm(weight=1.0, barrier=BarrierSpec()))
-    with pytest.raises(ValueError):
-        picard_solve(tree, pen, TerminalSpec(constant=0.0))
     with pytest.raises(ValueError):
         picard_solve(tree, DriverSpec(), TerminalSpec(constant=0.0),
                      solver_kind="one_barrier")
+    with pytest.raises(ValueError):
+        picard_solve(tree, DriverSpec(), TerminalSpec(constant=0.0),
+                     solver_kind="two_barrier", lower=BarrierSpec())
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])

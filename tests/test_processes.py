@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rbsde import (BarrierSpec, DriverSpec, JumpTimeOffGrid, MarkSet, PenaltyTerm,
-                   ProblemSpec, TerminalSpec, build_tree, eval_barrier, eval_driver)
+from rbsde import (BarrierSpec, DriverSpec, JumpTimeOffGrid, MarkSet, ProblemSpec,
+                   TerminalSpec, build_tree, eval_barrier, eval_driver)
 from rbsde.processes import linear_obstacle
 
 
@@ -52,12 +52,13 @@ def test_right_continuity_at_declared_jumps():
     assert np.all(vals.left[3] == -1.0)
 
 
-def test_driver_zero_and_penalty_examples():
+def test_driver_zero_and_source_examples():
     assert eval_driver(DriverSpec(), 0.3, 4.0, -2.0, ()) == 0.0
-    pen = DriverSpec(penalty=PenaltyTerm(weight=3.0, barrier=BarrierSpec()))
-    assert eval_driver(pen, 0.0, 0.4, 0.0, (), barrier_value=1.0) == pytest.approx(1.8)
+    stepped = DriverSpec(base=lambda t: 1.0 if t >= 0.5 else -1.0, a=3.0)
+    assert eval_driver(stepped, 0.0, 0.4, 0.0, ()) == pytest.approx(0.2)
+    assert eval_driver(stepped, 0.5, 0.4, 0.0, ()) == pytest.approx(2.2)
     with pytest.raises(ValueError):
-        eval_driver(pen, 0.0, 0.4, 0.0, ())
+        eval_driver(DriverSpec(), 0.0, 0.4, 0.0, (1.0,))
 
 
 def test_driver_linear_arithmetic():
@@ -70,15 +71,14 @@ def test_driver_linear_arithmetic():
 def test_driver_lipschitz_property_sampled():
     marks = MarkSet(sizes=(1.0, 2.0), intensities=(0.5, 0.25))
     lam = marks.intensity_array
-    spec = DriverSpec(base=lambda t: np.sin(t), a=-0.7, b=1.3, c=-0.9, marks=marks,
-                      penalty=PenaltyTerm(weight=2.0, barrier=BarrierSpec()))
+    spec = DriverSpec(base=lambda t: np.sin(t), a=-0.7, b=1.3, c=-0.9, marks=marks)
     c_f = spec.lipschitz_constant
     rng = np.random.default_rng(42)
     for _ in range(10_000):
         y1, y2, z1, z2 = rng.uniform(-3, 3, 4)
         v1, v2 = rng.uniform(-3, 3, (2, 2))
-        f1 = eval_driver(spec, 0.25, y1, z1, v1, barrier_value=0.5)
-        f2 = eval_driver(spec, 0.25, y2, z2, v2, barrier_value=0.5)
+        f1 = eval_driver(spec, 0.25, y1, z1, v1)
+        f2 = eval_driver(spec, 0.25, y2, z2, v2)
         bound = c_f * (abs(y1 - y2) + abs(z1 - z2)
                        + np.sqrt(((v1 - v2) ** 2 * lam).sum()))
         assert abs(f1 - f2) <= bound + 1e-12
