@@ -59,11 +59,6 @@ def check_stepsize(driver, dt: float) -> None:
         raise StepsizeTooLarge(f"dt*C_f = {c * dt:.6g} >= 1; refine the grid")
 
 
-def terminal_values(tree: ScenarioTree, terminal) -> np.ndarray:
-    """Caller-owned leaf values (a copy of the shared evaluation)."""
-    return _leaf_values(tree, terminal).copy()
-
-
 def _leaf_values(tree: ScenarioTree, terminal) -> np.ndarray:
     """Leaf values for reading only: the shared evaluation or the given array."""
     if isinstance(terminal, TerminalSpec):
@@ -168,5 +163,5 @@ def solve_bsde(tree: ScenarioTree, driver, terminal) -> Solution:
         return _implicit_y(rhs, driver.a, tree.dt)
 
     y, z, v = _backward_sweep(tree, _sweep_source(tree, driver),
-                              terminal_values(tree, terminal), settle)
+                              _leaf_values(tree, terminal), settle)
     return Solution(y=y, z=z, v=v)

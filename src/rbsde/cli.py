@@ -2,12 +2,14 @@
 
 Every command reads a JSON configuration, writes machine-readable JSON
 plus plot-ready CSV tables into the output directory, and exits with
-0 on success, 2 on configuration errors, 3 on solver errors and 4 when
-a produced (or supplied) solution fails the condition checks.  The
-backend is exact, so identical configurations give byte-identical
-output.  ``solve-one`` and ``solve-two`` are one command on one solver
-and checker; only the names under which the compensators are written
-depend on the solution kind (``_KIND_NAMES``).
+0 on success, 2 on configuration errors (a flag the command does not
+take included), 3 on solver errors and 4 when a produced (or supplied)
+solution fails the condition checks.  Each command takes ``--config``
+and ``--out`` plus only the flags it reads.  The backend is exact, so
+identical configurations give byte-identical output.  ``solve-one``
+and ``solve-two`` are one command on one solver and checker; only the
+names under which the compensators are written depend on the solution
+kind (``_KIND_NAMES``).
 """
 
 from __future__ import annotations
@@ -202,10 +204,7 @@ def _solution_from_payload(payload: dict, tree: ScenarioTree):
     return Solution(levels("y"), levels("z"), levels("v", True), *sides)
 
 
-def _prepare(args) -> tuple[ProblemSpec, SolverOptions, Path]:
-    overrides = {key: value for key, value in (("tol", args.tol),
-                                               ("max_iter", args.max_iter))
-                 if value is not None}
+def _prepare(args, overrides: dict | None = None) -> tuple[ProblemSpec, SolverOptions, Path]:
     problem, options = load_config(args.config, overrides)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -352,7 +351,10 @@ def cmd_verify(args) -> int:
 
 def cmd_contraction_study(args) -> int:
     alphas = _number_list("--alpha-list", args.alpha_list, 1) if args.alpha_list else None
-    problem, options, out = _prepare(args)
+    overrides = {key: value for key, value in (("tol", args.tol),
+                                               ("max_iter", args.max_iter))
+                 if value is not None}
+    problem, options, out = _prepare(args, overrides)
     tree = _build(problem, options)
     if alphas is None:
         alphas = [alpha_rule(problem.driver.lipschitz_constant)]
@@ -380,31 +382,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, solution=False, n_list=False, alpha_list=False):
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="problem configuration JSON")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--full", action="store_true",
-                       help="force per-node dumps (files grow exponentially)")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-        if solution:
-            p.add_argument("--solution", required=True, help="solution.json to verify")
-        if n_list:
-            p.add_argument("--n-list", default="1,2,4,8,16,32,64,128,256,512,1024",
-                           dest="n_list", help="comma-separated penalty levels")
-        if alpha_list:
-            p.add_argument("--alpha-list", default="", dest="alpha_list",
-                           help="comma-separated weight exponents")
+        return p
 
-    common(sub.add_parser("solve-one", help="solve a one-obstacle problem"))
-    common(sub.add_parser("solve-two", help="solve a two-obstacle problem"))
-    common(sub.add_parser("penalize-sweep", help="run the penalty ladder"),
-           n_list=True)
-    common(sub.add_parser("snell", help="envelope of the obstacle payoff"))
-    common(sub.add_parser("verify", help="re-check a stored solution"),
-           solution=True)
-    common(sub.add_parser("contraction-study", help="measure fixed-point ratios"),
-           alpha_list=True)
+    for name, count in (("solve-one", "one"), ("solve-two", "two")):
+        command(name, f"solve a {count}-obstacle problem").add_argument(
+            "--full", action="store_true",
+            help="force per-node dumps (files grow exponentially)")
+    command("penalize-sweep", "run the penalty ladder").add_argument(
+        "--n-list", default="1,2,4,8,16,32,64,128,256,512,1024", dest="n_list",
+        help="comma-separated penalty levels")
+    command("snell", "envelope of the obstacle payoff")
+    command("verify", "re-check a stored solution").add_argument(
+        "--solution", required=True, help="solution.json to verify")
+    study = command("contraction-study", "measure fixed-point ratios")
+    study.add_argument("--alpha-list", default="", dest="alpha_list",
+                       help="comma-separated weight exponents")
+    study.add_argument("--tol", type=float, default=None, help="replaces solver.tol")
+    study.add_argument("--max-iter", type=int, default=None, dest="max_iter",
+                       help="replaces solver.max_iter")
     return parser
 
 

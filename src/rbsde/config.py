@@ -130,7 +130,6 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "kind": {"enum": ["standard", "one_barrier", "two_barrier"]},
-                "alpha": {"type": ["number", "null"]},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iter": {"type": "integer", "minimum": 1},
             },
@@ -146,7 +145,6 @@ SCHEMA = {
 @dataclass(frozen=True)
 class SolverOptions:
     kind: str
-    alpha: float | None = None
     tol: float = 1e-12
     max_iter: int = 10_000
     node_cap: int | None = None
@@ -439,7 +437,6 @@ def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
 
     solver = data["solver"]
     options = SolverOptions(kind=solver["kind"],
-                            alpha=solver.get("alpha"),
                             tol=float(solver.get("tol", 1e-12)),
                             max_iter=int(solver.get("max_iter", 10_000)),
                             node_cap=data["grid"].get("node_cap"))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import Solution, _backward_sweep, terminal_values
+from .bsde import Solution, _backward_sweep, _leaf_values
 from .errors import MaxIterExceeded, NoContractionObserved
 from .processes import DriverSpec
 from .reflected import _book, _obstacle_inputs, _reflected_sweep
@@ -147,12 +147,14 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if alpha is not None and not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     if alpha is None:
         alpha = alpha_rule(driver.lipschitz_constant)
 
     sides = None
     if solver_kind == "standard":
-        xi = terminal_values(tree, terminal)
+        xi = _leaf_values(tree, terminal)
     else:
         obstacles = (barrier,) if solver_kind == "one_barrier" else (lower, upper)
         low, up, xi = _obstacle_inputs(tree, terminal, *obstacles)

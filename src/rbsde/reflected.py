@@ -10,8 +10,9 @@ increment, (1 - a dt)(L - candidate)^+ for K (K+) and (1 - a dt)
 identity hold with the driver evaluated at the reflected Y_k.  The
 jump-type part of each compensator is extracted at the declared
 predictable jump times of its obstacle via the left-limit formula, with
-a binding tolerance on the preceding grid slot.  Each level is processed
-in cache-sized blocks of parents and their children.  The compensators
+the binding tolerance ``rbsde.snell.BIND_TOL`` on the preceding grid
+slot, the one the checker applies.  Each level is processed in
+cache-sized blocks of parents and their children.  The compensators
 follow the level rule of ``rbsde.tree``: K_{k+1} is kept at level k, K_d
 only at declared levels.
 """
@@ -33,8 +34,8 @@ from .tree import (Process, ScenarioTree, _accumulate, _block_rows, _children,
 TERMINAL_SLACK = 1e-12
 
 
-def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle, sign: int,
-                bind_tol: float = BIND_TOL) -> Compensator:
+def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle,
+                sign: int) -> Compensator:
     """K = K_c + K_d of one compensator stored by the level rule, over parent blocks.
 
     At a declared level the jump-type increment is (sign*(left - Y_k))^+
@@ -57,7 +58,7 @@ def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle, sign
         kd = np.empty(tree.level_size(k))
         for rows in _parent_blocks(tree, k - 1):
             left_b = _children(tree, left, rows)
-            binding = np.abs(y[k - 1][rows, None] - left_b) <= bind_tol
+            binding = np.abs(y[k - 1][rows, None] - left_b) <= BIND_TOL
             gap = np.maximum(sign * (left_b - _children(tree, y[k], rows)), 0.0)
             np.add(_block_rows(tree, k_d[k - 1], k - 1, rows)[:, None],
                    np.where(binding, gap, 0.0), out=_children(tree, kd, rows))

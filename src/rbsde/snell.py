@@ -6,7 +6,8 @@ martingale / compensator split (increments assigned one step ahead) and
 the earliest optimal stopping rule.  A deliberately naive recursive
 stop-versus-continue oracle cross-checks the vectorised sweep on small
 subtrees, and a full enumeration over stopping rules backs both on tiny
-ones.
+ones.  The stopping rule starts at the root, and its threshold and
+tolerances are module constants, not arguments.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import numpy as np
 from .errors import NotMonotone, TooLargeToEnumerate
 from .tree import Process, ScenarioTree, _accumulate, _worst, copy_process, expand
 
+# Binding tolerance of the left-limit (jump-type) formula for K_d: the
+# reflected solver's split and the checker's jump clauses import it from here.
 BIND_TOL = 1e-9
+# Pointwise tolerance of a nondecreasing ladder: payoffs and their envelopes
+# here, the penalised solutions in rbsde.penalty.
+MONOTONE_TOL = 1e-12
 
 MAX_ORACLE_DEPTH = 6
 MAX_ORACLE_LEAVES = 4096
@@ -147,59 +153,56 @@ def enumerate_stopping_values(tree: ScenarioTree, payoff: Process,
 
 @dataclass(eq=False)
 class OptimalStop:
-    """Compensator-based optimal stopping rule from a given level.
+    """Compensator-based optimal stopping rule from the root.
 
     Stops at the first level whose assigned compensator increment is
     positive (the envelope is about to lose mass), and at the horizon
     otherwise; the envelope equals the payoff at every stopping node.
     """
 
-    from_level: int
     leaf_level: np.ndarray   # stopping level along each terminal path
-    value: np.ndarray        # E[payoff at the stop | node] per node at from_level
+    value: np.ndarray        # E[payoff at the stop], the root's one entry
 
 
 STOP_TOL = 1e-14
 
 
-def stop_flags(tree: ScenarioTree, result: SnellResult,
-               stop_tol: float = STOP_TOL) -> list:
+def stop_flags(tree: ScenarioTree, result: SnellResult) -> list:
     """Per-node flags of the rule 'stop when the compensator is about to grow'."""
-    flags = [inc > stop_tol for inc in result.increments]
+    flags = [inc > STOP_TOL for inc in result.increments]
     flags.append(np.ones(tree.level_size(tree.num_steps), dtype=bool))
     return flags
 
 
 def optimal_stopping_time(tree: ScenarioTree, result: SnellResult,
-                          payoff: Process, from_level: int = 0) -> OptimalStop:
+                          payoff: Process) -> OptimalStop:
     n = tree.num_steps
     flags = stop_flags(tree, result)
-    lv = np.full(tree.level_size(from_level), -1, dtype=int)
-    for k in range(from_level, n + 1):
-        if k > from_level:
+    lv = np.full(1, -1, dtype=int)
+    for k in range(n + 1):
+        if k:
             lv = np.repeat(lv, tree.branching)
         hit = (lv < 0) & flags[k]
         lv[hit] = k
     value = np.asarray(payoff[n], dtype=float).copy()
-    for k in range(n - 1, from_level - 1, -1):
+    for k in range(n - 1, -1, -1):
         cont = tree.cond_exp(value)
         value = np.where(flags[k], np.asarray(payoff[k], dtype=float), cont)
-    return OptimalStop(from_level=from_level, leaf_level=lv, value=value)
+    return OptimalStop(leaf_level=lv, value=value)
 
 
-def stopped_envelope_residual(tree: ScenarioTree, result: SnellResult,
-                              from_level: int = 0) -> float:
-    """Martingale defect of the envelope stopped at the optimal time."""
+def stopped_envelope_residual(tree: ScenarioTree, result: SnellResult) -> float:
+    """Martingale defect of the envelope stopped at the optimal time (NaN kept)."""
     n = tree.num_steps
     flags = stop_flags(tree, result)
-    frozen = result.envelope[from_level].copy()
-    flag = flags[from_level].copy()
+    frozen = result.envelope[0].copy()
+    flag = flags[0].copy()
     worst = 0.0
-    for k in range(from_level, n):
+    for k in range(n):
         nxt_env = result.envelope[k + 1]
         frozen_next = np.where(np.repeat(flag, tree.branching),
                                np.repeat(frozen, tree.branching), nxt_env)
-        worst = max(worst, float(np.max(np.abs(tree.cond_exp(frozen_next) - frozen))))
+        worst = _worst(worst, float(np.max(np.abs(tree.cond_exp(frozen_next) - frozen))))
         flag = np.repeat(flag, tree.branching) | flags[k + 1]
         frozen = frozen_next
     return worst
@@ -212,14 +215,13 @@ class MonotoneLimitReport:
     passed: bool
 
 
-def monotone_limit_check(tree: ScenarioTree, payoffs: list[Process],
-                         tol: float = 1e-12) -> MonotoneLimitReport:
+def monotone_limit_check(tree: ScenarioTree, payoffs: list[Process]) -> MonotoneLimitReport:
     """Envelopes of a nondecreasing payoff ladder must be nondecreasing."""
     if len(payoffs) < 2:
         raise ValueError("need at least two payoffs")
     for lo, hi in zip(payoffs, payoffs[1:]):
         for a, b in zip(lo, hi):
-            if np.any(np.asarray(b) < np.asarray(a) - tol):
+            if np.any(np.asarray(b) < np.asarray(a) - MONOTONE_TOL):
                 raise NotMonotone("payoff ladder is not pointwise nondecreasing")
     envelopes = [_envelope(tree, p)[0] for p in payoffs]
     violation = 0.0
@@ -230,7 +232,7 @@ def monotone_limit_check(tree: ScenarioTree, payoffs: list[Process],
     for env in envelopes[:-1]:
         for a, b in zip(env, envelopes[-1]):
             final_gap = _worst(final_gap, float(np.max(a - b)))
-    passed = violation <= tol and final_gap <= tol
+    passed = violation <= MONOTONE_TOL and final_gap <= MONOTONE_TOL
     return MonotoneLimitReport(envelope_violation=violation,
                                final_dominates=final_gap, passed=passed)
 
@@ -244,8 +246,7 @@ class RegularityReport:
 
 
 def regularity_check(tree: ScenarioTree, result: SnellResult,
-                     left_payoff: dict[int, np.ndarray],
-                     bind_tol: float = BIND_TOL) -> RegularityReport:
+                     left_payoff: dict[int, np.ndarray]) -> RegularityReport:
     """Split the compensator mass at declared predictable jump times.
 
     The jump-type increment at a declared level k is
@@ -259,7 +260,7 @@ def regularity_check(tree: ScenarioTree, result: SnellResult,
         if not 1 <= level <= tree.num_steps:
             raise ValueError(f"declared level {level} outside the grid")
         prev = tree.lift(result.envelope[level - 1])
-        binding = np.abs(prev - left) <= bind_tol
+        binding = np.abs(prev - left) <= BIND_TOL
         inc = np.where(binding, np.maximum(left - result.envelope[level], 0.0), 0.0)
         kd_inc[level] = inc
         kd_mass += tree.expectation(level, inc)

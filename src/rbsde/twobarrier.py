@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import _project_block, barrier_values, terminal_values
+from .bsde import _leaf_values, _project_block, barrier_values
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import (DriverNotCoefficientFree, MaxIterExceeded, MokobodskiFailed,
                      MonotonicityViolation)
@@ -29,6 +29,11 @@ from .tree import Process, ScenarioTree, _worst, sup_diff
 # The two-obstacle name of the same function: call sites that pass two obstacles
 # use it, so the benchmark's tracer (bench/tracing.py) times them as their own layer.
 solve_double_obstacle = solve_reflected
+
+# The witness check, the recursion's stop and the monotone corridor all hold
+# to TOL in sup norm; the recursion gives up after MAX_ROUNDS rounds.
+TOL = 1e-12
+MAX_ROUNDS = 10_000
 
 
 @dataclass(eq=False)
@@ -50,7 +55,7 @@ class MokobodskiCheck:
 
 def martingale_witness(tree: ScenarioTree, terminal) -> MokobodskiWitness:
     """Built-in witness: conditional means of the terminal's two parts."""
-    xi = terminal_values(tree, terminal)
+    xi = _leaf_values(tree, terminal)
     h = _closure(tree, np.maximum(xi, 0.0))
     hp = _closure(tree, np.maximum(-xi, 0.0))
     return MokobodskiWitness(h=h, h_prime=hp)
@@ -72,36 +77,32 @@ def _closure(tree: ScenarioTree, leaf_values: np.ndarray) -> Process:
 
 
 def check_mokobodski(tree: ScenarioTree, witness: MokobodskiWitness,
-                     lower, upper, tol: float = 1e-12) -> MokobodskiCheck:
-    """Verify nonnegativity, the supermartingale property and the band."""
+                     lower, upper) -> MokobodskiCheck:
+    """Verify nonnegativity, the supermartingale property and the band.
+
+    Every maximum keeps NaN, so a witness with a NaN node fails, and
+    ``detail`` names the first measure and level above ``TOL`` (or NaN).
+    """
     low = barrier_values(tree, lower)
     up = barrier_values(tree, upper)
-    neg = 0.0
-    defect = 0.0
-    band = 0.0
+    worst = {"negativity": 0.0, "band violation": 0.0, "supermartingale defect": 0.0}
     detail = ""
     for k in range(tree.num_steps + 1):
         h, hp = witness.h[k], witness.h_prime[k]
-        worst_neg = max(float(np.max(-h)), float(np.max(-hp)))
-        if worst_neg > neg:
-            neg = worst_neg
-            if worst_neg > tol and not detail:
-                detail = f"negativity {worst_neg:.3g} at level {k}"
         diff = h - hp
-        worst_band = max(float(np.max(low.values[k] - diff)),
-                         float(np.max(diff - up.values[k])))
-        if worst_band > band:
-            band = worst_band
-            if worst_band > tol and not detail:
-                detail = f"band violation {worst_band:.3g} at level {k}"
+        level = {"negativity": _worst(float(np.max(-h)), float(np.max(-hp))),
+                 "band violation": _worst(float(np.max(low.values[k] - diff)),
+                                          float(np.max(diff - up.values[k])))}
         if k < tree.num_steps:
-            worst_def = max(float(np.max(tree.cond_exp(witness.h[k + 1]) - h)),
-                            float(np.max(tree.cond_exp(witness.h_prime[k + 1]) - hp)))
-            if worst_def > defect:
-                defect = worst_def
-                if worst_def > tol and not detail:
-                    detail = f"supermartingale defect {worst_def:.3g} at level {k}"
-    passed = neg <= tol and defect <= tol and band <= tol
+            level["supermartingale defect"] = _worst(
+                float(np.max(tree.cond_exp(witness.h[k + 1]) - h)),
+                float(np.max(tree.cond_exp(witness.h_prime[k + 1]) - hp)))
+        for name, value in level.items():
+            worst[name] = _worst(worst[name], value)
+            if not value <= TOL and not detail:
+                detail = f"{name} {value:.3g} at level {k}"
+    neg, band, defect = worst.values()
+    passed = neg <= TOL and defect <= TOL and band <= TOL
     return MokobodskiCheck(passed=passed, max_negativity=neg,
                            max_supermartingale_defect=defect,
                            max_band_violation=band, detail=detail)
@@ -128,13 +129,14 @@ def _require_plain_driver(driver) -> DriverSpec:
 
 
 def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
-                       witness: MokobodskiWitness | None = None,
-                       tol: float = 1e-12, max_iter: int = 10_000):
+                       witness: MokobodskiWitness | None = None):
     """Constructive two-obstacle solve via the coupled envelope recursion.
 
-    Returns the assembled solution and the iteration trace.  Requires a
-    coefficient-free driver and a passing witness (the built-in
-    martingale witness is used when none is supplied).
+    Iterates until a round moves both envelopes by less than ``TOL`` in
+    sup norm, for at most ``MAX_ROUNDS`` rounds.  Returns the assembled
+    solution and the iteration trace.  Requires a coefficient-free
+    driver and a passing witness (the built-in martingale witness is
+    used when none is supplied).
     """
     driver = _require_plain_driver(driver)
     low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
@@ -174,18 +176,18 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     changes = []
     converged = False
     inc_plus = inc_minus = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ROUNDS):
         new_plus, inc_plus = _envelope(tree, [n_minus[k] + l_tilde[k] for k in range(n + 1)])
         new_minus, inc_minus = _envelope(tree, [n_plus[k] - u_tilde[k] for k in range(n + 1)])
         change = _worst(sup_diff(new_plus, n_plus), sup_diff(new_minus, n_minus))
         n_plus, n_minus = new_plus, new_minus
         iterates.append((n_plus, n_minus))
         changes.append(change)
-        if change < tol:
+        if change < TOL:
             converged = True
             break
     if not converged:
-        raise MaxIterExceeded(f"envelope recursion not settled after {max_iter} rounds")
+        raise MaxIterExceeded(f"envelope recursion not settled after {MAX_ROUNDS} rounds")
 
     trace = TwoBarrierTrace(iterates=iterates, changes=changes,
                             upper_bound_plus=bound_plus, upper_bound_minus=bound_minus,
@@ -217,8 +219,8 @@ class MonotoneIterateReport:
     passed: bool
 
 
-def monotone_iterate_check(tree: ScenarioTree, trace: TwoBarrierTrace,
-                           tol: float = 1e-12) -> MonotoneIterateReport:
+def monotone_iterate_check(tree: ScenarioTree,
+                           trace: TwoBarrierTrace) -> MonotoneIterateReport:
     """Verify 0 <= N{+-}^n <= N{+-}^{n+1} <= bound for the recorded run."""
     decrease = 0.0
     negativity = 0.0
@@ -234,7 +236,7 @@ def monotone_iterate_check(tree: ScenarioTree, trace: TwoBarrierTrace,
             decrease = _worst(decrease, float(np.max(p0[k] - p1[k])),
                               float(np.max(m0[k] - m1[k])))
     # written so that a NaN anywhere fails the check
-    passed = decrease <= tol and negativity <= tol and bound <= tol
+    passed = decrease <= TOL and negativity <= TOL and bound <= TOL
     if not passed:
         raise MonotonicityViolation(
             f"envelope iteration left its monotone corridor "

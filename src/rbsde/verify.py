@@ -9,9 +9,13 @@ K_d is taken once from the cumulative processes stored in the solution.
 The compensators are read through the level-rule readers of
 ``rbsde.tree``, so compact solver output and whole-level solutions (a
 loaded dump, a hand-built mutant) go through the same checker, which
-takes one obstacle or two as the solver does.  The probes re-solve
-problems along independent routes (uniqueness) and run the penalty
-ladder against the jump-type mass (regularity dichotomy).
+takes one obstacle or two as the solver does.  A clause passes at a
+residual of at most ``CHECK_TOL``, and the jump clauses apply the
+left-limit formula with ``BIND_TOL``, the very constant the solver's
+split reads, so solver and checker share one convention; neither
+tolerance is an argument.  The probes re-solve problems along
+independent routes (uniqueness) and run the penalty ladder
+``DEFAULT_LADDER`` against the jump-type mass (regularity dichotomy).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
 from .processes import BarrierValues, DriverSpec, ProblemSpec
 from .reflected import obstacle_payoff, solve_reflected_one
-from .snell import _envelope
+from .snell import BIND_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (Process, ScenarioTree, _block_children, _block_rows, _children,
                    _parent_blocks, _worst, expand, sup_diff)
@@ -106,8 +110,8 @@ def _block_increments(tree: ScenarioTree, process: Process, level: int,
     return out
 
 
-def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray, sides,
-                  bind_tol: float) -> tuple[float, float]:
+def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
+                  sides) -> tuple[float, float]:
     """Every clause residual in one pass per level over parent blocks.
 
     Each increment of K, K_c and K_d is taken once per block, as the
@@ -167,7 +171,7 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray, sides,
                     continue
                 left = _children(tree, left, rows)
                 gap = side.sign * (y_par[:, None] - left)
-                binding = np.abs(gap) <= bind_tol
+                binding = np.abs(gap) <= BIND_TOL
                 formula = np.where(binding, np.maximum(side.sign * (left - y_child), 0.0), 0.0)
                 side.jump = _worst(side.jump, _abs_max(d_kd - formula))
                 side.left_integral += float(parent_prob @ ((gap * d_kd) @ prob))
@@ -197,8 +201,8 @@ _CLAUSE_NAMES = {
 }
 
 
-def check_solution(tree: ScenarioTree, sol: Solution, driver, terminal, lower, upper=None,
-                   *, tol: float = CHECK_TOL, bind_tol: float = 1e-9) -> CheckReport:
+def check_solution(tree: ScenarioTree, sol: Solution, driver, terminal, lower,
+                   upper=None) -> CheckReport:
     """Check every clause of the reflected equation on a solution.
 
     ``upper=None`` checks the one-obstacle equation (U = +inf) against
@@ -208,11 +212,11 @@ def check_solution(tree: ScenarioTree, sol: Solution, driver, terminal, lower, u
     if upper is not None:
         sides.append(_Side(barrier_values(tree, upper), sol.upper, -1))
     dyn, simultaneous = _check_levels(tree, sol, driver, _leaf_values(tree, terminal),
-                                      sides, bind_tol)
+                                      sides)
     contain, skorokhod, jump, monotone_note, left_note = _CLAUSE_NAMES[len(sides)]
 
     def clause(residual: float, note: str) -> ClauseCheck:
-        return ClauseCheck(residual <= tol, residual, note)
+        return ClauseCheck(residual <= CHECK_TOL, residual, note)
 
     clauses = {
         "dynamics": clause(dyn, "projected step identity and terminal"),
@@ -229,7 +233,7 @@ def check_solution(tree: ScenarioTree, sol: Solution, driver, terminal, lower, u
                                                   "K+d and K-d never fire together")
     clauses["left_limit_skorokhod"] = clause(
         _worst(*(abs(s.left_integral) for s in sides)), left_note)
-    return CheckReport(tolerance=tol, clauses=clauses)
+    return CheckReport(tolerance=CHECK_TOL, clauses=clauses)
 
 
 # The one- and two-obstacle names of the same checker, for the call sites of
@@ -247,8 +251,7 @@ def _mean_mass_route(tree: ScenarioTree, driver: DriverSpec, xi: np.ndarray) -> 
     return y
 
 
-def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2,
-                     witness=None) -> float:
+def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2) -> float:
     """Solve along independent routes; return the worst pairwise Y gap."""
     if n_restarts < 2:
         raise ValueError("need at least two restarts")
@@ -281,7 +284,7 @@ def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2,
         routes.append([envelope[k] - cum[k] for k in range(tree.num_steps + 1)])
     else:
         sol, _ = picard_snell_solve(tree, driver, problem.terminal,
-                                    problem.lower, problem.upper, witness=witness)
+                                    problem.lower, problem.upper)
         routes.append(sol.y)
 
     worst = 0.0
@@ -306,8 +309,8 @@ class RegularityProbeReport:
         return (self.z_gaps[-1] <= 1e-10) and (self.v_gaps[-1] <= 1e-10)
 
 
-def regularity_probe(problem: ProblemSpec, ladder=DEFAULT_LADDER) -> RegularityProbeReport:
-    """Penalty ladder against the jump-type compensator mass.
+def regularity_probe(problem: ProblemSpec) -> RegularityProbeReport:
+    """The penalty ladder ``DEFAULT_LADDER`` against the jump-type compensator mass.
 
     A vanishing jump-type mass should co-occur with uniformly closing Y
     gaps; positive mass pins the gap to the declared jump times while
@@ -316,7 +319,7 @@ def regularity_probe(problem: ProblemSpec, ladder=DEFAULT_LADDER) -> RegularityP
     if problem.kind != "one_barrier":
         raise ValueError("the regularity probe takes a one-obstacle problem")
     tree = problem.build_tree()
-    report = sweep(tree, problem.driver, problem.barrier, problem.terminal, ladder)
+    report = sweep(tree, problem.driver, problem.barrier, problem.terminal, DEFAULT_LADDER)
     reflected = report.reflected
     kd_mass = tree.expectation(
         tree.num_steps, expand(tree, reflected.lower.k_d[tree.num_steps], tree.num_steps))

@@ -112,7 +112,7 @@ def test_criterion_4_solution_condition_suite():
             sol = solve_reflected(tree, problem.driver, problem.terminal,
                                   problem.barrier)
             report = check_solution(tree, sol, problem.driver, problem.terminal,
-                                    problem.barrier, tol=1e-10)
+                                    problem.barrier)
             assert report.passed, report.to_dict()
         for _ in range(10):
             problem = random_two_barrier(rng)
@@ -120,7 +120,7 @@ def test_criterion_4_solution_condition_suite():
             sol = solve_reflected(tree, problem.driver, problem.terminal,
                                   problem.lower, problem.upper)
             report = check_solution(tree, sol, problem.driver, problem.terminal,
-                                    problem.lower, problem.upper, tol=1e-10)
+                                    problem.lower, problem.upper)
             assert report.passed, report.to_dict()
         # a fixed-point output must pass the same clauses
         marks = MarkSet(sizes=(1.0,), intensities=(0.5,))
@@ -131,7 +131,7 @@ def test_criterion_4_solution_condition_suite():
         xi = TerminalSpec(payoff=lambda w, c: np.maximum(0.2 * w, -0.6))
         sol, _ = picard_solve(tree, driver, xi, solver_kind="one_barrier",
                               barrier=barrier)
-        assert check_solution(tree, sol, driver, xi, barrier, tol=1e-10).passed
+        assert check_solution(tree, sol, driver, xi, barrier).passed
 
         # fault injection: every mutant flips exactly its targeted clause
         for clause, tree, driver, terminal, barrier, mutant in one_barrier_mutants():

@@ -1,5 +1,6 @@
 """CLI front end: commands, exit codes, artifacts and determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -13,8 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rbsde.cli import main
-from test_config import _base_configs, _generated, _solvable
+from rbsde.cli import build_parser, main
+from test_config import _assert_rejected, _base_configs, _generated, _solvable
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -84,6 +85,47 @@ def test_out_of_range_solver_flags_exit_2(tmp_path, capsys, flag, value):
                "--out", tmp_path, flag, value)
     assert code == 2
     assert "$.solver." in capsys.readouterr().err
+
+
+# Every subcommand takes --config and --out plus only the flags it reads.
+COMMAND_OPTIONS = {
+    "solve-one": ["--config", "--full", "--out"],
+    "solve-two": ["--config", "--full", "--out"],
+    "penalize-sweep": ["--config", "--n-list", "--out"],
+    "snell": ["--config", "--out"],
+    "verify": ["--config", "--out", "--solution"],
+    "contraction-study": ["--alpha-list", "--config", "--max-iter", "--out", "--tol"],
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {name: sorted(flag for action in parser._actions
+                            for flag in action.option_strings
+                            if flag not in ("-h", "--help"))
+               for name, parser in sub.choices.items()}
+    assert options == COMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("command, flag", [
+    (("snell",), ("--full",)),
+    (("solve-one",), ("--tol", "1e-3")),
+    (("verify", "--solution", "solution.json"), ("--max-iter", "3")),
+])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as info:
+        run(*command, "--config", CONFIGS / "counterexample.json", "--out", tmp_path, *flag)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_solver_alpha_is_not_in_the_schema(tmp_path, capsys):
+    # --alpha-list is the one way to set alpha
+    config = json.loads((CONFIGS / "contraction.json").read_text(encoding="utf-8"))
+    config["solver"]["alpha"] = 4.0
+    _assert_rejected(tmp_path, capsys, config, "$.solver.alpha")
 
 
 @pytest.mark.parametrize("command, config, flag", [
@@ -353,10 +395,10 @@ def test_driver_g_pieces_step_function():
         [0.1, 0.1, 0.2, 0.2, 0.2]
 
 
-# Every command that reads a configuration; a solve is followed by a verify
-# of its dump.
-CONFIG_COMMANDS = (("solve-one",), ("solve-two",), ("penalize-sweep", "--n-list", "1,2"),
-                   ("snell",), ("contraction-study",))
+# Every command that reads a configuration; a solve is forced to dump per-node
+# data and is followed by a verify of its dump.
+CONFIG_COMMANDS = (("solve-one", "--full"), ("solve-two", "--full"),
+                   ("penalize-sweep", "--n-list", "1,2"), ("snell",), ("contraction-study",))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None,
@@ -374,7 +416,7 @@ def test_cli_exit_codes_on_schema_valid_configs(config):
             out = Path(folder) / command[0]
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                code = run(*command, "--config", path, "--out", out, "--full")
+                code = run(*command, "--config", path, "--out", out)
                 assert code in (0, 2, 3, 4), (command, config)
                 if code == 0 and command[0].startswith("solve"):
                     assert run("verify", "--config", path, "--out", out / "verify",

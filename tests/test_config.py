@@ -66,8 +66,7 @@ def _schema_valid(draw) -> dict:
             "g": st.one_of(number, pieces), "a": number, "b": number, "c": number})),
         "solver": draw(st.fixed_dictionaries(
             {"kind": st.sampled_from(["standard", "one_barrier", "two_barrier"])},
-            optional={"alpha": st.one_of(st.none(), number),
-                      "tol": st.floats(1e-14, 1e-3), "max_iter": st.integers(1, 100)})),
+            optional={"tol": st.floats(1e-14, 1e-3), "max_iter": st.integers(1, 100)})),
     }
     if marks:
         config["marks"] = marks

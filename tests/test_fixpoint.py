@@ -8,7 +8,7 @@ import pytest
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, MaxIterExceeded, TerminalSpec,
                    alpha_norm, alpha_rule, build_tree, expand, picard_solve, solve_bsde,
                    solve_reflected, sup_diff)
-from rbsde.bsde import barrier_values, terminal_values
+from rbsde.bsde import _leaf_values, barrier_values
 from rbsde.fixpoint import _sweep, random_triple, zero_triple
 from rbsde.processes import linear_obstacle
 from conftest import random_one_barrier, random_two_barrier
@@ -77,7 +77,7 @@ def test_one_barrier_fixed_point_contracts():
               + driver.b * sol.z[k] + driver.c * (sol.v[k] @ lam)
               for k in range(tree.num_steps)]
     sides = (barrier_values(tree, barrier), None)
-    refit_y, *_ = _sweep(tree, frozen, terminal_values(tree, xi), sides)
+    refit_y, *_ = _sweep(tree, frozen, _leaf_values(tree, xi), sides)
     assert sup_diff(refit_y, sol.y) <= 1e-11
 
 
@@ -178,3 +178,16 @@ def test_coefficient_free_matches_direct_solve_bit_for_bit(kind, seed):
             for name in ("k", "k_c", "k_d"):
                 assert _bits(tree, getattr(mine, name)) == \
                     _bits(tree, getattr(theirs, name)), (side, name)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+def test_rejects_a_weight_exponent_that_is_not_finite_and_nonnegative(monkeypatch, alpha):
+    import rbsde.fixpoint
+
+    def no_sweep(*args):
+        raise AssertionError("alpha is checked before any sweep")
+
+    monkeypatch.setattr(rbsde.fixpoint, "_sweep", no_sweep)
+    with pytest.raises(ValueError, match="alpha"):
+        picard_solve(build_tree(3), DriverSpec(a=0.3), TerminalSpec(constant=1.0),
+                     alpha=alpha)

@@ -19,10 +19,10 @@ import rbsde.reflected
 import rbsde.tree
 from rbsde import MarkSet, build_tree, check_solution, expand, solve_reflected
 from rbsde.bsde import barrier_values
+from rbsde.snell import BIND_TOL
 from conftest import clone_solution, process_of, random_one_barrier, random_two_barrier
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
-BIND_TOL = 1e-9
 
 
 def _coefficients():

@@ -125,3 +125,16 @@ def test_sweep_monotonicity_catches_a_nan(monkeypatch):
     with pytest.raises(MonotonicityViolation):
         sweep(build_tree(4), COUNTEREXAMPLE["driver"], COUNTEREXAMPLE["barrier"],
               COUNTEREXAMPLE["terminal"], [1, 2, 4, 8])
+
+
+@pytest.mark.parametrize("n", [float("nan"), float("inf"), -1.0])
+def test_solve_penalized_rejects_a_weight_that_is_not_finite_and_nonnegative(monkeypatch, n):
+    import rbsde.penalty
+
+    def no_sweep(*args):
+        raise AssertionError("the weight is checked before any sweep")
+
+    monkeypatch.setattr(rbsde.penalty, "_backward_sweep", no_sweep)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        solve_penalized(build_tree(3), COUNTEREXAMPLE["driver"], COUNTEREXAMPLE["barrier"],
+                        COUNTEREXAMPLE["terminal"], n)

@@ -172,16 +172,21 @@ def test_memo_arrays_are_read_only():
 
 
 def test_solution_terminal_is_the_read_only_leaf_evaluation():
-    # the direct solvers keep the shared leaf evaluation as Y_N instead of a
-    # copy; being read-only, it cannot be corrupted through the solution
-    from rbsde import solve_reflected
+    # every solver keeps the shared leaf evaluation as Y_N instead of a copy;
+    # being read-only, it cannot be corrupted through the solution
+    from rbsde import picard_solve, solve_bsde, solve_penalized, solve_reflected
     tree = build_tree(3)
     terminal = TerminalSpec(payoff=lambda w, c: np.maximum(w, 0.0) + 1.0)
     barrier = BarrierSpec(pieces=((0.0, 0.5),))
     cached = terminal.evaluate(tree)
     solutions = [solve_reflected(tree, DriverSpec(), terminal, barrier),
                  solve_reflected(tree, DriverSpec(), terminal, barrier,
-                                 BarrierSpec(pieces=((0.0, 10.0),)))]
+                                 BarrierSpec(pieces=((0.0, 10.0),))),
+                 solve_bsde(tree, DriverSpec(a=0.2), terminal),
+                 solve_penalized(tree, DriverSpec(), barrier, terminal, 4.0).solution,
+                 picard_solve(tree, DriverSpec(a=0.2), terminal)[0],
+                 picard_solve(tree, DriverSpec(a=0.2), terminal, solver_kind="one_barrier",
+                              barrier=barrier)[0]]
     for sol in solutions:
         assert sol.y[-1] is cached
         assert not sol.y[-1].flags.writeable

@@ -172,3 +172,11 @@ def test_monotone_limit_check_catches_a_nan():
     report = monotone_limit_check(tree, ladder)
     assert not report.passed
     assert np.isnan(report.envelope_violation)
+
+
+def test_stopped_envelope_residual_keeps_a_nan():
+    tree = build_tree(3)
+    payoff = martingale_payoff(tree, np.cos(np.arange(tree.level_size(3))))
+    res = snell(tree, payoff)
+    res.envelope[2][1] = np.nan
+    assert np.isnan(stopped_envelope_residual(tree, res))

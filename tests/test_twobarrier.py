@@ -214,3 +214,20 @@ def test_monotone_iterate_check_catches_a_nan():
     trace.iterates[1][1][2][3] = np.nan
     with pytest.raises(MonotonicityViolation):
         monotone_iterate_check(tree, trace)
+
+
+@pytest.mark.parametrize("poison", ["constant", "one_node"])
+def test_mokobodski_nan_witness_fails(poison):
+    # a NaN never compares greater, so every maximum of the check keeps it
+    tree = build_tree(3)
+    if poison == "constant":
+        witness = constant_witness(tree, np.nan)
+    else:
+        witness = constant_witness(tree, 1.0, 0.5)
+        witness.h_prime[2][3] = np.nan
+    check = check_mokobodski(tree, witness, LOW, WIDE)
+    assert not check.passed
+    assert "nan" in check.detail
+    with pytest.raises(MokobodskiFailed, match="nan"):
+        picard_snell_solve(tree, DriverSpec(), TerminalSpec(constant=0.5), LOW, WIDE,
+                           witness=witness)
