@@ -19,9 +19,8 @@ from .fixpoint import alpha_norm, alpha_rule, picard_solve
 from .penalty import PenalizationReport, PenalizedSolution, solve_penalized, sweep
 from .processes import (BarrierSpec, BarrierValues, DriverSpec, MarkSet, ProblemSpec,
                         TerminalSpec, eval_barrier, eval_driver)
-from .reflected import snell_representation_check, solve_reflected
-from .snell import (SnellResult, monotone_limit_check, optimal_stopping_time,
-                    regularity_check, snell)
+from .reflected import regularity_check, snell_representation_check, solve_reflected
+from .snell import SnellResult, monotone_limit_check, optimal_stopping_time, snell
 from .tree import ScenarioTree, build_tree, expand, sup_diff
 from .twobarrier import (MokobodskiWitness, check_mokobodski, constant_witness,
                          martingale_witness, monotone_iterate_check, picard_snell_solve)

@@ -30,9 +30,9 @@ from .errors import ConfigError, RbsdeError
 from .fixpoint import alpha_rule, picard_solve
 from .penalty import sweep
 from .processes import ProblemSpec
-from .reflected import obstacle_payoff, solve_reflected_one
-from .snell import optimal_stopping_time, regularity_check, snell
-from .tree import ScenarioTree, expand
+from .reflected import obstacle_payoff, regularity_check, solve_reflected_one
+from .snell import optimal_stopping_time, snell
+from .tree import ScenarioTree, expand, terminal_mean
 from .twobarrier import solve_double_obstacle
 from .verify import check_solution_one, check_solution_two
 
@@ -147,10 +147,6 @@ def _jump_increment_means(tree, k_d) -> list:
     return out
 
 
-def _terminal_mean(tree, process) -> float:
-    return tree.expectation(tree.num_steps, expand(tree, process[-1], tree.num_steps))
-
-
 def _compensators(sol: Solution, kind: str) -> dict:
     """Every compensator process of a solution, under its output name."""
     out = {}
@@ -162,7 +158,7 @@ def _compensators(sol: Solution, kind: str) -> dict:
 def _solution_payload(tree, sol: Solution, kind: str, full: bool) -> dict:
     processes = _compensators(sol, kind)
     summary = {"y0": float(sol.y[0][0])}
-    summary.update((key, _terminal_mean(tree, processes[name]))
+    summary.update((key, terminal_mean(tree, processes[name]))
                    for key, name in _KIND_NAMES[kind].means)
     payload = {
         "kind": kind,
@@ -303,11 +299,10 @@ def cmd_snell(args) -> int:
     if problem.kind != "one_barrier":
         raise ConfigError("snell needs a one_barrier configuration")
     tree = _build(problem, options)
-    payoff, left, _ = obstacle_payoff(tree, problem.driver, problem.terminal,
-                                      problem.barrier)
+    payoff, cum = obstacle_payoff(tree, problem.driver, problem.terminal, problem.barrier)
     result = snell(tree, payoff)
     stop = optimal_stopping_time(tree, result, payoff)
-    regularity = regularity_check(tree, result, left)
+    regularity = regularity_check(tree, result, cum, problem.barrier)
     named = [("envelope", result.envelope, tree.num_steps + 1),
              ("compensator", result.compensator, tree.num_steps + 1)]
     stop_fraction = [tree.expectation(k, result.stop[k]) for k in range(tree.num_steps + 1)]
@@ -317,8 +312,7 @@ def cmd_snell(args) -> int:
     _write_json(out / "snell.json", {
         "value": float(result.envelope[0][0]),
         "optimal_stop_value": float(stop.value[0]),
-        "expected_terminal_compensator": tree.expectation(
-            tree.num_steps, result.compensator[-1]),
+        "expected_terminal_compensator": regularity.total_mass,
         "kd_mass": regularity.kd_mass,
         "regular": regularity.regular,
     })

@@ -1,4 +1,4 @@
-"""Reflected solver for one obstacle or two, and its Snell-envelope cross check.
+"""Reflected solver for one obstacle or two, and its Snell-envelope cross checks.
 
 One backward induction solves both problems: one obstacle is the
 two-obstacle problem with no upper side (U = +inf).  Each step solves
@@ -14,10 +14,13 @@ the binding tolerance ``rbsde.snell.BIND_TOL`` on the preceding grid
 slot, the one the checker applies.  Each level is processed in
 cache-sized blocks of parents and their children.  The compensators
 follow the level rule of ``rbsde.tree``: K_{k+1} is kept at level k, K_d
-only at declared levels.
+only at declared levels.  The envelope route's ``regularity_check``
+splits the Snell envelope's K with the same ``_split_side``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +29,10 @@ from .bsde import (Compensator, Solution, _backward_sweep, _implicit_y, _leaf_va
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import (BarriersTouch, DriverNotCoefficientFree, TerminalBelowBarrier,
                      TerminalOutsideBarriers)
-from .snell import BIND_TOL, _envelope
+from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (Process, ScenarioTree, _accumulate, _block_rows, _children,
-                   _parent_blocks, _worst, expand)
+                   _parent_blocks, _worst, expand, terminal_mean)
 
 TERMINAL_SLACK = 1e-12
 
@@ -160,8 +163,8 @@ def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
     """Stopping payoff whose envelope represents the reflected solution.
 
     eta_k = sum_{j<k} g_j dt + S_k before the horizon and the same
-    accumulated source plus the terminal payoff at it.  Also returns the
-    matching left-limit table and the accumulated source per level.
+    accumulated source plus the terminal payoff at it.  Returns
+    (payoff, cum), where ``cum[k]`` is the accumulated source of level k.
     """
     if not driver.is_coefficient_free:
         raise DriverNotCoefficientFree(
@@ -173,16 +176,35 @@ def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
         [driver.base_at(tree.time(k)) * tree.dt for k in range(n)])))
     payoff = [cum[k] + obstacle.values[k] for k in range(n)]
     payoff.append(cum[n] + xi)
-    left = {level: cum[level] + vals for level, vals in obstacle.left.items()}
-    return payoff, left, cum
+    return payoff, cum
 
 
 def snell_representation_check(tree: ScenarioTree, solution: Solution,
                                driver, terminal, barrier) -> float:
     """Largest node-wise gap between the solver output and the envelope route."""
-    payoff, _, cum = obstacle_payoff(tree, driver, terminal, barrier)
+    payoff, cum = obstacle_payoff(tree, driver, terminal, barrier)
     envelope, _ = _envelope(tree, payoff)
     worst = 0.0
     for k in range(tree.num_steps + 1):
         worst = _worst(worst, float(np.max(np.abs(solution.y[k] + cum[k] - envelope[k]))))
     return worst
+
+
+@dataclass(eq=False)
+class RegularityReport:
+    kd_mass: float
+    total_mass: float
+    regular: bool
+
+
+def regularity_check(tree: ScenarioTree, result: SnellResult, cum: np.ndarray,
+                     barrier) -> RegularityReport:
+    """E[K(T)] and E[K_d(T)] of an ``obstacle_payoff`` envelope, split as the solver splits.
+
+    Y = R - cum and the envelope's compensator are the solver's Y and K.
+    """
+    y = [result.envelope[k] - cum[k] for k in range(tree.num_steps + 1)]
+    split = _split_side(tree, y, result.compensator, barrier_values(tree, barrier), +1)
+    kd_mass = terminal_mean(tree, split.k_d)
+    return RegularityReport(kd_mass=kd_mass, total_mass=terminal_mean(tree, split.k),
+                            regular=kd_mass <= REGULAR_TOL)

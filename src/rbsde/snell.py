@@ -2,12 +2,15 @@
 
 The envelope recursion R_k = max(eta_k, E[R_{k+1} | F_k]) produces the
 smallest supermartingale dominating the payoff, together with its
-martingale / compensator split (increments assigned one step ahead) and
-the earliest optimal stopping rule.  A deliberately naive recursive
-stop-versus-continue oracle cross-checks the vectorised sweep on small
-subtrees, and a full enumeration over stopping rules backs both on tiny
-ones.  The stopping rule starts at the root, and its threshold and
-tolerances are module constants, not arguments.
+compensator (increments assigned one step ahead, stored by the level
+rule of ``rbsde.tree`` like the solver's K) and the earliest optimal
+stopping rule.  A deliberately naive recursive stop-versus-continue
+oracle cross-checks the vectorised sweep on small subtrees, and a full
+enumeration over stopping rules backs both on tiny ones.  The stopping
+rule starts at the root, and its threshold and tolerances are module
+constants, not arguments.  The jump-type split of the envelope's
+compensator is not made here: ``rbsde.reflected.regularity_check``
+takes it from the solver's own split.
 """
 
 from __future__ import annotations
@@ -21,8 +24,12 @@ from .errors import NotMonotone, TooLargeToEnumerate
 from .tree import Process, ScenarioTree, _accumulate, _worst, copy_process, expand
 
 # Binding tolerance of the left-limit (jump-type) formula for K_d: the
-# reflected solver's split and the checker's jump clauses import it from here.
+# reflected solver's split, which the Snell route's regularity check also
+# runs, and the checker's jump clauses import it from here.
 BIND_TOL = 1e-9
+# Largest jump-type mass E[K_d(T)] of a regular problem: the envelope
+# route's regularity check and the penalty probe's verdict both read it.
+REGULAR_TOL = 1e-10
 # Pointwise tolerance of a nondecreasing ladder: payoffs and their envelopes
 # here, the penalised solutions in rbsde.penalty.
 MONOTONE_TOL = 1e-12
@@ -34,16 +41,17 @@ MAX_ENUM_RULES = 1 << 16
 
 @dataclass(eq=False)
 class SnellResult:
-    """Envelope with its Doob-Meyer split.
+    """Envelope with the compensator of its Doob-Meyer split.
 
-    ``compensator`` is adapted with zero start; its increment realised at
-    level k+1 is assigned at level k (``increments[k]``), hence known one
-    step ahead.  ``stop`` flags the nodes where immediate stopping is
-    optimal (envelope equals payoff; always true at the last level).
+    ``compensator`` starts at zero; its increment realised at level k+1
+    is assigned at level k (``increments[k]``), hence known one step
+    ahead, and K_{k+1} is stored as a level-k array (the level rule).
+    The martingale part is ``envelope[k] + expand(tree, compensator[k], k)``.
+    ``stop`` flags the nodes where immediate stopping is optimal
+    (envelope equals payoff; always true at the last level).
     """
 
     envelope: Process
-    martingale: Process
     compensator: Process
     increments: Process
     stop: list
@@ -53,12 +61,9 @@ def snell(tree: ScenarioTree, payoff: Process) -> SnellResult:
     """Smallest supermartingale dominating ``payoff`` on the tree."""
     n = tree.num_steps
     env, inc = _envelope(tree, [*payoff[:n], np.array(payoff[n], dtype=float)])
-    comp = [expand(tree, level, k)
-            for k, level in enumerate(_accumulate(copy_process(inc)))]
-    mart = [env[k] + comp[k] for k in range(n + 1)]
     stop = [env[k] <= np.asarray(payoff[k], dtype=float) for k in range(n + 1)]
     stop[n] = np.ones(tree.level_size(n), dtype=bool)
-    return SnellResult(envelope=env, martingale=mart, compensator=comp,
+    return SnellResult(envelope=env, compensator=_accumulate(copy_process(inc)),
                        increments=inc, stop=stop)
 
 
@@ -181,7 +186,7 @@ def optimal_stopping_time(tree: ScenarioTree, result: SnellResult,
     lv = np.full(1, -1, dtype=int)
     for k in range(n + 1):
         if k:
-            lv = np.repeat(lv, tree.branching)
+            lv = expand(tree, lv, k)
         hit = (lv < 0) & flags[k]
         lv[hit] = k
     value = np.asarray(payoff[n], dtype=float).copy()
@@ -200,10 +205,10 @@ def stopped_envelope_residual(tree: ScenarioTree, result: SnellResult) -> float:
     worst = 0.0
     for k in range(n):
         nxt_env = result.envelope[k + 1]
-        frozen_next = np.where(np.repeat(flag, tree.branching),
-                               np.repeat(frozen, tree.branching), nxt_env)
+        flag = expand(tree, flag, k + 1)
+        frozen_next = np.where(flag, expand(tree, frozen, k + 1), nxt_env)
         worst = _worst(worst, float(np.max(np.abs(tree.cond_exp(frozen_next) - frozen))))
-        flag = np.repeat(flag, tree.branching) | flags[k + 1]
+        flag = flag | flags[k + 1]
         frozen = frozen_next
     return worst
 
@@ -235,35 +240,3 @@ def monotone_limit_check(tree: ScenarioTree, payoffs: list[Process]) -> Monotone
     passed = violation <= MONOTONE_TOL and final_gap <= MONOTONE_TOL
     return MonotoneLimitReport(envelope_violation=violation,
                                final_dominates=final_gap, passed=passed)
-
-
-@dataclass(eq=False)
-class RegularityReport:
-    kd_mass: float
-    total_mass: float
-    kd_increments: dict
-    regular: bool
-
-
-def regularity_check(tree: ScenarioTree, result: SnellResult,
-                     left_payoff: dict[int, np.ndarray]) -> RegularityReport:
-    """Split the compensator mass at declared predictable jump times.
-
-    The jump-type increment at a declared level k is
-    (eta_left - R_k)^+ on the event that the envelope was binding one
-    step earlier; everything else counts as continuous-type.  Regular
-    means no jump-type mass.
-    """
-    kd_inc: dict[int, np.ndarray] = {}
-    kd_mass = 0.0
-    for level, left in left_payoff.items():
-        if not 1 <= level <= tree.num_steps:
-            raise ValueError(f"declared level {level} outside the grid")
-        prev = tree.lift(result.envelope[level - 1])
-        binding = np.abs(prev - left) <= BIND_TOL
-        inc = np.where(binding, np.maximum(left - result.envelope[level], 0.0), 0.0)
-        kd_inc[level] = inc
-        kd_mass += tree.expectation(level, inc)
-    total = tree.expectation(tree.num_steps, result.compensator[tree.num_steps])
-    return RegularityReport(kd_mass=kd_mass, total_mass=total,
-                            kd_increments=kd_inc, regular=kd_mass <= 1e-12)

@@ -311,6 +311,11 @@ def expand(tree: ScenarioTree, values: np.ndarray, level: int) -> np.ndarray:
     return values if ratio == 1 else np.repeat(values, ratio, axis=0)
 
 
+def terminal_mean(tree: ScenarioTree, process: Process) -> float:
+    """E[X_N] of a process whose last level is stored by the level rule."""
+    return tree.expectation(tree.num_steps, expand(tree, process[-1], tree.num_steps))
+
+
 def _accumulate(increments: Process) -> Process:
     """Cumulative process K_0 = 0, K_{k+1} = K_k + increments[k], by the level rule.
 

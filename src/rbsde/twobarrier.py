@@ -76,6 +76,21 @@ def _closure(tree: ScenarioTree, leaf_values: np.ndarray) -> Process:
     return out
 
 
+def _source_tail(tree: ScenarioTree, rates: np.ndarray) -> np.ndarray:
+    """Source mass still to come, sum_{j >= k} rates_j dt, at each level k."""
+    return np.concatenate((np.cumsum((rates * tree.dt)[::-1])[::-1], [0.0]))
+
+
+def _source_rates(tree: ScenarioTree, driver) -> np.ndarray:
+    return np.asarray([driver.base_at(tree.time(k)) for k in range(tree.num_steps)])
+
+
+def _mean_mass(tree: ScenarioTree, g: np.ndarray, xi_mart: Process) -> Process:
+    """E[xi + sum_{j >= k} g_j dt | F_k], the unreflected coefficient-free solution."""
+    tail = _source_tail(tree, g)
+    return [xi_mart[k] + tail[k] for k in range(tree.num_steps + 1)]
+
+
 def check_mokobodski(tree: ScenarioTree, witness: MokobodskiWitness,
                      lower, upper) -> MokobodskiCheck:
     """Verify nonnegativity, the supermartingale property and the band.
@@ -135,28 +150,25 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     Iterates until a round moves both envelopes by less than ``TOL`` in
     sup norm, for at most ``MAX_ROUNDS`` rounds.  Returns the assembled
     solution and the iteration trace.  Requires a coefficient-free
-    driver and a passing witness (the built-in martingale witness is
-    used when none is supplied).
+    driver and a passing witness (the built-in martingale witness, whose
+    two closures the bounds reuse, when none is supplied).
     """
     driver = _require_plain_driver(driver)
     low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
+    xi_plus = _closure(tree, np.maximum(xi, 0.0))
+    xi_minus = _closure(tree, np.maximum(-xi, 0.0))
     if witness is None:
-        witness = martingale_witness(tree, xi)
+        witness = MokobodskiWitness(h=xi_plus, h_prime=xi_minus)
     wcheck = check_mokobodski(tree, witness, low, up)
     if not wcheck.passed:
         raise MokobodskiFailed(f"witness rejected: {wcheck.detail}")
 
     n = tree.num_steps
-    dt = tree.dt
-    g = np.asarray([driver.base_at(tree.time(k)) for k in range(n)])
-    gtail = np.concatenate((np.cumsum((g * dt)[::-1])[::-1], [0.0]))
-    gtail_minus = np.concatenate((np.cumsum((np.maximum(-g, 0.0) * dt)[::-1])[::-1], [0.0]))
-    gtail_plus = np.concatenate((np.cumsum((np.maximum(g, 0.0) * dt)[::-1])[::-1], [0.0]))
-
+    g = _source_rates(tree, driver)
+    gtail_minus = _source_tail(tree, np.maximum(-g, 0.0))
+    gtail_plus = _source_tail(tree, np.maximum(g, 0.0))
     xi_mart = _closure(tree, xi)
-    xi_plus = _closure(tree, np.maximum(xi, 0.0))
-    xi_minus = _closure(tree, np.maximum(-xi, 0.0))
-    mean_mass = [xi_mart[k] + gtail[k] for k in range(n + 1)]
+    mean_mass = _mean_mass(tree, g, xi_mart)
 
     l_tilde = [low.values[k] - mean_mass[k] for k in range(n)]
     l_tilde.append(np.zeros(tree.level_size(n)))

@@ -15,7 +15,9 @@ left-limit formula with ``BIND_TOL``, the very constant the solver's
 split reads, so solver and checker share one convention; neither
 tolerance is an argument.  The probes re-solve problems along
 independent routes (uniqueness) and run the penalty ladder
-``DEFAULT_LADDER`` against the jump-type mass (regularity dichotomy).
+``DEFAULT_LADDER`` against the jump-type mass (regularity dichotomy),
+calling a problem regular by ``rbsde.snell.REGULAR_TOL`` as the
+envelope route's ``regularity_check`` does.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from .bsde import (Compensator, Solution, _leaf_values, _source_term, barrier_va
                    solve_bsde)
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
-from .processes import BarrierValues, DriverSpec, ProblemSpec
+from .processes import BarrierValues, ProblemSpec
 from .reflected import obstacle_payoff, solve_reflected_one
-from .snell import BIND_TOL, _envelope
+from .snell import BIND_TOL, REGULAR_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (Process, ScenarioTree, _block_children, _block_rows, _children,
-                   _parent_blocks, _worst, expand, sup_diff)
-from .twobarrier import picard_snell_solve, solve_double_obstacle
+                   _parent_blocks, _worst, sup_diff, terminal_mean)
+from .twobarrier import (_closure, _mean_mass, _source_rates, picard_snell_solve,
+                         solve_double_obstacle)
 
 CHECK_TOL = 1e-10
 EXACT_PENALTY_LEVEL = 1e13
@@ -241,16 +244,6 @@ def check_solution(tree: ScenarioTree, sol: Solution, driver, terminal, lower,
 check_solution_one = check_solution_two = check_solution
 
 
-def _mean_mass_route(tree: ScenarioTree, driver: DriverSpec, xi: np.ndarray) -> Process:
-    """Closed-form coefficient-free unreflected solve: E[xi + source | F]."""
-    n = tree.num_steps
-    y: Process = [None] * (n + 1)
-    y[n] = xi.copy()
-    for k in range(n - 1, -1, -1):
-        y[k] = tree.cond_exp(y[k + 1]) + driver.base_at(tree.time(k)) * tree.dt
-    return y
-
-
 def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2) -> float:
     """Solve along independent routes; return the worst pairwise Y gap."""
     if n_restarts < 2:
@@ -277,9 +270,10 @@ def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2) -> float:
                                   upper=problem.upper, initial=random_triple(tree, rng))
             routes.append(sol.y)
     elif problem.kind == "standard":
-        routes.append(_mean_mass_route(tree, driver, _leaf_values(tree, problem.terminal)))
+        routes.append(_mean_mass(tree, _source_rates(tree, driver),
+                                 _closure(tree, _leaf_values(tree, problem.terminal))))
     elif problem.kind == "one_barrier":
-        payoff, _, cum = obstacle_payoff(tree, driver, problem.terminal, problem.barrier)
+        payoff, cum = obstacle_payoff(tree, driver, problem.terminal, problem.barrier)
         envelope, _ = _envelope(tree, payoff)
         routes.append([envelope[k] - cum[k] for k in range(tree.num_steps + 1)])
     else:
@@ -306,7 +300,7 @@ class RegularityProbeReport:
 
     @property
     def zv_gaps_vanish(self) -> bool:
-        return (self.z_gaps[-1] <= 1e-10) and (self.v_gaps[-1] <= 1e-10)
+        return (self.z_gaps[-1] <= REGULAR_TOL) and (self.v_gaps[-1] <= REGULAR_TOL)
 
 
 def regularity_probe(problem: ProblemSpec) -> RegularityProbeReport:
@@ -321,8 +315,7 @@ def regularity_probe(problem: ProblemSpec) -> RegularityProbeReport:
     tree = problem.build_tree()
     report = sweep(tree, problem.driver, problem.barrier, problem.terminal, DEFAULT_LADDER)
     reflected = report.reflected
-    kd_mass = tree.expectation(
-        tree.num_steps, expand(tree, reflected.lower.k_d[tree.num_steps], tree.num_steps))
+    kd_mass = terminal_mean(tree, reflected.lower.k_d)
 
     obstacle = barrier_values(tree, problem.barrier)
     gaps_at_jumps = []
@@ -334,7 +327,7 @@ def regularity_probe(problem: ProblemSpec) -> RegularityProbeReport:
                                                       - reflected.y[level - 1]))))
         gaps_at_jumps.append(worst)
 
-    verdict = "irregular" if kd_mass > 1e-10 else "regular"
+    verdict = "irregular" if kd_mass > REGULAR_TOL else "regular"
     return RegularityProbeReport(levels=report.levels, kd_mass=kd_mass,
                                  y_gaps=report.sup_gaps, z_gaps=report.z_gaps,
                                  v_gaps=report.v_gaps,

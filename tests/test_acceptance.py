@@ -72,8 +72,8 @@ def test_criterion_2_snell_vs_brute_force():
             dev = snell_representation_check(tree, sol, problem.driver,
                                              problem.terminal, problem.barrier)
             assert dev <= 1e-12
-            payoff, _, cum = obstacle_payoff(tree, problem.driver, problem.terminal,
-                                             problem.barrier)
+            payoff, cum = obstacle_payoff(tree, problem.driver, problem.terminal,
+                                          problem.barrier)
             oracle = brute_force_values(tree, payoff)
             for k in range(tree.num_steps + 1):
                 assert np.max(np.abs(sol.y[k] + cum[k] - oracle[k])) <= 1e-12

@@ -269,6 +269,21 @@ def test_snell_command(tmp_path):
     assert payload["regular"] is False
 
 
+@pytest.mark.parametrize("g", [-0.4, 0.4])
+def test_snell_and_solve_one_report_one_jump_type_mass(tmp_path, g):
+    """With a source the envelope route still splits K as the solver does."""
+    config = json.loads((CONFIGS / "counterexample.json").read_text())
+    config["driver"]["g"] = g
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run("snell", "--config", path, "--out", tmp_path / "snell") == 0
+    assert run("solve-one", "--config", path, "--out", tmp_path / "solve") == 0
+    envelope = json.loads((tmp_path / "snell" / "snell.json").read_text())
+    summary = json.loads((tmp_path / "solve" / "solution.json").read_text())["summary"]
+    assert envelope["kd_mass"] == pytest.approx(summary["expected_terminal_kd"], abs=1e-12)
+    assert envelope["regular"] is False
+
+
 def test_contraction_study(tmp_path):
     assert run("contraction-study", "--config", CONFIGS / "contraction.json",
                "--out", tmp_path, "--alpha-list", "2.0,8.0") == 0

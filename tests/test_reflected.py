@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rbsde import (BarrierSpec, DriverNotCoefficientFree, DriverSpec, MarkSet,
                    TerminalBelowBarrier, TerminalSpec, build_tree, expand,
-                   snell_representation_check, solve_reflected, sup_diff)
+                   regularity_check, snell, snell_representation_check, solve_reflected,
+                   sup_diff)
 from rbsde.processes import linear_obstacle
 from rbsde.reflected import obstacle_payoff
 from rbsde.snell import brute_force_values
+from rbsde.tree import terminal_mean
 from conftest import random_one_barrier
 
 
@@ -107,11 +110,25 @@ def test_value_matches_stopping_oracle():
         dev = snell_representation_check(tree, sol, problem.driver, problem.terminal,
                                          problem.barrier)
         assert dev <= 1e-12
-        payoff, _, cum = obstacle_payoff(tree, problem.driver, problem.terminal,
-                                         problem.barrier)
+        payoff, cum = obstacle_payoff(tree, problem.driver, problem.terminal,
+                                      problem.barrier)
         oracle = brute_force_values(tree, payoff)
         for k in range(tree.num_steps + 1):
             assert np.max(np.abs(sol.y[k] + cum[k] - oracle[k])) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_envelope_route_splits_k_as_the_solver_does(seed):
+    """The envelope's jump-type mass is the solver's, with a source g != 0."""
+    problem = random_one_barrier(np.random.default_rng(seed), max_steps=5, max_marks=1)
+    tree = problem.build_tree()
+    payoff, cum = obstacle_payoff(tree, problem.driver, problem.terminal, problem.barrier)
+    assume(np.any(cum != 0.0))
+    report = regularity_check(tree, snell(tree, payoff), cum, problem.barrier)
+    sol = solve_reflected(tree, problem.driver, problem.terminal, problem.barrier)
+    assert report.kd_mass == pytest.approx(terminal_mean(tree, sol.lower.k_d), abs=1e-12)
+    assert report.total_mass == pytest.approx(terminal_mean(tree, sol.lower.k), abs=1e-12)
 
 
 def test_comparison_in_the_obstacle():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from rbsde import (MarkSet, NotMonotone, TooLargeToEnumerate, build_tree,
-                   monotone_limit_check, optimal_stopping_time, regularity_check,
-                   snell, sup_diff)
+from rbsde import (BarrierSpec, DriverSpec, MarkSet, NotMonotone, TerminalSpec,
+                   TooLargeToEnumerate, build_tree, expand, monotone_limit_check,
+                   optimal_stopping_time, regularity_check, snell, sup_diff)
+from rbsde.reflected import obstacle_payoff
 from rbsde.snell import (brute_force_values, enumerate_stopping_values, stop_flags,
                          stopped_envelope_residual)
 
@@ -84,9 +85,11 @@ def test_doob_meyer_split():
     res = snell(tree, payoff)
     for k in range(tree.num_steps + 1):
         assert np.all(res.envelope[k] >= np.asarray(payoff[k]) - 1e-14)
+    martingale = [res.envelope[k] + expand(tree, res.compensator[k], k)
+                  for k in range(tree.num_steps + 1)]
     for k in range(tree.num_steps):
         # martingale part and predictable nonnegative increments
-        defect = tree.cond_exp(res.martingale[k + 1]) - res.martingale[k]
+        defect = tree.cond_exp(martingale[k + 1]) - martingale[k]
         assert np.max(np.abs(defect)) <= 1e-12
         assert np.min(res.increments[k]) >= -1e-15
         # complementarity: mass only where the envelope touches the payoff
@@ -147,10 +150,11 @@ def test_monotone_limit_of_envelopes():
 
 def test_regularity_split_counterexample():
     tree = build_tree(4)
-    values = (1.0, 1.0, 0.0, 0.0, 0.5)
-    payoff = [np.full(tree.level_size(k), v) for k, v in enumerate(values)]
+    # payoff (1, 1, 0, 0, 0.5): the obstacle drops from 1 to 0 at level 2
+    barrier = BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0)))
+    payoff, cum = obstacle_payoff(tree, DriverSpec(), TerminalSpec(constant=0.5), barrier)
     res = snell(tree, payoff)
-    report = regularity_check(tree, res, {2: np.full(tree.level_size(2), 1.0)})
+    report = regularity_check(tree, res, cum, barrier)
     assert report.kd_mass == pytest.approx(0.5, abs=1e-14)
     assert not report.regular
     assert report.total_mass == pytest.approx(0.5, abs=1e-14)
@@ -158,8 +162,10 @@ def test_regularity_split_counterexample():
 
 def test_regularity_no_declared_jumps_is_regular():
     tree = build_tree(3)
-    payoff = martingale_payoff(tree, np.sin(np.arange(tree.level_size(3))))
-    report = regularity_check(tree, snell(tree, payoff), {})
+    barrier = BarrierSpec(pieces=((0.0, -2.0),))
+    payoff, cum = obstacle_payoff(tree, DriverSpec(), np.sin(np.arange(tree.level_size(3))),
+                                  barrier)
+    report = regularity_check(tree, snell(tree, payoff), cum, barrier)
     assert report.regular
     assert report.kd_mass == 0.0
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
-                   build_tree, check_solution, regularity_probe, solve_reflected,
-                   uniqueness_probe, verify)
+                   build_tree, check_solution, regularity_check, regularity_probe, snell,
+                   solve_reflected, uniqueness_probe, verify)
 from rbsde.processes import put_payoff
+from rbsde.reflected import obstacle_payoff
 from conftest import (clone_solution, counterexample_pieces, one_barrier_mutants, process_of,
                       random_one_barrier, random_two_barrier, two_barrier_mutants)
 
@@ -164,6 +165,20 @@ def test_regularity_probe_counterexample_dichotomy():
     # the jump time keeps a positive uniform gap at every finite level
     assert all(g > 0.0 for g in report.gaps_at_jumps)
     assert all(b < a for a, b in zip(report.y_gaps, report.y_gaps[1:]))
+
+
+def test_regularity_verdicts_share_one_threshold():
+    """A jump-type mass of 1e-10 gets one verdict from the probe and the envelope route."""
+    problem = ProblemSpec(num_steps=4, terminal=TerminalSpec(constant=0.0),
+                          barrier=BarrierSpec(pieces=((0.0, 1e-10), (0.5, 0.0))))
+    probe = regularity_probe(problem)
+    tree = problem.build_tree()
+    payoff, cum = obstacle_payoff(tree, problem.driver, problem.terminal, problem.barrier)
+    check = regularity_check(tree, snell(tree, payoff), cum, problem.barrier)
+    assert probe.kd_mass == pytest.approx(1e-10, rel=1e-6)
+    assert check.kd_mass == pytest.approx(1e-10, rel=1e-6)
+    assert probe.verdict == "regular"
+    assert check.regular
 
 
 def test_regularity_probe_continuous_obstacle():
