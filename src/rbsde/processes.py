@@ -127,6 +127,11 @@ class BarrierSpec:
                 raise ValueError("declared jump times must be distinct")
             if any(t <= 0.0 or t > 1.0 for t in jt):
                 raise ValueError("declared jump times must lie in (0, 1]")
+            # a finite offset can still carry the left limit past the largest float
+            if any(not np.isfinite(self.deterministic_at(t) + offset)
+                   for t, offset in self.jumps):
+                raise ValueError("declared jump offsets must be finite, and so must "
+                                 "the left limits they give")
 
     @property
     def declared_jumps(self) -> tuple[tuple[float, float], ...]:
@@ -199,8 +204,10 @@ def _evaluate_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
             raw = np.asarray(spec.stochastic(t_j, tree.w[level - 1], tree.counts[level - 1]),
                              dtype=float)
             # each child's left limit is its parent's value: add, then repeat
-            parents = np.broadcast_to(raw, (tree.level_size(level - 1),))
-            left[level] = tree.lift(np.add(base, parents))
+            parents = np.add(base, np.broadcast_to(raw, (tree.level_size(level - 1),)))
+            if not _all_finite(parents):
+                raise ValueError(f"obstacle left limit is not finite at level {level}")
+            left[level] = tree.lift(parents)
         _read_only(left[level])
 
     return BarrierValues(values=tuple(values), left=MappingProxyType(left),

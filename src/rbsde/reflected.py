@@ -12,9 +12,11 @@ jump-type part of each compensator is extracted at the declared
 predictable jump times of its obstacle via the left-limit formula, with
 the binding tolerance ``rbsde.snell.BIND_TOL`` on the preceding grid
 slot, the one the checker applies.  Each level is processed in
-cache-sized blocks of parents and their children.  The compensators
-follow the level rule of ``rbsde.tree``: K_{k+1} is kept at level k, K_d
-only at declared levels.  The envelope route's ``regularity_check``
+cache-sized blocks of parents and their children, and the obstacle
+validation takes its minima over blocks too.  The compensators follow
+the level rule of ``rbsde.tree``: K_{k+1} is kept at level k, K_d only
+at declared levels, and K_c = K - K_d is formed from the stored arrays
+without expanding either.  The envelope route's ``regularity_check``
 splits the Snell envelope's K with the same ``_split_side``.
 """
 
@@ -31,8 +33,8 @@ from .errors import (BarriersTouch, DriverNotCoefficientFree, TerminalBelowBarri
                      TerminalOutsideBarriers)
 from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import (Process, ScenarioTree, _accumulate, _block_rows, _children,
-                   _parent_blocks, _worst, expand, terminal_mean)
+from .tree import (_BLOCK_NODES, Process, ScenarioTree, _accumulate, _block_rows,
+                   _children, _parent_blocks, _worst, terminal_mean)
 
 TERMINAL_SLACK = 1e-12
 
@@ -47,7 +49,9 @@ def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle,
     is +1 for an obstacle below the solution and -1 for one above it.
     K_d is a whole-level array at declared levels and shared by the
     levels after them; K_c = K - K_d is a parent-level array like K,
-    except at declared levels.
+    except at declared levels.  K_c lines each stored value of the coarser
+    of K and K_d up with the values of the finer one it holds for, so
+    neither is expanded.
     """
     n = tree.num_steps
     k_d: Process = [np.zeros(1)]
@@ -55,8 +59,9 @@ def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle,
     for k in range(1, n + 1):
         left = obstacle.left.get(k)
         if left is None:
-            k_d.append(k_d[k - 1])
-            k_c.append(k_total[k] - expand(tree, k_d[k], k - 1))
+            kd = k_d[k - 1]
+            k_d.append(kd)
+            k_c.append((k_total[k].reshape(len(kd), -1) - kd[:, None]).ravel())
             continue
         kd = np.empty(tree.level_size(k))
         for rows in _parent_blocks(tree, k - 1):
@@ -66,24 +71,33 @@ def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle,
             np.add(_block_rows(tree, k_d[k - 1], k - 1, rows)[:, None],
                    np.where(binding, gap, 0.0), out=_children(tree, kd, rows))
         k_d.append(kd)
-        k_c.append(expand(tree, k_total[k], k) - kd)
+        k_c.append((k_total[k][:, None] - kd.reshape(len(k_total[k]), -1)).ravel())
     return Compensator(k=k_total, k_c=k_c, k_d=k_d)
+
+
+def _min_gap(high: np.ndarray, low: np.ndarray) -> float:
+    """min(high - low) over blocks of ``_BLOCK_NODES`` values, NaN kept.
+
+    No whole-level difference is formed.
+    """
+    return float(np.min([np.min(high[i:i + _BLOCK_NODES] - low[i:i + _BLOCK_NODES])
+                         for i in range(0, len(high), _BLOCK_NODES)]))
 
 
 def _validate_obstacles(tree: ScenarioTree, xi: np.ndarray, low, up=None) -> None:
     """Terminal payoff inside [L, U] at every leaf, and L < U before the horizon."""
     n = tree.num_steps
-    below = float(np.min(xi - low.values[n]))
+    below = _min_gap(xi, low.values[n])
     if up is None:
         if below < -TERMINAL_SLACK:
             raise TerminalBelowBarrier(
                 f"terminal payoff dips {-below:.3g} below the obstacle at a leaf")
         return
-    above = float(np.min(up.values[n] - xi))
+    above = _min_gap(up.values[n], xi)
     if below < -TERMINAL_SLACK or above < -TERMINAL_SLACK:
         raise TerminalOutsideBarriers("terminal payoff leaves the obstacle band at a leaf")
     for k in range(n):
-        gap = float(np.min(up.values[k] - low.values[k]))
+        gap = _min_gap(up.values[k], low.values[k])
         if gap <= 0.0:
             raise BarriersTouch(
                 f"obstacles touch at level {k} (gap {gap:.3g}); strict separation "

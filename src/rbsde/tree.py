@@ -23,6 +23,8 @@ built level by level in full read the same way.
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +91,10 @@ class ScenarioTree:
     Every level array is C-contiguous float64: ``w[k]`` and
     ``atom_prob[k]`` have shape ``(n_k,)``, ``counts[k]`` has shape
     ``(n_k, m)``.  The level kernels reshape them into ``(parents, B)``
-    views and rely on this layout.
+    views and rely on this layout.  ``w`` and ``counts`` are tuples built
+    up front.  ``atom_prob`` is an ``AtomProbabilities`` sequence, which
+    builds a level, and any missing level below it, on first read, so a
+    caller that reads parent levels only never holds the leaf level.
     """
 
     num_steps: int
@@ -101,7 +106,7 @@ class ScenarioTree:
     branch_comp: np.ndarray   # (B, m) compensated increments 1[jump=i] - lam_i dt
     w: tuple[np.ndarray, ...]          # cumulative Brownian value per node
     counts: tuple[np.ndarray, ...]     # cumulative jump counts per node, (n_k, m)
-    atom_prob: tuple[np.ndarray, ...]  # unconditional probability of each node
+    atom_prob: AtomProbabilities       # unconditional probability of each node
 
     @property
     def branching(self) -> int:
@@ -212,16 +217,44 @@ def build_tree(num_steps: int, mark_set: MarkSet | None = None,
 
     w = [np.zeros(1)]
     counts = [np.zeros((1, m))]
-    atom = [np.ones(1)]
     for _ in range(num_steps):
         w.append(_branch_pass(np.add, w[-1], db))
-        atom.append(_branch_pass(np.multiply, atom[-1], prob))
         counts.append(_count_pass(counts[-1], branching))
 
     return ScenarioTree(num_steps=num_steps, marks=marks, dt=dt,
                         branch_prob=prob, branch_db=db,
                         branch_jump=jump, branch_comp=comp,
-                        w=tuple(w), counts=tuple(counts), atom_prob=tuple(atom))
+                        w=tuple(w), counts=tuple(counts),
+                        atom_prob=AtomProbabilities(prob, num_steps))
+
+
+class AtomProbabilities(Sequence):
+    """Unconditional node probabilities per level, each level built on first read.
+
+    Level k + 1 is ``_branch_pass(np.multiply, level k, branch_prob)``, the
+    chain an eager build runs, so every level has the same bits whenever it
+    is built.  Reading level k builds it and the missing levels below it,
+    and keeps them.  Builds hold a lock, so threads sharing a tree never
+    append one level twice; reads of built levels take none.
+    """
+
+    def __init__(self, branch_prob: np.ndarray, num_steps: int) -> None:
+        self._prob = branch_prob
+        self._levels = [np.ones(1)]
+        self._size = num_steps + 1
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, level):
+        level = range(self._size)[level]   # IndexError past either end, like a tuple
+        if level >= len(self._levels):
+            with self._lock:
+                while len(self._levels) <= level:
+                    self._levels.append(
+                        _branch_pass(np.multiply, self._levels[-1], self._prob))
+        return self._levels[level]
 
 
 def _branch_pass(op, parents: np.ndarray, per_branch: np.ndarray) -> np.ndarray:

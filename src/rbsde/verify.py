@@ -5,7 +5,9 @@ projected dynamics identity, obstacle dominance, the minimality sums for
 the continuous-type compensator mass, the left-limit jump formulas, and
 compensator monotonicity.  All clauses come from one pass per level
 over cache-sized parent blocks, in which each increment of K, K_c and
-K_d is taken once from the cumulative processes stored in the solution.
+K_d is taken once from the cumulative processes stored in the solution;
+the leaf clauses are taken in the blocks of the last level, so no clause
+forms a whole-level temporary.
 The compensators are read through the level-rule readers of
 ``rbsde.tree``, so compact solver output and whole-level solutions (a
 loaded dump, a hand-built mutant) go through the same checker, which
@@ -95,21 +97,33 @@ def _abs_max(values: np.ndarray) -> float:
 
 def _block_increments(tree: ScenarioTree, process: Process, level: int,
                       rows: slice) -> np.ndarray:
-    """(parents, B) increments from the ``rows`` nodes of ``level`` to their children.
+    """Increments from the ``rows`` nodes of ``level`` to their children.
 
-    Laid out parent-fastest (Fortran order), which numpy builds several
-    times faster than the row-major broadcast and which fixes the
-    summation order of the products taken from it.  A next level stored
-    at ``level`` or earlier gives one increment per parent, copied to
-    its children.
+    A next level stored at ``level`` or earlier gives one increment per
+    parent, as a (parents, 1) column.  A whole next level gives the
+    (parents, B) table, laid out parent-fastest (Fortran order), which
+    numpy builds several times faster than the row-major broadcast and
+    which fixes the summation order of the products taken from it.
     """
     parents = _block_rows(tree, process[level], level, rows)
     later = process[level + 1]
-    out = np.empty((len(parents), tree.branching), order="F")
     if len(later) <= tree.level_size(level):
-        out[...] = (_block_rows(tree, later, level, rows) - parents)[:, None]
-    else:
-        np.subtract(_children(tree, later, rows), parents[:, None], out=out)
+        return (_block_rows(tree, later, level, rows) - parents)[:, None]
+    out = np.empty((len(parents), tree.branching), order="F")
+    np.subtract(_children(tree, later, rows), parents[:, None], out=out)
+    return out
+
+
+def _table(tree: ScenarioTree, increments: np.ndarray) -> np.ndarray:
+    """The Fortran-order (parents, B) table of ``_block_increments`` output.
+
+    Products with ``branch_prob`` read a table, so their bits do not
+    depend on how the increments were stored.
+    """
+    if increments.shape[1] == tree.branching:
+        return increments
+    out = np.empty((len(increments), tree.branching), order="F")
+    out[...] = increments
     return out
 
 
@@ -118,18 +132,20 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
     """Every clause residual in one pass per level over parent blocks.
 
     Each increment of K, K_c and K_d is taken once per block, as the
-    (parents, B) children minus their parent, and feeds every clause that
-    reads it.  Fills the per-side residuals; returns the dynamics residual
-    and, for two sides, the worst simultaneous jump-type mass.
+    children minus their parent, and feeds every clause that reads it;
+    K_d's increment stays one per parent where it is stored at the parent
+    level.  The leaf clauses (terminal value, containment at the horizon)
+    are taken in the blocks of the last level, against the children they
+    already read.  Fills the per-side residuals; returns the dynamics
+    residual and, for two sides, the worst simultaneous jump-type mass.
     """
     n = tree.num_steps
     prob = tree.branch_prob
     y = [np.asarray(level, dtype=float) for level in sol.y]
-    dyn = float(np.max(np.abs(y[n] - xi)))
+    dyn = 0.0
     simultaneous = 0.0
     for side in sides:
         comp = side.compensator
-        side.contain = float(np.max(side.sign * (side.obstacle.values[n] - y[n])))
         side.monotone = float(np.max(np.abs(comp.k[0])))
         side.split = float(np.max(np.abs(comp.k[0] - comp.k_c[0] - comp.k_d[0])))
     for k in range(n):
@@ -141,6 +157,8 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
             parent_prob = tree.atom_prob[k][rows]
             f_val = _source_term(driver, tree, k, z_level[rows], v_level[rows]) \
                 + driver.a * y_par
+            if k == n - 1:
+                dyn = _worst(dyn, float(np.max(np.abs(y_child - _children(tree, xi, rows)))))
             dk_incs, kd_incs = [], []
             for side in sides:
                 # the split compares stored values: once per parent when no
@@ -153,13 +171,17 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
                                     read(tree, parts[1], k, rows))
                 split -= read(tree, parts[2], k, rows)
                 side.split = _worst(side.split, _abs_max(split))
-                d_k = _block_increments(tree, comp.k, k, rows)
-                d_kc = _block_increments(tree, comp.k_c, k, rows)
+                d_k = _table(tree, _block_increments(tree, comp.k, k, rows))
+                d_kc = _table(tree, _block_increments(tree, comp.k_c, k, rows))
                 d_kd = _block_increments(tree, comp.k_d, k, rows)
                 dk_incs.append(d_k)
                 kd_incs.append(d_kd)
                 slack = side.sign * (y_par - side.obstacle.values[k][rows])
                 side.contain = _worst(side.contain, -float(np.min(slack)))
+                if k == n - 1:
+                    leaf = _children(tree, side.obstacle.values[n], rows)
+                    side.contain = _worst(side.contain,
+                                          float(np.max(side.sign * (leaf - y_child))))
                 mass_c = np.multiply(d_kc, slack[:, None], out=d_kc)
                 side.skorokhod = _worst(side.skorokhod, _abs_max(mass_c))
                 # left-limit minimality integral, weighting each child by

@@ -126,6 +126,27 @@ def test_barrier_spec_validation():
         BarrierSpec(jumps=((0.0, 1.0),))
 
 
+# the last case has a finite offset whose left limit overflows
+@pytest.mark.parametrize("value,offset", [(-0.2, np.nan), (-0.2, np.inf), (-0.2, -np.inf),
+                                          (-1e308, -1e308)])
+def test_non_finite_jump_offset_or_left_limit_is_rejected(value, offset):
+    with pytest.raises(ValueError, match="offsets must be finite"):
+        BarrierSpec(pieces=((0.0, 0.0), (0.5, value)), jumps=((0.5, offset),))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_stochastic_left_limit_is_rejected(bad):
+    # finite at every node of every level; the left limit at t = 2/3 reads
+    # the obstacle at that time on level 1's two nodes, where it is not
+    def obstacle(t, w, counts):
+        return np.full(len(w), bad if (t == 2 / 3 and len(w) == 2) else 0.0)
+
+    tree = build_tree(3)
+    spec = BarrierSpec(stochastic=obstacle, jumps=((2 / 3, 0.1),))
+    with pytest.raises(ValueError, match="left limit is not finite at level 2"):
+        eval_barrier(spec, tree)
+
+
 # ---------------------------------------------------------------------------
 # evaluation memo: once per (tree, spec), read-only, freed with the tree
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rbsde import InfeasibleIntensity, MarkSet, TreeTooLarge, build_tree, sup_diff
+from rbsde.tree import _branch_pass
 
 
 def test_single_bernoulli_step():
@@ -97,6 +98,26 @@ def test_atom_probabilities_sum_to_one():
     tree = build_tree(5, MarkSet(sizes=(1.0,), intensities=(0.7,)))
     for k in range(tree.num_steps + 1):
         assert abs(tree.atom_prob[k].sum() - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("m,steps", [(0, 9), (2, 4)])
+def test_atom_probabilities_are_built_on_first_read(m, steps):
+    marks = MarkSet(sizes=tuple(1.0 + i for i in range(m)),
+                    intensities=tuple(0.3 + 0.2 * i for i in range(m)))
+    tree = build_tree(steps, marks)
+    eager = [np.ones(1)]
+    for _ in range(steps):
+        eager.append(_branch_pass(np.multiply, eager[-1], tree.branch_prob))
+    assert len(tree.atom_prob._levels) == 1
+    # a read builds its level and the missing levels below it, nothing above
+    assert np.array_equal(tree.atom_prob[steps - 2], eager[steps - 2])
+    assert len(tree.atom_prob._levels) == steps - 1
+    assert np.array_equal(tree.atom_prob[-1], eager[steps])
+    assert len(tree.atom_prob) == steps + 1
+    assert all(np.array_equal(a, b) for a, b in zip(tree.atom_prob, eager, strict=True))
+    assert tree.atom_prob[steps - 2] is tree.atom_prob[steps - 2]
+    with pytest.raises(IndexError):
+        tree.atom_prob[steps + 1]
 
 
 def test_node_navigation():

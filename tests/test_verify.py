@@ -1,6 +1,7 @@
 """Condition checker, fault injection, uniqueness and regularity probes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
                    build_tree, check_solution, regularity_check, regularity_probe, snell,
                    solve_reflected, uniqueness_probe, verify)
-from rbsde.processes import put_payoff
+from rbsde.bsde import barrier_values
+from rbsde.processes import BarrierValues, put_payoff
 from rbsde.reflected import obstacle_payoff
 from conftest import (clone_solution, counterexample_pieces, one_barrier_mutants, process_of,
                       random_one_barrier, random_two_barrier, two_barrier_mutants)
@@ -70,6 +72,85 @@ def test_nan_in_two_barrier_solution_fails(field):
                             problem.lower, problem.upper)
     assert not report.passed
     assert any(np.isnan(c.residual) for c in report.clauses.values())
+
+
+# ---------------------------------------------------------------------------
+# leaf clauses, taken in the parent blocks of the last level, and the
+# checker's own memory
+
+DEEP_N = 18   # with no marks, level DEEP_N - 1 spans four parent blocks
+
+
+def _deep_problem(steps):
+    tree = build_tree(steps)
+    driver = DriverSpec(base=0.1, a=0.2, b=0.1)
+    terminal = TerminalSpec(payoff=lambda w, counts: np.abs(w))
+    lower = BarrierSpec(pieces=((0.0, 0.3), (0.5, 0.0)), stochastic=lambda t, w, c: 0.5 * w)
+    upper = BarrierSpec(pieces=((0.0, 2.0), (0.5, 1.5)),
+                        stochastic=lambda t, w, c: 1.0 + np.abs(w))
+    return tree, driver, terminal, (lower, upper)
+
+
+def _failing(report):
+    return {name for name, c in report.clauses.items() if not c.passed}
+
+
+@pytest.mark.parametrize("sides,contain", [(1, "barrier_dominance"), (2, "containment")])
+def test_nan_leaf_in_the_last_block_fails_dynamics(sides, contain):
+    tree, driver, terminal, obstacles = _deep_problem(DEEP_N)
+    obstacles = obstacles[:sides]
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, *obstacles))
+    sol.y[DEEP_N][-1] = np.nan
+    report = check_solution(tree, sol, driver, terminal, *obstacles)
+    assert _failing(report) == {"dynamics", contain}
+    assert all(np.isnan(report.clauses[name].residual) for name in _failing(report))
+
+
+@pytest.mark.parametrize("sides,broken,contain", [
+    (1, 0, "barrier_dominance"), (2, 0, "containment"), (2, 1, "containment")])
+def test_leaf_outside_an_obstacle_in_the_last_block_fails_containment(sides, broken,
+                                                                      contain):
+    tree, driver, terminal, obstacles = _deep_problem(DEEP_N)
+    sol = solve_reflected(tree, driver, terminal, *obstacles[:sides])
+    values = [barrier_values(tree, spec) for spec in obstacles[:sides]]
+    bad = values[broken]
+    leaf = np.array(bad.values[DEEP_N])
+    # 1e-3 above Y for the lower obstacle, 1e-3 below it for the upper one
+    leaf[-1] = sol.y[DEEP_N][-1] + (1e-3 if broken == 0 else -1e-3)
+    values[broken] = BarrierValues(values=bad.values[:DEEP_N] + (leaf,), left=bad.left,
+                                   jump_levels=bad.jump_levels)
+    report = check_solution(tree, sol, driver, terminal, *values)
+    assert _failing(report) == {contain}
+    assert report.clauses[contain].residual == pytest.approx(1e-3, rel=1e-9)
+
+
+def test_solve_and_check_leave_the_leaf_atom_probabilities_unbuilt():
+    tree, driver, terminal, obstacles = _deep_problem(DEEP_N)
+    for sides in (1, 2):
+        sol = solve_reflected(tree, driver, terminal, *obstacles[:sides])
+        assert check_solution(tree, sol, driver, terminal, *obstacles[:sides]).passed
+    # the checker reads parent levels only: levels 0 .. N - 1 exist, N does not
+    assert len(tree.atom_prob._levels) == DEEP_N
+
+
+def test_checker_transient_stays_below_one_leaf_level():
+    steps = 20   # 2**20 leaves, 8 MB a level: more than a parent block's working set
+    tree, driver, terminal, obstacles = _deep_problem(steps)
+    leaf_bytes = tree.level_size(steps) * 8
+    # the parent levels of atom_prob belong to the tree, which keeps them once read
+    tree.atom_prob[steps - 1]
+    for sides in (1, 2):
+        sol = solve_reflected(tree, driver, terminal, *obstacles[:sides])
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            report = check_solution(tree, sol, driver, terminal, *obstacles[:sides])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed, report.to_dict()
+        assert peak - entry < leaf_bytes, (sides, peak - entry)
+        del sol
 
 
 @pytest.mark.parametrize("case", one_barrier_mutants(),
