@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -169,9 +170,16 @@ def _show(value) -> str:
 
 
 def _reject_non_finite(value, path: tuple = ()) -> None:
-    """Raise ConfigError on NaN or infinite numbers anywhere in the mapping."""
+    """Raise ConfigError on numbers that are not finite floats anywhere in the mapping.
+
+    NaN and infinities are rejected, and so are integers beyond the
+    largest float, which JSON allows and ``float()`` cannot convert.
+    """
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{_json_path(path)} is {value!r}; numbers must be finite")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{_json_path(path)} is an integer beyond the largest float; "
+                          "numbers must be finite")
     if isinstance(value, dict):
         for key, item in value.items():
             _reject_non_finite(item, path + (key,))
@@ -390,20 +398,41 @@ _LINEAR_SECTIONS = (("terminal",), ("barrier", "stochastic"),
                     ("barriers", "lower", "stochastic"), ("barriers", "upper", "stochastic"))
 
 
+# Obstacles whose declared jumps are derived from their pieces (driver.g
+# pieces are a step function too, but declare no jumps).
+_OBSTACLE_SECTIONS = (("barrier",), ("barriers", "lower"), ("barriers", "upper"))
+
+
 def _reject(path: tuple, message: str):
     raise ConfigError(f"configuration rejected: {_json_path(path)}: {message}")
+
+
+def _section(data: dict, section: tuple) -> dict:
+    for key in section:
+        data = data.get(key, {})
+    return data
 
 
 def _check_semantics(data: dict) -> None:
     """Reject schema-valid configurations that no solver can take."""
     marks = len(data.get("marks", []))
     for section in _LINEAR_SECTIONS:
-        obj = data
-        for key in section:
-            obj = obj.get(key, {})
+        obj = _section(data, section)
         if "count_coeffs" in obj and len(obj["count_coeffs"]) != marks:
             _reject(section + ("count_coeffs",),
                     f"{len(obj['count_coeffs'])} coefficients for {marks} marks")
+    # an obstacle without declared jumps jumps by v_prev - v at each piece,
+    # which can overflow although both values are finite
+    for section in _OBSTACLE_SECTIONS:
+        obj = _section(data, section)
+        if "jumps" in obj:
+            continue
+        values = [float(v) for _, v in obj.get("pieces", ())]
+        for i in range(1, len(values)):
+            if not math.isfinite(values[i - 1] - values[i]):
+                _reject(section + ("pieces", i),
+                        f"the jump from {values[i - 1]!r} to {values[i]!r} "
+                        "is not a finite float")
 
 
 def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:

@@ -19,7 +19,7 @@ from .errors import MonotonicityViolation
 from .processes import BarrierSpec, DriverSpec
 from .reflected import solve_reflected_one
 from .snell import MONOTONE_TOL
-from .tree import Process, ScenarioTree, _accumulate, _worst, expand, sup_diff
+from .tree import Process, ScenarioTree, _accumulate, _max_excess, _worst, sup_diff
 
 # The penalised solves call the sweep directly; this name stays importable from
 # this module for code that looks it up here (the benchmark's bench/tracing.py).
@@ -70,14 +70,39 @@ def dt_dp_gap(tree: ScenarioTree, p: Process, q: Process) -> float:
     lam = tree.marks.intensity_array
     total = 0.0
     for k in range(len(p)):
-        diff = np.asarray(p[k], dtype=float) - np.asarray(q[k], dtype=float)
-        sq = (diff ** 2) @ lam if diff.ndim == 2 else diff ** 2
-        total += tree.dt * tree.expectation(k, sq)
+        sq = np.asarray(p[k], dtype=float) - np.asarray(q[k], dtype=float)
+        np.square(sq, out=sq)
+        if sq.ndim == 2:
+            sq = sq @ lam
+        total += tree.dt * tree.expectation(k, sq, out=sq)
     return float(np.sqrt(total))
+
+
+def _horizon_gap(tree: ScenarioTree, kn: np.ndarray, k: np.ndarray, leaf: np.ndarray) -> float:
+    """L2 gap of two compensators at the horizon, both stored at level n - 1.
+
+    The gap is squared where K is stored and then expanded into the
+    scratch ``leaf``: the values ``expand`` gives, so the weighted sum has
+    the same bits without a fresh leaf-sized array per call.
+    """
+    sq = (kn - k) ** 2
+    leaf.reshape(len(sq), -1)[:] = sq[:, None]
+    return float(np.sqrt(tree.expectation(tree.num_steps, leaf, out=leaf)))
 
 
 @dataclass(eq=False)
 class PenalizationReport:
+    """The ladder's gaps to the reflected solve, and what the sweep keeps of each rung.
+
+    ``solutions[i]`` is the rung at ``levels[i]`` with its Y alone: its
+    ``solution.z``, ``solution.v`` and ``kn`` are None, since the gaps that
+    read them are taken while the rung is solved.  ``reflected`` is the
+    whole reflected solution.  ``sup_gaps`` are sup-norm gaps of Y,
+    ``z_gaps`` and ``v_gaps`` dt (x) dP gaps, ``k_gaps`` the L2 gaps of the
+    compensators at the horizon, and ``monotone_violation`` is the largest
+    fall of Y from one rung to the next.
+    """
+
     levels: tuple[float, ...]
     solutions: list
     reflected: Solution
@@ -92,33 +117,40 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
           n_list) -> PenalizationReport:
     """Run the penalty ladder and measure convergence to the reflected solve.
 
-    Verifies Y^n <= Y^{n+1} pointwise along the ladder (raising
-    MonotonicityViolation beyond 1e-12) and records sup-norm gaps of Y,
-    dt (x) dP gaps of (Z, V) and the L2 gap of the compensators at the
-    horizon.
+    Solves the reflected problem first, then each rung in turn: the
+    rung's Y is compared with the previous rung's and its gaps to the
+    reflected solution are taken, and only its Y is kept.  Verifies
+    Y^n <= Y^{n+1} pointwise along the ladder (raising
+    MonotonicityViolation beyond 1e-12, once every rung is solved) and
+    records sup-norm gaps of Y, dt (x) dP gaps of (Z, V) and the L2 gap
+    of the compensators at the horizon.
     """
     levels = tuple(float(n) for n in n_list)
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("n_list must be ascending with at least two entries")
 
-    solutions = [solve_penalized(tree, driver, barrier, terminal, n) for n in levels]
+    reflected = solve_reflected_one(tree, driver, terminal, barrier)
+    n = tree.num_steps
+    reflected_k = reflected.lower.k[n]
+    solutions: list = []
+    leaf = np.empty(tree.level_size(n))   # scratch of every rung's K gap
+    sup_gaps, z_gaps, v_gaps, k_gaps = [], [], [], []
     violation = 0.0
-    for lo, hi in zip(solutions, solutions[1:]):
-        for a, b in zip(lo.solution.y, hi.solution.y):
-            violation = _worst(violation, float(np.max(a - b)))
+    for level in levels:
+        rung = solve_penalized(tree, driver, barrier, terminal, level)
+        y = rung.solution.y
+        if solutions:
+            violation = _worst(violation, _max_excess(solutions[-1].solution.y, y))
+        sup_gaps.append(sup_diff(y, reflected.y))
+        z_gaps.append(dt_dp_gap(tree, rung.solution.z, reflected.z))
+        v_gaps.append(dt_dp_gap(tree, rung.solution.v, reflected.v))
+        k_gaps.append(_horizon_gap(tree, rung.kn[n], reflected_k, leaf))
+        solutions.append(PenalizedSolution(level=rung.level, kn=None,
+                                           solution=Solution(y=y, z=None, v=None)))
     if not violation <= MONOTONE_TOL:  # NaN fails too
         raise MonotonicityViolation(
             f"penalty ladder decreased by {violation:.3g} somewhere")
-
-    reflected = solve_reflected_one(tree, driver, terminal, barrier)
-    sup_gaps = tuple(sup_diff(s.solution.y, reflected.y) for s in solutions)
-    z_gaps = tuple(dt_dp_gap(tree, s.solution.z, reflected.z) for s in solutions)
-    v_gaps = tuple(dt_dp_gap(tree, s.solution.v, reflected.v) for s in solutions)
-    n = tree.num_steps
-    reflected_k = expand(tree, reflected.lower.k[n], n)
-    k_gaps = tuple(
-        float(np.sqrt(tree.expectation(n, (expand(tree, s.kn[n], n) - reflected_k) ** 2)))
-        for s in solutions)
     return PenalizationReport(levels=levels, solutions=solutions, reflected=reflected,
-                              sup_gaps=sup_gaps, z_gaps=z_gaps, v_gaps=v_gaps,
-                              k_gaps=k_gaps, monotone_violation=violation)
+                              sup_gaps=tuple(sup_gaps), z_gaps=tuple(z_gaps),
+                              v_gaps=tuple(v_gaps), k_gaps=tuple(k_gaps),
+                              monotone_violation=violation)

@@ -33,8 +33,8 @@ from .errors import (BarriersTouch, DriverNotCoefficientFree, TerminalBelowBarri
                      TerminalOutsideBarriers)
 from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import (_BLOCK_NODES, Process, ScenarioTree, _accumulate, _block_rows,
-                   _children, _parent_blocks, _worst, terminal_mean)
+from .tree import (Process, ScenarioTree, _accumulate, _block_rows, _children,
+                   _parent_blocks, _reduce_blocks, _worst, terminal_mean)
 
 TERMINAL_SLACK = 1e-12
 
@@ -76,12 +76,8 @@ def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle,
 
 
 def _min_gap(high: np.ndarray, low: np.ndarray) -> float:
-    """min(high - low) over blocks of ``_BLOCK_NODES`` values, NaN kept.
-
-    No whole-level difference is formed.
-    """
-    return float(np.min([np.min(high[i:i + _BLOCK_NODES] - low[i:i + _BLOCK_NODES])
-                         for i in range(0, len(high), _BLOCK_NODES)]))
+    """min(high - low) over blocks, NaN kept: no whole-level difference is formed."""
+    return _reduce_blocks(np.min, np.subtract, high, low)
 
 
 def _validate_obstacles(tree: ScenarioTree, xi: np.ndarray, low, up=None) -> None:

@@ -154,16 +154,18 @@ class ScenarioTree:
         """Broadcast parent-level values onto the children level."""
         return np.repeat(np.asarray(values, dtype=float), self.branching, axis=0)
 
-    def expectation(self, level: int, values: np.ndarray) -> float:
+    def expectation(self, level: int, values: np.ndarray,
+                    out: np.ndarray | None = None) -> float:
         """Probability-weighted sum of node values over one level.
 
         Every whole-level weighted sum in the package comes from here.  It
         multiplies and then adds with numpy's pairwise reduction, whose
         order depends on the length alone: a BLAS dot product splits the
         sum by thread count, so output bytes would depend on
-        ``OPENBLAS_NUM_THREADS``.
+        ``OPENBLAS_NUM_THREADS``.  ``out`` receives the products in place
+        of a fresh array; it may be ``values`` itself.
         """
-        return float(np.add.reduce(np.multiply(self.atom_prob[level], values)))
+        return float(np.add.reduce(np.multiply(self.atom_prob[level], values, out=out)))
 
     def constant(self, value: float) -> Process:
         return [np.full(self.level_size(k), float(value)) for k in range(self.num_steps + 1)]
@@ -375,12 +377,37 @@ def _worst(*values: float) -> float:
     return worst if all(v == v for v in values) else math.nan
 
 
+def _reduce_blocks(reduce, op, a: np.ndarray, b: np.ndarray) -> float:
+    """``reduce(op(a, b))`` over blocks of ``_BLOCK_NODES`` rows, NaN kept.
+
+    No whole-level temporary is formed.  A minimum or maximum is exact,
+    so the result is the whole-level one bit for bit.
+    """
+    return float(reduce([reduce(op(a[i:i + _BLOCK_NODES], b[i:i + _BLOCK_NODES]))
+                         for i in range(0, len(a), _BLOCK_NODES)]))
+
+
+def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    diff = np.subtract(a, b)
+    return np.abs(diff, out=diff)
+
+
 def sup_diff(p: Process, q: Process) -> float:
     """Largest absolute node-wise gap between two per-level processes (NaN kept)."""
     worst = 0.0
     for a, b in zip(p, q):
-        if np.asarray(a).size:
-            worst = _worst(worst, float(np.max(np.abs(np.asarray(a) - np.asarray(b)))))
+        a, b = np.asarray(a), np.asarray(b)
+        if a.size:
+            worst = _worst(worst, _reduce_blocks(np.max, _abs_diff, a, b))
+    return worst
+
+
+def _max_excess(p: Process, q: Process) -> float:
+    """Largest node-wise excess ``p - q`` over the levels of two processes (NaN kept)."""
+    worst = 0.0
+    for a, b in zip(p, q):
+        if len(a):
+            worst = _worst(worst, _reduce_blocks(np.max, np.subtract, a, b))
     return worst
 
 

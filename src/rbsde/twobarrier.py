@@ -24,7 +24,7 @@ from .processes import DriverSpec
 from .reflected import _book, _obstacle_inputs, solve_reflected
 from .snell import _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import Process, ScenarioTree, _worst, sup_diff
+from .tree import Process, ScenarioTree, _max_excess, _worst, sup_diff
 
 # The two-obstacle name of the same function: call sites that pass two obstacles
 # use it, so the benchmark's tracer (bench/tracing.py) times them as their own layer.
@@ -68,9 +68,9 @@ def constant_witness(tree: ScenarioTree, plus: float, minus: float = 0.0) -> Mok
 
 
 def _closure(tree: ScenarioTree, leaf_values: np.ndarray) -> Process:
-    """Martingale closing the given leaf values."""
+    """Martingale closing the given leaf values; its leaf level is that array itself."""
     out: Process = [None] * (tree.num_steps + 1)
-    out[tree.num_steps] = np.asarray(leaf_values, dtype=float).copy()
+    out[tree.num_steps] = np.asarray(leaf_values, dtype=float)
     for k in range(tree.num_steps - 1, -1, -1):
         out[k] = tree.cond_exp(out[k + 1])
     return out
@@ -125,7 +125,14 @@ def check_mokobodski(tree: ScenarioTree, witness: MokobodskiWitness,
 
 @dataclass(eq=False)
 class TwoBarrierTrace:
-    """Recorded envelope iteration, with the bounding processes."""
+    """Recorded envelope iteration, with the bounding processes.
+
+    ``iterates`` holds every round's pair (N+, N-), whole, from iterate 0,
+    the read-only zero process, on; ``changes`` holds each round's sup-norm
+    move.  The leaf level of every iterate and of both bounds is one
+    shared read-only zero array, and each later round's levels are the
+    envelope arrays themselves, not copies.
+    """
 
     iterates: list
     changes: list
@@ -170,18 +177,20 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     xi_mart = _closure(tree, xi)
     mean_mass = _mean_mass(tree, g, xi_mart)
 
-    l_tilde = [low.values[k] - mean_mass[k] for k in range(n)]
-    l_tilde.append(np.zeros(tree.level_size(n)))
-    u_tilde = [up.values[k] - mean_mass[k] for k in range(n)]
-    u_tilde.append(np.zeros(tree.level_size(n)))
+    # The leaf level of L~, U~, both bounds and every round's payoff and
+    # envelope is zero: one read-only zero level serves them all, and the
+    # read-only zero process is iterate 0 of both envelopes.
+    zeros = [np.zeros(tree.level_size(k)) for k in range(n + 1)]
+    for level in zeros:
+        level.flags.writeable = False
+    leaf = zeros[n]
+    l_tilde = [low.values[k] - mean_mass[k] for k in range(n)] + [leaf]
+    u_tilde = [up.values[k] - mean_mass[k] for k in range(n)] + [leaf]
+    bound_plus = [witness.h[k] + xi_minus[k] + gtail_minus[k] for k in range(n)] + [leaf]
+    bound_minus = [witness.h_prime[k] + xi_plus[k] + gtail_plus[k] for k in range(n)] + [leaf]
+    del witness, xi_plus, xi_minus
 
-    bound_plus = [witness.h[k] + xi_minus[k] + gtail_minus[k] for k in range(n)]
-    bound_plus.append(np.zeros(tree.level_size(n)))
-    bound_minus = [witness.h_prime[k] + xi_plus[k] + gtail_plus[k] for k in range(n)]
-    bound_minus.append(np.zeros(tree.level_size(n)))
-
-    n_plus = tree.zero_adapted()
-    n_minus = tree.zero_adapted()
+    n_plus = n_minus = zeros
     # every round's envelopes are fresh arrays that nothing writes to later,
     # so the trace keeps them without copies
     iterates = [(n_plus, n_minus)]
@@ -189,8 +198,10 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     converged = False
     inc_plus = inc_minus = None
     for _ in range(MAX_ROUNDS):
-        new_plus, inc_plus = _envelope(tree, [n_minus[k] + l_tilde[k] for k in range(n + 1)])
-        new_minus, inc_minus = _envelope(tree, [n_plus[k] - u_tilde[k] for k in range(n + 1)])
+        new_plus, inc_plus = _envelope(tree, [n_minus[k] + l_tilde[k] for k in range(n)]
+                                       + [leaf])
+        new_minus, inc_minus = _envelope(tree, [n_plus[k] - u_tilde[k] for k in range(n)]
+                                         + [leaf])
         change = _worst(sup_diff(new_plus, n_plus), sup_diff(new_minus, n_minus))
         n_plus, n_minus = new_plus, new_minus
         iterates.append((n_plus, n_minus))
@@ -234,19 +245,13 @@ class MonotoneIterateReport:
 def monotone_iterate_check(tree: ScenarioTree,
                            trace: TwoBarrierTrace) -> MonotoneIterateReport:
     """Verify 0 <= N{+-}^n <= N{+-}^{n+1} <= bound for the recorded run."""
-    decrease = 0.0
-    negativity = 0.0
-    bound = 0.0
+    negativity = bound = decrease = 0.0
     for n_plus, n_minus in trace.iterates:
-        negativity = _worst(negativity, *(float(np.max(-lv)) for lv in n_plus),
-                            *(float(np.max(-lv)) for lv in n_minus))
-        for k in range(tree.num_steps + 1):
-            bound = _worst(bound, float(np.max(n_plus[k] - trace.upper_bound_plus[k])),
-                           float(np.max(n_minus[k] - trace.upper_bound_minus[k])))
+        negativity = _worst(negativity, *(-float(np.min(lv)) for lv in (*n_plus, *n_minus)))
+        bound = _worst(bound, _max_excess(n_plus, trace.upper_bound_plus),
+                       _max_excess(n_minus, trace.upper_bound_minus))
     for (p0, m0), (p1, m1) in zip(trace.iterates, trace.iterates[1:]):
-        for k in range(tree.num_steps + 1):
-            decrease = _worst(decrease, float(np.max(p0[k] - p1[k])),
-                              float(np.max(m0[k] - m1[k])))
+        decrease = _worst(decrease, _max_excess(p0, p1), _max_excess(m0, m1))
     # written so that a NaN anywhere fails the check
     passed = decrease <= TOL and negativity <= TOL and bound <= TOL
     if not passed:

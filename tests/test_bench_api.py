@@ -59,3 +59,47 @@ def test_cli_solves_and_checks_go_through_traced_names(tracing, tmp_path):
         restore()
     names = {span[0] for span in tracer.spans}
     assert {"reflected.solve", "twobarrier.solve", "verify.check"} <= names
+
+
+# The ladder_iterate gates in bench/worker.py read these results by attribute:
+# a sweep's rungs and reflected solve, and an envelope trace's iterates and bounds.
+
+@pytest.fixture
+def worker():
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import worker
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return worker
+
+
+def test_ladder_results_hold_what_the_gates_read():
+    from rbsde import (BarrierSpec, DriverSpec, TerminalSpec, build_tree,
+                       monotone_iterate_check, picard_snell_solve, sweep)
+    tree = build_tree(4)
+    levels = tree.num_steps + 1
+    report = sweep(tree, DriverSpec(), BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0))),
+                   TerminalSpec(constant=0.5), [1, 2, 4])
+    assert len(report.reflected.y) == levels
+    for rung in report.solutions:
+        assert len(rung.solution.y) == levels
+        assert all(len(rung.solution.y[k]) == tree.level_size(k) for k in range(levels))
+    _, trace = picard_snell_solve(tree, DriverSpec(base=1.5), TerminalSpec(constant=0.0),
+                                  BarrierSpec(pieces=((0.0, -0.3),)),
+                                  BarrierSpec(pieces=((0.0, 0.3),)))
+    assert len(trace.iterates) == trace.iterations + 1
+    for bound in (trace.upper_bound_plus, trace.upper_bound_minus):
+        assert len(bound) == levels
+    for pair in trace.iterates:
+        assert [len(process) for process in pair] == [levels, levels]
+    assert monotone_iterate_check(tree, trace).passed
+
+
+@pytest.mark.parametrize("index", [0, 1, 5, 10])
+def test_ladder_gates_pass_on_the_studies_they_gate(worker, tmp_path, index):
+    """The sweep, envelope and regularity gates run on their studies' real output."""
+    workload = worker.LadderIterate(7, tmp_path)
+    item = workload.prepare(index)
+    assert item[0].study in ("sweep", "envelope", "regularity")
+    assert workload.gate(item, workload.run(item)).reasons == []

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -368,8 +369,10 @@ BASE_CONFIG = {
 }
 
 
-# 1e400 overflows to inf inside json.loads without reaching parse_constant.
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+# 1e400 overflows to inf inside json.loads without reaching parse_constant;
+# an integer literal of 400 digits stays an int that float() cannot convert.
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400",
+                                   pytest.param("1" + "0" * 400, id="int-1e400")])
 def test_non_finite_config_file_exits_2(tmp_path, capsys, token):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(BASE_CONFIG).replace('"value": 0.5', f'"value": {token}'))
@@ -457,3 +460,54 @@ def test_generated_solvable_configs_reach_the_solvers(configs):
                                 "--solution", out / "solution.json") == 0):
                     solved += 1
     assert solved >= len(configs) // 2, solved
+
+
+def test_solve_one_on_values_whose_squares_overflow(tmp_path, capsys):
+    # the summary's variance squares values near 1e201, past the largest float
+    config = {"grid": {"steps": 4},
+              "terminal": {"kind": "call", "strike": -1e201, "w_coeff": 1},
+              "driver": {"g": 0}, "barrier": {"pieces": [[0, 1e200]]},
+              "solver": {"kind": "one_barrier"}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    assert run("solve-one", "--config", path, "--out", tmp_path / "out") == 0
+    first = read_csv(tmp_path / "out" / "summary.csv")[0]
+    assert float(first["y_mean"]) == 1e201
+    assert float(first["y_std"]) == 0.0
+
+
+def test_summary_statistics_scale_exactly_by_powers_of_two():
+    from rbsde import MarkSet, build_tree
+    from rbsde.cli import _stats
+    tree = build_tree(3, MarkSet(sizes=(1.0,), intensities=(0.5,)))
+    values = np.random.default_rng(5).normal(size=tree.level_size(3))
+    unit = _stats(tree, 3, values)
+    assert _stats(tree, 3, values * 2.0 ** 600) == {
+        key: value * 2.0 ** 600 for key, value in unit.items()}
+
+
+@pytest.mark.parametrize("command, section", [
+    ("solve-one", ("barrier",)), ("solve-two", ("barriers", "lower")),
+    ("solve-two", ("barriers", "upper"))])
+def test_obstacle_pieces_whose_jump_overflows_exit_2(tmp_path, capsys, command, section):
+    if command == "solve-one":
+        config = json.loads(json.dumps(BASE_CONFIG))
+    else:
+        config = json.loads((CONFIGS / "two_barrier_band.json").read_text())
+    obj = config
+    for key in section:
+        obj = obj[key]
+    obj.pop("jumps", None)
+    obj["pieces"] = [[0.0, 1e308], [0.5, -1e308]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert run(command, "--config", path, "--out", tmp_path / "out") == 2
+    assert f"$.{'.'.join(section)}.pieces[1]" in capsys.readouterr().err
+
+
+def test_driver_g_pieces_may_jump_past_the_largest_float():
+    from rbsde.config import parse_config
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["driver"]["g"] = [[0.0, 1e308], [0.5, -1e308]]
+    problem, _ = parse_config(config)
+    assert problem.driver.base_at(0.75) == -1e308

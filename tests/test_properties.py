@@ -1,16 +1,19 @@
-"""Property tests: every direct solve passes the checker.
+"""Property tests: every direct solve passes the checker, and mirrors exactly.
 
 Problems are drawn with driver coefficients a, b, c != 0, up to two
 marks, stochastic obstacles with declared jumps, and the data scaled by
-1e3 or shifted by a constant.  Derandomised, so the suite is
-deterministic.
+1e3 or shifted by a constant.  The mirror property maps a two-obstacle
+problem (xi, L, U, g) to (-xi, -U, -L, -g).  Derandomised, so the suite
+is deterministic.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree,
-                   check_solution, solve_reflected)
+                   check_solution, eval_barrier, solve_reflected)
+from rbsde.processes import BarrierValues
+from conftest import random_two_barrier
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -115,4 +118,46 @@ def test_two_obstacle_solve_passes_check(problem):
     tree, driver, terminal, lower, upper = problem
     sol = solve_reflected(tree, driver, terminal, lower, upper)
     report = check_solution(tree, sol, driver, terminal, lower, upper)
+    assert report.passed, report.to_dict()
+
+
+def _negated(tree, barrier) -> BarrierValues:
+    values = eval_barrier(barrier, tree)
+    return BarrierValues(values=tuple(-level for level in values.values),
+                         left={k: -level for k, level in values.left.items()},
+                         jump_levels=values.jump_levels)
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_mirrored_two_obstacle_problem_negates_the_solution(seed, coefficients):
+    """(xi, L, U, g) -> (-xi, -U, -L, -g), a, b, c kept: Y, Z, V negate and K+, K- swap.
+
+    Negation is exact in floating point and max/min trade places, so the
+    mirror holds bit for bit, up to the sign of a zero.
+    """
+    rng = np.random.default_rng(seed)
+    problem = random_two_barrier(rng, max_steps=5, max_marks=2)
+    tree = problem.build_tree()
+    driver = problem.driver
+    if coefficients:
+        a, b, c = (float(x) for x in rng.uniform(-0.3, 0.3, 3))
+        driver = DriverSpec(base=driver.base, a=a, b=b, c=c, marks=driver.marks)
+    sol = solve_reflected(tree, driver, problem.terminal, problem.lower, problem.upper)
+
+    mirror = DriverSpec(base=lambda t: -driver.base_at(t), a=driver.a, b=driver.b,
+                        c=driver.c, marks=driver.marks)
+    xi = -problem.terminal.evaluate(tree)
+    lower, upper = _negated(tree, problem.upper), _negated(tree, problem.lower)
+    mirrored = solve_reflected(tree, mirror, xi, lower, upper)
+
+    # array_equal compares by value: -0.0 equals 0.0, and NaN fails
+    for name in ("y", "z", "v"):
+        for ours, theirs in zip(getattr(sol, name), getattr(mirrored, name), strict=True):
+            assert np.array_equal(theirs, -ours), name
+    for side, swapped in ((sol.lower, mirrored.upper), (sol.upper, mirrored.lower)):
+        for name in ("k", "k_c", "k_d"):
+            for ours, theirs in zip(getattr(side, name), getattr(swapped, name), strict=True):
+                assert np.array_equal(theirs, ours), name
+    report = check_solution(tree, mirrored, mirror, xi, lower, upper)
     assert report.passed, report.to_dict()
