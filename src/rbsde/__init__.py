@@ -1,7 +1,7 @@
 """Reflected backward SDE solvers on exact finite scenario trees.
 
-Solves reflected backward stochastic differential equations with one
-obstacle or two (one obstacle being two with no upper side), driven by a
+Solves reflected backward stochastic differential equations with zero,
+one or two obstacles in one backward induction, driven by a
 Bernoulli Brownian walk plus a compensated finite-mark jump measure,
 with penalisation ladders, Snell-envelope machinery, fixed-point
 iteration for Lipschitz drivers and a full solution-condition checker.
@@ -9,7 +9,7 @@ iteration for Lipschitz drivers and a full solution-condition checker.
 
 __version__ = "0.1.0"
 
-from .bsde import Compensator, Solution, solve_bsde
+from .bsde import Compensator, Solution
 from .errors import (BarriersTouch, ConfigError, DriverNotCoefficientFree,
                      InfeasibleIntensity, JumpTimeOffGrid, MaxIterExceeded,
                      MokobodskiFailed, MonotonicityViolation, NoContractionObserved,
@@ -19,7 +19,8 @@ from .fixpoint import alpha_norm, alpha_rule, picard_solve
 from .penalty import PenalizationReport, PenalizedSolution, solve_penalized, sweep
 from .processes import (BarrierSpec, BarrierValues, DriverSpec, MarkSet, ProblemSpec,
                         TerminalSpec, eval_barrier, eval_driver)
-from .reflected import regularity_check, snell_representation_check, solve_reflected
+from .reflected import (regularity_check, snell_representation_check, solve_bsde,
+                        solve_reflected)
 from .snell import SnellResult, monotone_limit_check, optimal_stopping_time, snell
 from .tree import ScenarioTree, build_tree, expand, sup_diff
 from .twobarrier import (MokobodskiWitness, check_mokobodski, constant_witness,

@@ -1,4 +1,4 @@
-"""Backward solver for the unreflected equation.
+"""The backward sweep kernel of every solver.
 
 One step solves y = E[Y_next] + f(t, y, z, v) dt implicitly in y with
 (z, v) obtained by projecting Y_next against the Brownian increment and
@@ -6,10 +6,10 @@ the compensated jump increments.  The projection is not an exact
 martingale representation at finite dt: ``project_level`` returns the
 orthogonal remainder per node as a diagnostic, which must shrink under
 grid refinement.  ``Solution`` is the output type of every direct
-solver.  The sweep takes the driver as a ``source(k, rows, z, v)`` of
-the explicit part and a ``settle`` rule for the implicit step, so the
-penalised step (``rbsde.penalty``) and Picard's frozen source
-(``rbsde.fixpoint``) are rules of the modules that use them.
+solver.  The sweep takes the driver (which ``_driver_value`` alone
+evaluates) as a ``source(k, rows, z, v)`` and a ``settle`` rule for the
+implicit step: the reflected, penalised and Picard steps are rules of
+``rbsde.reflected``, ``rbsde.penalty`` and ``rbsde.fixpoint``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class Solution:
 
 def check_stepsize(driver, dt: float) -> None:
     c = driver.lipschitz_constant
-    if c * dt >= 1.0:
+    if not c * dt < 1.0:  # NaN fails too
         raise StepsizeTooLarge(f"dt*C_f = {c * dt:.6g} >= 1; refine the grid")
 
 
@@ -109,9 +109,10 @@ def project_level(tree: ScenarioTree, y_next: np.ndarray):
     return z, v, resid
 
 
-def _source_term(driver, tree: ScenarioTree, level: int, z: np.ndarray, v: np.ndarray):
-    """Everything in the driver except the implicit y part, at (z, v) of one level."""
-    out = driver.base_at(tree.time(level)) + driver.b * z
+def _driver_value(driver, tree: ScenarioTree, level: int, y, z: np.ndarray, v: np.ndarray):
+    """f(t_level, y, z, v) at nodes of one level, v weighted by the tree's marks."""
+    # + 0.0 turns a -0.0 base into +0.0, so no source value is ever -0.0
+    out = driver.base_at(tree.time(level)) + 0.0 + driver.a * y + driver.b * z
     lam = tree.marks.intensity_array
     if lam.size and driver.c != 0.0:
         out = out + driver.c * (v @ lam)
@@ -119,8 +120,8 @@ def _source_term(driver, tree: ScenarioTree, level: int, z: np.ndarray, v: np.nd
 
 
 def _sweep_source(tree: ScenarioTree, driver):
-    """The ``source(k, rows, z, v)`` of ``_backward_sweep`` for a driver."""
-    return lambda k, rows, z, v: _source_term(driver, tree, k, z, v)
+    """The ``_backward_sweep`` source of a driver: f without its implicit y part."""
+    return lambda k, rows, z, v: _driver_value(driver, tree, k, 0.0, z, v)
 
 
 def _implicit_y(rhs, a: float, dt: float):
@@ -154,14 +155,3 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle):
             z[k][rows], v[k][rows] = zb, vb
     return y, z, v
 
-
-def solve_bsde(tree: ScenarioTree, driver, terminal) -> Solution:
-    """Full backward sweep without reflection (no compensator)."""
-    check_stepsize(driver, tree.dt)
-
-    def settle(k, rows, rhs):
-        return _implicit_y(rhs, driver.a, tree.dt)
-
-    y, z, v = _backward_sweep(tree, _sweep_source(tree, driver),
-                              _leaf_values(tree, terminal), settle)
-    return Solution(y=y, z=z, v=v)

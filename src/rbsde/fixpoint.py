@@ -1,12 +1,13 @@
 """Picard iteration for drivers with (y, z, v) dependence.
 
 Each round freezes the driver inputs at the previous iterate, solves the
-resulting coefficient-free problem, and measures the move in the
-exponentially weighted norm.  The weight exponent defaults to
-2*C_f + 4*C_f^2 + 2, the constant the uniqueness estimate produces; the
-continuous-time contraction constant does not transfer verbatim to the
-discrete norm, so a failure to contract is reported with the measured
-ratios instead of being asserted impossible.
+resulting coefficient-free problem with the one reflected sweep of every
+kind, and measures the move in the exponentially weighted norm.  The
+weight exponent defaults to 2*C_f + 4*C_f^2 + 2, the constant the
+uniqueness estimate produces; the continuous-time contraction constant
+does not transfer verbatim to the discrete norm, so a failure to
+contract is reported with the measured ratios instead of being asserted
+impossible.
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import Solution, _backward_sweep, _leaf_values
+from .bsde import _driver_value
 from .errors import MaxIterExceeded, NoContractionObserved
 from .processes import DriverSpec
 from .reflected import _book, _obstacle_inputs, _reflected_sweep
 from .tree import ScenarioTree
 
-# The rounds call the sweeps directly; these solver names stay importable from
+# The rounds call the sweep directly; these solver names stay importable from
 # this module for code that looks them up here (the benchmark's bench/tracing.py).
-from .bsde import solve_bsde  # noqa: F401
-from .reflected import solve_reflected_one  # noqa: F401
+from .reflected import solve_bsde, solve_reflected_one  # noqa: F401
 from .twobarrier import solve_double_obstacle  # noqa: F401
 
 SOLVER_KINDS = ("standard", "one_barrier", "two_barrier")
@@ -81,35 +81,34 @@ class FixpointTrace:
     iterations: int
 
 
-def _freeze(tree: ScenarioTree, driver: DriverSpec, triple) -> list:
-    """f(t_k, y_k, z_k, v_k) of an iterate, one array per level k < N."""
-    y, z, v = triple
-    lam = tree.marks.intensity_array
-    values = []
-    for k in range(tree.num_steps):
-        # + 0.0 turns a -0.0 base into +0.0, so no source value is ever -0.0
-        base = driver.base_at(tree.time(k)) + 0.0
-        src = base + driver.a * np.asarray(y[k], dtype=float) \
-            + driver.b * np.asarray(z[k], dtype=float)
-        vk = np.asarray(v[k], dtype=float)
-        if lam.size and driver.c != 0.0:
-            src = src + driver.c * (vk @ lam)
-        values.append(src)
-    return values
+def _sweep(tree: ScenarioTree, driver: DriverSpec, previous, xi: np.ndarray, low, up):
+    """One round: Y, Z, V and each side's compensator increments (None without it).
 
-
-def _sweep(tree: ScenarioTree, frozen: list, xi: np.ndarray, sides):
-    """One round: Y, Z, V and the compensator increments (None for the standard kind).
-
-    The frozen driver values are the whole source, with no implicit y
-    part, so a standard step's y is its right-hand side.
+    The driver is frozen block by block at the previous iterate's (y, z, v)
+    and is the whole source, with no implicit y part.
     """
-    def source(k, rows, z, v):
-        return frozen[k][rows]
+    y, z, v = previous
 
-    if sides is not None:
-        return _reflected_sweep(tree, source, 0.0, xi, *sides)
-    return (*_backward_sweep(tree, source, xi, lambda k, rows, rhs: rhs), None, None)
+    def source(k, rows, _z, _v):
+        return _driver_value(driver, tree, k, y[k][rows], z[k][rows], v[k][rows])
+
+    return _reflected_sweep(tree, source, 0.0, xi, low, up)
+
+
+def _start(tree: ScenarioTree, initial):
+    """A given (Y, Z, V) start as float arrays, every level shaped as the tree's."""
+    n, m = tree.num_steps, tree.marks.count
+    start = []
+    for name, given, levels, tail in zip("YZV", initial, (n + 1, n, n), ((), (), (m,))):
+        given = [np.asarray(level, dtype=float) for level in given]
+        for k in range(max(len(given), levels)):
+            want = (tree.level_size(k),) + tail if k < levels else None
+            got = given[k].shape if k < len(given) else None
+            if got != want:
+                raise ValueError(f"initial {name} at level {k} has shape {got}, "
+                                 f"the tree {want}")
+        start.append(given)
+    return start
 
 
 def zero_triple(tree: ScenarioTree):
@@ -139,29 +138,23 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
     """
     if solver_kind not in SOLVER_KINDS:
         raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
-    if solver_kind == "one_barrier" and barrier is None:
-        raise ValueError("one_barrier solves need an obstacle")
-    if solver_kind == "two_barrier" and (lower is None or upper is None):
-        raise ValueError("two_barrier solves need both obstacles")
+    obstacles = {"standard": (), "one_barrier": (barrier,),
+                 "two_barrier": (lower, upper)}[solver_kind]
+    if any(side is None for side in obstacles):
+        raise ValueError(f"{solver_kind} solves need {len(obstacles)} obstacle(s)")
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if alpha is not None and not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    driver.check_marks(tree.marks)
     if alpha is None:
         alpha = alpha_rule(driver.lipschitz_constant)
 
-    sides = None
-    if solver_kind == "standard":
-        xi = _leaf_values(tree, terminal)
-    else:
-        obstacles = (barrier,) if solver_kind == "one_barrier" else (lower, upper)
-        low, up, xi = _obstacle_inputs(tree, terminal, *obstacles)
-        sides = (low, up)
-
-    start = zero_triple(tree) if initial is None else initial
-    swept = _sweep(tree, _freeze(tree, driver, start), xi, sides)
+    low, up, xi = _obstacle_inputs(tree, terminal, *obstacles)
+    start = zero_triple(tree) if initial is None else _start(tree, initial)
+    swept = _sweep(tree, driver, start, xi, low, up)
     del start  # a zero start is not held through the loop
     distances: list[float] = []
     ratios: list[float] = []
@@ -170,7 +163,7 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
         # a round that did not converge passes on its (Y, Z, V), not its increments
         previous = swept[:3]
         del swept
-        swept = _sweep(tree, _freeze(tree, driver, previous), xi, sides)
+        swept = _sweep(tree, driver, previous, xi, low, up)
         d = _alpha_distance(tree, swept, previous, alpha)
         if distances and distances[-1] > 0.0:
             r = d / distances[-1]
@@ -182,9 +175,7 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
                     f"{ratios[-3:]}", ratios=ratios)
         distances.append(d)
         if d < tol:
-            y, z, v = swept[:3]
-            solution = Solution(y=y, z=z, v=v) if sides is None \
-                else _book(tree, swept, *sides)
+            solution = _book(tree, swept, low, up)
             trace = FixpointTrace(alpha=alpha, distances=distances, ratios=ratios,
                                   converged=True, iterations=len(distances))
             return solution, trace

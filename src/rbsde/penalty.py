@@ -23,7 +23,7 @@ from .tree import Process, ScenarioTree, _accumulate, _max_excess, _worst, sup_d
 
 # The penalised solves call the sweep directly; this name stays importable from
 # this module for code that looks it up here (the benchmark's bench/tracing.py).
-from .bsde import solve_bsde  # noqa: F401
+from .reflected import solve_bsde  # noqa: F401
 
 
 @dataclass(eq=False)
@@ -44,6 +44,7 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
     """
     if not (math.isfinite(n) and n >= 0):
         raise ValueError(f"penalty weight must be finite and nonnegative, got {n}")
+    driver.check_marks(tree.marks)
     check_stepsize(driver, tree.dt)
     weight, dt = float(n), tree.dt
     obstacle = barrier_values(tree, barrier).values

@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import JumpTimeOffGrid
-from .tree import _BLOCK_NODES, MarkSet, ScenarioTree, build_tree
+from .tree import _BLOCK_NODES, MarkSet, ScenarioTree, build_tree, expand
 
 # Terminal payoffs see the leaf state; obstacle functions also see time,
 # so that conditional-mean processes with compensator drift are exact.
@@ -207,7 +207,7 @@ def _evaluate_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
             parents = np.add(base, np.broadcast_to(raw, (tree.level_size(level - 1),)))
             if not _all_finite(parents):
                 raise ValueError(f"obstacle left limit is not finite at level {level}")
-            left[level] = tree.lift(parents)
+            left[level] = expand(tree, parents, level)
         _read_only(left[level])
 
     return BarrierValues(values=tuple(values), left=MappingProxyType(left),
@@ -227,6 +227,18 @@ class DriverSpec:
     b: float = 0.0
     c: float = 0.0
     marks: MarkSet = MarkSet()
+
+    def __post_init__(self) -> None:
+        # the stepsize guard cannot certify a NaN or infinite coefficient
+        if not all(np.isfinite(x) for x in (self.a, self.b, self.c)):
+            raise ValueError("driver coefficients a, b and c must be finite")
+        if not callable(self.base) and not np.isfinite(self.base):
+            raise ValueError("a constant driver base must be finite")
+
+    def check_marks(self, marks: MarkSet) -> None:
+        """A v term must weight the tree's marks, which the Lipschitz constant reads."""
+        if self.c != 0.0 and self.marks != marks:
+            raise ValueError("a driver with c != 0 must carry the tree's marks")
 
     def base_at(self, t: float) -> float:
         if callable(self.base):

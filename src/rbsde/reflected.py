@@ -1,7 +1,7 @@
-"""Reflected solver for one obstacle or two, and its Snell-envelope cross checks.
+"""Backward solver for zero, one or two obstacles, and its Snell-envelope cross checks.
 
-One backward induction solves both problems: one obstacle is the
-two-obstacle problem with no upper side (U = +inf).  Each step solves
+One backward induction solves all three: no obstacle (``solve_bsde``)
+is L = -inf and U = +inf, and one obstacle is U = +inf.  Each step solves
 the implicit driver equation for a candidate y = E[Y_{k+1}] + f dt and
 then applies each obstacle present in turn, lower first: Y_k =
 max(candidate, L_k), then min(., U_k).  Each side books its compensator
@@ -100,12 +100,15 @@ def _validate_obstacles(tree: ScenarioTree, xi: np.ndarray, low, up=None) -> Non
                 "before the horizon is required")
 
 
-def _obstacle_inputs(tree: ScenarioTree, terminal, lower, upper=None):
-    """(L, U, xi) once the terminal lies in [L, U] and L < U; U is None for +inf."""
-    low = barrier_values(tree, lower)
-    up = None if upper is None else barrier_values(tree, upper)
+def _obstacle_inputs(tree: ScenarioTree, terminal, lower=None, upper=None):
+    """(L, U, xi) once the terminal lies in [L, U] and L < U; None is -inf for L, +inf for U."""
+    if lower is None and upper is not None:
+        raise ValueError("an upper obstacle needs a lower one")
+    low, up = (None if obstacle is None else barrier_values(tree, obstacle)
+               for obstacle in (lower, upper))
     xi = _leaf_values(tree, terminal)
-    _validate_obstacles(tree, xi, low, up)
+    if low is not None:
+        _validate_obstacles(tree, xi, low, up)
     return low, up, xi
 
 
@@ -114,20 +117,22 @@ def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, 
 
     ``source`` is the ``_backward_sweep`` source and ``a`` the driver's
     coefficient of y, solved for implicitly.  Returns (y, z, v, inc_p,
-    inc_m); ``inc_m`` is None without an upper side.
+    inc_m); the increments of a side without an obstacle are None.
     """
     n = tree.num_steps
     dt = tree.dt
     # The driver is evaluated at the reflected y, so the increments closing
     # y = E[Y_next] + f(y) dt + dK+ - dK- carry the factor (1 - a dt).
     scale = 1.0 - a * dt
-    inc_p: Process = [np.empty(tree.level_size(k)) for k in range(n)]
+    inc_p = None if low is None else [np.empty(tree.level_size(k)) for k in range(n)]
     inc_m = None if up is None else [np.empty(tree.level_size(k)) for k in range(n)]
 
     # maximum(cand, lo) and minimum(y, hi) return the obstacle on a tie, so
     # even the sign of a zero Y is the same with or without an upper side
     def settle(k, rows, rhs):
         cand = _implicit_y(rhs, a, dt)
+        if low is None:
+            return cand
         lo = low.values[k][rows]
         inc_p[k][rows] = scale * np.maximum(lo - cand, 0.0)
         yk = np.maximum(cand, lo)
@@ -144,29 +149,33 @@ def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, 
 def _book(tree: ScenarioTree, swept, low, up=None) -> Solution:
     """Solution of a ``_reflected_sweep`` result, each side's K accumulated and split."""
     y, z, v, inc_p, inc_m = swept
-    k_plus = _split_side(tree, y, _accumulate(inc_p), low, +1)
+    k_plus = None if low is None else _split_side(tree, y, _accumulate(inc_p), low, +1)
     k_minus = None if up is None else _split_side(tree, y, _accumulate(inc_m), up, -1)
     return Solution(y=y, z=z, v=v, lower=k_plus, upper=k_minus)
 
 
-def solve_reflected(tree: ScenarioTree, driver, terminal, lower, upper=None) -> Solution:
+def solve_reflected(tree: ScenarioTree, driver, terminal, lower=None,
+                    upper=None) -> Solution:
     """Solve the reflected equation by direct obstacle backward induction.
 
-    ``upper=None`` means U = +inf, the one-obstacle problem, and costs
-    nothing: no upper values, increments or compensator exist for it.
-    Preconditions: the terminal payoff lies in [L, U] at every leaf, the
-    obstacles are strictly separated before the horizon, and dt times the
-    driver's Lipschitz constant is below one.
+    ``upper=None`` means U = +inf, one obstacle, and both None the
+    unreflected equation; a missing side has no values, increments or
+    compensator.  Preconditions: the terminal lies in [L, U] at every
+    leaf, the obstacles are strictly separated before the horizon (an
+    upper one needs a lower one), a driver with a v term carries the
+    tree's marks, and dt times its Lipschitz constant is below one.
     """
+    driver.check_marks(tree.marks)
     check_stepsize(driver, tree.dt)
     low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
     swept = _reflected_sweep(tree, _sweep_source(tree, driver), driver.a, xi, low, up)
     return _book(tree, swept, low, up)
 
 
-# The one-obstacle name of the same function: call sites that pass one obstacle
-# use it, so the benchmark's tracer (bench/tracing.py) times them as their own layer.
-solve_reflected_one = solve_reflected
+# The unreflected and one-obstacle names of the same function: call sites that
+# pass no obstacle or one use them, so the benchmark's tracer (bench/tracing.py)
+# times them as their own layers.
+solve_bsde = solve_reflected_one = solve_reflected
 
 
 def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):

@@ -150,10 +150,6 @@ class ScenarioTree:
         table = values_next.reshape(parents, self.branching, values_next.shape[-1])
         return np.einsum("nbm,b->nm", table, self.branch_prob)
 
-    def lift(self, values: np.ndarray) -> np.ndarray:
-        """Broadcast parent-level values onto the children level."""
-        return np.repeat(np.asarray(values, dtype=float), self.branching, axis=0)
-
     def expectation(self, level: int, values: np.ndarray,
                     out: np.ndarray | None = None) -> float:
         """Probability-weighted sum of node values over one level.

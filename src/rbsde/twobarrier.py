@@ -24,7 +24,7 @@ from .processes import DriverSpec
 from .reflected import _book, _obstacle_inputs, solve_reflected
 from .snell import _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import Process, ScenarioTree, _max_excess, _worst, sup_diff
+from .tree import Process, ScenarioTree, _children, _max_excess, _worst, sup_diff
 
 # The two-obstacle name of the same function: call sites that pass two obstacles
 # use it, so the benchmark's tracer (bench/tracing.py) times them as their own layer.
@@ -174,8 +174,7 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     g = _source_rates(tree, driver)
     gtail_minus = _source_tail(tree, np.maximum(-g, 0.0))
     gtail_plus = _source_tail(tree, np.maximum(g, 0.0))
-    xi_mart = _closure(tree, xi)
-    mean_mass = _mean_mass(tree, g, xi_mart)
+    mean_mass = _mean_mass(tree, g, _closure(tree, xi))
 
     # The leaf level of L~, U~, both bounds and every round's payoff and
     # envelope is zero: one read-only zero level serves them all, and the
@@ -220,14 +219,9 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     y = [n_plus[k] - n_minus[k] + mean_mass[k] for k in range(n + 1)]
     z: Process = [None] * n
     v: Process = [None] * n
-    b = tree.branching
     for k in range(n):
-        # (z, v) only: project_level's remainder is not needed here
-        _, zp, vp = _project_block(tree, n_plus[k + 1].reshape(-1, b))
-        _, zm, vm = _project_block(tree, n_minus[k + 1].reshape(-1, b))
-        _, ze, ve = _project_block(tree, xi_mart[k + 1].reshape(-1, b))
-        z[k] = zp - zm + ze
-        v[k] = vp - vm + ve
+        # (z, v) of Y itself: project_level's remainder is not needed here
+        _, z[k], v[k] = _project_block(tree, _children(tree, y[k + 1], slice(None)))
 
     # the converged round's increments belong to nothing else: accumulate in place
     solution = _book(tree, (y, z, v, inc_plus, inc_minus), low, up)

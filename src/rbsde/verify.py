@@ -28,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (Compensator, Solution, _leaf_values, _source_term, barrier_values,
-                   solve_bsde)
+from .bsde import Compensator, Solution, _driver_value, _leaf_values, barrier_values
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
 from .processes import BarrierValues, ProblemSpec
-from .reflected import obstacle_payoff, solve_reflected_one
+from .reflected import obstacle_payoff, solve_bsde, solve_reflected_one
 from .snell import BIND_TOL, REGULAR_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (Process, ScenarioTree, _block_children, _block_rows, _children,
@@ -155,8 +154,7 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
             y_par = y[k][rows]
             y_child = _children(tree, y[k + 1], rows)
             parent_prob = tree.atom_prob[k][rows]
-            f_val = _source_term(driver, tree, k, z_level[rows], v_level[rows]) \
-                + driver.a * y_par
+            f_val = _driver_value(driver, tree, k, y_par, z_level[rows], v_level[rows])
             if k == n - 1:
                 dyn = _worst(dyn, float(np.max(np.abs(y_child - _children(tree, xi, rows)))))
             dk_incs, kd_incs = [], []

@@ -10,7 +10,8 @@ import pytest
 
 import rbsde.tree
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree,
-                   check_solution, solve_bsde, solve_penalized, solve_reflected)
+                   check_solution, picard_solve, solve_bsde, solve_penalized,
+                   solve_reflected)
 from rbsde.bsde import barrier_values, project_level
 from conftest import clone_solution, process_of
 
@@ -109,6 +110,23 @@ def test_penalised_and_plain_solves_match_single_block(monkeypatch):
     _assert_identical(tree, penalised.solution, whole.solution, PLAIN_FIELDS)
     for level_a, level_b in zip(penalised.kn, whole.kn, strict=True):
         assert np.array_equal(level_a, level_b), "kn"
+
+
+@pytest.mark.parametrize("kind", ["standard", "one_barrier", "two_barrier"])
+def test_picard_rounds_match_single_block(monkeypatch, kind):
+    # each round freezes the driver (a, b, c != 0) block by block
+    tree, driver, terminal, lower, upper = _two_problem()
+    obstacles = {"standard": {}, "one_barrier": {"barrier": lower},
+                 "two_barrier": {"lower": lower, "upper": upper}}[kind]
+    fields = {"standard": PLAIN_FIELDS, "one_barrier": ONE_FIELDS,
+              "two_barrier": TWO_FIELDS}[kind]
+    blocked, trace = picard_solve(tree, driver, terminal, solver_kind=kind,
+                                  **obstacles)
+    assert trace.iterations > 2
+    _whole_levels(monkeypatch)
+    whole, _ = picard_solve(tree, driver, terminal, solver_kind=kind,
+                            **obstacles)
+    _assert_identical(tree, blocked, whole, fields)
 
 
 def _last_parents(tree):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import rbsde.penalty
+import rbsde.reflected
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, StepsizeTooLarge, TerminalSpec,
-                   build_tree, solve_bsde, solve_penalized)
-from rbsde.bsde import project_level
+                   build_tree, picard_solve, solve_bsde, solve_penalized, solve_reflected)
+from rbsde.bsde import check_stepsize, project_level
 from conftest import random_marks, random_step_driver
 
 
@@ -77,6 +79,53 @@ def test_stepsize_guard():
     tree = build_tree(1)
     with pytest.raises(StepsizeTooLarge):
         solve_bsde(tree, DriverSpec(a=1.0), TerminalSpec(constant=0.0))
+
+    class NanDriver:
+        lipschitz_constant = float("nan")
+
+    with pytest.raises(StepsizeTooLarge):  # NaN fails the guard too
+        check_stepsize(NanDriver(), 0.1)
+
+
+@pytest.mark.parametrize("field", ["a", "b", "c", "base"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_driver_rejects_coefficients_the_guard_cannot_certify(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        DriverSpec(**{field: value})
+
+
+def test_driver_v_term_must_weight_the_tree_marks(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the marks are checked before any sweep")
+
+    monkeypatch.setattr(rbsde.reflected, "_backward_sweep", no_sweep)
+    monkeypatch.setattr(rbsde.penalty, "_backward_sweep", no_sweep)
+    tree = build_tree(2, MarkSet(sizes=(1.0,), intensities=(0.5,)))
+    terminal = TerminalSpec(constant=0.0)
+    untied = DriverSpec(c=4.0)
+    with pytest.raises(ValueError, match="marks"):
+        solve_reflected(tree, untied, terminal)
+    with pytest.raises(ValueError, match="marks"):
+        solve_penalized(tree, untied, BarrierSpec(pieces=((0.0, -1.0),)), terminal, 2.0)
+    with pytest.raises(ValueError, match="marks"):
+        picard_solve(tree, untied, terminal)
+    # tied to the tree's marks, the same coefficient fails the stepsize guard
+    with pytest.raises(StepsizeTooLarge):
+        solve_reflected(tree, DriverSpec(c=4.0, marks=tree.marks), terminal)
+    # a driver without a v term may carry any marks
+    monkeypatch.undo()
+    solve_bsde(build_tree(2), DriverSpec(a=0.5, marks=tree.marks), terminal)
+
+
+def test_no_obstacle_is_the_unreflected_solve():
+    tree = build_tree(3, MarkSet(sizes=(1.0,), intensities=(0.5,)))
+    driver = DriverSpec(base=0.2, a=0.3, b=-0.4, c=0.25, marks=tree.marks)
+    terminal = TerminalSpec(payoff=lambda w, c: np.sin(w) + 0.3 * c[:, 0])
+    sol = solve_reflected(tree, driver, terminal)
+    assert sol.lower is None and sol.upper is None
+    assert solve_bsde is solve_reflected
+    with pytest.raises(ValueError, match="upper obstacle needs a lower"):
+        solve_reflected(tree, driver, terminal, upper=BarrierSpec(pieces=((0.0, 10.0),)))
 
 
 def test_solve_constant_terminal():

@@ -60,24 +60,28 @@ def test_linear_driver_matches_direct_solve():
     assert trace.distances[-1] < 1e-12
 
 
-def test_one_barrier_fixed_point_contracts():
+@pytest.mark.parametrize("kind", ["standard", "one_barrier", "two_barrier"])
+def test_fixed_point_contracts_and_refits(kind):
     marks = MarkSet(sizes=(1.0,), intensities=(0.5,))
     tree = build_tree(8, marks)
     driver = DriverSpec(base=0.0, a=0.25, b=0.25, c=0.2, marks=marks)
     barrier = BarrierSpec(pieces=((0.0, 0.5), (0.5, -0.5)),
                           stochastic=linear_obstacle(0.0, 0.3))
+    upper = BarrierSpec(pieces=((0.0, 0.9), (0.5, 0.25), (1.0, 5.0)),
+                        stochastic=linear_obstacle(0.0, 0.3))
     xi = TerminalSpec(payoff=lambda w, c: np.maximum(0.3 * w, -0.5) + 0.2)
-    sol, trace = picard_solve(tree, driver, xi, solver_kind="one_barrier",
-                              barrier=barrier)
+    obstacles = {"standard": {}, "one_barrier": {"barrier": barrier},
+                 "two_barrier": {"lower": barrier, "upper": upper}}[kind]
+    sol, trace = picard_solve(tree, driver, xi, solver_kind=kind, **obstacles)
     assert trace.converged
     assert all(r < 1.0 for r in trace.ratios)
+    if kind == "two_barrier":
+        assert float(np.max(sol.upper.k[-1])) > 0.0
     # the fixed point solves the reflected problem with its own frozen inputs
-    lam = marks.intensity_array
-    frozen = [driver.base_at(tree.time(k)) + driver.a * sol.y[k]
-              + driver.b * sol.z[k] + driver.c * (sol.v[k] @ lam)
-              for k in range(tree.num_steps)]
-    sides = (barrier_values(tree, barrier), None)
-    refit_y, *_ = _sweep(tree, frozen, _leaf_values(tree, xi), sides)
+    low = None if kind == "standard" else barrier_values(tree, barrier)
+    up = barrier_values(tree, upper) if kind == "two_barrier" else None
+    refit_y, *_ = _sweep(tree, driver, (sol.y, sol.z, sol.v), _leaf_values(tree, xi),
+                         low, up)
     assert sup_diff(refit_y, sol.y) <= 1e-11
 
 
@@ -92,6 +96,26 @@ def test_initialisation_independence():
     from_random, _ = picard_solve(tree, driver, xi, tol=tol,
                                   initial=random_triple(tree, rng, scale=3.0))
     assert sup_diff(from_zero.y, from_random.y) <= tol * 10
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_rejects_a_start_off_the_tree(nodes):
+    # one node per level fits level 0 only; two nodes fit no level
+    tree = build_tree(3, MarkSet(sizes=(1.0,), intensities=(0.5,)))
+    start = ([np.zeros(nodes)] * 4, [np.zeros(nodes)] * 3, [np.zeros((nodes, 1))] * 3)
+    with pytest.raises(ValueError, match=f"initial Y at level {2 - nodes} "):
+        picard_solve(tree, DriverSpec(a=0.3), TerminalSpec(constant=1.0), initial=start)
+
+
+def test_rejects_a_start_with_the_wrong_levels_or_marks():
+    tree = build_tree(3, MarkSet(sizes=(1.0,), intensities=(0.5,)))
+    y, z, v = zero_triple(tree)
+    with pytest.raises(ValueError, match="initial Z at level 2 has shape None"):
+        picard_solve(tree, DriverSpec(a=0.3), TerminalSpec(constant=1.0),
+                     initial=(y, z[:2], v))
+    with pytest.raises(ValueError, match="initial V at level 0"):
+        picard_solve(tree, DriverSpec(a=0.3), TerminalSpec(constant=1.0),
+                     initial=(y, z, [level[:, 0] for level in v]))
 
 
 def test_iteration_budget_enforced():

@@ -44,7 +44,7 @@ def _record_increments(monkeypatch, module):
 
 
 def _whole_cumulative(tree, increments):
-    """K_0 = 0 and K_{k+1} = lift(K_k + increments[k]), every level whole."""
+    """K_0 = 0 and K_{k+1} = expand(K_k + increments[k]), every level whole."""
     out = [np.zeros(1)]
     for k, inc in enumerate(increments):
         out.append(np.repeat(out[k] + inc, tree.branching))
@@ -55,12 +55,12 @@ def _whole_split(tree, y, k_total, obstacle, sign):
     """Whole-level K_c and K_d from the left-limit formula at declared levels."""
     k_d = [np.zeros(1)]
     for k in range(1, tree.num_steps + 1):
-        parent = tree.lift(k_d[k - 1])
+        parent = expand(tree, k_d[k - 1], k)
         left = obstacle.left.get(k)
         if left is None:
             k_d.append(parent)
             continue
-        binding = np.abs(tree.lift(y[k - 1]) - left) <= BIND_TOL
+        binding = np.abs(expand(tree, y[k - 1], k) - left) <= BIND_TOL
         k_d.append(parent + np.where(binding, np.maximum(sign * (left - y[k]), 0.0), 0.0))
     return [kt - kd for kt, kd in zip(k_total, k_d)], k_d
 

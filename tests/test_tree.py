@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rbsde import InfeasibleIntensity, MarkSet, TreeTooLarge, build_tree, sup_diff
+from rbsde import InfeasibleIntensity, MarkSet, TreeTooLarge, build_tree, expand, sup_diff
 from rbsde.tree import _branch_pass
 
 
@@ -56,7 +56,7 @@ def test_conditional_expectation_basics():
     tree = build_tree(2, MarkSet(sizes=(1.0,), intensities=(0.5,)))
     constant = np.full(tree.level_size(1), 3.25)
     assert tree.cond_exp(constant) == pytest.approx([3.25])
-    db = tree.w[1] - tree.lift(tree.w[0])
+    db = tree.w[1] - expand(tree, tree.w[0], 1)
     assert abs(tree.cond_exp(db)[0]) <= 1e-15
     comp = tree.counts[1] - tree.marks.intensity_array * tree.dt
     assert np.all(np.abs(tree.cond_exp(comp)) <= 1e-15)
