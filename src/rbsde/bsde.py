@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import StepsizeTooLarge
 from .processes import BarrierSpec, BarrierValues, TerminalSpec, eval_barrier
-from .tree import Process, ScenarioTree, _children, _parent_blocks
+from .tree import Process, ScenarioTree, _children, _parent_blocks, _weigh
 
 
 @dataclass(eq=False)
@@ -115,7 +115,7 @@ def _driver_value(driver, tree: ScenarioTree, level: int, y, z: np.ndarray, v: n
     out = driver.base_at(tree.time(level)) + 0.0 + driver.a * y + driver.b * z
     lam = tree.marks.intensity_array
     if lam.size and driver.c != 0.0:
-        out = out + driver.c * (v @ lam)
+        out = out + driver.c * _weigh(v, lam)
     return out
 
 

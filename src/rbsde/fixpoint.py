@@ -21,7 +21,7 @@ from .bsde import _driver_value
 from .errors import MaxIterExceeded, NoContractionObserved
 from .processes import DriverSpec
 from .reflected import _book, _obstacle_inputs, _reflected_sweep
-from .tree import ScenarioTree
+from .tree import ScenarioTree, _weigh
 
 # The rounds call the sweep directly; these solver names stay importable from
 # this module for code that looks them up here (the benchmark's bench/tracing.py).
@@ -55,18 +55,23 @@ def _alpha_distance(tree: ScenarioTree, p, q, alpha: float) -> float:
 
 
 def _weighted_norm(tree: ScenarioTree, levels, alpha: float) -> float:
-    """The weighted norm over (y_k, z_k, v_k) for k < N, taken as ``levels`` yields them."""
+    """The weighted norm over (y_k, z_k, v_k) for k < N, taken as ``levels`` yields them.
+
+    Each level's squares are summed into one fresh array, which then takes
+    the weighted products; the arrays ``levels`` yields are only read.
+    """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     lam = tree.marks.intensity_array
     total = 0.0
     for k, (yk, zk, vk) in zip(range(tree.num_steps), levels):
         weight = np.exp(alpha * tree.time(k)) * tree.dt
-        sq = np.asarray(yk, dtype=float) ** 2 + np.asarray(zk, dtype=float) ** 2
+        sq = np.square(np.asarray(yk, dtype=float))
+        sq += np.square(np.asarray(zk, dtype=float))
         vk = np.asarray(vk, dtype=float)
         if vk.size:
-            sq = sq + (vk ** 2) @ lam
-        total += weight * tree.expectation(k, sq)
+            sq += _weigh(np.square(vk), lam, scratch=True)
+        total += weight * tree.expectation(k, sq, out=sq)
     return float(np.sqrt(total))
 
 

@@ -19,7 +19,7 @@ from .errors import MonotonicityViolation
 from .processes import BarrierSpec, DriverSpec
 from .reflected import solve_reflected_one
 from .snell import MONOTONE_TOL
-from .tree import Process, ScenarioTree, _accumulate, _max_excess, _worst, sup_diff
+from .tree import Process, ScenarioTree, _accumulate, _max_excess, _weigh, _worst, sup_diff
 
 # The penalised solves call the sweep directly; this name stays importable from
 # this module for code that looks it up here (the benchmark's bench/tracing.py).
@@ -74,21 +74,9 @@ def dt_dp_gap(tree: ScenarioTree, p: Process, q: Process) -> float:
         sq = np.asarray(p[k], dtype=float) - np.asarray(q[k], dtype=float)
         np.square(sq, out=sq)
         if sq.ndim == 2:
-            sq = sq @ lam
+            sq = _weigh(sq, lam, scratch=True)
         total += tree.dt * tree.expectation(k, sq, out=sq)
     return float(np.sqrt(total))
-
-
-def _horizon_gap(tree: ScenarioTree, kn: np.ndarray, k: np.ndarray, leaf: np.ndarray) -> float:
-    """L2 gap of two compensators at the horizon, both stored at level n - 1.
-
-    The gap is squared where K is stored and then expanded into the
-    scratch ``leaf``: the values ``expand`` gives, so the weighted sum has
-    the same bits without a fresh leaf-sized array per call.
-    """
-    sq = (kn - k) ** 2
-    leaf.reshape(len(sq), -1)[:] = sq[:, None]
-    return float(np.sqrt(tree.expectation(tree.num_steps, leaf, out=leaf)))
 
 
 @dataclass(eq=False)
@@ -145,7 +133,10 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
         sup_gaps.append(sup_diff(y, reflected.y))
         z_gaps.append(dt_dp_gap(tree, rung.solution.z, reflected.z))
         v_gaps.append(dt_dp_gap(tree, rung.solution.v, reflected.v))
-        k_gaps.append(_horizon_gap(tree, rung.kn[n], reflected_k, leaf))
+        # both K at the horizon are stored at level n - 1: the gap is squared
+        # there and weighed by the level rule, its products going into ``leaf``
+        k_gaps.append(float(np.sqrt(
+            tree.expectation(n, (rung.kn[n] - reflected_k) ** 2, out=leaf))))
         solutions.append(PenalizedSolution(level=rung.level, kn=None,
                                            solution=Solution(y=y, z=None, v=None)))
     if not violation <= MONOTONE_TOL:  # NaN fails too

@@ -16,6 +16,7 @@ pure functions of ``(t, w, counts)``.
 from __future__ import annotations
 
 import bisect
+import math
 import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -24,7 +25,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import JumpTimeOffGrid
-from .tree import _BLOCK_NODES, MarkSet, ScenarioTree, build_tree, expand
+from .tree import _BLOCK_NODES, MarkSet, ScenarioTree, _all_finite, _weigh, build_tree, expand
 
 # Terminal payoffs see the leaf state; obstacle functions also see time,
 # so that conditional-mean processes with compensator drift are exact.
@@ -46,17 +47,6 @@ def _memoised(tree: ScenarioTree, spec, compute: Callable):
         entry = (spec, compute())
         per_tree[id(spec)] = entry
     return entry[1]
-
-
-def _all_finite(values: np.ndarray) -> bool:
-    """Exact finiteness test, from one sum in the common case.
-
-    A finite sum means every value is finite; only a sum that is NaN or
-    overflows falls back to the element-wise test.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = values.sum()
-    return bool(np.isfinite(total)) or bool(np.all(np.isfinite(values)))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -241,9 +231,13 @@ class DriverSpec:
             raise ValueError("a driver with c != 0 must carry the tree's marks")
 
     def base_at(self, t: float) -> float:
-        if callable(self.base):
-            return float(self.base(t))
-        return float(self.base)
+        """g(t); a callable base that gives a NaN or infinite value raises ValueError."""
+        if not callable(self.base):
+            return float(self.base)
+        value = float(self.base(t))
+        if not math.isfinite(value):
+            raise ValueError(f"driver base is not finite at t = {t}: {value}")
+        return value
 
     @property
     def lipschitz_constant(self) -> float:
@@ -316,7 +310,8 @@ def _linear_form(intercept: float, w_coeff: float, coeffs: np.ndarray, w: np.nda
             counted = counts[rows, :coeffs.size]
             if shift is not None:
                 counted = _shift_columns(counted, shift)
-            block += counted @ coeffs
+            # a shifted table is this block's own, so a width-one product may overwrite it
+            block += _weigh(counted, coeffs, scratch=shift is not None)
     return out
 
 

@@ -16,8 +16,15 @@ as a level-k array; the jump-type part K_d is set only at the obstacle's
 declared jump levels and shared by the levels after them.  Three
 readers cover every use: ``_block_rows`` (the rows of a parent block),
 ``_block_children`` (their (parents, B) children) and ``expand`` (a
-whole level).  Whole-level arrays are the case ``j = k``, so processes
+whole level); ``ScenarioTree.expectation`` weighs such an array without
+expanding it.  Whole-level arrays are the case ``j = k``, so processes
 built level by level in full read the same way.
+
+Width-one products.  A one-mark tree makes (rows, 1) @ (1,) matrix
+products, and a BLAS call costs several times the multiply it does.
+``_weigh`` computes them as ``rows[:, 0] * w[0]`` followed by
+``+= 0.0``: BLAS adds the product into a zeroed result, so a -0.0
+product comes back +0.0, and the added zero gives the same bits.
 """
 
 from __future__ import annotations
@@ -158,10 +165,23 @@ class ScenarioTree:
         multiplies and then adds with numpy's pairwise reduction, whose
         order depends on the length alone: a BLAS dot product splits the
         sum by thread count, so output bytes would depend on
-        ``OPENBLAS_NUM_THREADS``.  ``out`` receives the products in place
-        of a fresh array; it may be ``values`` itself.
+        ``OPENBLAS_NUM_THREADS``.  ``values`` may be stored at an ancestor
+        level by the level rule: each stored value is weighted by the
+        probabilities of the nodes that read it, so the products and their
+        sum are those of the expanded level without expanding it.  ``out``,
+        a whole level, receives the products in place of a fresh array; it
+        may be ``values`` itself.
         """
-        return float(np.add.reduce(np.multiply(self.atom_prob[level], values, out=out)))
+        prob = self.atom_prob[level]
+        ratio = _ratio(self, values, level)
+        if ratio == 1:
+            return float(np.add.reduce(np.multiply(prob, values, out=out)))
+        # node i*ratio + r reads values[i]: the products expand() would give
+        if out is None:
+            out = np.empty(len(prob))
+        np.multiply(prob.reshape(-1, ratio), np.asarray(values)[:, None],
+                    out=out.reshape(-1, ratio))
+        return float(np.add.reduce(out))
 
     def constant(self, value: float) -> Process:
         return [np.full(self.level_size(k), float(value)) for k in range(self.num_steps + 1)]
@@ -344,7 +364,7 @@ def expand(tree: ScenarioTree, values: np.ndarray, level: int) -> np.ndarray:
 
 def terminal_mean(tree: ScenarioTree, process: Process) -> float:
     """E[X_N] of a process whose last level is stored by the level rule."""
-    return tree.expectation(tree.num_steps, expand(tree, process[-1], tree.num_steps))
+    return tree.expectation(tree.num_steps, process[-1])
 
 
 def _accumulate(increments: Process) -> Process:
@@ -360,6 +380,23 @@ def _accumulate(increments: Process) -> Process:
         np.add(table, total[-1][:, None], out=table)
         total.append(inc)
     return total
+
+
+def _weigh(rows: np.ndarray, weights: np.ndarray, scratch: bool = False) -> np.ndarray:
+    """``rows @ weights`` bit for bit, a width of one as one multiply.
+
+    A (rows, 1) @ (1,) product costs a BLAS call several times the
+    multiply it does.  BLAS adds each product into a zeroed result, so a
+    -0.0 product comes back +0.0; the ``+= 0.0`` does the same.  With
+    ``scratch`` the caller gives ``rows`` up, and a width-one product is
+    written over its column instead of into a fresh array.
+    """
+    if len(weights) != 1:
+        return rows @ weights
+    column = rows[:, 0]
+    out = np.multiply(column, weights[0], out=column if scratch else None)
+    out += 0.0
+    return out
 
 
 def _worst(*values: float) -> float:
@@ -383,6 +420,26 @@ def _reduce_blocks(reduce, op, a: np.ndarray, b: np.ndarray) -> float:
                          for i in range(0, len(a), _BLOCK_NODES)]))
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """Exact finiteness test, from one sum in the common case.
+
+    A finite sum means every value is finite; only a sum that is NaN or
+    overflows falls back to the element-wise test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    return bool(np.isfinite(total)) or bool(np.all(np.isfinite(values)))
+
+
+def _self_gap(a: np.ndarray) -> float:
+    """max(a - a) over a level both operands share: 0.0, or NaN if a value is not finite.
+
+    ``inf - inf`` and NaN - NaN are NaN and every other self-difference is
+    0.0, so one read of the level gives the subtracting pass's answer.
+    """
+    return 0.0 if _all_finite(a) else math.nan
+
+
 def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = np.subtract(a, b)
     return np.abs(diff, out=diff)
@@ -392,9 +449,11 @@ def sup_diff(p: Process, q: Process) -> float:
     """Largest absolute node-wise gap between two per-level processes (NaN kept)."""
     worst = 0.0
     for a, b in zip(p, q):
+        shared = a is b
         a, b = np.asarray(a), np.asarray(b)
         if a.size:
-            worst = _worst(worst, _reduce_blocks(np.max, _abs_diff, a, b))
+            gap = _self_gap(a) if shared else _reduce_blocks(np.max, _abs_diff, a, b)
+            worst = _worst(worst, gap)
     return worst
 
 
@@ -403,7 +462,8 @@ def _max_excess(p: Process, q: Process) -> float:
     worst = 0.0
     for a, b in zip(p, q):
         if len(a):
-            worst = _worst(worst, _reduce_blocks(np.max, np.subtract, a, b))
+            gap = _self_gap(a) if a is b else _reduce_blocks(np.max, np.subtract, a, b)
+            worst = _worst(worst, gap)
     return worst
 
 

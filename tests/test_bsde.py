@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rbsde.fixpoint
 import rbsde.penalty
 import rbsde.reflected
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, StepsizeTooLarge, TerminalSpec,
@@ -115,6 +116,32 @@ def test_driver_v_term_must_weight_the_tree_marks(monkeypatch):
     # a driver without a v term may carry any marks
     monkeypatch.undo()
     solve_bsde(build_tree(2), DriverSpec(a=0.5, marks=tree.marks), terminal)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_base_that_is_not_finite_raises_before_a_sweep_finishes(monkeypatch, value):
+    finished = []
+    sweep = rbsde.reflected._reflected_sweep
+
+    def counting(*args):
+        out = sweep(*args)
+        finished.append(args)
+        return out
+
+    monkeypatch.setattr(rbsde.reflected, "_reflected_sweep", counting)
+    monkeypatch.setattr(rbsde.fixpoint, "_reflected_sweep", counting)
+    tree = build_tree(3)
+    terminal = TerminalSpec(constant=1.0)
+    # the sweep starts at the last level before the horizon, t = 2/3
+    with pytest.raises(ValueError, match=r"not finite at t = 0\.666"):
+        solve_bsde(tree, DriverSpec(base=lambda t: value), terminal)
+    with pytest.raises(ValueError, match=r"not finite at t = 0\.666"):
+        picard_solve(tree, DriverSpec(base=lambda t: value, a=0.1), terminal)
+    assert finished == []
+    # a base that turns non-finite later in time is caught at that time
+    late = DriverSpec(base=lambda t: 1.0 if t > 0.5 else value)
+    with pytest.raises(ValueError, match=r"not finite at t = 0\.333"):
+        solve_bsde(tree, late, terminal)
 
 
 def test_no_obstacle_is_the_unreflected_solve():

@@ -6,7 +6,9 @@ declared jump levels.  Here the increments each solver hands to
 jump-type split are rebuilt from them level by level in the test, and
 ``expand`` of every stored level must equal them bit for bit.  The
 checker must also report the same on the compact solution as on its
-whole-level copy.  Derandomised, so the suite is deterministic.
+whole-level copy.  ``expectation`` weighs a level-rule array as its
+expanded level, and the sup gaps of a level both processes share read
+as those of a copy.  Derandomised, so the suite is deterministic.
 """
 
 from dataclasses import replace
@@ -20,6 +22,7 @@ import rbsde.tree
 from rbsde import MarkSet, build_tree, check_solution, expand, solve_reflected
 from rbsde.bsde import barrier_values
 from rbsde.snell import BIND_TOL
+from rbsde.tree import _max_excess, copy_process, sup_diff
 from conftest import clone_solution, process_of, random_one_barrier, random_two_barrier
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -152,3 +155,41 @@ def test_block_readers_match_expand(monkeypatch, marks, steps):
                                           expand(tree, values, level)[rows])
                 assert np.array_equal(
                     rbsde.tree._block_children(tree, values, level, rows), children[rows])
+
+
+@pytest.mark.parametrize("marks, steps", [(0, 7), (1, 4), (2, 3)])
+def test_expectation_weighs_an_ancestor_level_as_its_expansion(marks, steps):
+    tree = build_tree(steps, MarkSet(sizes=tuple(range(1, marks + 1)),
+                                     intensities=(0.3,) * marks))
+    rng = np.random.default_rng(marks)
+    for level in range(1, steps + 1):
+        for j in range(level):
+            stored = rng.standard_normal(tree.level_size(j)) * 10.0 ** rng.integers(-3, 4)
+            whole = expand(tree, stored, level)
+            want = tree.expectation(level, whole)
+            assert np.float64(tree.expectation(level, stored)).tobytes() == \
+                np.float64(want).tobytes()
+            out = np.full(tree.level_size(level), np.nan)
+            got = tree.expectation(level, stored, out=out)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert np.array_equal(out, tree.atom_prob[level] * whole)
+    with pytest.raises(ValueError, match="cannot hold"):
+        tree.expectation(steps, np.zeros(tree.level_size(steps) - 1))
+
+
+@pytest.mark.parametrize("bad", [None, np.inf, -np.inf, np.nan])
+def test_a_shared_level_reads_as_a_copy_of_it(bad):
+    rng = np.random.default_rng(3)
+    p = [rng.standard_normal(4 ** k) for k in range(5)]
+    if bad is not None:
+        p[3][17] = bad
+    copy = copy_process(p)
+    for gap in (sup_diff, _max_excess):
+        with np.errstate(invalid="ignore"):
+            want = gap(p, copy)
+        got = gap(p, p)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.isnan(got) if bad is not None else got == 0.0
+    # finite values whose sum overflows still read 0.0
+    huge = [np.full(8, 1e308)]
+    assert sup_diff(huge, huge) == 0.0 == _max_excess(huge, huge)

@@ -3,16 +3,20 @@
 Problems are drawn with driver coefficients a, b, c != 0, up to two
 marks, stochastic obstacles with declared jumps, and the data scaled by
 1e3 or shifted by a constant.  The mirror property maps a two-obstacle
-problem (xi, L, U, g) to (-xi, -U, -L, -g).  Derandomised, so the suite
-is deterministic.
+problem (xi, L, U, g) to (-xi, -U, -L, -g).  ``_weigh``, the multiply that
+stands in for width-one matrix products, must give the matrix product's
+bits on extreme values.  Derandomised, so the suite is deterministic.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree,
                    check_solution, eval_barrier, solve_reflected)
 from rbsde.processes import BarrierValues
+from rbsde.tree import _weigh
 from conftest import random_two_barrier
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -161,3 +165,58 @@ def test_mirrored_two_obstacle_problem_negates_the_solution(seed, coefficients):
                 assert np.array_equal(theirs, ours), name
     report = check_solution(tree, mirrored, mirror, xi, lower, upper)
     assert report.passed, report.to_dict()
+
+
+EXTREMES = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308)
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal bytes wherever ``want`` is a number, and NaN at the same places."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+@st.composite
+def _weighings(draw):
+    width = draw(st.integers(0, 3))
+    rows = draw(arrays(float, (draw(st.integers(0, 70)), width),
+                       elements=st.sampled_from(EXTREMES)))
+    weights = draw(arrays(float, (width,), elements=st.sampled_from(EXTREMES)))
+    return rows, weights
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_weighings(), st.booleans())
+def test_weigh_gives_the_matrix_product_bit_for_bit(weighing, scratch):
+    rows, weights = weighing
+    with np.errstate(all="ignore"):
+        want = rows @ weights
+        got = _weigh(rows.copy(), weights, scratch=scratch)
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("nodes", [1, 4097, 70000])
+def test_weigh_turns_a_negative_zero_product_into_positive_zero(nodes):
+    # -0.0 * 1.0 and 0.0 * -2.0 are -0.0; BLAS adds them into a zeroed +0.0
+    for value, weight in ((-0.0, 1.0), (0.0, -2.0), (-5e-324, 5e-324)):
+        rows = np.full((nodes, 1), value)
+        with np.errstate(under="ignore"):
+            want = rows @ np.array([weight])
+        assert not np.signbit(want).any()
+        for scratch in (False, True):
+            with np.errstate(under="ignore"):
+                got = _weigh(rows.copy(), np.array([weight]), scratch=scratch)
+            assert _same_bits(got, want)
+            assert not np.signbit(got).any()
+
+
+def test_weigh_reads_a_strided_column_and_writes_scratch_in_place():
+    rng = np.random.default_rng(5)
+    table = rng.choice(EXTREMES, size=(5000, 3))
+    with np.errstate(all="ignore"):
+        want = table[:, 1:2] @ np.array([-1e-300])
+        assert _same_bits(_weigh(table[:, 1:2], np.array([-1e-300])), want)
+        scratch = table[:, 1:2].copy()
+        got = _weigh(scratch, np.array([-1e-300]), scratch=True)
+    assert np.shares_memory(got, scratch) and _same_bits(got, want)
