@@ -18,7 +18,7 @@ from .errors import (BarriersTouch, ConfigError, DriverNotCoefficientFree,
 from .fixpoint import alpha_norm, alpha_rule, picard_solve
 from .penalty import PenalizationReport, PenalizedSolution, solve_penalized, sweep
 from .processes import (BarrierSpec, BarrierValues, DriverSpec, MarkSet, ProblemSpec,
-                        TerminalSpec, eval_barrier, eval_driver)
+                        TerminalSpec, eval_barrier)
 from .reflected import (regularity_check, snell_representation_check, solve_bsde,
                         solve_reflected)
 from .snell import SnellResult, monotone_limit_check, optimal_stopping_time, snell
@@ -34,7 +34,7 @@ __all__ = [
     "Solution", "Compensator", "SnellResult",
     "PenalizationReport", "PenalizedSolution", "CheckReport",
     "build_tree", "expand", "sup_diff",
-    "eval_barrier", "eval_driver", "snell",
+    "eval_barrier", "snell",
     "optimal_stopping_time", "monotone_limit_check", "regularity_check",
     "solve_bsde", "solve_penalized", "sweep",
     "solve_reflected", "snell_representation_check", "check_mokobodski",

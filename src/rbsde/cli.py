@@ -76,23 +76,17 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-# Levels with values past this size are scaled before their squares are summed:
-# squares overflow a float from 2**512 on.
-_SCALED_STATS = 2.0 ** 500
-
-
 def _stats(tree: ScenarioTree, level: int, values: np.ndarray) -> dict:
-    """Mean, standard deviation, minimum and maximum of one level.
+    """Mean, standard deviation, minimum and maximum of one level, stored by the level rule.
 
-    Values beyond ``_SCALED_STATS`` are scaled by a power of two, which
-    is exact, so the moments do not overflow; the results are scaled back.
+    The moments are taken of the values divided by the power of two at or
+    just below their largest magnitude, which is exact, so the squares
+    neither overflow nor underflow; the results are scaled back.
     """
     values = np.asarray(values, dtype=float)
     low, high = float(np.min(values)), float(np.max(values))
-    scale = 1.0
-    if _SCALED_STATS < max(-low, high) < math.inf:
-        scale = 2.0 ** math.frexp(max(-low, high))[1]
-        values = values / scale
+    scale = math.ldexp(1.0, math.frexp(max(-low, high))[1] - 1)
+    values = values / scale
     mean = tree.expectation(level, values)
     var = max(tree.expectation(level, values ** 2) - mean ** 2, 0.0)
     return {"mean": mean * scale, "std": float(np.sqrt(var)) * scale,
@@ -102,7 +96,7 @@ def _stats(tree: ScenarioTree, level: int, values: np.ndarray) -> dict:
 def _process_summary(tree, process, levels) -> dict:
     out = {"mean": [], "std": [], "min": [], "max": []}
     for k in range(levels):
-        st = _stats(tree, k, expand(tree, process[k], k))
+        st = _stats(tree, k, process[k])
         for key in out:
             out[key].append(st[key])
     return out

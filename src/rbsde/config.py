@@ -145,7 +145,6 @@ SCHEMA = {
 
 @dataclass(frozen=True)
 class SolverOptions:
-    kind: str
     tol: float = 1e-12
     max_iter: int = 10_000
     node_cap: int | None = None
@@ -465,12 +464,11 @@ def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
                         marks=marks)
 
     solver = data["solver"]
-    options = SolverOptions(kind=solver["kind"],
-                            tol=float(solver.get("tol", 1e-12)),
+    options = SolverOptions(tol=float(solver.get("tol", 1e-12)),
                             max_iter=int(solver.get("max_iter", 10_000)),
                             node_cap=data["grid"].get("node_cap"))
 
-    kind = options.kind
+    kind = solver["kind"]
     if kind == "one_barrier" and barrier is None:
         raise ConfigError("one_barrier solver needs a 'barrier' section")
     if kind == "two_barrier" and lower is None:

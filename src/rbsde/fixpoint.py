@@ -44,7 +44,8 @@ def alpha_norm(tree: ScenarioTree, triple, alpha: float) -> float:
     Discrete form: sqrt(sum_{k<N} e^{alpha t_k} E[Y_k^2 + Z_k^2 +
     sum_i lam_i V_{k,i}^2] dt), left-endpoint weights on the grid.
     """
-    return _weighted_norm(tree, zip(*triple), alpha)
+    levels = (tuple(np.array(part, dtype=float) for part in level) for level in zip(*triple))
+    return _weighted_norm(tree, levels, alpha)
 
 
 def _alpha_distance(tree: ScenarioTree, p, q, alpha: float) -> float:
@@ -55,23 +56,27 @@ def _alpha_distance(tree: ScenarioTree, p, q, alpha: float) -> float:
 
 
 def _weighted_norm(tree: ScenarioTree, levels, alpha: float) -> float:
-    """The weighted norm over (y_k, z_k, v_k) for k < N, taken as ``levels`` yields them.
+    """sqrt(sum_{k<N} e^{alpha t_k} dt E[sum of squares]) over the arrays ``levels`` yields.
 
-    Each level's squares are summed into one fresh array, which then takes
-    the weighted products; the arrays ``levels`` yields are only read.
+    ``levels`` yields one tuple of float arrays per level, which become the
+    kernel's own: each is squared in place, a marked (2-D) one is weighed
+    by the intensities, and all are summed into the first.  A marked array
+    without marks adds nothing.  At alpha = 0 this is the dt (x) dP norm.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     lam = tree.marks.intensity_array
     total = 0.0
-    for k, (yk, zk, vk) in zip(range(tree.num_steps), levels):
+    for k, arrays in zip(range(tree.num_steps), levels):
         weight = np.exp(alpha * tree.time(k)) * tree.dt
-        sq = np.square(np.asarray(yk, dtype=float))
-        sq += np.square(np.asarray(zk, dtype=float))
-        vk = np.asarray(vk, dtype=float)
-        if vk.size:
-            sq += _weigh(np.square(vk), lam, scratch=True)
-        total += weight * tree.expectation(k, sq, out=sq)
+        sq = None
+        for part in arrays:
+            if part.size:
+                np.square(part, out=part)
+                part = _weigh(part, lam, scratch=True) if part.ndim == 2 else part
+                sq = part if sq is None else np.add(sq, part, out=sq)
+        if sq is not None:
+            total += weight * tree.expectation(k, sq, out=sq)
     return float(np.sqrt(total))
 
 

@@ -16,10 +16,11 @@ import numpy as np
 from .bsde import (Solution, _backward_sweep, _implicit_y, _leaf_values, _sweep_source,
                    barrier_values, check_stepsize)
 from .errors import MonotonicityViolation
+from .fixpoint import _weighted_norm
 from .processes import BarrierSpec, DriverSpec
 from .reflected import solve_reflected_one
 from .snell import MONOTONE_TOL
-from .tree import Process, ScenarioTree, _accumulate, _max_excess, _weigh, _worst, sup_diff
+from .tree import Process, ScenarioTree, _accumulate, _max_excess, _worst, sup_diff
 
 # The penalised solves call the sweep directly; this name stays importable from
 # this module for code that looks it up here (the benchmark's bench/tracing.py).
@@ -66,19 +67,6 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
                              kn=_accumulate(flux))
 
 
-def dt_dp_gap(tree: ScenarioTree, p: Process, q: Process) -> float:
-    """Gap in the dt (x) dP norm; a marked process weights mark i by its intensity."""
-    lam = tree.marks.intensity_array
-    total = 0.0
-    for k in range(len(p)):
-        sq = np.asarray(p[k], dtype=float) - np.asarray(q[k], dtype=float)
-        np.square(sq, out=sq)
-        if sq.ndim == 2:
-            sq = _weigh(sq, lam, scratch=True)
-        total += tree.dt * tree.expectation(k, sq, out=sq)
-    return float(np.sqrt(total))
-
-
 @dataclass(eq=False)
 class PenalizationReport:
     """The ladder's gaps to the reflected solve, and what the sweep keeps of each rung.
@@ -118,6 +106,10 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("n_list must be ascending with at least two entries")
 
+    def dt_dp_gap(p: Process, q: Process) -> float:
+        """The dt (x) dP norm of p - q: the alpha norm at alpha = 0."""
+        return _weighted_norm(tree, ((a - b,) for a, b in zip(p, q)), 0.0)
+
     reflected = solve_reflected_one(tree, driver, terminal, barrier)
     n = tree.num_steps
     reflected_k = reflected.lower.k[n]
@@ -131,8 +123,8 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
         if solutions:
             violation = _worst(violation, _max_excess(solutions[-1].solution.y, y))
         sup_gaps.append(sup_diff(y, reflected.y))
-        z_gaps.append(dt_dp_gap(tree, rung.solution.z, reflected.z))
-        v_gaps.append(dt_dp_gap(tree, rung.solution.v, reflected.v))
+        z_gaps.append(dt_dp_gap(rung.solution.z, reflected.z))
+        v_gaps.append(dt_dp_gap(rung.solution.v, reflected.v))
         # both K at the horizon are stored at level n - 1: the gap is squared
         # there and weighed by the level rule, its products going into ``leaf``
         k_gaps.append(float(np.sqrt(

@@ -208,6 +208,7 @@ def _evaluate_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
 class DriverSpec:
     """Driver f(t, y, z, v) = g(t) + a*y + b*z + c*sum_i v_i lam_i.
 
+    ``rbsde.bsde._driver_value`` is the one evaluation of the formula.
     Its Lipschitz constant |a| + |b| + |c|*sqrt(sum lam) is the one the
     stepsize guard uses and the sampled Lipschitz property holds with.
     """
@@ -246,18 +247,6 @@ class DriverSpec:
     @property
     def is_coefficient_free(self) -> bool:
         return self.a == 0.0 and self.b == 0.0 and self.c == 0.0
-
-
-def eval_driver(spec: DriverSpec, t: float, y: float, z: float, v) -> float:
-    """Evaluate the driver at a single point."""
-    v = np.asarray(v, dtype=float)
-    lam = spec.marks.intensity_array
-    if v.shape != lam.shape:
-        raise ValueError(f"v must have one entry per mark, got shape {v.shape}")
-    value = spec.base_at(t) + spec.a * y + spec.b * z
-    if lam.size:
-        value += spec.c * float(v @ lam)
-    return float(value)
 
 
 @dataclass(frozen=True)

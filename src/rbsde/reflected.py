@@ -34,7 +34,7 @@ from .errors import (BarriersTouch, DriverNotCoefficientFree, TerminalBelowBarri
 from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (Process, ScenarioTree, _accumulate, _block_rows, _children,
-                   _parent_blocks, _reduce_blocks, _worst, terminal_mean)
+                   _parent_blocks, _reduce_blocks, sup_diff, terminal_mean)
 
 TERMINAL_SLACK = 1e-12
 
@@ -178,6 +178,14 @@ def solve_reflected(tree: ScenarioTree, driver, terminal, lower=None,
 solve_bsde = solve_reflected_one = solve_reflected
 
 
+def _source_rates(tree: ScenarioTree, driver) -> np.ndarray:
+    """The envelope routes' source g(t_k) for k < N, from a coefficient-free driver."""
+    if not driver.is_coefficient_free:
+        raise DriverNotCoefficientFree(
+            "the envelope route needs a driver without (y, z, v) terms")
+    return np.asarray([driver.base_at(tree.time(k)) for k in range(tree.num_steps)])
+
+
 def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
     """Stopping payoff whose envelope represents the reflected solution.
 
@@ -185,14 +193,10 @@ def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
     accumulated source plus the terminal payoff at it.  Returns
     (payoff, cum), where ``cum[k]`` is the accumulated source of level k.
     """
-    if not driver.is_coefficient_free:
-        raise DriverNotCoefficientFree(
-            "the stopping representation needs a driver without (y, z, v) terms")
+    cum = np.concatenate(([0.0], np.cumsum(_source_rates(tree, driver) * tree.dt)))
     obstacle = barrier_values(tree, barrier)
     xi = _leaf_values(tree, terminal)
     n = tree.num_steps
-    cum = np.concatenate(([0.0], np.cumsum(
-        [driver.base_at(tree.time(k)) * tree.dt for k in range(n)])))
     payoff = [cum[k] + obstacle.values[k] for k in range(n)]
     payoff.append(cum[n] + xi)
     return payoff, cum
@@ -203,10 +207,7 @@ def snell_representation_check(tree: ScenarioTree, solution: Solution,
     """Largest node-wise gap between the solver output and the envelope route."""
     payoff, cum = obstacle_payoff(tree, driver, terminal, barrier)
     envelope, _ = _envelope(tree, payoff)
-    worst = 0.0
-    for k in range(tree.num_steps + 1):
-        worst = _worst(worst, float(np.max(np.abs(solution.y[k] + cum[k] - envelope[k]))))
-    return worst
+    return sup_diff((solution.y[k] + cum[k] for k in range(tree.num_steps + 1)), envelope)
 
 
 @dataclass(eq=False)

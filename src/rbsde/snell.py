@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .errors import NotMonotone, TooLargeToEnumerate
-from .tree import Process, ScenarioTree, _accumulate, _worst, copy_process, expand
+from .tree import Process, ScenarioTree, _accumulate, _max_excess, _worst, copy_process, expand
 
 # Binding tolerance of the left-limit (jump-type) formula for K_d: the
 # reflected solver's split, which the Snell route's regularity check also
@@ -224,19 +224,12 @@ def monotone_limit_check(tree: ScenarioTree, payoffs: list[Process]) -> Monotone
     """Envelopes of a nondecreasing payoff ladder must be nondecreasing."""
     if len(payoffs) < 2:
         raise ValueError("need at least two payoffs")
-    for lo, hi in zip(payoffs, payoffs[1:]):
-        for a, b in zip(lo, hi):
-            if np.any(np.asarray(b) < np.asarray(a) - MONOTONE_TOL):
-                raise NotMonotone("payoff ladder is not pointwise nondecreasing")
+    if any(_max_excess(lo, hi) > MONOTONE_TOL for lo, hi in zip(payoffs, payoffs[1:])):
+        raise NotMonotone("payoff ladder is not pointwise nondecreasing")
     envelopes = [_envelope(tree, p)[0] for p in payoffs]
-    violation = 0.0
-    for lo, hi in zip(envelopes, envelopes[1:]):
-        for a, b in zip(lo, hi):
-            violation = _worst(violation, float(np.max(a - b)))
-    final_gap = 0.0
-    for env in envelopes[:-1]:
-        for a, b in zip(env, envelopes[-1]):
-            final_gap = _worst(final_gap, float(np.max(a - b)))
+    # NaN is kept: a NaN payoff is reported as a NaN violation, not raised above
+    violation = _worst(0.0, *(_max_excess(lo, hi) for lo, hi in zip(envelopes, envelopes[1:])))
+    final_gap = _worst(0.0, *(_max_excess(env, envelopes[-1]) for env in envelopes[:-1]))
     passed = violation <= MONOTONE_TOL and final_gap <= MONOTONE_TOL
     return MonotoneLimitReport(envelope_violation=violation,
                                final_dominates=final_gap, passed=passed)

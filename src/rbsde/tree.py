@@ -129,10 +129,6 @@ class ScenarioTree:
     def time(self, level: int) -> float:
         return level / self.num_steps
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.num_steps + 1) / self.num_steps
-
     def parent_index(self, child_index: int) -> int:
         return child_index // self.branching
 
@@ -216,9 +212,14 @@ def build_tree(num_steps: int, mark_set: MarkSet | None = None,
             f"(total intensity {marks.total_intensity:.6g}, {num_steps} steps)")
 
     branching = 2 * (m + 1)
-    nodes = (branching ** (num_steps + 1) - 1) // (branching - 1)
-    if nodes > node_cap:
-        raise TreeTooLarge(f"{nodes} nodes exceed the cap of {node_cap}")
+    # level sizes are summed only until they pass the cap, so a huge grid
+    # never forms its exact node count
+    nodes, size = 0, 1
+    for _ in range(num_steps + 1):
+        nodes += size
+        if nodes > node_cap:
+            raise TreeTooLarge(f"more than {node_cap} nodes: the grid passes the node cap")
+        size *= branching
 
     dt = 1.0 / num_steps
     outcome_prob = np.concatenate(([1.0 - total_jump], jump_prob))

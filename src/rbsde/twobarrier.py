@@ -18,10 +18,8 @@ import numpy as np
 
 from .bsde import _leaf_values, _project_block, barrier_values
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
-from .errors import (DriverNotCoefficientFree, MaxIterExceeded, MokobodskiFailed,
-                     MonotonicityViolation)
-from .processes import DriverSpec
-from .reflected import _book, _obstacle_inputs, solve_reflected
+from .errors import MaxIterExceeded, MokobodskiFailed, MonotonicityViolation
+from .reflected import _book, _obstacle_inputs, _source_rates, solve_reflected
 from .snell import _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import Process, ScenarioTree, _children, _max_excess, _worst, sup_diff
@@ -79,10 +77,6 @@ def _closure(tree: ScenarioTree, leaf_values: np.ndarray) -> Process:
 def _source_tail(tree: ScenarioTree, rates: np.ndarray) -> np.ndarray:
     """Source mass still to come, sum_{j >= k} rates_j dt, at each level k."""
     return np.concatenate((np.cumsum((rates * tree.dt)[::-1])[::-1], [0.0]))
-
-
-def _source_rates(tree: ScenarioTree, driver) -> np.ndarray:
-    return np.asarray([driver.base_at(tree.time(k)) for k in range(tree.num_steps)])
 
 
 def _mean_mass(tree: ScenarioTree, g: np.ndarray, xi_mart: Process) -> Process:
@@ -143,13 +137,6 @@ class TwoBarrierTrace:
     iterations: int
 
 
-def _require_plain_driver(driver) -> DriverSpec:
-    if not driver.is_coefficient_free:
-        raise DriverNotCoefficientFree(
-            "the envelope construction needs a deterministic source driver")
-    return driver
-
-
 def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
                        witness: MokobodskiWitness | None = None):
     """Constructive two-obstacle solve via the coupled envelope recursion.
@@ -160,18 +147,16 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     driver and a passing witness (the built-in martingale witness, whose
     two closures the bounds reuse, when none is supplied).
     """
-    driver = _require_plain_driver(driver)
+    g = _source_rates(tree, driver)
     low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
-    xi_plus = _closure(tree, np.maximum(xi, 0.0))
-    xi_minus = _closure(tree, np.maximum(-xi, 0.0))
+    own = martingale_witness(tree, xi)
     if witness is None:
-        witness = MokobodskiWitness(h=xi_plus, h_prime=xi_minus)
+        witness = own
     wcheck = check_mokobodski(tree, witness, low, up)
     if not wcheck.passed:
         raise MokobodskiFailed(f"witness rejected: {wcheck.detail}")
 
     n = tree.num_steps
-    g = _source_rates(tree, driver)
     gtail_minus = _source_tail(tree, np.maximum(-g, 0.0))
     gtail_plus = _source_tail(tree, np.maximum(g, 0.0))
     mean_mass = _mean_mass(tree, g, _closure(tree, xi))
@@ -185,9 +170,9 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     leaf = zeros[n]
     l_tilde = [low.values[k] - mean_mass[k] for k in range(n)] + [leaf]
     u_tilde = [up.values[k] - mean_mass[k] for k in range(n)] + [leaf]
-    bound_plus = [witness.h[k] + xi_minus[k] + gtail_minus[k] for k in range(n)] + [leaf]
-    bound_minus = [witness.h_prime[k] + xi_plus[k] + gtail_plus[k] for k in range(n)] + [leaf]
-    del witness, xi_plus, xi_minus
+    bound_plus = [witness.h[k] + own.h_prime[k] + gtail_minus[k] for k in range(n)] + [leaf]
+    bound_minus = [witness.h_prime[k] + own.h[k] + gtail_plus[k] for k in range(n)] + [leaf]
+    del witness, own
 
     n_plus = n_minus = zeros
     # every round's envelopes are fresh arrays that nothing writes to later,

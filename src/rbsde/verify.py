@@ -32,13 +32,12 @@ from .bsde import Compensator, Solution, _driver_value, _leaf_values, barrier_va
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
 from .processes import BarrierValues, ProblemSpec
-from .reflected import obstacle_payoff, solve_bsde, solve_reflected_one
+from .reflected import _source_rates, obstacle_payoff, solve_bsde, solve_reflected_one
 from .snell import BIND_TOL, REGULAR_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (Process, ScenarioTree, _block_children, _block_rows, _children,
                    _parent_blocks, _worst, sup_diff, terminal_mean)
-from .twobarrier import (_closure, _mean_mass, _source_rates, picard_snell_solve,
-                         solve_double_obstacle)
+from .twobarrier import _closure, _mean_mass, picard_snell_solve, solve_double_obstacle
 
 CHECK_TOL = 1e-10
 EXACT_PENALTY_LEVEL = 1e13
@@ -186,7 +185,7 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
                 # P(parent) * branch probability: continuous-type mass pairs
                 # with the slack at the assigning slot, jump-type mass (below)
                 # with the left limit against the previous-slot solution
-                side.left_integral += float(parent_prob @ (mass_c @ prob))
+                side.left_integral += float(np.add.reduce(parent_prob * (mass_c @ prob)))
                 side.monotone = _worst(side.monotone, -float(np.min(d_k)))
                 left = side.obstacle.left.get(k + 1)
                 if left is None:
@@ -197,7 +196,7 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
                 binding = np.abs(gap) <= BIND_TOL
                 formula = np.where(binding, np.maximum(side.sign * (left - y_child), 0.0), 0.0)
                 side.jump = _worst(side.jump, _abs_max(d_kd - formula))
-                side.left_integral += float(parent_prob @ ((gap * d_kd) @ prob))
+                side.left_integral += float(np.add.reduce(parent_prob * ((gap * d_kd) @ prob)))
             # K+ - K- for two sides, K alone for one
             compensator = dk_incs[0] if len(sides) == 1 else dk_incs[0] - dk_incs[1]
             rhs = y_child @ prob + f_val * tree.dt + compensator @ prob
@@ -337,15 +336,10 @@ def regularity_probe(problem: ProblemSpec) -> RegularityProbeReport:
     reflected = report.reflected
     kd_mass = terminal_mean(tree, reflected.lower.k_d)
 
-    obstacle = barrier_values(tree, problem.barrier)
-    gaps_at_jumps = []
-    for sol in report.solutions:
-        worst = 0.0
-        for level in obstacle.jump_levels:
-            # non-uniformity shows at the slot announcing the jump
-            worst = _worst(worst, float(np.max(np.abs(sol.solution.y[level - 1]
-                                                      - reflected.y[level - 1]))))
-        gaps_at_jumps.append(worst)
+    # non-uniformity shows at the slot announcing each jump
+    slots = [level - 1 for level in barrier_values(tree, problem.barrier).jump_levels]
+    gaps_at_jumps = [sup_diff([rung.solution.y[k] for k in slots],
+                              [reflected.y[k] for k in slots]) for rung in report.solutions]
 
     verdict = "irregular" if kd_mass > REGULAR_TOL else "regular"
     return RegularityProbeReport(levels=report.levels, kd_mass=kd_mass,

@@ -103,3 +103,18 @@ def test_ladder_gates_pass_on_the_studies_they_gate(worker, tmp_path, index):
     item = workload.prepare(index)
     assert item[0].study in ("sweep", "envelope", "regularity")
     assert workload.gate(item, workload.run(item)).reasons == []
+
+
+@pytest.mark.parametrize("index", [2, 3, 4])
+def test_picard_ops_run_on_the_names_they_read(worker, tmp_path, index):
+    """One Picard op per solver kind, run without its gate.
+
+    The op reads ``spec.driver.lipschitz_constant``, ``spec.barrier``,
+    ``spec.lower`` and ``spec.upper``, and passes ``solver_kind``,
+    ``barrier``, ``lower`` and ``upper`` to ``picard_solve``.
+    """
+    workload = worker.LadderIterate(7, tmp_path)
+    item = workload.prepare(index)
+    assert item[0].study == "picard"
+    _, results = workload.run(item)
+    assert [trace.converged for _, trace in results] == [True, True]

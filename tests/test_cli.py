@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -477,13 +478,68 @@ def test_solve_one_on_values_whose_squares_overflow(tmp_path, capsys):
 
 
 def test_summary_statistics_scale_exactly_by_powers_of_two():
+    # squares near 2**600 overflow and near 2**-600 underflow; 2**1023 is the
+    # largest power of two, and the largest |value| here is 1
     from rbsde import MarkSet, build_tree
     from rbsde.cli import _stats
     tree = build_tree(3, MarkSet(sizes=(1.0,), intensities=(0.5,)))
     values = np.random.default_rng(5).normal(size=tree.level_size(3))
+    values /= np.max(np.abs(values))
     unit = _stats(tree, 3, values)
-    assert _stats(tree, 3, values * 2.0 ** 600) == {
-        key: value * 2.0 ** 600 for key, value in unit.items()}
+    for power in (600, -600, 1023):
+        assert _stats(tree, 3, values * 2.0 ** power) == {
+            key: value * 2.0 ** power for key, value in unit.items()}, power
+
+
+def test_solve_one_on_a_terminal_near_the_largest_float(tmp_path, capsys):
+    config = json.loads((CONFIGS / "counterexample.json").read_text())
+    config["terminal"] = {"kind": "constant", "value": 1e308}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    assert run("solve-one", "--config", path, "--out", tmp_path / "out") == 0
+    first = read_csv(tmp_path / "out" / "summary.csv")[0]
+    assert float(first["y_mean"]) == 1e308
+    assert float(first["y_std"]) == 0.0
+
+
+@pytest.mark.parametrize("steps", [4000, 10 ** 9])
+def test_grids_past_the_node_cap_exit_3_quickly_with_a_short_message(tmp_path, capsys,
+                                                                     steps):
+    config = json.loads((CONFIGS / "counterexample.json").read_text())
+    config["grid"]["steps"] = steps
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(config))
+    start = time.perf_counter()
+    assert run("solve-one", "--config", path, "--out", tmp_path / "out") == 3
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert "TreeTooLarge: more than 5000000 nodes" in err
+    assert len(err) < 200
+
+
+def test_checker_report_does_not_depend_on_blas_threads(tmp_path):
+    # The left-limit integrals sum over up to 2**15 parents per block here.
+    # A BLAS dot product splits such a sum by thread count, and this
+    # problem's left-limit residual is nonzero rounding, so a split sum
+    # would change its last digits.
+    config = {"grid": {"steps": 17},
+              "terminal": {"kind": "put", "strike": 0.2, "w_coeff": 0.21},
+              "driver": {"g": [[0.0, -0.19], [10 / 17, -0.12]]},
+              "barrier": {"pieces": [[0.0, -0.057], [10 / 17, 0.236], [15 / 17, -0.296]]},
+              "solver": {"kind": "one_barrier"}}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(config))
+    src = Path(__file__).resolve().parent.parent / "src"
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        subprocess.run([sys.executable, "-m", "rbsde.cli", "solve-one", "--config", str(path),
+                        "--out", str(tmp_path / threads)],
+                       env=env, capture_output=True, check=True, timeout=120)
+        reports.append((tmp_path / threads / "report.json").read_bytes())
+    assert json.loads(reports[0])["clauses"]["left_limit_skorokhod"]["residual"] != 0.0
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command, section", [

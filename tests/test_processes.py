@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from rbsde import (BarrierSpec, DriverSpec, JumpTimeOffGrid, MarkSet, ProblemSpec,
-                   TerminalSpec, build_tree, eval_barrier, eval_driver)
+                   TerminalSpec, build_tree, eval_barrier)
+from rbsde.bsde import _driver_value
 from rbsde.processes import linear_obstacle
+
+
+def driver_at(spec, tree, level, y, z, v):
+    """The solver's driver value at the first node of ``level``, (y, z, v) given there."""
+    v = np.asarray(v, dtype=float).reshape(1, tree.marks.count)
+    return float(_driver_value(spec, tree, level, np.array([y]), np.array([z]), v)[0])
 
 
 def test_counterexample_barrier_values_and_left_limit():
@@ -53,18 +60,17 @@ def test_right_continuity_at_declared_jumps():
 
 
 def test_driver_zero_and_source_examples():
-    assert eval_driver(DriverSpec(), 0.3, 4.0, -2.0, ()) == 0.0
+    assert driver_at(DriverSpec(), build_tree(10), 3, 4.0, -2.0, ()) == 0.0
     stepped = DriverSpec(base=lambda t: 1.0 if t >= 0.5 else -1.0, a=3.0)
-    assert eval_driver(stepped, 0.0, 0.4, 0.0, ()) == pytest.approx(0.2)
-    assert eval_driver(stepped, 0.5, 0.4, 0.0, ()) == pytest.approx(2.2)
-    with pytest.raises(ValueError):
-        eval_driver(DriverSpec(), 0.0, 0.4, 0.0, (1.0,))
+    tree = build_tree(2)
+    assert driver_at(stepped, tree, 0, 0.4, 0.0, ()) == pytest.approx(0.2)
+    assert driver_at(stepped, tree, 1, 0.4, 0.0, ()) == pytest.approx(2.2)
 
 
 def test_driver_linear_arithmetic():
     marks = MarkSet(sizes=(1.0,), intensities=(0.5,))
     spec = DriverSpec(a=1.0, b=2.0, c=1.0, marks=marks)
-    assert eval_driver(spec, 0.0, 1.0, 1.0, (2.0,)) == pytest.approx(4.0)
+    assert driver_at(spec, build_tree(2, marks), 0, 1.0, 1.0, (2.0,)) == pytest.approx(4.0)
     assert spec.lipschitz_constant == pytest.approx(1.0 + 2.0 + np.sqrt(0.5))
 
 
@@ -72,13 +78,14 @@ def test_driver_lipschitz_property_sampled():
     marks = MarkSet(sizes=(1.0, 2.0), intensities=(0.5, 0.25))
     lam = marks.intensity_array
     spec = DriverSpec(base=lambda t: np.sin(t), a=-0.7, b=1.3, c=-0.9, marks=marks)
+    tree = build_tree(4, marks)
     c_f = spec.lipschitz_constant
     rng = np.random.default_rng(42)
     for _ in range(10_000):
         y1, y2, z1, z2 = rng.uniform(-3, 3, 4)
         v1, v2 = rng.uniform(-3, 3, (2, 2))
-        f1 = eval_driver(spec, 0.25, y1, z1, v1)
-        f2 = eval_driver(spec, 0.25, y2, z2, v2)
+        f1 = driver_at(spec, tree, 1, y1, z1, v1)
+        f2 = driver_at(spec, tree, 1, y2, z2, v2)
         bound = c_f * (abs(y1 - y2) + abs(z1 - z2)
                        + np.sqrt(((v1 - v2) ** 2 * lam).sum()))
         assert abs(f1 - f2) <= bound + 1e-12
