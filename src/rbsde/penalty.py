@@ -17,7 +17,7 @@ from .bsde import (Solution, _backward_sweep, _implicit_y, _leaf_values, _sweep_
                    barrier_values, check_stepsize)
 from .errors import MonotonicityViolation
 from .fixpoint import _weighted_norm
-from .processes import BarrierSpec, DriverSpec
+from .processes import BarrierSpec, DriverSpec, evaluate_specs
 from .reflected import solve_reflected_one
 from .snell import MONOTONE_TOL
 from .tree import Process, ScenarioTree, _accumulate, _max_excess, _worst, sup_diff
@@ -48,6 +48,7 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
     driver.check_marks(tree.marks)
     check_stepsize(driver, tree.dt)
     weight, dt = float(n), tree.dt
+    evaluate_specs(tree, (barrier, terminal))   # one walk of the node state
     obstacle = barrier_values(tree, barrier).values
     flux: Process = [np.empty(tree.level_size(k)) for k in range(tree.num_steps)]
 

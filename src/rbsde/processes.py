@@ -10,12 +10,19 @@ Terminals and obstacles are evaluated once per tree: ladders, Picard
 rounds, envelope recursions and checks solve repeatedly on one tree with
 the same data, so the evaluated arrays are memoised per (tree, spec) and
 handed out read-only.  Payoff and obstacle functions must therefore be
-pure functions of ``(t, w, counts)``.
+pure functions of ``(t, w, counts)``.  The tree keeps no node state:
+``evaluate_specs`` evaluates the terminal and every obstacle of a problem
+in one pass over ``ScenarioTree.states()``, with at most two levels of
+state alive, and takes each declared left limit from the parent level's
+state as the pass goes by it.  The state arrays are read-only, and every
+evaluated level is a fresh array, so a function that returns or keeps
+its input cannot change a later level or a memoised result.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -25,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import JumpTimeOffGrid
-from .tree import _BLOCK_NODES, MarkSet, ScenarioTree, _all_finite, _weigh, build_tree, expand
+from .tree import _BLOCK_NODES, MarkSet, ScenarioTree, _all_finite, _weigh, build_tree
 
 # Terminal payoffs see the leaf state; obstacle functions also see time,
 # so that conditional-mean processes with compensator drift are exact.
@@ -40,13 +47,40 @@ GRID_SNAP = 1e-9
 _EVALUATED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _memoised(tree: ScenarioTree, spec, compute: Callable):
+def evaluate_specs(tree: ScenarioTree, data) -> None:
+    """Evaluate on ``tree`` every ``TerminalSpec`` and ``BarrierSpec`` among ``data``.
+
+    Results are memoised per tree and read-only.  The specs not yet
+    evaluated on the tree are evaluated together in one walk of the node
+    state; other items (None, arrays, evaluated obstacles) are skipped.
+    """
     per_tree = _EVALUATED.setdefault(tree, {})
-    entry = per_tree.get(id(spec))
-    if entry is None:
-        entry = (spec, compute())
-        per_tree[id(spec)] = entry
-    return entry[1]
+    missing = list({id(spec): spec for spec in data
+                    if isinstance(spec, (TerminalSpec, BarrierSpec))
+                    and id(spec) not in per_tree}.values())
+    for spec, evaluated in zip(missing, _walk(tree, missing)):
+        per_tree[id(spec)] = (spec, evaluated)
+
+
+def _evaluated(tree: ScenarioTree, spec):
+    evaluate_specs(tree, [spec])
+    return _EVALUATED[tree][id(spec)][1]
+
+
+def _walk(tree: ScenarioTree, specs) -> list:
+    """Fresh evaluations of ``specs`` from one pass over ``tree.states()``.
+
+    The state is built only if some spec reads it.  Each spec's errors
+    are raised after the pass, in the order of ``specs``.
+    """
+    runs = [_TerminalRun(spec, tree) if isinstance(spec, TerminalSpec)
+            else _BarrierRun(spec, tree) for spec in specs]
+    states = (tree.states() if any(run.reads_state for run in runs)
+              else itertools.repeat((None, None), tree.num_steps + 1))
+    for k, (w, counts) in enumerate(states):
+        for run in runs:
+            run.step(k, w, counts)
+    return [run.result() for run in runs]
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -71,17 +105,35 @@ class TerminalSpec:
         ``payoff`` must be a pure function of ``(w, counts)``: later calls
         on the same tree return the first result without calling it.
         """
-        return _memoised(tree, self, lambda: _read_only(self._evaluate(tree)))
+        return _evaluated(tree, self)
 
     def _evaluate(self, tree: ScenarioTree) -> np.ndarray:
-        leaves = tree.level_size(tree.num_steps)
-        if self.constant is not None:
-            return np.full(leaves, float(self.constant))
-        raw = np.asarray(self.payoff(tree.w[-1], tree.counts[-1]), dtype=float)
-        values = np.array(np.broadcast_to(raw, (leaves,)), dtype=float)
-        if not _all_finite(values):
+        """A fresh evaluation, not memoised."""
+        return _walk(tree, [self])[0]
+
+
+class _TerminalRun:
+    """A terminal's evaluation in the state walk: the leaf level alone."""
+
+    def __init__(self, spec: TerminalSpec, tree: ScenarioTree) -> None:
+        self.spec, self.tree = spec, tree
+        self.reads_state = spec.payoff is not None
+        self.values = None
+
+    def step(self, k: int, w, counts) -> None:
+        if k < self.tree.num_steps:
+            return
+        leaves = self.tree.level_size(k)
+        if self.spec.constant is not None:
+            self.values = np.full(leaves, float(self.spec.constant))
+            return
+        raw = np.asarray(self.spec.payoff(w, counts), dtype=float)
+        self.values = np.array(np.broadcast_to(raw, (leaves,)), dtype=float)
+
+    def result(self) -> np.ndarray:
+        if self.reads_state and not _all_finite(self.values):
             raise ValueError("terminal payoff must be finite on every leaf")
-        return values
+        return _read_only(self.values)
 
 
 @dataclass(frozen=True)
@@ -141,7 +193,12 @@ class BarrierSpec:
 
 @dataclass(frozen=True, eq=False)
 class BarrierValues:
-    """Obstacle evaluated on a tree, with left limits at declared jumps."""
+    """Obstacle evaluated on a tree, with left limits at declared jumps.
+
+    ``left[L]`` is the left limit at declared level L.  It is known at
+    level L - 1 and stored there by the level rule: one value per parent,
+    read through ``rbsde.tree._block_children`` or ``expand``.
+    """
 
     values: tuple[np.ndarray, ...]
     left: Mapping[int, np.ndarray]
@@ -164,44 +221,66 @@ def eval_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
     ``(t, w, counts)``: later calls on the same tree return the first
     result without calling it.
     """
-    return _memoised(tree, spec, lambda: _evaluate_barrier(spec, tree))
+    return _evaluated(tree, spec)
 
 
 def _evaluate_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
-    n = tree.num_steps
-    values = []
-    for k in range(n + 1):
-        t = k / n
-        det = spec.deterministic_at(t)
-        if spec.stochastic is None:
-            vals = np.full(tree.level_size(k), det)
-        else:
-            raw = np.asarray(spec.stochastic(t, tree.w[k], tree.counts[k]), dtype=float)
-            vals = np.add(det, np.broadcast_to(raw, (tree.level_size(k),)))
-        if not _all_finite(vals):
-            raise ValueError(f"obstacle is not finite at level {k}")
-        values.append(_read_only(vals))
+    """A fresh evaluation, not memoised."""
+    return _walk(tree, [spec])[0]
 
-    left: dict[int, np.ndarray] = {}
-    for t_j, offset in spec.declared_jumps:
-        level = grid_level(t_j, n)
-        if level == 0:
-            raise JumpTimeOffGrid("declared jumps at time 0 are not representable")
-        base = spec.deterministic_at(t_j) + offset
-        if spec.stochastic is None:
-            left[level] = np.full(tree.level_size(level), base)
-        else:
-            raw = np.asarray(spec.stochastic(t_j, tree.w[level - 1], tree.counts[level - 1]),
-                             dtype=float)
-            # each child's left limit is its parent's value: add, then repeat
-            parents = np.add(base, np.broadcast_to(raw, (tree.level_size(level - 1),)))
+
+class _BarrierRun:
+    """An obstacle's evaluation in the state walk.
+
+    Level k reads the state of level k.  The left limit at a declared
+    level L is F_{L-1}-measurable: it reads the state of level L - 1 and
+    is stored there, one value per parent, by the level rule.
+    """
+
+    def __init__(self, spec: BarrierSpec, tree: ScenarioTree) -> None:
+        self.spec, self.tree = spec, tree
+        self.reads_state = spec.stochastic is not None
+        self.values: list[np.ndarray] = []
+        self.bad_level: int | None = None
+        # the nearest levels; ``result`` rejects the times off the grid
+        self.jump_levels = [round(t * tree.num_steps) for t, _ in spec.declared_jumps]
+        self.left: list[np.ndarray | None] = [None] * len(self.jump_levels)
+
+    def _level(self, t: float, base: float, k: int, w, counts) -> np.ndarray:
+        size = self.tree.level_size(k)
+        if self.spec.stochastic is None:
+            return np.full(size, base)
+        raw = np.asarray(self.spec.stochastic(t, w, counts), dtype=float)
+        return np.add(base, np.broadcast_to(raw, (size,)))
+
+    def step(self, k: int, w, counts) -> None:
+        if self.bad_level is not None:
+            return
+        t = k / self.tree.num_steps
+        values = self._level(t, self.spec.deterministic_at(t), k, w, counts)
+        if not _all_finite(values):
+            self.bad_level = k
+            return
+        self.values.append(_read_only(values))
+        for j, ((t_j, offset), level) in enumerate(zip(self.spec.declared_jumps,
+                                                       self.jump_levels)):
+            if level == k + 1:
+                base = self.spec.deterministic_at(t_j) + offset
+                self.left[j] = self._level(t_j, base, k, w, counts)
+
+    def result(self) -> BarrierValues:
+        if self.bad_level is not None:
+            raise ValueError(f"obstacle is not finite at level {self.bad_level}")
+        left: dict[int, np.ndarray] = {}
+        for (t_j, _), parents in zip(self.spec.declared_jumps, self.left):
+            level = grid_level(t_j, self.tree.num_steps)
+            if level == 0:
+                raise JumpTimeOffGrid("declared jumps at time 0 are not representable")
             if not _all_finite(parents):
                 raise ValueError(f"obstacle left limit is not finite at level {level}")
-            left[level] = expand(tree, parents, level)
-        _read_only(left[level])
-
-    return BarrierValues(values=tuple(values), left=MappingProxyType(left),
-                         jump_levels=tuple(sorted(left)))
+            left[level] = _read_only(parents)
+        return BarrierValues(values=tuple(self.values), left=MappingProxyType(left),
+                             jump_levels=tuple(sorted(left)))
 
 
 @dataclass(frozen=True)

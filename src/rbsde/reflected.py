@@ -31,10 +31,11 @@ from .bsde import (Compensator, Solution, _backward_sweep, _implicit_y, _leaf_va
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import (BarriersTouch, DriverNotCoefficientFree, TerminalBelowBarrier,
                      TerminalOutsideBarriers)
+from .processes import evaluate_specs
 from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import (Process, ScenarioTree, _accumulate, _block_rows, _children,
-                   _parent_blocks, _reduce_blocks, sup_diff, terminal_mean)
+from .tree import (Process, ScenarioTree, _accumulate, _block_children, _block_rows,
+                   _children, _parent_blocks, _reduce_blocks, sup_diff, terminal_mean)
 
 TERMINAL_SLACK = 1e-12
 
@@ -65,7 +66,7 @@ def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle,
             continue
         kd = np.empty(tree.level_size(k))
         for rows in _parent_blocks(tree, k - 1):
-            left_b = _children(tree, left, rows)
+            left_b = _block_children(tree, left, k - 1, rows)
             binding = np.abs(y[k - 1][rows, None] - left_b) <= BIND_TOL
             gap = np.maximum(sign * (left_b - _children(tree, y[k], rows)), 0.0)
             np.add(_block_rows(tree, k_d[k - 1], k - 1, rows)[:, None],
@@ -104,6 +105,7 @@ def _obstacle_inputs(tree: ScenarioTree, terminal, lower=None, upper=None):
     """(L, U, xi) once the terminal lies in [L, U] and L < U; None is -inf for L, +inf for U."""
     if lower is None and upper is not None:
         raise ValueError("an upper obstacle needs a lower one")
+    evaluate_specs(tree, (lower, upper, terminal))   # one walk of the node state
     low, up = (None if obstacle is None else barrier_values(tree, obstacle)
                for obstacle in (lower, upper))
     xi = _leaf_values(tree, terminal)
@@ -194,6 +196,7 @@ def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
     (payoff, cum), where ``cum[k]`` is the accumulated source of level k.
     """
     cum = np.concatenate(([0.0], np.cumsum(_source_rates(tree, driver) * tree.dt)))
+    evaluate_specs(tree, (barrier, terminal))   # one walk of the node state
     obstacle = barrier_values(tree, barrier)
     xi = _leaf_values(tree, terminal)
     n = tree.num_steps

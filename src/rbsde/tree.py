@@ -7,6 +7,15 @@ is a finite weighted sum and the martingale identities hold to rounding
 error.  The tree is homogeneous: every node has the same 2*(m+1) branch
 layout, which keeps all per-level operations vectorisable.
 
+A tree holds no per-node state.  Its size follows from the branching
+alone, and the node state (Brownian value ``w`` and jump ``counts``) is
+read in one forward walk, ``ScenarioTree.states()``, which keeps at most
+two levels alive: the problem data on the tree is all the solvers need,
+and ``rbsde.processes`` evaluates it in that walk.  Node probabilities
+are built per level on first read by ``atom_prob``, and the checker's
+``_block_atom_prob`` builds a level larger than one block per parent
+block instead.
+
 Level rule for compensators.  A process is a list of level arrays, and
 a level array may be shorter than its level: then it holds the values
 of the ancestor level ``j`` where the process was last set, and node
@@ -31,8 +40,9 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,13 +105,15 @@ class ScenarioTree:
     (+ for b < m+1, - otherwise) and a jump outcome (``b % (m+1)``, 0
     meaning no jump, j > 0 meaning mark j-1 fires).
 
-    Every level array is C-contiguous float64: ``w[k]`` and
+    The tree keeps no per-node array: ``states()`` yields the node state
+    ``(w[k], counts[k])`` level by level, and ``w`` and ``counts`` are
+    read-only sequences over it that compute a level on each read and
+    keep none.  Every level array is C-contiguous float64: ``w[k]`` and
     ``atom_prob[k]`` have shape ``(n_k,)``, ``counts[k]`` has shape
     ``(n_k, m)``.  The level kernels reshape them into ``(parents, B)``
-    views and rely on this layout.  ``w`` and ``counts`` are tuples built
-    up front.  ``atom_prob`` is an ``AtomProbabilities`` sequence, which
-    builds a level, and any missing level below it, on first read, so a
-    caller that reads parent levels only never holds the leaf level.
+    views and rely on this layout.  ``atom_prob`` is an
+    ``AtomProbabilities`` sequence, which builds a level, and any missing
+    level below it, on first read and keeps them.
     """
 
     num_steps: int
@@ -111,20 +123,46 @@ class ScenarioTree:
     branch_db: np.ndarray     # (B,) Brownian increments +-sqrt(dt)
     branch_jump: np.ndarray   # (B, m) jump indicators per mark
     branch_comp: np.ndarray   # (B, m) compensated increments 1[jump=i] - lam_i dt
-    w: tuple[np.ndarray, ...]          # cumulative Brownian value per node
-    counts: tuple[np.ndarray, ...]     # cumulative jump counts per node, (n_k, m)
     atom_prob: AtomProbabilities       # unconditional probability of each node
 
     @property
     def branching(self) -> int:
         return 2 * (self.marks.count + 1)
 
+    @cached_property
+    def _level_sizes(self) -> tuple[int, ...]:
+        return tuple(self.branching ** k for k in range(self.num_steps + 1))
+
     @property
     def node_count(self) -> int:
-        return sum(len(level) for level in self.w)
+        return sum(self._level_sizes)
 
     def level_size(self, level: int) -> int:
-        return len(self.w[level])
+        return self._level_sizes[level]
+
+    def states(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Read-only ``(w[k], counts[k])`` for k = 0 .. N, one level built per step.
+
+        Each level is made from the one before it and neither is kept, so
+        at most two levels are alive while the next one is built.
+        """
+        w, counts = np.zeros(1), np.zeros((1, self.marks.count))
+        for k in range(self.num_steps + 1):
+            if k:
+                w = _branch_pass(np.add, w, self.branch_db)
+                counts = _count_pass(counts, self.branching)
+            w.flags.writeable = counts.flags.writeable = False
+            yield w, counts
+
+    @property
+    def w(self) -> StateLevels:
+        """Cumulative Brownian value per node, built on each read."""
+        return StateLevels(self, 0)
+
+    @property
+    def counts(self) -> StateLevels:
+        """Cumulative jump counts per node, (n_k, m), built on each read."""
+        return StateLevels(self, 1)
 
     def time(self, level: int) -> float:
         return level / self.num_steps
@@ -234,17 +272,35 @@ def build_tree(num_steps: int, mark_set: MarkSet | None = None,
         jump[m + 2 + i, i] = 1.0
     comp = jump - jump_prob[None, :]
 
-    w = [np.zeros(1)]
-    counts = [np.zeros((1, m))]
-    for _ in range(num_steps):
-        w.append(_branch_pass(np.add, w[-1], db))
-        counts.append(_count_pass(counts[-1], branching))
-
     return ScenarioTree(num_steps=num_steps, marks=marks, dt=dt,
                         branch_prob=prob, branch_db=db,
                         branch_jump=jump, branch_comp=comp,
-                        w=tuple(w), counts=tuple(counts),
                         atom_prob=AtomProbabilities(prob, num_steps))
+
+
+class StateLevels(Sequence):
+    """One field of ``ScenarioTree.states()`` by level, built on each read and not kept.
+
+    Reading level k walks the states from the root, so a caller that
+    reads several levels iterates instead, which walks them once.
+    """
+
+    def __init__(self, tree: ScenarioTree, field: int) -> None:
+        self._tree = tree
+        self._field = field
+
+    def __len__(self) -> int:
+        return self._tree.num_steps + 1
+
+    def __getitem__(self, level):
+        level = range(len(self))[level]   # IndexError past either end, like a tuple
+        for k, state in enumerate(self._tree.states()):
+            if k == level:
+                return state[self._field]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for state in self._tree.states():
+            yield state[self._field]
 
 
 class AtomProbabilities(Sequence):
@@ -274,6 +330,25 @@ class AtomProbabilities(Sequence):
                     self._levels.append(
                         _branch_pass(np.multiply, self._levels[-1], self._prob))
         return self._levels[level]
+
+
+def _block_atom_prob(tree: ScenarioTree, level: int, rows: slice) -> np.ndarray:
+    """``tree.atom_prob[level][rows]``, building no level larger than a block.
+
+    A level of at most ``_BLOCK_NODES`` nodes is read from ``atom_prob``,
+    which keeps it (together these levels hold under 2**17 values).  A
+    larger level is ``_branch_pass(np.multiply, ..., branch_prob)`` over
+    the ancestor rows the block descends from, the chain
+    ``AtomProbabilities`` runs, so every value has the same bits.
+    """
+    start, stop, _ = rows.indices(tree.level_size(level))
+    if tree.level_size(level) <= _BLOCK_NODES:
+        return tree.atom_prob[level][start:stop]
+    first = start // tree.branching
+    parents = _block_atom_prob(tree, level - 1,
+                               slice(first, (stop - 1) // tree.branching + 1))
+    offset = first * tree.branching
+    return _branch_pass(np.multiply, parents, tree.branch_prob)[start - offset:stop - offset]
 
 
 def _branch_pass(op, parents: np.ndarray, per_branch: np.ndarray) -> np.ndarray:
@@ -330,14 +405,20 @@ def _ratio(tree: ScenarioTree, values: np.ndarray, level: int) -> int:
 
 def _block_rows(tree: ScenarioTree, values: np.ndarray, level: int,
                 rows: slice) -> np.ndarray:
-    """Values of the ``rows`` nodes of ``level`` from an array stored by the level rule."""
+    """Values of the ``rows`` nodes of ``level`` from an array stored by the level rule.
+
+    Each stored value is repeated for the rows of the block that read it,
+    so an array set far above the level gives a block, not a whole level.
+    """
     ratio = _ratio(tree, values, level)
     if ratio == 1:
         return values[rows]
     start, stop, _ = rows.indices(tree.level_size(level))
-    first = start // ratio
-    lifted = np.repeat(values[first:(stop - 1) // ratio + 1], ratio, axis=0)
-    return lifted[start - first * ratio:stop - first * ratio]
+    first, last = start // ratio, (stop - 1) // ratio
+    runs = np.full(last - first + 1, ratio)
+    runs[0] -= start - first * ratio
+    runs[-1] -= (last + 1) * ratio - stop
+    return np.repeat(values[first:last + 1], runs, axis=0)
 
 
 def _block_children(tree: ScenarioTree, values: np.ndarray, level: int,

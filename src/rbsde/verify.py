@@ -7,7 +7,10 @@ compensator monotonicity.  All clauses come from one pass per level
 over cache-sized parent blocks, in which each increment of K, K_c and
 K_d is taken once from the cumulative processes stored in the solution;
 the leaf clauses are taken in the blocks of the last level, so no clause
-forms a whole-level temporary.
+forms a whole-level temporary.  Node probabilities are taken per block
+from the block's ancestors, so a check builds no level of
+``tree.atom_prob``, and each block's and each side's arrays are freed
+with it.
 The compensators are read through the level-rule readers of
 ``rbsde.tree``, so compact solver output and whole-level solutions (a
 loaded dump, a hand-built mutant) go through the same checker, which
@@ -31,12 +34,12 @@ import numpy as np
 from .bsde import Compensator, Solution, _driver_value, _leaf_values, barrier_values
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
-from .processes import BarrierValues, ProblemSpec
+from .processes import BarrierValues, ProblemSpec, evaluate_specs
 from .reflected import _source_rates, obstacle_payoff, solve_bsde, solve_reflected_one
 from .snell import BIND_TOL, REGULAR_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import (Process, ScenarioTree, _block_children, _block_rows, _children,
-                   _parent_blocks, _worst, sup_diff, terminal_mean)
+from .tree import (Process, ScenarioTree, _block_atom_prob, _block_children, _block_rows,
+                   _children, _parent_blocks, _worst, sup_diff, terminal_mean)
 from .twobarrier import _closure, _mean_mass, picard_snell_solve, solve_double_obstacle
 
 CHECK_TOL = 1e-10
@@ -125,6 +128,19 @@ def _table(tree: ScenarioTree, increments: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split_residual(tree: ScenarioTree, comp: Compensator, k: int, rows: slice) -> float:
+    """max |K - K_c - K_d| at level ``k + 1`` below one parent block.
+
+    The split compares stored values: once per parent when no part of it
+    is a whole next level.
+    """
+    parts = (comp.k[k + 1], comp.k_c[k + 1], comp.k_d[k + 1])
+    read = _block_rows if max(map(len, parts)) <= tree.level_size(k) else _block_children
+    split = np.subtract(read(tree, parts[0], k, rows), read(tree, parts[1], k, rows))
+    split -= read(tree, parts[2], k, rows)
+    return _abs_max(split)
+
+
 def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
                   sides) -> tuple[float, float]:
     """Every clause residual in one pass per level over parent blocks.
@@ -137,8 +153,6 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
     already read.  Fills the per-side residuals; returns the dynamics
     residual and, for two sides, the worst simultaneous jump-type mass.
     """
-    n = tree.num_steps
-    prob = tree.branch_prob
     y = [np.asarray(level, dtype=float) for level in sol.y]
     dyn = 0.0
     simultaneous = 0.0
@@ -146,65 +160,87 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
         comp = side.compensator
         side.monotone = float(np.max(np.abs(comp.k[0])))
         side.split = float(np.max(np.abs(comp.k[0] - comp.k_c[0] - comp.k_d[0])))
-    for k in range(n):
+    for k in range(tree.num_steps):
         z_level = np.asarray(sol.z[k], dtype=float)
         v_level = np.asarray(sol.v[k], dtype=float)
         for rows in _parent_blocks(tree, k):
-            y_par = y[k][rows]
-            y_child = _children(tree, y[k + 1], rows)
-            parent_prob = tree.atom_prob[k][rows]
-            f_val = _driver_value(driver, tree, k, y_par, z_level[rows], v_level[rows])
-            if k == n - 1:
-                dyn = _worst(dyn, float(np.max(np.abs(y_child - _children(tree, xi, rows)))))
-            dk_incs, kd_incs = [], []
-            for side in sides:
-                # the split compares stored values: once per parent when no
-                # part of it is a whole next level
-                comp = side.compensator
-                parts = (comp.k[k + 1], comp.k_c[k + 1], comp.k_d[k + 1])
-                read = (_block_rows if max(map(len, parts)) <= tree.level_size(k)
-                        else _block_children)
-                split = np.subtract(read(tree, parts[0], k, rows),
-                                    read(tree, parts[1], k, rows))
-                split -= read(tree, parts[2], k, rows)
-                side.split = _worst(side.split, _abs_max(split))
-                d_k = _table(tree, _block_increments(tree, comp.k, k, rows))
-                d_kc = _table(tree, _block_increments(tree, comp.k_c, k, rows))
-                d_kd = _block_increments(tree, comp.k_d, k, rows)
-                dk_incs.append(d_k)
-                kd_incs.append(d_kd)
-                slack = side.sign * (y_par - side.obstacle.values[k][rows])
-                side.contain = _worst(side.contain, -float(np.min(slack)))
-                if k == n - 1:
-                    leaf = _children(tree, side.obstacle.values[n], rows)
-                    side.contain = _worst(side.contain,
-                                          float(np.max(side.sign * (leaf - y_child))))
-                mass_c = np.multiply(d_kc, slack[:, None], out=d_kc)
-                side.skorokhod = _worst(side.skorokhod, _abs_max(mass_c))
-                # left-limit minimality integral, weighting each child by
-                # P(parent) * branch probability: continuous-type mass pairs
-                # with the slack at the assigning slot, jump-type mass (below)
-                # with the left limit against the previous-slot solution
-                side.left_integral += float(np.add.reduce(parent_prob * (mass_c @ prob)))
-                side.monotone = _worst(side.monotone, -float(np.min(d_k)))
-                left = side.obstacle.left.get(k + 1)
-                if left is None:
-                    side.jump = _worst(side.jump, _abs_max(d_kd))
-                    continue
-                left = _children(tree, left, rows)
-                gap = side.sign * (y_par[:, None] - left)
-                binding = np.abs(gap) <= BIND_TOL
-                formula = np.where(binding, np.maximum(side.sign * (left - y_child), 0.0), 0.0)
-                side.jump = _worst(side.jump, _abs_max(d_kd - formula))
-                side.left_integral += float(np.add.reduce(parent_prob * ((gap * d_kd) @ prob)))
-            # K+ - K- for two sides, K alone for one
-            compensator = dk_incs[0] if len(sides) == 1 else dk_incs[0] - dk_incs[1]
-            rhs = y_child @ prob + f_val * tree.dt + compensator @ prob
-            dyn = _worst(dyn, float(np.max(np.abs(y_par - rhs))))
-            if len(kd_incs) == 2:
-                simultaneous = _worst(simultaneous,
-                                      float(np.max(np.minimum(kd_incs[0], kd_incs[1]))))
+            f_val = _driver_value(driver, tree, k, y[k][rows], z_level[rows], v_level[rows])
+            block_dyn, block_simultaneous = _check_block(tree, y, f_val, xi, sides, k, rows)
+            dyn = _worst(dyn, block_dyn)
+            simultaneous = _worst(simultaneous, block_simultaneous)
     return dyn, simultaneous
+
+
+def _check_block(tree: ScenarioTree, y: Process, f_val: np.ndarray, xi: np.ndarray,
+                 sides, k: int, rows: slice) -> tuple[float, float]:
+    """The clauses of one parent block of level ``k``: its dynamics and simultaneous residuals.
+
+    The block's arrays, and each side's, are local to one call, so none
+    outlives its block or side.
+    """
+    prob = tree.branch_prob
+    y_par = y[k][rows]
+    y_child = _children(tree, y[k + 1], rows)
+    parent_prob = _block_atom_prob(tree, k, rows)
+    dyn = 0.0
+    if k == tree.num_steps - 1:
+        dyn = float(np.max(np.abs(y_child - _children(tree, xi, rows))))
+    increments = [_check_side(tree, side, k, rows, y_par, y_child, parent_prob)
+                  for side in sides]
+    # K+ - K- for two sides, K alone for one
+    compensator = (increments[0][0] if len(sides) == 1
+                   else increments[0][0] - increments[1][0])
+    rhs = y_child @ prob + f_val * tree.dt + compensator @ prob
+    dyn = _worst(dyn, float(np.max(np.abs(y_par - rhs))))
+    simultaneous = 0.0
+    if len(sides) == 2:
+        simultaneous = float(np.max(np.minimum(increments[0][1], increments[1][1])))
+    return dyn, simultaneous
+
+
+def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.ndarray,
+                y_child: np.ndarray, parent_prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One side's clauses on one parent block; returns its K and K_d increment tables."""
+    n = tree.num_steps
+    prob = tree.branch_prob
+    comp = side.compensator
+    side.split = _worst(side.split, _split_residual(tree, comp, k, rows))
+    d_k = _table(tree, _block_increments(tree, comp.k, k, rows))
+    d_kc = _table(tree, _block_increments(tree, comp.k_c, k, rows))
+    d_kd = _block_increments(tree, comp.k_d, k, rows)
+    slack = side.sign * (y_par - side.obstacle.values[k][rows])
+    side.contain = _worst(side.contain, -float(np.min(slack)))
+    if k == n - 1:
+        leaf = _children(tree, side.obstacle.values[n], rows)
+        side.contain = _worst(side.contain, float(np.max(side.sign * (leaf - y_child))))
+    mass_c = np.multiply(d_kc, slack[:, None], out=d_kc)
+    side.skorokhod = _worst(side.skorokhod, _abs_max(mass_c))
+    # left-limit minimality integral, weighting each child by
+    # P(parent) * branch probability: continuous-type mass pairs
+    # with the slack at the assigning slot, jump-type mass (below)
+    # with the left limit against the previous-slot solution
+    side.left_integral += float(np.add.reduce(parent_prob * (mass_c @ prob)))
+    side.monotone = _worst(side.monotone, -float(np.min(d_k)))
+    left = side.obstacle.left.get(k + 1)
+    if left is None:
+        side.jump = _worst(side.jump, _abs_max(d_kd))
+        return d_k, d_kd
+    # in place, with the float operations of the whole-block formulas: the
+    # gap takes the spent mass_c block, and one C-order block takes the
+    # formula and then gap * d_kd
+    left = _block_children(tree, left, k, rows)
+    gap = np.subtract(y_par[:, None], left, out=mass_c)
+    gap *= side.sign
+    work = np.empty(gap.shape)
+    binding = np.abs(gap, out=work) <= BIND_TOL
+    formula = np.subtract(left, y_child, out=work)
+    formula *= side.sign
+    np.maximum(formula, 0.0, out=formula)
+    np.copyto(formula, 0.0, where=~binding)
+    side.jump = _worst(side.jump, _abs_max(np.subtract(d_kd, formula, out=work)))
+    weighted = np.multiply(gap, d_kd, out=work) @ prob
+    side.left_integral += float(np.add.reduce(parent_prob * weighted))
+    return d_k, d_kd
 
 
 # Clause names and notes by obstacle count: the containment clause, one
@@ -230,6 +266,7 @@ def check_solution(tree: ScenarioTree, sol: Solution, driver, terminal, lower,
     ``upper=None`` checks the one-obstacle equation (U = +inf) against
     ``sol.lower``; with an upper obstacle ``sol.upper`` is checked too.
     """
+    evaluate_specs(tree, (lower, upper, terminal))   # one walk of the node state
     sides = [_Side(barrier_values(tree, lower), sol.lower, +1)]
     if upper is not None:
         sides.append(_Side(barrier_values(tree, upper), sol.upper, -1))

@@ -147,7 +147,7 @@ def _one_barrier_defects():
     parents = _last_parents(tree)
     slack = sol.y[N - 1][parents] - obstacle.values[N - 1][parents]
     slack_parent = int(parents[np.argmax(slack)])
-    gap = np.abs(sol.y[N - 1][parents] - obstacle.left[N][parents * tree.branching])
+    gap = np.abs(sol.y[N - 1][parents] - obstacle.left[N][parents])
     loose_parent = int(parents[np.argmax(gap * tree.atom_prob[N - 1][parents])])
     last = int(parents[-1])
     defects = []

@@ -63,6 +63,7 @@ def _whole_split(tree, y, k_total, obstacle, sign):
         if left is None:
             k_d.append(parent)
             continue
+        left = expand(tree, left, k)
         binding = np.abs(expand(tree, y[k - 1], k) - left) <= BIND_TOL
         k_d.append(parent + np.where(binding, np.maximum(sign * (left - y[k]), 0.0), 0.0))
     return [kt - kd for kt, kd in zip(k_total, k_d)], k_d

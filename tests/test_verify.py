@@ -12,6 +12,7 @@ from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
 from rbsde.bsde import barrier_values
 from rbsde.processes import BarrierValues, put_payoff
 from rbsde.reflected import obstacle_payoff
+from rbsde.tree import _BLOCK_NODES
 from conftest import (clone_solution, counterexample_pieces, one_barrier_mutants, process_of,
                       random_one_barrier, random_two_barrier, two_barrier_mutants)
 
@@ -129,8 +130,10 @@ def test_solve_and_check_leave_the_leaf_atom_probabilities_unbuilt():
     for sides in (1, 2):
         sol = solve_reflected(tree, driver, terminal, *obstacles[:sides])
         assert check_solution(tree, sol, driver, terminal, *obstacles[:sides]).passed
-    # the checker reads parent levels only: levels 0 .. N - 1 exist, N does not
-    assert len(tree.atom_prob._levels) == DEEP_N
+    # the checker keeps the levels of at most one block of nodes, 0 .. 16 here,
+    # and takes the deeper parent levels per block: N - 1 and N are not built
+    assert tree.level_size(16) == _BLOCK_NODES
+    assert [len(level) for level in tree.atom_prob._levels] == [2 ** k for k in range(17)]
 
 
 def test_checker_transient_stays_below_one_leaf_level():
@@ -151,6 +154,38 @@ def test_checker_transient_stays_below_one_leaf_level():
         assert report.passed, report.to_dict()
         assert peak - entry < leaf_bytes, (sides, peak - entry)
         del sol
+
+
+@pytest.mark.parametrize("sides,blocks", [(1, 6.25), (2, 8.25)])
+def test_checker_block_transient_at_a_declared_leaf_level(sides, blocks):
+    # A jump at the horizon makes K_c and K_d whole leaf levels, the largest
+    # blocks the checker reads.  One side of a block holds its K, K_c and K_d
+    # increments and one work block for the left-limit clauses, and a block
+    # adds per-parent vectors (a quarter block each with one mark); the
+    # other side keeps only its K and K_d increments: about 5.1 and 7.1
+    # blocks.  The whole-block left-limit formulas took 6.9 and 8.9.
+    steps = 9   # one mark: level 8 spans four parent blocks
+    marks = MarkSet(sizes=(1.0,), intensities=(0.5,))
+    tree = build_tree(steps, marks)
+    driver = DriverSpec(base=0.1, a=0.2, b=0.1)
+    terminal = TerminalSpec(payoff=lambda w, counts: np.abs(w))
+    obstacles = (BarrierSpec(pieces=((0.0, 0.3), (1.0, 0.0)),
+                             stochastic=lambda t, w, c: 0.5 * w),
+                 BarrierSpec(pieces=((0.0, 2.0), (1.0, 1.5)),
+                             stochastic=lambda t, w, c: 1.0 + np.abs(w)))[:sides]
+    sol = solve_reflected(tree, driver, terminal, *obstacles)
+    assert all(barrier_values(tree, spec).jump_levels == (steps,) for spec in obstacles)
+    tree.atom_prob[steps - 1]   # a level of one block: the tree keeps it once read
+    block_bytes = 8 * _BLOCK_NODES   # one block's children
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        report = check_solution(tree, sol, driver, terminal, *obstacles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.to_dict()
+    assert peak - entry < blocks * block_bytes, (peak - entry) / block_bytes
 
 
 @pytest.mark.parametrize("case", one_barrier_mutants(),
