@@ -13,8 +13,9 @@ from .bsde import Compensator, Solution
 from .errors import (BarriersTouch, ConfigError, DriverNotCoefficientFree,
                      InfeasibleIntensity, JumpTimeOffGrid, MaxIterExceeded,
                      MokobodskiFailed, MonotonicityViolation, NoContractionObserved,
-                     NotMonotone, RbsdeError, StepsizeTooLarge, TerminalBelowBarrier,
-                     TerminalOutsideBarriers, TooLargeToEnumerate, TreeTooLarge)
+                     NonFiniteData, NotMonotone, RbsdeError, StepsizeTooLarge,
+                     TerminalBelowBarrier, TerminalOutsideBarriers, TooLargeToEnumerate,
+                     TreeTooLarge, WeightOverflow)
 from .fixpoint import alpha_norm, alpha_rule, picard_solve
 from .penalty import PenalizationReport, PenalizedSolution, solve_penalized, sweep
 from .processes import (BarrierSpec, BarrierValues, DriverSpec, MarkSet, ProblemSpec,
@@ -45,5 +46,6 @@ __all__ = [
     "TooLargeToEnumerate", "NotMonotone", "StepsizeTooLarge",
     "TerminalBelowBarrier", "TerminalOutsideBarriers", "BarriersTouch",
     "DriverNotCoefficientFree", "MonotonicityViolation", "MokobodskiFailed",
-    "MaxIterExceeded", "NoContractionObserved", "ConfigError",
+    "MaxIterExceeded", "NoContractionObserved", "ConfigError", "NonFiniteData",
+    "WeightOverflow",
 ]

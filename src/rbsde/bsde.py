@@ -9,7 +9,9 @@ grid refinement.  ``Solution`` is the output type of every direct
 solver.  The sweep takes the driver (which ``_driver_value`` alone
 evaluates) as a ``source(k, rows, z, v)`` and a ``settle`` rule for the
 implicit step: the reflected, penalised and Picard steps are rules of
-``rbsde.reflected``, ``rbsde.penalty`` and ``rbsde.fixpoint``.
+``rbsde.reflected``, ``rbsde.penalty`` and ``rbsde.fixpoint``.  The
+sweep takes the leaf values as an array: every solver reads its terminal
+and obstacles with ``rbsde.processes.evaluate``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepsizeTooLarge
-from .processes import BarrierSpec, BarrierValues, TerminalSpec, eval_barrier
+from .processes import eval_barrier  # noqa: F401  (kept importable from this module)
 from .tree import Process, ScenarioTree, _children, _parent_blocks, _weigh
 
 
@@ -57,24 +59,6 @@ def check_stepsize(driver, dt: float) -> None:
     c = driver.lipschitz_constant
     if not c * dt < 1.0:  # NaN fails too
         raise StepsizeTooLarge(f"dt*C_f = {c * dt:.6g} >= 1; refine the grid")
-
-
-def _leaf_values(tree: ScenarioTree, terminal) -> np.ndarray:
-    """Leaf values for reading only: the shared evaluation or the given array."""
-    if isinstance(terminal, TerminalSpec):
-        return terminal.evaluate(tree)
-    values = np.asarray(terminal, dtype=float)
-    if values.shape != (tree.level_size(tree.num_steps),):
-        raise ValueError("terminal array must hold one value per leaf")
-    return values
-
-
-def barrier_values(tree: ScenarioTree, barrier) -> BarrierValues:
-    if isinstance(barrier, BarrierValues):
-        return barrier
-    if isinstance(barrier, BarrierSpec):
-        return eval_barrier(barrier, tree)
-    raise TypeError("expected a BarrierSpec or pre-evaluated BarrierValues")
 
 
 def _project_block(tree: ScenarioTree, table: np.ndarray):

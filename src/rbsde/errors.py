@@ -17,6 +17,10 @@ class JumpTimeOffGrid(RbsdeError):
     """A declared predictable jump time is not a grid point."""
 
 
+class NonFiniteData(RbsdeError, ValueError):
+    """A terminal payoff or obstacle is NaN or infinite at some node."""
+
+
 class TooLargeToEnumerate(RbsdeError):
     """Subtree too deep or too wide for the stopping-time oracle."""
 
@@ -55,6 +59,10 @@ class MokobodskiFailed(RbsdeError):
 
 class MaxIterExceeded(RbsdeError):
     """Iteration budget exhausted before the stop rule fired."""
+
+
+class WeightOverflow(RbsdeError):
+    """The Picard weight exponent alpha, or e^(alpha t) on the grid, overflows."""
 
 
 class NoContractionObserved(RbsdeError):

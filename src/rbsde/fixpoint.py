@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import _driver_value
-from .errors import MaxIterExceeded, NoContractionObserved
+from .errors import MaxIterExceeded, NoContractionObserved, WeightOverflow
 from .processes import DriverSpec
 from .reflected import _book, _obstacle_inputs, _reflected_sweep
 from .tree import ScenarioTree, _weigh
@@ -32,10 +32,17 @@ SOLVER_KINDS = ("standard", "one_barrier", "two_barrier")
 
 
 def alpha_rule(c_f: float) -> float:
-    """Weight exponent from the Lipschitz constant: 2*C + 4*C^2 + 2."""
+    """Weight exponent from the Lipschitz constant: 2*C + 4*C^2 + 2.
+
+    Raises WeightOverflow when the exponent overflows.
+    """
     if c_f < 0:
         raise ValueError("Lipschitz constant must be nonnegative")
-    return 2.0 * c_f + 4.0 * c_f ** 2 + 2.0
+    with np.errstate(over="ignore"):
+        alpha = float(2.0 * c_f + 4.0 * np.float64(c_f) ** 2 + 2.0)
+    if not math.isfinite(alpha):
+        raise WeightOverflow(f"the weight exponent 2C + 4C^2 + 2 overflows at C = {c_f:.6g}")
+    return alpha
 
 
 def alpha_norm(tree: ScenarioTree, triple, alpha: float) -> float:
@@ -143,8 +150,10 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
     Returns the final solve (with its compensators) and the trace.  Each
     round holds only the previous iterate; the obstacles and terminal are
     checked once, and the compensators are booked once, on the round that
-    converged.  Raises NoContractionObserved when three consecutive
-    distance ratios reach one, and MaxIterExceeded when the budget runs out.
+    converged.  Raises WeightOverflow before the first round when the
+    norm's largest weight e^(alpha t_{N-1}) overflows, NoContractionObserved
+    when three consecutive distance ratios reach one, and MaxIterExceeded
+    when the budget runs out.
     """
     if solver_kind not in SOLVER_KINDS:
         raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
@@ -161,6 +170,11 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
     driver.check_marks(tree.marks)
     if alpha is None:
         alpha = alpha_rule(driver.lipschitz_constant)
+    last = tree.time(tree.num_steps - 1)
+    with np.errstate(over="ignore"):   # the weight _weighted_norm takes at t_{N-1}
+        overflows = not np.isfinite(np.exp(alpha * last))
+    if overflows:
+        raise WeightOverflow(f"e^(alpha t) overflows at t = {last:.6g} with alpha = {alpha:.6g}")
 
     low, up, xi = _obstacle_inputs(tree, terminal, *obstacles)
     start = zero_triple(tree) if initial is None else _start(tree, initial)

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (Solution, _backward_sweep, _implicit_y, _leaf_values, _sweep_source,
-                   barrier_values, check_stepsize)
+from .bsde import Solution, _backward_sweep, _implicit_y, _sweep_source, check_stepsize
 from .errors import MonotonicityViolation
 from .fixpoint import _weighted_norm
-from .processes import BarrierSpec, DriverSpec, evaluate_specs
+from .processes import BarrierSpec, DriverSpec, evaluate
 from .reflected import solve_reflected_one
 from .snell import MONOTONE_TOL
 from .tree import Process, ScenarioTree, _accumulate, _max_excess, _worst, sup_diff
@@ -48,12 +47,11 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
     driver.check_marks(tree.marks)
     check_stepsize(driver, tree.dt)
     weight, dt = float(n), tree.dt
-    evaluate_specs(tree, (barrier, terminal))   # one walk of the node state
-    obstacle = barrier_values(tree, barrier).values
+    xi, obstacle = evaluate(tree, terminal, barrier)
     flux: Process = [np.empty(tree.level_size(k)) for k in range(tree.num_steps)]
 
     def settle(k, rows, rhs):
-        s = obstacle[k][rows]
+        s = obstacle.values[k][rows]
         y = _implicit_y(rhs, driver.a, dt)
         # at n = 0 the plain root stands: the penalised quotient would turn -0.0 into +0.0
         if weight != 0.0:
@@ -62,8 +60,7 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
         flux[k][rows] = weight * dt * np.maximum(s - y, 0.0)
         return y
 
-    y, z, v = _backward_sweep(tree, _sweep_source(tree, driver),
-                              _leaf_values(tree, terminal), settle)
+    y, z, v = _backward_sweep(tree, _sweep_source(tree, driver), xi, settle)
     return PenalizedSolution(level=weight, solution=Solution(y=y, z=z, v=v),
                              kn=_accumulate(flux))
 

@@ -10,19 +10,20 @@ Terminals and obstacles are evaluated once per tree: ladders, Picard
 rounds, envelope recursions and checks solve repeatedly on one tree with
 the same data, so the evaluated arrays are memoised per (tree, spec) and
 handed out read-only.  Payoff and obstacle functions must therefore be
-pure functions of ``(t, w, counts)``.  The tree keeps no node state:
-``evaluate_specs`` evaluates the terminal and every obstacle of a problem
-in one pass over ``ScenarioTree.states()``, with at most two levels of
-state alive, and takes each declared left limit from the parent level's
-state as the pass goes by it.  The state arrays are read-only, and every
-evaluated level is a fresh array, so a function that returns or keeps
-its input cannot change a later level or a memoised result.
+pure functions of ``(t, w, counts)``.  ``evaluate`` is the one reader:
+it gives a problem's terminal and obstacles on a tree, evaluating every
+spec the tree has not seen in one pass over ``ScenarioTree.states()``,
+with at most two levels of state alive, and takes each declared left
+limit from the parent level's state as the pass goes by it.  The state
+arrays are read-only, and every evaluated level is a fresh array, so a
+function that returns or keeps its input cannot change a later level or
+a memoised result.  ``eval_barrier`` and ``TerminalSpec.evaluate`` read
+one item through it.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import JumpTimeOffGrid
+from .errors import JumpTimeOffGrid, NonFiniteData
 from .tree import _BLOCK_NODES, MarkSet, ScenarioTree, _all_finite, _weigh, build_tree
 
 # Terminal payoffs see the leaf state; obstacle functions also see time,
@@ -47,39 +48,51 @@ GRID_SNAP = 1e-9
 _EVALUATED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def evaluate_specs(tree: ScenarioTree, data) -> None:
-    """Evaluate on ``tree`` every ``TerminalSpec`` and ``BarrierSpec`` among ``data``.
+def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
+    """(xi, *obstacle values) of a problem's data on ``tree``.
 
-    Results are memoised per tree and read-only.  The specs not yet
-    evaluated on the tree are evaluated together in one walk of the node
-    state; other items (None, arrays, evaluated obstacles) are skipped.
+    A ``TerminalSpec`` or ``BarrierSpec`` gives its evaluation, memoised
+    per tree and read-only; the specs not yet evaluated on the tree are
+    evaluated together in one walk of the node state.  ``BarrierValues``
+    and None pass through, and a terminal array must hold one value per
+    leaf.
     """
     per_tree = _EVALUATED.setdefault(tree, {})
-    missing = list({id(spec): spec for spec in data
+    missing = list({id(spec): spec for spec in (*obstacles, terminal)
                     if isinstance(spec, (TerminalSpec, BarrierSpec))
                     and id(spec) not in per_tree}.values())
-    for spec, evaluated in zip(missing, _walk(tree, missing)):
-        per_tree[id(spec)] = (spec, evaluated)
-
-
-def _evaluated(tree: ScenarioTree, spec):
-    evaluate_specs(tree, [spec])
-    return _EVALUATED[tree][id(spec)][1]
+    if missing:
+        for spec, evaluated in zip(missing, _walk(tree, missing)):
+            per_tree[id(spec)] = (spec, evaluated)
+    values = []
+    for obstacle in obstacles:
+        if isinstance(obstacle, BarrierSpec):
+            obstacle = per_tree[id(obstacle)][1]
+        elif not (obstacle is None or isinstance(obstacle, BarrierValues)):
+            raise TypeError("expected a BarrierSpec or pre-evaluated BarrierValues")
+        values.append(obstacle)
+    if isinstance(terminal, TerminalSpec):
+        terminal = per_tree[id(terminal)][1]
+    elif terminal is not None:
+        terminal = np.asarray(terminal, dtype=float)
+        if terminal.shape != (tree.level_size(tree.num_steps),):
+            raise ValueError("terminal array must hold one value per leaf")
+    return (terminal, *values)
 
 
 def _walk(tree: ScenarioTree, specs) -> list:
     """Fresh evaluations of ``specs`` from one pass over ``tree.states()``.
 
-    The state is built only if some spec reads it.  Each spec's errors
-    are raised after the pass, in the order of ``specs``.
+    Each spec's errors are raised after the pass, in the order of ``specs``;
+    an overflow on the way warns nothing, since the results' finiteness is
+    tested.
     """
     runs = [_TerminalRun(spec, tree) if isinstance(spec, TerminalSpec)
             else _BarrierRun(spec, tree) for spec in specs]
-    states = (tree.states() if any(run.reads_state for run in runs)
-              else itertools.repeat((None, None), tree.num_steps + 1))
-    for k, (w, counts) in enumerate(states):
-        for run in runs:
-            run.step(k, w, counts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (w, counts) in enumerate(tree.states()):
+            for run in runs:
+                run.step(k, w, counts)
     return [run.result() for run in runs]
 
 
@@ -100,16 +113,8 @@ class TerminalSpec:
             raise ValueError("specify exactly one of constant or payoff")
 
     def evaluate(self, tree: ScenarioTree) -> np.ndarray:
-        """Leaf values, computed once per tree and returned read-only.
-
-        ``payoff`` must be a pure function of ``(w, counts)``: later calls
-        on the same tree return the first result without calling it.
-        """
-        return _evaluated(tree, self)
-
-    def _evaluate(self, tree: ScenarioTree) -> np.ndarray:
-        """A fresh evaluation, not memoised."""
-        return _walk(tree, [self])[0]
+        """Leaf values from ``evaluate``: computed once per tree, read-only."""
+        return evaluate(tree, self)[0]
 
 
 class _TerminalRun:
@@ -117,7 +122,6 @@ class _TerminalRun:
 
     def __init__(self, spec: TerminalSpec, tree: ScenarioTree) -> None:
         self.spec, self.tree = spec, tree
-        self.reads_state = spec.payoff is not None
         self.values = None
 
     def step(self, k: int, w, counts) -> None:
@@ -131,8 +135,8 @@ class _TerminalRun:
         self.values = np.array(np.broadcast_to(raw, (leaves,)), dtype=float)
 
     def result(self) -> np.ndarray:
-        if self.reads_state and not _all_finite(self.values):
-            raise ValueError("terminal payoff must be finite on every leaf")
+        if self.spec.payoff is not None and not _all_finite(self.values):
+            raise NonFiniteData("terminal payoff must be finite on every leaf")
         return _read_only(self.values)
 
 
@@ -214,19 +218,8 @@ def grid_level(t: float, num_steps: int) -> int:
 
 
 def eval_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
-    """Evaluate an obstacle on every node and record declared left limits.
-
-    The result is computed once per tree and shared, with read-only
-    arrays.  ``spec.stochastic`` must be a pure function of
-    ``(t, w, counts)``: later calls on the same tree return the first
-    result without calling it.
-    """
-    return _evaluated(tree, spec)
-
-
-def _evaluate_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
-    """A fresh evaluation, not memoised."""
-    return _walk(tree, [spec])[0]
+    """An obstacle's values and declared left limits from ``evaluate``: once per tree."""
+    return evaluate(tree, None, spec)[1]
 
 
 class _BarrierRun:
@@ -239,7 +232,6 @@ class _BarrierRun:
 
     def __init__(self, spec: BarrierSpec, tree: ScenarioTree) -> None:
         self.spec, self.tree = spec, tree
-        self.reads_state = spec.stochastic is not None
         self.values: list[np.ndarray] = []
         self.bad_level: int | None = None
         # the nearest levels; ``result`` rejects the times off the grid
@@ -270,14 +262,14 @@ class _BarrierRun:
 
     def result(self) -> BarrierValues:
         if self.bad_level is not None:
-            raise ValueError(f"obstacle is not finite at level {self.bad_level}")
+            raise NonFiniteData(f"obstacle is not finite at level {self.bad_level}")
         left: dict[int, np.ndarray] = {}
         for (t_j, _), parents in zip(self.spec.declared_jumps, self.left):
             level = grid_level(t_j, self.tree.num_steps)
             if level == 0:
                 raise JumpTimeOffGrid("declared jumps at time 0 are not representable")
             if not _all_finite(parents):
-                raise ValueError(f"obstacle left limit is not finite at level {level}")
+                raise NonFiniteData(f"obstacle left limit is not finite at level {level}")
             left[level] = _read_only(parents)
         return BarrierValues(values=tuple(self.values), left=MappingProxyType(left),
                              jump_levels=tuple(sorted(left)))

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (Compensator, Solution, _backward_sweep, _implicit_y, _leaf_values,
-                   _sweep_source, barrier_values, check_stepsize)
+from .bsde import (Compensator, Solution, _backward_sweep, _implicit_y, _sweep_source,
+                   check_stepsize)
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import (BarriersTouch, DriverNotCoefficientFree, TerminalBelowBarrier,
                      TerminalOutsideBarriers)
-from .processes import evaluate_specs
+from .processes import evaluate
 from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (Process, ScenarioTree, _accumulate, _block_children, _block_rows,
@@ -105,10 +105,7 @@ def _obstacle_inputs(tree: ScenarioTree, terminal, lower=None, upper=None):
     """(L, U, xi) once the terminal lies in [L, U] and L < U; None is -inf for L, +inf for U."""
     if lower is None and upper is not None:
         raise ValueError("an upper obstacle needs a lower one")
-    evaluate_specs(tree, (lower, upper, terminal))   # one walk of the node state
-    low, up = (None if obstacle is None else barrier_values(tree, obstacle)
-               for obstacle in (lower, upper))
-    xi = _leaf_values(tree, terminal)
+    xi, low, up = evaluate(tree, terminal, lower, upper)
     if low is not None:
         _validate_obstacles(tree, xi, low, up)
     return low, up, xi
@@ -196,9 +193,7 @@ def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
     (payoff, cum), where ``cum[k]`` is the accumulated source of level k.
     """
     cum = np.concatenate(([0.0], np.cumsum(_source_rates(tree, driver) * tree.dt)))
-    evaluate_specs(tree, (barrier, terminal))   # one walk of the node state
-    obstacle = barrier_values(tree, barrier)
-    xi = _leaf_values(tree, terminal)
+    xi, obstacle = evaluate(tree, terminal, barrier)
     n = tree.num_steps
     payoff = [cum[k] + obstacle.values[k] for k in range(n)]
     payoff.append(cum[n] + xi)
@@ -227,7 +222,8 @@ def regularity_check(tree: ScenarioTree, result: SnellResult, cum: np.ndarray,
     Y = R - cum and the envelope's compensator are the solver's Y and K.
     """
     y = [result.envelope[k] - cum[k] for k in range(tree.num_steps + 1)]
-    split = _split_side(tree, y, result.compensator, barrier_values(tree, barrier), +1)
+    _, obstacle = evaluate(tree, None, barrier)
+    split = _split_side(tree, y, result.compensator, obstacle, +1)
     kd_mass = terminal_mean(tree, split.k_d)
     return RegularityReport(kd_mass=kd_mass, total_mass=terminal_mean(tree, split.k),
                             regular=kd_mass <= REGULAR_TOL)

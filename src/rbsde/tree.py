@@ -11,7 +11,8 @@ A tree holds no per-node state.  Its size follows from the branching
 alone, and the node state (Brownian value ``w`` and jump ``counts``) is
 read in one forward walk, ``ScenarioTree.states()``, which keeps at most
 two levels alive: the problem data on the tree is all the solvers need,
-and ``rbsde.processes`` evaluates it in that walk.  Node probabilities
+and ``rbsde.processes.evaluate``, its one reader, evaluates it in that
+walk.  Node probabilities
 are built per level on first read by ``atom_prob``, and the checker's
 ``_block_atom_prob`` builds a level larger than one block per parent
 block instead.
@@ -107,8 +108,8 @@ class ScenarioTree:
 
     The tree keeps no per-node array: ``states()`` yields the node state
     ``(w[k], counts[k])`` level by level, and ``w`` and ``counts`` are
-    read-only sequences over it that compute a level on each read and
-    keep none.  Every level array is C-contiguous float64: ``w[k]`` and
+    tuples of every level, built from it on each read and not kept.
+    Every level array is C-contiguous float64: ``w[k]`` and
     ``atom_prob[k]`` have shape ``(n_k,)``, ``counts[k]`` has shape
     ``(n_k, m)``.  The level kernels reshape them into ``(parents, B)``
     views and rely on this layout.  ``atom_prob`` is an
@@ -155,14 +156,14 @@ class ScenarioTree:
             yield w, counts
 
     @property
-    def w(self) -> StateLevels:
-        """Cumulative Brownian value per node, built on each read."""
-        return StateLevels(self, 0)
+    def w(self) -> tuple[np.ndarray, ...]:
+        """Cumulative Brownian value per node and level, built on each read."""
+        return tuple(w for w, _ in self.states())
 
     @property
-    def counts(self) -> StateLevels:
-        """Cumulative jump counts per node, (n_k, m), built on each read."""
-        return StateLevels(self, 1)
+    def counts(self) -> tuple[np.ndarray, ...]:
+        """Cumulative jump counts per node and level, (n_k, m), built on each read."""
+        return tuple(counts for _, counts in self.states())
 
     def time(self, level: int) -> float:
         return level / self.num_steps
@@ -276,31 +277,6 @@ def build_tree(num_steps: int, mark_set: MarkSet | None = None,
                         branch_prob=prob, branch_db=db,
                         branch_jump=jump, branch_comp=comp,
                         atom_prob=AtomProbabilities(prob, num_steps))
-
-
-class StateLevels(Sequence):
-    """One field of ``ScenarioTree.states()`` by level, built on each read and not kept.
-
-    Reading level k walks the states from the root, so a caller that
-    reads several levels iterates instead, which walks them once.
-    """
-
-    def __init__(self, tree: ScenarioTree, field: int) -> None:
-        self._tree = tree
-        self._field = field
-
-    def __len__(self) -> int:
-        return self._tree.num_steps + 1
-
-    def __getitem__(self, level):
-        level = range(len(self))[level]   # IndexError past either end, like a tuple
-        for k, state in enumerate(self._tree.states()):
-            if k == level:
-                return state[self._field]
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        for state in self._tree.states():
-            yield state[self._field]
 
 
 class AtomProbabilities(Sequence):

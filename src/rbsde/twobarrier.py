@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import _leaf_values, _project_block, barrier_values
+from .bsde import _project_block
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import MaxIterExceeded, MokobodskiFailed, MonotonicityViolation
+from .processes import evaluate
 from .reflected import _book, _obstacle_inputs, _source_rates, solve_reflected
 from .snell import _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
@@ -53,7 +54,7 @@ class MokobodskiCheck:
 
 def martingale_witness(tree: ScenarioTree, terminal) -> MokobodskiWitness:
     """Built-in witness: conditional means of the terminal's two parts."""
-    xi = _leaf_values(tree, terminal)
+    xi = evaluate(tree, terminal)[0]
     h = _closure(tree, np.maximum(xi, 0.0))
     hp = _closure(tree, np.maximum(-xi, 0.0))
     return MokobodskiWitness(h=h, h_prime=hp)
@@ -92,8 +93,7 @@ def check_mokobodski(tree: ScenarioTree, witness: MokobodskiWitness,
     Every maximum keeps NaN, so a witness with a NaN node fails, and
     ``detail`` names the first measure and level above ``TOL`` (or NaN).
     """
-    low = barrier_values(tree, lower)
-    up = barrier_values(tree, upper)
+    _, low, up = evaluate(tree, None, lower, upper)
     worst = {"negativity": 0.0, "band violation": 0.0, "supermartingale defect": 0.0}
     detail = ""
     for k in range(tree.num_steps + 1):

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import Compensator, Solution, _driver_value, _leaf_values, barrier_values
+from .bsde import Compensator, Solution, _driver_value
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
-from .processes import BarrierValues, ProblemSpec, evaluate_specs
+from .processes import BarrierValues, ProblemSpec, evaluate
 from .reflected import _source_rates, obstacle_payoff, solve_bsde, solve_reflected_one
 from .snell import BIND_TOL, REGULAR_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
@@ -266,12 +266,11 @@ def check_solution(tree: ScenarioTree, sol: Solution, driver, terminal, lower,
     ``upper=None`` checks the one-obstacle equation (U = +inf) against
     ``sol.lower``; with an upper obstacle ``sol.upper`` is checked too.
     """
-    evaluate_specs(tree, (lower, upper, terminal))   # one walk of the node state
-    sides = [_Side(barrier_values(tree, lower), sol.lower, +1)]
-    if upper is not None:
-        sides.append(_Side(barrier_values(tree, upper), sol.upper, -1))
-    dyn, simultaneous = _check_levels(tree, sol, driver, _leaf_values(tree, terminal),
-                                      sides)
+    xi, low, up = evaluate(tree, terminal, lower, upper)
+    sides = [_Side(low, sol.lower, +1)]
+    if up is not None:
+        sides.append(_Side(up, sol.upper, -1))
+    dyn, simultaneous = _check_levels(tree, sol, driver, xi, sides)
     contain, skorokhod, jump, monotone_note, left_note = _CLAUSE_NAMES[len(sides)]
 
     def clause(residual: float, note: str) -> ClauseCheck:
@@ -327,7 +326,7 @@ def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2) -> float:
             routes.append(sol.y)
     elif problem.kind == "standard":
         routes.append(_mean_mass(tree, _source_rates(tree, driver),
-                                 _closure(tree, _leaf_values(tree, problem.terminal))))
+                                 _closure(tree, evaluate(tree, problem.terminal)[0])))
     elif problem.kind == "one_barrier":
         payoff, cum = obstacle_payoff(tree, driver, problem.terminal, problem.barrier)
         envelope, _ = _envelope(tree, payoff)
@@ -374,7 +373,8 @@ def regularity_probe(problem: ProblemSpec) -> RegularityProbeReport:
     kd_mass = terminal_mean(tree, reflected.lower.k_d)
 
     # non-uniformity shows at the slot announcing each jump
-    slots = [level - 1 for level in barrier_values(tree, problem.barrier).jump_levels]
+    _, obstacle = evaluate(tree, None, problem.barrier)
+    slots = [level - 1 for level in obstacle.jump_levels]
     gaps_at_jumps = [sup_diff([rung.solution.y[k] for k in slots],
                               [reflected.y[k] for k in slots]) for rung in report.solutions]
 

@@ -12,7 +12,8 @@ import rbsde.tree
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree,
                    check_solution, picard_solve, solve_bsde, solve_penalized,
                    solve_reflected)
-from rbsde.bsde import barrier_values, project_level
+from rbsde.bsde import project_level
+from rbsde.processes import eval_barrier
 from conftest import clone_solution, process_of
 
 N = 9
@@ -143,7 +144,7 @@ def _children(tree, parent):
 def _one_barrier_defects():
     tree, driver, terminal, barrier = _one_problem()
     sol = solve_reflected(tree, driver, terminal, barrier)
-    obstacle = barrier_values(tree, barrier)
+    obstacle = eval_barrier(barrier, tree)
     parents = _last_parents(tree)
     slack = sol.y[N - 1][parents] - obstacle.values[N - 1][parents]
     slack_parent = int(parents[np.argmax(slack)])

@@ -517,6 +517,58 @@ def test_grids_past_the_node_cap_exit_3_quickly_with_a_short_message(tmp_path, c
     assert len(err) < 200
 
 
+def _config(name, **sections):
+    config = json.loads((CONFIGS / name).read_text())
+    config.update(sections)
+    return config
+
+
+LINEAR_1E308 = {"kind": "linear", "w_coeff": 1e308}
+# problem data or a Picard weight past the largest float, and the error each raises
+OVERFLOWS = {
+    "obstacle": ("solve-one", _config("counterexample.json", barrier={
+        "pieces": [[0.0, 1.0], [0.5, 0.0]], "stochastic": LINEAR_1E308}), (),
+        "NonFiniteData: obstacle is not finite at level 6"),
+    "terminal": ("solve-one", _config("counterexample.json", terminal=LINEAR_1E308), (),
+                 "NonFiniteData: terminal payoff must be finite on every leaf"),
+    "default alpha": ("contraction-study", _config("contraction.json", driver={"a": 5e307}),
+                      (), "WeightOverflow: the weight exponent"),
+    "given alpha": ("contraction-study", _config("counterexample.json"),
+                    ("--alpha-list", "1e308"), "WeightOverflow: e^(alpha t) overflows"),
+    "default weight": ("contraction-study", {
+        "grid": {"steps": 15}, "terminal": {"kind": "constant", "value": 0.5},
+        "driver": {"g": 0.0, "a": 14.5}, "solver": {"kind": "standard"}}, (),
+        "WeightOverflow: e^(alpha t) overflows at t = 0.933333 with alpha = 872"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflowing_data_or_weights_exit_3_quickly_with_one_line(tmp_path, capsys, case):
+    command, config, flags, message = OVERFLOWS[case]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(config))
+    start = time.perf_counter()
+    assert run(command, "--config", path, "--out", tmp_path / "out", *flags) == 3
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_picard_runs_on_through_infinite_first_distances(tmp_path, capsys):
+    # the first moves of a terminal near 1e200 square past the largest float
+    config = _config("counterexample.json", terminal={"kind": "constant", "value": 1e200},
+                     driver={"g": 0.0, "a": 0.5})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    assert run("contraction-study", "--config", path, "--out", tmp_path / "out") == 0
+    (row,) = read_csv(tmp_path / "out" / "contraction.csv")
+    assert row["converged"] == "true"
+    assert row["ratios"].startswith("nan|")
+
+
 def test_checker_report_does_not_depend_on_blas_threads(tmp_path):
     # The left-limit integrals sum over up to 2**15 parents per block here.
     # A BLAS dot product splits such a sum by thread count, and this

@@ -39,7 +39,9 @@ def _base_configs() -> list:
 @st.composite
 def _schema_valid(draw) -> dict:
     """A schema-valid configuration touching every section of SCHEMA."""
-    number = st.floats(-3.0, 3.0, allow_nan=False)
+    # magnitudes near the largest float reach the overflow guards
+    number = st.one_of(st.floats(-3.0, 3.0, allow_nan=False),
+                       st.sampled_from([1e308, -1e308, 1e200]))
     pieces = st.lists(st.tuples(st.floats(0.0, 1.0), number).map(list),
                       min_size=1, max_size=3)
     marks = draw(st.lists(st.fixed_dictionaries(

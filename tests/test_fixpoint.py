@@ -8,9 +8,8 @@ import pytest
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, MaxIterExceeded, TerminalSpec,
                    alpha_norm, alpha_rule, build_tree, expand, picard_solve, solve_bsde,
                    solve_reflected, sup_diff)
-from rbsde.bsde import _leaf_values, barrier_values
 from rbsde.fixpoint import _sweep, random_triple, zero_triple
-from rbsde.processes import linear_obstacle
+from rbsde.processes import eval_barrier, evaluate, linear_obstacle
 from conftest import random_one_barrier, random_two_barrier
 
 
@@ -78,9 +77,9 @@ def test_fixed_point_contracts_and_refits(kind):
     if kind == "two_barrier":
         assert float(np.max(sol.upper.k[-1])) > 0.0
     # the fixed point solves the reflected problem with its own frozen inputs
-    low = None if kind == "standard" else barrier_values(tree, barrier)
-    up = barrier_values(tree, upper) if kind == "two_barrier" else None
-    refit_y, *_ = _sweep(tree, driver, (sol.y, sol.z, sol.v), _leaf_values(tree, xi),
+    low = None if kind == "standard" else eval_barrier(barrier, tree)
+    up = eval_barrier(upper, tree) if kind == "two_barrier" else None
+    refit_y, *_ = _sweep(tree, driver, (sol.y, sol.z, sol.v), evaluate(tree, xi)[0],
                          low, up)
     assert sup_diff(refit_y, sol.y) <= 1e-11
 

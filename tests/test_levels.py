@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import rbsde.reflected
 import rbsde.tree
 from rbsde import MarkSet, build_tree, check_solution, expand, solve_reflected
-from rbsde.bsde import barrier_values
+from rbsde.processes import eval_barrier
 from rbsde.snell import BIND_TOL
 from rbsde.tree import _max_excess, copy_process, sup_diff
 from conftest import clone_solution, process_of, random_one_barrier, random_two_barrier
@@ -91,7 +91,7 @@ def test_one_obstacle_levels_match_whole_level_reference(seed, coefficients):
         sol = solve_reflected(tree, driver, problem.terminal, problem.barrier)
     (increments,) = recorded
     k = _whole_cumulative(tree, increments)
-    k_c, k_d = _whole_split(tree, sol.y, k, barrier_values(tree, problem.barrier), +1)
+    k_c, k_d = _whole_split(tree, sol.y, k, eval_barrier(problem.barrier, tree), +1)
     for name, whole in (("k", k), ("k_c", k_c), ("k_d", k_d)):
         _assert_expands_to(tree, process_of(sol, name), whole, name)
 
@@ -113,8 +113,8 @@ def test_two_obstacle_levels_match_whole_level_reference(seed, coefficients):
                               problem.upper)
     plus, minus = recorded
     k_plus, k_minus = _whole_cumulative(tree, plus), _whole_cumulative(tree, minus)
-    kpc, kpd = _whole_split(tree, sol.y, k_plus, barrier_values(tree, problem.lower), +1)
-    kmc, kmd = _whole_split(tree, sol.y, k_minus, barrier_values(tree, problem.upper), -1)
+    kpc, kpd = _whole_split(tree, sol.y, k_plus, eval_barrier(problem.lower, tree), +1)
+    kmc, kmd = _whole_split(tree, sol.y, k_minus, eval_barrier(problem.upper, tree), -1)
     for name, whole in (("k_plus", k_plus), ("k_minus", k_minus), ("k_plus_c", kpc),
                         ("k_plus_d", kpd), ("k_minus_c", kmc), ("k_minus_d", kmd)):
         _assert_expands_to(tree, process_of(sol, name), whole, name)

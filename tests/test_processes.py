@@ -6,7 +6,7 @@ import pytest
 from rbsde import (BarrierSpec, DriverSpec, JumpTimeOffGrid, MarkSet, ProblemSpec,
                    TerminalSpec, build_tree, eval_barrier)
 from rbsde.bsde import _driver_value
-from rbsde.processes import linear_obstacle
+from rbsde.processes import _walk, linear_obstacle
 
 
 def driver_at(spec, tree, level, y, z, v):
@@ -15,7 +15,7 @@ def driver_at(spec, tree, level, y, z, v):
     return float(_driver_value(spec, tree, level, np.array([y]), np.array([z]), v)[0])
 
 
-def test_counterexample_barrier_values_and_left_limit():
+def test_counterexample_obstacle_values_and_left_limit():
     tree = build_tree(4)
     spec = BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0)))
     vals = eval_barrier(spec, tree)
@@ -165,7 +165,7 @@ def _marks(m):
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_memo_matches_fresh_evaluation(m):
-    from rbsde.processes import _evaluate_barrier, linear_payoff
+    from rbsde.processes import linear_payoff
     marks = _marks(m)
     tree = build_tree(3, marks)
     coeffs = tuple(0.2 + 0.1 * i for i in range(m))
@@ -175,13 +175,13 @@ def test_memo_matches_fresh_evaluation(m):
 
     first, second = eval_barrier(barrier, tree), eval_barrier(barrier, tree)
     assert second is first
-    fresh = _evaluate_barrier(barrier, tree)
+    fresh = _walk(tree, [barrier])[0]
     assert all(np.array_equal(a, b) for a, b in zip(first.values, fresh.values))
     assert first.jump_levels == fresh.jump_levels == (1,)
     assert np.array_equal(first.left[1], fresh.left[1])
 
     assert terminal.evaluate(tree) is terminal.evaluate(tree)
-    assert np.array_equal(terminal.evaluate(tree), terminal._evaluate(tree))
+    assert np.array_equal(terminal.evaluate(tree), _walk(tree, [terminal])[0])
     # another tree of the same shape gets its own evaluation
     assert terminal.evaluate(build_tree(3, marks)) is not terminal.evaluate(tree)
 
@@ -220,7 +220,7 @@ def test_solution_terminal_is_the_read_only_leaf_evaluation():
         assert not sol.y[-1].flags.writeable
         with pytest.raises(ValueError):
             sol.y[-1] += 1.0
-    assert np.array_equal(cached, terminal._evaluate(tree))
+    assert np.array_equal(cached, _walk(tree, [terminal])[0])
     again = solve_reflected(tree, DriverSpec(), terminal, barrier)
     assert np.array_equal(again.y[-1], cached)
 

@@ -9,8 +9,7 @@ import pytest
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
                    build_tree, check_solution, regularity_check, regularity_probe, snell,
                    solve_reflected, uniqueness_probe, verify)
-from rbsde.bsde import barrier_values
-from rbsde.processes import BarrierValues, put_payoff
+from rbsde.processes import BarrierValues, eval_barrier, put_payoff
 from rbsde.reflected import obstacle_payoff
 from rbsde.tree import _BLOCK_NODES
 from conftest import (clone_solution, counterexample_pieces, one_barrier_mutants, process_of,
@@ -113,7 +112,7 @@ def test_leaf_outside_an_obstacle_in_the_last_block_fails_containment(sides, bro
                                                                       contain):
     tree, driver, terminal, obstacles = _deep_problem(DEEP_N)
     sol = solve_reflected(tree, driver, terminal, *obstacles[:sides])
-    values = [barrier_values(tree, spec) for spec in obstacles[:sides]]
+    values = [eval_barrier(spec, tree) for spec in obstacles[:sides]]
     bad = values[broken]
     leaf = np.array(bad.values[DEEP_N])
     # 1e-3 above Y for the lower obstacle, 1e-3 below it for the upper one
@@ -174,7 +173,7 @@ def test_checker_block_transient_at_a_declared_leaf_level(sides, blocks):
                  BarrierSpec(pieces=((0.0, 2.0), (1.0, 1.5)),
                              stochastic=lambda t, w, c: 1.0 + np.abs(w)))[:sides]
     sol = solve_reflected(tree, driver, terminal, *obstacles)
-    assert all(barrier_values(tree, spec).jump_levels == (steps,) for spec in obstacles)
+    assert all(eval_barrier(spec, tree).jump_levels == (steps,) for spec in obstacles)
     tree.atom_prob[steps - 1]   # a level of one block: the tree keeps it once read
     block_bytes = 8 * _BLOCK_NODES   # one block's children
     tracemalloc.start()

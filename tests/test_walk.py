@@ -15,7 +15,7 @@ import pytest
 import rbsde.tree
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree, check_solution,
                    eval_barrier, solve_penalized, solve_reflected)
-from rbsde.processes import _evaluate_barrier, linear_obstacle, linear_payoff
+from rbsde.processes import _walk, linear_obstacle, linear_payoff
 from rbsde.reflected import obstacle_payoff
 from rbsde.tree import (_BLOCK_NODES, _block_atom_prob, _branch_pass, _count_pass,
                         _parent_blocks)
@@ -185,7 +185,7 @@ def test_functions_that_alias_or_keep_their_input_change_nothing():
     leaves = terminal.evaluate(tree)
     with pytest.raises(ValueError):
         kept[0][0] = 99.0   # the kept state is read-only
-    fresh = _evaluate_barrier(aliasing, tree)
+    fresh = _walk(tree, [aliasing])[0]
     for k in range(steps + 1):
         base = 0.0 if k < 3 else -1.0
         assert np.array_equal(values.values[k], base + w[k])
@@ -193,4 +193,4 @@ def test_functions_that_alias_or_keep_their_input_change_nothing():
     assert np.array_equal(values.left[3], w[2]) and np.array_equal(fresh.left[3], w[2])
     assert np.array_equal(leaves, np.abs(w[steps]))
     assert np.array_equal(kept[0], w[steps])
-    assert np.array_equal(terminal._evaluate(tree), leaves)
+    assert np.array_equal(_walk(tree, [terminal])[0], leaves)
