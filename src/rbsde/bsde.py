@@ -120,7 +120,9 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle):
     right-hand side ``E[Y_next] + source(level, rows, z, v)*dt``, where
     (z, v) are the block's projections, and ``settle(level, rows, rhs)``
     returns the block's solution values (booking any compensator
-    increments on the way).  Returns (y, z, v).
+    increments on the way).  Returns (y, z, v).  Values that leave the
+    float range become inf or NaN without a warning: the solvers test
+    each level of Y once the sweep is done (``rbsde.reflected._finite``).
     """
     n = tree.num_steps
     dt = tree.dt
@@ -128,14 +130,15 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle):
     y[n] = xi
     z: Process = [None] * n
     v: Process = [None] * n
-    for k in range(n - 1, -1, -1):
-        size = tree.level_size(k)
-        y[k], z[k] = np.empty(size), np.empty(size)
-        v[k] = np.empty((size, tree.marks.count))
-        for rows in _parent_blocks(tree, k):
-            mean, zb, vb = _project_block(tree, _children(tree, y[k + 1], rows))
-            rhs = mean + source(k, rows, zb, vb) * dt
-            y[k][rows] = settle(k, rows, rhs)
-            z[k][rows], v[k][rows] = zb, vb
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1, -1, -1):
+            size = tree.level_size(k)
+            y[k], z[k] = np.empty(size), np.empty(size)
+            v[k] = np.empty((size, tree.marks.count))
+            for rows in _parent_blocks(tree, k):
+                mean, zb, vb = _project_block(tree, _children(tree, y[k + 1], rows))
+                rhs = mean + source(k, rows, zb, vb) * dt
+                y[k][rows] = settle(k, rows, rhs)
+                z[k][rows], v[k][rows] = zb, vb
     return y, z, v
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import Compensator, Solution
-from .config import SolverOptions, load_config
+from .config import load_config
 from .errors import ConfigError, RbsdeError
 from .fixpoint import alpha_rule, picard_solve
 from .penalty import sweep
@@ -93,15 +93,6 @@ def _stats(tree: ScenarioTree, level: int, values: np.ndarray) -> dict:
             "min": low, "max": high}
 
 
-def _process_summary(tree, process, levels) -> dict:
-    out = {"mean": [], "std": [], "min": [], "max": []}
-    for k in range(levels):
-        st = _stats(tree, k, process[k])
-        for key in out:
-            out[key].append(st[key])
-    return out
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
                     encoding="utf-8", newline="\n")
@@ -118,34 +109,28 @@ def _nodes_payload(tree, processes: dict) -> dict:
             for name, process in processes.items()}
 
 
+_STATS = ("mean", "std", "min", "max")
+
+
 def _summary_columns(tree, named_processes, extra_columns) -> tuple[list[str], list[list[str]]]:
-    n = tree.num_steps
+    """Header and rows: per time, each process's statistics (blank past its last level), extras."""
     header = ["time"]
-    stats = {}
-    for name, process, levels in named_processes:
-        stats[name] = (_process_summary(tree, process, levels), levels)
-        header += [f"{name}_{s}" for s in ("mean", "std", "min", "max")]
+    for name, _ in named_processes:
+        header += [f"{name}_{s}" for s in _STATS]
     header += [name for name, _ in extra_columns]
     rows = []
-    for k in range(n + 1):
+    for k in range(tree.num_steps + 1):
         row = [_fmt(tree.time(k))]
-        for name, process, levels in named_processes:
-            summary, nlev = stats[name]
-            if k < nlev:
-                row += [_fmt(summary[s][k]) for s in ("mean", "std", "min", "max")]
+        for _, process in named_processes:
+            if k < len(process):
+                st = _stats(tree, k, process[k])
+                row += [_fmt(st[s]) for s in _STATS]
             else:
-                row += ["", "", "", ""]
+                row += [""] * len(_STATS)
         for _, values in extra_columns:
             row.append(_fmt(values[k]) if values[k] is not None else "")
         rows.append(row)
     return header, rows
-
-
-def _mark_columns(tree, v):
-    cols = []
-    for i in range(tree.marks.count):
-        cols.append((f"v{i + 1}", [level[:, i] for level in v], tree.num_steps))
-    return cols
 
 
 def _jump_increment_means(tree, k_d) -> list:
@@ -209,11 +194,14 @@ def _solution_from_payload(payload: dict, tree: ScenarioTree):
     return Solution(levels("y"), levels("z"), levels("v", True), *sides)
 
 
-def _prepare(args, overrides: dict | None = None) -> tuple[ProblemSpec, SolverOptions, Path]:
+def _prepare(args, kind: str | None = None, overrides: dict | None = None) -> tuple:
+    """(problem, options, tree, out) of the args; a problem not of ``kind`` is a ConfigError."""
     problem, options = load_config(args.config, overrides)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return problem, options, out
+    if kind is not None and problem.kind != kind:
+        raise ConfigError(f"{args.command} needs a {kind} configuration")
+    return problem, options, problem.build_tree(), out
 
 
 def _number_list(flag: str, text: str, least: int, ascending: bool = False) -> list:
@@ -231,10 +219,6 @@ def _number_list(flag: str, text: str, least: int, ascending: bool = False) -> l
     return values
 
 
-def _build(problem: ProblemSpec, options: SolverOptions) -> ScenarioTree:
-    return problem.build_tree(node_cap=options.node_cap)
-
-
 def _entry_points(problem: ProblemSpec):
     """Obstacles of a one- or two-obstacle problem, lower first, with its solve and check.
 
@@ -249,11 +233,8 @@ def _entry_points(problem: ProblemSpec):
 
 
 def cmd_solve(args) -> int:
-    problem, options, out = _prepare(args)
     kind = _SOLVE_KINDS[args.command]
-    if problem.kind != kind:
-        raise ConfigError(f"{args.command} needs a {kind} configuration")
-    tree = _build(problem, options)
+    problem, _, tree, out = _prepare(args, kind)
     obstacles, solve, check = _entry_points(problem)
     sol = solve(tree, problem.driver, problem.terminal, *obstacles)
     report = check(tree, sol, problem.driver, problem.terminal, *obstacles)
@@ -261,9 +242,9 @@ def cmd_solve(args) -> int:
     _write_json(out / "solution.json", _solution_payload(tree, sol, kind, full))
     _write_json(out / "report.json", report.to_dict())
     names, processes = _KIND_NAMES[kind], _compensators(sol, kind)
-    named = [("y", sol.y, tree.num_steps + 1), ("z", sol.z, tree.num_steps)]
-    named += _mark_columns(tree, sol.v)
-    named += [(name, processes[name], tree.num_steps + 1) for name in names.columns]
+    named = [("y", sol.y), ("z", sol.z)]
+    named += [(f"v{i + 1}", [level[:, i] for level in sol.v]) for i in range(tree.marks.count)]
+    named += [(name, processes[name]) for name in names.columns]
     extra = [(column, _jump_increment_means(tree, processes[name]))
              for column, name in names.increments]
     header, rows = _summary_columns(tree, named, extra)
@@ -277,10 +258,7 @@ def cmd_solve(args) -> int:
 
 def cmd_penalize_sweep(args) -> int:
     n_list = _number_list("--n-list", args.n_list, 2, ascending=True)
-    problem, options, out = _prepare(args)
-    if problem.kind != "one_barrier":
-        raise ConfigError("penalize-sweep needs a one_barrier configuration")
-    tree = _build(problem, options)
+    problem, _, tree, out = _prepare(args, "one_barrier")
     report = sweep(tree, problem.driver, problem.barrier, problem.terminal, n_list)
     header = ["n", "y0", "sup_gap", "z_gap", "v_gap", "k_gap"]
     rows = []
@@ -304,16 +282,12 @@ def cmd_penalize_sweep(args) -> int:
 
 
 def cmd_snell(args) -> int:
-    problem, options, out = _prepare(args)
-    if problem.kind != "one_barrier":
-        raise ConfigError("snell needs a one_barrier configuration")
-    tree = _build(problem, options)
+    problem, _, tree, out = _prepare(args, "one_barrier")
     payoff, cum = obstacle_payoff(tree, problem.driver, problem.terminal, problem.barrier)
     result = snell(tree, payoff)
     stop = optimal_stopping_time(tree, result, payoff)
     regularity = regularity_check(tree, result, cum, problem.barrier)
-    named = [("envelope", result.envelope, tree.num_steps + 1),
-             ("compensator", result.compensator, tree.num_steps + 1)]
+    named = [("envelope", result.envelope), ("compensator", result.compensator)]
     stop_fraction = [tree.expectation(k, result.stop[k]) for k in range(tree.num_steps + 1)]
     extra = [("stop_fraction", stop_fraction)]
     header, rows = _summary_columns(tree, named, extra)
@@ -330,12 +304,11 @@ def cmd_snell(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem, options, out = _prepare(args)
+    problem, _, tree, out = _prepare(args)
     try:
         payload = json.loads(Path(args.solution).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read solution: {exc}") from exc
-    tree = _build(problem, options)
     try:
         sol = _solution_from_payload(payload, tree)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -357,8 +330,7 @@ def cmd_contraction_study(args) -> int:
     overrides = {key: value for key, value in (("tol", args.tol),
                                                ("max_iter", args.max_iter))
                  if value is not None}
-    problem, options, out = _prepare(args, overrides)
-    tree = _build(problem, options)
+    problem, options, tree, out = _prepare(args, overrides=overrides)
     if alphas is None:
         alphas = [alpha_rule(problem.driver.lipschitz_constant)]
     header = ["alpha", "iterations", "converged", "max_ratio", "final_distance",
@@ -369,7 +341,9 @@ def cmd_contraction_study(args) -> int:
             tree, problem.driver, problem.terminal, solver_kind=problem.kind,
             barrier=problem.barrier, lower=problem.lower, upper=problem.upper,
             alpha=alpha, tol=options.tol, max_iter=options.max_iter)
-        max_ratio = max(trace.ratios) if trace.ratios else 0.0
+        # inf/inf moves give NaN ratios; the largest is taken over the others
+        ratios = [r for r in trace.ratios if not math.isnan(r)]
+        max_ratio = max(ratios) if ratios else math.nan if trace.ratios else 0.0
         rows.append([_fmt(alpha), str(trace.iterations), str(trace.converged).lower(),
                      _fmt(max_ratio), _fmt(trace.distances[-1]),
                      "|".join(_fmt(r) for r in trace.ratios)])

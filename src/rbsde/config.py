@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 from .errors import ConfigError
 from .processes import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
                         call_payoff, linear_obstacle, linear_payoff, put_payoff)
+from .tree import DEFAULT_NODE_CAP
 
 _PATH_FN_SCHEMA = {
     "type": "object",
@@ -147,7 +148,6 @@ SCHEMA = {
 class SolverOptions:
     tol: float = 1e-12
     max_iter: int = 10_000
-    node_cap: int | None = None
 
 
 def _json_path(path: tuple) -> str:
@@ -342,10 +342,6 @@ def _first_violation(value, schema: dict, path: tuple = ()) -> _Violation | None
     return None
 
 
-def _reject_constant(name: str):
-    raise ConfigError(f"configuration contains {name}; numbers must be finite")
-
-
 def _driver_source(g_raw) -> float | Callable[[float], float]:
     """Constant g, or the step function of validated (start, value) pieces."""
     if isinstance(g_raw, (int, float)):
@@ -465,26 +461,17 @@ def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
 
     solver = data["solver"]
     options = SolverOptions(tol=float(solver.get("tol", 1e-12)),
-                            max_iter=int(solver.get("max_iter", 10_000)),
-                            node_cap=data["grid"].get("node_cap"))
-
-    kind = solver["kind"]
-    if kind == "one_barrier" and barrier is None:
-        raise ConfigError("one_barrier solver needs a 'barrier' section")
-    if kind == "two_barrier" and lower is None:
-        raise ConfigError("two_barrier solver needs a 'barriers' section")
-    if kind != "two_barrier" and lower is not None:
-        raise ConfigError("'barriers' given but solver kind is not two_barrier")
-    if kind != "one_barrier" and barrier is not None:
-        raise ConfigError("'barrier' given but solver kind is not one_barrier")
-
+                            max_iter=int(solver.get("max_iter", 10_000)))
     try:
         problem = ProblemSpec(num_steps=int(data["grid"]["steps"]), marks=marks,
-                              terminal=terminal, driver=driver,
-                              barrier=barrier,
-                              lower=lower, upper=upper)
+                              terminal=terminal, driver=driver, barrier=barrier,
+                              lower=lower, upper=upper,
+                              node_cap=int(data["grid"].get("node_cap", DEFAULT_NODE_CAP)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if problem.kind != solver["kind"]:
+        raise ConfigError(f"solver kind {solver['kind']} does not match the "
+                          f"obstacle sections, which pose a {problem.kind} problem")
     return problem, options
 
 
@@ -497,8 +484,7 @@ def load_config(path: str | Path,
     are checked exactly like values written in the file.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"),
-                          parse_constant=_reject_constant)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
     if not isinstance(data, dict):

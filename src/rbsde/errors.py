@@ -18,7 +18,7 @@ class JumpTimeOffGrid(RbsdeError):
 
 
 class NonFiniteData(RbsdeError, ValueError):
-    """A terminal payoff or obstacle is NaN or infinite at some node."""
+    """A terminal payoff, obstacle, stopping payoff or solution is NaN or infinite somewhere."""
 
 
 class TooLargeToEnumerate(RbsdeError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import _driver_value
-from .errors import MaxIterExceeded, NoContractionObserved, WeightOverflow
+from .errors import MaxIterExceeded, NoContractionObserved, NonFiniteData, WeightOverflow
 from .processes import DriverSpec
 from .reflected import _book, _obstacle_inputs, _reflected_sweep
 from .tree import ScenarioTree, _weigh
@@ -69,21 +69,23 @@ def _weighted_norm(tree: ScenarioTree, levels, alpha: float) -> float:
     kernel's own: each is squared in place, a marked (2-D) one is weighed
     by the intensities, and all are summed into the first.  A marked array
     without marks adds nothing.  At alpha = 0 this is the dt (x) dP norm.
+    A norm past the largest float is inf, without a warning.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     lam = tree.marks.intensity_array
     total = 0.0
-    for k, arrays in zip(range(tree.num_steps), levels):
-        weight = np.exp(alpha * tree.time(k)) * tree.dt
-        sq = None
-        for part in arrays:
-            if part.size:
-                np.square(part, out=part)
-                part = _weigh(part, lam, scratch=True) if part.ndim == 2 else part
-                sq = part if sq is None else np.add(sq, part, out=sq)
-        if sq is not None:
-            total += weight * tree.expectation(k, sq, out=sq)
+    with np.errstate(over="ignore"):
+        for k, arrays in zip(range(tree.num_steps), levels):
+            weight = np.exp(alpha * tree.time(k)) * tree.dt
+            sq = None
+            for part in arrays:
+                if part.size:
+                    np.square(part, out=part)
+                    part = _weigh(part, lam, scratch=True) if part.ndim == 2 else part
+                    sq = part if sq is None else np.add(sq, part, out=sq)
+            if sq is not None:
+                total += weight * tree.expectation(k, sq, out=sq)
     return float(np.sqrt(total))
 
 
@@ -151,9 +153,10 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
     round holds only the previous iterate; the obstacles and terminal are
     checked once, and the compensators are booked once, on the round that
     converged.  Raises WeightOverflow before the first round when the
-    norm's largest weight e^(alpha t_{N-1}) overflows, NoContractionObserved
-    when three consecutive distance ratios reach one, and MaxIterExceeded
-    when the budget runs out.
+    norm's largest weight e^(alpha t_{N-1}) overflows, NonFiniteData as
+    soon as a round's distance is NaN (an inf one runs on),
+    NoContractionObserved when three consecutive distance ratios reach
+    one, and MaxIterExceeded when the budget runs out.
     """
     if solver_kind not in SOLVER_KINDS:
         raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
@@ -189,6 +192,9 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
         del swept
         swept = _sweep(tree, driver, previous, xi, low, up)
         d = _alpha_distance(tree, swept, previous, alpha)
+        if math.isnan(d):
+            raise NonFiniteData(f"the move of round {len(distances) + 1} is NaN; "
+                                "the iterates leave the float range")
         if distances and distances[-1] > 0.0:
             r = d / distances[-1]
             ratios.append(r)

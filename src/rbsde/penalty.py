@@ -17,7 +17,7 @@ from .bsde import Solution, _backward_sweep, _implicit_y, _sweep_source, check_s
 from .errors import MonotonicityViolation
 from .fixpoint import _weighted_norm
 from .processes import BarrierSpec, DriverSpec, evaluate
-from .reflected import solve_reflected_one
+from .reflected import _finite, solve_reflected_one
 from .snell import MONOTONE_TOL
 from .tree import Process, ScenarioTree, _accumulate, _max_excess, _worst, sup_diff
 
@@ -61,6 +61,7 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
         return y
 
     y, z, v = _backward_sweep(tree, _sweep_source(tree, driver), xi, settle)
+    _finite(y[:-1], "the penalised solution Y")   # level N: evaluate tests a TerminalSpec
     return PenalizedSolution(level=weight, solution=Solution(y=y, z=z, v=v),
                              kn=_accumulate(flux))
 

@@ -33,7 +33,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import JumpTimeOffGrid, NonFiniteData
-from .tree import _BLOCK_NODES, MarkSet, ScenarioTree, _all_finite, _weigh, build_tree
+from .tree import (_BLOCK_NODES, DEFAULT_NODE_CAP, MarkSet, ScenarioTree, _all_finite, _weigh,
+                   build_tree)
 
 # Terminal payoffs see the leaf state; obstacle functions also see time,
 # so that conditional-mean processes with compensator drift are exact.
@@ -313,7 +314,7 @@ class DriverSpec:
 
     @property
     def lipschitz_constant(self) -> float:
-        return abs(self.a) + abs(self.b) + abs(self.c) * np.sqrt(self.marks.total_intensity)
+        return abs(self.a) + abs(self.b) + abs(self.c) * math.sqrt(self.marks.total_intensity)
 
     @property
     def is_coefficient_free(self) -> bool:
@@ -322,7 +323,7 @@ class DriverSpec:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One solvable problem: grid, noise, data and obstacle(s)."""
+    """One solvable problem: grid (with its node cap), noise, data and obstacle(s)."""
 
     num_steps: int
     marks: MarkSet = MarkSet()
@@ -331,6 +332,7 @@ class ProblemSpec:
     barrier: BarrierSpec | None = None
     lower: BarrierSpec | None = None
     upper: BarrierSpec | None = None
+    node_cap: int = DEFAULT_NODE_CAP
 
     def __post_init__(self) -> None:
         if self.barrier is not None and (self.lower is not None or self.upper is not None):
@@ -346,10 +348,8 @@ class ProblemSpec:
             return "two_barrier"
         return "standard"
 
-    def build_tree(self, node_cap: int | None = None) -> ScenarioTree:
-        if node_cap is None:
-            return build_tree(self.num_steps, self.marks)
-        return build_tree(self.num_steps, self.marks, node_cap=node_cap)
+    def build_tree(self) -> ScenarioTree:
+        return build_tree(self.num_steps, self.marks, node_cap=self.node_cap)
 
 
 def _linear_form(intercept: float, w_coeff: float, coeffs: np.ndarray, w: np.ndarray,

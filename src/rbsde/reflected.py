@@ -29,13 +29,14 @@ import numpy as np
 from .bsde import (Compensator, Solution, _backward_sweep, _implicit_y, _sweep_source,
                    check_stepsize)
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
-from .errors import (BarriersTouch, DriverNotCoefficientFree, TerminalBelowBarrier,
-                     TerminalOutsideBarriers)
+from .errors import (BarriersTouch, DriverNotCoefficientFree, NonFiniteData,
+                     TerminalBelowBarrier, TerminalOutsideBarriers)
 from .processes import evaluate
 from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import (Process, ScenarioTree, _accumulate, _block_children, _block_rows,
-                   _children, _parent_blocks, _reduce_blocks, sup_diff, terminal_mean)
+from .tree import (Process, ScenarioTree, _accumulate, _all_finite, _block_children,
+                   _block_rows, _children, _parent_blocks, _reduce_blocks, sup_diff,
+                   terminal_mean)
 
 TERMINAL_SLACK = 1e-12
 
@@ -111,6 +112,14 @@ def _obstacle_inputs(tree: ScenarioTree, terminal, lower=None, upper=None):
     return low, up, xi
 
 
+def _finite(process: Process, name: str) -> None:
+    """Raise NonFiniteData at the last level of ``process`` that is not finite."""
+    for k in range(len(process) - 1, -1, -1):
+        if not _all_finite(process[k]):
+            raise NonFiniteData(f"{name} is not finite at level {k}; "
+                                "the problem leaves the float range")
+
+
 def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, up=None):
     """Y, Z, V and the assigned compensator increments of each side.
 
@@ -168,6 +177,7 @@ def solve_reflected(tree: ScenarioTree, driver, terminal, lower=None,
     check_stepsize(driver, tree.dt)
     low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
     swept = _reflected_sweep(tree, _sweep_source(tree, driver), driver.a, xi, low, up)
+    _finite(swept[0][:-1], "the solution Y")   # level N: evaluate tests a TerminalSpec
     return _book(tree, swept, low, up)
 
 
@@ -191,12 +201,17 @@ def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
     eta_k = sum_{j<k} g_j dt + S_k before the horizon and the same
     accumulated source plus the terminal payoff at it.  Returns
     (payoff, cum), where ``cum[k]`` is the accumulated source of level k.
+    The terminal must lie above the obstacle, as for the direct solve, and
+    a payoff level that leaves the float range raises NonFiniteData.
     """
-    cum = np.concatenate(([0.0], np.cumsum(_source_rates(tree, driver) * tree.dt)))
-    xi, obstacle = evaluate(tree, terminal, barrier)
+    rates = _source_rates(tree, driver)
+    obstacle, _, xi = _obstacle_inputs(tree, terminal, barrier)
     n = tree.num_steps
-    payoff = [cum[k] + obstacle.values[k] for k in range(n)]
-    payoff.append(cum[n] + xi)
+    with np.errstate(over="ignore"):   # the data are finite, so sums can only overflow
+        cum = np.concatenate(([0.0], np.cumsum(rates * tree.dt)))
+        payoff = [cum[k] + obstacle.values[k] for k in range(n)]
+        payoff.append(cum[n] + xi)
+    _finite(payoff, "the stopping payoff")
     return payoff, cum
 
 

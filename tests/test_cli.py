@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -286,6 +287,20 @@ def test_snell_and_solve_one_report_one_jump_type_mass(tmp_path, g):
     assert envelope["regular"] is False
 
 
+def test_snell_rejects_a_terminal_below_the_obstacle_as_solve_one_does(tmp_path, capsys):
+    config = json.loads((CONFIGS / "counterexample.json").read_text())
+    config["terminal"]["value"] = -1.0
+    path = tmp_path / "below.json"
+    path.write_text(json.dumps(config))
+    errors = []
+    for command in ("snell", "solve-one"):
+        assert run(command, "--config", path, "--out", tmp_path / command) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "TerminalBelowBarrier" in errors[0]
+    assert not (tmp_path / "snell" / "snell.json").exists()
+
+
 def test_contraction_study(tmp_path):
     assert run("contraction-study", "--config", CONFIGS / "contraction.json",
                "--out", tmp_path, "--alpha-list", "2.0,8.0") == 0
@@ -370,7 +385,7 @@ BASE_CONFIG = {
 }
 
 
-# 1e400 overflows to inf inside json.loads without reaching parse_constant;
+# NaN, Infinity and 1e400 (which overflows) parse to floats that are not finite;
 # an integer literal of 400 digits stays an int that float() cannot convert.
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400",
                                    pytest.param("1" + "0" * 400, id="int-1e400")])
@@ -524,6 +539,9 @@ def _config(name, **sections):
 
 
 LINEAR_1E308 = {"kind": "linear", "w_coeff": 1e308}
+# a source near the largest float: its solution, or its stopping payoff, overflows
+HUGE_SOURCE = {"driver": {"g": 1e308, "a": 1.0}}
+HUGE_PAYOFF = {"driver": {"g": 1e308}, "terminal": {"kind": "constant", "value": 1e308}}
 # problem data or a Picard weight past the largest float, and the error each raises
 OVERFLOWS = {
     "obstacle": ("solve-one", _config("counterexample.json", barrier={
@@ -539,6 +557,12 @@ OVERFLOWS = {
         "grid": {"steps": 15}, "terminal": {"kind": "constant", "value": 0.5},
         "driver": {"g": 0.0, "a": 14.5}, "solver": {"kind": "standard"}}, (),
         "WeightOverflow: e^(alpha t) overflows at t = 0.933333 with alpha = 872"),
+    "solution": ("solve-one", _config("counterexample.json", **HUGE_SOURCE), (),
+                 "NonFiniteData: the solution Y is not finite at level 0"),
+    "picard moves": ("contraction-study", _config("counterexample.json", **HUGE_SOURCE), (),
+                     "NonFiniteData: the move of round 1 is NaN"),
+    "stopping payoff": ("snell", _config("counterexample.json", **HUGE_PAYOFF), (),
+                        "NonFiniteData: the stopping payoff is not finite at level 8"),
 }
 
 
@@ -556,7 +580,7 @@ def test_overflowing_data_or_weights_exit_3_quickly_with_one_line(tmp_path, caps
     assert err.count("\n") == 1, err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_picard_runs_on_through_infinite_first_distances(tmp_path, capsys):
     # the first moves of a terminal near 1e200 square past the largest float
     config = _config("counterexample.json", terminal={"kind": "constant", "value": 1e200},
@@ -567,6 +591,8 @@ def test_picard_runs_on_through_infinite_first_distances(tmp_path, capsys):
     (row,) = read_csv(tmp_path / "out" / "contraction.csv")
     assert row["converged"] == "true"
     assert row["ratios"].startswith("nan|")
+    # the largest ratio is taken over those that are not NaN
+    assert math.isfinite(float(row["max_ratio"]))
 
 
 def test_checker_report_does_not_depend_on_blas_threads(tmp_path):

@@ -74,6 +74,13 @@ def test_driver_linear_arithmetic():
     assert spec.lipschitz_constant == pytest.approx(1.0 + 2.0 + np.sqrt(0.5))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b, c", [(-1e308, 1e308), (0.0, 1e308)])
+def test_driver_lipschitz_constant_past_the_largest_float_is_inf(b, c):
+    spec = DriverSpec(b=b, c=c, marks=MarkSet(sizes=(1.0,), intensities=(4.0,)))
+    assert spec.lipschitz_constant == float("inf")
+
+
 def test_driver_lipschitz_property_sampled():
     marks = MarkSet(sizes=(1.0, 2.0), intensities=(0.5, 0.25))
     lam = marks.intensity_array

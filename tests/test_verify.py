@@ -9,6 +9,8 @@ import pytest
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
                    build_tree, check_solution, regularity_check, regularity_probe, snell,
                    solve_reflected, uniqueness_probe, verify)
+from rbsde.config import parse_config
+from rbsde.errors import TreeTooLarge
 from rbsde.processes import BarrierValues, eval_barrier, put_payoff
 from rbsde.reflected import obstacle_payoff
 from rbsde.tree import _BLOCK_NODES
@@ -249,6 +251,20 @@ def counterexample_problem():
 
 def test_uniqueness_probe_counterexample():
     assert uniqueness_probe(counterexample_problem()) <= 1e-10
+
+
+def test_probes_build_the_tree_under_the_configured_node_cap():
+    config = {"grid": {"steps": 8, "node_cap": 1000},
+              "marks": [{"size": 1.0, "intensity": 0.5}],
+              "terminal": {"kind": "constant", "value": 0.5}, "driver": {"g": 0.0},
+              "barrier": {"pieces": [[0.0, 1.0], [0.5, 0.0]]},
+              "solver": {"kind": "one_barrier"}}
+    problem, _ = parse_config(config)
+    assert problem.node_cap == 1000
+    with pytest.raises(TreeTooLarge, match="1000 nodes"):
+        uniqueness_probe(problem)
+    with pytest.raises(TreeTooLarge, match="1000 nodes"):
+        regularity_probe(problem)
 
 
 def test_uniqueness_probe_random_problems():
