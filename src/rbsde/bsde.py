@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import StepsizeTooLarge
 from .processes import eval_barrier  # noqa: F401  (kept importable from this module)
+from .processes import lipschitz_constant
 from .tree import Process, ScenarioTree, _children, _parent_blocks, _weigh
 
 
@@ -55,10 +56,11 @@ class Solution:
     upper: Compensator | None = None
 
 
-def check_stepsize(driver, dt: float) -> None:
-    c = driver.lipschitz_constant
-    if not c * dt < 1.0:  # NaN fails too
-        raise StepsizeTooLarge(f"dt*C_f = {c * dt:.6g} >= 1; refine the grid")
+def check_stepsize(driver, tree: ScenarioTree) -> None:
+    """dt times the driver's Lipschitz constant on the tree's intensities must be below one."""
+    c_dt = lipschitz_constant(driver, tree.marks) * tree.dt
+    if not c_dt < 1.0:  # NaN fails too
+        raise StepsizeTooLarge(f"dt*C_f = {c_dt:.6g} >= 1; refine the grid")
 
 
 def _project_block(tree: ScenarioTree, table: np.ndarray):

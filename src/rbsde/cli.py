@@ -29,7 +29,7 @@ from .config import load_config
 from .errors import ConfigError, RbsdeError
 from .fixpoint import alpha_rule, picard_solve
 from .penalty import sweep
-from .processes import ProblemSpec
+from .processes import ProblemSpec, lipschitz_constant
 from .reflected import obstacle_payoff, regularity_check, solve_reflected_one
 from .snell import optimal_stopping_time, snell
 from .tree import ScenarioTree, expand, terminal_mean
@@ -94,12 +94,15 @@ def _stats(tree: ScenarioTree, level: int, values: np.ndarray) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    # the first file written makes the output directory: a command that fails first leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
                     encoding="utf-8", newline="\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     lines = [",".join(header)] + [",".join(row) for row in rows]
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -197,11 +200,9 @@ def _solution_from_payload(payload: dict, tree: ScenarioTree):
 def _prepare(args, kind: str | None = None, overrides: dict | None = None) -> tuple:
     """(problem, options, tree, out) of the args; a problem not of ``kind`` is a ConfigError."""
     problem, options = load_config(args.config, overrides)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if kind is not None and problem.kind != kind:
         raise ConfigError(f"{args.command} needs a {kind} configuration")
-    return problem, options, problem.build_tree(), out
+    return problem, options, problem.build_tree(), Path(args.out)
 
 
 def _number_list(flag: str, text: str, least: int, ascending: bool = False) -> list:
@@ -228,8 +229,8 @@ def _entry_points(problem: ProblemSpec):
     module, such as the benchmark's tracer.
     """
     if problem.upper is None:
-        return (problem.barrier,), solve_reflected_one, check_solution_one
-    return (problem.lower, problem.upper), solve_double_obstacle, check_solution_two
+        return problem.obstacles, solve_reflected_one, check_solution_one
+    return problem.obstacles, solve_double_obstacle, check_solution_two
 
 
 def cmd_solve(args) -> int:
@@ -332,7 +333,7 @@ def cmd_contraction_study(args) -> int:
                  if value is not None}
     problem, options, tree, out = _prepare(args, overrides=overrides)
     if alphas is None:
-        alphas = [alpha_rule(problem.driver.lipschitz_constant)]
+        alphas = [alpha_rule(lipschitz_constant(problem.driver, tree.marks))]
     header = ["alpha", "iterations", "converged", "max_ratio", "final_distance",
               "ratios"]
     rows = []

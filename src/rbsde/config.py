@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError
-from .processes import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
+from .processes import (KINDS, BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
                         call_payoff, linear_obstacle, linear_payoff, put_payoff)
 from .tree import DEFAULT_NODE_CAP
 
@@ -131,7 +131,7 @@ SCHEMA = {
         "solver": {
             "type": "object",
             "properties": {
-                "kind": {"enum": ["standard", "one_barrier", "two_barrier"]},
+                "kind": {"enum": list(KINDS)},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iter": {"type": "integer", "minimum": 1},
             },
@@ -454,6 +454,7 @@ def parse_config(data: dict) -> tuple[ProblemSpec, SolverOptions]:
         lower = _build_barrier(data["barriers"]["lower"], marks)
         upper = _build_barrier(data["barriers"]["upper"], marks)
 
+    # marks= feeds only DriverSpec.lipschitz_constant, which bench/worker.py reads
     driver = DriverSpec(base=_driver_source(drv.get("g", 0.0)),
                         a=float(drv.get("a", 0.0)),
                         b=float(drv.get("b", 0.0)), c=float(drv.get("c", 0.0)),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bsde import _driver_value
 from .errors import MaxIterExceeded, NoContractionObserved, NonFiniteData, WeightOverflow
-from .processes import DriverSpec
+from .processes import KINDS, DriverSpec, lipschitz_constant
 from .reflected import _book, _obstacle_inputs, _reflected_sweep
 from .tree import ScenarioTree, _weigh
 
@@ -27,8 +27,6 @@ from .tree import ScenarioTree, _weigh
 # this module for code that looks them up here (the benchmark's bench/tracing.py).
 from .reflected import solve_bsde, solve_reflected_one  # noqa: F401
 from .twobarrier import solve_double_obstacle  # noqa: F401
-
-SOLVER_KINDS = ("standard", "one_barrier", "two_barrier")
 
 
 def alpha_rule(c_f: float) -> float:
@@ -158,10 +156,9 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
     NoContractionObserved when three consecutive distance ratios reach
     one, and MaxIterExceeded when the budget runs out.
     """
-    if solver_kind not in SOLVER_KINDS:
-        raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
-    obstacles = {"standard": (), "one_barrier": (barrier,),
-                 "two_barrier": (lower, upper)}[solver_kind]
+    if solver_kind not in KINDS:
+        raise ValueError(f"solver_kind must be one of {KINDS}")
+    obstacles = ((), (barrier,), (lower, upper))[KINDS.index(solver_kind)]
     if any(side is None for side in obstacles):
         raise ValueError(f"{solver_kind} solves need {len(obstacles)} obstacle(s)")
     if not max_iter >= 1:
@@ -170,9 +167,8 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if alpha is not None and not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
-    driver.check_marks(tree.marks)
     if alpha is None:
-        alpha = alpha_rule(driver.lipschitz_constant)
+        alpha = alpha_rule(lipschitz_constant(driver, tree.marks))
     last = tree.time(tree.num_steps - 1)
     with np.errstate(over="ignore"):   # the weight _weighted_norm takes at t_{N-1}
         overflows = not np.isfinite(np.exp(alpha * last))

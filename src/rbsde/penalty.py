@@ -44,8 +44,7 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
     """
     if not (math.isfinite(n) and n >= 0):
         raise ValueError(f"penalty weight must be finite and nonnegative, got {n}")
-    driver.check_marks(tree.marks)
-    check_stepsize(driver, tree.dt)
+    check_stepsize(driver, tree)
     weight, dt = float(n), tree.dt
     xi, obstacle = evaluate(tree, terminal, barrier)
     flux: Process = [np.empty(tree.level_size(k)) for k in range(tree.num_steps)]

@@ -43,6 +43,9 @@ ObstacleFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
 GRID_SNAP = 1e-9
 
+# A problem's kind, indexed by its number of obstacles (``ProblemSpec.obstacles``).
+KINDS = ("standard", "one_barrier", "two_barrier")
+
 # tree -> {id(spec): (spec, evaluated)}.  Trees hash by identity and the
 # entry keeps its spec alive, so an id cannot be reused while it is cached;
 # the whole table goes with the tree.
@@ -78,6 +81,8 @@ def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
         terminal = np.asarray(terminal, dtype=float)
         if terminal.shape != (tree.level_size(tree.num_steps),):
             raise ValueError("terminal array must hold one value per leaf")
+        if not _all_finite(terminal):
+            raise NonFiniteData("terminal payoff must be finite on every leaf")
     return (terminal, *values)
 
 
@@ -276,13 +281,17 @@ class _BarrierRun:
                              jump_levels=tuple(sorted(left)))
 
 
+def lipschitz_constant(driver, marks: MarkSet) -> float:
+    """|a| + |b| + |c|*sqrt(sum lam) of a driver whose v term weighs the intensities of ``marks``."""
+    return abs(driver.a) + abs(driver.b) + abs(driver.c) * math.sqrt(marks.total_intensity)
+
+
 @dataclass(frozen=True)
 class DriverSpec:
-    """Driver f(t, y, z, v) = g(t) + a*y + b*z + c*sum_i v_i lam_i.
+    """Driver f(t, y, z, v) = g(t) + a*y + b*z + c*sum_i v_i lam_i, lam the tree's intensities.
 
-    ``rbsde.bsde._driver_value`` is the one evaluation of the formula.
-    Its Lipschitz constant |a| + |b| + |c|*sqrt(sum lam) is the one the
-    stepsize guard uses and the sampled Lipschitz property holds with.
+    ``rbsde.bsde._driver_value`` evaluates it, and the stepsize guard and
+    the Picard weight read ``lipschitz_constant(driver, tree.marks)``.
     """
 
     base: float | Callable[[float], float] = 0.0
@@ -298,11 +307,6 @@ class DriverSpec:
         if not callable(self.base) and not np.isfinite(self.base):
             raise ValueError("a constant driver base must be finite")
 
-    def check_marks(self, marks: MarkSet) -> None:
-        """A v term must weight the tree's marks, which the Lipschitz constant reads."""
-        if self.c != 0.0 and self.marks != marks:
-            raise ValueError("a driver with c != 0 must carry the tree's marks")
-
     def base_at(self, t: float) -> float:
         """g(t); a callable base that gives a NaN or infinite value raises ValueError."""
         if not callable(self.base):
@@ -312,9 +316,10 @@ class DriverSpec:
             raise ValueError(f"driver base is not finite at t = {t}: {value}")
         return value
 
+    # ``marks`` and this property stay only for bench/worker.py, which reads the property
     @property
     def lipschitz_constant(self) -> float:
-        return abs(self.a) + abs(self.b) + abs(self.c) * math.sqrt(self.marks.total_intensity)
+        return lipschitz_constant(self, self.marks)
 
     @property
     def is_coefficient_free(self) -> bool:
@@ -341,12 +346,13 @@ class ProblemSpec:
             raise ValueError("two-obstacle problems need both lower and upper")
 
     @property
+    def obstacles(self) -> tuple:
+        """The obstacles present, lower first: (), (barrier,) or (lower, upper)."""
+        return tuple(side for side in (self.barrier, self.lower, self.upper) if side is not None)
+
+    @property
     def kind(self) -> str:
-        if self.barrier is not None:
-            return "one_barrier"
-        if self.lower is not None:
-            return "two_barrier"
-        return "standard"
+        return KINDS[len(self.obstacles)]
 
     def build_tree(self) -> ScenarioTree:
         return build_tree(self.num_steps, self.marks, node_cap=self.node_cap)

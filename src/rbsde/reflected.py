@@ -170,11 +170,10 @@ def solve_reflected(tree: ScenarioTree, driver, terminal, lower=None,
     unreflected equation; a missing side has no values, increments or
     compensator.  Preconditions: the terminal lies in [L, U] at every
     leaf, the obstacles are strictly separated before the horizon (an
-    upper one needs a lower one), a driver with a v term carries the
-    tree's marks, and dt times its Lipschitz constant is below one.
+    upper one needs a lower one), and dt times the driver's Lipschitz
+    constant on the tree's intensities is below one.
     """
-    driver.check_marks(tree.marks)
-    check_stepsize(driver, tree.dt)
+    check_stepsize(driver, tree)
     low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
     swept = _reflected_sweep(tree, _sweep_source(tree, driver), driver.a, xi, low, up)
     _finite(swept[0][:-1], "the solution Y")   # level N: evaluate tests a TerminalSpec

@@ -27,6 +27,7 @@ envelope route's ``regularity_check`` does.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,47 +301,35 @@ check_solution_one = check_solution_two = check_solution
 
 
 def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2) -> float:
-    """Solve along independent routes; return the worst pairwise Y gap."""
+    """Solve along independent routes; return the worst pairwise Y gap.
+
+    The routes are the direct solve, a penalised rung with one obstacle, and
+    Picard from random starts or, for a coefficient-free driver, an envelope.
+    """
     if n_restarts < 2:
         raise ValueError("need at least two restarts")
     tree = problem.build_tree()
-    driver = problem.driver
-    routes: list[Process] = []
-    rngs = [np.random.default_rng(911 + 13 * i) for i in range(max(n_restarts - 1, 1))]
-
-    if problem.kind == "standard":
-        routes.append(solve_bsde(tree, driver, problem.terminal).y)
-    elif problem.kind == "one_barrier":
-        routes.append(solve_reflected_one(tree, driver, problem.terminal,
-                                          problem.barrier).y)
-        routes.append(solve_penalized(tree, driver, problem.barrier, problem.terminal,
+    driver, terminal, obstacles = problem.driver, problem.terminal, problem.obstacles
+    direct = (solve_bsde, solve_reflected_one, solve_double_obstacle)[len(obstacles)]
+    routes: list[Process] = [direct(tree, driver, terminal, *obstacles).y]
+    if len(obstacles) == 1:
+        routes.append(solve_penalized(tree, driver, *obstacles, terminal,
                                       EXACT_PENALTY_LEVEL).solution.y)
-    else:
-        routes.append(solve_double_obstacle(tree, driver, problem.terminal,
-                                            problem.lower, problem.upper).y)
     if not driver.is_coefficient_free:
-        for rng in rngs:
-            sol, _ = picard_solve(tree, driver, problem.terminal, solver_kind=problem.kind,
-                                  barrier=problem.barrier, lower=problem.lower,
-                                  upper=problem.upper, initial=random_triple(tree, rng))
-            routes.append(sol.y)
-    elif problem.kind == "standard":
+        for i in range(n_restarts - 1):
+            initial = random_triple(tree, np.random.default_rng(911 + 13 * i))
+            routes.append(picard_solve(tree, driver, terminal, problem.kind, problem.barrier,
+                                       problem.lower, problem.upper, initial=initial)[0].y)
+    elif not obstacles:
         routes.append(_mean_mass(tree, _source_rates(tree, driver),
-                                 _closure(tree, evaluate(tree, problem.terminal)[0])))
-    elif problem.kind == "one_barrier":
-        payoff, cum = obstacle_payoff(tree, driver, problem.terminal, problem.barrier)
+                                 _closure(tree, evaluate(tree, terminal)[0])))
+    elif len(obstacles) == 1:
+        payoff, cum = obstacle_payoff(tree, driver, terminal, *obstacles)
         envelope, _ = _envelope(tree, payoff)
         routes.append([envelope[k] - cum[k] for k in range(tree.num_steps + 1)])
     else:
-        sol, _ = picard_snell_solve(tree, driver, problem.terminal,
-                                    problem.lower, problem.upper)
-        routes.append(sol.y)
-
-    worst = 0.0
-    for i in range(len(routes)):
-        for j in range(i + 1, len(routes)):
-            worst = _worst(worst, sup_diff(routes[i], routes[j]))
-    return worst
+        routes.append(picard_snell_solve(tree, driver, terminal, *obstacles)[0].y)
+    return _worst(0.0, *(sup_diff(p, q) for p, q in itertools.combinations(routes, 2)))
 
 
 @dataclass(eq=False)

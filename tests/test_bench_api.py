@@ -118,3 +118,20 @@ def test_picard_ops_run_on_the_names_they_read(worker, tmp_path, index):
     assert item[0].study == "picard"
     _, results = workload.run(item)
     assert [trace.converged for _, trace in results] == [True, True]
+
+
+@pytest.mark.parametrize("workload", ["deep_solve", "cli_roundtrip", "ladder_iterate"])
+def test_the_driver_property_the_benchmark_reads_is_the_solvers_constant(worker, workload):
+    """The property bench/worker.py reads cannot drift from the constant the solvers use.
+
+    Over one schedule cycle of each workload's generated configs,
+    ``spec.driver.lipschitz_constant`` is ``lipschitz_constant(driver, marks)``.
+    """
+    from rbsde.config import parse_config
+    from rbsde.processes import lipschitz_constant
+    inputs = worker.inputs
+    make = {"deep_solve": inputs.deep_problem, "cli_roundtrip": inputs.cli_problem,
+            "ladder_iterate": inputs.ladder_problem}[workload]
+    for index in range(inputs.CYCLE[workload]):
+        spec, _ = parse_config(make(7, "ops", index).config)
+        assert spec.driver.lipschitz_constant == lipschitz_constant(spec.driver, spec.marks)

@@ -9,6 +9,7 @@ import rbsde.reflected
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, StepsizeTooLarge, TerminalSpec,
                    build_tree, picard_solve, solve_bsde, solve_penalized, solve_reflected)
 from rbsde.bsde import check_stepsize, project_level
+from rbsde.processes import linear_payoff
 from conftest import random_marks, random_step_driver
 
 
@@ -81,11 +82,11 @@ def test_stepsize_guard():
     with pytest.raises(StepsizeTooLarge):
         solve_bsde(tree, DriverSpec(a=1.0), TerminalSpec(constant=0.0))
 
-    class NanDriver:
-        lipschitz_constant = float("nan")
+    class NanDriver:   # DriverSpec rejects a NaN coefficient; the guard reads any driver
+        a, b, c = float("nan"), 0.0, 0.0
 
     with pytest.raises(StepsizeTooLarge):  # NaN fails the guard too
-        check_stepsize(NanDriver(), 0.1)
+        check_stepsize(NanDriver(), tree)
 
 
 @pytest.mark.parametrize("field", ["a", "b", "c", "base"])
@@ -96,26 +97,35 @@ def test_driver_rejects_coefficients_the_guard_cannot_certify(field, value):
 
 
 def test_driver_v_term_must_weight_the_tree_marks(monkeypatch):
+    """A driver is judged on the tree's intensities, whether or not it carries the marks."""
     def no_sweep(*args):
-        raise AssertionError("the marks are checked before any sweep")
+        raise AssertionError("the stepsize is checked before any sweep")
 
     monkeypatch.setattr(rbsde.reflected, "_backward_sweep", no_sweep)
     monkeypatch.setattr(rbsde.penalty, "_backward_sweep", no_sweep)
     tree = build_tree(2, MarkSet(sizes=(1.0,), intensities=(0.5,)))
     terminal = TerminalSpec(constant=0.0)
-    untied = DriverSpec(c=4.0)
-    with pytest.raises(ValueError, match="marks"):
-        solve_reflected(tree, untied, terminal)
-    with pytest.raises(ValueError, match="marks"):
-        solve_penalized(tree, untied, BarrierSpec(pieces=((0.0, -1.0),)), terminal, 2.0)
-    with pytest.raises(ValueError, match="marks"):
-        picard_solve(tree, untied, terminal)
-    # tied to the tree's marks, the same coefficient fails the stepsize guard
-    with pytest.raises(StepsizeTooLarge):
-        solve_reflected(tree, DriverSpec(c=4.0, marks=tree.marks), terminal)
-    # a driver without a v term may carry any marks
+    barrier = BarrierSpec(pieces=((0.0, -1.0),))
+    # dt*C_f = 0.5 * 4 * sqrt(0.5) >= 1 with or without the marks on the driver
+    for driver in (DriverSpec(c=4.0), DriverSpec(c=4.0, marks=tree.marks)):
+        with pytest.raises(StepsizeTooLarge):
+            solve_reflected(tree, driver, terminal)
+        with pytest.raises(StepsizeTooLarge):
+            solve_penalized(tree, driver, barrier, terminal, 2.0)
     monkeypatch.undo()
-    solve_bsde(build_tree(2), DriverSpec(a=0.5, marks=tree.marks), terminal)
+    # below the guard the untied and the tied driver give the same bits and the same alpha
+    xi = TerminalSpec(payoff=linear_payoff(0.1, 0.5, (0.4,)))
+
+    def solves(driver):
+        direct = solve_reflected(tree, driver, xi, barrier)
+        picard, trace = picard_solve(tree, driver, xi)
+        levels = [*direct.y, *direct.z, *direct.v, *direct.lower.k, *picard.y, *picard.z,
+                  *picard.v]
+        return [level.tobytes() for level in levels], trace.alpha
+
+    assert solves(DriverSpec(c=0.2)) == solves(DriverSpec(c=0.2, marks=tree.marks))
+    # nor do a driver's own marks matter on a tree without marks
+    solve_bsde(build_tree(2), DriverSpec(a=0.5, c=4.0, marks=tree.marks), terminal)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

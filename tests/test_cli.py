@@ -645,3 +645,29 @@ def test_driver_g_pieces_may_jump_past_the_largest_float():
     config["driver"]["g"] = [[0.0, 1e308], [0.5, -1e308]]
     problem, _ = parse_config(config)
     assert problem.driver.base_at(0.75) == -1e308
+
+
+@pytest.mark.parametrize("case", ["wrong kind", "tree too large", "missing solution"])
+def test_a_command_that_fails_before_it_writes_leaves_no_out_directory(tmp_path, capsys,
+                                                                       case):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(_config("counterexample.json", grid={"steps": 10 ** 9})))
+    code, argv = {
+        "wrong kind": (2, ["solve-two", "--config", CONFIGS / "counterexample.json"]),
+        "tree too large": (3, ["solve-one", "--config", huge]),
+        "missing solution": (2, ["verify", "--config", CONFIGS / "counterexample.json",
+                                 "--solution", tmp_path / "missing.json"]),
+    }[case]
+    assert run(*argv, "--out", tmp_path / "out" / "nested") == code
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_check_that_fails_still_writes_its_report(tmp_path, capsys, counterexample_solution):
+    payload = json.loads(counterexample_solution.read_text())
+    payload["nodes"]["k"][4] = [v + 0.1 for v in payload["nodes"]["k"][4]]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(payload))
+    out = tmp_path / "new" / "check"
+    assert run("verify", "--config", CONFIGS / "counterexample.json",
+               "--solution", tampered, "--out", out) == 4
+    assert json.loads((out / "report.json").read_text())["passed"] is False

@@ -310,3 +310,27 @@ def test_finite_values_whose_sum_overflows_are_accepted():
         assert np.isinf(values[-1].sum())
     leaves = TerminalSpec(payoff=lambda w, c: np.full(len(w), -1e308)).evaluate(tree)
     assert np.all(leaves == -1e308)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_terminal_array_that_is_not_finite_is_named_as_the_terminal(bad):
+    """Without an obstacle and with one, before any sweep or obstacle validation."""
+    from rbsde import NonFiniteData, solve_reflected
+    tree = build_tree(3)
+    xi = np.zeros(tree.level_size(3))
+    xi[5] = bad
+    for obstacles in ((), (BarrierSpec(pieces=((0.0, -1.0),)),)):
+        with pytest.raises(NonFiniteData, match="terminal payoff must be finite on every leaf"):
+            solve_reflected(tree, DriverSpec(), xi, *obstacles)
+
+
+def test_problem_obstacles_are_lower_first_and_index_the_kind():
+    from rbsde.processes import KINDS
+    lower, upper = BarrierSpec(pieces=((0.0, -1.0),)), BarrierSpec(pieces=((0.0, 1.0),))
+    cases = ((ProblemSpec(num_steps=1), (), "standard"),
+             (ProblemSpec(num_steps=1, barrier=lower), (lower,), "one_barrier"),
+             (ProblemSpec(num_steps=1, lower=lower, upper=upper), (lower, upper), "two_barrier"))
+    for problem, obstacles, kind in cases:
+        assert len(problem.obstacles) == len(obstacles)
+        assert all(got is want for got, want in zip(problem.obstacles, obstacles))
+        assert problem.kind == kind == KINDS[len(obstacles)]

@@ -8,6 +8,9 @@ stands in for width-one matrix products, must give the matrix product's
 bits on extreme values.  Derandomised, so the suite is deterministic.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +18,12 @@ from hypothesis.extra.numpy import arrays
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree,
                    check_solution, eval_barrier, solve_reflected)
+from rbsde.config import parse_config
 from rbsde.processes import BarrierValues
 from rbsde.tree import _weigh
 from conftest import random_two_barrier
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
 
@@ -165,6 +170,69 @@ def test_mirrored_two_obstacle_problem_negates_the_solution(seed, coefficients):
                 assert np.array_equal(theirs, ours), name
     report = check_solution(tree, mirrored, mirror, xi, lower, upper)
     assert report.passed, report.to_dict()
+
+
+def _scaled(config: dict, s: float) -> dict:
+    """A copy of ``config`` with the terminal, the obstacles and the source g times s."""
+    config = json.loads(json.dumps(config))
+
+    def scale_state(part: dict) -> None:
+        for key in ("value", "intercept", "w_coeff", "strike"):
+            if key in part:
+                part[key] *= s
+        if "count_coeffs" in part:
+            part["count_coeffs"] = [s * c for c in part["count_coeffs"]]
+
+    def scale_pieces(rows: list) -> list:
+        return [[t, s * value] for t, value in rows]
+
+    scale_state(config["terminal"])
+    barriers = [config["barrier"]] if "barrier" in config else config["barriers"].values()
+    for barrier in barriers:
+        for key in ("pieces", "jumps"):
+            if key in barrier:
+                barrier[key] = scale_pieces(barrier[key])
+        if "stochastic" in barrier:
+            scale_state(barrier["stochastic"])
+    g = config["driver"].get("g", 0.0)
+    config["driver"]["g"] = scale_pieces(g) if isinstance(g, list) else s * g
+    return config
+
+
+def _levels(sol) -> dict:
+    """Every level of Y, Z, V and of each side's K, K_c and K_d, by name."""
+    out = {name: getattr(sol, name) for name in ("y", "z", "v")}
+    for side_name in ("lower", "upper"):
+        side = getattr(sol, side_name)
+        if side is not None:
+            out.update({f"{side_name}.{name}": getattr(side, name)
+                        for name in ("k", "k_c", "k_d")})
+    return out
+
+
+@pytest.mark.parametrize("name", ["counterexample.json", "two_barrier_band.json"])
+def test_data_scaled_by_a_power_of_two_scale_the_solution_bit_for_bit(name):
+    """Every datum times s = 2^e gives s times the unit solve, bit for bit.
+
+    A power of two scales every float operation of the solve exactly, so
+    this is an exact oracle for scale-relative tolerances.  The checker is
+    not asserted: its tolerance is absolute, and at 2^30 and 2^40 the band
+    fails ``dynamics``.
+    """
+    config = json.loads((CONFIGS / name).read_text())
+    unit_spec, _ = parse_config(config)
+    tree = unit_spec.build_tree()
+
+    def solve(spec):
+        return _levels(solve_reflected(tree, spec.driver, spec.terminal, *spec.obstacles))
+
+    unit = solve(unit_spec)
+    for s in (2.0 ** -20, 2.0 ** 20, 2.0 ** 30, 2.0 ** 40):
+        scaled = solve(parse_config(_scaled(config, s))[0])
+        assert scaled.keys() == unit.keys()
+        for process, levels in unit.items():
+            for k, (got, want) in enumerate(zip(scaled[process], levels, strict=True)):
+                assert _same_bits(got, s * want), (s, process, k)
 
 
 EXTREMES = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308)
