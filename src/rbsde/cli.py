@@ -93,17 +93,23 @@ def _stats(tree: ScenarioTree, level: int, values: np.ndarray) -> dict:
             "min": low, "max": high}
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one output file; a path that cannot be written is a ConfigError (exit 2)."""
+    try:
+        # the first file written makes the output directory: a command that fails first leaves none
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    # the first file written makes the output directory: a command that fails first leaves none
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8", newline="\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     lines = [",".join(header)] + [",".join(row) for row in rows]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _nodes_payload(tree, processes: dict) -> dict:

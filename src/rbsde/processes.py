@@ -10,20 +10,25 @@ Terminals and obstacles are evaluated once per tree: ladders, Picard
 rounds, envelope recursions and checks solve repeatedly on one tree with
 the same data, so the evaluated arrays are memoised per (tree, spec) and
 handed out read-only.  Payoff and obstacle functions must therefore be
-pure functions of ``(t, w, counts)``.  ``evaluate`` is the one reader:
-it gives a problem's terminal and obstacles on a tree, evaluating every
-spec the tree has not seen in one pass over ``ScenarioTree.states()``,
-with at most two levels of state alive, and takes each declared left
-limit from the parent level's state as the pass goes by it.  The state
-arrays are read-only, and every evaluated level is a fresh array, so a
-function that returns or keeps its input cannot change a later level or
-a memoised result.  ``eval_barrier`` and ``TerminalSpec.evaluate`` read
+pure, and row-wise in the state: row i of the output depends only on
+row i of ``(w, counts)``, since a level larger than one block is read
+in blocks, one call per block.  ``evaluate`` is the one reader: it
+gives a problem's terminal and obstacles on a tree, evaluating every
+spec the tree has not seen in one forward walk of the node state.  The
+walk fills each level's outputs block by block, builds the state only
+for the levels some spec reads, and holds at most one block of state
+above a kept level of at most one block; each declared left limit is
+filled in the same blocks of its parent level.  The state arrays are
+read-only, and every evaluated level is a fresh array, so a function
+that returns or keeps its input cannot change a later level or a
+memoised result.  ``eval_barrier`` and ``TerminalSpec.evaluate`` read
 one item through it.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -33,8 +38,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import JumpTimeOffGrid, NonFiniteData
-from .tree import (_BLOCK_NODES, DEFAULT_NODE_CAP, MarkSet, ScenarioTree, _all_finite, _weigh,
-                   build_tree)
+from .tree import (_BLOCK_NODES, DEFAULT_NODE_CAP, MarkSet, ScenarioTree, _all_finite,
+                   _block_state, _level_blocks, _weigh, build_tree)
 
 # Terminal payoffs see the leaf state; obstacle functions also see time,
 # so that conditional-mean processes with compensator drift are exact.
@@ -87,19 +92,45 @@ def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
 
 
 def _walk(tree: ScenarioTree, specs) -> list:
-    """Fresh evaluations of ``specs`` from one pass over ``tree.states()``.
+    """Fresh evaluations of ``specs`` from one forward walk of the node state.
 
-    Each spec's errors are raised after the pass, in the order of ``specs``;
-    an overflow on the way warns nothing, since the results' finiteness is
-    tested.
+    Each level's outputs are allocated whole and filled in the blocks of
+    ``_level_blocks``.  A level no spec reads builds no state; the others
+    read ``_block_state`` from the chain ``tree.states()``, which runs only
+    as deep as the levels read and no deeper than the last level of at
+    most one block.  Each spec's errors are raised after the pass, in the
+    order of ``specs``; an overflow on the way warns nothing, since the
+    results' finiteness is tested.
     """
     runs = [_TerminalRun(spec, tree) if isinstance(spec, TerminalSpec)
             else _BarrierRun(spec, tree) for spec in specs]
+    top = max(k for k in range(tree.num_steps + 1) if tree.level_size(k) <= _BLOCK_NODES)
+    chain = tree.states()
+    kept = (-1, None, None)   # (level, w, counts) of the chain's last level
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (w, counts) in enumerate(tree.states()):
-            for run in runs:
-                run.step(k, w, counts)
+        for k in range(tree.num_steps + 1):
+            fills = [fill for run in runs for fill in run.open(k)]
+            if fills:
+                while kept[0] < min(k, top):
+                    kept = (kept[0] + 1, *next(chain))
+                for rows in _level_blocks(tree, k):
+                    _fill(fills, rows, *_block_state(tree, k, rows, kept))
     return [run.result() for run in runs]
+
+
+def _fill(fills, rows: slice, w: np.ndarray, counts: np.ndarray) -> None:
+    """The ``rows`` of each ``(fn, base, out)`` output from one block of state.
+
+    A call's arrays go with it, so no block's state or results are alive
+    while the next block is built.
+    """
+    for fn, base, out in fills:
+        raw = np.broadcast_to(np.asarray(fn(w, counts), dtype=float), w.shape)
+        if base is None:
+            out[rows] = raw
+        else:
+            np.add(base, raw, out=out[rows])
+        del raw   # not alive while the next function runs
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -117,6 +148,8 @@ class TerminalSpec:
     def __post_init__(self) -> None:
         if (self.constant is None) == (self.payoff is None):
             raise ValueError("specify exactly one of constant or payoff")
+        if self.constant is not None and not np.isfinite(self.constant):
+            raise ValueError("a constant terminal must be finite")
 
     def evaluate(self, tree: ScenarioTree) -> np.ndarray:
         """Leaf values from ``evaluate``: computed once per tree, read-only."""
@@ -124,21 +157,26 @@ class TerminalSpec:
 
 
 class _TerminalRun:
-    """A terminal's evaluation in the state walk: the leaf level alone."""
+    """A terminal's evaluation in the walk: the leaf level alone."""
 
     def __init__(self, spec: TerminalSpec, tree: ScenarioTree) -> None:
         self.spec, self.tree = spec, tree
         self.values = None
 
-    def step(self, k: int, w, counts) -> None:
+    def open(self, k: int) -> list:
+        """The outputs of level ``k`` that read the state, as ``(fn, base, out)``.
+
+        The walk sets ``out = base + fn(w, counts)``, or ``fn(w, counts)``
+        itself with a base of None, block by block.
+        """
         if k < self.tree.num_steps:
-            return
+            return []
         leaves = self.tree.level_size(k)
         if self.spec.constant is not None:
             self.values = np.full(leaves, float(self.spec.constant))
-            return
-        raw = np.asarray(self.spec.payoff(w, counts), dtype=float)
-        self.values = np.array(np.broadcast_to(raw, (leaves,)), dtype=float)
+            return []
+        self.values = np.empty(leaves)
+        return [(self.spec.payoff, None, self.values)]
 
     def result(self) -> np.ndarray:
         if self.spec.payoff is not None and not _all_finite(self.values):
@@ -229,46 +267,46 @@ def eval_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
 
 
 class _BarrierRun:
-    """An obstacle's evaluation in the state walk.
+    """An obstacle's evaluation in the walk.
 
     Level k reads the state of level k.  The left limit at a declared
-    level L is F_{L-1}-measurable: it reads the state of level L - 1 and
-    is stored there, one value per parent, by the level rule.
+    level L is F_{L-1}-measurable: it reads the state of level L - 1, in
+    the same blocks, and is stored there, one value per parent, by the
+    level rule.
     """
 
     def __init__(self, spec: BarrierSpec, tree: ScenarioTree) -> None:
         self.spec, self.tree = spec, tree
         self.values: list[np.ndarray] = []
-        self.bad_level: int | None = None
         # the nearest levels; ``result`` rejects the times off the grid
         self.jump_levels = [round(t * tree.num_steps) for t, _ in spec.declared_jumps]
         self.left: list[np.ndarray | None] = [None] * len(self.jump_levels)
 
-    def _level(self, t: float, base: float, k: int, w, counts) -> np.ndarray:
-        size = self.tree.level_size(k)
+    def _output(self, t: float, base: float, size: int, fills: list) -> np.ndarray:
+        """One level output: ``base`` alone, or a fill of ``base`` plus the stochastic part."""
         if self.spec.stochastic is None:
             return np.full(size, base)
-        raw = np.asarray(self.spec.stochastic(t, w, counts), dtype=float)
-        return np.add(base, np.broadcast_to(raw, (size,)))
+        out = np.empty(size)
+        fills.append((functools.partial(self.spec.stochastic, t), base, out))
+        return out
 
-    def step(self, k: int, w, counts) -> None:
-        if self.bad_level is not None:
-            return
+    def open(self, k: int) -> list:
+        """The outputs of level ``k`` that read the state, as ``_TerminalRun.open`` gives them."""
+        fills: list = []
         t = k / self.tree.num_steps
-        values = self._level(t, self.spec.deterministic_at(t), k, w, counts)
-        if not _all_finite(values):
-            self.bad_level = k
-            return
-        self.values.append(_read_only(values))
+        size = self.tree.level_size(k)
+        self.values.append(self._output(t, self.spec.deterministic_at(t), size, fills))
         for j, ((t_j, offset), level) in enumerate(zip(self.spec.declared_jumps,
                                                        self.jump_levels)):
             if level == k + 1:
                 base = self.spec.deterministic_at(t_j) + offset
-                self.left[j] = self._level(t_j, base, k, w, counts)
+                self.left[j] = self._output(t_j, base, size, fills)
+        return fills
 
     def result(self) -> BarrierValues:
-        if self.bad_level is not None:
-            raise NonFiniteData(f"obstacle is not finite at level {self.bad_level}")
+        for k, values in enumerate(self.values):
+            if not _all_finite(values):
+                raise NonFiniteData(f"obstacle is not finite at level {k}")
         left: dict[int, np.ndarray] = {}
         for (t_j, _), parents in zip(self.spec.declared_jumps, self.left):
             level = grid_level(t_j, self.tree.num_steps)
@@ -277,7 +315,8 @@ class _BarrierRun:
             if not _all_finite(parents):
                 raise NonFiniteData(f"obstacle left limit is not finite at level {level}")
             left[level] = _read_only(parents)
-        return BarrierValues(values=tuple(self.values), left=MappingProxyType(left),
+        return BarrierValues(values=tuple(map(_read_only, self.values)),
+                             left=MappingProxyType(left),
                              jump_levels=tuple(sorted(left)))
 
 

@@ -9,13 +9,17 @@ layout, which keeps all per-level operations vectorisable.
 
 A tree holds no per-node state.  Its size follows from the branching
 alone, and the node state (Brownian value ``w`` and jump ``counts``) is
-read in one forward walk, ``ScenarioTree.states()``, which keeps at most
-two levels alive: the problem data on the tree is all the solvers need,
-and ``rbsde.processes.evaluate``, its one reader, evaluates it in that
-walk.  Node probabilities
-are built per level on first read by ``atom_prob``, and the checker's
-``_block_atom_prob`` builds a level larger than one block per parent
-block instead.
+built forward from the root: ``ScenarioTree.states()`` chains whole
+levels, keeping at most two alive, and ``_block_state`` builds the rows
+of one block from a kept ancestor level by the same chain over the
+block's ancestor rows.  The problem data on the tree is all the solvers
+need, and ``rbsde.processes.evaluate``, its one reader, evaluates it in
+one walk that chains only the levels of at most one block and reads each
+larger level in the blocks of ``_level_blocks``, so at most one block of
+state is alive above a kept level of at most one block.  Node
+probabilities are built per level on first read by ``atom_prob``, and
+the checker's ``_block_atom_prob`` builds a level larger than one block
+per parent block instead.
 
 Level rule for compensators.  A process is a list of level arrays, and
 a level array may be shorter than its level: then it holds the values
@@ -325,6 +329,45 @@ def _block_atom_prob(tree: ScenarioTree, level: int, rows: slice) -> np.ndarray:
                                slice(first, (stop - 1) // tree.branching + 1))
     offset = first * tree.branching
     return _branch_pass(np.multiply, parents, tree.branch_prob)[start - offset:stop - offset]
+
+
+def _level_blocks(tree: ScenarioTree, level: int) -> list[slice]:
+    """Row blocks of ``level``: the whole level if it fits one block.
+
+    A larger level is cut into the children of each ``_parent_blocks``
+    slice of the level above, so every block starts at a multiple of
+    ``_BLOCK_ALIGN`` rows and holds at most ``_BLOCK_NODES`` of them.
+    """
+    size = tree.level_size(level)
+    if size <= _BLOCK_NODES:
+        return [slice(0, size)]
+    return [slice(parents.start * tree.branching, parents.stop * tree.branching)
+            for parents in _parent_blocks(tree, level - 1)]
+
+
+def _block_state(tree: ScenarioTree, level: int, rows: slice,
+                 kept: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(w, counts)`` of the ``rows`` nodes of ``level``, from a kept level.
+
+    ``kept`` is ``(j, w_j, counts_j)``: the whole state of a level
+    ``j <= level``, such as ``states()`` yields.  The rows' ancestors at
+    the levels in between are built from it by ``_branch_pass`` and
+    ``_count_pass``, the chain ``states()`` runs, so every value has the
+    bits of the whole-level chain and no array is larger than the rows'
+    ancestors at that level.
+    """
+    j, w, counts = kept
+    start, stop, _ = rows.indices(tree.level_size(level))
+    if level == j:
+        return w[start:stop], counts[start:stop]
+    first = start // tree.branching
+    w, counts = _block_state(tree, level - 1,
+                             slice(first, (stop - 1) // tree.branching + 1), kept)
+    cut = slice(start - first * tree.branching, stop - first * tree.branching)
+    w = _branch_pass(np.add, w, tree.branch_db)[cut]
+    counts = _count_pass(counts, tree.branching)[cut]
+    w.flags.writeable = counts.flags.writeable = False
+    return w, counts
 
 
 def _branch_pass(op, parents: np.ndarray, per_branch: np.ndarray) -> np.ndarray:

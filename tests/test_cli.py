@@ -662,6 +662,16 @@ def test_a_command_that_fails_before_it_writes_leaves_no_out_directory(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_an_out_that_names_a_file_exits_2_with_one_line(tmp_path, capsys):
+    named = tmp_path / "named"
+    named.write_text("kept\n")
+    assert run("solve-one", "--config", CONFIGS / "counterexample.json", "--out", named) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write output: ")
+    assert err.count("\n") == 1
+    assert named.read_text() == "kept\n"
+
+
 def test_a_check_that_fails_still_writes_its_report(tmp_path, capsys, counterexample_solution):
     payload = json.loads(counterexample_solution.read_text())
     payload["nodes"]["k"][4] = [v + 0.1 for v in payload["nodes"]["k"][4]]

@@ -312,6 +312,13 @@ def test_finite_values_whose_sum_overflows_are_accepted():
     assert np.all(leaves == -1e308)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_constant_terminal_must_be_finite(bad):
+    """As BarrierSpec does for its pieces, so no solve reports a non-finite Y instead."""
+    with pytest.raises(ValueError, match="a constant terminal must be finite"):
+        TerminalSpec(constant=bad)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_a_terminal_array_that_is_not_finite_is_named_as_the_terminal(bad):
     """Without an obstacle and with one, before any sweep or obstacle validation."""

@@ -3,22 +3,26 @@
 ``ScenarioTree.states()`` must give the bits of the eager level chain,
 the checker's per-block node probabilities those of the eager
 ``AtomProbabilities`` chain, and one solve must walk the states once for the
-terminal and every obstacle together.  A function that returns or keeps
-its input must not reach a later level or a memoised result.
+terminal and every obstacle together.  The walk reads a level larger than
+one block in blocks, with the bits of the eager chain, holds no leaf
+state, and builds no state that no spec reads.  A function that returns
+or keeps its input must not reach a later level or a memoised result.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import rbsde.tree
-from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree, check_solution,
-                   eval_barrier, solve_penalized, solve_reflected)
-from rbsde.processes import _walk, linear_obstacle, linear_payoff
+import rbsde.processes
+from rbsde import (BarrierSpec, DriverSpec, MarkSet, NonFiniteData, TerminalSpec, build_tree,
+                   check_solution, eval_barrier, solve_penalized, solve_reflected)
+from rbsde.processes import _walk, call_payoff, evaluate, linear_obstacle, linear_payoff
 from rbsde.reflected import obstacle_payoff
-from rbsde.tree import (_BLOCK_NODES, _block_atom_prob, _branch_pass, _count_pass,
-                        _parent_blocks)
+from rbsde.tree import (_BLOCK_ALIGN, _BLOCK_NODES, _block_atom_prob, _branch_pass, _count_pass,
+                        _level_blocks, _parent_blocks)
 
 # (marks, steps) whose deepest parent level spans several parent blocks
 SHAPES = ((0, 17), (1, 9), (2, 7))
@@ -140,13 +144,13 @@ def test_one_walk_evaluates_every_function_once_per_level(monkeypatch):
     calls = {"payoff": [], "lower": [], "upper": []}
     driver, terminal, lower, upper = _band_problem(marks, calls)
     walks = []
-    states = rbsde.tree.ScenarioTree.states
+    walk = rbsde.processes._walk
 
-    def counting_states(self):
-        walks.append(self)
-        return states(self)
+    def counting_walk(tree, specs):
+        walks.append(tree)
+        return walk(tree, specs)
 
-    monkeypatch.setattr(rbsde.tree.ScenarioTree, "states", counting_states)
+    monkeypatch.setattr(rbsde.processes, "_walk", counting_walk)
     sizes = [tree.level_size(k) for k in range(steps + 1)]
     for _ in range(2):
         sol = solve_reflected(tree, driver, terminal, lower, upper)
@@ -194,3 +198,137 @@ def test_functions_that_alias_or_keep_their_input_change_nothing():
     assert np.array_equal(leaves, np.abs(w[steps]))
     assert np.array_equal(kept[0], w[steps])
     assert np.array_equal(_walk(tree, [terminal])[0], leaves)
+
+
+# (marks, steps) whose last level is larger than one block; at (0, 18) the
+# level before it is too, so a left limit at the horizon is read in blocks
+BLOCKED_SHAPES = SHAPES + ((0, 18),)
+TERMINALS = {"linear": lambda m: linear_payoff(0.1, 0.3, (0.2, -0.1)[:m]),
+             "call": lambda m: call_payoff(0.05, 0.7)}
+
+
+def _compensated_obstacle(marks, steps):
+    """A compensated linear obstacle with declared jumps mid-horizon and at the horizon."""
+    middle = (steps // 2) / steps
+    return BarrierSpec(pieces=((0.0, -0.3), (middle, -0.6), (1.0, -0.4)),
+                       stochastic=linear_obstacle(0.0, 0.3, (0.2, -0.1)[:marks.count],
+                                                  compensate=marks))
+
+
+@pytest.mark.parametrize("terminal_kind", sorted(TERMINALS))
+@pytest.mark.parametrize("m,steps", BLOCKED_SHAPES)
+def test_blocked_walk_matches_the_eager_chain(m, steps, terminal_kind):
+    marks = _marks(m)
+    tree = build_tree(steps, marks)
+    assert tree.level_size(steps) > _BLOCK_NODES
+    terminal = TerminalSpec(payoff=TERMINALS[terminal_kind](m))
+    obstacle = _compensated_obstacle(marks, steps)
+    xi, values = evaluate(tree, terminal, obstacle)
+    w, counts, _ = _eager_levels(tree)
+    assert np.array_equal(xi, np.asarray(terminal.payoff(w[-1], counts[-1]), dtype=float))
+    for k in range(steps + 1):
+        t = tree.time(k)
+        expected = obstacle.deterministic_at(t) + obstacle.stochastic(t, w[k], counts[k])
+        assert np.array_equal(values.values[k], expected), k
+    assert values.jump_levels == (steps // 2, steps)
+    for level in values.jump_levels:
+        t = tree.time(level)
+        base = obstacle.deterministic_at(t) + dict(obstacle.declared_jumps)[t]
+        expected = base + obstacle.stochastic(t, w[level - 1], counts[level - 1])
+        assert np.array_equal(values.left[level], expected), level
+
+
+def test_blocks_start_on_the_alignment_and_cover_each_level():
+    for m, steps in BLOCKED_SHAPES:
+        tree = build_tree(steps, _marks(m))
+        for k in range(steps + 1):
+            blocks = _level_blocks(tree, k)
+            assert blocks[0].start == 0 and blocks[-1].stop == tree.level_size(k)
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert all(b.start % _BLOCK_ALIGN == 0 and b.stop - b.start <= _BLOCK_NODES
+                       for b in blocks)
+
+
+def test_a_value_that_is_not_finite_only_in_the_last_block_names_its_level():
+    steps = 17
+    tree = build_tree(steps)
+    blocks = _level_blocks(tree, steps)
+    assert len(blocks) > 1
+    # only the last leaf, the all-minus path, lies below this line
+    floor = -(steps - 0.5) * np.sqrt(tree.dt)
+    obstacle = BarrierSpec(stochastic=lambda t, w, c: np.where(w < floor, np.inf, 0.0))
+    with pytest.raises(NonFiniteData, match=f"obstacle is not finite at level {steps}$"):
+        eval_barrier(obstacle, tree)
+    terminal = TerminalSpec(payoff=lambda w, c: np.where(w < floor, np.nan, w))
+    with pytest.raises(NonFiniteData, match="terminal payoff must be finite on every leaf"):
+        terminal.evaluate(tree)
+
+
+def test_the_walk_holds_no_leaf_state():
+    """Above its outputs, the walk peaks at the kept level, one block and a function's blocks.
+
+    At one mark ``w`` and ``counts`` take one block each at the kept level
+    and at a block of leaves, and a compensated linear function two more
+    (its result and its shifted counts): six blocks of 2**16 values.  The
+    leaf level's state alone would be eight.
+    """
+    steps, marks = 9, _marks(1)
+    tree = build_tree(steps, marks)
+    block = _BLOCK_NODES * 8
+    assert 2 * tree.level_size(steps) * 8 >= 8 * block
+    mean = linear_obstacle(0.0, 0.3, (0.2,), compensate=marks)
+    terminal = TerminalSpec(payoff=linear_payoff(0.0, 0.3, (0.2,)))
+    lower = BarrierSpec(pieces=((0.0, -0.3), (1 / 3, -0.6), (1.0, -0.4)), stochastic=mean)
+    upper = BarrierSpec(pieces=((0.0, 0.5), (2 / 3, 0.3)), stochastic=mean)
+    tracemalloc.start()
+    try:
+        outputs = evaluate(tree, terminal, lower, upper)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outputs[1].jump_levels == (3, 9)
+    assert held >= 2 * tree.node_count * 8
+    assert peak - held <= 6.5 * block, (peak - held) / block
+
+
+def test_constant_data_build_no_state(monkeypatch):
+    built = []
+
+    def counting(fn):
+        def counted(*args):
+            built.append(fn.__name__)
+            return fn(*args)
+        return counted
+
+    for name in ("_branch_pass", "_count_pass"):
+        monkeypatch.setattr(rbsde.tree, name, counting(getattr(rbsde.tree, name)))
+    steps = 9
+    tree = build_tree(steps, _marks(1))
+    step = BarrierSpec(pieces=((0.0, 1.0), (1 / 3, 0.0)))
+    xi, values = evaluate(tree, TerminalSpec(constant=0.5), step)
+    assert built == []
+    assert np.all(xi == 0.5) and len(xi) == tree.level_size(steps)
+    for k, level in enumerate(values.values):
+        assert len(level) == tree.level_size(k) and np.all(level == (1.0 if k < 3 else 0.0))
+    assert np.all(values.left[3] == 1.0) and len(values.left[3]) == tree.level_size(2)
+    # a payoff reads the leaves, so the same tree builds their state
+    evaluate(tree, TerminalSpec(payoff=lambda w, c: w))
+    assert "_branch_pass" in built and "_count_pass" in built
+
+
+def test_k_c_is_k_itself_exactly_where_k_d_is_positive_zero():
+    """K_c shares K's array at the levels where K_d is +0.0, and is a fresh array elsewhere."""
+    steps, marks = 8, _marks(1)
+    tree = build_tree(steps, marks)
+    driver, terminal = DriverSpec(marks=marks), TerminalSpec(constant=0.5)
+    # the solution sits on the obstacle until its drop at t = 1/2, where K_d books it
+    barrier = BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0)))
+    sol = solve_reflected(tree, driver, terminal, barrier)
+    comp = sol.lower
+    zero = [not level.view(np.uint64).any() for level in comp.k_d]
+    assert zero == [True] * 4 + [False] * 5
+    for k, (k_c, k_total) in enumerate(zip(comp.k_c, comp.k)):
+        assert (k_c is k_total) == zero[k], k
+        if not zero[k]:
+            assert not np.shares_memory(k_c, k_total)
+    assert check_solution(tree, sol, driver, terminal, barrier).passed
