@@ -14,11 +14,11 @@ pure, and row-wise in the state: row i of the output depends only on
 row i of ``(w, counts)``, since a level larger than one block is read
 in blocks, one call per block.  ``evaluate`` is the one reader: it
 gives a problem's terminal and obstacles on a tree, evaluating every
-spec the tree has not seen in one forward walk of the node state.  The
-walk fills each level's outputs block by block, builds the state only
-for the levels some spec reads, and holds at most one block of state
-above a kept level of at most one block; each declared left limit is
-filled in the same blocks of its parent level.  The state arrays are
+spec the tree has not seen in one walk of the node state.  The walk
+goes depth first, builds each row of state once and keeps one block per
+level alive, and goes only as deep as the last level some spec reads;
+it fills each level's outputs block by block, and each declared left
+limit in the same blocks of its parent level.  The state arrays are
 read-only, and every evaluated level is a fresh array, so a function
 that returns or keeps its input cannot change a later level or a
 memoised result.  ``eval_barrier`` and ``TerminalSpec.evaluate`` read
@@ -38,8 +38,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import JumpTimeOffGrid, NonFiniteData
-from .tree import (_BLOCK_NODES, DEFAULT_NODE_CAP, MarkSet, ScenarioTree, _all_finite,
-                   _block_state, _level_blocks, _weigh, build_tree)
+from .tree import (DEFAULT_NODE_CAP, MarkSet, ScenarioTree, _all_finite, _node_blocks,
+                   _state_root, _state_step, _weigh, build_tree)
 
 # Terminal payoffs see the leaf state; obstacle functions also see time,
 # so that conditional-mean processes with compensator drift are exact.
@@ -92,29 +92,25 @@ def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
 
 
 def _walk(tree: ScenarioTree, specs) -> list:
-    """Fresh evaluations of ``specs`` from one forward walk of the node state.
+    """Fresh evaluations of ``specs`` from one depth-first walk of the node state.
 
-    Each level's outputs are allocated whole and filled in the blocks of
-    ``_level_blocks``.  A level no spec reads builds no state; the others
-    read ``_block_state`` from the chain ``tree.states()``, which runs only
-    as deep as the levels read and no deeper than the last level of at
-    most one block.  Each spec's errors are raised after the pass, in the
-    order of ``specs``; an overflow on the way warns nothing, since the
-    results' finiteness is tested.
+    Every level's outputs are opened first, whole, and then filled block
+    by block as ``_node_blocks`` yields the state, each row built once.
+    The walk goes only as deep as the last level some spec reads, so a
+    walk with nothing to fill builds no state.  Each spec's errors are
+    raised after the pass, in the order of ``specs``; an overflow on the
+    way warns nothing, since the results' finiteness is tested.
     """
     runs = [_TerminalRun(spec, tree) if isinstance(spec, TerminalSpec)
             else _BarrierRun(spec, tree) for spec in specs]
-    top = max(k for k in range(tree.num_steps + 1) if tree.level_size(k) <= _BLOCK_NODES)
-    chain = tree.states()
-    kept = (-1, None, None)   # (level, w, counts) of the chain's last level
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(tree.num_steps + 1):
-            fills = [fill for run in runs for fill in run.open(k)]
-            if fills:
-                while kept[0] < min(k, top):
-                    kept = (kept[0] + 1, *next(chain))
-                for rows in _level_blocks(tree, k):
-                    _fill(fills, rows, *_block_state(tree, k, rows, kept))
+    fills = [[fill for run in runs for fill in run.open(k)] for k in range(tree.num_steps + 1)]
+    read = [k for k, level in enumerate(fills) if level]
+    if read:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, rows, w, counts in _node_blocks(tree, read[-1], _state_root(tree),
+                                                   _state_step):
+                _fill(fills[k], rows, w, counts)
+                del w, counts   # not alive while the next block is built
     return [run.result() for run in runs]
 
 
@@ -399,24 +395,21 @@ class ProblemSpec:
 
 def _linear_form(intercept: float, w_coeff: float, coeffs: np.ndarray, w: np.ndarray,
                  counts: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
-    """intercept + w_coeff*w + (counts - shift) @ coeffs, over row blocks.
+    """intercept + w_coeff*w + (counts - shift) @ coeffs.
 
-    Each value takes the same float operations as the whole-level
-    expression, but every temporary is one block long and stays in
-    cache.  Blocks hold a multiple of 64 rows, so the matrix product keeps
-    the whole level's BLAS row grouping and gives the same bits.
+    The walk calls it on one block of at most ``_BLOCK_NODES`` rows, so
+    every temporary stays in cache.  Blocks start on a multiple of 64
+    rows, so the matrix product keeps the whole level's BLAS row grouping
+    and gives the same bits.
     """
-    out = np.empty(len(w))
-    for lo in range(0, len(w), _BLOCK_NODES):
-        rows = slice(lo, lo + _BLOCK_NODES)
-        block = np.multiply(w[rows], w_coeff, out=out[rows])
-        block += intercept
-        if coeffs.size:
-            counted = counts[rows, :coeffs.size]
-            if shift is not None:
-                counted = _shift_columns(counted, shift)
-            # a shifted table is this block's own, so a width-one product may overwrite it
-            block += _weigh(counted, coeffs, scratch=shift is not None)
+    out = np.multiply(w, w_coeff)
+    out += intercept
+    if coeffs.size:
+        counted = counts[:, :coeffs.size]
+        if shift is not None:
+            counted = _shift_columns(counted, shift)
+        # a shifted table is this call's own, so a width-one product may overwrite it
+        out += _weigh(counted, coeffs, scratch=shift is not None)
     return out
 
 

@@ -10,16 +10,14 @@ layout, which keeps all per-level operations vectorisable.
 A tree holds no per-node state.  Its size follows from the branching
 alone, and the node state (Brownian value ``w`` and jump ``counts``) is
 built forward from the root: ``ScenarioTree.states()`` chains whole
-levels, keeping at most two alive, and ``_block_state`` builds the rows
-of one block from a kept ancestor level by the same chain over the
-block's ancestor rows.  The problem data on the tree is all the solvers
-need, and ``rbsde.processes.evaluate``, its one reader, evaluates it in
-one walk that chains only the levels of at most one block and reads each
-larger level in the blocks of ``_level_blocks``, so at most one block of
-state is alive above a kept level of at most one block.  Node
-probabilities are built per level on first read by ``atom_prob``, and
-the checker's ``_block_atom_prob`` builds a level larger than one block
-per parent block instead.
+levels, keeping at most two alive, and ``_node_blocks`` walks the same
+chain depth first, block by block, building each row once and keeping
+one block per level alive.  The problem data on the tree is all the
+solvers need, and ``rbsde.processes.evaluate``, its one reader,
+evaluates it in one such walk of the node state.  Node probabilities are
+built per level on first read by ``atom_prob``, which serves the
+weighted sums of ``expectation``; the checker walks them with
+``_node_blocks`` instead and reads no ``atom_prob`` level.
 
 Level rule for compensators.  A process is a list of level arrays, and
 a level array may be shorter than its level: then it holds the values
@@ -151,13 +149,11 @@ class ScenarioTree:
         Each level is made from the one before it and neither is kept, so
         at most two levels are alive while the next one is built.
         """
-        w, counts = np.zeros(1), np.zeros((1, self.marks.count))
+        state = _frozen(_state_root(self))
         for k in range(self.num_steps + 1):
             if k:
-                w = _branch_pass(np.add, w, self.branch_db)
-                counts = _count_pass(counts, self.branching)
-            w.flags.writeable = counts.flags.writeable = False
-            yield w, counts
+                state = _frozen(_state_step(self, *state))
+            yield state
 
     @property
     def w(self) -> tuple[np.ndarray, ...]:
@@ -188,13 +184,11 @@ class ScenarioTree:
         return None if outcome == 0 else outcome - 1
 
     def cond_exp(self, values_next: np.ndarray) -> np.ndarray:
-        """Conditional expectation of child values, node by node."""
+        """Conditional expectation of child values, node by node; a child holds one value."""
         values_next = np.asarray(values_next, dtype=float)
-        if values_next.ndim == 1:
-            return values_next.reshape(-1, self.branching) @ self.branch_prob
-        parents = values_next.shape[0] // self.branching
-        table = values_next.reshape(parents, self.branching, values_next.shape[-1])
-        return np.einsum("nbm,b->nm", table, self.branch_prob)
+        # a table of several values per child does not fit this shape, and raises
+        parents = len(values_next) // self.branching
+        return values_next.reshape(parents, self.branching) @ self.branch_prob
 
     def expectation(self, level: int, values: np.ndarray,
                     out: np.ndarray | None = None) -> float:
@@ -312,64 +306,6 @@ class AtomProbabilities(Sequence):
         return self._levels[level]
 
 
-def _block_atom_prob(tree: ScenarioTree, level: int, rows: slice) -> np.ndarray:
-    """``tree.atom_prob[level][rows]``, building no level larger than a block.
-
-    A level of at most ``_BLOCK_NODES`` nodes is read from ``atom_prob``,
-    which keeps it (together these levels hold under 2**17 values).  A
-    larger level is ``_branch_pass(np.multiply, ..., branch_prob)`` over
-    the ancestor rows the block descends from, the chain
-    ``AtomProbabilities`` runs, so every value has the same bits.
-    """
-    start, stop, _ = rows.indices(tree.level_size(level))
-    if tree.level_size(level) <= _BLOCK_NODES:
-        return tree.atom_prob[level][start:stop]
-    first = start // tree.branching
-    parents = _block_atom_prob(tree, level - 1,
-                               slice(first, (stop - 1) // tree.branching + 1))
-    offset = first * tree.branching
-    return _branch_pass(np.multiply, parents, tree.branch_prob)[start - offset:stop - offset]
-
-
-def _level_blocks(tree: ScenarioTree, level: int) -> list[slice]:
-    """Row blocks of ``level``: the whole level if it fits one block.
-
-    A larger level is cut into the children of each ``_parent_blocks``
-    slice of the level above, so every block starts at a multiple of
-    ``_BLOCK_ALIGN`` rows and holds at most ``_BLOCK_NODES`` of them.
-    """
-    size = tree.level_size(level)
-    if size <= _BLOCK_NODES:
-        return [slice(0, size)]
-    return [slice(parents.start * tree.branching, parents.stop * tree.branching)
-            for parents in _parent_blocks(tree, level - 1)]
-
-
-def _block_state(tree: ScenarioTree, level: int, rows: slice,
-                 kept: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(w, counts)`` of the ``rows`` nodes of ``level``, from a kept level.
-
-    ``kept`` is ``(j, w_j, counts_j)``: the whole state of a level
-    ``j <= level``, such as ``states()`` yields.  The rows' ancestors at
-    the levels in between are built from it by ``_branch_pass`` and
-    ``_count_pass``, the chain ``states()`` runs, so every value has the
-    bits of the whole-level chain and no array is larger than the rows'
-    ancestors at that level.
-    """
-    j, w, counts = kept
-    start, stop, _ = rows.indices(tree.level_size(level))
-    if level == j:
-        return w[start:stop], counts[start:stop]
-    first = start // tree.branching
-    w, counts = _block_state(tree, level - 1,
-                             slice(first, (stop - 1) // tree.branching + 1), kept)
-    cut = slice(start - first * tree.branching, stop - first * tree.branching)
-    w = _branch_pass(np.add, w, tree.branch_db)[cut]
-    counts = _count_pass(counts, tree.branching)[cut]
-    w.flags.writeable = counts.flags.writeable = False
-    return w, counts
-
-
 def _branch_pass(op, parents: np.ndarray, per_branch: np.ndarray) -> np.ndarray:
     """Child level ``op(parents[i], per_branch[b])`` at ``i*B + b``.
 
@@ -399,11 +335,78 @@ def _count_pass(parents: np.ndarray, branching: int) -> np.ndarray:
     return out
 
 
+def _parent_rows(tree: ScenarioTree) -> int:
+    """Parent rows per slice: a multiple of _BLOCK_ALIGN with about _BLOCK_NODES children."""
+    return max(_BLOCK_ALIGN, _BLOCK_NODES // tree.branching // _BLOCK_ALIGN * _BLOCK_ALIGN)
+
+
 def _parent_blocks(tree: ScenarioTree, level: int) -> list[slice]:
     """Contiguous parent slices of ``level`` holding about _BLOCK_NODES children each."""
-    step = max(_BLOCK_ALIGN, _BLOCK_NODES // tree.branching // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    step = _parent_rows(tree)
     size = tree.level_size(level)
     return [slice(lo, min(lo + step, size)) for lo in range(0, size, step)]
+
+
+def _state_root(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
+    """The root's ``(w, counts)``: no Brownian move and no jump yet."""
+    return np.zeros(1), np.zeros((1, tree.marks.count))
+
+
+def _state_step(tree: ScenarioTree, w: np.ndarray,
+                counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, counts)`` of the children of some parent rows."""
+    return _branch_pass(np.add, w, tree.branch_db), _count_pass(counts, tree.branching)
+
+
+def _prob_step(tree: ScenarioTree, prob: np.ndarray) -> tuple[np.ndarray]:
+    """Node probabilities of the children of some parent rows, as ``atom_prob`` builds them."""
+    return (_branch_pass(np.multiply, prob, tree.branch_prob),)
+
+
+def _frozen(arrays: tuple) -> tuple:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _node_blocks(tree: ScenarioTree, last: int, roots: tuple, step) -> Iterator[tuple]:
+    """Read-only ``(level, rows, *values)`` for every block of levels 0 .. ``last``.
+
+    ``step(tree, *parents)`` makes the children of some parent rows of the
+    chains that start at ``roots``, elementwise, so every value has the
+    bits of the whole-level chain.  A level that is its own only parent
+    slice is extended whole and not kept; below it the walk goes depth
+    first through the children of each ``_parent_rows`` slice.  So each
+    row is built once, one block per level is alive, and a level's blocks
+    come left to right, each the children of a ``_parent_blocks`` slice or
+    the whole level: aligned on ``_BLOCK_ALIGN``, at most ``_BLOCK_NODES`` rows.
+    """
+    level, values = 0, _frozen(roots)
+    yield level, slice(0, 1), *values
+    while level < last and tree.level_size(level) <= _parent_rows(tree):
+        level, values = level + 1, _frozen(step(tree, *values))
+        yield level, slice(0, tree.level_size(level)), *values
+    if level < last:
+        yield from _descend(tree, last, level, 0, values, step)
+
+
+def _descend(tree: ScenarioTree, last: int, level: int, start: int, values: tuple,
+             step) -> Iterator[tuple]:
+    """The blocks of ``_node_blocks`` below one block of ``level`` that starts at row ``start``.
+
+    A module-level function that takes the tree: a closure that called
+    itself would hold itself through its cell, a reference cycle that
+    keeps the tree, and the evaluations memoised on it, alive until the
+    cyclic collector runs.
+    """
+    width = _parent_rows(tree)
+    for lo in range(0, len(values[0]), width):
+        children = _frozen(step(tree, *(v[lo:lo + width] for v in values)))
+        first = (start + lo) * tree.branching
+        yield level + 1, slice(first, first + len(children[0])), *children
+        if level + 1 < last:
+            yield from _descend(tree, last, level + 1, first, children, step)
+        del children   # not alive while the next slice's children are built
 
 
 def _children(tree: ScenarioTree, values_next: np.ndarray, parents: slice) -> np.ndarray:

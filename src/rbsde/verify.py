@@ -3,14 +3,14 @@
 Every clause of the reflected equations becomes a residual: the
 projected dynamics identity, obstacle dominance, the minimality sums for
 the continuous-type compensator mass, the left-limit jump formulas, and
-compensator monotonicity.  All clauses come from one pass per level
-over cache-sized parent blocks, in which each increment of K, K_c and
-K_d is taken once from the cumulative processes stored in the solution;
-the leaf clauses are taken in the blocks of the last level, so no clause
-forms a whole-level temporary.  Node probabilities are taken per block
-from the block's ancestors, so a check builds no level of
-``tree.atom_prob``, and each block's and each side's arrays are freed
-with it.
+compensator monotonicity.  All clauses come from one depth-first walk
+of the node probabilities (``rbsde.tree._node_blocks``), each row built
+once, over cache-sized parent slices, in which each increment of K, K_c
+and K_d is taken once from the cumulative processes stored in the
+solution; the leaf clauses are taken in the slices of the last parent
+level, so no clause forms a whole-level temporary.  The checker reads
+no ``tree.atom_prob`` level, and each slice's and each side's arrays
+are freed with it.
 The compensators are read through the level-rule readers of
 ``rbsde.tree``, so compact solver output and whole-level solutions (a
 loaded dump, a hand-built mutant) go through the same checker, which
@@ -28,7 +28,7 @@ envelope route's ``regularity_check`` does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .processes import BarrierValues, ProblemSpec, evaluate
 from .reflected import _source_rates, obstacle_payoff, solve_bsde, solve_reflected_one
 from .snell import BIND_TOL, REGULAR_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import (Process, ScenarioTree, _block_atom_prob, _block_children, _block_rows,
-                   _children, _parent_blocks, _worst, sup_diff, terminal_mean)
+from .tree import (Process, ScenarioTree, _block_children, _block_rows, _children,
+                   _node_blocks, _parent_rows, _prob_step, _worst, sup_diff, terminal_mean)
 from .twobarrier import _closure, _mean_mass, picard_snell_solve, solve_double_obstacle
 
 CHECK_TOL = 1e-10
@@ -90,6 +90,7 @@ class _Side:
     monotone: float = 0.0
     split: float = 0.0
     left_integral: float = 0.0
+    terms: list = field(default_factory=list)   # the left-limit integral's, per level
 
 
 def _abs_max(values: np.ndarray) -> float:
@@ -144,45 +145,53 @@ def _split_residual(tree: ScenarioTree, comp: Compensator, k: int, rows: slice) 
 
 def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
                   sides) -> tuple[float, float]:
-    """Every clause residual in one pass per level over parent blocks.
+    """Every clause residual in one walk of the node probabilities to level N - 1.
 
-    Each increment of K, K_c and K_d is taken once per block, as the
+    Each block of ``_node_blocks`` is cut into ``_parent_blocks`` slices.
+    Each increment of K, K_c and K_d is taken once per slice, as the
     children minus their parent, and feeds every clause that reads it;
     K_d's increment stays one per parent where it is stored at the parent
-    level.  The leaf clauses (terminal value, containment at the horizon)
-    are taken in the blocks of the last level, against the children they
-    already read.  Fills the per-side residuals; returns the dynamics
-    residual and, for two sides, the worst simultaneous jump-type mass.
+    level.  The left-limit integral adds its terms level by level, as a
+    pass per level would; the other residuals are NaN-keeping maxima,
+    which the walk's order does not change.  Fills the per-side residuals;
+    returns the dynamics residual and, for two sides, the worst
+    simultaneous jump-type mass.
     """
-    y = [np.asarray(level, dtype=float) for level in sol.y]
+    y, z, v = ([np.asarray(level, dtype=float) for level in levels]
+               for levels in (sol.y, sol.z, sol.v))
     dyn = 0.0
     simultaneous = 0.0
     for side in sides:
         comp = side.compensator
         side.monotone = float(np.max(np.abs(comp.k[0])))
         side.split = float(np.max(np.abs(comp.k[0] - comp.k_c[0] - comp.k_d[0])))
-    for k in range(tree.num_steps):
-        z_level = np.asarray(sol.z[k], dtype=float)
-        v_level = np.asarray(sol.v[k], dtype=float)
-        for rows in _parent_blocks(tree, k):
-            f_val = _driver_value(driver, tree, k, y[k][rows], z_level[rows], v_level[rows])
-            block_dyn, block_simultaneous = _check_block(tree, y, f_val, xi, sides, k, rows)
+        side.terms = [[] for _ in range(tree.num_steps)]
+    width = _parent_rows(tree)
+    for k, block, prob in _node_blocks(tree, tree.num_steps - 1, (np.ones(1),), _prob_step):
+        for lo in range(0, len(prob), width):
+            rows = slice(block.start + lo, min(block.start + lo + width, block.stop))
+            f_val = _driver_value(driver, tree, k, y[k][rows], z[k][rows], v[k][rows])
+            block_dyn, block_simultaneous = _check_block(tree, y, f_val, xi, sides, k, rows,
+                                                         prob[lo:lo + width])
             dyn = _worst(dyn, block_dyn)
             simultaneous = _worst(simultaneous, block_simultaneous)
+    for side in sides:
+        for term in itertools.chain.from_iterable(side.terms):
+            side.left_integral += term
     return dyn, simultaneous
 
 
 def _check_block(tree: ScenarioTree, y: Process, f_val: np.ndarray, xi: np.ndarray,
-                 sides, k: int, rows: slice) -> tuple[float, float]:
-    """The clauses of one parent block of level ``k``: its dynamics and simultaneous residuals.
+                 sides, k: int, rows: slice,
+                 parent_prob: np.ndarray) -> tuple[float, float]:
+    """The clauses of one parent slice of level ``k``, of node probabilities ``parent_prob``.
 
-    The block's arrays, and each side's, are local to one call, so none
-    outlives its block or side.
+    Returns its dynamics and simultaneous residuals.  The slice's arrays,
+    and each side's, are local to one call, so none outlives its slice.
     """
     prob = tree.branch_prob
     y_par = y[k][rows]
     y_child = _children(tree, y[k + 1], rows)
-    parent_prob = _block_atom_prob(tree, k, rows)
     dyn = 0.0
     if k == tree.num_steps - 1:
         dyn = float(np.max(np.abs(y_child - _children(tree, xi, rows))))
@@ -220,7 +229,7 @@ def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.
     # P(parent) * branch probability: continuous-type mass pairs
     # with the slack at the assigning slot, jump-type mass (below)
     # with the left limit against the previous-slot solution
-    side.left_integral += float(np.add.reduce(parent_prob * (mass_c @ prob)))
+    side.terms[k].append(float(np.add.reduce(parent_prob * (mass_c @ prob))))
     side.monotone = _worst(side.monotone, -float(np.min(d_k)))
     left = side.obstacle.left.get(k + 1)
     if left is None:
@@ -240,7 +249,7 @@ def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.
     np.copyto(formula, 0.0, where=~binding)
     side.jump = _worst(side.jump, _abs_max(np.subtract(d_kd, formula, out=work)))
     weighted = np.multiply(gap, d_kd, out=work) @ prob
-    side.left_integral += float(np.add.reduce(parent_prob * weighted))
+    side.terms[k].append(float(np.add.reduce(parent_prob * weighted)))
     return d_k, d_kd
 
 

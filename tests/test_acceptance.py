@@ -249,11 +249,12 @@ def test_criterion_8_noise_model_sanity():
                            @ (tree.branch_db * tree.branch_comp[:, i])) <= 1e-14
             # both noise sources are martingales under full backward summation
             w_vals = tree.w[-1].copy()
-            count_vals = tree.counts[-1] - marks.intensity_array
+            # one column per mark: cond_exp takes one value per child
+            count_vals = list((tree.counts[-1] - marks.intensity_array).T)
             for k in range(num_steps - 1, -1, -1):
                 w_vals = tree.cond_exp(w_vals)
-                count_vals = tree.cond_exp(count_vals)
+                count_vals = [tree.cond_exp(column) for column in count_vals]
                 assert np.max(np.abs(w_vals - tree.w[k])) <= 1e-14
                 drift = marks.intensity_array * tree.time(k)
-                assert (count_vals.size == 0
-                        or np.max(np.abs(count_vals - (tree.counts[k] - drift))) <= 1e-14)
+                assert (not count_vals or np.max(np.abs(np.transpose(count_vals)
+                                                        - (tree.counts[k] - drift))) <= 1e-14)

@@ -62,6 +62,12 @@ def test_conditional_expectation_basics():
     assert np.all(np.abs(tree.cond_exp(comp)) <= 1e-15)
 
 
+def test_conditional_expectation_rejects_a_table_of_several_values_per_child():
+    tree = build_tree(2, MarkSet(sizes=(1.0, 2.0), intensities=(0.5, 0.3)))
+    with pytest.raises(ValueError):
+        tree.cond_exp(tree.counts[2])
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_noise_identities_random_trees(seed):
     rng = np.random.default_rng(seed)
@@ -85,13 +91,14 @@ def test_brownian_and_counts_are_martingales():
     tree = build_tree(4, marks)
     # full backward summation of the terminal values
     values = tree.w[-1].copy()
-    comp_counts = tree.counts[-1] - marks.intensity_array  # compensated at t = 1
+    # compensated at t = 1, one column per mark: cond_exp takes one value per child
+    comp_counts = list((tree.counts[-1] - marks.intensity_array).T)
     for k in range(tree.num_steps - 1, -1, -1):
         values = tree.cond_exp(values)
-        comp_counts = tree.cond_exp(comp_counts)
+        comp_counts = [tree.cond_exp(column) for column in comp_counts]
         assert np.max(np.abs(values - tree.w[k])) <= 1e-14
         expected = tree.counts[k] - marks.intensity_array * tree.time(k)
-        assert np.max(np.abs(comp_counts - expected)) <= 1e-14
+        assert np.max(np.abs(np.transpose(comp_counts) - expected)) <= 1e-14
 
 
 def test_atom_probabilities_sum_to_one():

@@ -131,10 +131,9 @@ def test_solve_and_check_leave_the_leaf_atom_probabilities_unbuilt():
     for sides in (1, 2):
         sol = solve_reflected(tree, driver, terminal, *obstacles[:sides])
         assert check_solution(tree, sol, driver, terminal, *obstacles[:sides]).passed
-    # the checker keeps the levels of at most one block of nodes, 0 .. 16 here,
-    # and takes the deeper parent levels per block: N - 1 and N are not built
-    assert tree.level_size(16) == _BLOCK_NODES
-    assert [len(level) for level in tree.atom_prob._levels] == [2 ** k for k in range(17)]
+    # the checker walks its own node probabilities: no level past the root is built
+    assert tree.level_size(DEEP_N - 1) > _BLOCK_NODES
+    assert [len(level) for level in tree.atom_prob._levels] == [1]
 
 
 def test_checker_transient_stays_below_one_leaf_level():

@@ -1,14 +1,19 @@
 """The tree keeps no node state: one forward walk evaluates the problem data.
 
 ``ScenarioTree.states()`` must give the bits of the eager level chain,
-the checker's per-block node probabilities those of the eager
-``AtomProbabilities`` chain, and one solve must walk the states once for the
-terminal and every obstacle together.  The walk reads a level larger than
-one block in blocks, with the bits of the eager chain, holds no leaf
-state, and builds no state that no spec reads.  A function that returns
-or keeps its input must not reach a later level or a memoised result.
+and so must the depth-first blocks of ``_node_blocks``, for the node
+state and the checker's node probabilities alike, building each row
+once.  One solve must walk the states once for the terminal and every
+obstacle together.  The walk reads a level larger than one block in
+blocks, with the bits of the eager chain, holds no leaf state, and
+builds no state that no spec reads.  A function that returns or keeps
+its input must not reach a later level or a memoised result, and a tree
+must be freed without the cyclic collector.
 """
 
+import collections
+import gc
+import pathlib
 import tracemalloc
 import weakref
 
@@ -17,15 +22,19 @@ import pytest
 
 import rbsde.tree
 import rbsde.processes
+import rbsde.verify
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, NonFiniteData, TerminalSpec, build_tree,
-                   check_solution, eval_barrier, solve_penalized, solve_reflected)
+                   check_solution, eval_barrier, picard_snell_solve, regularity_check, snell,
+                   solve_penalized, solve_reflected, sweep)
+from rbsde.config import load_config
 from rbsde.processes import _walk, call_payoff, evaluate, linear_obstacle, linear_payoff
 from rbsde.reflected import obstacle_payoff
-from rbsde.tree import (_BLOCK_ALIGN, _BLOCK_NODES, _block_atom_prob, _branch_pass, _count_pass,
-                        _level_blocks, _parent_blocks)
+from rbsde.tree import (_BLOCK_ALIGN, _BLOCK_NODES, _branch_pass, _count_pass, _node_blocks,
+                        _prob_step, _state_root, _state_step)
 
 # (marks, steps) whose deepest parent level spans several parent blocks
 SHAPES = ((0, 17), (1, 9), (2, 7))
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def _marks(m):
@@ -54,6 +63,35 @@ def test_states_match_the_eager_chain(m, steps):
         assert not w_k.flags.writeable and not counts_k.flags.writeable
 
 
+def _walked(tree, roots, step):
+    """Each level's ``(rows, values)`` blocks from ``_node_blocks``, in the order yielded."""
+    levels = [[] for _ in range(tree.num_steps + 1)]
+    for k, rows, *values in _node_blocks(tree, tree.num_steps, roots, step):
+        levels[k].append((rows, values))
+    return levels
+
+
+# ten branches: 2**16 is no multiple of the parent slices' children
+@pytest.mark.parametrize("m,steps", SHAPES + ((4, 5),))
+def test_node_blocks_cover_each_row_once_with_the_eager_bits(m, steps):
+    tree = build_tree(steps, _marks(m))
+    assert tree.level_size(steps) > _BLOCK_NODES
+    w, counts, atom = _eager_levels(tree)
+    for roots, step, eager in ((_state_root(tree), _state_step, (w, counts)),
+                               ((np.ones(1),), _prob_step, (atom,))):
+        for k, blocks in enumerate(_walked(tree, roots, step)):
+            starts = [rows.start for rows, _ in blocks]
+            stops = [rows.stop for rows, _ in blocks]
+            # left to right, each row once
+            assert starts == [0] + stops[:-1] and stops[-1] == tree.level_size(k), k
+            for rows, values in blocks:
+                assert rows.start % _BLOCK_ALIGN == 0 and rows.stop - rows.start <= _BLOCK_NODES
+                assert len(values) == len(eager)
+                for value, level in zip(values, eager):
+                    assert np.array_equal(value, level[k][rows]), (k, rows)
+                    assert not value.flags.writeable
+
+
 # (marks, steps) whose last parent level is larger than one block, so a
 # block of leaves runs the chain over two levels
 @pytest.mark.parametrize("m,steps", [(0, 19), (1, 10), (2, 8)])
@@ -63,14 +101,42 @@ def test_block_probabilities_match_the_eager_chain(m, steps):
     for _ in range(steps):
         atom.append(_branch_pass(np.multiply, atom[-1], tree.branch_prob))
     assert tree.level_size(steps - 1) > _BLOCK_NODES
-    for k in range(steps + 1):
-        for rows in _parent_blocks(tree, k):
-            assert np.array_equal(_block_atom_prob(tree, k, rows), atom[k][rows]), (k, rows)
-    # unaligned slices cut ancestor runs at both ends
-    for rows in (slice(3, 17), slice(5, 6), slice(tree.level_size(steps) - 7, None)):
-        assert np.array_equal(_block_atom_prob(tree, steps, rows), atom[steps][rows])
-    # the tree keeps the levels of at most one block of nodes, no larger one
-    assert max(len(level) for level in tree.atom_prob._levels) <= _BLOCK_NODES
+    for k, rows, prob in _node_blocks(tree, steps, (np.ones(1),), _prob_step):
+        assert np.array_equal(prob, atom[k][rows]), (k, rows)
+    # the walk builds no level of the tree's own probabilities
+    assert len(tree.atom_prob._levels) == 1
+
+
+def _counting_walks(monkeypatch):
+    """Rows each step function of ``_node_blocks`` builds, from the evaluation and the checker."""
+    built = collections.Counter()
+
+    def counting(tree, last, roots, step):
+        def counted(tree, *parents):
+            children = step(tree, *parents)
+            built[step.__name__] += len(children[0])
+            return children
+        return _node_blocks(tree, last, roots, counted)
+
+    for module in (rbsde.processes, rbsde.verify):
+        monkeypatch.setattr(module, "_node_blocks", counting)
+    return built
+
+
+# (marks, steps) whose deepest two levels are each larger than one block
+@pytest.mark.parametrize("m,steps", [(0, 18), (1, 10)])
+def test_evaluation_and_check_build_each_row_once(monkeypatch, m, steps):
+    built = _counting_walks(monkeypatch)
+    marks = _marks(m)
+    tree = build_tree(steps, marks)
+    terminal = TerminalSpec(payoff=TERMINALS["linear"](m))
+    obstacle = _compensated_obstacle(marks, steps)
+    driver = DriverSpec(base=0.1, marks=marks)
+    sol = solve_reflected(tree, driver, terminal, obstacle)
+    assert built == {"_state_step": tree.node_count - 1}
+    assert check_solution(tree, sol, driver, terminal, obstacle).passed
+    parents = sum(tree.level_size(k) for k in range(1, steps))
+    assert built == {"_state_step": tree.node_count - 1, "_prob_step": parents}
 
 
 def test_state_sequences_build_each_read_and_keep_nothing():
@@ -241,8 +307,8 @@ def test_blocked_walk_matches_the_eager_chain(m, steps, terminal_kind):
 def test_blocks_start_on_the_alignment_and_cover_each_level():
     for m, steps in BLOCKED_SHAPES:
         tree = build_tree(steps, _marks(m))
-        for k in range(steps + 1):
-            blocks = _level_blocks(tree, k)
+        for k, level in enumerate(_walked(tree, (np.ones(1),), _prob_step)):
+            blocks = [rows for rows, _ in level]
             assert blocks[0].start == 0 and blocks[-1].stop == tree.level_size(k)
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
             assert all(b.start % _BLOCK_ALIGN == 0 and b.stop - b.start <= _BLOCK_NODES
@@ -252,7 +318,7 @@ def test_blocks_start_on_the_alignment_and_cover_each_level():
 def test_a_value_that_is_not_finite_only_in_the_last_block_names_its_level():
     steps = 17
     tree = build_tree(steps)
-    blocks = _level_blocks(tree, steps)
+    blocks = _walked(tree, (np.ones(1),), _prob_step)[steps]
     assert len(blocks) > 1
     # only the last leaf, the all-minus path, lies below this line
     floor = -(steps - 0.5) * np.sqrt(tree.dt)
@@ -332,3 +398,33 @@ def test_k_c_is_k_itself_exactly_where_k_d_is_positive_zero():
         if not zero[k]:
             assert not np.shares_memory(k_c, k_total)
     assert check_solution(tree, sol, driver, terminal, barrier).passed
+
+
+def _run_every_route(problem):
+    """A weak reference to a fresh tree after every route its kind allows has run on it."""
+    tree = problem.build_tree()
+    driver, terminal, obstacles = problem.driver, problem.terminal, problem.obstacles
+    evaluate(tree, terminal, *obstacles)
+    sol = solve_reflected(tree, driver, terminal, *obstacles)
+    if obstacles:
+        assert check_solution(tree, sol, driver, terminal, *obstacles).passed
+    if len(obstacles) == 1:
+        sweep(tree, driver, *obstacles, terminal, (1, 2))
+        payoff, cum = obstacle_payoff(tree, driver, terminal, *obstacles)
+        regularity_check(tree, snell(tree, payoff), cum, *obstacles)
+    if len(obstacles) == 2:
+        picard_snell_solve(tree, driver, terminal, *obstacles)
+    return weakref.ref(tree)
+
+
+@pytest.mark.parametrize("name", ["contraction", "counterexample", "two_barrier_band"])
+def test_a_tree_is_freed_without_the_cyclic_collector(name):
+    """No reference cycle holds a tree, or the evaluations memoised on it."""
+    problem, _ = load_config(CONFIGS / f"{name}.json")
+    gc.collect()
+    gc.disable()
+    try:
+        freed = _run_every_route(problem)
+        assert freed() is None
+    finally:
+        gc.enable()
