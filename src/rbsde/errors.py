@@ -21,14 +21,6 @@ class NonFiniteData(RbsdeError, ValueError):
     """A terminal payoff, obstacle, stopping payoff or solution is NaN or infinite somewhere."""
 
 
-class TooLargeToEnumerate(RbsdeError):
-    """Subtree too deep or too wide for the stopping-time oracle."""
-
-
-class NotMonotone(RbsdeError):
-    """Inputs expected to be pointwise nondecreasing are not."""
-
-
 class StepsizeTooLarge(RbsdeError):
     """dt times the driver Lipschitz constant reaches one."""
 

@@ -43,18 +43,12 @@ def alpha_rule(c_f: float) -> float:
     return alpha
 
 
-def alpha_norm(tree: ScenarioTree, triple, alpha: float) -> float:
-    """Exponentially weighted norm of an (Y, Z, V) triple.
+def _alpha_distance(tree: ScenarioTree, p, q, alpha: float) -> float:
+    """Weighted norm of p - q, with one level of differences alive at a time.
 
-    Discrete form: sqrt(sum_{k<N} e^{alpha t_k} E[Y_k^2 + Z_k^2 +
+    With (Y, Z, V) = p - q: sqrt(sum_{k<N} e^{alpha t_k} E[Y_k^2 + Z_k^2 +
     sum_i lam_i V_{k,i}^2] dt), left-endpoint weights on the grid.
     """
-    levels = (tuple(np.array(part, dtype=float) for part in level) for level in zip(*triple))
-    return _weighted_norm(tree, levels, alpha)
-
-
-def _alpha_distance(tree: ScenarioTree, p, q, alpha: float) -> float:
-    """``alpha_norm`` of p - q, with one level of differences alive at a time."""
     levels = ((yp - yq, zp - zq, vp - vq)
               for yp, yq, zp, zq, vp, vq in zip(p[0], q[0], p[1], q[1], p[2], q[2]))
     return _weighted_norm(tree, levels, alpha)

@@ -168,12 +168,6 @@ class ScenarioTree:
     def time(self, level: int) -> float:
         return level / self.num_steps
 
-    def parent_index(self, child_index: int) -> int:
-        return child_index // self.branching
-
-    def branch_of(self, child_index: int) -> int:
-        return child_index % self.branching
-
     def branch_sign(self, branch: int) -> int:
         """Brownian sign of a branch: +1 on the first half, -1 on the second."""
         return 1 if branch < self.marks.count + 1 else -1

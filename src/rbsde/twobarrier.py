@@ -60,12 +60,6 @@ def martingale_witness(tree: ScenarioTree, terminal) -> MokobodskiWitness:
     return MokobodskiWitness(h=h, h_prime=hp)
 
 
-def constant_witness(tree: ScenarioTree, plus: float, minus: float = 0.0) -> MokobodskiWitness:
-    if plus < 0 or minus < 0:
-        raise ValueError("witness constants must be nonnegative")
-    return MokobodskiWitness(h=tree.constant(plus), h_prime=tree.constant(minus))
-
-
 def _closure(tree: ScenarioTree, leaf_values: np.ndarray) -> Process:
     """Martingale closing the given leaf values; its leaf level is that array itself."""
     out: Process = [None] * (tree.num_steps + 1)

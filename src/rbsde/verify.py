@@ -351,10 +351,6 @@ class RegularityProbeReport:
     gaps_at_jumps: tuple[float, ...]
     verdict: str
 
-    @property
-    def zv_gaps_vanish(self) -> bool:
-        return (self.z_gaps[-1] <= REGULAR_TOL) and (self.v_gaps[-1] <= REGULAR_TOL)
-
 
 def regularity_probe(problem: ProblemSpec) -> RegularityProbeReport:
     """The penalty ladder ``DEFAULT_LADDER`` against the jump-type compensator mass.

@@ -80,17 +80,28 @@ def random_offsets(rng, num_steps: int, lo: float, hi: float):
     return tuple((t, float(rng.uniform(lo, hi))) for t in cuts)
 
 
-def random_two_barrier(rng, max_steps: int = 5, max_marks: int = 1) -> ProblemSpec:
+def random_two_barrier(rng, max_steps: int = 5, max_marks: int = 1,
+                       both_sides: bool = False) -> ProblemSpec:
     """Two-obstacle problem whose band brackets a terminal martingale.
 
-    The band is E[xi | F] offset by piecewise-constant margins of at
-    least 0.15 a side, so the built-in martingale witness certifies it
-    and the (strong) deterministic source drives the solution onto both
-    obstacles.
+    The band is E[xi | F] offset by piecewise-constant margins of
+    0.15 to 0.45 a side, so the built-in martingale witness certifies it
+    and the (strong) deterministic source drives the solution onto the
+    obstacles.  ``both_sides`` makes it meet both: the source of the last
+    two steps pushes down, then up, each step by 1 to 1.5, more than the
+    widest band, so Y = L at every node of level N - 2 and Y = U at
+    every node of level N - 1.
     """
     num_steps = int(rng.integers(2, max_steps + 1))
     marks = random_marks(rng, max_marks)
     driver = random_step_driver(rng, num_steps, marks, scale=2.5)
+    if both_sides:
+        early = driver.base
+        down, up = (float(x) * num_steps for x in rng.uniform(1.0, 1.5, 2))
+        tail = step_function([(0.0, -down), ((num_steps - 1) / num_steps, up)])
+        cut = (num_steps - 2) / num_steps
+        driver = DriverSpec(base=lambda t: early(t) if t < cut - 1e-12 else tail(t),
+                            marks=marks)
 
     alpha = float(rng.uniform(-0.5, 0.5))
     beta = float(rng.uniform(-0.6, 0.6))

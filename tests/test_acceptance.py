@@ -16,10 +16,10 @@ from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
                    sweep)
 from rbsde.processes import linear_obstacle, put_payoff
 from rbsde.reflected import obstacle_payoff
-from rbsde.snell import brute_force_values
 from rbsde.twobarrier import monotone_iterate_check, picard_snell_solve
 from conftest import (one_barrier_mutants, random_one_barrier, random_two_barrier,
                       two_barrier_mutants)
+from oracles import brute_force_values
 
 
 @contextmanager

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, MaxIterExceeded, TerminalSpec,
-                   alpha_norm, alpha_rule, build_tree, expand, picard_solve, solve_bsde,
-                   solve_reflected, sup_diff)
+                   alpha_rule, build_tree, expand, picard_solve, solve_bsde, solve_reflected,
+                   sup_diff)
 from rbsde.fixpoint import _sweep, random_triple, zero_triple
 from rbsde.processes import eval_barrier, evaluate, linear_obstacle
 from conftest import random_one_barrier, random_two_barrier
+from oracles import alpha_norm
 
 
 def test_alpha_rule_values():

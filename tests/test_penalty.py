@@ -5,8 +5,8 @@ import pytest
 
 from rbsde import (BarrierSpec, DriverSpec, TerminalSpec, build_tree,
                    solve_bsde, solve_penalized, sup_diff, sweep)
-from rbsde.snell import brute_force_values
 from conftest import random_one_barrier
+from oracles import brute_force_values
 
 COUNTEREXAMPLE = dict(driver=DriverSpec(), terminal=TerminalSpec(constant=0.5),
                       barrier=BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0))))

@@ -10,9 +10,9 @@ from rbsde import (BarrierSpec, DriverNotCoefficientFree, DriverSpec, MarkSet,
                    sup_diff)
 from rbsde.processes import linear_obstacle
 from rbsde.reflected import obstacle_payoff
-from rbsde.snell import brute_force_values
 from rbsde.tree import terminal_mean
 from conftest import random_one_barrier
+from oracles import brute_force_values
 
 
 def counterexample(num_steps=4, marks=None):

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from rbsde import (BarrierSpec, DriverSpec, MarkSet, NotMonotone, TerminalSpec,
-                   TooLargeToEnumerate, build_tree, expand, monotone_limit_check,
+from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree, expand,
                    optimal_stopping_time, regularity_check, snell, sup_diff)
 from rbsde.reflected import obstacle_payoff
-from rbsde.snell import (brute_force_values, enumerate_stopping_values, stop_flags,
-                         stopped_envelope_residual)
+from rbsde.snell import stop_flags
+from oracles import (NotMonotone, TooLargeToEnumerate, brute_force_values,
+                     enumerate_stopping_values, monotone_limit_check, stopped_envelope_residual)
 
 
 def martingale_payoff(tree, leaf_values):

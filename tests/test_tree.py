@@ -131,8 +131,8 @@ def test_node_navigation():
     tree = build_tree(2, MarkSet(sizes=(1.5, 2.5), intensities=(0.4, 0.3)))
     assert tree.branching == 6
     child = 17
-    parent = tree.parent_index(child)
-    branch = tree.branch_of(child)
+    parent = child // tree.branching
+    branch = child % tree.branching
     assert parent == 2 and branch == 5
     assert tree.w[2][child] == pytest.approx(
         tree.w[1][parent] + tree.branch_db[branch])

@@ -8,10 +8,11 @@ import pytest
 from rbsde import (BarriersTouch, BarrierSpec, DriverNotCoefficientFree, DriverSpec,
                    MarkSet, MokobodskiFailed, ProblemSpec, TerminalOutsideBarriers,
                    TerminalSpec, build_tree, check_mokobodski, check_solution,
-                   constant_witness, expand, martingale_witness, monotone_iterate_check,
-                   picard_snell_solve, solve_reflected, sup_diff)
+                   expand, martingale_witness, monotone_iterate_check, picard_snell_solve,
+                   solve_reflected, sup_diff)
 from rbsde.errors import MonotonicityViolation
 from conftest import random_one_barrier, random_two_barrier
+from oracles import constant_witness
 
 WIDE = BarrierSpec(pieces=((0.0, 10.0),))
 LOW = BarrierSpec(pieces=((0.0, -10.0),))
