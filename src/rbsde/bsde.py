@@ -16,7 +16,8 @@ and obstacles with ``rbsde.processes.evaluate``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,17 +27,57 @@ from .processes import lipschitz_constant
 from .tree import Process, ScenarioTree, _children, _parent_blocks, _weigh
 
 
+class ContinuousPart(Sequence):
+    """K_c = K - K_d of a solver's compensator, each level computed on read.
+
+    Nothing is stored: a read of level j returns a fresh array, or K's own
+    array where K_d is +0.0 at every node (x - (+0.0) is x for every
+    float, -0.0 and NaN included), so edit a copy.  Elsewhere the coarser
+    of K's and K_d's stored levels is lined up with the values of the finer
+    one it holds for, so neither is expanded and the result is stored like
+    the finer one.  ``rbsde.verify`` takes a block's rows of a level from
+    the rows of K and K_d with the same subtraction, building no level.
+    """
+
+    def __init__(self, k: Process, k_d: Process) -> None:
+        self.k, self.k_d = k, k_d
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def parts(self, level: int):
+        """K's array where K_d is +0.0 at every node of ``level``, else the pair (K, K_d)."""
+        total, jump = self.k[level], self.k_d[level]
+        return (total, jump) if jump.view(np.uint64).any() else total
+
+    def __getitem__(self, level: int) -> np.ndarray:
+        parts = self.parts(level)
+        if not isinstance(parts, tuple):
+            return parts
+        total, jump = parts
+        if len(jump) <= len(total):
+            return (total.reshape(len(jump), -1) - jump[:, None]).ravel()
+        return (total[:, None] - jump.reshape(len(total), -1)).ravel()
+
+
 @dataclass(eq=False)
 class Compensator:
     """Reflecting process K of one obstacle, split as K = K_c + K_d.
 
     K, K_c and K_d may be stored by the level rule of ``rbsde.tree``;
-    ``rbsde.tree.expand`` gives any of their levels whole.
+    ``rbsde.tree.expand`` gives any of their levels whole.  The solvers
+    keep K and K_d only, and their K_c is the ``ContinuousPart`` of the
+    two, computed on each read.  K_c levels passed in (a loaded dump, an
+    edited copy) are kept and read as they are.
     """
 
     k: Process
-    k_c: Process
     k_d: Process
+    k_c: Sequence | None = field(default=None, kw_only=True)
+
+    def __post_init__(self) -> None:
+        if self.k_c is None:
+            self.k_c = ContinuousPart(self.k, self.k_d)
 
 
 @dataclass(eq=False)

@@ -15,6 +15,7 @@ kind (``_KIND_NAMES``).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -188,6 +189,11 @@ def _solution_from_payload(payload: dict, tree: ScenarioTree):
                               f"expected {count}")
         out = []
         for k, level in enumerate(raw):
+            # json gives int or float for a number; bool, str and None are no numbers
+            if not set(map(type, itertools.chain.from_iterable(level) if marked
+                           else level)) <= {int, float}:
+                raise TypeError(f"solution field {name!r} level {k} holds an entry "
+                                "that is not a number")
             values = np.asarray(level, dtype=float)
             shape = (tree.level_size(k), m) if marked else (tree.level_size(k),)
             if values.shape != shape:
@@ -198,7 +204,8 @@ def _solution_from_payload(payload: dict, tree: ScenarioTree):
 
     if "nodes" not in payload:
         raise ConfigError("solution file lacks per-node data; rerun with --full")
-    sides = [Compensator(*(levels(name) for name in names))
+    parts = ("k", "k_c", "k_d")
+    sides = [Compensator(**{part: levels(name) for part, name in zip(parts, names)})
              for names in _KIND_NAMES[payload["kind"]].sides]
     return Solution(levels("y"), levels("z"), levels("v", True), *sides)
 
@@ -318,7 +325,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"cannot read solution: {exc}") from exc
     try:
         sol = _solution_from_payload(payload, tree)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed solution file: {type(exc).__name__}: {exc}") from exc
     if payload["kind"] != problem.kind:
         raise ConfigError("solution kind does not match the configuration")

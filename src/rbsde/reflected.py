@@ -14,10 +14,11 @@ the binding tolerance ``rbsde.snell.BIND_TOL`` on the preceding grid
 slot, the one the checker applies.  Each level is processed in
 cache-sized blocks of parents and their children, and the obstacle
 validation takes its minima over blocks too.  The compensators follow
-the level rule of ``rbsde.tree``: K_{k+1} is kept at level k, K_d only
-at declared levels, and K_c = K - K_d is formed from the stored arrays
-without expanding either; where K_d is +0.0 at every node, K_c is K's
-own array.  The envelope route's ``regularity_check``
+the level rule of ``rbsde.tree``: K_{k+1} is kept at level k and K_d only
+at declared levels.  No solver stores K_c: a compensator's K_c is
+K - K_d, formed from the stored arrays on each read without expanding
+either (``rbsde.bsde.ContinuousPart``), and K's own array where K_d is
++0.0 at every node.  The envelope route's ``regularity_check``
 splits the Snell envelope's K with the same ``_split_side``.
 """
 
@@ -44,45 +45,32 @@ TERMINAL_SLACK = 1e-12
 
 def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle,
                 sign: int) -> Compensator:
-    """K = K_c + K_d of one compensator stored by the level rule, over parent blocks.
+    """K_d of one compensator K stored by the level rule, over parent blocks.
 
     At a declared level the jump-type increment is (sign*(left - Y_k))^+
     on the event that the solution sat on the left limit one step
     earlier; the k - 1 slot stands in for the left limit of Y.  ``sign``
     is +1 for an obstacle below the solution and -1 for one above it.
     K_d is a whole-level array at declared levels and shared by the
-    levels after them; K_c = K - K_d is a parent-level array like K,
-    except at declared levels.  K_c lines each stored value of the coarser
-    of K and K_d up with the values of the finer one it holds for, so
-    neither is expanded.  Where the K_d subtracted is +0.0 at every node,
-    K_c is K's own array: x - (+0.0) is x for every float, -0.0 and NaN
-    included.
+    levels after them.  No K_c level is stored: the compensator's K_c is
+    the ``ContinuousPart`` K - K_d, formed from K and K_d on each read.
     """
     n = tree.num_steps
     k_d: Process = [np.zeros(1)]
-    k_c: Process = [k_total[0]]
-    zero = True   # the last K_d set is +0.0 at every node
     for k in range(1, n + 1):
         left = obstacle.left.get(k)
         if left is None:
-            kd = k_d[k - 1]
-        else:
-            kd = np.empty(tree.level_size(k))
-            for rows in _parent_blocks(tree, k - 1):
-                left_b = _block_children(tree, left, k - 1, rows)
-                binding = np.abs(y[k - 1][rows, None] - left_b) <= BIND_TOL
-                gap = np.maximum(sign * (left_b - _children(tree, y[k], rows)), 0.0)
-                np.add(_block_rows(tree, k_d[k - 1], k - 1, rows)[:, None],
-                       np.where(binding, gap, 0.0), out=_children(tree, kd, rows))
-            zero = not kd.view(np.uint64).any()
+            k_d.append(k_d[k - 1])
+            continue
+        kd = np.empty(tree.level_size(k))
+        for rows in _parent_blocks(tree, k - 1):
+            left_b = _block_children(tree, left, k - 1, rows)
+            binding = np.abs(y[k - 1][rows, None] - left_b) <= BIND_TOL
+            gap = np.maximum(sign * (left_b - _children(tree, y[k], rows)), 0.0)
+            np.add(_block_rows(tree, k_d[k - 1], k - 1, rows)[:, None],
+                   np.where(binding, gap, 0.0), out=_children(tree, kd, rows))
         k_d.append(kd)
-        if zero:
-            k_c.append(k_total[k])
-        elif left is None:
-            k_c.append((k_total[k].reshape(len(kd), -1) - kd[:, None]).ravel())
-        else:
-            k_c.append((k_total[k][:, None] - kd.reshape(len(k_total[k]), -1)).ravel())
-    return Compensator(k=k_total, k_c=k_c, k_d=k_d)
+    return Compensator(k=k_total, k_d=k_d)
 
 
 def _min_gap(high: np.ndarray, low: np.ndarray) -> float:

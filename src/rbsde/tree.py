@@ -30,7 +30,12 @@ readers cover every use: ``_block_rows`` (the rows of a parent block),
 ``_block_children`` (their (parents, B) children) and ``expand`` (a
 whole level); ``ScenarioTree.expectation`` weighs such an array without
 expanding it.  Whole-level arrays are the case ``j = k``, so processes
-built level by level in full read the same way.
+built level by level in full read the same way.  No solver stores the
+continuous part K_c = K - K_d: ``rbsde.bsde.ContinuousPart`` forms a
+level of it on each read, lining each stored value of the coarser of K
+and K_d up with the values of the finer one it holds for, and the
+checker forms a block's rows of it from the rows these readers give of
+K and K_d.
 
 Width-one products.  A one-mark tree makes (rows, 1) @ (1,) matrix
 products, and a BLAS call costs several times the multiply it does.
@@ -368,20 +373,49 @@ def _node_blocks(tree: ScenarioTree, last: int, roots: tuple, step) -> Iterator[
 
     ``step(tree, *parents)`` makes the children of some parent rows of the
     chains that start at ``roots``, elementwise, so every value has the
-    bits of the whole-level chain.  A level that is its own only parent
-    slice is extended whole and not kept; below it the walk goes depth
-    first through the children of each ``_parent_rows`` slice.  So each
-    row is built once, one block per level is alive, and a level's blocks
-    come left to right, each the children of a ``_parent_blocks`` slice or
-    the whole level: aligned on ``_BLOCK_ALIGN``, at most ``_BLOCK_NODES`` rows.
+    bits of the whole-level chain.  A level of at most ``_parent_rows``
+    rows is built whole and not kept.  The level below the last such level
+    comes in ``_parent_blocks`` slices (``_split``), and below each slice
+    the walk goes depth first through the children of each ``_parent_rows``
+    slice.  So each row is built once, one block per level is alive, no
+    level larger than one parent slice is alive whole, and a level's blocks
+    come left to right, each a ``_parent_blocks`` slice, the children of
+    one or the whole level: aligned on ``_BLOCK_ALIGN``, at most
+    ``_BLOCK_NODES`` rows.
     """
     level, values = 0, _frozen(roots)
     yield level, slice(0, 1), *values
-    while level < last and tree.level_size(level) <= _parent_rows(tree):
+    while level < last and tree.level_size(level + 1) <= _parent_rows(tree):
         level, values = level + 1, _frozen(step(tree, *values))
         yield level, slice(0, tree.level_size(level)), *values
-    if level < last:
-        yield from _descend(tree, last, level, 0, values, step)
+    if level == last:
+        return
+    for start, block in _split(tree, values, step):
+        yield level + 1, slice(start, start + len(block[0])), *block
+        if level + 1 < last:
+            yield from _descend(tree, last, level + 1, start, block, step)
+
+
+def _split(tree: ScenarioTree, values: tuple, step) -> Iterator[tuple]:
+    """``(start, children)`` of a whole level's children, in ``_parent_blocks`` slices.
+
+    Each slice steps only the parents the slices before it did not.  A
+    parent whose children straddle the end of a slice (B does not divide
+    ``_parent_rows``) hands the rows past it to the next slice, so each
+    row is built once.
+    """
+    width = _parent_rows(tree)
+    size = len(values[0]) * tree.branching
+    done, carry = 0, None
+    for start in range(0, size, width):
+        stop = min(start + width, size)
+        need = -(-stop // tree.branching)
+        children = step(tree, *(v[done:need] for v in values))
+        if carry is not None and len(carry[0]):
+            children = tuple(np.concatenate(pair) for pair in zip(carry, children))
+        done, cut = need, stop - start
+        carry = tuple(c[cut:] for c in children)
+        yield start, _frozen(tuple(c[:cut] for c in children))
 
 
 def _descend(tree: ScenarioTree, last: int, level: int, start: int, values: tuple,

@@ -6,9 +6,13 @@ the continuous-type compensator mass, the left-limit jump formulas, and
 compensator monotonicity.  All clauses come from one depth-first walk
 of the node probabilities (``rbsde.tree._node_blocks``), each row built
 once, over cache-sized parent slices, in which each increment of K, K_c
-and K_d is taken once from the cumulative processes stored in the
-solution; the leaf clauses are taken in the slices of the last parent
-level, so no clause forms a whole-level temporary.  The checker reads
+and K_d is taken once from the cumulative processes of the solution; the
+leaf clauses are taken in the slices of the last parent level, so no
+clause forms a whole-level temporary.  A solver stores no K_c
+(``rbsde.bsde.ContinuousPart``): a slice's rows of it are the rows of K
+minus those of K_d, so the checker builds no whole level of it, while
+stored K_c levels (a loaded dump, a hand-built mutant) are read as they
+are and the split clause tests them.  The checker reads
 no ``tree.atom_prob`` level, and each slice's and each side's arrays
 are freed with it.
 The compensators are read through the level-rule readers of
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import Compensator, Solution, _driver_value
+from .bsde import Compensator, ContinuousPart, Solution, _driver_value
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
 from .processes import BarrierValues, ProblemSpec, evaluate
@@ -78,7 +82,8 @@ class _Side:
     """One obstacle with its compensator K = K_c + K_d and the clause residuals.
 
     ``sign`` is +1 for an obstacle below the solution and -1 for one
-    above it, so that ``sign*(Y - obstacle)`` is the slack.
+    above it, so that ``sign*(Y - obstacle)`` is the slack.  ``k_c`` holds
+    K_c's stored levels, or for a ``ContinuousPart`` its ``parts``.
     """
 
     obstacle: BarrierValues
@@ -91,6 +96,13 @@ class _Side:
     split: float = 0.0
     left_integral: float = 0.0
     terms: list = field(default_factory=list)   # the left-limit integral's, per level
+    k_c: list = field(init=False)   # K_c's levels as ``_rows`` takes them
+
+    def __post_init__(self) -> None:
+        k_c = self.compensator.k_c
+        if isinstance(k_c, ContinuousPart):
+            k_c = [k_c.parts(j) for j in range(len(k_c))]
+        self.k_c = k_c
 
 
 def _abs_max(values: np.ndarray) -> float:
@@ -98,27 +110,35 @@ def _abs_max(values: np.ndarray) -> float:
     return _worst(float(np.max(values)), -float(np.min(values)))
 
 
-def _block_increments(tree: ScenarioTree, process: Process, level: int,
-                      rows: slice) -> np.ndarray:
-    """Increments from the ``rows`` nodes of ``level`` to their children.
+def _rows(tree: ScenarioTree, values, level: int, rows: slice) -> np.ndarray:
+    """``_block_rows`` of one level; a (K, K_d) pair of K_c gives K's rows minus K_d's.
 
-    A next level stored at ``level`` or earlier gives one increment per
-    parent, as a (parents, 1) column.  A whole next level gives the
-    (parents, B) table, laid out parent-fastest (Fortran order), which
-    numpy builds several times faster than the row-major broadcast and
-    which fixes the summation order of the products taken from it.
+    The pair's subtraction is the one that forms its whole level
+    (``ContinuousPart``), so no whole level of it is built.
     """
-    parents = _block_rows(tree, process[level], level, rows)
-    later = process[level + 1]
-    if len(later) <= tree.level_size(level):
-        return (_block_rows(tree, later, level, rows) - parents)[:, None]
-    out = np.empty((len(parents), tree.branching), order="F")
-    np.subtract(_children(tree, later, rows), parents[:, None], out=out)
-    return out
+    if isinstance(values, tuple):
+        total, jump = values
+        return _block_rows(tree, total, level, rows) - _block_rows(tree, jump, level, rows)
+    return _block_rows(tree, values, level, rows)
+
+
+def _increments(parents: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """Increments from the rows of a parent slice to their children.
+
+    A next level read once per parent gives a (parents, 1) column.  Read
+    per child it gives the (parents, B) table, laid out parent-fastest
+    (Fortran order), which numpy builds several times faster than the
+    row-major broadcast and which fixes the summation order of the
+    products taken from it.
+    """
+    if later.ndim == 1:
+        return (later - parents)[:, None]
+    out = np.empty(later.shape, order="F")
+    return np.subtract(later, parents[:, None], out=out)
 
 
 def _table(tree: ScenarioTree, increments: np.ndarray) -> np.ndarray:
-    """The Fortran-order (parents, B) table of ``_block_increments`` output.
+    """The Fortran-order (parents, B) table of ``_increments`` output.
 
     Products with ``branch_prob`` read a table, so their bits do not
     depend on how the increments were stored.
@@ -130,19 +150,6 @@ def _table(tree: ScenarioTree, increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_residual(tree: ScenarioTree, comp: Compensator, k: int, rows: slice) -> float:
-    """max |K - K_c - K_d| at level ``k + 1`` below one parent block.
-
-    The split compares stored values: once per parent when no part of it
-    is a whole next level.
-    """
-    parts = (comp.k[k + 1], comp.k_c[k + 1], comp.k_d[k + 1])
-    read = _block_rows if max(map(len, parts)) <= tree.level_size(k) else _block_children
-    split = np.subtract(read(tree, parts[0], k, rows), read(tree, parts[1], k, rows))
-    split -= read(tree, parts[2], k, rows)
-    return _abs_max(split)
-
-
 def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
                   sides) -> tuple[float, float]:
     """Every clause residual in one walk of the node probabilities to level N - 1.
@@ -150,11 +157,11 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
     Each block of ``_node_blocks`` is cut into ``_parent_blocks`` slices.
     Each increment of K, K_c and K_d is taken once per slice, as the
     children minus their parent, and feeds every clause that reads it;
-    K_d's increment stays one per parent where it is stored at the parent
-    level.  The left-limit integral adds its terms level by level, as a
-    pass per level would; the other residuals are NaN-keeping maxima,
-    which the walk's order does not change.  Fills the per-side residuals;
-    returns the dynamics residual and, for two sides, the worst
+    it stays one per parent where none of the three is stored whole at
+    the next level.  The left-limit integral adds its terms level by
+    level, as a pass per level would; the other residuals are NaN-keeping
+    maxima, which the walk's order does not change.  Fills the per-side
+    residuals; returns the dynamics residual and, for two sides, the worst
     simultaneous jump-type mass.
     """
     y, z, v = ([np.asarray(level, dtype=float) for level in levels]
@@ -164,7 +171,8 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
     for side in sides:
         comp = side.compensator
         side.monotone = float(np.max(np.abs(comp.k[0])))
-        side.split = float(np.max(np.abs(comp.k[0] - comp.k_c[0] - comp.k_d[0])))
+        root_c = _rows(tree, side.k_c[0], 0, slice(0, 1))
+        side.split = float(np.max(np.abs(comp.k[0] - root_c - comp.k_d[0])))
         side.terms = [[] for _ in range(tree.num_steps)]
     width = _parent_rows(tree)
     for k, block, prob in _node_blocks(tree, tree.num_steps - 1, (np.ones(1),), _prob_step):
@@ -214,10 +222,24 @@ def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.
     n = tree.num_steps
     prob = tree.branch_prob
     comp = side.compensator
-    side.split = _worst(side.split, _split_residual(tree, comp, k, rows))
-    d_k = _table(tree, _block_increments(tree, comp.k, k, rows))
-    d_kc = _table(tree, _block_increments(tree, comp.k_c, k, rows))
-    d_kd = _block_increments(tree, comp.k_d, k, rows)
+    # K, K_c and K_d at level k + 1 are read once for the split and the
+    # increments: once per parent when no part of them is a whole level
+    later = (comp.k[k + 1], side.k_c[k + 1], comp.k_d[k + 1])
+    pair = isinstance(later[1], tuple)   # (K, K_d): the rows of K_c are K's minus K_d's
+    stored = later[::2] if pair else later
+    read = _block_rows if max(map(len, stored)) <= tree.level_size(k) else _block_children
+    total, jump = read(tree, later[0], k, rows), read(tree, later[2], k, rows)
+    cont = total - jump if pair else read(tree, later[1], k, rows)
+    split = np.subtract(total, cont)
+    split -= jump
+    side.split = _worst(side.split, _abs_max(split))
+    del split
+    # each read of level k + 1 is freed once its increments are taken
+    d_k = _table(tree, _increments(_rows(tree, comp.k[k], k, rows), total))
+    d_kc = _table(tree, _increments(_rows(tree, side.k_c[k], k, rows), cont))
+    del total, cont
+    d_kd = _increments(_rows(tree, comp.k_d[k], k, rows), jump)
+    del jump
     slack = side.sign * (y_par - side.obstacle.values[k][rows])
     side.contain = _worst(side.contain, -float(np.min(slack)))
     if k == n - 1:

@@ -334,6 +334,27 @@ def _text_values(payload):
     payload["nodes"]["z"][0] = ["x"]
 
 
+# entries that a conversion to float would take as the numbers 1.0, 1.0 and NaN
+def _numeric_string(payload):
+    payload["nodes"]["y"][2][0] = "1.0"
+
+
+def _boolean_entry(payload):
+    payload["nodes"]["y"][2][0] = True
+
+
+def _null_entry(payload):
+    payload["nodes"]["y"][2][0] = None
+
+
+# a JSON integer that no float holds
+def _huge_integer(payload):
+    payload["nodes"]["y"][2][0] = 10 ** 400
+
+
+NOT_FLOATS = (_numeric_string, _boolean_entry, _null_entry, _huge_integer)
+
+
 @pytest.fixture(scope="module")
 def counterexample_solution(tmp_path_factory):
     out = tmp_path_factory.mktemp("solve-one")
@@ -343,7 +364,7 @@ def counterexample_solution(tmp_path_factory):
 
 
 @pytest.mark.parametrize("damage", [_truncate_levels, _shorten_level, _drop_field,
-                                    _drop_kind, _ragged_marks, _text_values])
+                                    _drop_kind, _ragged_marks, _text_values, *NOT_FLOATS])
 def test_verify_malformed_solution_exits_2(tmp_path, capsys, counterexample_solution,
                                            damage):
     payload = json.loads(counterexample_solution.read_text())
@@ -352,7 +373,11 @@ def test_verify_malformed_solution_exits_2(tmp_path, capsys, counterexample_solu
     broken.write_text(json.dumps(payload))
     assert run("verify", "--config", CONFIGS / "counterexample.json",
                "--solution", broken, "--out", tmp_path / "v") == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if damage in NOT_FLOATS:
+        assert err.startswith("configuration error: malformed solution file")
+        assert err.count("\n") == 1
 
 
 def test_verify_nan_solution_exits_4(tmp_path, capsys, counterexample_solution):
@@ -367,6 +392,20 @@ def test_verify_nan_solution_exits_4(tmp_path, capsys, counterexample_solution):
     clauses = json.loads((tmp_path / "v" / "report.json").read_text())["clauses"]
     assert not clauses["dynamics"]["passed"]
     assert not clauses["compensator_monotone"]["passed"]
+
+
+def test_verify_reads_a_stored_k_c_as_it_is(tmp_path, capsys, counterexample_solution):
+    payload = json.loads(counterexample_solution.read_text())
+    # the dumped k_c is k - k_d; moved at one node, only a K_c read as stored fails the split
+    payload["nodes"]["k_c"][-1][1] += 1e-6
+    tampered = tmp_path / "k_c.json"
+    tampered.write_text(json.dumps(payload))
+    assert run("verify", "--config", CONFIGS / "counterexample.json",
+               "--solution", tampered, "--out", tmp_path / "v") == 4
+    assert "verification failed" in capsys.readouterr().err
+    clauses = json.loads((tmp_path / "v" / "report.json").read_text())["clauses"]
+    assert not clauses["compensator_monotone"]["passed"]
+    assert clauses["compensator_monotone"]["residual"] == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_verify_cut_off_solution_file_exits_2(tmp_path, counterexample_solution):

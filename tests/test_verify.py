@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
-                   build_tree, check_solution, regularity_check, regularity_probe, snell,
-                   solve_reflected, uniqueness_probe, verify)
+                   build_tree, check_solution, expand, regularity_check, regularity_probe,
+                   snell, solve_reflected, uniqueness_probe, verify)
+from rbsde.bsde import ContinuousPart
 from rbsde.config import parse_config
 from rbsde.errors import TreeTooLarge
 from rbsde.processes import BarrierValues, eval_barrier, put_payoff
@@ -155,15 +156,17 @@ def test_checker_transient_stays_below_one_leaf_level():
         del sol
 
 
-@pytest.mark.parametrize("sides,blocks", [(1, 6.25), (2, 8.25)])
+@pytest.mark.parametrize("sides,blocks", [(1, 5.75), (2, 7.75)])
 def test_checker_block_transient_at_a_declared_leaf_level(sides, blocks):
-    # A jump at the horizon makes K_c and K_d whole leaf levels, the largest
-    # blocks the checker reads.  One side of a block holds its K, K_c and K_d
-    # increments and one work block for the left-limit clauses, and a block
-    # adds per-parent vectors (a quarter block each with one mark); the
-    # other side keeps only its K and K_d increments; the node probabilities
-    # of level 8, one block, are held whole while it is checked: about 6.1
-    # and 8.1 blocks.  The whole-block left-limit formulas took 6.9 and 8.9.
+    # A jump at the horizon makes K_d a whole leaf level and K_c one too,
+    # the largest blocks the checker reads.  One side of a block holds its
+    # K, K_c and K_d increments and one work block for the left-limit
+    # clauses, and a block adds per-parent vectors (a quarter block each
+    # with one mark); the other side keeps only its K and K_d increments.
+    # The node probabilities of level 8 come a parent slice (a quarter
+    # block) at a time, next to the whole level 7 (a quarter block): about
+    # 5.6 and 7.6 blocks.  Level 8 held whole took 6.1 and 8.1, and the
+    # whole-block left-limit formulas 6.9 and 8.9.
     steps = 9   # one mark: level 8 spans four parent blocks
     marks = MarkSet(sizes=(1.0,), intensities=(0.5,))
     tree = build_tree(steps, marks)
@@ -185,6 +188,52 @@ def test_checker_block_transient_at_a_declared_leaf_level(sides, blocks):
         tracemalloc.stop()
     assert report.passed, report.to_dict()
     assert peak - entry < blocks * block_bytes, (peak - entry) / block_bytes
+
+
+def _array_bytes(*processes):
+    """Bytes of the distinct arrays that some levels of these processes own or view."""
+    bases = {}
+    for process in processes:
+        for level in process:
+            base = level if level.base is None else level.base
+            bases[id(base)] = base.nbytes
+    return sum(bases.values())
+
+
+def test_a_solve_keeps_no_k_c_level_and_the_check_builds_none(monkeypatch):
+    steps, marks = 8, MarkSet(sizes=(1.0,), intensities=(0.5,))
+    tree = build_tree(steps, marks)
+    driver, terminal = DriverSpec(base=0.1), TerminalSpec(constant=0.5)
+    # Y sits on the obstacle until its drop at t = 1/2, where K_d books the gap
+    barrier = BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0)))
+    eval_barrier(barrier, tree)   # memoised on the tree, so its levels are kept apart
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        sol = solve_reflected(tree, driver, terminal, barrier)
+        held = tracemalloc.get_traced_memory()[0] - entry
+    finally:
+        tracemalloc.stop()
+    comp = sol.lower
+    kept = _array_bytes(sol.y, sol.z, sol.v, comp.k, comp.k_d)
+    # the K_c levels that are not K's own array, as a stored split kept them
+    fresh = [level for level, total in zip(comp.k_c, comp.k) if level is not total]
+    k_c_bytes = sum(level.nbytes for level in fresh)
+    assert len(fresh) == steps // 2 + 1 and k_c_bytes > 100_000
+    # what the solve holds past its arrays is objects: lists and headers
+    assert held < kept + k_c_bytes / 4, (held - kept, k_c_bytes)
+
+    reads = []
+    get = ContinuousPart.__getitem__
+    monkeypatch.setattr(ContinuousPart, "__getitem__",
+                        lambda self, level: reads.append(level) or get(self, level))
+    assert check_solution(tree, sol, driver, terminal, barrier).passed
+    assert reads == []
+    # a whole-level read still gives the levels of K - K_d
+    assert np.array_equal(expand(tree, comp.k_c[steps], steps),
+                          expand(tree, comp.k[steps], steps)
+                          - expand(tree, comp.k_d[steps], steps))
+    assert reads == [steps]
 
 
 @pytest.mark.parametrize("case", one_barrier_mutants(),

@@ -30,7 +30,7 @@ from rbsde.config import load_config
 from rbsde.processes import _walk, call_payoff, evaluate, linear_obstacle, linear_payoff
 from rbsde.reflected import obstacle_payoff
 from rbsde.tree import (_BLOCK_ALIGN, _BLOCK_NODES, _branch_pass, _count_pass, _node_blocks,
-                        _prob_step, _state_root, _state_step)
+                        _parent_rows, _prob_step, _state_root, _state_step)
 
 # (marks, steps) whose deepest parent level spans several parent blocks
 SHAPES = ((0, 17), (1, 9), (2, 7))
@@ -224,10 +224,15 @@ def test_one_walk_evaluates_every_function_once_per_level(monkeypatch):
         sol = solve_reflected(tree, driver, terminal, lower)
         assert check_solution(tree, sol, driver, terminal, lower).passed
     assert len(walks) == 1
-    # every level once, then each declared left limit from its parent level
-    assert sorted(calls["lower"]) == sorted(sizes + [sizes[1], sizes[4]])
-    assert sorted(calls["upper"]) == sorted(sizes + [sizes[2]])
-    assert calls["payoff"] == [sizes[-1]]
+    # every row once: each level of at most one parent slice whole, the
+    # leaves below them in parent slices, then each declared left limit
+    # from its parent level
+    width = _parent_rows(tree)
+    leaves = [min(width, sizes[-1] - lo) for lo in range(0, sizes[-1], width)]
+    assert len(leaves) > 1 and sizes[-2] <= width
+    assert sorted(calls["lower"]) == sorted(sizes[:-1] + leaves + [sizes[1], sizes[4]])
+    assert sorted(calls["upper"]) == sorted(sizes[:-1] + leaves + [sizes[2]])
+    assert calls["payoff"] == leaves
     assert {k: len(v) for k, v in eval_barrier(lower, tree).left.items()} == {
         2: sizes[1], 5: sizes[4]}
     # a check, a penalised solve or an envelope payoff on a tree no solve
