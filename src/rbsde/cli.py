@@ -105,7 +105,38 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write_text(path, _dumps(payload) + "\n")
+
+
+def _dumps(value, depth: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=1)``, byte for byte, for string keys.
+
+    ``indent`` sends the stdlib through its pure-Python encoder.  Here a
+    list of numbers, booleans and nulls (a level of a per-node dump), or a
+    list of nonempty such lists (a whole process, or a level of ``v``), is
+    encoded by the C encoder in one call and its indentation spliced in:
+    without strings, the text holds ", " and brackets only between items.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    pad = "\n" + " " * (depth + 1)
+    end = "\n" + " " * depth
+    if isinstance(value, dict):
+        items = (json.dumps(key) + ": " + _dumps(value[key], depth + 1) for key in sorted(value))
+        return "{" + pad + ("," + pad).join(items) + end + "}"
+    text = json.dumps(value)
+    if not any(mark in text for mark in ('"', "{", "[]")):
+        inner = text[1:-1]
+        if "[" not in inner:
+            return "[" + pad + inner.replace(", ", "," + pad) + end + "]"
+        rows = inner[1:-1].split("], [")
+        # every bracket of the text opens, separates or closes the rows
+        if inner[0] + inner[-1] == "[]" and inner.count("[") == inner.count("]") == len(rows):
+            deeper = pad + " "
+            body = (pad + "]," + pad + "[" + deeper).join(
+                row.replace(", ", "," + deeper) for row in rows)
+            return "[" + pad + "[" + deeper + body + pad + "]" + end + "]"
+    return "[" + pad + ("," + pad).join(_dumps(item, depth + 1) for item in value) + end + "]"
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:

@@ -17,7 +17,7 @@ from .bsde import Solution, _backward_sweep, _implicit_y, _sweep_source, check_s
 from .errors import MonotonicityViolation
 from .fixpoint import _weighted_norm
 from .processes import BarrierSpec, DriverSpec, evaluate
-from .reflected import _finite, solve_reflected_one
+from .reflected import _book_increment, _finite, solve_reflected_one
 from .snell import MONOTONE_TOL
 from .tree import Process, ScenarioTree, _accumulate, _max_excess, _worst, sup_diff
 
@@ -50,13 +50,15 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
     flux: Process = [np.empty(tree.level_size(k)) for k in range(tree.num_steps)]
 
     def settle(k, rows, rhs):
-        s = obstacle.values[k][rows]
+        s = obstacle.levels[k].rows(rows)
         y = _implicit_y(rhs, driver.a, dt)
         # at n = 0 the plain root stands: the penalised quotient would turn -0.0 into +0.0
         if weight != 0.0:
-            penalised = (rhs + weight * dt * s) / (1.0 - driver.a * dt + weight * dt)
+            penalised = np.multiply(weight * dt, s)
+            penalised += rhs
+            penalised /= 1.0 - driver.a * dt + weight * dt
             y = np.where(y >= s, y, penalised)
-        flux[k][rows] = weight * dt * np.maximum(s - y, 0.0)
+        _book_increment(np.subtract(s, y, out=flux[k][rows]), weight * dt)
         return y
 
     y, z, v = _backward_sweep(tree, _sweep_source(tree, driver), xi, settle)

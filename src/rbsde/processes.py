@@ -8,7 +8,7 @@ compensator into continuous-type and jump-type mass needs them.
 
 Terminals and obstacles are evaluated once per tree: ladders, Picard
 rounds, envelope recursions and checks solve repeatedly on one tree with
-the same data, so the evaluated arrays are memoised per (tree, spec) and
+the same data, so the evaluations are memoised per (tree, spec) and
 handed out read-only.  Payoff and obstacle functions must therefore be
 pure, and row-wise in the state: row i of the output depends only on
 row i of ``(w, counts)``, since a level larger than one block is read
@@ -18,11 +18,18 @@ spec the tree has not seen in one walk of the node state.  The walk
 goes depth first, builds each row of state once and keeps one block per
 level alive, and goes only as deep as the last level some spec reads;
 it fills each level's outputs block by block, and each declared left
-limit in the same blocks of its parent level.  The state arrays are
-read-only, and every evaluated level is a fresh array, so a function
-that returns or keeps its input cannot change a later level or a
-memoised result.  ``eval_barrier`` and ``TerminalSpec.evaluate`` read
-one item through it.
+limit in the same blocks of its parent level.
+
+An evaluated obstacle level is its deterministic base, one float, plus a
+read-only level array of its stochastic part, or no array where there is
+none (``ObstacleLevel``): a reader forms a block as ``np.add(base,
+part[rows])``, the addition that once filled a stored level, so every
+value keeps its bits.  The walk evaluates each distinct (stochastic part,
+time, level) once, so the two sides of a band whose parts are equal
+(``LinearObstacle`` compares by value, bit for bit) keep one copy of it.  The state arrays are read-only, and every evaluated part is a
+fresh array, so a function that returns or keeps its input cannot change
+a later level or a memoised result.  ``eval_barrier`` and
+``TerminalSpec.evaluate`` read one item through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -31,9 +38,10 @@ import bisect
 import functools
 import math
 import weakref
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -91,42 +99,65 @@ def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
     return (terminal, *values)
 
 
+class _Fills:
+    """The level arrays one walk fills: each distinct (function, time, level) once.
+
+    A function that cannot be hashed is keyed by its identity.
+    """
+
+    def __init__(self, tree: ScenarioTree) -> None:
+        self.tree = tree
+        self.parts: dict = {}
+        self.levels: list[list] = [[] for _ in range(tree.num_steps + 1)]
+
+    def part(self, fn, level: int, t: float | None = None) -> np.ndarray:
+        """``fn(t, w, counts)`` on ``level``, or ``fn(w, counts)`` with ``t`` None."""
+        key = (fn, t, level)
+        try:
+            hash(key)
+        except TypeError:
+            key = (id(fn), t, level)
+        out = self.parts.get(key)
+        if out is None:
+            out = self.parts[key] = np.empty(self.tree.level_size(level))
+            self.levels[level].append((fn if t is None else functools.partial(fn, t), out))
+        return out
+
+
 def _walk(tree: ScenarioTree, specs) -> list:
     """Fresh evaluations of ``specs`` from one depth-first walk of the node state.
 
-    Every level's outputs are opened first, whole, and then filled block
-    by block as ``_node_blocks`` yields the state, each row built once.
-    The walk goes only as deep as the last level some spec reads, so a
-    walk with nothing to fill builds no state.  Each spec's errors are
-    raised after the pass, in the order of ``specs``; an overflow on the
-    way warns nothing, since the results' finiteness is tested.
+    Every level array is opened first, whole, and then filled block by
+    block as ``_node_blocks`` yields the state, each row built once; specs
+    that read one function at one time on one level share its array.  The
+    walk goes only as deep as the last level some array reads, so a walk
+    with nothing to fill builds no state.  Each spec's errors are raised
+    after the pass, in the order of ``specs``; an overflow on the way warns
+    nothing, since the results' finiteness is tested.
     """
-    runs = [_TerminalRun(spec, tree) if isinstance(spec, TerminalSpec)
-            else _BarrierRun(spec, tree) for spec in specs]
-    fills = [[fill for run in runs for fill in run.open(k)] for k in range(tree.num_steps + 1)]
-    read = [k for k, level in enumerate(fills) if level]
+    fills = _Fills(tree)
+    runs = [_TerminalRun(spec, tree, fills) if isinstance(spec, TerminalSpec)
+            else _BarrierRun(spec, tree, fills) for spec in specs]
+    read = [k for k, level in enumerate(fills.levels) if level]
     if read:
         with np.errstate(over="ignore", invalid="ignore"):
             for k, rows, w, counts in _node_blocks(tree, read[-1], _state_root(tree),
                                                    _state_step):
-                _fill(fills[k], rows, w, counts)
+                _fill(fills.levels[k], rows, w, counts)
                 del w, counts   # not alive while the next block is built
+    for out in fills.parts.values():
+        _read_only(out)
     return [run.result() for run in runs]
 
 
 def _fill(fills, rows: slice, w: np.ndarray, counts: np.ndarray) -> None:
-    """The ``rows`` of each ``(fn, base, out)`` output from one block of state.
+    """The ``rows`` of each ``(fn, out)`` level array from one block of state.
 
     A call's arrays go with it, so no block's state or results are alive
     while the next block is built.
     """
-    for fn, base, out in fills:
-        raw = np.broadcast_to(np.asarray(fn(w, counts), dtype=float), w.shape)
-        if base is None:
-            out[rows] = raw
-        else:
-            np.add(base, raw, out=out[rows])
-        del raw   # not alive while the next function runs
+    for fn, out in fills:
+        out[rows] = np.broadcast_to(np.asarray(fn(w, counts), dtype=float), w.shape)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -155,24 +186,13 @@ class TerminalSpec:
 class _TerminalRun:
     """A terminal's evaluation in the walk: the leaf level alone."""
 
-    def __init__(self, spec: TerminalSpec, tree: ScenarioTree) -> None:
-        self.spec, self.tree = spec, tree
-        self.values = None
-
-    def open(self, k: int) -> list:
-        """The outputs of level ``k`` that read the state, as ``(fn, base, out)``.
-
-        The walk sets ``out = base + fn(w, counts)``, or ``fn(w, counts)``
-        itself with a base of None, block by block.
-        """
-        if k < self.tree.num_steps:
-            return []
-        leaves = self.tree.level_size(k)
-        if self.spec.constant is not None:
-            self.values = np.full(leaves, float(self.spec.constant))
-            return []
-        self.values = np.empty(leaves)
-        return [(self.spec.payoff, None, self.values)]
+    def __init__(self, spec: TerminalSpec, tree: ScenarioTree, fills: _Fills) -> None:
+        self.spec = spec
+        n = tree.num_steps
+        if spec.constant is not None:
+            self.values = np.full(tree.level_size(n), float(spec.constant))
+        else:
+            self.values = fills.part(spec.payoff, n)
 
     def result(self) -> np.ndarray:
         if self.spec.payoff is not None and not _all_finite(self.values):
@@ -236,17 +256,123 @@ class BarrierSpec:
 
 
 @dataclass(frozen=True, eq=False)
+class ObstacleLevel:
+    """One level of an evaluated obstacle, ``size`` nodes of ``base + part``.
+
+    ``base`` is the deterministic part, one float.  ``part`` is the
+    read-only array of the stochastic part, shared by every obstacle of
+    the walk that reads the same part at the same time, or None where there
+    is none.
+    """
+
+    base: float
+    part: np.ndarray | None
+    size: int
+
+    def rows(self, index, out: np.ndarray | None = None):
+        """``np.add(base, part[index], out=out)``, or the base alone without a part.
+
+        ``index`` is a slice of rows, or ``(rows, None)`` for a column to
+        read against the (parents, B) children of those rows.  Without
+        ``out`` the block is a fresh array, which the reader may write to.
+        """
+        return self.base if self.part is None else np.add(self.base, self.part[index], out=out)
+
+    def whole(self) -> np.ndarray:
+        """The whole level, a fresh array formed on read."""
+        if self.part is None:
+            return np.full(self.size, self.base)
+        return np.add(self.base, self.part)
+
+    def finite(self) -> bool:
+        """Whether base + part is finite at every node; both can be finite while it is not.
+
+        Rounding is monotone, so base + part is finite exactly where base
+        plus its largest and base plus its smallest value are (a NaN or
+        infinite part gives a NaN or infinite extreme): no sum is formed.
+        """
+        if self.part is None:
+            return math.isfinite(self.base)
+        return (math.isfinite(self.base + float(np.max(self.part)))
+                and math.isfinite(self.base + float(np.min(self.part))))
+
+
+def _whole_level(values) -> ObstacleLevel:
+    """A whole level as its own part over a base of -0.0, which adds no bits."""
+    values = np.asarray(values, dtype=float)
+    return ObstacleLevel(-0.0, values, len(values))
+
+
+class _WholeLevels(Sequence):
+    """The whole levels of a tuple of ``ObstacleLevel``, each formed on read."""
+
+    def __init__(self, levels: tuple) -> None:
+        self._levels = levels
+
+    def __len__(self) -> int:
+        return len(self._levels)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(_read_only(level.whole()) for level in self._levels[k])
+        return _read_only(self._levels[k].whole())
+
+
+class _WholeLeft(Mapping):
+    """The whole left limits of a mapping of ``ObstacleLevel``, each formed on read."""
+
+    def __init__(self, levels: Mapping) -> None:
+        self._levels = levels
+
+    def __getitem__(self, level: int) -> np.ndarray:
+        return _read_only(self._levels[level].whole())
+
+    def __iter__(self):
+        return iter(self._levels)
+
+    def __len__(self) -> int:
+        return len(self._levels)
+
+
 class BarrierValues:
     """Obstacle evaluated on a tree, with left limits at declared jumps.
 
-    ``left[L]`` is the left limit at declared level L.  It is known at
-    level L - 1 and stored there by the level rule: one value per parent,
-    read through ``rbsde.tree._block_children`` or ``expand``.
+    A level is base + part: ``levels[k]`` is level k as an
+    ``ObstacleLevel``, whose ``rows`` is the one reader of a block.  A walk
+    evaluates each distinct (stochastic part, time, level) once, so a band
+    whose sides have equal parts keeps one copy of them, and a
+    deterministic level is one number.  ``left_levels[L]`` is the left
+    limit at declared level L.  It is known at level L - 1 and stored
+    there, one value per parent: ``left_levels[L].rows((rows, None))``
+    reads it against the (parents, B) children of the ``rows`` of level
+    L - 1.  The readers that take a level whole get ``values[k]`` and
+    ``left[L]``, read-only arrays formed on each read, or form their own
+    with ``ObstacleLevel.whole``.
+
+    ``BarrierValues(values, left, jump_levels)`` takes whole levels, as a
+    hand-built obstacle gives them: each is its own part over a base of
+    -0.0, since x + -0.0 is x for every float.
     """
 
-    values: tuple[np.ndarray, ...]
-    left: Mapping[int, np.ndarray]
-    jump_levels: tuple[int, ...]
+    def __init__(self, values, left: Mapping, jump_levels) -> None:
+        self.levels = tuple(map(_whole_level, values))
+        self.left_levels = MappingProxyType({level: _whole_level(parents)
+                                             for level, parents in left.items()})
+        self.jump_levels = tuple(jump_levels)
+
+    @classmethod
+    def _of(cls, levels: tuple, left_levels: Mapping, jump_levels: tuple) -> BarrierValues:
+        out = cls.__new__(cls)
+        out.levels, out.left_levels, out.jump_levels = levels, left_levels, jump_levels
+        return out
+
+    @property
+    def values(self) -> Sequence:
+        return _WholeLevels(self.levels)
+
+    @property
+    def left(self) -> Mapping:
+        return _WholeLeft(self.left_levels)
 
 
 def grid_level(t: float, num_steps: int) -> int:
@@ -271,49 +397,36 @@ class _BarrierRun:
     level rule.
     """
 
-    def __init__(self, spec: BarrierSpec, tree: ScenarioTree) -> None:
+    def __init__(self, spec: BarrierSpec, tree: ScenarioTree, fills: _Fills) -> None:
         self.spec, self.tree = spec, tree
-        self.values: list[np.ndarray] = []
-        # the nearest levels; ``result`` rejects the times off the grid
-        self.jump_levels = [round(t * tree.num_steps) for t, _ in spec.declared_jumps]
-        self.left: list[np.ndarray | None] = [None] * len(self.jump_levels)
+        n = tree.num_steps
+        self.levels = tuple(self._level(fills, k / n, spec.deterministic_at(k / n), k)
+                            for k in range(n + 1))
+        self.left: list[ObstacleLevel | None] = []
+        for t, offset in spec.declared_jumps:
+            level = round(t * n)   # the nearest level; ``result`` rejects a time off the grid
+            self.left.append(self._level(fills, t, spec.deterministic_at(t) + offset, level - 1)
+                             if 1 <= level <= n else None)
 
-    def _output(self, t: float, base: float, size: int, fills: list) -> np.ndarray:
-        """One level output: ``base`` alone, or a fill of ``base`` plus the stochastic part."""
-        if self.spec.stochastic is None:
-            return np.full(size, base)
-        out = np.empty(size)
-        fills.append((functools.partial(self.spec.stochastic, t), base, out))
-        return out
-
-    def open(self, k: int) -> list:
-        """The outputs of level ``k`` that read the state, as ``_TerminalRun.open`` gives them."""
-        fills: list = []
-        t = k / self.tree.num_steps
-        size = self.tree.level_size(k)
-        self.values.append(self._output(t, self.spec.deterministic_at(t), size, fills))
-        for j, ((t_j, offset), level) in enumerate(zip(self.spec.declared_jumps,
-                                                       self.jump_levels)):
-            if level == k + 1:
-                base = self.spec.deterministic_at(t_j) + offset
-                self.left[j] = self._output(t_j, base, size, fills)
-        return fills
+    def _level(self, fills: _Fills, t: float, base: float, k: int) -> ObstacleLevel:
+        """Level ``k`` of ``base`` plus the stochastic part at time ``t``, if any."""
+        stochastic = self.spec.stochastic
+        part = None if stochastic is None else fills.part(stochastic, k, t)
+        return ObstacleLevel(base, part, self.tree.level_size(k))
 
     def result(self) -> BarrierValues:
-        for k, values in enumerate(self.values):
-            if not _all_finite(values):
+        for k, level in enumerate(self.levels):
+            if not level.finite():
                 raise NonFiniteData(f"obstacle is not finite at level {k}")
-        left: dict[int, np.ndarray] = {}
+        left: dict[int, ObstacleLevel] = {}
         for (t_j, _), parents in zip(self.spec.declared_jumps, self.left):
             level = grid_level(t_j, self.tree.num_steps)
             if level == 0:
                 raise JumpTimeOffGrid("declared jumps at time 0 are not representable")
-            if not _all_finite(parents):
+            if not parents.finite():
                 raise NonFiniteData(f"obstacle left limit is not finite at level {level}")
-            left[level] = _read_only(parents)
-        return BarrierValues(values=tuple(map(_read_only, self.values)),
-                             left=MappingProxyType(left),
-                             jump_levels=tuple(sorted(left)))
+            left[level] = parents
+        return BarrierValues._of(self.levels, MappingProxyType(left), tuple(sorted(left)))
 
 
 def lipschitz_constant(driver, marks: MarkSet) -> float:
@@ -456,20 +569,48 @@ def put_payoff(strike: float, w_coeff: float = 1.0) -> PathFn:
     return payoff
 
 
+@dataclass(frozen=True, eq=False)
+class LinearObstacle:
+    """Obstacle part intercept + w_coeff*w + sum_i count_coeffs[i]*(counts_i - rates_i*t).
+
+    Without ``rates`` the counts enter uncompensated.  Two parts compare
+    equal, and hash alike, when their numbers agree bit for bit, so they
+    give the same bits and a tree evaluates them once: the two sides of a
+    band built from one conditional mean share its levels.
+    """
+
+    intercept: float
+    w_coeff: float
+    count_coeffs: tuple[float, ...]
+    rates: tuple[float, ...] | None = None
+
+    def _bits(self) -> tuple:
+        numbers = (self.intercept, self.w_coeff, *self.count_coeffs)
+        rates = None if self.rates is None else tuple(float(r).hex() for r in self.rates)
+        return tuple(float(x).hex() for x in numbers), rates
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LinearObstacle) and self._bits() == other._bits()
+
+    def __hash__(self) -> int:
+        return hash(self._bits())
+
+    def __call__(self, t: float, w: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        coeffs = np.asarray(self.count_coeffs, dtype=float)
+        shift = None
+        if self.rates is not None:
+            shift = t * np.asarray(self.rates, dtype=float)[:coeffs.size]
+        return _linear_form(self.intercept, self.w_coeff, coeffs, w, counts, shift)
+
+
 def linear_obstacle(intercept: float = 0.0, w_coeff: float = 0.0,
                     count_coeffs: tuple[float, ...] = (),
-                    compensate: MarkSet | None = None) -> ObstacleFn:
+                    compensate: MarkSet | None = None) -> LinearObstacle:
     """Obstacle part intercept + w_coeff*w + sum_i coeffs[i]*counts_i.
 
     With ``compensate`` set, counts enter compensated (counts_i - lam_i*t),
     which makes conditional means of linear terminal payoffs exact
     obstacle functions.
     """
-    coeffs = np.asarray(count_coeffs, dtype=float)
-    lam = compensate.intensity_array if compensate is not None else None
-
-    def obstacle(t: float, w: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        shift = t * lam[:coeffs.size] if lam is not None else None
-        return _linear_form(intercept, w_coeff, coeffs, w, counts, shift)
-
-    return obstacle
+    rates = None if compensate is None else tuple(compensate.intensities)
+    return LinearObstacle(intercept, w_coeff, tuple(count_coeffs), rates)

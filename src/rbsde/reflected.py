@@ -13,7 +13,10 @@ predictable jump times of its obstacle via the left-limit formula, with
 the binding tolerance ``rbsde.snell.BIND_TOL`` on the preceding grid
 slot, the one the checker applies.  Each level is processed in
 cache-sized blocks of parents and their children, and the obstacle
-validation takes its minima over blocks too.  The compensators follow
+validation takes its minima over blocks too.  An obstacle block is
+formed on read as base + part (``rbsde.processes.ObstacleLevel``), and
+the increments are booked in place, so a step allocates no temporary
+beyond its obstacle blocks.  The compensators follow
 the level rule of ``rbsde.tree``: K_{k+1} is kept at level k and K_d only
 at declared levels.  No solver stores K_c: a compensator's K_c is
 K - K_d, formed from the stored arrays on each read without expanding
@@ -33,12 +36,11 @@ from .bsde import (Compensator, Solution, _backward_sweep, _implicit_y, _sweep_s
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import (BarriersTouch, DriverNotCoefficientFree, NonFiniteData,
                      TerminalBelowBarrier, TerminalOutsideBarriers)
-from .processes import evaluate
+from .processes import ObstacleLevel, evaluate
 from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import (Process, ScenarioTree, _accumulate, _all_finite, _block_children,
-                   _block_rows, _children, _parent_blocks, _reduce_blocks, sup_diff,
-                   terminal_mean)
+from .tree import (_BLOCK_NODES, Process, ScenarioTree, _accumulate, _all_finite,
+                   _block_rows, _children, _parent_blocks, sup_diff, terminal_mean)
 
 TERMINAL_SLACK = 1e-12
 
@@ -58,13 +60,13 @@ def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle,
     n = tree.num_steps
     k_d: Process = [np.zeros(1)]
     for k in range(1, n + 1):
-        left = obstacle.left.get(k)
+        left = obstacle.left_levels.get(k)
         if left is None:
             k_d.append(k_d[k - 1])
             continue
         kd = np.empty(tree.level_size(k))
         for rows in _parent_blocks(tree, k - 1):
-            left_b = _block_children(tree, left, k - 1, rows)
+            left_b = left.rows((rows, None))   # a column against the children
             binding = np.abs(y[k - 1][rows, None] - left_b) <= BIND_TOL
             gap = np.maximum(sign * (left_b - _children(tree, y[k], rows)), 0.0)
             np.add(_block_rows(tree, k_d[k - 1], k - 1, rows)[:, None],
@@ -73,25 +75,48 @@ def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle,
     return Compensator(k=k_total, k_d=k_d)
 
 
-def _min_gap(high: np.ndarray, low: np.ndarray) -> float:
-    """min(high - low) over blocks, NaN kept: no whole-level difference is formed."""
-    return _reduce_blocks(np.min, np.subtract, high, low)
+def _own(block):
+    """``block`` where it is a fresh obstacle block to write a result into, else None.
+
+    ``ObstacleLevel.rows`` gives a fresh array, or the base alone (a float).
+    """
+    return block if isinstance(block, np.ndarray) else None
+
+
+def _min_gap(size: int, high, low) -> float:
+    """min(high - low) over blocks of the ``size`` rows of a level, NaN kept.
+
+    ``high`` and ``low`` are each an ``ObstacleLevel`` or a whole-level
+    array.  Every block is formed in two scratch blocks that the pass
+    keeps, so it allocates no block; a minimum is exact, so the result is
+    the whole-level one bit for bit.
+    """
+    scratch = np.empty((2, min(size, _BLOCK_NODES)))
+    worst = []
+    for start in range(0, size, _BLOCK_NODES):
+        rows = slice(start, min(start + _BLOCK_NODES, size))
+        block = scratch[:, :rows.stop - start]
+        sides = [side.rows(rows, out=out) if isinstance(side, ObstacleLevel) else side[rows]
+                 for side, out in zip((high, low), block)]
+        worst.append(np.min(np.subtract(*sides, out=block[0])))
+    return float(np.min(worst))
 
 
 def _validate_obstacles(tree: ScenarioTree, xi: np.ndarray, low, up=None) -> None:
     """Terminal payoff inside [L, U] at every leaf, and L < U before the horizon."""
     n = tree.num_steps
-    below = _min_gap(xi, low.values[n])
+    leaves = tree.level_size(n)
+    below = _min_gap(leaves, xi, low.levels[n])
     if up is None:
         if below < -TERMINAL_SLACK:
             raise TerminalBelowBarrier(
                 f"terminal payoff dips {-below:.3g} below the obstacle at a leaf")
         return
-    above = _min_gap(up.values[n], xi)
+    above = _min_gap(leaves, up.levels[n], xi)
     if below < -TERMINAL_SLACK or above < -TERMINAL_SLACK:
         raise TerminalOutsideBarriers("terminal payoff leaves the obstacle band at a leaf")
     for k in range(n):
-        gap = _min_gap(up.values[k], low.values[k])
+        gap = _min_gap(tree.level_size(k), up.levels[k], low.levels[k])
         if gap <= 0.0:
             raise BarriersTouch(
                 f"obstacles touch at level {k} (gap {gap:.3g}); strict separation "
@@ -137,17 +162,23 @@ def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, 
         cand = _implicit_y(rhs, a, dt)
         if low is None:
             return cand
-        lo = low.values[k][rows]
-        inc_p[k][rows] = scale * np.maximum(lo - cand, 0.0)
-        yk = np.maximum(cand, lo)
+        lo = low.levels[k].rows(rows)
+        _book_increment(np.subtract(lo, cand, out=inc_p[k][rows]), scale)
+        yk = np.maximum(cand, lo, out=_own(lo))
         if up is not None:
-            hi = up.values[k][rows]
-            inc_m[k][rows] = scale * np.maximum(cand - hi, 0.0)
+            hi = up.levels[k].rows(rows)
+            _book_increment(np.subtract(cand, hi, out=inc_m[k][rows]), scale)
             np.minimum(yk, hi, out=yk)
         return yk
 
     y, z, v = _backward_sweep(tree, source, xi, settle)
     return y, z, v, inc_p, inc_m
+
+
+def _book_increment(gap: np.ndarray, scale: float) -> None:
+    """scale * max(gap, 0), in place: the bits of the formula, with no temporary."""
+    np.maximum(gap, 0.0, out=gap)
+    gap *= scale
 
 
 def _book(tree: ScenarioTree, swept, low, up=None) -> Solution:
@@ -204,7 +235,11 @@ def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
     n = tree.num_steps
     with np.errstate(over="ignore"):   # the data are finite, so sums can only overflow
         cum = np.concatenate(([0.0], np.cumsum(rates * tree.dt)))
-        payoff = [cum[k] + obstacle.values[k] for k in range(n)]
+        payoff = []
+        for k in range(n):
+            level = obstacle.levels[k].whole()
+            level += cum[k]   # cum[k] + S_k, formed in the fresh level
+            payoff.append(level)
         payoff.append(cum[n] + xi)
     _finite(payoff, "the stopping payoff")
     return payoff, cum

@@ -80,6 +80,15 @@ def _mean_mass(tree: ScenarioTree, g: np.ndarray, xi_mart: Process) -> Process:
     return [xi_mart[k] + tail[k] for k in range(tree.num_steps + 1)]
 
 
+def _less_mean(obstacle, mean_mass: Process, leaf: np.ndarray) -> Process:
+    """obstacle - mean_mass before the horizon, each level formed in place; ``leaf`` at it."""
+    out: Process = []
+    for k in range(len(mean_mass) - 1):
+        level = obstacle.levels[k].whole()
+        out.append(np.subtract(level, mean_mass[k], out=level))
+    return out + [leaf]
+
+
 def check_mokobodski(tree: ScenarioTree, witness: MokobodskiWitness,
                      lower, upper) -> MokobodskiCheck:
     """Verify nonnegativity, the supermartingale property and the band.
@@ -93,9 +102,12 @@ def check_mokobodski(tree: ScenarioTree, witness: MokobodskiWitness,
     for k in range(tree.num_steps + 1):
         h, hp = witness.h[k], witness.h_prime[k]
         diff = h - hp
+        # L - diff and diff - U, each formed in its fresh obstacle level
+        below, above = low.levels[k].whole(), up.levels[k].whole()
         level = {"negativity": _worst(float(np.max(-h)), float(np.max(-hp))),
-                 "band violation": _worst(float(np.max(low.values[k] - diff)),
-                                          float(np.max(diff - up.values[k])))}
+                 "band violation": _worst(float(np.max(np.subtract(below, diff, out=below))),
+                                          float(np.max(np.subtract(diff, above, out=above))))}
+        del below, above
         if k < tree.num_steps:
             level["supermartingale defect"] = _worst(
                 float(np.max(tree.cond_exp(witness.h[k + 1]) - h)),
@@ -162,8 +174,8 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     for level in zeros:
         level.flags.writeable = False
     leaf = zeros[n]
-    l_tilde = [low.values[k] - mean_mass[k] for k in range(n)] + [leaf]
-    u_tilde = [up.values[k] - mean_mass[k] for k in range(n)] + [leaf]
+    l_tilde = _less_mean(low, mean_mass, leaf)
+    u_tilde = _less_mean(up, mean_mass, leaf)
     bound_plus = [witness.h[k] + own.h_prime[k] + gtail_minus[k] for k in range(n)] + [leaf]
     bound_minus = [witness.h_prime[k] + own.h[k] + gtail_plus[k] for k in range(n)] + [leaf]
     del witness, own

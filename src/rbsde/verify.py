@@ -40,7 +40,7 @@ from .bsde import Compensator, ContinuousPart, Solution, _driver_value
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
 from .processes import BarrierValues, ProblemSpec, evaluate
-from .reflected import _source_rates, obstacle_payoff, solve_bsde, solve_reflected_one
+from .reflected import _own, _source_rates, obstacle_payoff, solve_bsde, solve_reflected_one
 from .snell import BIND_TOL, REGULAR_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (Process, ScenarioTree, _block_children, _block_rows, _children,
@@ -240,11 +240,22 @@ def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.
     del total, cont
     d_kd = _increments(_rows(tree, comp.k_d[k], k, rows), jump)
     del jump
-    slack = side.sign * (y_par - side.obstacle.values[k][rows])
+    # the obstacle's blocks are fresh arrays (or its base alone): each
+    # clause is formed in the block that reads the obstacle
+    obstacle = side.obstacle.levels[k].rows(rows)
+    slack = np.subtract(y_par, obstacle, out=_own(obstacle))
+    slack *= side.sign
     side.contain = _worst(side.contain, -float(np.min(slack)))
     if k == n - 1:
-        leaf = _children(tree, side.obstacle.values[n], rows)
-        side.contain = _worst(side.contain, float(np.max(side.sign * (leaf - y_child))))
+        branching = tree.branching
+        leaf = side.obstacle.levels[n].rows(slice(rows.start * branching,
+                                                  rows.stop * branching))
+        if isinstance(leaf, np.ndarray):
+            leaf = leaf.reshape(-1, branching)
+        excess = np.subtract(leaf, y_child, out=_own(leaf))
+        excess *= side.sign
+        side.contain = _worst(side.contain, float(np.max(excess)))
+        del leaf, excess
     mass_c = np.multiply(d_kc, slack[:, None], out=d_kc)
     side.skorokhod = _worst(side.skorokhod, _abs_max(mass_c))
     # left-limit minimality integral, weighting each child by
@@ -253,14 +264,15 @@ def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.
     # with the left limit against the previous-slot solution
     side.terms[k].append(float(np.add.reduce(parent_prob * (mass_c @ prob))))
     side.monotone = _worst(side.monotone, -float(np.min(d_k)))
-    left = side.obstacle.left.get(k + 1)
+    left = side.obstacle.left_levels.get(k + 1)
     if left is None:
         side.jump = _worst(side.jump, _abs_max(d_kd))
         return d_k, d_kd
     # in place, with the float operations of the whole-block formulas: the
     # gap takes the spent mass_c block, and one C-order block takes the
-    # formula and then gap * d_kd
-    left = _block_children(tree, left, k, rows)
+    # formula and then gap * d_kd; the left limit is a column per parent,
+    # formed in the spent slack block
+    left = left.rows((rows, None), out=slack[:, None])
     gap = np.subtract(y_par[:, None], left, out=mass_c)
     gap *= side.sign
     work = np.empty(gap.shape)

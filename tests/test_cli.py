@@ -720,3 +720,38 @@ def test_a_check_that_fails_still_writes_its_report(tmp_path, capsys, counterexa
     assert run("verify", "--config", CONFIGS / "counterexample.json",
                "--solution", tampered, "--out", out) == 4
     assert json.loads((out / "report.json").read_text())["passed"] is False
+
+
+_JSON_CASES = (
+    {"num": [-0.0, 0.0, 1e-300, -1e-320, 1e16, 1.5e308, 3, -7, 10 ** 20],
+     "empty": [], "none": {}, "flags": [True, False, None], "text": ["a, b", "[]", "x"],
+     "v": [[[0.1, -0.0], [1, 2]], [], [[3.0]], [[], [1.0]], [[1.0], []]],
+     "nested": {"z": [[1e308, -1e-320]], "k": [], "deep": [[[[1.0]]], [[2.0], [3.0, 4.0]]]}},
+    [[1], 2, [3]], [[1, [2]]], [1, [2]], [[1.0], "a"], [(1.0, 2.0), (3.0,)],
+    [float("nan"), float("inf"), -float("inf")], [], {}, [[]], 1.5, "s", None,
+)
+
+
+@pytest.mark.parametrize("payload", _JSON_CASES)
+def test_json_writer_writes_the_bytes_of_the_indented_stdlib_dump(payload):
+    from rbsde.cli import _dumps
+    assert _dumps(payload) == json.dumps(payload, sort_keys=True, indent=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.floats(),
+              st.text(max_size=4)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(st.text(max_size=3), children, max_size=4)),
+    max_leaves=30))
+def test_json_writer_matches_the_stdlib_on_drawn_payloads(payload):
+    from rbsde.cli import _dumps
+    assert _dumps(payload) == json.dumps(payload, sort_keys=True, indent=1)
+
+
+def test_a_full_dump_has_the_bytes_of_the_indented_stdlib_dump(tmp_path):
+    assert run("solve-two", "--config", CONFIGS / "two_barrier_band.json", "--full",
+               "--out", tmp_path) == 0
+    text = (tmp_path / "solution.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"

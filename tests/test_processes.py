@@ -341,3 +341,124 @@ def test_problem_obstacles_are_lower_first_and_index_the_kind():
         assert len(problem.obstacles) == len(obstacles)
         assert all(got is want for got, want in zip(problem.obstacles, obstacles))
         assert problem.kind == kind == KINDS[len(obstacles)]
+
+
+# ---------------------------------------------------------------------------
+# obstacle levels: a deterministic base plus a stochastic part shared per walk
+
+
+def _band(steps):
+    """The two-obstacle band config at ``steps``: both sides' stochastic sections are equal."""
+    import json
+    from pathlib import Path
+
+    from rbsde.config import parse_config
+    path = Path(__file__).resolve().parent.parent / "configs" / "two_barrier_band.json"
+    config = json.loads(path.read_text(encoding="utf-8"))
+    config["grid"]["steps"] = steps
+    problem, _ = parse_config(config)
+    return problem
+
+
+def test_a_band_with_equal_sections_evaluates_its_part_once(monkeypatch):
+    from collections import Counter
+
+    from rbsde.processes import LinearObstacle, evaluate
+    problem = _band(10)   # declared jumps at levels 4 (lower) and 6 (upper)
+    lower, upper = problem.obstacles
+    assert lower.stochastic == upper.stochastic and lower.stochastic is not upper.stochastic
+    rows = Counter()
+    call = LinearObstacle.__call__
+
+    def counting(self, t, w, counts):
+        rows[t] += len(w)
+        return call(self, t, w, counts)
+
+    monkeypatch.setattr(LinearObstacle, "__call__", counting)
+    tree = problem.build_tree()
+    _, low, up = evaluate(tree, None, lower, upper)
+    size = tree.level_size
+    # each level's rows once for both sides, and each side's left limit on its parent level
+    assert rows == {tree.time(k): size(k) + (size(k - 1) if k in (4, 6) else 0)
+                    for k in range(11)}
+    assert low.jump_levels == (4,) and up.jump_levels == (6,)
+    for k in range(11):
+        assert low.levels[k].part is up.levels[k].part
+        assert not low.levels[k].part.flags.writeable
+    monkeypatch.setattr(LinearObstacle, "__call__", call)
+    w, counts = tree.w, tree.counts
+    for spec, values in ((lower, low), (upper, up)):
+        # the bits of a level stored whole as base + part
+        for k in range(11):
+            t = tree.time(k)
+            expected = np.add(spec.deterministic_at(t), spec.stochastic(t, w[k], counts[k]))
+            assert np.array_equal(values.values[k], expected), k
+            assert not values.values[k].flags.writeable
+        (level, offset), = spec.declared_jumps
+        base = spec.deterministic_at(level) + offset
+        k = round(level * 10)
+        expected = np.add(base, spec.stochastic(level, w[k - 1], counts[k - 1]))
+        assert np.array_equal(values.left[k], expected)
+
+
+def test_linear_obstacles_are_equal_only_bit_for_bit():
+    marks = MarkSet(sizes=(1.0,), intensities=(0.5,))
+    part = linear_obstacle(0.1, 0.4, (0.2,), compensate=marks)
+    assert part == linear_obstacle(0.1, 0.4, [0.2], compensate=MarkSet((1.0,), (0.5,)))
+    assert hash(part) == hash(linear_obstacle(0.1, 0.4, (0.2,), compensate=marks))
+    # a signed zero can change the sign of a zero value, so it is another part
+    assert linear_obstacle(0.0, 0.4) != linear_obstacle(-0.0, 0.4)
+    assert part != linear_obstacle(0.1, 0.4, (0.2,))
+
+
+def test_a_deterministic_obstacle_holds_no_per_node_array():
+    tree = build_tree(6, _marks(1))
+    values = eval_barrier(BarrierSpec(pieces=((0.0, 1.0), (0.5, -0.5))), tree)
+    assert values.jump_levels == (3,)
+    assert all(level.part is None for level in values.levels)
+    assert all(level.part is None for level in values.left_levels.values())
+    assert [level.base for level in values.levels] == [1.0] * 3 + [-0.5] * 4
+    assert values.left_levels[3].base == 1.0
+    # whole levels are formed on read
+    assert np.array_equal(values.values[5], np.full(tree.level_size(5), -0.5))
+    assert np.array_equal(values.left[3], np.full(tree.level_size(2), 1.0))
+
+
+@pytest.mark.parametrize("left", [False, True])
+def test_a_finite_base_and_part_whose_sum_overflows_name_their_level(left):
+    """Both parts finite near the largest float, their sum past it, at one level only."""
+    steps = 4
+    tree = build_tree(steps, _marks(1))
+    # the left limit at t = 3/4 reads the state of level 2, the level itself that of level 3
+    state = tree.level_size(2 if left else 3)
+
+    def part(t, w, counts):
+        return np.full(len(w), 1e308 if (t == 0.75 and len(w) == state) else 0.0)
+
+    spec = BarrierSpec(pieces=((0.0, 0.0), (0.5, 1e308)), stochastic=part,
+                       jumps=((0.75, 0.0),))
+    name = "obstacle left limit" if left else "obstacle"
+    with pytest.raises(ValueError, match=f"^{name} is not finite at level 3$"):
+        eval_barrier(spec, tree)
+
+
+def test_a_band_evaluation_holds_one_part_level_set():
+    """Both sides of a band share one array per level: at most a block past it is held."""
+    import tracemalloc
+
+    from rbsde.processes import evaluate
+    from rbsde.tree import _BLOCK_NODES
+    problem = _band(10)
+    tree = problem.build_tree()
+    # one level set of the shared part, and each side's left limit on its parent level
+    part_bytes = (tree.node_count + tree.level_size(3) + tree.level_size(5)) * 8
+    assert part_bytes > 8 * 8 * _BLOCK_NODES
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        evaluate(tree, None, *problem.obstacles)
+        held = tracemalloc.get_traced_memory()[0] - entry
+    finally:
+        tracemalloc.stop()
+    # two level sets, one per side, would hold node_count * 8 bytes more
+    assert part_bytes <= held <= part_bytes + 8 * _BLOCK_NODES, held - part_bytes
