@@ -355,11 +355,11 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read solution: {exc}") from exc
     try:
+        if payload["kind"] != problem.kind:
+            raise ConfigError("solution kind does not match the configuration")
         sol = _solution_from_payload(payload, tree)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed solution file: {type(exc).__name__}: {exc}") from exc
-    if payload["kind"] != problem.kind:
-        raise ConfigError("solution kind does not match the configuration")
     obstacles, _, check = _entry_points(problem)
     report = check(tree, sol, problem.driver, problem.terminal, *obstacles)
     _write_json(out / "report.json", report.to_dict())

@@ -23,13 +23,14 @@ limit in the same blocks of its parent level.
 An evaluated obstacle level is its deterministic base, one float, plus a
 read-only level array of its stochastic part, or no array where there is
 none (``ObstacleLevel``): a reader forms a block as ``np.add(base,
-part[rows])``, the addition that once filled a stored level, so every
-value keeps its bits.  The walk evaluates each distinct (stochastic part,
-time, level) once, so the two sides of a band whose parts are equal
-(``LinearObstacle`` compares by value, bit for bit) keep one copy of it.  The state arrays are read-only, and every evaluated part is a
-fresh array, so a function that returns or keeps its input cannot change
-a later level or a memoised result.  ``eval_barrier`` and
-``TerminalSpec.evaluate`` read one item through ``evaluate``.
+part[rows])``, or a whole level with ``whole``, the addition that once
+filled a stored level, so every value keeps its bits.  The walk evaluates
+each distinct (stochastic part, time, level) once, so the two sides of a
+band whose parts are equal (``LinearObstacle`` compares by value, bit for
+bit) keep one copy of it.  The state arrays are read-only, and every
+evaluated part is a fresh array, so a function that returns or keeps its
+input cannot change a later level or a memoised result.  ``eval_barrier``
+and ``TerminalSpec.evaluate`` read one item through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import bisect
 import functools
 import math
 import weakref
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable
@@ -297,82 +298,23 @@ class ObstacleLevel:
                 and math.isfinite(self.base + float(np.min(self.part))))
 
 
-def _whole_level(values) -> ObstacleLevel:
-    """A whole level as its own part over a base of -0.0, which adds no bits."""
-    values = np.asarray(values, dtype=float)
-    return ObstacleLevel(-0.0, values, len(values))
-
-
-class _WholeLevels(Sequence):
-    """The whole levels of a tuple of ``ObstacleLevel``, each formed on read."""
-
-    def __init__(self, levels: tuple) -> None:
-        self._levels = levels
-
-    def __len__(self) -> int:
-        return len(self._levels)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(_read_only(level.whole()) for level in self._levels[k])
-        return _read_only(self._levels[k].whole())
-
-
-class _WholeLeft(Mapping):
-    """The whole left limits of a mapping of ``ObstacleLevel``, each formed on read."""
-
-    def __init__(self, levels: Mapping) -> None:
-        self._levels = levels
-
-    def __getitem__(self, level: int) -> np.ndarray:
-        return _read_only(self._levels[level].whole())
-
-    def __iter__(self):
-        return iter(self._levels)
-
-    def __len__(self) -> int:
-        return len(self._levels)
-
-
 class BarrierValues:
     """Obstacle evaluated on a tree, with left limits at declared jumps.
 
     A level is base + part: ``levels[k]`` is level k as an
-    ``ObstacleLevel``, whose ``rows`` is the one reader of a block.  A walk
-    evaluates each distinct (stochastic part, time, level) once, so a band
-    whose sides have equal parts keeps one copy of them, and a
+    ``ObstacleLevel``, whose ``rows`` is the one reader of a block and
+    whose ``whole`` forms the level for a reader that takes it whole.  A
+    walk evaluates each distinct (stochastic part, time, level) once, so a
+    band whose sides have equal parts keeps one copy of them, and a
     deterministic level is one number.  ``left_levels[L]`` is the left
     limit at declared level L.  It is known at level L - 1 and stored
     there, one value per parent: ``left_levels[L].rows((rows, None))``
     reads it against the (parents, B) children of the ``rows`` of level
-    L - 1.  The readers that take a level whole get ``values[k]`` and
-    ``left[L]``, read-only arrays formed on each read, or form their own
-    with ``ObstacleLevel.whole``.
-
-    ``BarrierValues(values, left, jump_levels)`` takes whole levels, as a
-    hand-built obstacle gives them: each is its own part over a base of
-    -0.0, since x + -0.0 is x for every float.
+    L - 1.  ``jump_levels`` lists the declared levels in order.
     """
 
-    def __init__(self, values, left: Mapping, jump_levels) -> None:
-        self.levels = tuple(map(_whole_level, values))
-        self.left_levels = MappingProxyType({level: _whole_level(parents)
-                                             for level, parents in left.items()})
-        self.jump_levels = tuple(jump_levels)
-
-    @classmethod
-    def _of(cls, levels: tuple, left_levels: Mapping, jump_levels: tuple) -> BarrierValues:
-        out = cls.__new__(cls)
-        out.levels, out.left_levels, out.jump_levels = levels, left_levels, jump_levels
-        return out
-
-    @property
-    def values(self) -> Sequence:
-        return _WholeLevels(self.levels)
-
-    @property
-    def left(self) -> Mapping:
-        return _WholeLeft(self.left_levels)
+    def __init__(self, levels: tuple, left_levels: Mapping, jump_levels: tuple) -> None:
+        self.levels, self.left_levels, self.jump_levels = levels, left_levels, jump_levels
 
 
 def grid_level(t: float, num_steps: int) -> int:
@@ -426,7 +368,7 @@ class _BarrierRun:
             if not parents.finite():
                 raise NonFiniteData(f"obstacle left limit is not finite at level {level}")
             left[level] = parents
-        return BarrierValues._of(self.levels, MappingProxyType(left), tuple(sorted(left)))
+        return BarrierValues(self.levels, MappingProxyType(left), tuple(sorted(left)))
 
 
 def lipschitz_constant(driver, marks: MarkSet) -> float:

@@ -173,15 +173,6 @@ class ScenarioTree:
     def time(self, level: int) -> float:
         return level / self.num_steps
 
-    def branch_sign(self, branch: int) -> int:
-        """Brownian sign of a branch: +1 on the first half, -1 on the second."""
-        return 1 if branch < self.marks.count + 1 else -1
-
-    def branch_outcome(self, branch: int) -> int | None:
-        """Jump outcome of a branch: None for no jump, else the mark index."""
-        outcome = branch % (self.marks.count + 1)
-        return None if outcome == 0 else outcome - 1
-
     def cond_exp(self, values_next: np.ndarray) -> np.ndarray:
         """Conditional expectation of child values, node by node; a child holds one value."""
         values_next = np.asarray(values_next, dtype=float)
@@ -320,8 +311,8 @@ def _branch_pass(op, parents: np.ndarray, per_branch: np.ndarray) -> np.ndarray:
 def _count_pass(parents: np.ndarray, branching: int) -> np.ndarray:
     """Child jump counts: each parent row repeated B times, plus one on a firing mark.
 
-    Branches 1+i and m+2+i fire mark i (see ``branch_outcome``); every
-    other count is copied, which is what adding a zero indicator gave.
+    Branches 1+i and m+2+i fire mark i (the branch layout in ``ScenarioTree``);
+    every other count is copied, which is what adding a zero indicator gave.
     """
     n, m = parents.shape
     if not m:  # np.repeat would still walk every zero-width row

@@ -16,7 +16,7 @@ import numpy as np
 
 from rbsde.errors import RbsdeError
 from rbsde.fixpoint import _weighted_norm
-from rbsde.processes import evaluate
+from rbsde.processes import BarrierValues, ObstacleLevel, evaluate
 from rbsde.reflected import _source_rates
 from rbsde.snell import MONOTONE_TOL, SnellResult, _envelope, stop_flags
 from rbsde.tree import Process, ScenarioTree, _max_excess, _worst, expand
@@ -165,6 +165,18 @@ def constant_witness(tree: ScenarioTree, plus: float, minus: float = 0.0) -> Mok
     return MokobodskiWitness(h=tree.constant(plus), h_prime=tree.constant(minus))
 
 
+def whole_obstacle(levels, left) -> BarrierValues:
+    """An obstacle from whole levels and whole left limits ``{L: parent values}``.
+
+    Each array is its own part over a base of -0.0, which adds no bits.
+    """
+    def level(values):
+        values = np.asarray(values, dtype=float)
+        return ObstacleLevel(-0.0, values, len(values))
+    return BarrierValues(tuple(map(level, levels)), {k: level(v) for k, v in left.items()},
+                         tuple(sorted(left)))
+
+
 def saddle_replies(tree: ScenarioTree, driver, terminal, lower, upper,
                    y: Process) -> tuple[Process, Process]:
     """Each player's best reply to the other's first touch of ``y``, less the source.
@@ -187,8 +199,9 @@ def saddle_replies(tree: ScenarioTree, driver, terminal, lower, upper,
         value = [None] * (n + 1)
         value[n] = xi + cum[n]
         for k in range(n - 1, -1, -1):
-            stop = better(own.values[k] + cum[k], tree.cond_exp(value[k + 1]))
-            value[k] = np.where(y[k] == frozen.values[k], frozen.values[k] + cum[k], stop)
+            mine, theirs = own.levels[k].whole(), frozen.levels[k].whole()
+            stop = better(mine + cum[k], tree.cond_exp(value[k + 1]))
+            value[k] = np.where(y[k] == theirs, theirs + cum[k], stop)
         return [value[k] - cum[k] for k in range(n + 1)]
 
     return reply(up, low, np.maximum), reply(low, up, np.minimum)

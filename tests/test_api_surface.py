@@ -1,5 +1,8 @@
 """Every public name of rbsde has a reader in the package or the benchmark.
 
+So has every public member (method, property or field) of the classes
+that carry evaluated data and solutions between the layers.
+
 A name that only tests read is test code: it belongs in ``tests/``
 (the oracles live in ``tests/oracles.py``), not in the package's
 ``__all__``.  Readers are found by syntax, not by text, so a docstring
@@ -10,9 +13,13 @@ not.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import rbsde
+from rbsde.bsde import Compensator, ContinuousPart
+from rbsde.processes import BarrierSpec, BarrierValues, ObstacleLevel, eval_barrier
+from rbsde.tree import ScenarioTree, build_tree
 
 ROOT = Path(__file__).resolve().parent.parent
 READER_FILES = sorted(
@@ -69,6 +76,28 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     read = _names_read()
     unread = sorted(name for name in rbsde.__all__ if name not in read)
     assert unread == [], f"public names only tests read: {unread}"
+
+
+def _public_members(cls) -> set[str]:
+    """Names defined on ``cls`` itself, its dataclass fields included, that are not private."""
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return {name for name in set(vars(cls)) | fields if not name.startswith("_")}
+
+
+def test_every_public_member_of_the_data_classes_has_a_reader_outside_the_tests():
+    read = _names_read()
+    classes = (ScenarioTree, BarrierValues, ObstacleLevel, Compensator, ContinuousPart)
+    unread = sorted(f"{cls.__name__}.{name}" for cls in classes
+                    for name in _public_members(cls) if name not in read)
+    assert unread == [], f"public members only tests read: {unread}"
+
+
+def test_an_evaluated_obstacle_has_only_its_levels_left_limits_and_jump_levels():
+    """A member named like one of another type (``dict.values``) passes the name scan."""
+    tree = build_tree(2)
+    obstacle = eval_barrier(BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0))), tree)
+    public = {name for name in dir(obstacle) if not name.startswith("_")}
+    assert public == {"levels", "left_levels", "jump_levels"}
 
 
 def test_the_scan_skips_docstrings_and_a_names_own_body():

@@ -146,9 +146,9 @@ def _one_barrier_defects():
     sol = solve_reflected(tree, driver, terminal, barrier)
     obstacle = eval_barrier(barrier, tree)
     parents = _last_parents(tree)
-    slack = sol.y[N - 1][parents] - obstacle.values[N - 1][parents]
+    slack = sol.y[N - 1][parents] - obstacle.levels[N - 1].whole()[parents]
     slack_parent = int(parents[np.argmax(slack)])
-    gap = np.abs(sol.y[N - 1][parents] - obstacle.left[N][parents])
+    gap = np.abs(sol.y[N - 1][parents] - obstacle.left_levels[N].whole()[parents])
     loose_parent = int(parents[np.argmax(gap * tree.atom_prob[N - 1][parents])])
     last = int(parents[-1])
     defects = []

@@ -380,6 +380,44 @@ def test_verify_malformed_solution_exits_2(tmp_path, capsys, counterexample_solu
         assert err.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def band_solution(tmp_path_factory):
+    out = tmp_path_factory.mktemp("solve-two")
+    assert run("solve-two", "--config", CONFIGS / "two_barrier_band.json", "--full",
+               "--out", out) == 0
+    return out / "solution.json"
+
+
+def _as_standard(path, tmp_path):
+    payload = json.loads(path.read_text())
+    payload["kind"] = "standard"
+    standard = tmp_path / "standard.json"
+    standard.write_text(json.dumps(payload))
+    return standard
+
+
+def test_verify_names_a_solution_of_another_kind(tmp_path, capsys, counterexample_solution,
+                                                 band_solution):
+    """The kind is compared before any field is read, whichever the dump and config."""
+    one, two = CONFIGS / "counterexample.json", CONFIGS / "two_barrier_band.json"
+    cases = [(two, counterexample_solution), (one, band_solution),
+             (one, _as_standard(counterexample_solution, tmp_path))]
+    for i, (config, solution) in enumerate(cases):
+        assert run("verify", "--config", config, "--solution", solution,
+                   "--out", tmp_path / f"v{i}") == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: solution kind does not match the configuration\n"
+        assert not (tmp_path / f"v{i}").exists()
+
+
+def test_verify_a_solution_that_is_no_mapping_exits_2(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    assert run("verify", "--config", CONFIGS / "counterexample.json",
+               "--solution", listed, "--out", tmp_path / "v") == 2
+    assert capsys.readouterr().err.startswith("configuration error: malformed solution file")
+
+
 def test_verify_nan_solution_exits_4(tmp_path, capsys, counterexample_solution):
     payload = json.loads(counterexample_solution.read_text())
     payload["nodes"]["k"][3][1] = float("nan")
@@ -738,7 +776,7 @@ def test_json_writer_writes_the_bytes_of_the_indented_stdlib_dump(payload):
     assert _dumps(payload) == json.dumps(payload, sort_keys=True, indent=1)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.floats(),
               st.text(max_size=4)),

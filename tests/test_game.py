@@ -38,8 +38,8 @@ def test_first_touches_of_both_obstacles_form_a_saddle_point(seed):
     sol = solve_reflected(tree, problem.driver, problem.terminal, *problem.obstacles)
     _, low, up = evaluate(tree, None, *problem.obstacles)
     before = range(tree.num_steps)
-    assert any(np.any(sol.y[k] == low.values[k]) for k in before)
-    assert any(np.any(sol.y[k] == up.values[k]) for k in before)
+    assert any(np.any(sol.y[k] == low.levels[k].whole()) for k in before)
+    assert any(np.any(sol.y[k] == up.levels[k].whole()) for k in before)
     assert _saddle_gap(tree, problem, sol.y) <= SADDLE_TOL
 
 
@@ -55,9 +55,9 @@ def test_a_solution_without_the_upper_clamp_at_one_level_fails_the_saddle_check(
         """min(max(E[Y_{k+1}] + g_k dt, L_k), U_k), without the min at level ``drop``."""
         y = [None] * n + [xi]
         for k in range(n - 1, -1, -1):
-            y[k] = np.maximum(tree.cond_exp(y[k + 1]) + rates[k] * tree.dt, low.values[k])
+            y[k] = np.maximum(tree.cond_exp(y[k + 1]) + rates[k] * tree.dt, low.levels[k].whole())
             if k != drop:
-                y[k] = np.minimum(y[k], up.values[k])
+                y[k] = np.minimum(y[k], up.levels[k].whole())
         return y
 
     whole = clamped()

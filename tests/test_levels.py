@@ -59,11 +59,10 @@ def _whole_split(tree, y, k_total, obstacle, sign):
     k_d = [np.zeros(1)]
     for k in range(1, tree.num_steps + 1):
         parent = expand(tree, k_d[k - 1], k)
-        left = obstacle.left.get(k)
-        if left is None:
+        if k not in obstacle.left_levels:
             k_d.append(parent)
             continue
-        left = expand(tree, left, k)
+        left = expand(tree, obstacle.left_levels[k].whole(), k)
         binding = np.abs(expand(tree, y[k - 1], k) - left) <= BIND_TOL
         k_d.append(parent + np.where(binding, np.maximum(sign * (left - y[k]), 0.0), 0.0))
     return [kt - kd for kt, kd in zip(k_total, k_d)], k_d

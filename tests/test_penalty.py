@@ -59,7 +59,7 @@ def test_penalty_flux_identity():
     for k in range(tree.num_steps):
         lhs = pen.solution.y[k] - tree.cond_exp(pen.solution.y[k + 1]) \
             - problem.driver.base_at(tree.time(k)) * tree.dt
-        rhs = n * tree.dt * np.maximum(obstacle.values[k] - pen.solution.y[k], 0.0)
+        rhs = n * tree.dt * np.maximum(obstacle.levels[k].whole() - pen.solution.y[k], 0.0)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
 
@@ -85,7 +85,7 @@ def test_stopping_identity_of_penalized_solutions():
                               COUNTEREXAMPLE["terminal"], n)
         from rbsde import eval_barrier
         obstacle = eval_barrier(COUNTEREXAMPLE["barrier"], tree)
-        payoff = [np.minimum(obstacle.values[k], pen.solution.y[k])
+        payoff = [np.minimum(obstacle.levels[k].whole(), pen.solution.y[k])
                   for k in range(tree.num_steps)]
         payoff.append(pen.solution.y[tree.num_steps])
         oracle = brute_force_values(tree, payoff)

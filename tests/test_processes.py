@@ -21,24 +21,24 @@ def test_counterexample_obstacle_values_and_left_limit():
     vals = eval_barrier(spec, tree)
     expected = [1.0, 1.0, 0.0, 0.0, 0.0]
     for k, e in enumerate(expected):
-        assert np.all(vals.values[k] == e)
+        assert np.all(vals.levels[k].whole() == e)
     assert vals.jump_levels == (2,)
-    assert np.all(vals.left[2] == 1.0)
+    assert np.all(vals.left_levels[2].whole() == 1.0)
 
 
 def test_constant_barrier():
     tree = build_tree(3, MarkSet(sizes=(1.0,), intensities=(0.5,)))
     vals = eval_barrier(BarrierSpec(pieces=((0.0, -10.0),)), tree)
     assert vals.jump_levels == ()
-    for level in vals.values:
-        assert np.all(level == -10.0)
+    for level in vals.levels:
+        assert np.all(level.whole() == -10.0)
 
 
 def test_brownian_barrier_tracks_node_state():
     tree = build_tree(2)
     vals = eval_barrier(BarrierSpec(stochastic=lambda t, w, c: w), tree)
     for k in range(3):
-        assert np.array_equal(vals.values[k], tree.w[k])
+        assert np.array_equal(vals.levels[k].whole(), tree.w[k])
 
 
 def test_declared_jump_off_grid_rejected():
@@ -53,10 +53,10 @@ def test_right_continuity_at_declared_jumps():
     spec = BarrierSpec(pieces=((0.0, 2.0), (0.25, -1.0), (0.75, 0.5)))
     vals = eval_barrier(spec, tree)
     # value at the jump time is the right value, the left table keeps the limit
-    assert np.all(vals.values[1] == -1.0)
-    assert np.all(vals.left[1] == 2.0)
-    assert np.all(vals.values[3] == 0.5)
-    assert np.all(vals.left[3] == -1.0)
+    assert np.all(vals.levels[1].whole() == -1.0)
+    assert np.all(vals.left_levels[1].whole() == 2.0)
+    assert np.all(vals.levels[3].whole() == 0.5)
+    assert np.all(vals.left_levels[3].whole() == -1.0)
 
 
 def test_driver_zero_and_source_examples():
@@ -183,9 +183,9 @@ def test_memo_matches_fresh_evaluation(m):
     first, second = eval_barrier(barrier, tree), eval_barrier(barrier, tree)
     assert second is first
     fresh = _walk(tree, [barrier])[0]
-    assert all(np.array_equal(a, b) for a, b in zip(first.values, fresh.values))
+    assert all(np.array_equal(a.whole(), b.whole()) for a, b in zip(first.levels, fresh.levels))
     assert first.jump_levels == fresh.jump_levels == (1,)
-    assert np.array_equal(first.left[1], fresh.left[1])
+    assert np.array_equal(first.left_levels[1].whole(), fresh.left_levels[1].whole())
 
     assert terminal.evaluate(tree) is terminal.evaluate(tree)
     assert np.array_equal(terminal.evaluate(tree), _walk(tree, [terminal])[0])
@@ -195,13 +195,14 @@ def test_memo_matches_fresh_evaluation(m):
 
 def test_memo_arrays_are_read_only():
     tree = build_tree(2)
-    obstacle = eval_barrier(BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0))), tree)
+    obstacle = eval_barrier(BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0)),
+                                        stochastic=lambda t, w, c: w), tree)
     with pytest.raises(ValueError):
-        obstacle.values[1][0] = 5.0
+        obstacle.levels[1].part[0] = 5.0
     with pytest.raises(ValueError):
-        obstacle.left[1][0] = 5.0
+        obstacle.left_levels[1].part[0] = 5.0
     with pytest.raises(TypeError):
-        obstacle.left[2] = np.zeros(16)
+        obstacle.left_levels[2] = obstacle.levels[1]
     with pytest.raises(ValueError):
         TerminalSpec(constant=0.5).evaluate(tree)[0] = 1.0
 
@@ -304,7 +305,7 @@ def test_single_non_finite_node_is_rejected(bad):
 def test_finite_values_whose_sum_overflows_are_accepted():
     tree = build_tree(3, _marks(1))
     huge = BarrierSpec(stochastic=lambda t, w, counts: np.full(len(w), 1e308))
-    values = eval_barrier(huge, tree).values
+    values = [level.whole() for level in eval_barrier(huge, tree).levels]
     assert all(np.all(level == 1e308) for level in values)
     with np.errstate(over="ignore"):
         assert np.isinf(values[-1].sum())
@@ -392,13 +393,13 @@ def test_a_band_with_equal_sections_evaluates_its_part_once(monkeypatch):
         for k in range(11):
             t = tree.time(k)
             expected = np.add(spec.deterministic_at(t), spec.stochastic(t, w[k], counts[k]))
-            assert np.array_equal(values.values[k], expected), k
-            assert not values.values[k].flags.writeable
+            assert np.array_equal(values.levels[k].whole(), expected), k
         (level, offset), = spec.declared_jumps
         base = spec.deterministic_at(level) + offset
         k = round(level * 10)
         expected = np.add(base, spec.stochastic(level, w[k - 1], counts[k - 1]))
-        assert np.array_equal(values.left[k], expected)
+        assert np.array_equal(values.left_levels[k].whole(), expected)
+        assert not values.left_levels[k].part.flags.writeable
 
 
 def test_linear_obstacles_are_equal_only_bit_for_bit():
@@ -420,8 +421,8 @@ def test_a_deterministic_obstacle_holds_no_per_node_array():
     assert [level.base for level in values.levels] == [1.0] * 3 + [-0.5] * 4
     assert values.left_levels[3].base == 1.0
     # whole levels are formed on read
-    assert np.array_equal(values.values[5], np.full(tree.level_size(5), -0.5))
-    assert np.array_equal(values.left[3], np.full(tree.level_size(2), 1.0))
+    assert np.array_equal(values.levels[5].whole(), np.full(tree.level_size(5), -0.5))
+    assert np.array_equal(values.left_levels[3].whole(), np.full(tree.level_size(2), 1.0))
 
 
 @pytest.mark.parametrize("left", [False, True])

@@ -19,9 +19,9 @@ from hypothesis.extra.numpy import arrays
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree,
                    check_solution, eval_barrier, solve_reflected)
 from rbsde.config import parse_config
-from rbsde.processes import BarrierValues
 from rbsde.tree import _weigh
 from conftest import random_two_barrier
+from oracles import whole_obstacle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -130,11 +130,10 @@ def test_two_obstacle_solve_passes_check(problem):
     assert report.passed, report.to_dict()
 
 
-def _negated(tree, barrier) -> BarrierValues:
+def _negated(tree, barrier):
     values = eval_barrier(barrier, tree)
-    return BarrierValues(values=tuple(-level for level in values.values),
-                         left={k: -level for k, level in values.left.items()},
-                         jump_levels=values.jump_levels)
+    return whole_obstacle([-level.whole() for level in values.levels],
+                          {k: -left.whole() for k, left in values.left_levels.items()})
 
 
 @SETTINGS

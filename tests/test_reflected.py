@@ -162,7 +162,7 @@ def test_dynamics_and_skorokhod_invariants():
         rhs = tree.cond_exp(sol.y[k + 1]) \
             + problem.driver.base_at(tree.time(k)) * tree.dt + inc
         assert np.max(np.abs(sol.y[k] - rhs)) <= 1e-12
-        slack = sol.y[k] - obstacle.values[k]
+        slack = sol.y[k] - obstacle.levels[k].whole()
         inc_c = k_c[k + 1] - expand(tree, k_c[k], k + 1)
         total += float(tree.atom_prob[k + 1] @ (expand(tree, slack, k + 1) * inc_c))
         assert np.max(np.abs(expand(tree, slack, k + 1) * inc_c)) <= 1e-12

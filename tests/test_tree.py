@@ -138,10 +138,14 @@ def test_node_navigation():
         tree.w[1][parent] + tree.branch_db[branch])
     assert np.array_equal(tree.counts[2][child],
                           tree.counts[1][parent] + tree.branch_jump[branch])
-    assert tree.branch_sign(0) == 1 and tree.branch_sign(3) == -1
-    assert tree.branch_outcome(0) is None
-    assert tree.branch_outcome(1) == 0
-    assert tree.branch_outcome(5) == 1
+    # branch b moves up for b < m+1 and fires mark b % (m+1) - 1 when that is >= 0
+    m = tree.marks.count
+    assert np.array_equal(np.sign(tree.branch_db), [1, 1, 1, -1, -1, -1])
+    for b in range(tree.branching):
+        fired = np.zeros(m)
+        if b % (m + 1):
+            fired[b % (m + 1) - 1] = 1.0
+        assert np.array_equal(tree.branch_jump[b], fired)
 
 
 def _broadcast_levels(tree):

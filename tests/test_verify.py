@@ -12,12 +12,13 @@ from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
 from rbsde.bsde import ContinuousPart
 from rbsde.config import parse_config
 from rbsde.errors import TreeTooLarge
-from rbsde.processes import BarrierValues, eval_barrier, put_payoff
+from rbsde.processes import eval_barrier, put_payoff
 from rbsde.reflected import obstacle_payoff
 from rbsde.snell import REGULAR_TOL
 from rbsde.tree import _BLOCK_NODES
 from conftest import (clone_solution, counterexample_pieces, one_barrier_mutants, process_of,
                       random_one_barrier, random_two_barrier, two_barrier_mutants)
+from oracles import whole_obstacle
 
 
 def test_checker_passes_solver_outputs():
@@ -118,11 +119,11 @@ def test_leaf_outside_an_obstacle_in_the_last_block_fails_containment(sides, bro
     sol = solve_reflected(tree, driver, terminal, *obstacles[:sides])
     values = [eval_barrier(spec, tree) for spec in obstacles[:sides]]
     bad = values[broken]
-    leaf = np.array(bad.values[DEEP_N])
+    leaf = bad.levels[DEEP_N].whole()
     # 1e-3 above Y for the lower obstacle, 1e-3 below it for the upper one
     leaf[-1] = sol.y[DEEP_N][-1] + (1e-3 if broken == 0 else -1e-3)
-    values[broken] = BarrierValues(values=bad.values[:DEEP_N] + (leaf,), left=bad.left,
-                                   jump_levels=bad.jump_levels)
+    values[broken] = whole_obstacle([level.whole() for level in bad.levels[:DEEP_N]] + [leaf],
+                                    {k: left.whole() for k, left in bad.left_levels.items()})
     report = check_solution(tree, sol, driver, terminal, *values)
     assert _failing(report) == {contain}
     assert report.clauses[contain].residual == pytest.approx(1e-3, rel=1e-9)

@@ -233,8 +233,8 @@ def test_one_walk_evaluates_every_function_once_per_level(monkeypatch):
     assert sorted(calls["lower"]) == sorted(sizes[:-1] + leaves + [sizes[1], sizes[4]])
     assert sorted(calls["upper"]) == sorted(sizes[:-1] + leaves + [sizes[2]])
     assert calls["payoff"] == leaves
-    assert {k: len(v) for k, v in eval_barrier(lower, tree).left.items()} == {
-        2: sizes[1], 5: sizes[4]}
+    left = eval_barrier(lower, tree).left_levels
+    assert {k: len(v.whole()) for k, v in left.items()} == {2: sizes[1], 5: sizes[4]}
     # a check, a penalised solve or an envelope payoff on a tree no solve
     # saw walks its states once too
     assert check_solution(build_tree(steps, marks), sol, driver, terminal, lower).passed
@@ -263,9 +263,10 @@ def test_functions_that_alias_or_keep_their_input_change_nothing():
     fresh = _walk(tree, [aliasing])[0]
     for k in range(steps + 1):
         base = 0.0 if k < 3 else -1.0
-        assert np.array_equal(values.values[k], base + w[k])
-        assert np.array_equal(fresh.values[k], values.values[k])
-    assert np.array_equal(values.left[3], w[2]) and np.array_equal(fresh.left[3], w[2])
+        assert np.array_equal(values.levels[k].whole(), base + w[k])
+        assert np.array_equal(fresh.levels[k].whole(), values.levels[k].whole())
+    assert np.array_equal(values.left_levels[3].whole(), w[2])
+    assert np.array_equal(fresh.left_levels[3].whole(), w[2])
     assert np.array_equal(leaves, np.abs(w[steps]))
     assert np.array_equal(kept[0], w[steps])
     assert np.array_equal(_walk(tree, [terminal])[0], leaves)
@@ -300,13 +301,13 @@ def test_blocked_walk_matches_the_eager_chain(m, steps, terminal_kind):
     for k in range(steps + 1):
         t = tree.time(k)
         expected = obstacle.deterministic_at(t) + obstacle.stochastic(t, w[k], counts[k])
-        assert np.array_equal(values.values[k], expected), k
+        assert np.array_equal(values.levels[k].whole(), expected), k
     assert values.jump_levels == (steps // 2, steps)
     for level in values.jump_levels:
         t = tree.time(level)
         base = obstacle.deterministic_at(t) + dict(obstacle.declared_jumps)[t]
         expected = base + obstacle.stochastic(t, w[level - 1], counts[level - 1])
-        assert np.array_equal(values.left[level], expected), level
+        assert np.array_equal(values.left_levels[level].whole(), expected), level
 
 
 def test_blocks_start_on_the_alignment_and_cover_each_level():
@@ -380,9 +381,11 @@ def test_constant_data_build_no_state(monkeypatch):
     xi, values = evaluate(tree, TerminalSpec(constant=0.5), step)
     assert built == []
     assert np.all(xi == 0.5) and len(xi) == tree.level_size(steps)
-    for k, level in enumerate(values.values):
-        assert len(level) == tree.level_size(k) and np.all(level == (1.0 if k < 3 else 0.0))
-    assert np.all(values.left[3] == 1.0) and len(values.left[3]) == tree.level_size(2)
+    for k, level in enumerate(values.levels):
+        whole = level.whole()
+        assert len(whole) == tree.level_size(k) and np.all(whole == (1.0 if k < 3 else 0.0))
+    left = values.left_levels[3].whole()
+    assert np.all(left == 1.0) and len(left) == tree.level_size(2)
     # a payoff reads the leaves, so the same tree builds their state
     evaluate(tree, TerminalSpec(payoff=lambda w, c: w))
     assert "_branch_pass" in built and "_count_pass" in built
