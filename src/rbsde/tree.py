@@ -25,11 +25,10 @@ of the ancestor level ``j`` where the process was last set, and node
 ``i`` of level ``k`` reads ``arr[i // B**(k - j)]``.  A compensator
 increment assigned at level k is F_k-measurable, so K_{k+1} is stored
 as a level-k array; the jump-type part K_d is set only at the obstacle's
-declared jump levels and shared by the levels after them.  Three
-readers cover every use: ``_block_rows`` (the rows of a parent block),
-``_block_children`` (their (parents, B) children) and ``expand`` (a
-whole level); ``ScenarioTree.expectation`` weighs such an array without
-expanding it.  Whole-level arrays are the case ``j = k``, so processes
+declared jump levels and shared by the levels after them.  Two
+readers cover every use: ``_block_rows`` (the rows of a parent block)
+and ``expand`` (a whole level); ``ScenarioTree.expectation`` weighs such
+an array without expanding it.  Whole-level arrays are the case ``j = k``, so processes
 built level by level in full read the same way.  No solver stores the
 continuous part K_c = K - K_d: ``rbsde.bsde.ContinuousPart`` forms a
 level of it on each read, lining each stored value of the coarser of K
@@ -460,19 +459,6 @@ def _block_rows(tree: ScenarioTree, values: np.ndarray, level: int,
     runs[0] -= start - first * ratio
     runs[-1] -= (last + 1) * ratio - stop
     return np.repeat(values[first:last + 1], runs, axis=0)
-
-
-def _block_children(tree: ScenarioTree, values: np.ndarray, level: int,
-                    rows: slice) -> np.ndarray:
-    """(parents, B) values at ``level + 1`` below the ``rows`` nodes of ``level``.
-
-    A whole next level gives a view; an array set at ``level`` or earlier
-    gives its parent values broadcast (read-only) over the B children.
-    """
-    if len(values) == tree.level_size(level + 1):
-        return _children(tree, values, rows)
-    parents = _block_rows(tree, values, level, rows)
-    return np.broadcast_to(parents[:, None], (len(parents), tree.branching))
 
 
 def expand(tree: ScenarioTree, values: np.ndarray, level: int) -> np.ndarray:

@@ -15,6 +15,31 @@ stored K_c levels (a loaded dump, a hand-built mutant) are read as they
 are and the split clause tests them.  The checker reads
 no ``tree.atom_prob`` level, and each slice's and each side's arrays
 are freed with it.
+
+The checker skips work only where the skipped operations have known
+bits, so every report is the one the full passes give:
+
+- An increment whose level k + 1 is stored at level k or above is a
+  (parents, 1) column: its minima and maxima are those of the (parents,
+  B) table it stands for, and a coarser level k is subtracted by a
+  broadcast over its groups, not a repeat.  A table is formed only for a
+  product with ``branch_prob``, so each product reads the table it always
+  read.
+- Where K_d is +0.0 at every node, K_c is K's own array: x - (+0.0) is x
+  for every float.  The split K - K_c - K_d is then x - x, which is +0.0
+  or NaN, NaN exactly where x is not finite, so finite K increments give
+  0.0; and the K increments serve as K_c's.  Where K_d at k + 1 is its
+  level k array itself, each jump-type increment is x - x, which one
+  finiteness test gives.  A Y_N that is the terminal array itself gives
+  Y_N - ξ the same way.
+- BLAS adds each product into a zeroed result, so increments or masses
+  that are all ±0.0 weigh to +0.0 against ``branch_prob``, and a
+  parent's +0.0 term adds +0.0.  So the dynamics adds 0.0 for such K
+  increments, and such a continuous-type mass gives a 0.0 integral term,
+  with no table and no product.  ±0.0 K increments times a finite slack
+  are ±0.0, so that mass is not formed.  A NaN or an infinity is not
+  ±0.0, so non-finite data takes the full path.
+
 The compensators are read through the level-rule readers of
 ``rbsde.tree``, so compact solver output and whole-level solutions (a
 loaded dump, a hand-built mutant) go through the same checker, which
@@ -32,6 +57,7 @@ envelope route's ``regularity_check`` does.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +69,17 @@ from .processes import BarrierValues, ProblemSpec, evaluate
 from .reflected import _own, _source_rates, obstacle_payoff, solve_bsde, solve_reflected_one
 from .snell import BIND_TOL, REGULAR_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import (Process, ScenarioTree, _block_children, _block_rows, _children,
-                   _node_blocks, _parent_rows, _prob_step, _worst, sup_diff, terminal_mean)
+from .tree import (Process, ScenarioTree, _block_rows, _children,
+                   _node_blocks, _parent_rows, _prob_step, _ratio, _self_gap, _worst, sup_diff,
+                   terminal_mean)
 from .twobarrier import _closure, _mean_mass, picard_snell_solve, solve_double_obstacle
 
 CHECK_TOL = 1e-10
 EXACT_PENALTY_LEVEL = 1e13
+# The tables that ``_by_branch`` takes a column at a time: at least this
+# many rows, and at most this many columns.
+_COLUMN_ROWS = 2048
+_COLUMN_WIDTH = 8
 DEFAULT_LADDER = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
@@ -83,7 +114,9 @@ class _Side:
 
     ``sign`` is +1 for an obstacle below the solution and -1 for one
     above it, so that ``sign*(Y - obstacle)`` is the slack.  ``k_c`` holds
-    K_c's stored levels, or for a ``ContinuousPart`` its ``parts``.
+    K_c's stored levels, or for the compensator's own ``ContinuousPart``
+    its ``parts``: the (K, K_d) pair of a level, or None where K_d is +0.0
+    at every node and K_c is K's own array.
     """
 
     obstacle: BarrierValues
@@ -96,54 +129,95 @@ class _Side:
     split: float = 0.0
     left_integral: float = 0.0
     terms: list = field(default_factory=list)   # the left-limit integral's, per level
-    k_c: list = field(init=False)   # K_c's levels as ``_rows`` takes them
+    k_c: list = field(init=False)   # K_c's levels as ``_stored`` takes them, None for K's own
 
     def __post_init__(self) -> None:
-        k_c = self.compensator.k_c
-        if isinstance(k_c, ContinuousPart):
-            k_c = [k_c.parts(j) for j in range(len(k_c))]
+        comp = self.compensator
+        if comp is None:
+            name = "lower" if self.sign > 0 else "upper"
+            raise ValueError(f"the solution has no {name} compensator to check "
+                             f"against the {name} obstacle")
+        k_c = comp.k_c
+        if isinstance(k_c, ContinuousPart) and k_c.k is comp.k and k_c.k_d is comp.k_d:
+            k_c = [part if isinstance(part, tuple) else None
+                   for part in map(k_c.parts, range(len(k_c)))]
         self.k_c = k_c
 
 
 def _abs_max(values: np.ndarray) -> float:
     """max |values| from two reductions, without an |values| temporary."""
-    return _worst(float(np.max(values)), -float(np.min(values)))
+    return _worst(float(values.max()), -float(values.min()))
 
 
-def _rows(tree: ScenarioTree, values, level: int, rows: slice) -> np.ndarray:
-    """``_block_rows`` of one level; a (K, K_d) pair of K_c gives K's rows minus K_d's.
+def _stored(tree: ScenarioTree, values, level: int, rows: slice) -> tuple[np.ndarray, int]:
+    """``(values, ratio)``: the stored values the ``rows`` of ``level`` read, ``ratio`` rows each.
 
-    The pair's subtraction is the one that forms its whole level
-    (``ContinuousPart``), so no whole level of it is built.
+    An operation of the rows with one of these values is an operation with
+    the value broadcast over its group of ``ratio`` rows: the same bits,
+    and no repeat.  A slice that cuts such a group (64-parent slices of a
+    B = 6 tree) gives its rows from ``_block_rows``, ratio 1.  A (K, K_d)
+    pair gives K - K_d at the finer of the two, the subtraction that forms
+    its whole level (``ContinuousPart``).
     """
     if isinstance(values, tuple):
-        total, jump = values
-        return _block_rows(tree, total, level, rows) - _block_rows(tree, jump, level, rows)
-    return _block_rows(tree, values, level, rows)
+        return _difference(*_stored(tree, values[0], level, rows),
+                           *_stored(tree, values[1], level, rows))
+    ratio = _ratio(tree, values, level)
+    start, stop, _ = rows.indices(tree.level_size(level))
+    if start % ratio or stop % ratio:
+        return _block_rows(tree, values, level, rows), 1
+    return values[start // ratio:stop // ratio], ratio
 
 
-def _increments(parents: np.ndarray, later: np.ndarray) -> np.ndarray:
-    """Increments from the rows of a parent slice to their children.
+def _difference(a: np.ndarray, a_ratio: int, b: np.ndarray,
+                b_ratio: int) -> tuple[np.ndarray, int]:
+    """``a - b`` of two ``_stored`` reads of the same rows, at the finer ratio of the two.
 
-    A next level read once per parent gives a (parents, 1) column.  Read
-    per child it gives the (parents, B) table, laid out parent-fastest
-    (Fortran order), which numpy builds several times faster than the
-    row-major broadcast and which fixes the summation order of the
-    products taken from it.
+    Each value of the coarser read meets a group of the finer one's, as a
+    (groups, 1) column against a (groups, group) table (``_by_branch``).
     """
-    if later.ndim == 1:
-        return (later - parents)[:, None]
-    out = np.empty(later.shape, order="F")
-    return np.subtract(later, parents[:, None], out=out)
+    if a_ratio == b_ratio:
+        return a - b, a_ratio
+    ratio = min(a_ratio, b_ratio)
+    group = max(a_ratio, b_ratio) // ratio
+    table = np.empty((len(a if a_ratio == ratio else b) // group, group))
+    a, b = (x.reshape(-1, group) if r == ratio else x[:, None]
+            for x, r in ((a, a_ratio), (b, b_ratio)))
+    return _by_branch(np.subtract, a, b, table).ravel(), ratio
+
+
+def _by_branch(op, a, b, out: np.ndarray) -> np.ndarray:
+    """``op(a, b, out=out)`` on a (rows, B) ``out``, one column of it at a time.
+
+    ``a`` and ``b`` are (rows, B) tables, (rows, 1) columns or scalars.  A
+    column broadcast over the few columns of a row-major table, or tables
+    of two layouts, make numpy's inner loop run along a row, at several
+    times the cost of the operation; one call per column runs it down the
+    rows.  A table of fewer than ``_COLUMN_ROWS`` rows or more than
+    ``_COLUMN_WIDTH`` columns takes one call, which then costs less.  Each
+    element is the same single operation either way.
+    """
+    if len(out) < _COLUMN_ROWS or out.shape[1] > _COLUMN_WIDTH:
+        return op(a, b, out=out)
+    columns = (x.T if np.ndim(x) == 2 and x.shape[1] > 1
+               else itertools.repeat(x[:, 0] if np.ndim(x) == 2 else x) for x in (a, b))
+    for dest, x, y in zip(out.T, *columns):
+        op(x, y, out=dest)
+    return out
+
+
+def _expand(values: np.ndarray, ratio: int) -> np.ndarray:
+    """The rows of a ``_stored`` read."""
+    return values if ratio == 1 else np.repeat(values, ratio)
 
 
 def _table(tree: ScenarioTree, increments: np.ndarray) -> np.ndarray:
-    """The Fortran-order (parents, B) table of ``_increments`` output.
+    """The Fortran-order (parents, B) table of a (parents, 1) column or a table.
 
     Products with ``branch_prob`` read a table, so their bits do not
     depend on how the increments were stored.
     """
-    if increments.shape[1] == tree.branching:
+    if increments.shape[1] == tree.branching and increments.flags.f_contiguous:
         return increments
     out = np.empty((len(increments), tree.branching), order="F")
     out[...] = increments
@@ -154,15 +228,12 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
                   sides) -> tuple[float, float]:
     """Every clause residual in one walk of the node probabilities to level N - 1.
 
-    Each block of ``_node_blocks`` is cut into ``_parent_blocks`` slices.
-    Each increment of K, K_c and K_d is taken once per slice, as the
-    children minus their parent, and feeds every clause that reads it;
-    it stays one per parent where none of the three is stored whole at
-    the next level.  The left-limit integral adds its terms level by
-    level, as a pass per level would; the other residuals are NaN-keeping
-    maxima, which the walk's order does not change.  Fills the per-side
-    residuals; returns the dynamics residual and, for two sides, the worst
-    simultaneous jump-type mass.
+    Each block of ``_node_blocks`` is cut into ``_parent_blocks`` slices,
+    whose clauses ``_check_block`` takes.  The left-limit integral adds its
+    terms level by level, as a pass per level would; the other residuals
+    are NaN-keeping maxima, which the walk's order does not change.  Fills
+    the per-side residuals; returns the dynamics residual and, for two
+    sides, the worst simultaneous jump-type mass.
     """
     y, z, v = ([np.asarray(level, dtype=float) for level in levels]
                for levels in (sol.y, sol.z, sol.v))
@@ -171,7 +242,8 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
     for side in sides:
         comp = side.compensator
         side.monotone = float(np.max(np.abs(comp.k[0])))
-        root_c = _rows(tree, side.k_c[0], 0, slice(0, 1))
+        root_c = comp.k[0] if side.k_c[0] is None else _expand(
+            *_stored(tree, side.k_c[0], 0, slice(0, 1)))
         side.split = float(np.max(np.abs(comp.k[0] - root_c - comp.k_d[0])))
         side.terms = [[] for _ in range(tree.num_steps)]
     width = _parent_rows(tree)
@@ -202,89 +274,188 @@ def _check_block(tree: ScenarioTree, y: Process, f_val: np.ndarray, xi: np.ndarr
     y_child = _children(tree, y[k + 1], rows)
     dyn = 0.0
     if k == tree.num_steps - 1:
-        dyn = float(np.max(np.abs(y_child - _children(tree, xi, rows))))
+        # a Y_N that is the terminal array itself (a solver's) gives Y_N - ξ = x - x
+        dyn = (_self_gap(y_child) if y[k + 1] is xi
+               else _abs_max(np.subtract(y_child, _children(tree, xi, rows))))
     increments = [_check_side(tree, side, k, rows, y_par, y_child, parent_prob)
                   for side in sides]
-    # K+ - K- for two sides, K alone for one
-    compensator = (increments[0][0] if len(sides) == 1
-                   else increments[0][0] - increments[1][0])
-    rhs = y_child @ prob + f_val * tree.dt + compensator @ prob
-    dyn = _worst(dyn, float(np.max(np.abs(y_par - rhs))))
+    rhs = y_child @ prob
+    rhs += np.multiply(f_val, tree.dt, out=f_val)
+    # K increments that are all ±0.0 weigh to +0.0 (BLAS adds each product
+    # into a zeroed result), so no table and no product is formed
+    if not all(zero for _, _, zero in increments):
+        # K+ - K- for two sides, K alone for one
+        compensator = (increments[0][0] if len(sides) == 1
+                       else increments[0][0] - increments[1][0])
+        rhs += _table(tree, compensator) @ prob
+    else:
+        rhs += 0.0
+    dyn = _worst(dyn, _abs_max(np.subtract(y_par, rhs, out=rhs)))
     simultaneous = 0.0
     if len(sides) == 2:
-        simultaneous = float(np.max(np.minimum(increments[0][1], increments[1][1])))
+        simultaneous = float(np.minimum(increments[0][1], increments[1][1]).max())
     return dyn, simultaneous
 
 
+def _subtract(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a - b`` of (parents, 1) columns and (parents, B) tables.
+
+    A table is taken a column at a time (``_by_branch``), into ``out`` or
+    a fresh Fortran-order table.
+    """
+    if out is None:
+        out = np.empty((len(a), max(a.shape[1], b.shape[1])), order="F")
+    return _by_branch(np.subtract, a, b, out)
+
+
+def _later(tree: ScenarioTree, values: np.ndarray, k: int, rows: slice) -> np.ndarray:
+    """Level k + 1 of ``values`` below a slice of level ``k``.
+
+    A (parents, 1) column where it is stored at level k or above, so read
+    once per parent; else the (parents, B) view of the children.
+    """
+    if len(values) <= tree.level_size(k):
+        return _block_rows(tree, values, k, rows)[:, None]
+    return _children(tree, values, rows)
+
+
+def _minus(tree: ScenarioTree, a: np.ndarray, values, k: int, rows: slice,
+           own: bool = False) -> np.ndarray:
+    """``a``, a ``_later`` read, minus ``values`` below a slice of level ``k``.
+
+    ``values`` is an array stored by the level rule, or a (K, K_d) pair.
+    Stored at level k or above, it is read once per parent, and a column
+    subtracts each stored value from its group by broadcast (``_stored``);
+    whole at level k + 1 it is read per child.  A table result is a
+    Fortran-order table, which fixes the summation order of the products
+    taken from it, or ``a`` itself where ``own`` gives it up.
+    """
+    if isinstance(values, tuple) or len(values) <= tree.level_size(k):
+        parents = _stored(tree, values, k, rows)
+        if a.shape[1] == 1:
+            return _difference(a[:, 0], 1, *parents)[0][:, None]
+        later = _expand(*parents)[:, None]
+    else:
+        later = _children(tree, values, rows)
+    return _subtract(a, later, a if own and a.shape[1] >= later.shape[1] else None)
+
+
+def _integral_term(mass: np.ndarray, prob: np.ndarray, parent_prob: np.ndarray) -> float:
+    """One slice's term of a left-limit integral: each child's ``mass`` weighted by
+    P(parent) * branch probability, a BLAS product over the (parents, B) table."""
+    return float(np.add.reduce(parent_prob * (mass @ prob)))
+
+
+def _side_increments(tree: ScenarioTree, side: _Side, k: int, rows: slice) -> tuple:
+    """The K, K_c and K_d increments of one slice of level ``k``, and the split residual.
+
+    Each increment is a (parents, 1) column where its level k + 1 is stored
+    at level k or above, else a (parents, B) table (``_later``).  Where K_c
+    is K's own array at both levels, the K increments serve as K_c's, and
+    where K_d at k + 1 is its level k array itself each jump-type increment
+    is x - x, which one finiteness test gives: a 0-d 0.0, or NaN.  Returns
+    the split residual, the least and largest K increment, and the K, K_c
+    and K_d increments.
+    """
+    comp = side.compensator
+    total = _later(tree, comp.k[k + 1], k, rows)
+    d_k = _minus(tree, total, comp.k[k], k, rows)
+    low, high = float(d_k.min()), float(d_k.max())
+    jump = comp.k_d[k + 1]
+    cont = side.k_c[k + 1]
+    if cont is None:
+        # K - K_c - K_d is K - K - (+0.0): 0.0, or NaN where K is not
+        # finite, which finite K increments rule out
+        cont = total
+        split = 0.0 if math.isfinite(high - low) else _self_gap(total)
+    else:
+        cont = (_minus(tree, total, jump, k, rows) if isinstance(cont, tuple)
+                else _later(tree, cont, k, rows))
+        split = _abs_max(_minus(tree, _subtract(total, cont), jump, k, rows, own=True))
+    if cont is total and side.k_c[k] is None:
+        d_kc = d_k
+    else:
+        earlier = comp.k[k] if side.k_c[k] is None else side.k_c[k]
+        d_kc = _minus(tree, cont, earlier, k, rows)
+    del total, cont   # each read of level k + 1 is freed once its increments are taken
+    if jump is comp.k_d[k]:
+        d_kd = np.float64(_self_gap(_stored(tree, jump, k, rows)[0]))
+    else:
+        d_kd = _minus(tree, _later(tree, jump, k, rows), comp.k_d[k], k, rows)
+    return split, low, high, d_k, d_kc, d_kd
+
+
 def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.ndarray,
-                y_child: np.ndarray, parent_prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One side's clauses on one parent block; returns its K and K_d increment tables."""
+                y_child: np.ndarray, parent_prob: np.ndarray) -> tuple:
+    """One side's clauses on one parent slice.
+
+    Returns its K and K_d increments, and whether every K increment is ±0.0.
+    """
     n = tree.num_steps
     prob = tree.branch_prob
-    comp = side.compensator
-    # K, K_c and K_d at level k + 1 are read once for the split and the
-    # increments: once per parent when no part of them is a whole level
-    later = (comp.k[k + 1], side.k_c[k + 1], comp.k_d[k + 1])
-    pair = isinstance(later[1], tuple)   # (K, K_d): the rows of K_c are K's minus K_d's
-    stored = later[::2] if pair else later
-    read = _block_rows if max(map(len, stored)) <= tree.level_size(k) else _block_children
-    total, jump = read(tree, later[0], k, rows), read(tree, later[2], k, rows)
-    cont = total - jump if pair else read(tree, later[1], k, rows)
-    split = np.subtract(total, cont)
-    split -= jump
-    side.split = _worst(side.split, _abs_max(split))
-    del split
-    # each read of level k + 1 is freed once its increments are taken
-    d_k = _table(tree, _increments(_rows(tree, comp.k[k], k, rows), total))
-    d_kc = _table(tree, _increments(_rows(tree, side.k_c[k], k, rows), cont))
-    del total, cont
-    d_kd = _increments(_rows(tree, comp.k_d[k], k, rows), jump)
-    del jump
+    split, low, high, d_k, d_kc, d_kd = _side_increments(tree, side, k, rows)
+    side.split = _worst(side.split, split)
+    side.monotone = _worst(side.monotone, -low)
+    zero = low == 0.0 == high
     # the obstacle's blocks are fresh arrays (or its base alone): each
     # clause is formed in the block that reads the obstacle
     obstacle = side.obstacle.levels[k].rows(rows)
     slack = np.subtract(y_par, obstacle, out=_own(obstacle))
-    slack *= side.sign
-    side.contain = _worst(side.contain, -float(np.min(slack)))
+    if side.sign < 0:
+        np.negative(slack, out=slack)
+    slack_low, slack_high = float(slack.min()), float(slack.max())
+    side.contain = _worst(side.contain, -slack_low)
     if k == n - 1:
         branching = tree.branching
         leaf = side.obstacle.levels[n].rows(slice(rows.start * branching,
                                                   rows.stop * branching))
         if isinstance(leaf, np.ndarray):
             leaf = leaf.reshape(-1, branching)
+        # the largest sign*(leaf - Y_N) without forming it: max(x) for +1, -min(x) for -1
         excess = np.subtract(leaf, y_child, out=_own(leaf))
-        excess *= side.sign
-        side.contain = _worst(side.contain, float(np.max(excess)))
+        side.contain = _worst(side.contain, float(excess.max()) if side.sign > 0
+                              else -float(excess.min()))
         del leaf, excess
-    mass_c = np.multiply(d_kc, slack[:, None], out=d_kc)
-    side.skorokhod = _worst(side.skorokhod, _abs_max(mass_c))
-    # left-limit minimality integral, weighting each child by
-    # P(parent) * branch probability: continuous-type mass pairs
-    # with the slack at the assigning slot, jump-type mass (below)
-    # with the left limit against the previous-slot solution
-    side.terms[k].append(float(np.add.reduce(parent_prob * (mass_c @ prob))))
-    side.monotone = _worst(side.monotone, -float(np.min(d_k)))
+    # The continuous-type mass d_kc * slack and the left-limit minimality
+    # integral, weighting each child by P(parent) * branch probability:
+    # continuous-type mass pairs with the slack at the assigning slot,
+    # jump-type mass (below) with the left limit against the previous-slot
+    # solution.  ±0.0 increments times a finite slack are ±0.0, mass that
+    # is all ±0.0 weighs to +0.0 (BLAS adds into a zeroed result), and so
+    # does each parent's term: then no mass, table or product is formed
+    if d_kc is d_k and zero and math.isfinite(slack_high - slack_low):
+        side.terms[k].append(0.0)
+    else:
+        mass_c = np.multiply(d_kc, slack[:, None],
+                             out=np.empty(d_kc.shape, order="F") if d_kc is d_k else d_kc)
+        skorokhod = _abs_max(mass_c)
+        side.skorokhod = _worst(side.skorokhod, skorokhod)
+        side.terms[k].append(0.0 if skorokhod == 0.0 else
+                             _integral_term(_table(tree, mass_c), prob, parent_prob))
+        del mass_c
     left = side.obstacle.left_levels.get(k + 1)
     if left is None:
         side.jump = _worst(side.jump, _abs_max(d_kd))
-        return d_k, d_kd
-    # in place, with the float operations of the whole-block formulas: the
-    # gap takes the spent mass_c block, and one C-order block takes the
-    # formula and then gap * d_kd; the left limit is a column per parent,
-    # formed in the spent slack block
+        return d_k, d_kd, zero
+    # The left limit and the gap to it are columns per parent, the left
+    # limit in the spent slack block.  One row-major block takes the
+    # formula and then gap * d_kd, which the product reads.  The formula is
+    # +0.0 off the binding parents: +0.0 is the all-zero bit pattern, so
+    # and-ing each row's bits with all ones or all zeros keeps or clears it
+    # exactly, as a masked copy would.
     left = left.rows((rows, None), out=slack[:, None])
-    gap = np.subtract(y_par[:, None], left, out=mass_c)
+    gap = np.subtract(y_par[:, None], left)
     gap *= side.sign
-    work = np.empty(gap.shape)
-    binding = np.abs(gap, out=work) <= BIND_TOL
-    formula = np.subtract(left, y_child, out=work)
-    formula *= side.sign
+    keep = np.negative(np.abs(gap) <= BIND_TOL, dtype=np.int64)
+    formula = _by_branch(np.subtract, left, y_child, np.empty(y_child.shape))
+    if side.sign < 0:
+        np.negative(formula, out=formula)
     np.maximum(formula, 0.0, out=formula)
-    np.copyto(formula, 0.0, where=~binding)
-    side.jump = _worst(side.jump, _abs_max(np.subtract(d_kd, formula, out=work)))
-    weighted = np.multiply(gap, d_kd, out=work) @ prob
-    side.terms[k].append(float(np.add.reduce(parent_prob * weighted)))
-    return d_k, d_kd
+    _by_branch(np.bitwise_and, formula.view(np.int64), keep, formula.view(np.int64))
+    side.jump = _worst(side.jump, _abs_max(_by_branch(np.subtract, d_kd, formula, formula)))
+    side.terms[k].append(_integral_term(_by_branch(np.multiply, gap, d_kd, formula), prob,
+                                        parent_prob))
+    return d_k, d_kd, zero
 
 
 # Clause names and notes by obstacle count: the containment clause, one

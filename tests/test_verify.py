@@ -161,13 +161,15 @@ def test_checker_transient_stays_below_one_leaf_level():
 def test_checker_block_transient_at_a_declared_leaf_level(sides, blocks):
     # A jump at the horizon makes K_d a whole leaf level and K_c one too,
     # the largest blocks the checker reads.  One side of a block holds its
-    # K, K_c and K_d increments and one work block for the left-limit
-    # clauses, and a block adds per-parent vectors (a quarter block each
-    # with one mark); the other side keeps only its K and K_d increments.
-    # The node probabilities of level 8 come a parent slice (a quarter
-    # block) at a time, next to the whole level 7 (a quarter block): about
-    # 5.6 and 7.6 blocks.  Level 8 held whole took 6.1 and 8.1, and the
-    # whole-block left-limit formulas 6.9 and 8.9.
+    # K_c and K_d increment tables and one work block for the left-limit
+    # formula; its K increments, the left limit and the gap to it are
+    # per-parent vectors (a quarter block each with one mark), and the other
+    # side keeps only its K increments and K_d table.  The node
+    # probabilities of level 8 come a parent slice (a quarter block) at a
+    # time, next to the whole level 7 (a quarter block): about 4.3 and 5.5
+    # blocks.  K increments and left-limit gaps held as tables took 5.6 and
+    # 7.6, level 8 held whole 6.1 and 8.1, and the whole-block left-limit
+    # formulas 6.9 and 8.9.
     steps = 9   # one mark: level 8 spans four parent blocks
     marks = MarkSet(sizes=(1.0,), intensities=(0.5,))
     tree = build_tree(steps, marks)
@@ -257,6 +259,59 @@ def test_two_barrier_mutants_flip_exactly_their_clause(case):
     for name, result in report.clauses.items():
         if name != clause:
             assert result.passed, (clause, name, report.to_dict())
+
+
+def _continuous_band(steps):
+    """Obstacles with no declared jump that Y meets: the lower one early, the upper one late."""
+    tree = build_tree(steps)
+    driver = DriverSpec(base=lambda t: -4.0 if t < 0.5 else 0.5)
+    terminal = TerminalSpec(payoff=lambda w, counts: np.abs(w) + 0.3)
+    lower = BarrierSpec(pieces=((0.0, 0.2),), stochastic=lambda t, w, c: 0.5 * w)
+    upper = BarrierSpec(pieces=((0.0, 0.35),), stochastic=lambda t, w, c: np.abs(w))
+    return tree, driver, terminal, (lower, upper)
+
+
+@pytest.mark.parametrize("sides", [1, 2])
+def test_a_correct_solve_weighs_no_continuous_mass(monkeypatch, sides):
+    # On a correct solve K_c moves only where the slack is +0.0, so every
+    # continuous-type mass is ±0.0 and its left-limit term is +0.0 without a
+    # branch_prob product; with no declared jump no other term is weighed.
+    tree, driver, terminal, obstacles = _continuous_band(12)
+    obstacles = obstacles[:sides]
+    sol = solve_reflected(tree, driver, terminal, *obstacles)
+    assert all(eval_barrier(spec, tree).jump_levels == () for spec in obstacles)
+    assert all(np.any(side.k[-1]) for side in (sol.lower, sol.upper)[:sides])
+    weighed = []
+    term = verify._integral_term
+    monkeypatch.setattr(verify, "_integral_term",
+                        lambda *args: weighed.append(args) or term(*args))
+    report = check_solution(tree, sol, driver, terminal, *obstacles)
+    assert report.passed, report.to_dict()
+    assert weighed == []
+    # continuous mass off the obstacle is weighed, and the integral reads
+    # it; it is K_c's mass, also where K does not move
+    skorokhod = "skorokhod_c" if sides == 1 else "skorokhod_lower_c"
+    level = tree.num_steps - 1
+    node = int(np.argmax(sol.y[level] - eval_barrier(obstacles[0], tree).levels[level].whole()))
+    children = slice(node * tree.branching, (node + 1) * tree.branching)
+    for other, shift in (("k", 1e-3), ("k_d", -1e-3)):
+        mutant = clone_solution(tree, sol)
+        for part, delta in (("k_c", 1e-3), (other, shift)):
+            getattr(mutant.lower, part)[level + 1][children] += delta
+        report = check_solution(tree, mutant, driver, terminal, *obstacles)
+        assert not report.clauses[skorokhod].passed, other
+        assert not report.clauses["left_limit_skorokhod"].passed, other
+    assert weighed
+
+
+def test_a_missing_compensator_is_named():
+    tree, driver, terminal, (lower, upper) = _continuous_band(4)
+    one = solve_reflected(tree, driver, terminal, lower)
+    with pytest.raises(ValueError, match="no upper compensator"):
+        check_solution(tree, one, driver, terminal, lower, upper)
+    free = solve_reflected(tree, driver, terminal)
+    with pytest.raises(ValueError, match="no lower compensator"):
+        check_solution(tree, free, driver, terminal, lower)
 
 
 def test_simultaneous_jump_clause_fires_with_its_entailed_formula():
