@@ -11,7 +11,11 @@ evaluates) as a ``source(k, rows, z, v)`` and a ``settle`` rule for the
 implicit step: the reflected, penalised and Picard steps are rules of
 ``rbsde.reflected``, ``rbsde.penalty`` and ``rbsde.fixpoint``.  The
 sweep takes the leaf values as an array: every solver reads its terminal
-and obstacles with ``rbsde.processes.evaluate``.
+and obstacles with ``rbsde.processes.evaluate``.  A solution's Y_N is
+that array itself, and for a terminal ``evaluate`` made, Z_{N-1} and
+V_{N-1} are read-only arrays that every sweep of it on the tree shares:
+the tree keeps the terminal's last step (``rbsde.processes.LastStep``),
+so only the first sweep projects it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import StepsizeTooLarge
 from .processes import eval_barrier  # noqa: F401  (kept importable from this module)
-from .processes import lipschitz_constant
+from .processes import _last_step, _read_only, lipschitz_constant
 from .tree import Process, ScenarioTree, _children, _parent_blocks, _weigh
 
 
@@ -87,7 +91,9 @@ class Solution:
     ``lower`` is K (K+ with two obstacles), which pushes Y up onto the
     lower obstacle; ``upper`` is K-, which pushes Y down onto the upper
     one.  A side without an obstacle is None, both for the unreflected
-    equation.
+    equation.  Y_N may be the read-only terminal array itself, and Z_{N-1}
+    and V_{N-1} read-only arrays shared with every other solve of that
+    terminal on the tree: edit copies.
     """
 
     y: Process
@@ -166,6 +172,13 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle):
     increments on the way).  Returns (y, z, v).  Values that leave the
     float range become inf or NaN without a warning: the solvers test
     each level of Y once the sweep is done (``rbsde.reflected._finite``).
+
+    A terminal that ``rbsde.processes.evaluate`` made on the tree has its
+    last step kept there (``LastStep``): the first sweep of it freezes its
+    Z_{N-1} and V_{N-1} read-only and keeps them, and every later sweep
+    takes them as its own levels, with no projection; the second keeps
+    its blocks' conditional means, which later sweeps read.  Every block
+    has the bits it would have if projected.
     """
     n = tree.num_steps
     dt = tree.dt
@@ -173,15 +186,34 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle):
     y[n] = xi
     z: Process = [None] * n
     v: Process = [None] * n
+    last = _last_step(tree, xi)
+    # read once, so a sweep on another thread that fills the memo changes nothing here
+    shared, mean = (None, None) if last is None else (last.zv, last.mean)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, -1, -1):
             size = tree.level_size(k)
-            y[k], z[k] = np.empty(size), np.empty(size)
-            v[k] = np.empty((size, tree.marks.count))
+            y[k] = np.empty(size)
+            if k == n - 1 and shared is not None:
+                # the kept last step: no projection, and no new Z or V level
+                z[k], v[k] = shared
+                kept = np.empty(size) if mean is None else None
+                for rows in _parent_blocks(tree, k):
+                    if kept is None:
+                        mb = mean[rows]
+                    else:   # the second sweep keeps its conditional means
+                        mb = kept[rows] = _children(tree, xi, rows) @ tree.branch_prob
+                    rhs = mb + source(k, rows, z[k][rows], v[k][rows]) * dt
+                    y[k][rows] = settle(k, rows, rhs)
+                if kept is not None:
+                    last.mean = _read_only(kept)
+                continue
+            z[k], v[k] = np.empty(size), np.empty((size, tree.marks.count))
             for rows in _parent_blocks(tree, k):
-                mean, zb, vb = _project_block(tree, _children(tree, y[k + 1], rows))
-                rhs = mean + source(k, rows, zb, vb) * dt
+                mb, zb, vb = _project_block(tree, _children(tree, y[k + 1], rows))
+                rhs = mb + source(k, rows, zb, vb) * dt
                 y[k][rows] = settle(k, rows, rhs)
                 z[k][rows], v[k][rows] = zb, vb
+    if last is not None and shared is None:
+        last.zv = (_read_only(z[n - 1]), _read_only(v[n - 1]))
     return y, z, v
 

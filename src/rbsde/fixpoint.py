@@ -21,7 +21,7 @@ from .bsde import _driver_value
 from .errors import MaxIterExceeded, NoContractionObserved, NonFiniteData, WeightOverflow
 from .processes import KINDS, DriverSpec, lipschitz_constant
 from .reflected import _book, _obstacle_inputs, _reflected_sweep
-from .tree import ScenarioTree, _weigh
+from .tree import ScenarioTree, _all_finite, _weigh
 
 # The rounds call the sweep directly; these solver names stay importable from
 # this module for code that looks them up here (the benchmark's bench/tracing.py).
@@ -47,11 +47,23 @@ def _alpha_distance(tree: ScenarioTree, p, q, alpha: float) -> float:
     """Weighted norm of p - q, with one level of differences alive at a time.
 
     With (Y, Z, V) = p - q: sqrt(sum_{k<N} e^{alpha t_k} E[Y_k^2 + Z_k^2 +
-    sum_i lam_i V_{k,i}^2] dt), left-endpoint weights on the grid.
+    sum_i lam_i V_{k,i}^2] dt), left-endpoint weights on the grid.  Two
+    rounds on one evaluated terminal share Z_{N-1} and V_{N-1}
+    (``rbsde.bsde._backward_sweep``): ``_gaps`` leaves such a pair out.
     """
-    levels = ((yp - yq, zp - zq, vp - vq)
+    levels = (_gaps((yp, yq), (zp, zq), (vp, vq))
               for yp, yq, zp, zq, vp, vq in zip(p[0], q[0], p[1], q[1], p[2], q[2]))
     return _weighted_norm(tree, levels, alpha)
+
+
+def _gaps(*pairs) -> tuple:
+    """``a - b`` of each pair, leaving out a pair that is one finite array.
+
+    x - x is +0.0 for every finite x, and zeros add nothing to a sum of
+    squares, so the norm keeps its bits without them; a shared array with
+    a NaN or inf takes the subtraction, whose NaN the norm keeps.
+    """
+    return tuple(a - b for a, b in pairs if a is not b or not _all_finite(a))
 
 
 def _weighted_norm(tree: ScenarioTree, levels, alpha: float) -> float:
@@ -60,7 +72,9 @@ def _weighted_norm(tree: ScenarioTree, levels, alpha: float) -> float:
     ``levels`` yields one tuple of float arrays per level, which become the
     kernel's own: each is squared in place, a marked (2-D) one is weighed
     by the intensities, and all are summed into the first.  A marked array
-    without marks adds nothing.  At alpha = 0 this is the dt (x) dP norm.
+    without marks adds nothing, and so does a level with no array, which
+    is what its zeros add under the finite weights of the callers.  At
+    alpha = 0 this is the dt (x) dP norm.
     A norm past the largest float is inf, without a warning.
     """
     if alpha < 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bsde import Solution, _backward_sweep, _implicit_y, _sweep_source, check_stepsize
 from .errors import MonotonicityViolation
-from .fixpoint import _weighted_norm
+from .fixpoint import _gaps, _weighted_norm
 from .processes import BarrierSpec, DriverSpec, evaluate
 from .reflected import _book_increment, _finite, solve_reflected_one
 from .snell import MONOTONE_TOL
@@ -67,6 +67,11 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
                              kn=_accumulate(flux))
 
 
+def _dt_dp_gap(tree: ScenarioTree, p: Process, q: Process) -> float:
+    """The dt (x) dP norm of p - q, the alpha norm at alpha = 0, shared finite levels left out."""
+    return _weighted_norm(tree, (_gaps((a, b)) for a, b in zip(p, q)), 0.0)
+
+
 @dataclass(eq=False)
 class PenalizationReport:
     """The ladder's gaps to the reflected solve, and what the sweep keeps of each rung.
@@ -100,15 +105,14 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
     Y^n <= Y^{n+1} pointwise along the ladder (raising
     MonotonicityViolation beyond 1e-12, once every rung is solved) and
     records sup-norm gaps of Y, dt (x) dP gaps of (Z, V) and the L2 gap
-    of the compensators at the horizon.
+    of the compensators at the horizon.  With an evaluated terminal every
+    solve here shares Z_{N-1} and V_{N-1} (``rbsde.bsde._backward_sweep``),
+    and the dt (x) dP gaps leave out such a shared, finite level, whose
+    differences would be +0.0.
     """
     levels = tuple(float(n) for n in n_list)
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("n_list must be ascending with at least two entries")
-
-    def dt_dp_gap(p: Process, q: Process) -> float:
-        """The dt (x) dP norm of p - q: the alpha norm at alpha = 0."""
-        return _weighted_norm(tree, ((a - b,) for a, b in zip(p, q)), 0.0)
 
     reflected = solve_reflected_one(tree, driver, terminal, barrier)
     n = tree.num_steps
@@ -123,8 +127,8 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
         if solutions:
             violation = _worst(violation, _max_excess(solutions[-1].solution.y, y))
         sup_gaps.append(sup_diff(y, reflected.y))
-        z_gaps.append(dt_dp_gap(rung.solution.z, reflected.z))
-        v_gaps.append(dt_dp_gap(rung.solution.v, reflected.v))
+        z_gaps.append(_dt_dp_gap(tree, rung.solution.z, reflected.z))
+        v_gaps.append(_dt_dp_gap(tree, rung.solution.v, reflected.v))
         # both K at the horizon are stored at level n - 1: the gap is squared
         # there and weighed by the level rule, its products going into ``leaf``
         k_gaps.append(float(np.sqrt(

@@ -31,6 +31,13 @@ bit) keep one copy of it.  The state arrays are read-only, and every
 evaluated part is a fresh array, so a function that returns or keeps its
 input cannot change a later level or a memoised result.  ``eval_barrier``
 and ``TerminalSpec.evaluate`` read one item through ``evaluate``.
+
+Next to each evaluated terminal the tree keeps its last backward step
+(``LastStep``): Z_{N-1} and V_{N-1} of its first sweep, and E[xi |
+F_{N-1}] from its second sweep on, which every later sweep of it reads
+instead of projecting xi again.  A terminal array that ``evaluate`` did
+not make is projected on every sweep: its caller may change it between
+solves.
 """
 
 from __future__ import annotations
@@ -64,6 +71,33 @@ KINDS = ("standard", "one_barrier", "two_barrier")
 # entry keeps its spec alive, so an id cannot be reused while it is cached;
 # the whole table goes with the tree.
 _EVALUATED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# tree -> {id(xi): LastStep} for each terminal evaluated on the tree.  Each
+# entry keeps its xi alive, so an id cannot be reused while it is kept; the
+# whole table goes with the tree.
+_LAST_STEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+class LastStep:
+    """The last backward step of an evaluated terminal xi, shared by every sweep of xi.
+
+    ``zv`` is the pair (Z_{N-1}, V_{N-1}) of the first sweep, frozen
+    read-only, and ``mean`` is E[xi | F_{N-1}], kept from the second sweep
+    on; each is None until then.  They depend on xi and the tree alone, and
+    xi is read-only, so ``rbsde.bsde._backward_sweep`` reads them in place
+    of projecting xi again.  Sweeps on several threads may each fill an
+    entry; every fill has the same bits, so whichever is kept serves alike.
+    """
+
+    def __init__(self, xi: np.ndarray) -> None:
+        self.xi = xi
+        self.zv: tuple[np.ndarray, np.ndarray] | None = None
+        self.mean: np.ndarray | None = None
+
+
+def _last_step(tree: ScenarioTree, xi) -> LastStep | None:
+    """The ``LastStep`` of ``xi`` where ``evaluate`` made it on ``tree``, else None."""
+    last = _LAST_STEPS.get(tree, {}).get(id(xi))
+    return last if last is not None and last.xi is xi else None
 
 
 def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
@@ -82,6 +116,8 @@ def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
     if missing:
         for spec, evaluated in zip(missing, _walk(tree, missing)):
             per_tree[id(spec)] = (spec, evaluated)
+            if isinstance(spec, TerminalSpec):
+                _LAST_STEPS.setdefault(tree, {}).setdefault(id(evaluated), LastStep(evaluated))
     values = []
     for obstacle in obstacles:
         if isinstance(obstacle, BarrierSpec):

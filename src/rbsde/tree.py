@@ -96,9 +96,12 @@ class MarkSet:
     def total_intensity(self) -> float:
         return float(sum(self.intensities))
 
-    @property
+    @cached_property
     def intensity_array(self) -> np.ndarray:
-        return np.asarray(self.intensities, dtype=float)
+        """The intensities as one read-only float array, made on first read."""
+        lam = np.asarray(self.intensities, dtype=float)
+        lam.flags.writeable = False
+        return lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +135,7 @@ class ScenarioTree:
     branch_comp: np.ndarray   # (B, m) compensated increments 1[jump=i] - lam_i dt
     atom_prob: AtomProbabilities       # unconditional probability of each node
 
-    @property
+    @cached_property
     def branching(self) -> int:
         return 2 * (self.marks.count + 1)
 
