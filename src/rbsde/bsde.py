@@ -12,10 +12,13 @@ implicit step: the reflected, penalised and Picard steps are rules of
 ``rbsde.reflected``, ``rbsde.penalty`` and ``rbsde.fixpoint``.  The
 sweep takes the leaf values as an array: every solver reads its terminal
 and obstacles with ``rbsde.processes.evaluate``.  A solution's Y_N is
-that array itself, and for a terminal ``evaluate`` made, Z_{N-1} and
-V_{N-1} are read-only arrays that every sweep of it on the tree shares:
-the tree keeps the terminal's last step (``rbsde.processes.LastStep``),
-so only the first sweep projects it.
+that array itself.  A direct solve stores no Z or V: its Z and V are
+``Projection``s of its Y, each level formed on read.  The sweeps whose
+callers read Z and V again (Picard rounds and penalised rungs) store
+them, and for a terminal ``evaluate`` made, their Z_{N-1} and V_{N-1}
+are read-only arrays that every such sweep of it on the tree shares: the
+tree keeps the terminal's last step (``rbsde.processes.LastStep``), so
+only the first storing sweep projects it.
 """
 
 from __future__ import annotations
@@ -64,6 +67,41 @@ class ContinuousPart(Sequence):
         return (total[:, None] - jump.reshape(len(total), -1)).ravel()
 
 
+class Projection(Sequence):
+    """Z or V of a direct solve: level k is the projection of Y_{k+1}, formed on read.
+
+    Nothing is stored.  A read of level k projects Y_{k+1} over the
+    ``_parent_blocks`` slices of level k, the blocks the sweep projected,
+    so each block is the same BLAS product and the level has the bits the
+    sweep formed.  Each read returns a fresh array, the caller's to edit;
+    the levels follow Y, so edit a copy of Y, not Y itself.
+    ``rbsde.verify`` takes a slice's rows from the children table it reads
+    anyway (``block``), building no level.
+    """
+
+    def __init__(self, tree: ScenarioTree, y: Process, kernel) -> None:
+        self.tree, self.y, self.kernel = tree, y, kernel
+
+    def __len__(self) -> int:
+        return len(self.y) - 1
+
+    def block(self, table: np.ndarray) -> np.ndarray:
+        """The rows of a (parents, B) table of Y_{k+1}, as the sweep forms them."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.kernel(self.tree, table)
+
+    def __getitem__(self, level: int) -> np.ndarray:
+        level = range(len(self))[level]   # negative levels, and IndexError past the last
+        tree = self.tree
+        out = None
+        for rows in _parent_blocks(tree, level):
+            block = self.block(_children(tree, self.y[level + 1], rows))
+            if out is None:
+                out = np.empty((tree.level_size(level),) + block.shape[1:])
+            out[rows] = block
+        return out
+
+
 @dataclass(eq=False)
 class Compensator:
     """Reflecting process K of one obstacle, split as K = K_c + K_d.
@@ -91,9 +129,11 @@ class Solution:
     ``lower`` is K (K+ with two obstacles), which pushes Y up onto the
     lower obstacle; ``upper`` is K-, which pushes Y down onto the upper
     one.  A side without an obstacle is None, both for the unreflected
-    equation.  Y_N may be the read-only terminal array itself, and Z_{N-1}
-    and V_{N-1} read-only arrays shared with every other solve of that
-    terminal on the tree: edit copies.
+    equation.  Y_N may be the read-only terminal array itself.  A direct
+    solve's Z and V are ``Projection``s of its Y, formed on each read; a
+    Picard round's or a penalised rung's are stored, and their Z_{N-1}
+    and V_{N-1} read-only arrays shared with every other such solve of
+    that terminal on the tree: edit copies.
     """
 
     y: Process
@@ -110,18 +150,23 @@ def check_stepsize(driver, tree: ScenarioTree) -> None:
         raise StepsizeTooLarge(f"dt*C_f = {c_dt:.6g} >= 1; refine the grid")
 
 
+def _project_z(tree: ScenarioTree, table: np.ndarray) -> np.ndarray:
+    """z of a (parents, B) block of child values."""
+    return (table @ (tree.branch_prob * tree.branch_db)) / tree.dt
+
+
+def _project_v(tree: ScenarioTree, table: np.ndarray) -> np.ndarray:
+    """v of a (parents, B) block of child values, one column per mark."""
+    if not tree.marks.count:
+        return np.zeros((table.shape[0], 0))
+    weights = tree.branch_prob[:, None] * tree.branch_comp
+    scale = tree.marks.intensity_array * tree.dt
+    return (table @ weights) / scale[None, :]
+
+
 def _project_block(tree: ScenarioTree, table: np.ndarray):
     """(mean, z, v) of a (parents, B) block of child values."""
-    mean = table @ tree.branch_prob
-    z = (table @ (tree.branch_prob * tree.branch_db)) / tree.dt
-    m = tree.marks.count
-    if m:
-        weights = tree.branch_prob[:, None] * tree.branch_comp
-        scale = tree.marks.intensity_array * tree.dt
-        v = (table @ weights) / scale[None, :]
-    else:
-        v = np.zeros((table.shape[0], 0))
-    return mean, z, v
+    return table @ tree.branch_prob, _project_z(tree, table), _project_v(tree, table)
 
 
 def project_level(tree: ScenarioTree, y_next: np.ndarray):
@@ -162,30 +207,32 @@ def _implicit_y(rhs, a: float, dt: float):
     return rhs / (1.0 - a * dt)
 
 
-def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle):
+def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, store: bool = True):
     """Backward induction over cache-sized parent blocks of each level.
 
     Each block is projected once: its conditional mean feeds the implicit
     right-hand side ``E[Y_next] + source(level, rows, z, v)*dt``, where
     (z, v) are the block's projections, and ``settle(level, rows, rhs)``
     returns the block's solution values (booking any compensator
-    increments on the way).  Returns (y, z, v).  Values that leave the
-    float range become inf or NaN without a warning: the solvers test
-    each level of Y once the sweep is done (``rbsde.reflected._finite``).
+    increments on the way).  Returns (y, z, v), where z and v are None
+    unless ``store`` asks for their levels.  Values that leave the float
+    range become inf or NaN without a warning: the solvers test each level
+    of Y once the sweep is done (``rbsde.reflected._finite``).
 
     A terminal that ``rbsde.processes.evaluate`` made on the tree has its
-    last step kept there (``LastStep``): the first sweep of it freezes its
-    Z_{N-1} and V_{N-1} read-only and keeps them, and every later sweep
-    takes them as its own levels, with no projection; the second keeps
-    its blocks' conditional means, which later sweeps read.  Every block
-    has the bits it would have if projected.
+    last step kept there (``LastStep``), filled by storing sweeps only:
+    the first freezes its Z_{N-1} and V_{N-1} read-only and keeps them,
+    and every later sweep reads them in place of projecting; the second
+    keeps its blocks' conditional means, which later sweeps read.  A
+    storing sweep takes the kept Z_{N-1} and V_{N-1} as its own levels.
+    Every block has the bits it would have if projected.
     """
     n = tree.num_steps
     dt = tree.dt
     y: Process = [None] * (n + 1)
     y[n] = xi
-    z: Process = [None] * n
-    v: Process = [None] * n
+    z: Process | None = [None] * n if store else None
+    v: Process | None = [None] * n if store else None
     last = _last_step(tree, xi)
     # read once, so a sweep on another thread that fills the memo changes nothing here
     shared, mean = (None, None) if last is None else (last.zv, last.mean)
@@ -195,25 +242,31 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle):
             y[k] = np.empty(size)
             if k == n - 1 and shared is not None:
                 # the kept last step: no projection, and no new Z or V level
-                z[k], v[k] = shared
-                kept = np.empty(size) if mean is None else None
+                zk, vk = shared
+                if store:
+                    z[k], v[k] = shared
+                # the second storing sweep keeps its conditional means
+                kept = np.empty(size) if mean is None and store else None
                 for rows in _parent_blocks(tree, k):
-                    if kept is None:
+                    if mean is not None:
                         mb = mean[rows]
-                    else:   # the second sweep keeps its conditional means
-                        mb = kept[rows] = _children(tree, xi, rows) @ tree.branch_prob
-                    rhs = mb + source(k, rows, z[k][rows], v[k][rows]) * dt
+                    else:
+                        mb = _children(tree, xi, rows) @ tree.branch_prob
+                        if kept is not None:
+                            kept[rows] = mb
+                    rhs = mb + source(k, rows, zk[rows], vk[rows]) * dt
                     y[k][rows] = settle(k, rows, rhs)
                 if kept is not None:
                     last.mean = _read_only(kept)
                 continue
-            z[k], v[k] = np.empty(size), np.empty((size, tree.marks.count))
+            if store:
+                z[k], v[k] = np.empty(size), np.empty((size, tree.marks.count))
             for rows in _parent_blocks(tree, k):
                 mb, zb, vb = _project_block(tree, _children(tree, y[k + 1], rows))
                 rhs = mb + source(k, rows, zb, vb) * dt
                 y[k][rows] = settle(k, rows, rhs)
-                z[k][rows], v[k][rows] = zb, vb
-    if last is not None and shared is None:
+                if store:
+                    z[k][rows], v[k][rows] = zb, vb
+    if store and last is not None and shared is None:
         last.zv = (_read_only(z[n - 1]), _read_only(v[n - 1]))
     return y, z, v
-

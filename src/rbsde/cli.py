@@ -283,6 +283,8 @@ def cmd_solve(args) -> int:
     obstacles, solve, check = _entry_points(problem)
     sol = solve(tree, problem.driver, problem.terminal, *obstacles)
     report = check(tree, sol, problem.driver, problem.terminal, *obstacles)
+    # the solve's Z and V are projections of its Y: form each level once for both files
+    sol = Solution(sol.y, list(sol.z), list(sol.v), sol.lower, sol.upper)
     full = args.full or tree.node_count <= AUTO_FULL_NODES
     _write_json(out / "solution.json", _solution_payload(tree, sol, kind, full))
     _write_json(out / "report.json", report.to_dict())

@@ -75,13 +75,15 @@ def _weighted_norm(tree: ScenarioTree, levels, alpha: float) -> float:
     without marks adds nothing, and so does a level with no array, which
     is what its zeros add under the finite weights of the callers.  At
     alpha = 0 this is the dt (x) dP norm.
-    A norm past the largest float is inf, without a warning.
+    A norm past the largest float is inf, and ``levels`` may take its
+    differences (``_gaps``) as it yields, where inf - inf is NaN, which
+    the norm keeps: neither warns.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     lam = tree.marks.intensity_array
     total = 0.0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for k, arrays in zip(range(tree.num_steps), levels):
             weight = np.exp(alpha * tree.time(k)) * tree.dt
             sq = None

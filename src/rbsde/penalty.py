@@ -17,13 +17,14 @@ from .bsde import Solution, _backward_sweep, _implicit_y, _sweep_source, check_s
 from .errors import MonotonicityViolation
 from .fixpoint import _gaps, _weighted_norm
 from .processes import BarrierSpec, DriverSpec, evaluate
-from .reflected import _book_increment, _finite, solve_reflected_one
+from .reflected import _book_increment, _finite, _solve
 from .snell import MONOTONE_TOL
 from .tree import Process, ScenarioTree, _accumulate, _max_excess, _worst, sup_diff
 
-# The penalised solves call the sweep directly; this name stays importable from
-# this module for code that looks it up here (the benchmark's bench/tracing.py).
-from .reflected import solve_bsde  # noqa: F401
+# The penalised solves call the sweep directly, and the ladder's reflected solve
+# stores its Z and V; these names stay importable from this module for code that
+# looks them up here (the benchmark's bench/tracing.py).
+from .reflected import solve_bsde, solve_reflected_one  # noqa: F401
 
 
 @dataclass(eq=False)
@@ -105,16 +106,17 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
     Y^n <= Y^{n+1} pointwise along the ladder (raising
     MonotonicityViolation beyond 1e-12, once every rung is solved) and
     records sup-norm gaps of Y, dt (x) dP gaps of (Z, V) and the L2 gap
-    of the compensators at the horizon.  With an evaluated terminal every
-    solve here shares Z_{N-1} and V_{N-1} (``rbsde.bsde._backward_sweep``),
-    and the dt (x) dP gaps leave out such a shared, finite level, whose
-    differences would be +0.0.
+    of the compensators at the horizon.  The reflected solve stores its Z
+    and V, which every rung's gaps read, so no level is projected twice.
+    With an evaluated terminal every solve here shares Z_{N-1} and V_{N-1}
+    (``rbsde.bsde._backward_sweep``), and the dt (x) dP gaps leave out
+    such a shared, finite level, whose differences would be +0.0.
     """
     levels = tuple(float(n) for n in n_list)
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("n_list must be ascending with at least two entries")
 
-    reflected = solve_reflected_one(tree, driver, terminal, barrier)
+    reflected = _solve(tree, driver, terminal, barrier, store=True)
     n = tree.num_steps
     reflected_k = reflected.lower.k[n]
     solutions: list = []

@@ -33,11 +33,12 @@ input cannot change a later level or a memoised result.  ``eval_barrier``
 and ``TerminalSpec.evaluate`` read one item through ``evaluate``.
 
 Next to each evaluated terminal the tree keeps its last backward step
-(``LastStep``): Z_{N-1} and V_{N-1} of its first sweep, and E[xi |
-F_{N-1}] from its second sweep on, which every later sweep of it reads
-instead of projecting xi again.  A terminal array that ``evaluate`` did
-not make is projected on every sweep: its caller may change it between
-solves.
+(``LastStep``), which only the sweeps that store Z and V fill: Z_{N-1}
+and V_{N-1} of the first such sweep, and E[xi | F_{N-1}] from the second
+on, which every later sweep of it reads instead of projecting xi again.
+A direct solve reads what is kept and keeps nothing.  A terminal array
+that ``evaluate`` did not make is projected on every sweep: its caller
+may change it between solves.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ _LAST_STEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 class LastStep:
     """The last backward step of an evaluated terminal xi, shared by every sweep of xi.
 
-    ``zv`` is the pair (Z_{N-1}, V_{N-1}) of the first sweep, frozen
-    read-only, and ``mean`` is E[xi | F_{N-1}], kept from the second sweep
-    on; each is None until then.  They depend on xi and the tree alone, and
+    ``zv`` is the pair (Z_{N-1}, V_{N-1}) of the first sweep that stores
+    Z and V, frozen read-only, and ``mean`` is E[xi | F_{N-1}], kept from
+    the second such sweep on; each is None until then.  They depend on xi and the tree alone, and
     xi is read-only, so ``rbsde.bsde._backward_sweep`` reads them in place
     of projecting xi again.  Sweeps on several threads may each fill an
     entry; every fill has the same bits, so whichever is kept serves alike.

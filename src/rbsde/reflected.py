@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (Compensator, Solution, _backward_sweep, _implicit_y, _sweep_source,
-                   check_stepsize)
+from .bsde import (Compensator, Projection, Solution, _backward_sweep, _implicit_y,
+                   _project_v, _project_z, _sweep_source, check_stepsize)
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import (BarriersTouch, DriverNotCoefficientFree, NonFiniteData,
                      TerminalBelowBarrier, TerminalOutsideBarriers)
@@ -40,7 +40,7 @@ from .processes import ObstacleLevel, evaluate
 from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (_BLOCK_NODES, Process, ScenarioTree, _accumulate, _all_finite,
-                   _block_rows, _children, _parent_blocks, sup_diff, terminal_mean)
+                   _block_rows, _children, _parent_blocks, expand, sup_diff, terminal_mean)
 
 TERMINAL_SLACK = 1e-12
 
@@ -53,25 +53,30 @@ def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle,
     on the event that the solution sat on the left limit one step
     earlier; the k - 1 slot stands in for the left limit of Y.  ``sign``
     is +1 for an obstacle below the solution and -1 for one above it.
-    K_d is a whole-level array at declared levels and shared by the
-    levels after them.  No K_c level is stored: the compensator's K_c is
-    the ``ContinuousPart`` K - K_d, formed from K and K_d on each read.
+    K_d is a whole-level array at declared levels where some increment is
+    not ±0.0 (a NaN is mass), and shared by the levels after them.  A
+    declared level that adds no mass shares its predecessor too: K_d is
+    +0.0 or above, or NaN, so x + (±0.0) is x, and the level is formed
+    from the first block with mass, as its predecessor's expanded values
+    plus each later block's masses.  No K_c level is stored: the
+    compensator's K_c is the ``ContinuousPart`` K - K_d, formed from K and
+    K_d on each read.
     """
     n = tree.num_steps
     k_d: Process = [np.zeros(1)]
     for k in range(1, n + 1):
         left = obstacle.left_levels.get(k)
-        if left is None:
-            k_d.append(k_d[k - 1])
-            continue
-        kd = np.empty(tree.level_size(k))
-        for rows in _parent_blocks(tree, k - 1):
+        kd = None   # until a block adds mass, the level is the one before it
+        for rows in () if left is None else _parent_blocks(tree, k - 1):
             left_b = left.rows((rows, None))   # a column against the children
             binding = np.abs(y[k - 1][rows, None] - left_b) <= BIND_TOL
             gap = np.maximum(sign * (left_b - _children(tree, y[k], rows)), 0.0)
-            np.add(_block_rows(tree, k_d[k - 1], k - 1, rows)[:, None],
-                   np.where(binding, gap, 0.0), out=_children(tree, kd, rows))
-        k_d.append(kd)
+            mass = np.where(binding, gap, 0.0)
+            if mass.any():
+                if kd is None:
+                    kd = expand(tree, k_d[k - 1], k)
+                _children(tree, kd, rows)[...] += mass
+        k_d.append(k_d[k - 1] if kd is None else kd)
     return Compensator(k=k_total, k_d=k_d)
 
 
@@ -141,12 +146,14 @@ def _finite(process: Process, name: str) -> None:
                                 "the problem leaves the float range")
 
 
-def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, up=None):
+def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, up=None,
+                     store: bool = True):
     """Y, Z, V and the assigned compensator increments of each side.
 
     ``source`` is the ``_backward_sweep`` source and ``a`` the driver's
     coefficient of y, solved for implicitly.  Returns (y, z, v, inc_p,
-    inc_m); the increments of a side without an obstacle are None.
+    inc_m); the increments of a side without an obstacle are None, and Z
+    and V are None unless ``store`` asks for them.
     """
     n = tree.num_steps
     dt = tree.dt
@@ -171,7 +178,7 @@ def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, 
             np.minimum(yk, hi, out=yk)
         return yk
 
-    y, z, v = _backward_sweep(tree, source, xi, settle)
+    y, z, v = _backward_sweep(tree, source, xi, settle, store)
     return y, z, v, inc_p, inc_m
 
 
@@ -182,8 +189,13 @@ def _book_increment(gap: np.ndarray, scale: float) -> None:
 
 
 def _book(tree: ScenarioTree, swept, low, up=None) -> Solution:
-    """Solution of a ``_reflected_sweep`` result, each side's K accumulated and split."""
+    """Solution of a ``_reflected_sweep`` result, each side's K accumulated and split.
+
+    A sweep that stored no Z or V gives the ``Projection``s of its Y.
+    """
     y, z, v, inc_p, inc_m = swept
+    if z is None:
+        z, v = Projection(tree, y, _project_z), Projection(tree, y, _project_v)
     k_plus = None if low is None else _split_side(tree, y, _accumulate(inc_p), low, +1)
     k_minus = None if up is None else _split_side(tree, y, _accumulate(inc_m), up, -1)
     return Solution(y=y, z=z, v=v, lower=k_plus, upper=k_minus)
@@ -198,11 +210,19 @@ def solve_reflected(tree: ScenarioTree, driver, terminal, lower=None,
     compensator.  Preconditions: the terminal lies in [L, U] at every
     leaf, the obstacles are strictly separated before the horizon (an
     upper one needs a lower one), and dt times the driver's Lipschitz
-    constant on the tree's intensities is below one.
+    constant on the tree's intensities is below one.  The solution stores
+    Y, K and K_d; its Z and V are ``rbsde.bsde.Projection``s of Y.
     """
+    return _solve(tree, driver, terminal, lower, upper, store=False)
+
+
+def _solve(tree: ScenarioTree, driver, terminal, lower=None, upper=None, *,
+           store: bool) -> Solution:
+    """``solve_reflected``, with Z and V stored where ``store`` asks for them."""
     check_stepsize(driver, tree)
     low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
-    swept = _reflected_sweep(tree, _sweep_source(tree, driver), driver.a, xi, low, up)
+    swept = _reflected_sweep(tree, _sweep_source(tree, driver), driver.a, xi, low, up,
+                             store=store)
     _finite(swept[0][:-1], "the solution Y")   # level N: evaluate tests a TerminalSpec
     return _book(tree, swept, low, up)
 

@@ -12,9 +12,14 @@ clause forms a whole-level temporary.  A solver stores no K_c
 (``rbsde.bsde.ContinuousPart``): a slice's rows of it are the rows of K
 minus those of K_d, so the checker builds no whole level of it, while
 stored K_c levels (a loaded dump, a hand-built mutant) are read as they
-are and the split clause tests them.  The checker reads
-no ``tree.atom_prob`` level, and each slice's and each side's arrays
-are freed with it.
+are and the split clause tests them.  Nor does a direct solve store Z
+or V (``rbsde.bsde.Projection``): where they are the projections of the
+solution's own Y, a slice's rows of them are projected from the
+children table it reads anyway, over the slices the sweep projected, so
+they have the sweep's bits and no Z or V level is built; explicit Z and
+V levels (a loaded dump, a copy, a mutant) are read as stored.  The
+checker reads no ``tree.atom_prob`` level, and each slice's and each
+side's arrays are freed with it.
 
 The checker skips work only where the skipped operations have known
 bits, so every report is the one the full passes give:
@@ -62,17 +67,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import Compensator, ContinuousPart, Solution, _driver_value
+from .bsde import Compensator, ContinuousPart, Projection, Solution, _driver_value
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
 from .processes import BarrierValues, ProblemSpec, evaluate
-from .reflected import _own, _source_rates, obstacle_payoff, solve_bsde, solve_reflected_one
+from .reflected import _own, _solve, _source_rates, obstacle_payoff
 from .snell import BIND_TOL, REGULAR_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (Process, ScenarioTree, _block_rows, _children,
                    _node_blocks, _parent_rows, _prob_step, _ratio, _self_gap, _worst, sup_diff,
                    terminal_mean)
-from .twobarrier import _closure, _mean_mass, picard_snell_solve, solve_double_obstacle
+from .twobarrier import _closure, _mean_mass, picard_snell_solve
+
+# The probe's direct route stores its Z and V (``_solve``); these solver names stay
+# importable from this module for code that looks them up here (the benchmark's
+# bench/tracing.py).
+from .reflected import solve_bsde, solve_reflected_one  # noqa: F401
+from .twobarrier import solve_double_obstacle  # noqa: F401
 
 CHECK_TOL = 1e-10
 EXACT_PENALTY_LEVEL = 1e13
@@ -235,8 +246,8 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
     the per-side residuals; returns the dynamics residual and, for two
     sides, the worst simultaneous jump-type mass.
     """
-    y, z, v = ([np.asarray(level, dtype=float) for level in levels]
-               for levels in (sol.y, sol.z, sol.v))
+    y = [np.asarray(level, dtype=float) for level in sol.y]
+    zv = _slice_zv(tree, sol)
     dyn = 0.0
     simultaneous = 0.0
     for side in sides:
@@ -250,9 +261,8 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
     for k, block, prob in _node_blocks(tree, tree.num_steps - 1, (np.ones(1),), _prob_step):
         for lo in range(0, len(prob), width):
             rows = slice(block.start + lo, min(block.start + lo + width, block.stop))
-            f_val = _driver_value(driver, tree, k, y[k][rows], z[k][rows], v[k][rows])
-            block_dyn, block_simultaneous = _check_block(tree, y, f_val, xi, sides, k, rows,
-                                                         prob[lo:lo + width])
+            block_dyn, block_simultaneous = _check_block(tree, y, zv, driver, xi, sides, k,
+                                                         rows, prob[lo:lo + width])
             dyn = _worst(dyn, block_dyn)
             simultaneous = _worst(simultaneous, block_simultaneous)
     for side in sides:
@@ -261,17 +271,35 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
     return dyn, simultaneous
 
 
-def _check_block(tree: ScenarioTree, y: Process, f_val: np.ndarray, xi: np.ndarray,
+def _slice_zv(tree: ScenarioTree, sol):
+    """``zv(k, rows, y_child)``: a slice's rows of Z_k and V_k, y_child its children's Y.
+
+    Z and V that are the ``Projection``s of the solution's own Y are
+    projected from y_child, the table the slice reads anyway: the slices
+    are the ``_parent_blocks`` slices a read of a level projects, so the
+    rows have its bits, and no Z or V level is formed.  Other Z and V
+    levels (a loaded dump, a copy, a mutant) are read as stored.
+    """
+    z, v = sol.z, sol.v
+    if all(isinstance(p, Projection) and p.y is sol.y and p.tree is tree for p in (z, v)):
+        return lambda k, rows, y_child: (z.block(y_child), v.block(y_child))
+    z, v = ([np.asarray(level, dtype=float) for level in levels] for levels in (z, v))
+    return lambda k, rows, y_child: (z[k][rows], v[k][rows])
+
+
+def _check_block(tree: ScenarioTree, y: Process, zv, driver, xi: np.ndarray,
                  sides, k: int, rows: slice,
                  parent_prob: np.ndarray) -> tuple[float, float]:
     """The clauses of one parent slice of level ``k``, of node probabilities ``parent_prob``.
 
-    Returns its dynamics and simultaneous residuals.  The slice's arrays,
-    and each side's, are local to one call, so none outlives its slice.
+    ``zv`` gives the slice's Z and V rows (``_slice_zv``).  Returns its
+    dynamics and simultaneous residuals.  The slice's arrays, and each
+    side's, are local to one call, so none outlives its slice.
     """
     prob = tree.branch_prob
     y_par = y[k][rows]
     y_child = _children(tree, y[k + 1], rows)
+    f_val = _driver_value(driver, tree, k, y_par, *zv(k, rows, y_child))
     dyn = 0.0
     if k == tree.num_steps - 1:
         # a Y_N that is the terminal array itself (a solver's) gives Y_N - ξ = x - x
@@ -519,13 +547,15 @@ def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2) -> float:
 
     The routes are the direct solve, a penalised rung with one obstacle, and
     Picard from random starts or, for a coefficient-free driver, an envelope.
+    The direct solve stores its Z and V, as the sweeps of the routes after it
+    do, so it keeps the terminal's last step that they then share
+    (``rbsde.processes.LastStep``) and none of them projects it again.
     """
     if n_restarts < 2:
         raise ValueError("need at least two restarts")
     tree = problem.build_tree()
     driver, terminal, obstacles = problem.driver, problem.terminal, problem.obstacles
-    direct = (solve_bsde, solve_reflected_one, solve_double_obstacle)[len(obstacles)]
-    routes: list[Process] = [direct(tree, driver, terminal, *obstacles).y]
+    routes: list[Process] = [_solve(tree, driver, terminal, *obstacles, store=True).y]
     if len(obstacles) == 1:
         routes.append(solve_penalized(tree, driver, *obstacles, terminal,
                                       EXACT_PENALTY_LEVEL).solution.y)

@@ -17,7 +17,7 @@ import dataclasses
 from pathlib import Path
 
 import rbsde
-from rbsde.bsde import Compensator, ContinuousPart
+from rbsde.bsde import Compensator, ContinuousPart, Projection
 from rbsde.processes import BarrierSpec, BarrierValues, ObstacleLevel, eval_barrier
 from rbsde.tree import ScenarioTree, build_tree
 
@@ -86,7 +86,8 @@ def _public_members(cls) -> set[str]:
 
 def test_every_public_member_of_the_data_classes_has_a_reader_outside_the_tests():
     read = _names_read()
-    classes = (ScenarioTree, BarrierValues, ObstacleLevel, Compensator, ContinuousPart)
+    classes = (ScenarioTree, BarrierValues, ObstacleLevel, Compensator, ContinuousPart,
+               Projection)
     unread = sorted(f"{cls.__name__}.{name}" for cls in classes
                     for name in _public_members(cls) if name not in read)
     assert unread == [], f"public members only tests read: {unread}"

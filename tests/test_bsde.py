@@ -133,8 +133,8 @@ def test_a_base_that_is_not_finite_raises_before_a_sweep_finishes(monkeypatch, v
     finished = []
     sweep = rbsde.reflected._reflected_sweep
 
-    def counting(*args):
-        out = sweep(*args)
+    def counting(*args, **kwargs):
+        out = sweep(*args, **kwargs)
         finished.append(args)
         return out
 

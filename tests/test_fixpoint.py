@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rbsde import (BarrierSpec, DriverSpec, MarkSet, MaxIterExceeded, TerminalSpec,
-                   alpha_rule, build_tree, expand, picard_solve, solve_bsde, solve_reflected,
-                   sup_diff)
-from rbsde.fixpoint import _sweep, random_triple, zero_triple
+from rbsde import (BarrierSpec, DriverSpec, MarkSet, MaxIterExceeded, NonFiniteData,
+                   TerminalSpec, alpha_rule, build_tree, expand, picard_solve, solve_bsde,
+                   solve_reflected, sup_diff)
+from rbsde.fixpoint import _alpha_distance, _sweep, random_triple, zero_triple
+from rbsde.penalty import _dt_dp_gap
 from rbsde.processes import eval_barrier, evaluate, linear_obstacle
 from conftest import random_one_barrier, random_two_barrier
 from oracles import alpha_norm
@@ -218,3 +219,28 @@ def test_rejects_a_weight_exponent_that_is_not_finite_and_nonnegative(monkeypatc
     with pytest.raises(ValueError, match="alpha"):
         picard_solve(build_tree(3), DriverSpec(a=0.3), TerminalSpec(constant=1.0),
                      alpha=alpha)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_infinities_at_one_node_give_a_nan_distance_without_a_warning(sign):
+    # inf - inf is NaN: each kernel keeps it, and the project's warning filter
+    # fails the test should the subtraction warn
+    tree = build_tree(3, MarkSet(sizes=(1.0,), intensities=(0.5,)))
+    p = random_triple(tree, np.random.default_rng(1))
+    q = random_triple(tree, np.random.default_rng(2))
+    for triple in (p, q):
+        triple[0][1][2] = triple[1][0][0] = triple[2][2][3, 0] = sign * np.inf
+    assert p[0][1] is not q[0][1]
+    for alpha in (0.0, 2.5):
+        assert np.isnan(_alpha_distance(tree, p, q, alpha))
+    for i in range(3):
+        assert np.isnan(_dt_dp_gap(tree, p[i], q[i]))
+
+
+def test_iterates_that_overflow_at_one_node_raise_nonfinite_data():
+    # the iterates overflow at a node: a move to an infinite value is inf,
+    # and the next, between two infinite values, NaN, which stops the run
+    # with no warning
+    tree = build_tree(3, MarkSet(sizes=(1.0,), intensities=(0.5,)))
+    with pytest.raises(NonFiniteData, match="round 2 is NaN"):
+        picard_solve(tree, DriverSpec(base=1e308, a=1.0), TerminalSpec(constant=1.0))

@@ -1,7 +1,9 @@
 """The last backward step of an evaluated terminal, kept once per tree.
 
-Every sweep of one evaluated terminal on one tree shares Z_{N-1}, V_{N-1}
-and E[xi | F_{N-1}] (``rbsde.processes.LastStep``).  Every route that
+The sweeps that store Z and V (Picard rounds, penalised rungs, the
+ladder's reflected solve) share Z_{N-1}, V_{N-1} and E[xi | F_{N-1}] of
+one evaluated terminal on one tree (``rbsde.processes.LastStep``); a
+direct solve reads what is kept and keeps nothing.  Every route that
 sweeps must give, bit for bit, on a tree swept before what it gives on a
 fresh tree with nothing shared, and the shared arrays must be read-only,
 go with the tree and never stand for a terminal the caller may change.
@@ -23,6 +25,7 @@ from rbsde import (DriverSpec, MarkSet, ProblemSpec, TerminalSpec, build_tree, p
 from rbsde.fixpoint import _alpha_distance, _gaps, random_triple
 from rbsde.penalty import _dt_dp_gap, solve_penalized, sweep
 from rbsde.processes import _last_step, evaluate
+from rbsde.reflected import _solve
 from rbsde.verify import DEFAULT_LADDER, regularity_probe, uniqueness_probe
 from conftest import random_one_barrier, random_two_barrier
 
@@ -61,6 +64,11 @@ def _problem(obstacles: int, seed: int, coefficients: bool = True) -> ProblemSpe
 
 def _direct(tree, problem):
     return solve_reflected(tree, problem.driver, problem.terminal, *problem.obstacles)
+
+
+def _stored(tree, problem):
+    """The direct solve with Z and V stored, as the ladder's reflected solve makes it."""
+    return _solve(tree, problem.driver, problem.terminal, *problem.obstacles, store=True)
 
 
 def _picard(tree, problem, initial=None):
@@ -113,22 +121,26 @@ def test_every_route_gives_the_same_bits_on_a_tree_swept_before(monkeypatch, rou
         unshared.setattr(rbsde.bsde, "_last_step", lambda tree, xi: None)
         fresh = run(build_tree(problem.num_steps, problem.marks))
     assert run(build_tree(problem.num_steps, problem.marks)) == fresh
-    tree = build_tree(problem.num_steps, problem.marks)
-    for _ in range(2):   # the first sweep keeps Z_{N-1} and V_{N-1}, the second the mean
-        _direct(tree, problem)
-    last = _last_step(tree, evaluate(tree, problem.terminal)[0])
-    assert last.zv is not None and last.mean is not None
-    assert run(tree) == fresh
+    # the first storing sweep keeps Z_{N-1} and V_{N-1}, the second the mean
+    for sweeps in (1, 2):
+        tree = build_tree(problem.num_steps, problem.marks)
+        for _ in range(sweeps):
+            _stored(tree, problem)
+        last = _last_step(tree, evaluate(tree, problem.terminal)[0])
+        assert last.zv is not None and (last.mean is not None) == (sweeps == 2)
+        assert run(tree) == fresh
 
 
-def test_later_solves_share_the_first_solves_last_z_and_v():
+def test_later_storing_solves_share_the_first_ones_last_z_and_v():
     problem = _problem(1, 0)
     tree = problem.build_tree()
-    first = _direct(tree, problem)
+    direct = _direct(tree, problem)
+    assert _last_step(tree, direct.y[-1]).zv is None   # a direct solve keeps nothing
+    first = _stored(tree, problem)
     later = [solve_penalized(tree, problem.driver, problem.barrier, problem.terminal,
                              10.0).solution,
              _picard(tree, problem)[0],
-             solve_bsde(tree, problem.driver, problem.terminal)]
+             _stored(tree, dataclasses.replace(problem, barrier=None))]
     z, v = first.z[-1], first.v[-1]
     assert not z.flags.writeable and not v.flags.writeable
     for sol in later:
@@ -137,17 +149,21 @@ def test_later_solves_share_the_first_solves_last_z_and_v():
         assert sol.z[-2] is not first.z[-2]   # the other levels are each solve's own
     with pytest.raises(ValueError):
         z[0] = 1.0
+    # a direct solve's Z_{N-1} is its own projection: the kept bits, in a fresh array
+    for sol in (direct, _direct(tree, problem)):
+        assert sol.z[-1] is not z and sol.z[-1].flags.writeable
+        assert sol.z[-1].tobytes() == z.tobytes() and sol.v[-1].tobytes() == v.tobytes()
 
 
 def test_a_terminal_array_is_projected_on_every_sweep():
     problem = _problem(0, 1)
     tree = problem.build_tree()
     xi = np.array(evaluate(tree, problem.terminal)[0])   # the caller's own, writable copy
-    before = solve_bsde(tree, problem.driver, xi)
+    before = _solve(tree, problem.driver, xi, store=True)
     assert _last_step(tree, xi) is None
     xi *= 2.0
     xi += 0.25
-    after = solve_bsde(tree, problem.driver, xi)
+    after = _solve(tree, problem.driver, xi, store=True)
     expected = solve_bsde(problem.build_tree(), problem.driver, xi.copy())
     assert _fingerprint(after) == _fingerprint(expected)
     assert not np.array_equal(after.z[-1], before.z[-1])
@@ -158,7 +174,7 @@ def test_the_kept_last_step_goes_with_its_tree():
     problem = _problem(1, 0)
     tree = problem.build_tree()
     for _ in range(2):
-        _direct(tree, problem)
+        _stored(tree, problem)
     last = _last_step(tree, evaluate(tree, problem.terminal)[0])
     refs = [weakref.ref(obj) for obj in (tree, last, *last.zv, last.mean)]
     del tree, last
@@ -166,29 +182,38 @@ def test_the_kept_last_step_goes_with_its_tree():
     assert all(ref() is None for ref in refs)
 
 
-def test_a_tree_swept_once_holds_only_the_solutions_own_z_and_v():
+def test_a_direct_solve_holds_and_fills_nothing():
     marks = MarkSet(sizes=(1.0,), intensities=(0.5,))
     tree = build_tree(7, marks)
     driver = DriverSpec(base=0.1, a=0.3, b=-0.4, c=0.25, marks=marks)
     terminal = TerminalSpec(payoff=lambda w, c: np.sin(w) + 0.3 * c[:, 0])
+    problem = ProblemSpec(num_steps=7, marks=marks, driver=driver, terminal=terminal)
     terminal.evaluate(tree)   # the leaf evaluation is made outside the traced runs
-    mean_bytes = tree.level_size(tree.num_steps - 1) * 8
+    last = _last_step(tree, terminal.evaluate(tree))
+    level_bytes = tree.level_size(tree.num_steps - 1) * 8
+
+    def held() -> int:
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
     tracemalloc.start()
     try:
-        sol = solve_bsde(tree, driver, terminal)
-        last = _last_step(tree, terminal.evaluate(tree))
+        # a direct solve, before and after a storing one, keeps no array on the tree
+        solve_bsde(tree, driver, terminal)
+        assert last.zv is None and last.mean is None
+        assert held() < level_bytes // 2
+        sol = _stored(tree, problem)
         assert last.zv[0] is sol.z[-1] and last.zv[1] is sol.v[-1]
-        assert last.mean is None
         own = sol.z[-1].nbytes + sol.v[-1].nbytes
         del sol
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
-        # the solution's own Z_{N-1} and V_{N-1}, and no conditional-mean array
-        assert own <= held < own + mean_bytes // 2, (held, own)
+        kept = held()
+        # the first storing solve's own Z_{N-1} and V_{N-1}, and no conditional-mean array
+        assert own <= kept < own + level_bytes // 2, (kept, own)
         solve_bsde(tree, driver, terminal)
-        gc.collect()
-        # from the second sweep on the tree keeps E[xi | F_{N-1}] too
-        assert tracemalloc.get_traced_memory()[0] >= held + mean_bytes
+        assert last.mean is None and held() < kept + level_bytes // 2
+        # from the second storing sweep on the tree keeps E[xi | F_{N-1}] too
+        _stored(tree, problem)
+        assert last.mean is not None and held() >= kept + level_bytes
     finally:
         tracemalloc.stop()
 
@@ -212,9 +237,7 @@ def test_a_shared_level_gives_the_distances_of_the_unshared_path(bad):
              for alpha in (0.0, 2.5)]
     pairs += [(_dt_dp_gap, (tree, p[i], q[i]), (tree, p[i], copies[i])) for i in (1, 2)]
     for distance, shared, unshared in pairs:
-        # inf - inf warns, on both paths alike: the values are compared here
-        with np.errstate(invalid="ignore"):
-            shared, unshared = distance(*shared), distance(*unshared)
+        shared, unshared = distance(*shared), distance(*unshared)
         assert np.float64(shared).tobytes() == np.float64(unshared).tobytes()
         assert math.isnan(shared) == (not math.isfinite(bad))
 

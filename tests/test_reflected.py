@@ -8,8 +8,9 @@ from rbsde import (BarrierSpec, DriverNotCoefficientFree, DriverSpec, MarkSet,
                    TerminalBelowBarrier, TerminalSpec, build_tree, expand,
                    regularity_check, snell, snell_representation_check, solve_reflected,
                    sup_diff)
-from rbsde.processes import linear_obstacle
+from rbsde.processes import evaluate, linear_obstacle
 from rbsde.reflected import obstacle_payoff
+from rbsde.snell import BIND_TOL
 from rbsde.tree import terminal_mean
 from conftest import random_one_barrier
 from oracles import brute_force_values
@@ -180,3 +181,60 @@ def test_reflection_with_y_coefficient_agrees_with_penalised_limit():
     from rbsde import solve_penalized
     pen = solve_penalized(tree, driver, barrier, xi, 1e13)
     assert sup_diff(direct.y, pen.solution.y) <= 1e-10
+
+
+def _whole_jump_part(tree, sol, obstacle):
+    """K_d of a one-obstacle solution by the left-limit formula on whole levels."""
+    whole = [np.zeros(1)]
+    for k in range(1, tree.num_steps + 1):
+        left = obstacle.left_levels.get(k)
+        mass = 0.0
+        if left is not None:
+            binding = expand(tree, np.abs(sol.y[k - 1] - left.whole()) <= BIND_TOL, k)
+            gap = np.maximum(expand(tree, left.whole(), k) - sol.y[k], 0.0)
+            mass = np.where(binding, gap, 0.0)
+        whole.append(expand(tree, whole[-1], k) + mass)
+    return whole
+
+
+def test_a_declared_level_without_jump_mass_shares_the_level_before():
+    # Y sits above the obstacle when it rises at t = 1/4 (no jump-type mass
+    # there) and on it when it drops at t = 1/2 (mass)
+    n = 8
+    tree = build_tree(n, MarkSet(sizes=(1.0,), intensities=(0.5,)))
+    driver, terminal = DriverSpec(base=0.1), TerminalSpec(constant=0.5)
+    barrier = BarrierSpec(pieces=((0.0, 0.0), (0.25, 1.0), (0.5, 0.0)),
+                          stochastic=lambda t, w, c: 0.05 * w)
+    sol = solve_reflected(tree, driver, terminal, barrier)
+    _, obstacle = evaluate(tree, None, barrier)
+    assert obstacle.jump_levels == (2, 4)
+    k_d = sol.lower.k_d
+    assert k_d[2] is k_d[1] is k_d[0] and not k_d[0].any()
+    assert k_d[4] is not k_d[3] and len(k_d[4]) == tree.level_size(4) and k_d[4].any()
+    assert all(k_d[k] is k_d[4] for k in range(5, n + 1))
+    whole = _whole_jump_part(tree, sol, obstacle)
+    for k in range(n + 1):
+        assert expand(tree, k_d[k], k).tobytes() == whole[k].tobytes(), k
+    assert (np.float64(terminal_mean(tree, k_d)).tobytes()
+            == np.float64(tree.expectation(n, whole[n])).tobytes())
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_a_level_whose_first_blocks_add_no_jump_mass_keeps_their_values(side):
+    # the obstacle binds only at w <= -7/3 before its drop at the horizon:
+    # nodes that only a first move down reaches, in the last two of the
+    # four parent blocks of level 8 (side 1), or the first two with w -> -w
+    n = 9
+    tree = build_tree(n, MarkSet(sizes=(1.0,), intensities=(0.5,)))
+    driver, terminal = DriverSpec(base=0.1), TerminalSpec(constant=0.5)
+    barrier = BarrierSpec(pieces=((0.0, 0.3), (1.0, -20.0)),
+                          stochastic=lambda t, w, c: 10.0 * np.maximum(-side * w - 2.2, 0.0))
+    sol = solve_reflected(tree, driver, terminal, barrier)
+    _, obstacle = evaluate(tree, None, barrier)
+    k_d = sol.lower.k_d[n]
+    half = tree.level_size(n) // 2
+    assert len(k_d) == tree.level_size(n)
+    assert (not k_d[:half].any() and k_d[half:].any()) == (side > 0)
+    assert (k_d[:half].any() and not k_d[half:].any()) == (side < 0)
+    whole = _whole_jump_part(tree, sol, obstacle)
+    assert k_d.tobytes() == whole[n].tobytes()
