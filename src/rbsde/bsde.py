@@ -31,7 +31,7 @@ import numpy as np
 from .errors import StepsizeTooLarge
 from .processes import eval_barrier  # noqa: F401  (kept importable from this module)
 from .processes import _last_step, _read_only, lipschitz_constant
-from .tree import Process, ScenarioTree, _children, _parent_blocks, _weigh
+from .tree import Process, ScenarioTree, _children, _lined_up, _parent_blocks, _weigh
 
 
 class ContinuousPart(Sequence):
@@ -41,9 +41,10 @@ class ContinuousPart(Sequence):
     array where K_d is +0.0 at every node (x - (+0.0) is x for every
     float, -0.0 and NaN included), so edit a copy.  Elsewhere the coarser
     of K's and K_d's stored levels is lined up with the values of the finer
-    one it holds for, so neither is expanded and the result is stored like
-    the finer one.  ``rbsde.verify`` takes a block's rows of a level from
-    the rows of K and K_d with the same subtraction, building no level.
+    one it holds for (``rbsde.tree._lined_up``), so neither is expanded
+    and the result is stored like the finer one.  ``rbsde.verify`` takes a
+    block's rows of a level from the rows of K and K_d with the same
+    subtraction, building no level.
     """
 
     def __init__(self, k: Process, k_d: Process) -> None:
@@ -61,10 +62,8 @@ class ContinuousPart(Sequence):
         parts = self.parts(level)
         if not isinstance(parts, tuple):
             return parts
-        total, jump = parts
-        if len(jump) <= len(total):
-            return (total.reshape(len(jump), -1) - jump[:, None]).ravel()
-        return (total[:, None] - jump.reshape(len(total), -1)).ravel()
+        total, jump = _lined_up(*parts)
+        return np.subtract(total, jump).ravel()
 
 
 class Projection(Sequence):
@@ -108,7 +107,9 @@ class Compensator:
 
     K, K_c and K_d may be stored by the level rule of ``rbsde.tree``;
     ``rbsde.tree.expand`` gives any of their levels whole.  The solvers
-    keep K and K_d only, and their K_c is the ``ContinuousPart`` of the
+    keep K and K_d only, each only where it moves: a level of either at
+    which the compensator adds no mass is its predecessor's own array, so
+    ``k[j + 1] is k[j]`` there.  Their K_c is the ``ContinuousPart`` of the
     two, computed on each read.  K_c levels passed in (a loaded dump, an
     edited copy) are kept and read as they are.
     """

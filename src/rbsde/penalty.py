@@ -17,9 +17,10 @@ from .bsde import Solution, _backward_sweep, _implicit_y, _sweep_source, check_s
 from .errors import MonotonicityViolation
 from .fixpoint import _gaps, _weighted_norm
 from .processes import BarrierSpec, DriverSpec, evaluate
-from .reflected import _book_increment, _finite, _solve
+from .reflected import _Increments, _finite, _solve
 from .snell import MONOTONE_TOL
-from .tree import Process, ScenarioTree, _accumulate, _max_excess, _worst, sup_diff
+from .tree import (Process, ScenarioTree, _accumulate, _lined_up, _max_excess, _worst,
+                   sup_diff)
 
 # The penalised solves call the sweep directly, and the ladder's reflected solve
 # stores its Z and V; these names stay importable from this module for code that
@@ -41,14 +42,16 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
     Each step solves y = rhs + a*dt*y + n*dt*(y - S)^- exactly: piecewise
     linear in y with a kink at y = S, and both slopes are positive once
     a*dt < 1, so the case split picks the unique root.  The flux
-    n*dt*(S - Y)^+ is booked block by block as each block settles.
+    n*dt*(S - Y)^+ is booked block by block as each block settles, and a
+    level of it without mass is never allocated: ``kn`` there is its
+    predecessor's array, as a solver's K is.
     """
     if not (math.isfinite(n) and n >= 0):
         raise ValueError(f"penalty weight must be finite and nonnegative, got {n}")
     check_stepsize(driver, tree)
     weight, dt = float(n), tree.dt
     xi, obstacle = evaluate(tree, terminal, barrier)
-    flux: Process = [np.empty(tree.level_size(k)) for k in range(tree.num_steps)]
+    flux = _Increments(tree, weight * dt)
 
     def settle(k, rows, rhs):
         s = obstacle.levels[k].rows(rows)
@@ -59,13 +62,13 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
             penalised += rhs
             penalised /= 1.0 - driver.a * dt + weight * dt
             y = np.where(y >= s, y, penalised)
-        _book_increment(np.subtract(s, y, out=flux[k][rows]), weight * dt)
+        flux.book(k, rows, s, y)
         return y
 
     y, z, v = _backward_sweep(tree, _sweep_source(tree, driver), xi, settle)
     _finite(y[:-1], "the penalised solution Y")   # level N: evaluate tests a TerminalSpec
     return PenalizedSolution(level=weight, solution=Solution(y=y, z=z, v=v),
-                             kn=_accumulate(flux))
+                             kn=_accumulate(flux.levels))
 
 
 def _dt_dp_gap(tree: ScenarioTree, p: Process, q: Process) -> float:
@@ -131,10 +134,11 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
         sup_gaps.append(sup_diff(y, reflected.y))
         z_gaps.append(_dt_dp_gap(tree, rung.solution.z, reflected.z))
         v_gaps.append(_dt_dp_gap(tree, rung.solution.v, reflected.v))
-        # both K at the horizon are stored at level n - 1: the gap is squared
-        # there and weighed by the level rule, its products going into ``leaf``
-        k_gaps.append(float(np.sqrt(
-            tree.expectation(n, (rung.kn[n] - reflected_k) ** 2, out=leaf))))
+        # both K at the horizon are stored at level n - 1 or above: the gap is
+        # formed at the finer of the two, squared there and weighed by the
+        # level rule, its products going into ``leaf``
+        gap = np.subtract(*_lined_up(rung.kn[n], reflected_k)).ravel()
+        k_gaps.append(float(np.sqrt(tree.expectation(n, np.square(gap, out=gap), out=leaf))))
         solutions.append(PenalizedSolution(level=rung.level, kn=None,
                                            solution=Solution(y=y, z=None, v=None)))
     if not violation <= MONOTONE_TOL:  # NaN fails too

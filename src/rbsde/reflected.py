@@ -16,13 +16,16 @@ cache-sized blocks of parents and their children, and the obstacle
 validation takes its minima over blocks too.  An obstacle block is
 formed on read as base + part (``rbsde.processes.ObstacleLevel``), and
 the increments are booked in place, so a step allocates no temporary
-beyond its obstacle blocks.  The compensators follow
-the level rule of ``rbsde.tree``: K_{k+1} is kept at level k and K_d only
-at declared levels.  No solver stores K_c: a compensator's K_c is
-K - K_d, formed from the stored arrays on each read without expanding
-either (``rbsde.bsde.ContinuousPart``), and K's own array where K_d is
-+0.0 at every node.  The envelope route's ``regularity_check``
-splits the Snell envelope's K with the same ``_split_side``.
+beyond its obstacle blocks; a side's increment level is allocated only
+once one of its blocks has mass (``_Increments``).  The compensators
+follow the level rule of ``rbsde.tree``: K_{k+1} is kept at level k,
+and K_d at declared levels, each only where it moves, a level without
+mass being its predecessor's array.  No solver stores K_c: a
+compensator's K_c is K - K_d, formed from the stored arrays on each
+read without expanding either (``rbsde.bsde.ContinuousPart``), and K's
+own array where K_d is +0.0 at every node.  The envelope route's
+``regularity_check`` splits the Snell envelope's K with the same
+``_split_side``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .processes import ObstacleLevel, evaluate
 from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (_BLOCK_NODES, Process, ScenarioTree, _accumulate, _all_finite,
-                   _block_rows, _children, _parent_blocks, expand, sup_diff, terminal_mean)
+                   _children, _parent_blocks, _parent_rows, expand, sup_diff, terminal_mean)
 
 TERMINAL_SLACK = 1e-12
 
@@ -152,16 +155,17 @@ def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, 
 
     ``source`` is the ``_backward_sweep`` source and ``a`` the driver's
     coefficient of y, solved for implicitly.  Returns (y, z, v, inc_p,
-    inc_m); the increments of a side without an obstacle are None, and Z
-    and V are None unless ``store`` asks for them.
+    inc_m): each side's increment levels, None at a level without mass
+    (``_Increments``), and None for a side without an obstacle; Z and V
+    are None unless ``store`` asks for them.
     """
     n = tree.num_steps
     dt = tree.dt
     # The driver is evaluated at the reflected y, so the increments closing
     # y = E[Y_next] + f(y) dt + dK+ - dK- carry the factor (1 - a dt).
     scale = 1.0 - a * dt
-    inc_p = None if low is None else [np.empty(tree.level_size(k)) for k in range(n)]
-    inc_m = None if up is None else [np.empty(tree.level_size(k)) for k in range(n)]
+    inc_p = None if low is None else _Increments(tree, scale)
+    inc_m = None if up is None else _Increments(tree, scale)
 
     # maximum(cand, lo) and minimum(y, hi) return the obstacle on a tie, so
     # even the sign of a zero Y is the same with or without an upper side
@@ -170,22 +174,50 @@ def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, 
         if low is None:
             return cand
         lo = low.levels[k].rows(rows)
-        _book_increment(np.subtract(lo, cand, out=inc_p[k][rows]), scale)
+        inc_p.book(k, rows, lo, cand)
         yk = np.maximum(cand, lo, out=_own(lo))
         if up is not None:
             hi = up.levels[k].rows(rows)
-            _book_increment(np.subtract(cand, hi, out=inc_m[k][rows]), scale)
+            inc_m.book(k, rows, cand, hi)
             np.minimum(yk, hi, out=yk)
         return yk
 
     y, z, v = _backward_sweep(tree, source, xi, settle, store)
-    return y, z, v, inc_p, inc_m
+    return y, z, v, *(None if inc is None else inc.levels for inc in (inc_p, inc_m))
 
 
-def _book_increment(gap: np.ndarray, scale: float) -> None:
-    """scale * max(gap, 0), in place: the bits of the formula, with no temporary."""
-    np.maximum(gap, 0.0, out=gap)
-    gap *= scale
+class _Increments:
+    """Compensator increments scale * max(high - low, 0), booked block by block.
+
+    ``levels[k]`` is level k's increments, or None while no block of it
+    has mass (a value that is not ±0.0; a NaN is mass): ``_accumulate``
+    then shares K's level k + 1 with level k, which is exact.  Until a
+    block has mass, each block is formed in one block-sized scratch that
+    the sweep keeps.  The first block with mass allocates its level once,
+    sets the rows before it to +0.0, which adds to K as their ±0.0 did,
+    and later blocks are formed in place.  Blocks of a level come in
+    row order (``_parent_blocks``).  Each block is the formula's bits,
+    formed with no temporary.
+    """
+
+    def __init__(self, tree: ScenarioTree, scale: float) -> None:
+        self.tree, self.scale = tree, scale
+        self.levels: Process = [None] * tree.num_steps
+        self._scratch = np.empty(min(_parent_rows(tree), tree.level_size(tree.num_steps - 1)))
+
+    def book(self, k: int, rows: slice, high, low) -> np.ndarray:
+        """Book the ``rows`` block of level ``k``; returns the block as booked."""
+        level = self.levels[k]
+        out = self._scratch[:rows.stop - rows.start] if level is None else level[rows]
+        np.subtract(high, low, out=out)
+        np.maximum(out, 0.0, out=out)
+        out *= self.scale
+        if level is None and out.any():
+            level = self.levels[k] = np.empty(self.tree.level_size(k))
+            level[:rows.start] = 0.0
+            level[rows] = out
+            out = level[rows]
+        return out
 
 
 def _book(tree: ScenarioTree, swept, low, up=None) -> Solution:

@@ -24,8 +24,17 @@ a level array may be shorter than its level: then it holds the values
 of the ancestor level ``j`` where the process was last set, and node
 ``i`` of level ``k`` reads ``arr[i // B**(k - j)]``.  A compensator
 increment assigned at level k is F_k-measurable, so K_{k+1} is stored
-as a level-k array; the jump-type part K_d is set only at the obstacle's
-declared jump levels and shared by the levels after them.  Two
+as a level-k array, and only where K moves: an increment level without
+mass (every value ±0.0; a NaN is mass) is never allocated, and K_{k+1}
+is then K_k's own array, stored at its ancestor level.  That is exact:
+K starts at +0.0 and is never -0.0, so K + (±0.0) is K bit for bit, NaN
+included.  The jump-type part K_d follows the same rule: it is set only
+at the obstacle's declared jump levels where it has mass, and shared by
+the levels after them.  So a level of K and one of K_d, or the same
+level of two processes, may be stored at different ancestor levels;
+``_lined_up`` pairs the stored values of the coarser with the groups of
+the finer one they hold for, so ``sup_diff``, ``_max_excess`` and
+``rbsde.bsde.ContinuousPart`` compare them without expanding either.  Two
 readers cover every use: ``_block_rows`` (the rows of a parent block)
 and ``expand`` (a whole level); ``ScenarioTree.expectation`` weighs such
 an array without expanding it.  Whole-level arrays are the case ``j = k``, so processes
@@ -484,13 +493,16 @@ def _accumulate(increments: Process) -> Process:
 
     The increment assigned at level k is known there, so K_{k+1} is a
     level-k array: the increment plus its parent's K_k, added into the
-    increment arrays themselves (callers that keep them pass copies).
+    increment arrays themselves (callers that keep them pass copies).  An
+    increment level without mass is None, and K_{k+1} is K_k's own array:
+    K is never -0.0, so adding ±0.0 would give its bits back.
     """
     total: Process = [np.zeros(1)]
     for inc in increments:
-        table = inc.reshape(len(total[-1]), -1)
-        np.add(table, total[-1][:, None], out=table)
-        total.append(inc)
+        if inc is not None:
+            table = inc.reshape(len(total[-1]), -1)
+            np.add(table, total[-1][:, None], out=table)
+        total.append(total[-1] if inc is None else inc)
     return total
 
 
@@ -522,14 +534,35 @@ def _worst(*values: float) -> float:
     return worst if all(v == v for v in values) else math.nan
 
 
-def _reduce_blocks(reduce, op, a: np.ndarray, b: np.ndarray) -> float:
-    """``reduce(op(a, b))`` over blocks of ``_BLOCK_NODES`` rows, NaN kept.
+def _lined_up(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays of one level, stored at ancestor levels by the level rule, as operands.
 
-    No whole-level temporary is formed.  A minimum or maximum is exact,
-    so the result is the whole-level one bit for bit.
+    Arrays of one length come back as they are.  Otherwise the finer one
+    becomes a (groups, group, ...) table and the coarser one a (groups, 1,
+    ...) column, each of its values against the group of the finer one's
+    values it holds for: an operation of the two broadcasts into the
+    finer one's storage, with the bits of the expanded levels and without
+    expanding either.
     """
-    return float(reduce([reduce(op(a[i:i + _BLOCK_NODES], b[i:i + _BLOCK_NODES]))
-                         for i in range(0, len(a), _BLOCK_NODES)]))
+    if len(a) == len(b):
+        return a, b
+    if len(a) < len(b):
+        return a[:, None], b.reshape(len(a), -1, *b.shape[1:])
+    return a.reshape(len(b), -1, *a.shape[1:]), b[:, None]
+
+
+def _reduce_blocks(reduce, op, a: np.ndarray, b: np.ndarray) -> float:
+    """``reduce(op(a, b))`` over blocks of about ``_BLOCK_NODES`` values, NaN kept.
+
+    ``a`` and ``b`` may be stored at different ancestor levels
+    (``_lined_up``).  No whole-level temporary is formed.  A minimum or
+    maximum is exact, so the result is the whole-level one bit for bit.
+    """
+    group = max(len(a), len(b)) // max(min(len(a), len(b)), 1)
+    a, b = _lined_up(a, b)
+    step = max(1, _BLOCK_NODES // group)
+    return float(reduce([reduce(op(a[i:i + step], b[i:i + step]))
+                         for i in range(0, len(a), step)]))
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -558,7 +591,11 @@ def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sup_diff(p: Process, q: Process) -> float:
-    """Largest absolute node-wise gap between two per-level processes (NaN kept)."""
+    """Largest absolute node-wise gap between two per-level processes (NaN kept).
+
+    The two arrays of a level may be stored at different ancestor levels
+    by the level rule (``_lined_up``); the gap is the expanded levels' own.
+    """
     worst = 0.0
     for a, b in zip(p, q):
         shared = a is b
@@ -570,7 +607,10 @@ def sup_diff(p: Process, q: Process) -> float:
 
 
 def _max_excess(p: Process, q: Process) -> float:
-    """Largest node-wise excess ``p - q`` over the levels of two processes (NaN kept)."""
+    """Largest node-wise excess ``p - q`` over the levels of two processes (NaN kept).
+
+    Levels are lined up by the level rule as in ``sup_diff``.
+    """
     worst = 0.0
     for a, b in zip(p, q):
         if len(a):

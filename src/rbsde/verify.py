@@ -33,10 +33,12 @@ bits, so every report is the one the full passes give:
 - Where K_d is +0.0 at every node, K_c is K's own array: x - (+0.0) is x
   for every float.  The split K - K_c - K_d is then x - x, which is +0.0
   or NaN, NaN exactly where x is not finite, so finite K increments give
-  0.0; and the K increments serve as K_c's.  Where K_d at k + 1 is its
-  level k array itself, each jump-type increment is x - x, which one
-  finiteness test gives.  A Y_N that is the terminal array itself gives
-  Y_N - ξ the same way.
+  0.0; and the K increments serve as K_c's.  Where K or K_d at k + 1 is
+  its level k array itself (a level without mass), each of its
+  increments is x - x, which one finiteness test gives: 0.0, or NaN for
+  the whole slice where the full pass has NaN at some parents, and every
+  residual it reaches is NaN either way.  A Y_N that is the terminal
+  array itself gives Y_N - ξ the same way.
 - BLAS adds each product into a zeroed result, so increments or masses
   that are all ±0.0 weigh to +0.0 against ``branch_prob``, and a
   parent's +0.0 term adds +0.0.  So the dynamics adds 0.0 for such K
@@ -315,7 +317,8 @@ def _check_block(tree: ScenarioTree, y: Process, zv, driver, xi: np.ndarray,
         # K+ - K- for two sides, K alone for one
         compensator = (increments[0][0] if len(sides) == 1
                        else increments[0][0] - increments[1][0])
-        rhs += _table(tree, compensator) @ prob
+        # a 0-d increment here is NaN (K shared and not finite): NaN at each parent
+        rhs += _table(tree, compensator) @ prob if compensator.ndim else compensator
     else:
         rhs += 0.0
     dyn = _worst(dyn, _abs_max(np.subtract(y_par, rhs, out=rhs)))
@@ -380,14 +383,14 @@ def _side_increments(tree: ScenarioTree, side: _Side, k: int, rows: slice) -> tu
     Each increment is a (parents, 1) column where its level k + 1 is stored
     at level k or above, else a (parents, B) table (``_later``).  Where K_c
     is K's own array at both levels, the K increments serve as K_c's, and
-    where K_d at k + 1 is its level k array itself each jump-type increment
-    is x - x, which one finiteness test gives: a 0-d 0.0, or NaN.  Returns
-    the split residual, the least and largest K increment, and the K, K_c
-    and K_d increments.
+    where K or K_d at k + 1 is its level k array itself each of its
+    increments is x - x, which one finiteness test gives: a 0-d 0.0, or
+    NaN (``_increment``).  Returns the split residual, the least and
+    largest K increment, and the K, K_c and K_d increments.
     """
     comp = side.compensator
     total = _later(tree, comp.k[k + 1], k, rows)
-    d_k = _minus(tree, total, comp.k[k], k, rows)
+    d_k = _increment(tree, comp.k, k, rows, total)
     low, high = float(d_k.min()), float(d_k.max())
     jump = comp.k_d[k + 1]
     cont = side.k_c[k + 1]
@@ -406,11 +409,23 @@ def _side_increments(tree: ScenarioTree, side: _Side, k: int, rows: slice) -> tu
         earlier = comp.k[k] if side.k_c[k] is None else side.k_c[k]
         d_kc = _minus(tree, cont, earlier, k, rows)
     del total, cont   # each read of level k + 1 is freed once its increments are taken
-    if jump is comp.k_d[k]:
-        d_kd = np.float64(_self_gap(_stored(tree, jump, k, rows)[0]))
-    else:
-        d_kd = _minus(tree, _later(tree, jump, k, rows), comp.k_d[k], k, rows)
-    return split, low, high, d_k, d_kc, d_kd
+    return split, low, high, d_k, d_kc, _increment(tree, comp.k_d, k, rows)
+
+
+def _increment(tree: ScenarioTree, process: Process, k: int, rows: slice,
+               later: np.ndarray | None = None) -> np.ndarray:
+    """Level k + 1 minus level k of ``process`` below a slice of level ``k``.
+
+    Where level k + 1 is level k's own array, each increment is x - x,
+    which one finiteness test gives: a 0-d 0.0, or NaN.  Else a (parents,
+    1) column or (parents, B) table (``_minus``); ``later`` is the
+    ``_later`` read of level k + 1 where the caller has it.
+    """
+    if process[k + 1] is process[k]:
+        return np.float64(_self_gap(_stored(tree, process[k], k, rows)[0]))
+    if later is None:
+        later = _later(tree, process[k + 1], k, rows)
+    return _minus(tree, later, process[k], k, rows)
 
 
 def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.ndarray,
@@ -454,8 +469,10 @@ def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.
     if d_kc is d_k and zero and math.isfinite(slack_high - slack_low):
         side.terms[k].append(0.0)
     else:
+        # a 0-d d_kc (K shared with level k) meets the slack as a column
+        shape = np.broadcast_shapes(d_kc.shape, (len(slack), 1))
         mass_c = np.multiply(d_kc, slack[:, None],
-                             out=np.empty(d_kc.shape, order="F") if d_kc is d_k else d_kc)
+                             out=np.empty(shape, order="F") if d_kc is d_k else d_kc)
         skorokhod = _abs_max(mass_c)
         side.skorokhod = _worst(side.skorokhod, skorokhod)
         side.terms[k].append(0.0 if skorokhod == 0.0 else

@@ -1,7 +1,9 @@
 """Compensators stored by the level rule against whole-level references.
 
 The direct solvers keep K_{k+1} as a level-k array and K_d only at the
-declared jump levels.  Here the increments each solver hands to
+declared jump levels, each only where it moves: an increment level
+without mass is None, and the level it would set shares its
+predecessor's array.  Here the increments each solver hands to
 ``_accumulate`` are recorded, whole-level cumulative processes and the
 jump-type split are rebuilt from them level by level in the test, and
 ``expand`` of every stored level must equal them bit for bit.  The
@@ -9,10 +11,13 @@ checker must also report the same on the compact solution as on its
 whole-level copy, bit for bit, with deep levels cut into many parent
 slices and with non-finite values planted where its shortcuts would
 read them.  ``expectation`` weighs a level-rule array as its
-expanded level, and the sup gaps of a level both processes share read
-as those of a copy.  Derandomised, so the suite is deterministic.
+expanded level, the sup gaps of a level both processes share read as
+those of a copy, and those of a level the two store at different
+ancestor levels as those of the expanded levels.  Derandomised, so the
+suite is deterministic.
 """
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -44,7 +49,9 @@ def _record_increments(monkeypatch, module):
     accumulate = module._accumulate
 
     def recording(increments):
-        recorded.append([np.array(inc) for inc in increments])
+        # an increment level without mass is None, and no allocated level lacks mass
+        assert all(inc is None or inc.any() for inc in increments)
+        recorded.append([None if inc is None else np.array(inc) for inc in increments])
         return accumulate(increments)
 
     monkeypatch.setattr(module, "_accumulate", recording)
@@ -52,10 +59,13 @@ def _record_increments(monkeypatch, module):
 
 
 def _whole_cumulative(tree, increments):
-    """K_0 = 0 and K_{k+1} = expand(K_k + increments[k]), every level whole."""
+    """K_0 = 0 and K_{k+1} = expand(K_k + increments[k]), every level whole.
+
+    A level without mass (None) adds +0.0.
+    """
     out = [np.zeros(1)]
     for k, inc in enumerate(increments):
-        out.append(np.repeat(out[k] + inc, tree.branching))
+        out.append(np.repeat(out[k] + (0.0 if inc is None else inc), tree.branching))
     return out
 
 
@@ -203,6 +213,31 @@ def test_a_shared_level_reads_as_a_copy_of_it(bad):
     # finite values whose sum overflows still read 0.0
     huge = [np.full(8, 1e308)]
     assert sup_diff(huge, huge) == 0.0 == _max_excess(huge, huge)
+
+
+@pytest.mark.parametrize("bad", [None, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("marks, steps", [(0, 8), (1, 4), (2, 3)])
+def test_gaps_line_up_levels_stored_at_different_ancestors(marks, steps, bad):
+    # one route's K shares a level with its predecessor and the other's does
+    # not, so one level is stored at two ancestor levels: (64,) against (256,)
+    # at m = 1; the gaps are those of the expanded levels, bit for bit
+    tree = build_tree(steps, MarkSet(sizes=tuple(range(1, marks + 1)),
+                                     intensities=(0.3,) * marks))
+    rng = np.random.default_rng(marks)
+    for level in range(steps + 1):
+        for i, j in itertools.product(range(level + 1), repeat=2):
+            a = rng.standard_normal(tree.level_size(i))
+            b = rng.standard_normal(tree.level_size(j))
+            if bad is not None:
+                (a, b)[level % 2][-1] = bad
+            whole = [expand(tree, a, level)], [expand(tree, b, level)]
+            with np.errstate(invalid="ignore"):
+                for gap, p, q in ((sup_diff, [a], [b]), (_max_excess, [a], [b]),
+                                  (_max_excess, [b], [a])):
+                    want = gap(*(whole if p[0] is a else whole[::-1]))
+                    got = gap(p, q)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+                        (gap.__name__, level, i, j)
 
 
 # ---------------------------------------------------------------------------

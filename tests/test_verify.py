@@ -206,9 +206,10 @@ def _array_bytes(*processes):
 def test_a_solve_keeps_no_k_c_level_and_the_check_builds_none(monkeypatch):
     steps, marks = 8, MarkSet(sizes=(1.0,), intensities=(0.5,))
     tree = build_tree(steps, marks)
-    driver, terminal = DriverSpec(base=0.1), TerminalSpec(constant=0.5)
-    # Y sits on the obstacle until its drop at t = 1/2, where K_d books the gap
-    barrier = BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0)))
+    driver, terminal = DriverSpec(base=-0.1), TerminalSpec(constant=0.5)
+    # Y sits on the obstacle at every node: K moves on every level, and at the
+    # drop at t = 1/2 K_d books the gap
+    barrier = BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.5)))
     eval_barrier(barrier, tree)   # memoised on the tree, so its levels are kept apart
     tracemalloc.start()
     try:
@@ -218,7 +219,8 @@ def test_a_solve_keeps_no_k_c_level_and_the_check_builds_none(monkeypatch):
     finally:
         tracemalloc.stop()
     comp = sol.lower
-    kept = _array_bytes(sol.y, sol.z, sol.v, comp.k, comp.k_d)
+    # what a solve stores: Z and V are projections of Y, formed on each read
+    kept = _array_bytes(sol.y, comp.k, comp.k_d)
     # the K_c levels that are not K's own array, as a stored split kept them
     fresh = [level for level, total in zip(comp.k_c, comp.k) if level is not total]
     k_c_bytes = sum(level.nbytes for level in fresh)
