@@ -19,10 +19,17 @@ them, and for a terminal ``evaluate`` made, their Z_{N-1} and V_{N-1}
 are read-only arrays that every such sweep of it on the tree shares: the
 tree keeps the terminal's last step (``rbsde.processes.LastStep``), so
 only the first storing sweep projects it.
+
+A direct sweep forms only what its step reads: the sweep and the checker
+take a block's z and v through one rule, ``_step_projections``, which
+leaves out a z or v whose term the driver's coefficients fix, and with
+a = 0 the implicit step makes no divide.  Every bit of Y, K and each
+check report is the one the full formulas give.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -75,7 +82,7 @@ class Projection(Sequence):
     sweep formed.  Each read returns a fresh array, the caller's to edit;
     the levels follow Y, so edit a copy of Y, not Y itself.
     ``rbsde.verify`` takes a slice's rows from the children table it reads
-    anyway (``block``), building no level.
+    anyway (``_step_projections``), building no level.
     """
 
     def __init__(self, tree: ScenarioTree, y: Process, kernel) -> None:
@@ -84,17 +91,13 @@ class Projection(Sequence):
     def __len__(self) -> int:
         return len(self.y) - 1
 
-    def block(self, table: np.ndarray) -> np.ndarray:
-        """The rows of a (parents, B) table of Y_{k+1}, as the sweep forms them."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.kernel(self.tree, table)
-
     def __getitem__(self, level: int) -> np.ndarray:
         level = range(len(self))[level]   # negative levels, and IndexError past the last
         tree = self.tree
         out = None
         for rows in _parent_blocks(tree, level):
-            block = self.block(_children(tree, self.y[level + 1], rows))
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = self.kernel(tree, _children(tree, self.y[level + 1], rows))
             if out is None:
                 out = np.empty((tree.level_size(level),) + block.shape[1:])
             out[rows] = block
@@ -188,14 +191,50 @@ def project_level(tree: ScenarioTree, y_next: np.ndarray):
     return z, v, resid
 
 
-def _driver_value(driver, tree: ScenarioTree, level: int, y, z: np.ndarray, v: np.ndarray):
-    """f(t_level, y, z, v) at nodes of one level, v weighted by the tree's marks."""
+def _driver_value(driver, tree: ScenarioTree, level: int, y, z, v):
+    """f(t_level, y, z, v) at nodes of one level, v weighted by the tree's marks.
+
+    z or v may be None where ``_step_projections`` left it out: its term is
+    then not added, which gives the bits of adding it.
+    """
     # + 0.0 turns a -0.0 base into +0.0, so no source value is ever -0.0
-    out = driver.base_at(tree.time(level)) + 0.0 + driver.a * y + driver.b * z
+    out = driver.base_at(tree.time(level)) + 0.0 + driver.a * y
+    if z is not None:
+        out = out + driver.b * z
     lam = tree.marks.intensity_array
     if lam.size and driver.c != 0.0:
         out = out + driver.c * _weigh(v, lam)
     return out
+
+
+# A computed z is at most the block's largest |Y| times sum_b |p_b dB_b| / dt
+# times (1 + 2^-53)^(B + 3), a factor per rounding: below this limit z is
+# finite for any branching B under 2^22.
+_Z_LIMIT = sys.float_info.max * (1.0 - 2.0 ** -30)
+
+
+def _step_projections(tree: ScenarioTree, driver):
+    """``zv(table)``: the (z, v) of a (parents, B) block of Y_{k+1} that the step reads.
+
+    v is None where ``_driver_value`` does not read it (c = 0, or no
+    marks).  With b = 0, z is None where the block's largest |Y| times
+    sum_b |p_b dB_b| / dt is below ``_Z_LIMIT``: z is finite there, so b*z
+    is ±0.0, and adding ±0.0 to a driver value, never -0.0, keeps its
+    bits.  A block with a NaN or an infinity fails the bound and is
+    projected, as is every block of a driver with b != 0.
+    """
+    reads_v = driver.c != 0.0 and tree.marks.count > 0
+    scale = float(np.abs(tree.branch_prob * tree.branch_db).sum()) / tree.dt
+
+    def zv(table: np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a NaN makes the comparison false, and an infinity the product
+            known = (driver.b == 0.0
+                     and max(float(table.max()), -float(table.min())) * scale < _Z_LIMIT)
+            return (None if known else _project_z(tree, table),
+                    _project_v(tree, table) if reads_v else None)
+
+    return zv
 
 
 def _sweep_source(tree: ScenarioTree, driver):
@@ -204,21 +243,26 @@ def _sweep_source(tree: ScenarioTree, driver):
 
 
 def _implicit_y(rhs, a: float, dt: float):
-    """Exact solve of y = rhs + a*dt*y; a*dt < 1 by the stepsize guard."""
-    return rhs / (1.0 - a * dt)
+    """Exact solve of y = rhs + a*dt*y; a*dt < 1 by the stepsize guard.
+
+    With a = 0 it is ``rhs`` itself: ``rhs / 1.0`` is ``rhs``, NaN included.
+    """
+    return rhs if a == 0.0 else rhs / (1.0 - a * dt)
 
 
-def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, store: bool = True):
+def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, zv=None):
     """Backward induction over cache-sized parent blocks of each level.
 
     Each block is projected once: its conditional mean feeds the implicit
     right-hand side ``E[Y_next] + source(level, rows, z, v)*dt``, where
     (z, v) are the block's projections, and ``settle(level, rows, rhs)``
     returns the block's solution values (booking any compensator
-    increments on the way).  Returns (y, z, v), where z and v are None
-    unless ``store`` asks for their levels.  Values that leave the float
-    range become inf or NaN without a warning: the solvers test each level
-    of Y once the sweep is done (``rbsde.reflected._finite``).
+    increments on the way).  Returns (y, z, v).  Without ``zv`` the sweep
+    stores every Z and V level; a direct solve passes its driver's
+    ``_step_projections`` as ``zv``, stores neither and forms only the z
+    and v its step reads.  Values that leave the float range become inf or
+    NaN without a warning: the solvers test each level of Y once the sweep
+    is done (``rbsde.reflected._finite``).
 
     A terminal that ``rbsde.processes.evaluate`` made on the tree has its
     last step kept there (``LastStep``), filled by storing sweeps only:
@@ -230,6 +274,7 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, store: b
     """
     n = tree.num_steps
     dt = tree.dt
+    store = zv is None
     y: Process = [None] * (n + 1)
     y[n] = xi
     z: Process | None = [None] * n if store else None
@@ -263,7 +308,11 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, store: b
             if store:
                 z[k], v[k] = np.empty(size), np.empty((size, tree.marks.count))
             for rows in _parent_blocks(tree, k):
-                mb, zb, vb = _project_block(tree, _children(tree, y[k + 1], rows))
+                table = _children(tree, y[k + 1], rows)
+                if store:
+                    mb, zb, vb = _project_block(tree, table)
+                else:
+                    mb, (zb, vb) = table @ tree.branch_prob, zv(table)
                 rhs = mb + source(k, rows, zb, vb) * dt
                 y[k][rows] = settle(k, rows, rhs)
                 if store:

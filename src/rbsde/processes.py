@@ -27,10 +27,18 @@ part[rows])``, or a whole level with ``whole``, the addition that once
 filled a stored level, so every value keeps its bits.  The walk evaluates
 each distinct (stochastic part, time, level) once, so the two sides of a
 band whose parts are equal (``LinearObstacle`` compares by value, bit for
-bit) keep one copy of it.  The state arrays are read-only, and every
-evaluated part is a fresh array, so a function that returns or keeps its
-input cannot change a later level or a memoised result.  ``eval_barrier``
-and ``TerminalSpec.evaluate`` read one item through ``evaluate``.
+bit) keep one copy of it.  A linear form that reads no t is keyed without
+it (``_Fills.part``), so a linear terminal payoff and a time-free obstacle
+part with the same numbers, which give the same leaf bits, share one
+array too.  The state arrays are read-only, and every evaluated part is a
+fresh array, so a function that returns or keeps its input cannot change
+a later level or a memoised result.  ``eval_barrier`` and
+``TerminalSpec.evaluate`` read one item through ``evaluate``.
+
+The walk takes each part's NaN-keeping least and largest value in the
+blocks it fills, while they are in cache (``ObstacleLevel.span``), and
+the finiteness tests read these and no stored level: a minimum or a
+maximum is exact, so the blocks' extremes are the level's.
 
 Next to each evaluated terminal the tree keeps its last backward step
 (``LastStep``), which only the sweeps that store Z and V fill: Z_{N-1}
@@ -140,17 +148,23 @@ def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
 class _Fills:
     """The level arrays one walk fills: each distinct (function, time, level) once.
 
-    A function that cannot be hashed is keyed by its identity.
+    A function is keyed by ``(fn, t)``, or by its ``fill_key(t)`` where it
+    has one: a linear form's numbers, with t only where it reads t, so a
+    payoff and an obstacle part that give the same bits share an array.
+    A function that cannot be hashed is keyed by its identity.  Once the
+    walk is done, ``spans[id(array)]`` is an array's NaN-keeping (least,
+    largest) value.
     """
 
     def __init__(self, tree: ScenarioTree) -> None:
         self.tree = tree
         self.parts: dict = {}
         self.levels: list[list] = [[] for _ in range(tree.num_steps + 1)]
+        self.spans: dict = {}
 
     def part(self, fn, level: int, t: float | None = None) -> np.ndarray:
         """``fn(t, w, counts)`` on ``level``, or ``fn(w, counts)`` with ``t`` None."""
-        key = (fn, t, level)
+        key = (fn.fill_key(t) if hasattr(fn, "fill_key") else (fn, t), level)
         try:
             hash(key)
         except TypeError:
@@ -158,7 +172,7 @@ class _Fills:
         out = self.parts.get(key)
         if out is None:
             out = self.parts[key] = np.empty(self.tree.level_size(level))
-            self.levels[level].append((fn if t is None else functools.partial(fn, t), out))
+            self.levels[level].append((fn if t is None else functools.partial(fn, t), out, []))
         return out
 
 
@@ -170,8 +184,9 @@ def _walk(tree: ScenarioTree, specs) -> list:
     that read one function at one time on one level share its array.  The
     walk goes only as deep as the last level some array reads, so a walk
     with nothing to fill builds no state.  Each spec's errors are raised
-    after the pass, in the order of ``specs``; an overflow on the way warns
-    nothing, since the results' finiteness is tested.
+    after the pass, in the order of ``specs``, from the extremes the pass
+    took; an overflow on the way warns nothing, since the results'
+    finiteness is tested.
     """
     fills = _Fills(tree)
     runs = [_TerminalRun(spec, tree, fills) if isinstance(spec, TerminalSpec)
@@ -183,19 +198,26 @@ def _walk(tree: ScenarioTree, specs) -> list:
                                                    _state_step):
                 _fill(fills.levels[k], rows, w, counts)
                 del w, counts   # not alive while the next block is built
-    for out in fills.parts.values():
-        _read_only(out)
-    return [run.result() for run in runs]
+    for level in fills.levels:
+        for _, out, extremes in level:
+            lows, highs = zip(*extremes)
+            # np.min and np.max keep a NaN, where Python's min and max may drop it
+            fills.spans[id(out)] = (float(np.min(lows)), float(np.max(highs)))
+            _read_only(out)
+    return [run.result(fills) for run in runs]
 
 
 def _fill(fills, rows: slice, w: np.ndarray, counts: np.ndarray) -> None:
-    """The ``rows`` of each ``(fn, out)`` level array from one block of state.
+    """The ``rows`` of each ``(fn, out, extremes)`` level array from one block of state.
 
-    A call's arrays go with it, so no block's state or results are alive
-    while the next block is built.
+    Each block's least and largest value go to ``extremes``, read while the
+    block is in cache.  A call's arrays go with it, so no block's state or
+    results are alive while the next block is built.
     """
-    for fn, out in fills:
-        out[rows] = np.broadcast_to(np.asarray(fn(w, counts), dtype=float), w.shape)
+    for fn, out, extremes in fills:
+        block = out[rows]
+        block[...] = np.broadcast_to(np.asarray(fn(w, counts), dtype=float), w.shape)
+        extremes.append((block.min(), block.max()))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -232,8 +254,9 @@ class _TerminalRun:
         else:
             self.values = fills.part(spec.payoff, n)
 
-    def result(self) -> np.ndarray:
-        if self.spec.payoff is not None and not _all_finite(self.values):
+    def result(self, fills: _Fills) -> np.ndarray:
+        if self.spec.payoff is not None and not all(map(math.isfinite,
+                                                        fills.spans[id(self.values)])):
             raise NonFiniteData("terminal payoff must be finite on every leaf")
         return _read_only(self.values)
 
@@ -300,12 +323,14 @@ class ObstacleLevel:
     ``base`` is the deterministic part, one float.  ``part`` is the
     read-only array of the stochastic part, shared by every obstacle of
     the walk that reads the same part at the same time, or None where there
-    is none.
+    is none.  ``span`` is the part's NaN-keeping (least, largest) value,
+    taken by the walk that filled it.
     """
 
     base: float
     part: np.ndarray | None
     size: int
+    span: tuple[float, float] | None = None
 
     def rows(self, index, out: np.ndarray | None = None):
         """``np.add(base, part[index], out=out)``, or the base alone without a part.
@@ -327,12 +352,12 @@ class ObstacleLevel:
 
         Rounding is monotone, so base + part is finite exactly where base
         plus its largest and base plus its smallest value are (a NaN or
-        infinite part gives a NaN or infinite extreme): no sum is formed.
+        infinite part gives a NaN or infinite extreme): no sum is formed,
+        and no level is read.
         """
         if self.part is None:
             return math.isfinite(self.base)
-        return (math.isfinite(self.base + float(np.max(self.part)))
-                and math.isfinite(self.base + float(np.min(self.part))))
+        return all(math.isfinite(self.base + x) for x in self.span)
 
 
 class BarrierValues:
@@ -379,22 +404,26 @@ class _BarrierRun:
     def __init__(self, spec: BarrierSpec, tree: ScenarioTree, fills: _Fills) -> None:
         self.spec, self.tree = spec, tree
         n = tree.num_steps
-        self.levels = tuple(self._level(fills, k / n, spec.deterministic_at(k / n), k)
-                            for k in range(n + 1))
-        self.left: list[ObstacleLevel | None] = []
+        self.levels = [self._level(fills, k / n, spec.deterministic_at(k / n), k)
+                       for k in range(n + 1)]
+        self.left: list[tuple | None] = []
         for t, offset in spec.declared_jumps:
             level = round(t * n)   # the nearest level; ``result`` rejects a time off the grid
             self.left.append(self._level(fills, t, spec.deterministic_at(t) + offset, level - 1)
                              if 1 <= level <= n else None)
 
-    def _level(self, fills: _Fills, t: float, base: float, k: int) -> ObstacleLevel:
-        """Level ``k`` of ``base`` plus the stochastic part at time ``t``, if any."""
+    def _level(self, fills: _Fills, t: float, base: float, k: int) -> tuple:
+        """``(base, part, size)`` of level ``k``: ``base`` plus the stochastic part at ``t``."""
         stochastic = self.spec.stochastic
         part = None if stochastic is None else fills.part(stochastic, k, t)
-        return ObstacleLevel(base, part, self.tree.level_size(k))
+        return base, part, self.tree.level_size(k)
 
-    def result(self) -> BarrierValues:
-        for k, level in enumerate(self.levels):
+    def result(self, fills: _Fills) -> BarrierValues:
+        def obstacle_level(base, part, size):
+            return ObstacleLevel(base, part, size, fills.spans.get(id(part)))
+
+        levels = tuple(obstacle_level(*level) for level in self.levels)
+        for k, level in enumerate(levels):
             if not level.finite():
                 raise NonFiniteData(f"obstacle is not finite at level {k}")
         left: dict[int, ObstacleLevel] = {}
@@ -402,10 +431,11 @@ class _BarrierRun:
             level = grid_level(t_j, self.tree.num_steps)
             if level == 0:
                 raise JumpTimeOffGrid("declared jumps at time 0 are not representable")
+            parents = obstacle_level(*parents)
             if not parents.finite():
                 raise NonFiniteData(f"obstacle left limit is not finite at level {level}")
             left[level] = parents
-        return BarrierValues(self.levels, MappingProxyType(left), tuple(sorted(left)))
+        return BarrierValues(levels, MappingProxyType(left), tuple(sorted(left)))
 
 
 def lipschitz_constant(driver, marks: MarkSet) -> float:
@@ -522,12 +552,7 @@ def _shift_columns(table: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 def linear_payoff(intercept: float = 0.0, w_coeff: float = 0.0,
                   count_coeffs: tuple[float, ...] = ()) -> PathFn:
     """Leaf payoff intercept + w_coeff*w + sum_i count_coeffs[i]*counts_i."""
-    coeffs = np.asarray(count_coeffs, dtype=float)
-
-    def payoff(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        return _linear_form(intercept, w_coeff, coeffs, w, counts)
-
-    return payoff
+    return LinearPayoff(LinearObstacle(intercept, w_coeff, tuple(count_coeffs)))
 
 
 def call_payoff(strike: float, w_coeff: float = 1.0) -> PathFn:
@@ -574,12 +599,38 @@ class LinearObstacle:
     def __hash__(self) -> int:
         return hash(self._bits())
 
+    def fill_key(self, t: float | None) -> tuple:
+        """The key a walk fills it under: its numbers, and its rates and t where it reads t.
+
+        A part that compensates no counts is t-free: it has the key of the
+        ``LinearPayoff`` of the same numbers, which gives the same bits.
+        """
+        numbers, rates = self._bits()
+        return (numbers, rates, t) if rates is not None and self.count_coeffs else (numbers,)
+
     def __call__(self, t: float, w: np.ndarray, counts: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(self.count_coeffs, dtype=float)
         shift = None
         if self.rates is not None:
             shift = t * np.asarray(self.rates, dtype=float)[:coeffs.size]
         return _linear_form(self.intercept, self.w_coeff, coeffs, w, counts, shift)
+
+
+@dataclass(frozen=True)
+class LinearPayoff:
+    """The leaf payoff of a ``LinearObstacle`` without rates: ``form`` at any t.
+
+    It reads no t, so a walk keys it by its form's numbers and fills one
+    array for it and for a t-free obstacle part of the same numbers.
+    """
+
+    form: LinearObstacle
+
+    def __call__(self, w: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        return self.form(1.0, w, counts)
+
+    def fill_key(self, t: None) -> tuple:
+        return self.form.fill_key(t)
 
 
 def linear_obstacle(intercept: float = 0.0, w_coeff: float = 0.0,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import (Compensator, Projection, Solution, _backward_sweep, _implicit_y,
-                   _project_v, _project_z, _sweep_source, check_stepsize)
+                   _project_v, _project_z, _step_projections, _sweep_source, check_stepsize)
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import (BarriersTouch, DriverNotCoefficientFree, NonFiniteData,
                      TerminalBelowBarrier, TerminalOutsideBarriers)
@@ -150,14 +150,15 @@ def _finite(process: Process, name: str) -> None:
 
 
 def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, up=None,
-                     store: bool = True):
+                     zv=None):
     """Y, Z, V and the assigned compensator increments of each side.
 
     ``source`` is the ``_backward_sweep`` source and ``a`` the driver's
     coefficient of y, solved for implicitly.  Returns (y, z, v, inc_p,
     inc_m): each side's increment levels, None at a level without mass
     (``_Increments``), and None for a side without an obstacle; Z and V
-    are None unless ``store`` asks for them.
+    are None where ``zv``, the driver's ``_step_projections``, makes the
+    sweep a direct one that stores neither.
     """
     n = tree.num_steps
     dt = tree.dt
@@ -182,7 +183,7 @@ def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, 
             np.minimum(yk, hi, out=yk)
         return yk
 
-    y, z, v = _backward_sweep(tree, source, xi, settle, store)
+    y, z, v = _backward_sweep(tree, source, xi, settle, zv)
     return y, z, v, *(None if inc is None else inc.levels for inc in (inc_p, inc_m))
 
 
@@ -254,7 +255,7 @@ def _solve(tree: ScenarioTree, driver, terminal, lower=None, upper=None, *,
     check_stepsize(driver, tree)
     low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
     swept = _reflected_sweep(tree, _sweep_source(tree, driver), driver.a, xi, low, up,
-                             store=store)
+                             zv=None if store else _step_projections(tree, driver))
     _finite(swept[0][:-1], "the solution Y")   # level N: evaluate tests a TerminalSpec
     return _book(tree, swept, low, up)
 

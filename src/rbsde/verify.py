@@ -3,12 +3,16 @@
 Every clause of the reflected equations becomes a residual: the
 projected dynamics identity, obstacle dominance, the minimality sums for
 the continuous-type compensator mass, the left-limit jump formulas, and
-compensator monotonicity.  All clauses come from one depth-first walk
-of the node probabilities (``rbsde.tree._node_blocks``), each row built
-once, over cache-sized parent slices, in which each increment of K, K_c
-and K_d is taken once from the cumulative processes of the solution; the
-leaf clauses are taken in the slices of the last parent level, so no
-clause forms a whole-level temporary.  A solver stores no K_c
+compensator monotonicity.  All clauses come from one pass over the
+cache-sized parent slices of each level, in which each increment of K,
+K_c and K_d is taken once from the cumulative processes of the solution;
+the leaf clauses are taken in the slices of the last parent level, so no
+clause forms a whole-level temporary.  Only the clauses that weigh mass
+by node probability read them: a depth-first walk of the node
+probabilities (``rbsde.tree._node_blocks``), each row built once, goes
+down to the parent level of the last declared jump level and no deeper,
+and a slice below it with continuous-type mass reads its rows of
+``tree.atom_prob``, the same chain.  A solver stores no K_c
 (``rbsde.bsde.ContinuousPart``): a slice's rows of it are the rows of K
 minus those of K_d, so the checker builds no whole level of it, while
 stored K_c levels (a loaded dump, a hand-built mutant) are read as they
@@ -17,9 +21,10 @@ or V (``rbsde.bsde.Projection``): where they are the projections of the
 solution's own Y, a slice's rows of them are projected from the
 children table it reads anyway, over the slices the sweep projected, so
 they have the sweep's bits and no Z or V level is built; explicit Z and
-V levels (a loaded dump, a copy, a mutant) are read as stored.  The
-checker reads no ``tree.atom_prob`` level, and each slice's and each
-side's arrays are freed with it.
+V levels (a loaded dump, a copy, a mutant) are read as stored.  On a
+solution without continuous-type mass off its obstacles the checker
+reads no ``tree.atom_prob`` level, and each slice's and each side's
+arrays are freed with it.
 
 The checker skips work only where the skipped operations have known
 bits, so every report is the one the full passes give:
@@ -38,7 +43,12 @@ bits, so every report is the one the full passes give:
   increments is x - x, which one finiteness test gives: 0.0, or NaN for
   the whole slice where the full pass has NaN at some parents, and every
   residual it reaches is NaN either way.  A Y_N that is the terminal
-  array itself gives Y_N - ξ the same way.
+  array itself gives Y_N - ξ = x - x, which is 0.0 with no pass:
+  ``evaluate`` has rejected a ξ that is not finite.
+- Where Z and V are the projections of the solution's own Y, a slice
+  forms only those its dynamics reads, by the direct sweep's rule
+  (``rbsde.bsde._step_projections``), decided from the driver and the
+  slice's children table alone; stored Z and V levels are all read.
 - BLAS adds each product into a zeroed result, so increments or masses
   that are all ±0.0 weigh to +0.0 against ``branch_prob``, and a
   parent's +0.0 term adds +0.0.  So the dynamics adds 0.0 for such K
@@ -69,16 +79,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import Compensator, ContinuousPart, Projection, Solution, _driver_value
+from .bsde import (Compensator, ContinuousPart, Projection, Solution, _driver_value,
+                   _project_v, _project_z, _step_projections)
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
 from .processes import BarrierValues, ProblemSpec, evaluate
 from .reflected import _own, _solve, _source_rates, obstacle_payoff
 from .snell import BIND_TOL, REGULAR_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import (Process, ScenarioTree, _block_rows, _children,
-                   _node_blocks, _parent_rows, _prob_step, _ratio, _self_gap, _worst, sup_diff,
-                   terminal_mean)
+from .tree import (Process, ScenarioTree, _block_rows, _children, _node_blocks,
+                   _parent_blocks, _parent_rows, _prob_step, _ratio, _self_gap, _worst,
+                   sup_diff, terminal_mean)
 from .twobarrier import _closure, _mean_mass, picard_snell_solve
 
 # The probe's direct route stores its Z and V (``_solve``); these solver names stay
@@ -239,17 +250,17 @@ def _table(tree: ScenarioTree, increments: np.ndarray) -> np.ndarray:
 
 def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
                   sides) -> tuple[float, float]:
-    """Every clause residual in one walk of the node probabilities to level N - 1.
+    """Every clause residual over the ``_parent_blocks`` slices of levels 0 to N - 1.
 
-    Each block of ``_node_blocks`` is cut into ``_parent_blocks`` slices,
-    whose clauses ``_check_block`` takes.  The left-limit integral adds its
-    terms level by level, as a pass per level would; the other residuals
-    are NaN-keeping maxima, which the walk's order does not change.  Fills
-    the per-side residuals; returns the dynamics residual and, for two
-    sides, the worst simultaneous jump-type mass.
+    ``_check_block`` takes the clauses of each slice (``_slices``).  The
+    left-limit integral adds its terms level by level, each level's slices
+    left to right, as a pass per level would; the other residuals are
+    NaN-keeping maxima, which the order of the slices does not change.
+    Fills the per-side residuals; returns the dynamics residual and, for
+    two sides, the worst simultaneous jump-type mass.
     """
     y = [np.asarray(level, dtype=float) for level in sol.y]
-    zv = _slice_zv(tree, sol)
+    zv = _slice_zv(tree, sol, driver)
     dyn = 0.0
     simultaneous = 0.0
     for side in sides:
@@ -259,54 +270,78 @@ def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
             *_stored(tree, side.k_c[0], 0, slice(0, 1)))
         side.split = float(np.max(np.abs(comp.k[0] - root_c - comp.k_d[0])))
         side.terms = [[] for _ in range(tree.num_steps)]
-    width = _parent_rows(tree)
-    for k, block, prob in _node_blocks(tree, tree.num_steps - 1, (np.ones(1),), _prob_step):
-        for lo in range(0, len(prob), width):
-            rows = slice(block.start + lo, min(block.start + lo + width, block.stop))
-            block_dyn, block_simultaneous = _check_block(tree, y, zv, driver, xi, sides, k,
-                                                         rows, prob[lo:lo + width])
-            dyn = _worst(dyn, block_dyn)
-            simultaneous = _worst(simultaneous, block_simultaneous)
+    declared = max((level for side in sides for level in side.obstacle.left_levels), default=0)
+    for k, rows, parent_prob in _slices(tree, declared):
+        block_dyn, block_simultaneous = _check_block(tree, y, zv, driver, xi, sides, k,
+                                                     rows, parent_prob)
+        dyn = _worst(dyn, block_dyn)
+        simultaneous = _worst(simultaneous, block_simultaneous)
     for side in sides:
         for term in itertools.chain.from_iterable(side.terms):
             side.left_integral += term
     return dyn, simultaneous
 
 
-def _slice_zv(tree: ScenarioTree, sol):
+def _slices(tree: ScenarioTree, declared: int):
+    """``(k, rows, parent_prob)`` of every ``_parent_blocks`` slice of levels 0 to N - 1.
+
+    Only a slice with continuous-type mass or a declared left limit at
+    k + 1 reads its node probabilities, so their chain is walked
+    (``_node_blocks``) only down to level ``declared - 1``, the parent level
+    of the last declared level.  Below it ``parent_prob`` is None: a slice
+    with mass takes its rows of ``tree.atom_prob``, the same chain's bits.
+    """
+    width = _parent_rows(tree)
+    if declared:
+        for k, block, prob in _node_blocks(tree, declared - 1, (np.ones(1),), _prob_step):
+            for lo in range(0, len(prob), width):
+                yield (k, slice(block.start + lo, min(block.start + lo + width, block.stop)),
+                       prob[lo:lo + width])
+    for k in range(declared, tree.num_steps):
+        for rows in _parent_blocks(tree, k):
+            yield k, rows, None
+
+
+def _slice_zv(tree: ScenarioTree, sol, driver):
     """``zv(k, rows, y_child)``: a slice's rows of Z_k and V_k, y_child its children's Y.
 
     Z and V that are the ``Projection``s of the solution's own Y are
     projected from y_child, the table the slice reads anyway: the slices
     are the ``_parent_blocks`` slices a read of a level projects, so the
-    rows have its bits, and no Z or V level is formed.  Other Z and V
-    levels (a loaded dump, a copy, a mutant) are read as stored.
+    rows have its bits, and no Z or V level is formed; by the direct
+    sweep's rule (``rbsde.bsde._step_projections``), a z or v whose term
+    the driver fixes comes back None.  Other Z and V levels (a loaded
+    dump, a copy, a mutant) are read as stored, by the full formula.
     """
     z, v = sol.z, sol.v
-    if all(isinstance(p, Projection) and p.y is sol.y and p.tree is tree for p in (z, v)):
-        return lambda k, rows, y_child: (z.block(y_child), v.block(y_child))
+    if all(isinstance(p, Projection) and p.y is sol.y and p.tree is tree and p.kernel is kernel
+           for p, kernel in ((z, _project_z), (v, _project_v))):
+        rule = _step_projections(tree, driver)
+        return lambda k, rows, y_child: rule(y_child)
     z, v = ([np.asarray(level, dtype=float) for level in levels] for levels in (z, v))
     return lambda k, rows, y_child: (z[k][rows], v[k][rows])
 
 
 def _check_block(tree: ScenarioTree, y: Process, zv, driver, xi: np.ndarray,
                  sides, k: int, rows: slice,
-                 parent_prob: np.ndarray) -> tuple[float, float]:
+                 parent_prob: np.ndarray | None) -> tuple[float, float]:
     """The clauses of one parent slice of level ``k``, of node probabilities ``parent_prob``.
 
-    ``zv`` gives the slice's Z and V rows (``_slice_zv``).  Returns its
-    dynamics and simultaneous residuals.  The slice's arrays, and each
-    side's, are local to one call, so none outlives its slice.
+    ``zv`` gives the slice's Z and V rows (``_slice_zv``), and
+    ``parent_prob`` None leaves the node probabilities to a clause that
+    reads them (``_slices``).  Returns its dynamics and simultaneous
+    residuals.  The slice's arrays, and each side's, are local to one
+    call, so none outlives its slice.
     """
     prob = tree.branch_prob
     y_par = y[k][rows]
     y_child = _children(tree, y[k + 1], rows)
     f_val = _driver_value(driver, tree, k, y_par, *zv(k, rows, y_child))
     dyn = 0.0
-    if k == tree.num_steps - 1:
-        # a Y_N that is the terminal array itself (a solver's) gives Y_N - ξ = x - x
-        dyn = (_self_gap(y_child) if y[k + 1] is xi
-               else _abs_max(np.subtract(y_child, _children(tree, xi, rows))))
+    # a Y_N that is the terminal array itself (a solver's) gives Y_N - ξ = x - x,
+    # which is 0.0: ``evaluate`` rejected a ξ that is not finite
+    if k == tree.num_steps - 1 and y[k + 1] is not xi:
+        dyn = _abs_max(np.subtract(y_child, _children(tree, xi, rows)))
     increments = [_check_side(tree, side, k, rows, y_par, y_child, parent_prob)
                   for side in sides]
     rhs = y_child @ prob
@@ -371,10 +406,16 @@ def _minus(tree: ScenarioTree, a: np.ndarray, values, k: int, rows: slice,
     return _subtract(a, later, a if own and a.shape[1] >= later.shape[1] else None)
 
 
-def _integral_term(mass: np.ndarray, prob: np.ndarray, parent_prob: np.ndarray) -> float:
+def _integral_term(tree: ScenarioTree, k: int, rows: slice, mass: np.ndarray,
+                   parent_prob: np.ndarray | None) -> float:
     """One slice's term of a left-limit integral: each child's ``mass`` weighted by
-    P(parent) * branch probability, a BLAS product over the (parents, B) table."""
-    return float(np.add.reduce(parent_prob * (mass @ prob)))
+    P(parent) * branch probability, a BLAS product over the (parents, B) table.
+
+    ``parent_prob`` None takes P(parent) from ``tree.atom_prob`` (``_slices``).
+    """
+    if parent_prob is None:
+        parent_prob = tree.atom_prob[k][rows]
+    return float(np.add.reduce(parent_prob * (mass @ tree.branch_prob)))
 
 
 def _side_increments(tree: ScenarioTree, side: _Side, k: int, rows: slice) -> tuple:
@@ -429,13 +470,12 @@ def _increment(tree: ScenarioTree, process: Process, k: int, rows: slice,
 
 
 def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.ndarray,
-                y_child: np.ndarray, parent_prob: np.ndarray) -> tuple:
+                y_child: np.ndarray, parent_prob: np.ndarray | None) -> tuple:
     """One side's clauses on one parent slice.
 
     Returns its K and K_d increments, and whether every K increment is ±0.0.
     """
     n = tree.num_steps
-    prob = tree.branch_prob
     split, low, high, d_k, d_kc, d_kd = _side_increments(tree, side, k, rows)
     side.split = _worst(side.split, split)
     side.monotone = _worst(side.monotone, -low)
@@ -476,7 +516,7 @@ def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.
         skorokhod = _abs_max(mass_c)
         side.skorokhod = _worst(side.skorokhod, skorokhod)
         side.terms[k].append(0.0 if skorokhod == 0.0 else
-                             _integral_term(_table(tree, mass_c), prob, parent_prob))
+                             _integral_term(tree, k, rows, _table(tree, mass_c), parent_prob))
         del mass_c
     left = side.obstacle.left_levels.get(k + 1)
     if left is None:
@@ -498,8 +538,8 @@ def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.
     np.maximum(formula, 0.0, out=formula)
     _by_branch(np.bitwise_and, formula.view(np.int64), keep, formula.view(np.int64))
     side.jump = _worst(side.jump, _abs_max(_by_branch(np.subtract, d_kd, formula, formula)))
-    side.terms[k].append(_integral_term(_by_branch(np.multiply, gap, d_kd, formula), prob,
-                                        parent_prob))
+    side.terms[k].append(_integral_term(tree, k, rows,
+                                        _by_branch(np.multiply, gap, d_kd, formula), parent_prob))
     return d_k, d_kd, zero
 
 

@@ -463,3 +463,65 @@ def test_a_band_evaluation_holds_one_part_level_set():
         tracemalloc.stop()
     # two level sets, one per side, would hold node_count * 8 bytes more
     assert part_bytes <= held <= part_bytes + 8 * _BLOCK_NODES, held - part_bytes
+
+
+@pytest.mark.parametrize("left", [False, True])
+def test_a_base_and_part_that_overflow_in_a_later_block_name_their_level(left):
+    """Finite base and part whose sum overflows at one node of the last of two blocks.
+
+    Level 17 of a 19-step tree spans two walk blocks, and only its last
+    node, the all-minus path, lies below ``floor``.  With the base past the
+    largest float from t = 17/19 on, level 17 is the first level named; with
+    the offset of a jump at t = 18/19 the left limit stored on level 17 is.
+    """
+    steps = 19
+    tree = build_tree(steps)
+    floor = -16.5 * np.sqrt(tree.dt)
+
+    def part(t, w, counts):
+        return np.where(w < floor, 1e308, 0.0)
+
+    if left:
+        spec = BarrierSpec(stochastic=part, jumps=((18 / 19, 1e308),))
+        message = "obstacle left limit is not finite at level 18"
+    else:
+        spec = BarrierSpec(pieces=((0.0, 0.0), (17 / 19, 1e308)), stochastic=part)
+        message = "obstacle is not finite at level 17"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        eval_barrier(spec, tree)
+
+
+def test_a_walk_keeps_each_parts_extremes_with_its_levels():
+    """``ObstacleLevel.span`` is the NaN-keeping least and largest value of its part."""
+    from rbsde.processes import evaluate
+    tree = build_tree(17)
+    floor = -16.5 * np.sqrt(tree.dt)
+    spec = BarrierSpec(stochastic=lambda t, w, c: np.where(w < floor, np.nan, w * t),
+                       jumps=((9 / 17, 0.1),))
+    with pytest.raises(ValueError, match="^obstacle is not finite at level 17$"):
+        evaluate(tree, None, spec)
+    values = eval_barrier(BarrierSpec(stochastic=linear_obstacle(0.1, -0.7),
+                                      jumps=((9 / 17, 0.1),)), tree)
+    for level in (*values.levels, *values.left_levels.values()):
+        assert level.span == (float(np.min(level.part)), float(np.max(level.part)))
+
+
+def test_a_t_free_part_and_the_linear_terminal_of_its_numbers_share_one_array():
+    """Where a part reads no t, it and the payoff of the same numbers give the same bits."""
+    from rbsde.processes import evaluate, linear_payoff
+    marks = _marks(1)
+    tree = build_tree(5, marks)
+    terminal = TerminalSpec(payoff=linear_payoff(0.1, 0.3, (0.2,)))
+    shared = (linear_obstacle(0.1, 0.3, (0.2,)),   # counts uncompensated: no t
+              linear_obstacle(0.1, 0.3, (), compensate=marks))
+    xi, same, _ = evaluate(tree, terminal, BarrierSpec(stochastic=shared[0]),
+                           BarrierSpec(stochastic=shared[1]))
+    assert same.levels[5].part is xi and not xi.flags.writeable
+    fresh = linear_payoff(0.1, 0.3, (0.2,))(tree.w[5], tree.counts[5])
+    assert np.array_equal(xi, fresh)
+    # a compensated part with marks reads t, and -0.0 is another number than 0.0
+    xi, compensated, signed = evaluate(
+        build_tree(5, marks), TerminalSpec(payoff=linear_payoff(0.0, 0.3, (0.2,))),
+        BarrierSpec(stochastic=linear_obstacle(0.0, 0.3, (0.2,), compensate=marks)),
+        BarrierSpec(stochastic=linear_obstacle(-0.0, 0.3, (0.2,))))
+    assert compensated.levels[5].part is not xi and signed.levels[5].part is not xi

@@ -437,3 +437,34 @@ def test_a_tree_is_freed_without_the_cyclic_collector(name):
         assert freed() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_value_that_is_not_finite_in_one_middle_block_names_its_level(value):
+    """One node of the second of four walk blocks: of level 18 of an obstacle, and of the leaves.
+
+    The finiteness test reads the extremes the walk took block by block,
+    so a block other than the first and the last must be named too.
+    """
+    steps = 19
+    tree = build_tree(steps)
+    level = steps - 1
+    calls = []
+
+    def poison(w):
+        calls.append(len(w))
+        out = np.zeros(len(w))
+        if len(calls) == 2:
+            out[len(w) // 3] = value
+        return out
+
+    def obstacle(t, w, counts):
+        return poison(w) if t == level / steps else np.zeros(len(w))
+
+    with pytest.raises(NonFiniteData, match=f"^obstacle is not finite at level {level}$"):
+        eval_barrier(BarrierSpec(stochastic=obstacle), tree)
+    assert calls == [_BLOCK_NODES] * 4
+    calls.clear()
+    with pytest.raises(NonFiniteData, match="^terminal payoff must be finite on every leaf$"):
+        TerminalSpec(payoff=lambda w, counts: poison(w)).evaluate(build_tree(level))
+    assert calls == [_BLOCK_NODES] * 4
