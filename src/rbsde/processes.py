@@ -11,34 +11,40 @@ rounds, envelope recursions and checks solve repeatedly on one tree with
 the same data, so the evaluations are memoised per (tree, spec) and
 handed out read-only.  Payoff and obstacle functions must therefore be
 pure, and row-wise in the state: row i of the output depends only on
-row i of ``(w, counts)``, since a level larger than one block is read
-in blocks, one call per block.  ``evaluate`` is the one reader: it
-gives a problem's terminal and obstacles on a tree, evaluating every
-spec the tree has not seen in one walk of the node state.  The walk
-goes depth first, builds each row of state once and keeps one block per
-level alive, and goes only as deep as the last level some spec reads;
-it fills each level's outputs block by block, and each declared left
-limit in the same blocks of its parent level.
+row i of ``(w, counts)``.  A function is called once per level it is
+read on, with that level's distinct states, one row each, not with its
+nodes; a function that reads ``len(w)`` or a row's position to tell
+nodes or levels apart is outside this contract.  ``evaluate`` is the one
+reader: it gives a problem's terminal and obstacles on a tree,
+evaluating every spec the tree has not seen in one pass.  The pass
+builds each level's table of distinct states from the one before it
+(``_States``: 43 states on the leaf level of the m=0, N=20 tree, 253 at
+m=1, N=10 and 765 at m=2, N=8), goes only as deep as the last level
+some spec reads, calls each function on its level's table, and then
+fills every level array by gathering from these tables along a depth
+first walk of int32 state codes (``_node_blocks``).  Each declared left
+limit is a function of its parent level's states and is stored there.
 
 An evaluated obstacle level is its deterministic base, one float, plus a
 read-only level array of its stochastic part, or no array where there is
 none (``ObstacleLevel``): a reader forms a block as ``np.add(base,
 part[rows])``, or a whole level with ``whole``, the addition that once
-filled a stored level, so every value keeps its bits.  The walk evaluates
-each distinct (stochastic part, time, level) once, so the two sides of a
-band whose parts are equal (``LinearObstacle`` compares by value, bit for
-bit) keep one copy of it.  A linear form that reads no t is keyed without
-it (``_Fills.part``), so a linear terminal payoff and a time-free obstacle
-part with the same numbers, which give the same leaf bits, share one
-array too.  The state arrays are read-only, and every evaluated part is a
-fresh array, so a function that returns or keeps its input cannot change
-a later level or a memoised result.  ``eval_barrier`` and
-``TerminalSpec.evaluate`` read one item through ``evaluate``.
+filled a stored level, so every value keeps its bits.  The pass
+evaluates each distinct (stochastic part, time, level) once, so the two
+sides of a band whose parts are equal (``LinearObstacle`` compares by
+value, bit for bit) keep one copy of it.  A linear form that reads no t
+is keyed without it (``_Fills.part``), so a linear terminal payoff and a
+time-free obstacle part with the same numbers, which give the same leaf
+bits, share one array too.  The state tables are read-only, and every
+evaluated part is a fresh array, so a function that returns or keeps its
+input cannot change a later level or a memoised result.
+``eval_barrier`` and ``TerminalSpec.evaluate`` read one item through
+``evaluate``.
 
-The walk takes each part's NaN-keeping least and largest value in the
-blocks it fills, while they are in cache (``ObstacleLevel.span``), and
-the finiteness tests read these and no stored level: a minimum or a
-maximum is exact, so the blocks' extremes are the level's.
+Each part's NaN-keeping least and largest value is taken on its state
+table (``ObstacleLevel.span``), and the finiteness tests read these and
+no stored level: every state of a table occurs at its level, so the
+table's extremes are the level's.
 
 Next to each evaluated terminal the tree keeps its last backward step
 (``LastStep``), which only the sweeps that store Z and V fill: Z_{N-1}
@@ -63,8 +69,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import JumpTimeOffGrid, NonFiniteData
-from .tree import (DEFAULT_NODE_CAP, MarkSet, ScenarioTree, _all_finite, _node_blocks,
-                   _state_root, _state_step, _weigh, build_tree)
+from .tree import (DEFAULT_NODE_CAP, MarkSet, ScenarioTree, _all_finite, _frozen,
+                   _node_blocks, _state_root, _state_step, _weigh, build_tree)
 
 # Terminal payoffs see the leaf state; obstacle functions also see time,
 # so that conditional-mean processes with compensator drift are exact.
@@ -114,7 +120,7 @@ def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
 
     A ``TerminalSpec`` or ``BarrierSpec`` gives its evaluation, memoised
     per tree and read-only; the specs not yet evaluated on the tree are
-    evaluated together in one walk of the node state.  ``BarrierValues``
+    evaluated together in one pass (``_walk``).  ``BarrierValues``
     and None pass through, and a terminal array must hold one value per
     leaf.
     """
@@ -172,52 +178,101 @@ class _Fills:
         out = self.parts.get(key)
         if out is None:
             out = self.parts[key] = np.empty(self.tree.level_size(level))
-            self.levels[level].append((fn if t is None else functools.partial(fn, t), out, []))
+            self.levels[level].append((fn if t is None else functools.partial(fn, t), out))
         return out
 
 
-def _walk(tree: ScenarioTree, specs) -> list:
-    """Fresh evaluations of ``specs`` from one depth-first walk of the node state.
+class _States:
+    """The distinct node states of levels 0 .. ``last``, and the state each branch leads to.
 
-    Every level array is opened first, whole, and then filled block by
-    block as ``_node_blocks`` yields the state, each row built once; specs
-    that read one function at one time on one level share its array.  The
-    walk goes only as deep as the last level some array reads, so a walk
-    with nothing to fill builds no state.  Each spec's errors are raised
-    after the pass, in the order of ``specs``, from the extremes the pass
-    took; an overflow on the way warns nothing, since the results'
-    finiteness is tested.
+    ``tables[k]`` is level k's read-only ``(w, counts)``, one row per
+    distinct state.  It is built from level k - 1's table alone, with the
+    float operations of ``_state_step``, so each row has the bits of the
+    node chain.  A state is keyed by the int64 view of ``w`` and its integer
+    counts, so +0.0 and -0.0 stay apart.  ``child[k]`` is a (states, B)
+    int32 table: entry (s, b) is the code, the row of ``tables[k + 1]``,
+    of branch b's child of state s.  Every state of a table occurs at its
+    level, since each is a child of one that does.
+
+    The keys go through a dict, not ``np.unique``: a first sort in the
+    process would page in numpy's sort kernels, about 0.7 MB of resident
+    memory, for a few thousand keys per level.
+    """
+
+    def __init__(self, tree: ScenarioTree, last: int) -> None:
+        self.tables = [_frozen(_state_root(tree))]
+        self.child = []
+        for _ in range(last):
+            w, counts = _state_step(tree, *self.tables[-1])
+            codes: dict = {}
+            keys = zip(w.view(np.int64).tolist(), *counts.astype(np.int64).T.tolist())
+            child = np.fromiter((codes.setdefault(key, len(codes)) for key in keys),
+                                dtype=np.int32, count=len(w))
+            # the rows of one code are one state, so any of them will do
+            rows = np.empty(len(codes), dtype=np.intp)
+            rows[child] = np.arange(len(w))
+            self.child.append(child.reshape(-1, tree.branching))
+            self.tables.append(_frozen((w[rows], counts[rows])))
+
+    def children(self, tree: ScenarioTree, level: int, codes: np.ndarray) -> tuple:
+        """The codes of the children of some node codes of ``level``: a ``_node_blocks`` step."""
+        return (np.take(self.child[level], codes, axis=0, mode="clip").ravel(),)
+
+
+def _walk(tree: ScenarioTree, specs) -> list:
+    """Fresh evaluations of ``specs``: each function once per level, on its distinct states.
+
+    Every level array is opened first, whole; specs that read one
+    function at one time on one level share its array.  Each such
+    function is called once, on the level's table of distinct states
+    (``_States``).  The level arrays are then filled by gathers from
+    these small tables: the codes of each block of parents that
+    ``_node_blocks`` yields pick the rows of a (parent states, B) table of
+    their children's values, so the codes of the last level read are
+    never built.  The walk goes only as deep as the last level some array
+    reads, so a walk with nothing to fill builds no state.  Each spec's
+    errors are raised after the pass, in the order of ``specs``, from the
+    tables' extremes; an overflow on the way warns nothing, since the
+    results' finiteness is tested.
     """
     fills = _Fills(tree)
     runs = [_TerminalRun(spec, tree, fills) if isinstance(spec, TerminalSpec)
             else _BarrierRun(spec, tree, fills) for spec in specs]
     read = [k for k, level in enumerate(fills.levels) if level]
     if read:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, rows, w, counts in _node_blocks(tree, read[-1], _state_root(tree),
-                                                   _state_step):
-                _fill(fills.levels[k], rows, w, counts)
-                del w, counts   # not alive while the next block is built
+        states = _States(tree, read[-1])
+        by_parent = []   # level k's (parent states, B) value tables, each with its array
+        for k, level in enumerate(fills.levels):
+            gathers = []
+            for fn, out in level:
+                values = _table(fn, *states.tables[k])
+                # np.min and np.max keep a NaN; every state of a table occurs at its level
+                fills.spans[id(out)] = (float(np.min(values)), float(np.max(values)))
+                if k:
+                    gathers.append((values[states.child[k - 1]], out))
+                else:
+                    out[...] = values   # the root, one node and one state
+            by_parent.append(gathers)
+        branching = tree.branching
+        root = (np.zeros(1, dtype=np.int32),)
+        walk = _node_blocks(tree, read[-1] - 1, root, states.children) if read[-1] else ()
+        for k, rows, codes in walk:
+            children = slice(rows.start * branching, rows.stop * branching)
+            for table, out in by_parent[k + 1]:
+                # the codes are rows of the table by construction: "clip" writes in place
+                np.take(table, codes, axis=0, out=out[children].reshape(-1, branching),
+                        mode="clip")
     for level in fills.levels:
-        for _, out, extremes in level:
-            lows, highs = zip(*extremes)
-            # np.min and np.max keep a NaN, where Python's min and max may drop it
-            fills.spans[id(out)] = (float(np.min(lows)), float(np.max(highs)))
+        for _, out in level:
             _read_only(out)
     return [run.result(fills) for run in runs]
 
 
-def _fill(fills, rows: slice, w: np.ndarray, counts: np.ndarray) -> None:
-    """The ``rows`` of each ``(fn, out, extremes)`` level array from one block of state.
-
-    Each block's least and largest value go to ``extremes``, read while the
-    block is in cache.  A call's arrays go with it, so no block's state or
-    results are alive while the next block is built.
-    """
-    for fn, out, extremes in fills:
-        block = out[rows]
-        block[...] = np.broadcast_to(np.asarray(fn(w, counts), dtype=float), w.shape)
-        extremes.append((block.min(), block.max()))
+def _table(fn, w: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``fn(w, counts)`` on one level's distinct states, as one contiguous float row per state."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(fn(w, counts), dtype=float)
+    return np.ascontiguousarray(np.broadcast_to(values, w.shape))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -395,10 +450,9 @@ def eval_barrier(spec: BarrierSpec, tree: ScenarioTree) -> BarrierValues:
 class _BarrierRun:
     """An obstacle's evaluation in the walk.
 
-    Level k reads the state of level k.  The left limit at a declared
-    level L is F_{L-1}-measurable: it reads the state of level L - 1, in
-    the same blocks, and is stored there, one value per parent, by the
-    level rule.
+    Level k reads the states of level k.  The left limit at a declared
+    level L is F_{L-1}-measurable: it reads the states of level L - 1 and
+    is stored there, one value per parent, by the level rule.
     """
 
     def __init__(self, spec: BarrierSpec, tree: ScenarioTree, fills: _Fills) -> None:
@@ -517,35 +571,15 @@ class ProblemSpec:
 
 def _linear_form(intercept: float, w_coeff: float, coeffs: np.ndarray, w: np.ndarray,
                  counts: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
-    """intercept + w_coeff*w + (counts - shift) @ coeffs.
-
-    The walk calls it on one block of at most ``_BLOCK_NODES`` rows, so
-    every temporary stays in cache.  Blocks start on a multiple of 64
-    rows, so the matrix product keeps the whole level's BLAS row grouping
-    and gives the same bits.
-    """
+    """intercept + w_coeff*w + (counts - shift) @ coeffs."""
     out = np.multiply(w, w_coeff)
     out += intercept
     if coeffs.size:
         counted = counts[:, :coeffs.size]
         if shift is not None:
-            counted = _shift_columns(counted, shift)
+            counted = counted - shift
         # a shifted table is this call's own, so a width-one product may overwrite it
         out += _weigh(counted, coeffs, scratch=shift is not None)
-    return out
-
-
-def _shift_columns(table: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Row-major ``table - shifts``, one strided pass per column.
-
-    numpy's inner loop then runs over the rows instead of the few
-    columns of a row-major broadcast.  The result stays row-major, so the
-    matrix product that follows takes the same BLAS route and gives the
-    same bits.
-    """
-    out = np.empty(table.shape)
-    for j, shift in enumerate(shifts):
-        np.subtract(table[:, j], shift, out=out[:, j])
     return out
 
 

@@ -3,7 +3,8 @@
 The envelope recursion R_k = max(eta_k, E[R_{k+1} | F_k]) produces the
 smallest supermartingale dominating the payoff, together with its
 compensator (increments assigned one step ahead, stored by the level
-rule of ``rbsde.tree`` like the solver's K) and the earliest optimal
+rule of ``rbsde.tree`` like the solver's K, and shared with the level
+before it where the envelope adds no mass) and the earliest optimal
 stopping rule.  The stopping rule starts at the root, and its threshold
 and the tolerances the solver, the penalty ladder and the checker share
 are module constants, not arguments.  The jump-type split of the
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import Process, ScenarioTree, _accumulate, copy_process, expand
+from .tree import Process, ScenarioTree, _accumulate, expand
 
 # Binding tolerance of the left-limit (jump-type) formula for K_d: the
 # reflected solver's split, which the Snell route's regularity check also
@@ -57,8 +58,9 @@ def snell(tree: ScenarioTree, payoff: Process) -> SnellResult:
     env, inc = _envelope(tree, [*payoff[:n], np.array(payoff[n], dtype=float)])
     stop = [env[k] <= np.asarray(payoff[k], dtype=float) for k in range(n + 1)]
     stop[n] = np.ones(tree.level_size(n), dtype=bool)
-    return SnellResult(envelope=env, compensator=_accumulate(copy_process(inc)),
-                       increments=inc, stop=stop)
+    # a level without mass (every value ±0.0; a NaN is mass) shares K's level before it
+    booked = [level.copy() if level.any() else None for level in inc]
+    return SnellResult(envelope=env, compensator=_accumulate(booked), increments=inc, stop=stop)
 
 
 def _envelope(tree: ScenarioTree, payoff: Process):

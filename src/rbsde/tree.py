@@ -10,14 +10,17 @@ layout, which keeps all per-level operations vectorisable.
 A tree holds no per-node state.  Its size follows from the branching
 alone, and the node state (Brownian value ``w`` and jump ``counts``) is
 built forward from the root: ``ScenarioTree.states()`` chains whole
-levels, keeping at most two alive, and ``_node_blocks`` walks the same
+levels, keeping at most two alive.  ``_node_blocks`` walks any such
 chain depth first, block by block, building each row once and keeping
 one block per level alive.  The problem data on the tree is all the
-solvers need, and ``rbsde.processes.evaluate``, its one reader,
-evaluates it in one such walk of the node state.  Node probabilities are
-built per level on first read by ``atom_prob``, which serves the
-weighted sums of ``expectation``; the checker walks them with
-``_node_blocks`` instead and reads no ``atom_prob`` level.
+solvers need, and ``rbsde.processes.evaluate``, its one reader, calls
+each payoff and obstacle function once per level, on that level's
+distinct states, not on its nodes: a function reading ``len(w)`` or a
+row's position is outside its contract.  It then fills the levels along
+one such walk of int32 state codes.  Node probabilities are built per
+level on first read by ``atom_prob``, which serves the weighted sums of
+``expectation``; the checker walks them with ``_node_blocks`` instead
+and reads no ``atom_prob`` level.
 
 Level rule for compensators.  A process is a list of level arrays, and
 a level array may be shorter than its level: then it holds the values
@@ -359,7 +362,7 @@ def _state_step(tree: ScenarioTree, w: np.ndarray,
     return _branch_pass(np.add, w, tree.branch_db), _count_pass(counts, tree.branching)
 
 
-def _prob_step(tree: ScenarioTree, prob: np.ndarray) -> tuple[np.ndarray]:
+def _prob_step(tree: ScenarioTree, level: int, prob: np.ndarray) -> tuple[np.ndarray]:
     """Node probabilities of the children of some parent rows, as ``atom_prob`` builds them."""
     return (_branch_pass(np.multiply, prob, tree.branch_prob),)
 
@@ -373,13 +376,13 @@ def _frozen(arrays: tuple) -> tuple:
 def _node_blocks(tree: ScenarioTree, last: int, roots: tuple, step) -> Iterator[tuple]:
     """Read-only ``(level, rows, *values)`` for every block of levels 0 .. ``last``.
 
-    ``step(tree, *parents)`` makes the children of some parent rows of the
-    chains that start at ``roots``, elementwise, so every value has the
-    bits of the whole-level chain.  A level of at most ``_parent_rows``
-    rows is built whole and not kept.  The level below the last such level
-    comes in ``_parent_blocks`` slices (``_split``), and below each slice
-    the walk goes depth first through the children of each ``_parent_rows``
-    slice.  So each row is built once, one block per level is alive, no
+    ``step(tree, level, *parents)`` makes the children of some parent rows
+    of ``level`` of the chains that start at ``roots``, elementwise, so
+    every value has the bits of the whole-level chain.  A level of at most
+    ``_parent_rows`` rows is built whole and not kept.  The level below the
+    last such level comes in ``_parent_blocks`` slices (``_split``), and
+    below each slice the walk goes depth first through the children of
+    each ``_parent_rows`` slice.  So each row is built once, one block per level is alive, no
     level larger than one parent slice is alive whole, and a level's blocks
     come left to right, each a ``_parent_blocks`` slice, the children of
     one or the whole level: aligned on ``_BLOCK_ALIGN``, at most
@@ -388,18 +391,18 @@ def _node_blocks(tree: ScenarioTree, last: int, roots: tuple, step) -> Iterator[
     level, values = 0, _frozen(roots)
     yield level, slice(0, 1), *values
     while level < last and tree.level_size(level + 1) <= _parent_rows(tree):
-        level, values = level + 1, _frozen(step(tree, *values))
+        level, values = level + 1, _frozen(step(tree, level, *values))
         yield level, slice(0, tree.level_size(level)), *values
     if level == last:
         return
-    for start, block in _split(tree, values, step):
+    for start, block in _split(tree, level, values, step):
         yield level + 1, slice(start, start + len(block[0])), *block
         if level + 1 < last:
             yield from _descend(tree, last, level + 1, start, block, step)
 
 
-def _split(tree: ScenarioTree, values: tuple, step) -> Iterator[tuple]:
-    """``(start, children)`` of a whole level's children, in ``_parent_blocks`` slices.
+def _split(tree: ScenarioTree, level: int, values: tuple, step) -> Iterator[tuple]:
+    """``(start, children)`` of the children of a whole ``level``, in ``_parent_blocks`` slices.
 
     Each slice steps only the parents the slices before it did not.  A
     parent whose children straddle the end of a slice (B does not divide
@@ -412,7 +415,7 @@ def _split(tree: ScenarioTree, values: tuple, step) -> Iterator[tuple]:
     for start in range(0, size, width):
         stop = min(start + width, size)
         need = -(-stop // tree.branching)
-        children = step(tree, *(v[done:need] for v in values))
+        children = step(tree, level, *(v[done:need] for v in values))
         if carry is not None and len(carry[0]):
             children = tuple(np.concatenate(pair) for pair in zip(carry, children))
         done, cut = need, stop - start
@@ -431,7 +434,7 @@ def _descend(tree: ScenarioTree, last: int, level: int, start: int, values: tupl
     """
     width = _parent_rows(tree)
     for lo in range(0, len(values[0]), width):
-        children = _frozen(step(tree, *(v[lo:lo + width] for v in values)))
+        children = _frozen(step(tree, level, *(v[lo:lo + width] for v in values)))
         first = (start + lo) * tree.branching
         yield level + 1, slice(first, first + len(children[0])), *children
         if level + 1 < last:

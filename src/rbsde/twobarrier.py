@@ -214,7 +214,10 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
         # (z, v) of Y itself: project_level's remainder is not needed here
         _, z[k], v[k] = _project_block(tree, _children(tree, y[k + 1], slice(None)))
 
-    # the converged round's increments belong to nothing else: accumulate in place
+    # the converged round's increments belong to nothing else: accumulate in place,
+    # and a level without mass (every value ±0.0; a NaN is mass) shares K's level before it
+    inc_plus, inc_minus = ([level if level.any() else None for level in inc]
+                           for inc in (inc_plus, inc_minus))
     solution = _book(tree, (y, z, v, inc_plus, inc_minus), low, up)
     return solution, trace
 

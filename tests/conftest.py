@@ -10,6 +10,17 @@ from rbsde.processes import linear_obstacle, linear_payoff
 from rbsde.tree import copy_process, expand
 
 
+def distinct_states(w, counts) -> int:
+    """The number of distinct node states ``(w, counts)`` of a level, ``w`` keyed by its bits.
+
+    Counted from the level's own rows, sorted, not from the evaluation's
+    state tables: the number of rows the evaluation calls a function on.
+    """
+    keys = np.column_stack((w.view(np.int64), counts.astype(np.int64)))
+    keys = keys[np.lexsort(keys.T[::-1])]
+    return 1 + int(np.count_nonzero(np.any(keys[1:] != keys[:-1], axis=1)))
+
+
 def step_function(pairs):
     """Right-continuous step function from (time, value) pairs."""
     times = [t for t, _ in pairs]

@@ -7,6 +7,7 @@ from rbsde import (BarrierSpec, DriverSpec, JumpTimeOffGrid, MarkSet, ProblemSpe
                    TerminalSpec, build_tree, eval_barrier)
 from rbsde.bsde import _driver_value
 from rbsde.processes import _walk, linear_obstacle
+from conftest import distinct_states
 
 
 def driver_at(spec, tree, level, y, z, v):
@@ -151,11 +152,13 @@ def test_non_finite_jump_offset_or_left_limit_is_rejected(value, offset):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_stochastic_left_limit_is_rejected(bad):
     # finite at every node of every level; the left limit at t = 2/3 reads
-    # the obstacle at that time on level 1's two nodes, where it is not
-    def obstacle(t, w, counts):
-        return np.full(len(w), bad if (t == 2 / 3 and len(w) == 2) else 0.0)
-
+    # the obstacle at that time on level 1's states, w = ±sqrt(dt), where it
+    # is not (level 2's states at that time are w = ±2 sqrt(dt) and 0)
     tree = build_tree(3)
+
+    def obstacle(t, w, counts):
+        return np.where((t == 2 / 3) & (np.abs(w) == tree.branch_db[0]), bad, 0.0)
+
     spec = BarrierSpec(stochastic=obstacle, jumps=((2 / 3, 0.1),))
     with pytest.raises(ValueError, match="left limit is not finite at level 2"):
         eval_barrier(spec, tree)
@@ -289,17 +292,24 @@ def test_linear_forms_match_broadcast_formulas_bit_for_bit(m, steps):
 def test_single_non_finite_node_is_rejected(bad):
     tree = build_tree(3, _marks(1))
     leaves = tree.level_size(3)
+    three_moves = 2 * tree.branch_db[0]   # below the w of three up-moves
 
-    def poisoned(w, node):
-        out = np.zeros(len(w))
-        if len(w) == leaves:
-            out[node] = bad
-        return out
+    def up_and_jumping(w, counts):
+        """Three jumps and three up-moves: leaf ``leaves // 3``, branch 1 at every step."""
+        return (counts[:, 0] == 3) & (w > three_moves)
 
+    def down_and_jumping(w, counts):
+        """Three jumps and three down-moves: the last leaf, branch B - 1 at every step."""
+        return (counts[:, 0] == 3) & (w < -three_moves)
+
+    w, counts = tree.w[3], tree.counts[3]
+    assert np.flatnonzero(up_and_jumping(w, counts)).tolist() == [leaves // 3]
+    assert np.flatnonzero(down_and_jumping(w, counts)).tolist() == [leaves - 1]
     with pytest.raises(ValueError, match="not finite at level 3"):
-        eval_barrier(BarrierSpec(stochastic=lambda t, w, c: poisoned(w, leaves // 3)), tree)
+        eval_barrier(BarrierSpec(
+            stochastic=lambda t, w, c: np.where(up_and_jumping(w, c), bad, 0.0)), tree)
     with pytest.raises(ValueError, match="finite on every leaf"):
-        TerminalSpec(payoff=lambda w, c: poisoned(w, leaves - 1)).evaluate(tree)
+        TerminalSpec(payoff=lambda w, c: np.where(down_and_jumping(w, c), bad, 0.0)).evaluate(tree)
 
 
 def test_finite_values_whose_sum_overflows_are_accepted():
@@ -368,20 +378,23 @@ def test_a_band_with_equal_sections_evaluates_its_part_once(monkeypatch):
     problem = _band(10)   # declared jumps at levels 4 (lower) and 6 (upper)
     lower, upper = problem.obstacles
     assert lower.stochastic == upper.stochastic and lower.stochastic is not upper.stochastic
-    rows = Counter()
+    rows, calls = Counter(), Counter()
     call = LinearObstacle.__call__
 
     def counting(self, t, w, counts):
         rows[t] += len(w)
+        calls[t] += 1
         return call(self, t, w, counts)
 
     monkeypatch.setattr(LinearObstacle, "__call__", counting)
     tree = problem.build_tree()
     _, low, up = evaluate(tree, None, lower, upper)
-    size = tree.level_size
-    # each level's rows once for both sides, and each side's left limit on its parent level
-    assert rows == {tree.time(k): size(k) + (size(k - 1) if k in (4, 6) else 0)
+    states = [distinct_states(w, c) for w, c in tree.states()]
+    # one call for both sides per level, on its distinct states, and one per
+    # side's left limit, on the distinct states of its parent level
+    assert rows == {tree.time(k): states[k] + (states[k - 1] if k in (4, 6) else 0)
                     for k in range(11)}
+    assert calls == {tree.time(k): 1 + (k in (4, 6)) for k in range(11)}
     assert low.jump_levels == (4,) and up.jump_levels == (6,)
     for k in range(11):
         assert low.levels[k].part is up.levels[k].part
@@ -430,11 +443,12 @@ def test_a_finite_base_and_part_whose_sum_overflows_name_their_level(left):
     """Both parts finite near the largest float, their sum past it, at one level only."""
     steps = 4
     tree = build_tree(steps, _marks(1))
-    # the left limit at t = 3/4 reads the state of level 2, the level itself that of level 3
-    state = tree.level_size(2 if left else 3)
+    # the left limit at t = 3/4 reads the states of level 2, the level itself those of
+    # level 3: with sqrt(dt) = 0.5, w is a whole number on even levels only
+    assert tree.branch_db[0] == 0.5
 
     def part(t, w, counts):
-        return np.full(len(w), 1e308 if (t == 0.75 and len(w) == state) else 0.0)
+        return np.where((t == 0.75) & ((w % 1.0 == 0.0) == left), 1e308, 0.0)
 
     spec = BarrierSpec(pieces=((0.0, 0.0), (0.5, 1e308)), stochastic=part,
                        jumps=((0.75, 0.0),))

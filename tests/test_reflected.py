@@ -1,5 +1,7 @@
 """One-obstacle reflected solver against the closed-form and oracle routes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -83,18 +85,29 @@ def test_snell_representation_keeps_nan():
 
 
 def test_martingale_obstacle_keeps_compensator_empty():
-    tree = build_tree(4, MarkSet(sizes=(2.0,), intensities=(0.5,)))
+    steps, lam = 4, 0.5
+    tree = build_tree(steps, MarkSet(sizes=(2.0,), intensities=(lam,)))
     xi = TerminalSpec(payoff=lambda w, c: np.maximum(w, 0.0) + 0.2 * c[:, 0])
-    values = xi.evaluate(tree)
-    closure = [None] * 5
-    closure[4] = values
-    for k in range(3, -1, -1):
-        closure[k] = tree.cond_exp(closure[k + 1])
+    step = tree.branch_db[0]
 
     def obstacle(t, w, counts):
-        level = round(t * tree.num_steps)
-        return closure[level] - 0.1
+        """E[xi | (w, counts) at t] - 0.1.
 
+        The signs still to come are fair coins, and each step jumps with
+        probability lam dt.
+        """
+        rest = steps - round(t * steps)
+        ups = np.arange(rest + 1)
+        weights = np.array([math.comb(rest, j) for j in ups]) / 2.0 ** rest
+        brownian = np.maximum(w[:, None] + (2 * ups - rest) * step, 0.0) @ weights
+        return brownian + 0.2 * (counts[:, 0] + rest * lam / steps) - 0.1
+
+    # the obstacle is the conditional mean of xi, less 0.1, at every node
+    closure = [xi.evaluate(tree)]
+    for _ in range(steps):
+        closure.insert(0, tree.cond_exp(closure[0]))
+    for k, (w, counts) in enumerate(tree.states()):
+        assert np.max(np.abs(obstacle(k / steps, w, counts) + 0.1 - closure[k])) <= 1e-14
     barrier = BarrierSpec(stochastic=obstacle)
     sol = solve_reflected(tree, DriverSpec(), xi, barrier)
     assert all(np.all(level == 0.0) for level in sol.lower.k)

@@ -98,6 +98,25 @@ def test_doob_meyer_split():
     assert np.all(res.compensator[0] == 0.0)
 
 
+def test_a_compensator_level_without_mass_is_its_predecessor():
+    """K_{k+1} is K_k's own array where every increment is ±0.0, with every K bit."""
+    from rbsde.tree import _accumulate, copy_process
+    tree = build_tree(6, MarkSet(sizes=(1.0,), intensities=(0.5,)))
+    payoff = random_payoff(tree, np.random.default_rng(3))
+    # below the continuation value: no mass at levels 2 and 4
+    payoff[2] = np.full(tree.level_size(2), -5.0)
+    payoff[4] = np.full(tree.level_size(4), -5.0)
+    res = snell(tree, payoff)
+    massless = [not level.any() for level in res.increments]
+    assert massless[2] and massless[4] and not all(massless)
+    whole = _accumulate(copy_process(res.increments))
+    for k in range(tree.num_steps):
+        assert (res.compensator[k + 1] is res.compensator[k]) == massless[k], k
+    for k, level in enumerate(whole):
+        assert np.array_equal(expand(tree, res.compensator[k], k).view(np.int64),
+                              expand(tree, level, k).view(np.int64)), k
+
+
 def test_optimal_stop_is_horizon_for_martingales():
     tree = build_tree(4)
     payoff = martingale_payoff(tree, np.cos(np.arange(tree.level_size(4))))

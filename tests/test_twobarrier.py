@@ -180,6 +180,42 @@ def test_random_band_agreement_and_monotone_iteration(seed):
             assert np.max(np.abs(v_direct - picard.v[k])) <= 1e-11
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_the_envelope_route_shares_k_where_the_direct_solve_does(monkeypatch, seed):
+    """K shares its level before it exactly where the direct solve's does, with every K bit.
+
+    The bits are those of accumulating the converged round's whole
+    increment levels, each K level a fresh array.
+    """
+    import rbsde.twobarrier
+    from rbsde.tree import _accumulate
+    rounds = []
+    envelope = rbsde.twobarrier._envelope
+
+    def recording(tree, payoff):
+        env, inc = envelope(tree, payoff)
+        rounds.append([level.copy() for level in inc])
+        return env, inc
+
+    monkeypatch.setattr(rbsde.twobarrier, "_envelope", recording)
+    rng = np.random.default_rng(500 + seed)
+    problem = random_two_barrier(rng)
+    tree = problem.build_tree()
+    obstacles = problem.lower, problem.upper
+    direct = solve_reflected(tree, problem.driver, problem.terminal, *obstacles)
+    picard, _ = picard_snell_solve(tree, problem.driver, problem.terminal, *obstacles)
+    shared = 0
+    for side, routed, whole in ((direct.lower, picard.lower, rounds[-2]),
+                                (direct.upper, picard.upper, rounds[-1])):
+        same = [side.k[k + 1] is side.k[k] for k in range(tree.num_steps)]
+        assert [routed.k[k + 1] is routed.k[k] for k in range(tree.num_steps)] == same
+        shared += sum(same)
+        for k, level in enumerate(_accumulate(whole)):
+            assert np.array_equal(expand(tree, routed.k[k], k).view(np.int64),
+                                  expand(tree, level, k).view(np.int64)), k
+    assert shared
+
+
 def test_step_complementarity_where_separated():
     rng = np.random.default_rng(88)
     for _ in range(4):

@@ -1,18 +1,19 @@
-"""The tree keeps no node state: one forward walk evaluates the problem data.
+"""The tree keeps no node state: one forward pass evaluates the problem data.
 
 ``ScenarioTree.states()`` must give the bits of the eager level chain,
 and so must the depth-first blocks of ``_node_blocks``, for the node
 state and the checker's node probabilities alike, building each row
-once.  One solve must walk the states once for the terminal and every
-obstacle together.  The walk reads a level larger than one block in
-blocks, with the bits of the eager chain, holds no leaf state, and
-builds no state that no spec reads.  A function that returns or keeps
-its input must not reach a later level or a memoised result, and a tree
-must be freed without the cyclic collector.
+once.  One solve must evaluate the terminal and every obstacle together,
+each function once per level on that level's distinct states, and fill
+a level larger than one block with the bits of the eager chain, holding
+no leaf state and building no state that no spec reads.  A function
+that returns or keeps its input must not reach a later level or a
+memoised result, and a tree must be freed without the cyclic collector.
 """
 
 import collections
 import gc
+import itertools
 import pathlib
 import tracemalloc
 import weakref
@@ -30,7 +31,8 @@ from rbsde.config import load_config
 from rbsde.processes import _walk, call_payoff, evaluate, linear_obstacle, linear_payoff
 from rbsde.reflected import obstacle_payoff
 from rbsde.tree import (_BLOCK_ALIGN, _BLOCK_NODES, _branch_pass, _count_pass, _node_blocks,
-                        _parent_rows, _prob_step, _state_root, _state_step)
+                        _prob_step, _state_root, _state_step)
+from conftest import distinct_states
 
 # (marks, steps) whose deepest parent level spans several parent blocks
 SHAPES = ((0, 17), (1, 9), (2, 7))
@@ -63,6 +65,16 @@ def test_states_match_the_eager_chain(m, steps):
         assert not w_k.flags.writeable and not counts_k.flags.writeable
 
 
+def _distinct_states(tree):
+    """The number of distinct states of each level, from the eager per-node chain."""
+    return [distinct_states(w, counts) for w, counts in tree.states()]
+
+
+def _state_chain(tree, level, w, counts):
+    """``_state_step`` as a step of ``_node_blocks``, which also passes the parent level."""
+    return _state_step(tree, w, counts)
+
+
 def _walked(tree, roots, step):
     """Each level's ``(rows, values)`` blocks from ``_node_blocks``, in the order yielded."""
     levels = [[] for _ in range(tree.num_steps + 1)]
@@ -77,7 +89,7 @@ def test_node_blocks_cover_each_row_once_with_the_eager_bits(m, steps):
     tree = build_tree(steps, _marks(m))
     assert tree.level_size(steps) > _BLOCK_NODES
     w, counts, atom = _eager_levels(tree)
-    for roots, step, eager in ((_state_root(tree), _state_step, (w, counts)),
+    for roots, step, eager in ((_state_root(tree), _state_chain, (w, counts)),
                                ((np.ones(1),), _prob_step, (atom,))):
         for k, blocks in enumerate(_walked(tree, roots, step)):
             starts = [rows.start for rows, _ in blocks]
@@ -120,12 +132,26 @@ def _counting_walks(monkeypatch):
 
     for module in (rbsde.processes, rbsde.verify):
         monkeypatch.setattr(module, "_node_blocks", counting)
+    state_step = rbsde.processes._state_step
+
+    def counted_states(tree, w, counts):
+        children = state_step(tree, w, counts)
+        built["_state_step"] += len(children[0])
+        return children
+
+    monkeypatch.setattr(rbsde.processes, "_state_step", counted_states)
     return built
 
 
 # (marks, steps) whose deepest two levels are each larger than one block
 @pytest.mark.parametrize("m,steps", [(0, 18), (1, 10)])
 def test_evaluation_and_check_build_each_row_once(monkeypatch, m, steps):
+    """The evaluation builds each node's state code once, down to the parents of the leaves.
+
+    The leaves are filled from their parents' codes, so no leaf code is
+    built, and the float state is built only for the children of each
+    level's distinct states.
+    """
     built = _counting_walks(monkeypatch)
     marks = _marks(m)
     tree = build_tree(steps, marks)
@@ -133,10 +159,13 @@ def test_evaluation_and_check_build_each_row_once(monkeypatch, m, steps):
     obstacle = _compensated_obstacle(marks, steps)
     driver = DriverSpec(base=0.1, marks=marks)
     sol = solve_reflected(tree, driver, terminal, obstacle)
-    assert built == {"_state_step": tree.node_count - 1}
-    assert check_solution(tree, sol, driver, terminal, obstacle).passed
     parents = sum(tree.level_size(k) for k in range(1, steps))
-    assert built == {"_state_step": tree.node_count - 1, "_prob_step": parents}
+    states = _distinct_states(tree)[:steps]
+    built_states = sum(states) * tree.branching
+    assert built_states < tree.level_size(steps) // 100
+    assert built == {"children": parents, "_state_step": built_states}
+    assert check_solution(tree, sol, driver, terminal, obstacle).passed
+    assert built == {"children": parents, "_state_step": built_states, "_prob_step": parents}
 
 
 def test_state_sequences_build_each_read_and_keep_nothing():
@@ -188,7 +217,10 @@ def test_a_built_tree_holds_no_per_node_array(m, steps):
 
 def _counted(fn, calls):
     def counting(*args):
-        calls.append(len(args[-2]))   # the level of the state read, by its node count
+        w, counts = args[-2:]
+        assert not w.flags.writeable and not counts.flags.writeable
+        # the time read, if any, and the number of states
+        calls.append((args[0] if len(args) == 3 else None, len(w)))
         return fn(*args)
     return counting
 
@@ -218,21 +250,20 @@ def test_one_walk_evaluates_every_function_once_per_level(monkeypatch):
 
     monkeypatch.setattr(rbsde.processes, "_walk", counting_walk)
     sizes = [tree.level_size(k) for k in range(steps + 1)]
+    states = _distinct_states(tree)
     for _ in range(2):
         sol = solve_reflected(tree, driver, terminal, lower, upper)
         assert check_solution(tree, sol, driver, terminal, lower, upper).passed
         sol = solve_reflected(tree, driver, terminal, lower)
         assert check_solution(tree, sol, driver, terminal, lower).passed
     assert len(walks) == 1
-    # every row once: each level of at most one parent slice whole, the
-    # leaves below them in parent slices, then each declared left limit
-    # from its parent level
-    width = _parent_rows(tree)
-    leaves = [min(width, sizes[-1] - lo) for lo in range(0, sizes[-1], width)]
-    assert len(leaves) > 1 and sizes[-2] <= width
-    assert sorted(calls["lower"]) == sorted(sizes[:-1] + leaves + [sizes[1], sizes[4]])
-    assert sorted(calls["upper"]) == sorted(sizes[:-1] + leaves + [sizes[2]])
-    assert calls["payoff"] == leaves
+    # one call per level, on its distinct states, and one per declared left
+    # limit, on the distinct states of its parent level
+    assert states[-1] < sizes[-1] // 100
+    levels = [(k / steps, states[k]) for k in range(steps + 1)]
+    assert sorted(calls["lower"]) == sorted(levels + [(1 / 3, states[1]), (5 / 6, states[4])])
+    assert sorted(calls["upper"]) == sorted(levels + [(1 / 2, states[2])])
+    assert calls["payoff"] == [(None, states[-1])]
     left = eval_barrier(lower, tree).left_levels
     assert {k: len(v.whole()) for k, v in left.items()} == {2: sizes[1], 5: sizes[4]}
     # a check, a penalised solve or an envelope payoff on a tree no solve
@@ -246,11 +277,11 @@ def test_one_walk_evaluates_every_function_once_per_level(monkeypatch):
 def test_functions_that_alias_or_keep_their_input_change_nothing():
     steps, marks = 5, _marks(1)
     tree = build_tree(steps, marks)
-    w, _, _ = _eager_levels(tree)
+    w, counts, _ = _eager_levels(tree)
     kept = []
 
-    def keeping(w_leaf, counts):
-        kept.append(w_leaf)
+    def keeping(w_leaf, counts_leaf):
+        kept.append((w_leaf, counts_leaf))
         return np.abs(w_leaf)
 
     aliasing = BarrierSpec(pieces=((0.0, 0.0), (3 / 5, -1.0)), stochastic=lambda t, w, c: w)
@@ -258,8 +289,11 @@ def test_functions_that_alias_or_keep_their_input_change_nothing():
     solve_reflected(tree, DriverSpec(), terminal, aliasing)
     values = eval_barrier(aliasing, tree)
     leaves = terminal.evaluate(tree)
+    (w_kept, counts_kept), = kept
     with pytest.raises(ValueError):
-        kept[0][0] = 99.0   # the kept state is read-only
+        w_kept[0] = 99.0   # the kept state is read-only
+    with pytest.raises(ValueError):
+        counts_kept[0] = 99.0
     fresh = _walk(tree, [aliasing])[0]
     for k in range(steps + 1):
         base = 0.0 if k < 3 else -1.0
@@ -268,7 +302,11 @@ def test_functions_that_alias_or_keep_their_input_change_nothing():
     assert np.array_equal(values.left_levels[3].whole(), w[2])
     assert np.array_equal(fresh.left_levels[3].whole(), w[2])
     assert np.array_equal(leaves, np.abs(w[steps]))
-    assert np.array_equal(kept[0], w[steps])
+    # the kept input is the leaves' distinct states, each once, with their bits
+    rows = {(x, *c) for x, c in zip(w_kept.view(np.int64).tolist(), counts_kept.tolist())}
+    assert len(rows) == len(w_kept) == _distinct_states(tree)[steps]
+    assert rows == {(x, *c) for x, c in zip(w[steps].view(np.int64).tolist(),
+                                            counts[steps].tolist())}
     assert np.array_equal(_walk(tree, [terminal])[0], leaves)
 
 
@@ -337,12 +375,13 @@ def test_a_value_that_is_not_finite_only_in_the_last_block_names_its_level():
 
 
 def test_the_walk_holds_no_leaf_state():
-    """Above its outputs, the walk peaks at the kept level, one block and a function's blocks.
+    """Above its outputs, the pass holds less than one block of 2**16 float values.
 
-    At one mark ``w`` and ``counts`` take one block each at the kept level
-    and at a block of leaves, and a compensated linear function two more
-    (its result and its shifted counts): six blocks of 2**16 values.  The
-    leaf level's state alone would be eight.
+    It holds the small state and value tables and the int32 state codes
+    of one block per level along the walk, down to the parents of the
+    leaves: no leaf state and no leaf code is built.  The leaf level's
+    state alone would be eight blocks, and a walk of blocks of float state
+    held six.
     """
     steps, marks = 9, _marks(1)
     tree = build_tree(steps, marks)
@@ -361,7 +400,7 @@ def test_the_walk_holds_no_leaf_state():
     assert outputs[1].jump_levels == (3, 9)
     # the outputs: the two sides' one shared part and the terminal's leaves
     assert held >= (tree.node_count + tree.level_size(steps)) * 8
-    assert peak - held <= 6.5 * block, (peak - held) / block
+    assert peak - held <= block, (peak - held) / block
 
 
 def test_constant_data_build_no_state(monkeypatch):
@@ -439,32 +478,44 @@ def test_a_tree_is_freed_without_the_cyclic_collector(name):
         gc.enable()
 
 
+def _all_up_and_jumping(tree, level, w, counts):
+    """Rows of the state that jumped and moved up at every one of ``level`` steps.
+
+    The next largest ``w`` with as many jumps is two up-moves lower.
+    """
+    return (counts[:, 0] == level) & (w > (level - 1) * tree.branch_db[0])
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_a_value_that_is_not_finite_in_one_middle_block_names_its_level(value):
-    """One node of the second of four walk blocks: of level 18 of an obstacle, and of the leaves.
+    """One node of the second of four blocks: of level 9 of an obstacle, and of the leaves.
 
-    The finiteness test reads the extremes the walk took block by block,
-    so a block other than the first and the last must be named too.
+    With one mark, level 9 holds four blocks of 2**16 nodes, one per first
+    branch, and the state that jumped and moved up at every step is met at
+    one node, in the second block.  Poisoned, it must be named.
     """
-    steps = 19
-    tree = build_tree(steps)
-    level = steps - 1
+    level, marks = 9, _marks(1)
     calls = []
+    for tree in (build_tree(level + 1, marks), build_tree(level, marks)):
+        w, counts = next(itertools.islice(tree.states(), level, None))
+        hit = np.flatnonzero(_all_up_and_jumping(tree, level, w, counts))
+        assert tree.level_size(level) == 4 * _BLOCK_NODES
+        assert hit.tolist() == [(4 ** level - 1) // 3] and hit[0] // _BLOCK_NODES == 1
 
-    def poison(w):
-        calls.append(len(w))
-        out = np.zeros(len(w))
-        if len(calls) == 2:
-            out[len(w) // 3] = value
-        return out
+        def poison(w, counts):
+            calls.append(len(w))
+            return np.where(_all_up_and_jumping(tree, level, w, counts), value, 0.0)
 
-    def obstacle(t, w, counts):
-        return poison(w) if t == level / steps else np.zeros(len(w))
+        if tree.num_steps > level:
+            def obstacle(t, w, counts):
+                return poison(w, counts) if t == level / tree.num_steps else np.zeros(len(w))
 
-    with pytest.raises(NonFiniteData, match=f"^obstacle is not finite at level {level}$"):
-        eval_barrier(BarrierSpec(stochastic=obstacle), tree)
-    assert calls == [_BLOCK_NODES] * 4
-    calls.clear()
-    with pytest.raises(NonFiniteData, match="^terminal payoff must be finite on every leaf$"):
-        TerminalSpec(payoff=lambda w, counts: poison(w)).evaluate(build_tree(level))
-    assert calls == [_BLOCK_NODES] * 4
+            with pytest.raises(NonFiniteData, match=f"^obstacle is not finite at level {level}$"):
+                eval_barrier(BarrierSpec(stochastic=obstacle), tree)
+        else:
+            with pytest.raises(NonFiniteData,
+                               match="^terminal payoff must be finite on every leaf$"):
+                TerminalSpec(payoff=poison).evaluate(tree)
+        # one call, on the level's distinct states
+        assert calls == [distinct_states(w, counts)]
+        calls.clear()
