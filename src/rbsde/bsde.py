@@ -20,11 +20,16 @@ are read-only arrays that every such sweep of it on the tree shares: the
 tree keeps the terminal's last step (``rbsde.processes.LastStep``), so
 only the first storing sweep projects it.
 
-A direct sweep forms only what its step reads: the sweep and the checker
-take a block's z and v through one rule, ``_step_projections``, which
-leaves out a z or v whose term the driver's coefficients fix, and with
-a = 0 the implicit step makes no divide.  Every bit of Y, K and each
-check report is the one the full formulas give.
+The sweep walks a grid: the tree's nodes, or its ``Lattice`` of distinct
+node states, on which ``rbsde.reflected`` runs every direct solve of data
+with states.  Each operation of a step is row by row (ufuncs, ``_weigh``,
+the implicit step, the clamps, and a BLAS product whose row depends on
+that row alone), so a state's row has the bits of each of its nodes.
+The sweep projects each block in full; the checker takes a slice's z and
+v through ``_step_projections``, which leaves out a z or v whose term the
+driver's coefficients fix, and with a = 0 the implicit step makes no
+divide.  Every bit of Y, K and each check report is the one the full
+formulas give.
 """
 
 from __future__ import annotations
@@ -77,9 +82,10 @@ class Projection(Sequence):
     """Z or V of a direct solve: level k is the projection of Y_{k+1}, formed on read.
 
     Nothing is stored.  A read of level k projects Y_{k+1} over the
-    ``_parent_blocks`` slices of level k, the blocks the sweep projected,
-    so each block is the same BLAS product and the level has the bits the
-    sweep formed.  Each read returns a fresh array, the caller's to edit;
+    ``_parent_blocks`` slices of level k; each row of a product depends on
+    that row alone, so a node's z and v have the bits the sweep formed for
+    it, or for its state on the tree's ``Lattice``.  Each read returns a
+    fresh array, the caller's to edit;
     the levels follow Y, so edit a copy of Y, not Y itself.
     ``rbsde.verify`` takes a slice's rows from the children table it reads
     anyway (``_step_projections``), building no level.
@@ -250,19 +256,24 @@ def _implicit_y(rhs, a: float, dt: float):
     return rhs if a == 0.0 else rhs / (1.0 - a * dt)
 
 
-def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, zv=None):
-    """Backward induction over cache-sized parent blocks of each level.
+def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, *, store: bool = True,
+                    grid=None):
+    """Backward induction over cache-sized blocks of each level of ``grid``.
 
-    Each block is projected once: its conditional mean feeds the implicit
-    right-hand side ``E[Y_next] + source(level, rows, z, v)*dt``, where
-    (z, v) are the block's projections, and ``settle(level, rows, rhs)``
-    returns the block's solution values (booking any compensator
-    increments on the way).  Returns (y, z, v).  Without ``zv`` the sweep
-    stores every Z and V level; a direct solve passes its driver's
-    ``_step_projections`` as ``zv``, stores neither and forms only the z
-    and v its step reads.  Values that leave the float range become inf or
-    NaN without a warning: the solvers test each level of Y once the sweep
-    is done (``rbsde.reflected._finite``).
+    ``grid`` is the tree itself (the default) or its ``Lattice`` of
+    distinct states, with ``xi`` given per leaf row of it: the sweep reads
+    a grid only through ``level_size``, its blocks (``_parent_blocks``)
+    and ``children``.  Each block is projected once, in full: its
+    conditional mean feeds the implicit right-hand side ``E[Y_next] +
+    source(level, rows, z, v)*dt``, where (z, v) are the block's
+    projections, and ``settle(level, rows, rhs)`` returns the block's
+    solution values (booking any compensator increments on the way).
+    Every operation is row by row, so a row's values depend only on its
+    children's values: nodes of one state get their state's bits on
+    either grid.  Returns (y, z, v); Z and V are None unless ``store``.
+    Values that leave the float range become inf or NaN without a warning:
+    the solvers test each level of Y once the sweep is done
+    (``rbsde.reflected._finite``).
 
     A terminal that ``rbsde.processes.evaluate`` made on the tree has its
     last step kept there (``LastStep``), filled by storing sweeps only:
@@ -272,19 +283,19 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, zv=None)
     storing sweep takes the kept Z_{N-1} and V_{N-1} as its own levels.
     Every block has the bits it would have if projected.
     """
+    grid = tree if grid is None else grid
     n = tree.num_steps
     dt = tree.dt
-    store = zv is None
     y: Process = [None] * (n + 1)
     y[n] = xi
     z: Process | None = [None] * n if store else None
     v: Process | None = [None] * n if store else None
-    last = _last_step(tree, xi)
+    last = _last_step(tree, xi) if grid is tree else None
     # read once, so a sweep on another thread that fills the memo changes nothing here
     shared, mean = (None, None) if last is None else (last.zv, last.mean)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, -1, -1):
-            size = tree.level_size(k)
+            size = grid.level_size(k)
             y[k] = np.empty(size)
             if k == n - 1 and shared is not None:
                 # the kept last step: no projection, and no new Z or V level
@@ -293,11 +304,11 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, zv=None)
                     z[k], v[k] = shared
                 # the second storing sweep keeps its conditional means
                 kept = np.empty(size) if mean is None and store else None
-                for rows in _parent_blocks(tree, k):
+                for rows in _parent_blocks(grid, k):
                     if mean is not None:
                         mb = mean[rows]
                     else:
-                        mb = _children(tree, xi, rows) @ tree.branch_prob
+                        mb = grid.children(xi, k, rows) @ tree.branch_prob
                         if kept is not None:
                             kept[rows] = mb
                     rhs = mb + source(k, rows, zk[rows], vk[rows]) * dt
@@ -307,12 +318,8 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, zv=None)
                 continue
             if store:
                 z[k], v[k] = np.empty(size), np.empty((size, tree.marks.count))
-            for rows in _parent_blocks(tree, k):
-                table = _children(tree, y[k + 1], rows)
-                if store:
-                    mb, zb, vb = _project_block(tree, table)
-                else:
-                    mb, (zb, vb) = table @ tree.branch_prob, zv(table)
+            for rows in _parent_blocks(grid, k):
+                mb, zb, vb = _project_block(tree, grid.children(y[k + 1], k, rows))
                 rhs = mb + source(k, rows, zb, vb) * dt
                 y[k][rows] = settle(k, rows, rhs)
                 if store:

@@ -22,8 +22,13 @@ builds each level's table of distinct states from the one before it
 m=1, N=10 and 765 at m=2, N=8), goes only as deep as the last level
 some spec reads, calls each function on its level's table, and then
 fills every level array by gathering from these tables along a depth
-first walk of int32 state codes (``_node_blocks``).  Each declared left
-limit is a function of its parent level's states and is stored there.
+first walk of int32 state codes (``rbsde.tree.Lattice.fill``).  Each
+declared left limit is a function of its parent level's states and is
+stored there.  The state tables are kept with the tree and only ever
+grow, so a state's code never changes, and the memo keeps each spec's
+values per state with its evaluation: ``_on_lattice`` hands a direct
+solve the tree's ``Lattice`` and the problem's data on it, one value per
+state.  A walk that refuses its data keeps none of its values.
 
 An evaluated obstacle level is its deterministic base, one float, plus a
 read-only level array of its stochastic part, or no array where there is
@@ -50,7 +55,9 @@ Next to each evaluated terminal the tree keeps its last backward step
 (``LastStep``), which only the sweeps that store Z and V fill: Z_{N-1}
 and V_{N-1} of the first such sweep, and E[xi | F_{N-1}] from the second
 on, which every later sweep of it reads instead of projecting xi again.
-A direct solve reads what is kept and keeps nothing.  A terminal array
+A direct solve of a ``TerminalSpec`` sweeps the lattice of states and
+neither reads nor keeps it; one of a terminal array reads what is kept
+and keeps nothing.  A terminal array
 that ``evaluate`` did not make is projected on every sweep: its caller
 may change it between solves.
 """
@@ -60,6 +67,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import threading
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -69,8 +77,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import JumpTimeOffGrid, NonFiniteData
-from .tree import (DEFAULT_NODE_CAP, MarkSet, ScenarioTree, _all_finite, _frozen,
-                   _node_blocks, _state_root, _state_step, _weigh, build_tree)
+from .tree import (DEFAULT_NODE_CAP, Lattice, MarkSet, ScenarioTree, _all_finite, _frozen,
+                   _state_root, _state_step, _weigh, build_tree)
 
 # Terminal payoffs see the leaf state; obstacle functions also see time,
 # so that conditional-mean processes with compensator drift are exact.
@@ -82,14 +90,17 @@ GRID_SNAP = 1e-9
 # A problem's kind, indexed by its number of obstacles (``ProblemSpec.obstacles``).
 KINDS = ("standard", "one_barrier", "two_barrier")
 
-# tree -> {id(spec): (spec, evaluated)}.  Trees hash by identity and the
-# entry keeps its spec alive, so an id cannot be reused while it is cached;
-# the whole table goes with the tree.
+# tree -> {id(spec): (spec, evaluated, on_states)}: ``on_states`` is the
+# spec's values per distinct state (the ``on_states`` of its run).  Trees hash by
+# identity and the entry keeps its spec alive, so an id cannot be reused
+# while it is cached; the whole table goes with the tree.
 _EVALUATED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # tree -> {id(xi): LastStep} for each terminal evaluated on the tree.  Each
 # entry keeps its xi alive, so an id cannot be reused while it is kept; the
 # whole table goes with the tree.
 _LAST_STEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# tree -> its ``_States``, which go with the tree.
+_STATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class LastStep:
@@ -129,8 +140,8 @@ def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
                     if isinstance(spec, (TerminalSpec, BarrierSpec))
                     and id(spec) not in per_tree}.values())
     if missing:
-        for spec, evaluated in zip(missing, _walk(tree, missing)):
-            per_tree[id(spec)] = (spec, evaluated)
+        for spec, (evaluated, on_states) in zip(missing, _walk(tree, missing)):
+            per_tree[id(spec)] = (spec, evaluated, on_states)
             if isinstance(spec, TerminalSpec):
                 _LAST_STEPS.setdefault(tree, {}).setdefault(id(evaluated), LastStep(evaluated))
     values = []
@@ -159,7 +170,8 @@ class _Fills:
     payoff and an obstacle part that give the same bits share an array.
     A function that cannot be hashed is keyed by its identity.  Once the
     walk is done, ``spans[id(array)]`` is an array's NaN-keeping (least,
-    largest) value.
+    largest) value and ``tables[id(array)]`` its read-only values per
+    distinct state.
     """
 
     def __init__(self, tree: ScenarioTree) -> None:
@@ -167,6 +179,7 @@ class _Fills:
         self.parts: dict = {}
         self.levels: list[list] = [[] for _ in range(tree.num_steps + 1)]
         self.spans: dict = {}
+        self.tables: dict = {}
 
     def part(self, fn, level: int, t: float | None = None) -> np.ndarray:
         """``fn(t, w, counts)`` on ``level``, or ``fn(w, counts)`` with ``t`` None."""
@@ -183,7 +196,7 @@ class _Fills:
 
 
 class _States:
-    """The distinct node states of levels 0 .. ``last``, and the state each branch leads to.
+    """The distinct node states of a tree's levels, kept with the tree and grown on demand.
 
     ``tables[k]`` is level k's read-only ``(w, counts)``, one row per
     distinct state.  It is built from level k - 1's table alone, with the
@@ -192,87 +205,130 @@ class _States:
     counts, so +0.0 and -0.0 stay apart.  ``child[k]`` is a (states, B)
     int32 table: entry (s, b) is the code, the row of ``tables[k + 1]``,
     of branch b's child of state s.  Every state of a table occurs at its
-    level, since each is a child of one that does.
+    level, since each is a child of one that does.  Levels are only ever
+    added, so a code means one state for the tree's lifetime, and values
+    per state that one walk made serve every later solve on the tree.
+    The ``Lattice`` of each depth asked for is kept as well.
 
     The keys go through a dict, not ``np.unique``: a first sort in the
     process would page in numpy's sort kernels, about 0.7 MB of resident
     memory, for a few thousand keys per level.
     """
 
-    def __init__(self, tree: ScenarioTree, last: int) -> None:
+    def __init__(self, tree: ScenarioTree) -> None:
         self.tables = [_frozen(_state_root(tree))]
-        self.child = []
-        for _ in range(last):
-            w, counts = _state_step(tree, *self.tables[-1])
-            codes: dict = {}
-            keys = zip(w.view(np.int64).tolist(), *counts.astype(np.int64).T.tolist())
-            child = np.fromiter((codes.setdefault(key, len(codes)) for key in keys),
-                                dtype=np.int32, count=len(w))
-            # the rows of one code are one state, so any of them will do
-            rows = np.empty(len(codes), dtype=np.intp)
-            rows[child] = np.arange(len(w))
-            self.child.append(child.reshape(-1, tree.branching))
-            self.tables.append(_frozen((w[rows], counts[rows])))
+        self.child: list[np.ndarray] = []
+        self._lattices: dict[int, Lattice] = {}
+        self._lock = threading.Lock()
 
-    def children(self, tree: ScenarioTree, level: int, codes: np.ndarray) -> tuple:
-        """The codes of the children of some node codes of ``level``: a ``_node_blocks`` step."""
-        return (np.take(self.child[level], codes, axis=0, mode="clip").ravel(),)
+    def lattice(self, tree: ScenarioTree, last: int) -> Lattice:
+        """The ``Lattice`` of levels 0 .. ``last``, building the levels not built yet; kept."""
+        with self._lock:   # threads sharing a tree never add a level twice
+            lattice = self._lattices.get(last)
+            if lattice is not None:
+                return lattice
+            while len(self.child) < last:
+                w, counts = _state_step(tree, *self.tables[-1])
+                codes: dict = {}
+                keys = zip(w.view(np.int64).tolist(), *counts.astype(np.int64).T.tolist())
+                child = np.fromiter((codes.setdefault(key, len(codes)) for key in keys),
+                                    dtype=np.int32, count=len(w))
+                # the rows of one code are one state, so any of them will do
+                rows = np.empty(len(codes), dtype=np.intp)
+                rows[child] = np.arange(len(w))
+                self.tables.append(_frozen((w[rows], counts[rows])))
+                self.child.append(child.reshape(-1, tree.branching))
+            sizes = [len(w) for w, _ in self.tables[:last + 1]]
+            lattice = self._lattices[last] = Lattice(self.child[:last], sizes, tree.branching)
+            return lattice
+
+
+def _states(tree: ScenarioTree) -> _States:
+    """The ``_States`` kept with ``tree``."""
+    states = _STATES.get(tree)
+    return _STATES.setdefault(tree, _States(tree)) if states is None else states
 
 
 def _walk(tree: ScenarioTree, specs) -> list:
-    """Fresh evaluations of ``specs``: each function once per level, on its distinct states.
+    """``(evaluation, values per state)`` of each of ``specs``: each function once per level.
 
     Every level array is opened first, whole; specs that read one
     function at one time on one level share its array.  Each such
     function is called once, on the level's table of distinct states
     (``_States``).  The level arrays are then filled by gathers from
-    these small tables: the codes of each block of parents that
-    ``_node_blocks`` yields pick the rows of a (parent states, B) table of
-    their children's values, so the codes of the last level read are
-    never built.  The walk goes only as deep as the last level some array
-    reads, so a walk with nothing to fill builds no state.  Each spec's
-    errors are raised after the pass, in the order of ``specs``, from the
-    tables' extremes; an overflow on the way warns nothing, since the
-    results' finiteness is tested.
+    these small tables along one walk of state codes (``Lattice.fill``).
+    The walk goes only as deep as the last level some array reads, so a
+    walk with nothing to fill builds no state.  Each spec's errors are raised after
+    the pass, in the order of ``specs``, from the tables' extremes; an
+    overflow on the way warns nothing, since the results' finiteness is
+    tested.  Only once every spec has passed are the values per state
+    handed out (``on_states``), so a refused walk keeps nothing.
     """
     fills = _Fills(tree)
     runs = [_TerminalRun(spec, tree, fills) if isinstance(spec, TerminalSpec)
             else _BarrierRun(spec, tree, fills) for spec in specs]
     read = [k for k, level in enumerate(fills.levels) if level]
     if read:
-        states = _States(tree, read[-1])
-        by_parent = []   # level k's (parent states, B) value tables, each with its array
+        states = _states(tree)
+        lattice = states.lattice(tree, read[-1])
+        levels, tables, outs = [], [], []
         for k, level in enumerate(fills.levels):
-            gathers = []
             for fn, out in level:
-                values = _table(fn, *states.tables[k])
+                values = fills.tables[id(out)] = _read_only(_table(fn, *states.tables[k]))
                 # np.min and np.max keep a NaN; every state of a table occurs at its level
                 fills.spans[id(out)] = (float(np.min(values)), float(np.max(values)))
-                if k:
-                    gathers.append((values[states.child[k - 1]], out))
-                else:
-                    out[...] = values   # the root, one node and one state
-            by_parent.append(gathers)
-        branching = tree.branching
-        root = (np.zeros(1, dtype=np.int32),)
-        walk = _node_blocks(tree, read[-1] - 1, root, states.children) if read[-1] else ()
-        for k, rows, codes in walk:
-            children = slice(rows.start * branching, rows.stop * branching)
-            for table, out in by_parent[k + 1]:
-                # the codes are rows of the table by construction: "clip" writes in place
-                np.take(table, codes, axis=0, out=out[children].reshape(-1, branching),
-                        mode="clip")
+                levels.append(k)
+                tables.append(values)
+                outs.append(out)
+        lattice.fill(tree, levels, tables, outs)
     for level in fills.levels:
         for _, out in level:
             _read_only(out)
-    return [run.result(fills) for run in runs]
+    results = [run.result(fills) for run in runs]
+    return [(result, run.on_states(fills)) for result, run in zip(results, runs)]
+
+
+def _on_lattice(tree: ScenarioTree, specs: tuple, values: tuple):
+    """``(lattice, values on it)``: ``evaluate``'s ``values`` of ``specs`` on the tree's states.
+
+    The lattice is the tree's ``Lattice`` of levels 0 .. N, and the values
+    per state are those ``evaluate`` kept with each spec.  A terminal
+    comes back as its values per leaf state, and an obstacle as
+    ``BarrierValues`` of its levels alone, each the same base over its
+    part's values per state; its left limits stay on the nodes.  None
+    where some spec is the caller's own data, a terminal array or
+    ``BarrierValues``: such data have no states.
+    """
+    if not all(spec is None or isinstance(spec, (TerminalSpec, BarrierSpec)) for spec in specs):
+        return None
+    n = tree.num_steps
+    lattice = _states(tree).lattice(tree, n)
+    per_tree = _EVALUATED[tree]
+    out = []
+    for spec, value in zip(specs, values):
+        on_states = None if spec is None else per_tree[id(spec)][2]
+        if isinstance(spec, TerminalSpec):
+            value = (np.full(lattice.level_size(n), float(spec.constant))
+                     if on_states is None else on_states)
+        elif value is not None:
+            levels = tuple(ObstacleLevel(level.base, part, lattice.level_size(k), level.span)
+                           for k, (level, part) in enumerate(zip(value.levels, on_states)))
+            value = BarrierValues(levels, MappingProxyType({}), ())
+        out.append(value)
+    return lattice, out
 
 
 def _table(fn, w: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``fn(w, counts)`` on one level's distinct states, as one contiguous float row per state."""
+    """``fn(w, counts)`` on one level's distinct states, as one contiguous float row per state.
+
+    The array is always a fresh one, the walk's own: a function may keep,
+    and later change, the array it returns, while the walk fills the
+    levels from these tables after every function has been called, and
+    the memo keeps them.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(fn(w, counts), dtype=float)
-    return np.ascontiguousarray(np.broadcast_to(values, w.shape))
+    return np.array(np.broadcast_to(values, w.shape))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -314,6 +370,10 @@ class _TerminalRun:
                                                         fills.spans[id(self.values)])):
             raise NonFiniteData("terminal payoff must be finite on every leaf")
         return _read_only(self.values)
+
+    def on_states(self, fills: _Fills) -> np.ndarray | None:
+        """The payoff's values per leaf state, or None for a constant."""
+        return None if self.spec.payoff is None else fills.tables[id(self.values)]
 
 
 @dataclass(frozen=True)
@@ -490,6 +550,10 @@ class _BarrierRun:
                 raise NonFiniteData(f"obstacle left limit is not finite at level {level}")
             left[level] = parents
         return BarrierValues(levels, MappingProxyType(left), tuple(sorted(left)))
+
+    def on_states(self, fills: _Fills) -> tuple:
+        """Each level's stochastic part per distinct state, or None where it has none."""
+        return tuple(None if part is None else fills.tables[id(part)] for _, part, _ in self.levels)
 
 
 def lipschitz_constant(driver, marks: MarkSet) -> float:

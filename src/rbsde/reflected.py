@@ -26,6 +26,22 @@ read without expanding either (``rbsde.bsde.ContinuousPart``), and K's
 own array where K_d is +0.0 at every node.  The envelope route's
 ``regularity_check`` splits the Snell envelope's K with the same
 ``_split_side``.
+
+A direct solve (``solve_reflected``) of data with states, a
+``TerminalSpec`` and ``BarrierSpec``s, runs on the tree's ``Lattice`` of
+distinct node states: a node's state fixes its subtree, so Y_k and the
+increments of K are functions of it.  The obstacle validation, the sweep,
+the finiteness test of Y and the booking run there, one row per state
+(a few hundred per level where the tree has millions of nodes), and only
+the Y levels 0 .. N-1 and the increment levels with mass are then filled
+on the nodes; K is a sum along the path, so ``_accumulate`` and
+``_split_side`` run on the nodes.  Every step is row by row and every
+state of a lattice level occurs at that level, so each bit, each level
+without mass and each message is the node sweep's.  The caller's own
+arrays (a terminal array, ``BarrierValues``) have no states, and the
+sweeps that store Z and V (``_solve(store=True)``, Picard rounds and
+penalised rungs) keep their node-level Z, V and ``LastStep``: these run on
+the nodes.
 """
 
 from __future__ import annotations
@@ -35,11 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import (Compensator, Projection, Solution, _backward_sweep, _implicit_y,
-                   _project_v, _project_z, _step_projections, _sweep_source, check_stepsize)
+                   _project_v, _project_z, _sweep_source, check_stepsize)
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import (BarriersTouch, DriverNotCoefficientFree, NonFiniteData,
                      TerminalBelowBarrier, TerminalOutsideBarriers)
-from .processes import ObstacleLevel, evaluate
+from .processes import ObstacleLevel, _on_lattice, evaluate
 from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (_BLOCK_NODES, Process, ScenarioTree, _accumulate, _all_finite,
@@ -67,19 +83,20 @@ def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle,
     """
     n = tree.num_steps
     k_d: Process = [np.zeros(1)]
-    for k in range(1, n + 1):
-        left = obstacle.left_levels.get(k)
-        kd = None   # until a block adds mass, the level is the one before it
-        for rows in () if left is None else _parent_blocks(tree, k - 1):
-            left_b = left.rows((rows, None))   # a column against the children
-            binding = np.abs(y[k - 1][rows, None] - left_b) <= BIND_TOL
-            gap = np.maximum(sign * (left_b - _children(tree, y[k], rows)), 0.0)
-            mass = np.where(binding, gap, 0.0)
-            if mass.any():
-                if kd is None:
-                    kd = expand(tree, k_d[k - 1], k)
-                _children(tree, kd, rows)[...] += mass
-        k_d.append(k_d[k - 1] if kd is None else kd)
+    with np.errstate(over="ignore"):   # as in the sweep, an overflow warns nothing
+        for k in range(1, n + 1):
+            left = obstacle.left_levels.get(k)
+            kd = None   # until a block adds mass, the level is the one before it
+            for rows in () if left is None else _parent_blocks(tree, k - 1):
+                left_b = left.rows((rows, None))   # a column against the children
+                binding = np.abs(y[k - 1][rows, None] - left_b) <= BIND_TOL
+                gap = np.maximum(sign * (left_b - _children(tree, y[k], rows)), 0.0)
+                mass = np.where(binding, gap, 0.0)
+                if mass.any():
+                    if kd is None:
+                        kd = expand(tree, k_d[k - 1], k)
+                    _children(tree, kd, rows)[...] += mass
+            k_d.append(k_d[k - 1] if kd is None else kd)
     return Compensator(k=k_total, k_d=k_d)
 
 
@@ -97,23 +114,31 @@ def _min_gap(size: int, high, low) -> float:
     ``high`` and ``low`` are each an ``ObstacleLevel`` or a whole-level
     array.  Every block is formed in two scratch blocks that the pass
     keeps, so it allocates no block; a minimum is exact, so the result is
-    the whole-level one bit for bit.
+    the whole-level one bit for bit.  Both sides are finite, so a gap
+    past the float range is an infinity of its sign, which compares as
+    the gap does, and warns nothing.
     """
     scratch = np.empty((2, min(size, _BLOCK_NODES)))
     worst = []
-    for start in range(0, size, _BLOCK_NODES):
-        rows = slice(start, min(start + _BLOCK_NODES, size))
-        block = scratch[:, :rows.stop - start]
-        sides = [side.rows(rows, out=out) if isinstance(side, ObstacleLevel) else side[rows]
-                 for side, out in zip((high, low), block)]
-        worst.append(np.min(np.subtract(*sides, out=block[0])))
+    with np.errstate(over="ignore"):
+        for start in range(0, size, _BLOCK_NODES):
+            rows = slice(start, min(start + _BLOCK_NODES, size))
+            block = scratch[:, :rows.stop - start]
+            sides = [side.rows(rows, out=out) if isinstance(side, ObstacleLevel) else side[rows]
+                     for side, out in zip((high, low), block)]
+            worst.append(np.min(np.subtract(*sides, out=block[0])))
     return float(np.min(worst))
 
 
-def _validate_obstacles(tree: ScenarioTree, xi: np.ndarray, low, up=None) -> None:
-    """Terminal payoff inside [L, U] at every leaf, and L < U before the horizon."""
-    n = tree.num_steps
-    leaves = tree.level_size(n)
+def _validate_obstacles(grid, xi: np.ndarray, low, up=None) -> None:
+    """Terminal payoff inside [L, U] at every leaf, and L < U before the horizon.
+
+    ``grid`` is the tree or its ``Lattice``, with the data given on it.
+    Every state of a lattice level occurs at that level and a minimum is
+    exact, so each gap, and each message, is the nodes' own.
+    """
+    n = grid.num_steps
+    leaves = grid.level_size(n)
     below = _min_gap(leaves, xi, low.levels[n])
     if up is None:
         if below < -TERMINAL_SLACK:
@@ -124,18 +149,23 @@ def _validate_obstacles(tree: ScenarioTree, xi: np.ndarray, low, up=None) -> Non
     if below < -TERMINAL_SLACK or above < -TERMINAL_SLACK:
         raise TerminalOutsideBarriers("terminal payoff leaves the obstacle band at a leaf")
     for k in range(n):
-        gap = _min_gap(tree.level_size(k), up.levels[k], low.levels[k])
+        gap = _min_gap(grid.level_size(k), up.levels[k], low.levels[k])
         if gap <= 0.0:
             raise BarriersTouch(
                 f"obstacles touch at level {k} (gap {gap:.3g}); strict separation "
                 "before the horizon is required")
 
 
-def _obstacle_inputs(tree: ScenarioTree, terminal, lower=None, upper=None):
-    """(L, U, xi) once the terminal lies in [L, U] and L < U; None is -inf for L, +inf for U."""
+def _evaluated(tree: ScenarioTree, terminal, lower=None, upper=None) -> tuple:
+    """(xi, L, U) from ``evaluate``; None is -inf for L, +inf for U."""
     if lower is None and upper is not None:
         raise ValueError("an upper obstacle needs a lower one")
-    xi, low, up = evaluate(tree, terminal, lower, upper)
+    return evaluate(tree, terminal, lower, upper)
+
+
+def _obstacle_inputs(tree: ScenarioTree, terminal, lower=None, upper=None):
+    """(L, U, xi) once the terminal lies in [L, U] and L < U; None is -inf for L, +inf for U."""
+    xi, low, up = _evaluated(tree, terminal, lower, upper)
     if low is not None:
         _validate_obstacles(tree, xi, low, up)
     return low, up, xi
@@ -149,24 +179,25 @@ def _finite(process: Process, name: str) -> None:
                                 "the problem leaves the float range")
 
 
-def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, up=None,
-                     zv=None):
+def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, up=None, *,
+                     store: bool = True, grid=None):
     """Y, Z, V and the assigned compensator increments of each side.
 
     ``source`` is the ``_backward_sweep`` source and ``a`` the driver's
     coefficient of y, solved for implicitly.  Returns (y, z, v, inc_p,
     inc_m): each side's increment levels, None at a level without mass
     (``_Increments``), and None for a side without an obstacle; Z and V
-    are None where ``zv``, the driver's ``_step_projections``, makes the
-    sweep a direct one that stores neither.
+    are None unless ``store``.  On the tree's ``Lattice`` (``grid``) the
+    terminal, the obstacles and every level returned are given per state.
     """
     n = tree.num_steps
     dt = tree.dt
     # The driver is evaluated at the reflected y, so the increments closing
     # y = E[Y_next] + f(y) dt + dK+ - dK- carry the factor (1 - a dt).
     scale = 1.0 - a * dt
-    inc_p = None if low is None else _Increments(tree, scale)
-    inc_m = None if up is None else _Increments(tree, scale)
+    grid = tree if grid is None else grid
+    inc_p = None if low is None else _Increments(grid, scale)
+    inc_m = None if up is None else _Increments(grid, scale)
 
     # maximum(cand, lo) and minimum(y, hi) return the obstacle on a tie, so
     # even the sign of a zero Y is the same with or without an upper side
@@ -183,7 +214,7 @@ def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, 
             np.minimum(yk, hi, out=yk)
         return yk
 
-    y, z, v = _backward_sweep(tree, source, xi, settle, zv)
+    y, z, v = _backward_sweep(tree, source, xi, settle, store=store, grid=grid)
     return y, z, v, *(None if inc is None else inc.levels for inc in (inc_p, inc_m))
 
 
@@ -198,13 +229,15 @@ class _Increments:
     sets the rows before it to +0.0, which adds to K as their ±0.0 did,
     and later blocks are formed in place.  Blocks of a level come in
     row order (``_parent_blocks``).  Each block is the formula's bits,
-    formed with no temporary.
+    formed with no temporary.  ``grid`` is the tree or its ``Lattice``.
     """
 
-    def __init__(self, tree: ScenarioTree, scale: float) -> None:
-        self.tree, self.scale = tree, scale
-        self.levels: Process = [None] * tree.num_steps
-        self._scratch = np.empty(min(_parent_rows(tree), tree.level_size(tree.num_steps - 1)))
+    def __init__(self, grid, scale: float) -> None:
+        self.grid, self.scale = grid, scale
+        n = grid.num_steps
+        self.levels: Process = [None] * n
+        widest = max(grid.level_size(k) for k in range(n))
+        self._scratch = np.empty(min(_parent_rows(grid), widest))
 
     def book(self, k: int, rows: slice, high, low) -> np.ndarray:
         """Book the ``rows`` block of level ``k``; returns the block as booked."""
@@ -214,7 +247,7 @@ class _Increments:
         np.maximum(out, 0.0, out=out)
         out *= self.scale
         if level is None and out.any():
-            level = self.levels[k] = np.empty(self.tree.level_size(k))
+            level = self.levels[k] = np.empty(self.grid.level_size(k))
             level[:rows.start] = 0.0
             level[rows] = out
             out = level[rows]
@@ -227,10 +260,10 @@ def _book(tree: ScenarioTree, swept, low, up=None) -> Solution:
     A sweep that stored no Z or V gives the ``Projection``s of its Y.
     """
     y, z, v, inc_p, inc_m = swept
-    if z is None:
-        z, v = Projection(tree, y, _project_z), Projection(tree, y, _project_v)
     k_plus = None if low is None else _split_side(tree, y, _accumulate(inc_p), low, +1)
     k_minus = None if up is None else _split_side(tree, y, _accumulate(inc_m), up, -1)
+    if z is None:
+        z, v = Projection(tree, y, _project_z), Projection(tree, y, _project_v)
     return Solution(y=y, z=z, v=v, lower=k_plus, upper=k_minus)
 
 
@@ -251,13 +284,74 @@ def solve_reflected(tree: ScenarioTree, driver, terminal, lower=None,
 
 def _solve(tree: ScenarioTree, driver, terminal, lower=None, upper=None, *,
            store: bool) -> Solution:
-    """``solve_reflected``, with Z and V stored where ``store`` asks for them."""
+    """``solve_reflected``, with Z and V stored where ``store`` asks for them.
+
+    A solve that stores nothing, of data with states (specs, not the
+    caller's own arrays), runs on the tree's ``Lattice``: the obstacles
+    are validated, Y is swept and tested for finiteness, and the
+    increments are booked there, one row per state (``_on_states``); then
+    only the Y levels and the increment levels with mass are expanded to
+    the nodes (``_on_nodes``), and nothing of the lattice's is held while
+    K is accumulated and split.  Every other solve runs on the nodes.
+    """
     check_stepsize(driver, tree)
-    low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
+    data = _evaluated(tree, terminal, lower, upper)
+    swept = None if store else _on_states(tree, driver, (terminal, lower, upper), data)
+    if swept is None:
+        swept = _swept(tree, driver, tree, *data, store=store)
+    return _book(tree, swept, *data[1:])
+
+
+def _swept(tree: ScenarioTree, driver, grid, xi: np.ndarray, low, up, *, store: bool) -> tuple:
+    """The ``_reflected_sweep`` on ``grid`` of data given on it, validated before and after.
+
+    The obstacles are validated first (``_validate_obstacles``), and each
+    level of Y but the terminal is tested for finiteness after.
+    """
+    if low is not None:
+        _validate_obstacles(grid, xi, low, up)
     swept = _reflected_sweep(tree, _sweep_source(tree, driver), driver.a, xi, low, up,
-                             zv=None if store else _step_projections(tree, driver))
+                             store=store, grid=grid)
     _finite(swept[0][:-1], "the solution Y")   # level N: evaluate tests a TerminalSpec
-    return _book(tree, swept, low, up)
+    return swept
+
+
+def _on_states(tree: ScenarioTree, driver, specs: tuple, data: tuple):
+    """A direct solve's sweep on the tree's ``Lattice``, on the nodes; None for data without states.
+
+    The lattice's data and levels are dropped on return, before the caller
+    accumulates and splits K on the nodes.
+    """
+    on_lattice = _on_lattice(tree, specs, data)
+    if on_lattice is None:
+        return None
+    lattice, values = on_lattice
+    return _on_nodes(tree, lattice, _swept(tree, driver, lattice, *values, store=False), data[0])
+
+
+def _on_nodes(tree: ScenarioTree, lattice, swept, xi: np.ndarray) -> tuple:
+    """A lattice sweep's Y levels 0 .. N-1 and increment levels with mass, on the nodes.
+
+    Each level is a fresh node array, filled by one walk (``Lattice.fill``);
+    Y_N is the evaluated terminal ``xi`` itself.  A level without mass stays
+    None, so ``_accumulate`` shares K exactly where a node sweep would.
+    """
+    y, _, _, *sides = swept
+    levels, values, outs = [], [], []
+    node_y: Process = []
+    increments: list[Process | None] = [None if side is None else [] for side in sides]
+    for k in range(tree.num_steps):
+        for level, node_levels in zip((y, *sides), (node_y, *increments)):
+            if node_levels is None:
+                continue
+            out = None if level[k] is None else np.empty(tree.level_size(k))
+            node_levels.append(out)
+            if out is not None:
+                levels.append(k)
+                values.append(level[k])
+                outs.append(out)
+    lattice.fill(tree, levels, values, outs)
+    return node_y + [xi], None, None, *increments
 
 
 # The unreflected and one-obstacle names of the same function: call sites that

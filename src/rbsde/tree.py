@@ -17,7 +17,16 @@ solvers need, and ``rbsde.processes.evaluate``, its one reader, calls
 each payoff and obstacle function once per level, on that level's
 distinct states, not on its nodes: a function reading ``len(w)`` or a
 row's position is outside its contract.  It then fills the levels along
-one such walk of int32 state codes.  Node probabilities are built per
+one such walk of int32 state codes (``Lattice.fill``).
+
+Grids.  The backward sweep (``rbsde.bsde._backward_sweep``) reads a grid
+through ``num_steps``, ``branching``, ``level_size`` and
+``children(values_next, level, rows)``.  The tree is one, node by node.
+Its ``Lattice`` is the other: one row per distinct node state of a level
+and a (rows, B) table of the rows the branches lead to.  The direct solve
+of data with states sweeps the lattice, a few hundred rows a level where
+the tree has millions of nodes, and fills only Y and the compensator
+increments on the nodes.  Node probabilities are built per
 level on first read by ``atom_prob``, which serves the weighted sums of
 ``expectation``; the checker walks them with ``_node_blocks`` instead
 and reads no ``atom_prob`` level.
@@ -57,6 +66,7 @@ product comes back +0.0, and the added zero gives the same bits.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from collections.abc import Iterator, Sequence
@@ -183,6 +193,10 @@ class ScenarioTree:
     def counts(self) -> tuple[np.ndarray, ...]:
         """Cumulative jump counts per node and level, (n_k, m), built on each read."""
         return tuple(counts for _, counts in self.states())
+
+    def children(self, values_next: np.ndarray, level: int, rows: slice) -> np.ndarray:
+        """(rows, B) view of the child values below the ``rows`` parents of ``level``."""
+        return _children(self, values_next, rows)
 
     def time(self, level: int) -> float:
         return level / self.num_steps
@@ -369,7 +383,7 @@ def _prob_step(tree: ScenarioTree, level: int, prob: np.ndarray) -> tuple[np.nda
 
 def _frozen(arrays: tuple) -> tuple:
     for array in arrays:
-        array.flags.writeable = False
+        array.setflags(write=False)
     return arrays
 
 
@@ -446,6 +460,74 @@ def _children(tree: ScenarioTree, values_next: np.ndarray, parents: slice) -> np
     """(parents, B) view of the child values below a parent slice."""
     start, stop, _ = parents.indices(len(values_next) // tree.branching)
     return values_next[start * tree.branching:stop * tree.branching].reshape(-1, tree.branching)
+
+
+class Lattice:
+    """The distinct node states of levels 0 .. ``num_steps`` of a tree: a grid of the sweep.
+
+    Level k has one row per distinct node state of the tree's level k (a
+    state is keyed by the bits of ``w`` and its counts, as
+    ``rbsde.processes`` builds them), and ``child[k]`` is a (rows, B) int32
+    table: entry (s, b) is the row of level k + 1 that branch b of state s
+    leads to.  A node's state fixes its whole subtree, so data that are
+    functions of the state, and the Y and compensator increments a direct
+    solve derives from them, have one value per row.  With ``ScenarioTree``
+    it shares what ``rbsde.bsde._backward_sweep`` reads of a grid:
+    ``num_steps``, ``branching``, ``level_size`` and ``children``.  Every
+    state of a level occurs at it, so a level's least or largest value, or
+    whether it has a value that is not ±0.0, is its nodes' own.  ``fill``
+    expands values per row to the nodes of the tree it is handed: a
+    lattice holds no reference to its tree, which keeps it
+    (``rbsde.processes`` keeps one per depth in a table weakly keyed by
+    the tree).
+    """
+
+    def __init__(self, child: Sequence[np.ndarray], sizes: Sequence[int], branching: int) -> None:
+        self.child, self._sizes, self.branching = tuple(child), tuple(sizes), branching
+        self.num_steps = len(self.child)
+
+    def level_size(self, level: int) -> int:
+        return self._sizes[level]
+
+    def children(self, values_next: np.ndarray, level: int, rows: slice) -> np.ndarray:
+        """(rows, B) table of the values of the children of some ``rows`` of ``level``, gathered."""
+        return values_next[self.child[level][rows]]
+
+    def _child_codes(self, tree: ScenarioTree, level: int, codes: np.ndarray) -> tuple:
+        """A ``_node_blocks`` step: the rows of the children of some nodes of ``level``."""
+        return (self.child[level].take(codes, axis=0, mode="clip").ravel(),)
+
+    def fill(self, tree: ScenarioTree, levels: Sequence[int], values: Sequence,
+             outs: Sequence) -> None:
+        """Fill node arrays from values per row: ``outs[j]`` is level ``levels[j]`` of ``tree``.
+
+        ``levels`` is in nondecreasing order; ``values[j]`` has one value
+        per row of that level of the lattice and ``outs[j]`` one per node,
+        and each node gets its row's value, bits and all.  Level 0 is one
+        node and one row.  Every deeper level is gathered from a (parent
+        rows, B) table of its values by the int32 row codes of each block
+        of parents that one ``_node_blocks`` walk yields, so the codes of
+        the deepest level filled are never built.  The arrays are taken as
+        flat lists, not grouped per level, so a fill makes few Python
+        objects besides its tables.
+        """
+        if not outs:
+            return
+        branching, last = self.branching, levels[-1]
+        # the arrays of level k are outs[first[k]:first[k + 1]]
+        first = [bisect.bisect_left(levels, k) for k in range(last + 2)]
+        tables = [values[j] if k == 0 else values[j][self.child[k - 1]]
+                  for j, k in enumerate(levels)]
+        for j in range(first[1]):
+            outs[j][...] = tables[j]
+        root = (np.zeros(1, dtype=np.int32),)
+        walk = _node_blocks(tree, last - 1, root, self._child_codes) if last else ()
+        for k, rows, codes in walk:
+            children = slice(rows.start * branching, rows.stop * branching)
+            for j in range(first[k + 1], first[k + 2]):
+                # the codes are rows of the table by construction: "clip" writes in place
+                tables[j].take(codes, axis=0, out=outs[j][children].reshape(-1, branching),
+                               mode="clip")
 
 
 def _ratio(tree: ScenarioTree, values: np.ndarray, level: int) -> int:

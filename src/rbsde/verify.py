@@ -19,8 +19,8 @@ stored K_c levels (a loaded dump, a hand-built mutant) are read as they
 are and the split clause tests them.  Nor does a direct solve store Z
 or V (``rbsde.bsde.Projection``): where they are the projections of the
 solution's own Y, a slice's rows of them are projected from the
-children table it reads anyway, over the slices the sweep projected, so
-they have the sweep's bits and no Z or V level is built; explicit Z and
+children table it reads anyway, row by row as the sweep projected them,
+so they have the sweep's bits and no Z or V level is built; explicit Z and
 V levels (a loaded dump, a copy, a mutant) are read as stored.  On a
 solution without continuous-type mass off its obstacles the checker
 reads no ``tree.atom_prob`` level, and each slice's and each side's
@@ -46,8 +46,8 @@ bits, so every report is the one the full passes give:
   array itself gives Y_N - ξ = x - x, which is 0.0 with no pass:
   ``evaluate`` has rejected a ξ that is not finite.
 - Where Z and V are the projections of the solution's own Y, a slice
-  forms only those its dynamics reads, by the direct sweep's rule
-  (``rbsde.bsde._step_projections``), decided from the driver and the
+  forms only those its dynamics reads, by ``rbsde.bsde._step_projections``,
+  decided from the driver and the
   slice's children table alone; stored Z and V levels are all read.
 - BLAS adds each product into a zeroed result, so increments or masses
   that are all ±0.0 weigh to +0.0 against ``branch_prob``, and a
@@ -306,11 +306,11 @@ def _slice_zv(tree: ScenarioTree, sol, driver):
     """``zv(k, rows, y_child)``: a slice's rows of Z_k and V_k, y_child its children's Y.
 
     Z and V that are the ``Projection``s of the solution's own Y are
-    projected from y_child, the table the slice reads anyway: the slices
-    are the ``_parent_blocks`` slices a read of a level projects, so the
-    rows have its bits, and no Z or V level is formed; by the direct
-    sweep's rule (``rbsde.bsde._step_projections``), a z or v whose term
-    the driver fixes comes back None.  Other Z and V levels (a loaded
+    projected from y_child, the table the slice reads anyway: each row of
+    a product depends on that row alone, so the rows have the bits a read
+    of the level gives, and no Z or V level is formed; by
+    ``rbsde.bsde._step_projections``, a z or v whose term the driver fixes
+    comes back None.  Other Z and V levels (a loaded
     dump, a copy, a mutant) are read as stored, by the full formula.
     """
     z, v = sol.z, sol.v

@@ -21,6 +21,22 @@ def distinct_states(w, counts) -> int:
     return 1 + int(np.count_nonzero(np.any(keys[1:] != keys[:-1], axis=1)))
 
 
+def on_nodes(tree, values, level: int) -> np.ndarray:
+    """Values per distinct state of ``level`` (the tree's kept state table) at each node.
+
+    Each node's state is looked up by the bits of its ``w`` and its counts,
+    built by ``tree.states()``, not by the solver's walk of state codes.
+    """
+    from rbsde.processes import _states
+    w, counts = _states(tree).tables[level]
+    rows = {(x, *c): i for i, (x, c) in enumerate(zip(w.view(np.int64).tolist(),
+                                                      counts.astype(np.int64).tolist()))}
+    w, counts = list(tree.states())[level]
+    index = [rows[(x, *c)] for x, c in zip(w.view(np.int64).tolist(),
+                                           counts.astype(np.int64).tolist())]
+    return np.asarray(values)[np.asarray(index, dtype=np.intp)]
+
+
 def step_function(pairs):
     """Right-continuous step function from (time, value) pairs."""
     times = [t for t, _ in pairs]

@@ -1,16 +1,19 @@
 """The direct solve and the checker form only what the step reads, bit for bit.
 
-``rbsde.bsde._step_projections`` leaves out a block's v where c = 0 and its
-z where b = 0 and the block's bound keeps z finite, and ``_implicit_y``
-returns ``rhs`` itself where a = 0.  The oracle here puts the full formulas
-back: every block projects Z and V, and every step divides by 1 - a dt.
-Each draw must give the oracle's bits: Y, K and K_d of the direct solve,
-every residual of the check (NaN included), or the same ``NonFiniteData``.
+The checker takes a slice's z and v through ``rbsde.bsde._step_projections``,
+which leaves out v where c = 0 and z where b = 0 and the block's bound
+keeps z finite; the direct solve projects every block in full, but its
+``_implicit_y`` returns ``rhs`` itself where a = 0.  The oracle here puts
+the full formulas back: every slice of the check projects Z and V, and
+every step of the solve divides by 1 - a dt.  Each draw must give the
+oracle's bits: Y, K and K_d of the direct solve, every residual of the
+check (NaN included), or the same ``NonFiniteData``.
 The data are scaled by 2^k up to near the largest float, so that some
 solves leave the float range and some blocks fail the bound.
 Derandomised, so the suite is deterministic.
 """
 
+import contextlib
 import json
 import math
 from contextlib import contextmanager
@@ -46,8 +49,7 @@ def _full_implicit_y(rhs, a, dt):
 @contextmanager
 def _oracle():
     """The solver and the checker with every projection formed and every divide made."""
-    with mock.patch.object(rbsde.reflected, "_step_projections", _full_projections), \
-            mock.patch.object(rbsde.verify, "_step_projections", _full_projections), \
+    with mock.patch.object(rbsde.verify, "_step_projections", _full_projections), \
             mock.patch.object(rbsde.reflected, "_implicit_y", _full_implicit_y):
         yield
 
@@ -97,19 +99,23 @@ def _report(report) -> str:
     return json.dumps(report.to_dict())   # repr bits: -0.0, NaN and inf are kept
 
 
-def _outcome(tree, driver, terminal, obstacles):
-    """The bits of the direct solve and its check, or the error the solve raises."""
+def _outcome(tree, driver, terminal, obstacles, check=None):
+    """The bits of the direct solve and its check, or the error the solve raises.
+
+    ``check``, a context manager, if given, is entered around the check alone.
+    """
     try:
         sol = solve_reflected(tree, driver, terminal, *obstacles)
     except NonFiniteData as exc:
         return "raised", str(exc)
+    with check if check is not None else contextlib.nullcontext():
+        report = _report(check_solution(tree, sol, driver, terminal, *obstacles))
     levels = [sol.y]
     for side in (sol.lower, sol.upper):
         if side is not None:
             levels += [[expand(tree, np.asarray(x), k) for k, x in enumerate(p)]
                        for p in (side.k, side.k_d)]
-    return ([[np.asarray(x).tobytes() for x in process] for process in levels],
-            _report(check_solution(tree, sol, driver, terminal, *obstacles)))
+    return [[np.asarray(x).tobytes() for x in process] for process in levels], report
 
 
 @SETTINGS
@@ -169,10 +175,10 @@ def test_a_block_at_the_bound_projects_z_and_one_below_it_does_not():
 
 
 def test_a_solve_whose_y_reaches_the_bound_keeps_the_full_formulas_outcome():
-    """Y_N = s w with max |Y_N| * sum |p dB| / dt at the bound: the leaf blocks project z.
+    """Y_N = s w with max |Y_N| * sum |p dB| / dt at the bound: the leaf slices project z.
 
-    Just below the bound no z is formed, and just above it each leaf
-    block projects z, with b = 0 or not.  Past the bound, with a source
+    Just below the bound the check forms no z, and just above it each leaf
+    slice projects z, with b = 0 or not.  Past the bound, with a source
     near the largest float, Y_{N-1} leaves the float range.  Each outcome, the
     residuals or the ``NonFiniteData`` level, is the oracle's.
     """
@@ -186,9 +192,17 @@ def test_a_solve_whose_y_reaches_the_bound_keeps_the_full_formulas_outcome():
         terminal = TerminalSpec(payoff=linear_payoff(0.0, top * factor))
         lower = BarrierSpec(stochastic=linear_obstacle(-1.0, top * factor))
         driver = DriverSpec(base=base, a=0.25, b=b)
-        with mock.patch.object(rbsde.bsde, "_project_z", wraps=_project_z) as spy:
-            outcome = _outcome(tree, driver, terminal, (lower,))
-        assert spy.called == projected
+        spies = []
+
+        @contextmanager
+        def spying():
+            with mock.patch.object(rbsde.bsde, "_project_z", wraps=_project_z) as spy:
+                spies.append(spy)
+                yield
+
+        outcome = _outcome(tree, driver, terminal, (lower,), check=spying())
+        # the solve projects every block; the check, only the slices past the bound
+        assert [spy.called for spy in spies] == ([] if base else [projected])
         assert (outcome[0] == "raised") == (base != 0.0)
         if base:
             assert outcome[1].startswith(f"the solution Y is not finite at level {steps - 1};")

@@ -131,11 +131,16 @@ def test_every_route_gives_the_same_bits_on_a_tree_swept_before(monkeypatch, rou
         assert run(tree) == fresh
 
 
-def test_later_storing_solves_share_the_first_ones_last_z_and_v():
+def test_later_storing_solves_share_the_first_ones_last_z_and_v(monkeypatch):
     problem = _problem(1, 0)
     tree = problem.build_tree()
+    asked = []
+    monkeypatch.setattr(rbsde.bsde, "_last_step",
+                        lambda tree, xi: asked.append(xi) or _last_step(tree, xi))
     direct = _direct(tree, problem)
-    assert _last_step(tree, direct.y[-1]).zv is None   # a direct solve keeps nothing
+    last = _last_step(tree, direct.y[-1])
+    # a direct solve sweeps the tree's states: it neither reads nor keeps a last step
+    assert asked == [] and last.zv is None and last.mean is None
     first = _stored(tree, problem)
     later = [solve_penalized(tree, problem.driver, problem.barrier, problem.terminal,
                              10.0).solution,
@@ -149,8 +154,12 @@ def test_later_storing_solves_share_the_first_ones_last_z_and_v():
         assert sol.z[-2] is not first.z[-2]   # the other levels are each solve's own
     with pytest.raises(ValueError):
         z[0] = 1.0
+    asked.clear()
+    zv, mean = last.zv, last.mean
+    again = _direct(tree, problem)
+    assert asked == [] and last.zv is zv and last.mean is mean
     # a direct solve's Z_{N-1} is its own projection: the kept bits, in a fresh array
-    for sol in (direct, _direct(tree, problem)):
+    for sol in (direct, again):
         assert sol.z[-1] is not z and sol.z[-1].flags.writeable
         assert sol.z[-1].tobytes() == z.tobytes() and sol.v[-1].tobytes() == v.tobytes()
 

@@ -185,13 +185,14 @@ def test_memo_matches_fresh_evaluation(m):
 
     first, second = eval_barrier(barrier, tree), eval_barrier(barrier, tree)
     assert second is first
-    fresh = _walk(tree, [barrier])[0]
+    (fresh, _), = _walk(tree, [barrier])
     assert all(np.array_equal(a.whole(), b.whole()) for a, b in zip(first.levels, fresh.levels))
     assert first.jump_levels == fresh.jump_levels == (1,)
     assert np.array_equal(first.left_levels[1].whole(), fresh.left_levels[1].whole())
 
     assert terminal.evaluate(tree) is terminal.evaluate(tree)
-    assert np.array_equal(terminal.evaluate(tree), _walk(tree, [terminal])[0])
+    (fresh, _), = _walk(tree, [terminal])
+    assert np.array_equal(terminal.evaluate(tree), fresh)
     # another tree of the same shape gets its own evaluation
     assert terminal.evaluate(build_tree(3, marks)) is not terminal.evaluate(tree)
 
@@ -231,7 +232,8 @@ def test_solution_terminal_is_the_read_only_leaf_evaluation():
         assert not sol.y[-1].flags.writeable
         with pytest.raises(ValueError):
             sol.y[-1] += 1.0
-    assert np.array_equal(cached, _walk(tree, [terminal])[0])
+    (fresh, _), = _walk(tree, [terminal])
+    assert np.array_equal(cached, fresh)
     again = solve_reflected(tree, DriverSpec(), terminal, barrier)
     assert np.array_equal(again.y[-1], cached)
 

@@ -6,7 +6,10 @@ mass (every value ±0.0) is never allocated: ``_accumulate`` makes K at
 the next level K's own array at the one before.  Here every booked block
 is recorded into whole increment levels, the cumulative process is
 accumulated from them as whole levels were before, and every stored
-level must expand to it bit for bit.  A level without mass must be its
+level must expand to it bit for bit.  A direct solve books its increments
+on the tree's lattice of distinct states, one row per state: each booked
+row is put on the nodes of its state, looked up by the bits of their
+state (``conftest.on_nodes``), before the accumulation.  A level without mass must be its
 predecessor itself, a level with mass must not, and a solution whose K
 shares a level that has mass must fail the checker.  Derandomised, so
 the suite is deterministic.
@@ -21,7 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rbsde import Compensator, Solution, check_solution, expand, solve_reflected
 from rbsde.penalty import solve_penalized
 from rbsde.reflected import _Increments
-from conftest import random_one_barrier, random_two_barrier
+from conftest import on_nodes, random_one_barrier, random_two_barrier
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -42,10 +45,10 @@ def _record_bookings(monkeypatch):
     made = []
     init, book = _Increments.__init__, _Increments.book
 
-    def recording_init(self, tree, scale):
-        init(self, tree, scale)
-        self.whole = [np.empty(tree.level_size(k)) for k in range(tree.num_steps)]
-        self.booked = [0] * tree.num_steps
+    def recording_init(self, grid, scale):
+        init(self, grid, scale)
+        self.whole = [np.empty(grid.level_size(k)) for k in range(grid.num_steps)]
+        self.booked = [0] * grid.num_steps
         made.append(self)
 
     def recording_book(self, k, rows, high, low):
@@ -74,14 +77,25 @@ def _bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
 
-def _assert_only_moving_levels_stored(tree, booker, k_total):
-    """Every level of ``k_total`` is the whole accumulation's bits; no massless level is stored."""
-    assert booker.booked == [tree.level_size(k) for k in range(tree.num_steps)]
-    reference = _whole_accumulation(booker.whole)
+def _assert_only_moving_levels_stored(tree, booker, k_total, lattice=False):
+    """Every level of ``k_total`` is the whole accumulation's bits; no massless level is stored.
+
+    With ``lattice`` the booker booked every row of each level of the tree's
+    lattice of states, and its levels are put on the nodes first.
+    """
+    grid = booker.grid
+    assert (grid is not tree) == lattice
+    assert booker.booked == [grid.level_size(k) for k in range(tree.num_steps)]
+    whole = booker.whole
+    if lattice:
+        whole = [on_nodes(tree, level, k) for k, level in enumerate(whole)]
+        assert [len(level) for level in whole] == [tree.level_size(k)
+                                                   for k in range(tree.num_steps)]
+    reference = _whole_accumulation(whole)
     assert len(k_total) == len(reference) == tree.num_steps + 1
     for k, (level, ref) in enumerate(zip(k_total, reference)):
         assert np.array_equal(_bits(expand(tree, level, k)), _bits(expand(tree, ref, k))), k
-    for k, inc in enumerate(booker.whole):
+    for k, inc in enumerate(whole):
         moves = bool(inc.any())   # a NaN is mass
         assert (booker.levels[k] is None) is not moves, k
         assert (k_total[k + 1] is k_total[k]) is not moves, k
@@ -104,7 +118,7 @@ def test_direct_solves_store_only_the_levels_where_k_moves(seed, two, coefficien
     sides = (sol.lower, sol.upper) if two else (sol.lower,)
     assert len(made) == len(sides)
     for booker, side in zip(made, sides):
-        _assert_only_moving_levels_stored(tree, booker, side.k)
+        _assert_only_moving_levels_stored(tree, booker, side.k, lattice=True)
 
 
 @SETTINGS

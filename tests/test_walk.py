@@ -120,7 +120,12 @@ def test_block_probabilities_match_the_eager_chain(m, steps):
 
 
 def _counting_walks(monkeypatch):
-    """Rows each step function of ``_node_blocks`` builds, from the evaluation and the checker."""
+    """Rows each step function of ``_node_blocks`` builds.
+
+    The walks that fill levels from values per state (``Lattice.fill``: the
+    evaluation's and the direct solve's) run in ``rbsde.tree``; the
+    checker's runs in ``rbsde.verify``.
+    """
     built = collections.Counter()
 
     def counting(tree, last, roots, step):
@@ -130,7 +135,7 @@ def _counting_walks(monkeypatch):
             return children
         return _node_blocks(tree, last, roots, counted)
 
-    for module in (rbsde.processes, rbsde.verify):
+    for module in (rbsde.tree, rbsde.verify):
         monkeypatch.setattr(module, "_node_blocks", counting)
     state_step = rbsde.processes._state_step
 
@@ -150,7 +155,10 @@ def test_evaluation_and_check_build_each_row_once(monkeypatch, m, steps):
 
     The leaves are filled from their parents' codes, so no leaf code is
     built, and the float state is built only for the children of each
-    level's distinct states.
+    level's distinct states.  The direct solve, which sweeps the states,
+    builds the codes once more to put Y and K's increments on the nodes,
+    down to the parents of level N - 1, the last level it fills, and no
+    float state.
     """
     built = _counting_walks(monkeypatch)
     marks = _marks(m)
@@ -158,14 +166,17 @@ def test_evaluation_and_check_build_each_row_once(monkeypatch, m, steps):
     terminal = TerminalSpec(payoff=TERMINALS["linear"](m))
     obstacle = _compensated_obstacle(marks, steps)
     driver = DriverSpec(base=0.1, marks=marks)
-    sol = solve_reflected(tree, driver, terminal, obstacle)
+    evaluate(tree, terminal, obstacle)
     parents = sum(tree.level_size(k) for k in range(1, steps))
     states = _distinct_states(tree)[:steps]
     built_states = sum(states) * tree.branching
     assert built_states < tree.level_size(steps) // 100
-    assert built == {"children": parents, "_state_step": built_states}
+    assert built == {"_child_codes": parents, "_state_step": built_states}
+    sol = solve_reflected(tree, driver, terminal, obstacle)
+    codes = parents + parents - tree.level_size(steps - 1)
+    assert built == {"_child_codes": codes, "_state_step": built_states}
     assert check_solution(tree, sol, driver, terminal, obstacle).passed
-    assert built == {"children": parents, "_state_step": built_states, "_prob_step": parents}
+    assert built == {"_child_codes": codes, "_state_step": built_states, "_prob_step": parents}
 
 
 def test_state_sequences_build_each_read_and_keep_nothing():
@@ -294,7 +305,7 @@ def test_functions_that_alias_or_keep_their_input_change_nothing():
         w_kept[0] = 99.0   # the kept state is read-only
     with pytest.raises(ValueError):
         counts_kept[0] = 99.0
-    fresh = _walk(tree, [aliasing])[0]
+    (fresh, _), = _walk(tree, [aliasing])
     for k in range(steps + 1):
         base = 0.0 if k < 3 else -1.0
         assert np.array_equal(values.levels[k].whole(), base + w[k])
@@ -307,7 +318,8 @@ def test_functions_that_alias_or_keep_their_input_change_nothing():
     assert len(rows) == len(w_kept) == _distinct_states(tree)[steps]
     assert rows == {(x, *c) for x, c in zip(w[steps].view(np.int64).tolist(),
                                             counts[steps].tolist())}
-    assert np.array_equal(_walk(tree, [terminal])[0], leaves)
+    (fresh, _), = _walk(tree, [terminal])
+    assert np.array_equal(fresh, leaves)
 
 
 # (marks, steps) whose last level is larger than one block; at (0, 18) the
