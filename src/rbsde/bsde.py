@@ -21,10 +21,12 @@ tree keeps the terminal's last step (``rbsde.processes.LastStep``), so
 only the first storing sweep projects it.
 
 The sweep walks a grid: the tree's nodes, or its ``Lattice`` of distinct
-node states, on which ``rbsde.reflected`` runs every direct solve of data
-with states.  Each operation of a step is row by row (ufuncs, ``_weigh``,
-the implicit step, the clamps, and a BLAS product whose row depends on
-that row alone), so a state's row has the bits of each of its nodes.
+node states, on which ``rbsde.reflected`` runs, and keeps, every direct
+solve of data with states; a ``Projection`` of such a Y reads its node
+levels, formed on read.  Each operation of a step is row by row (ufuncs,
+``_weigh``, the implicit step, the clamps, and a BLAS product whose row
+depends on that row alone), so a state's row has the bits of each of its
+nodes.
 The sweep projects each block in full; the checker takes a slice's z and
 v through ``_step_projections``, which leaves out a z or v whose term the
 driver's coefficients fix, and with a = 0 the implicit step makes no
@@ -197,14 +199,17 @@ def project_level(tree: ScenarioTree, y_next: np.ndarray):
     return z, v, resid
 
 
-def _driver_value(driver, tree: ScenarioTree, level: int, y, z, v):
-    """f(t_level, y, z, v) at nodes of one level, v weighted by the tree's marks.
+def _driver_value(driver, tree: ScenarioTree, level: int, y, z, v, base=None):
+    """f(t_level, y, z, v) at rows of one level, v weighted by the tree's marks.
 
-    z or v may be None where ``_step_projections`` left it out: its term is
-    then not added, which gives the bits of adding it.
+    ``base``, each row's g(t), stands in for g(t_level) where the rows are
+    of several levels.  z or v may be None where ``_step_projections`` left
+    it out: its term is then not added, which gives the bits of adding it.
     """
+    if base is None:
+        base = driver.base_at(tree.time(level))
     # + 0.0 turns a -0.0 base into +0.0, so no source value is ever -0.0
-    out = driver.base_at(tree.time(level)) + 0.0 + driver.a * y
+    out = base + 0.0 + driver.a * y
     if z is not None:
         out = out + driver.b * z
     lam = tree.marks.intensity_array

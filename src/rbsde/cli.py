@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .bsde import Compensator, Solution
+from .bsde import Compensator, Projection, Solution
 from .config import load_config
 from .errors import ConfigError, RbsdeError
 from .fixpoint import alpha_rule, picard_solve
@@ -283,8 +283,12 @@ def cmd_solve(args) -> int:
     obstacles, solve, check = _entry_points(problem)
     sol = solve(tree, problem.driver, problem.terminal, *obstacles)
     report = check(tree, sol, problem.driver, problem.terminal, *obstacles)
-    # the solve's Z and V are projections of its Y: form each level once for both files
-    sol = Solution(sol.y, list(sol.z), list(sol.v), sol.lower, sol.upper)
+    # the solve forms each level of Y, of K and K_d, and of its Z and V (the
+    # projections of Y) on read: form each once for both files
+    y = list(sol.y)
+    sol = Solution(y, *(list(Projection(tree, y, p.kernel)) for p in (sol.z, sol.v)),
+                   *(None if side is None else Compensator(k=list(side.k), k_d=list(side.k_d))
+                     for side in (sol.lower, sol.upper)))
     full = args.full or tree.node_count <= AUTO_FULL_NODES
     _write_json(out / "solution.json", _solution_payload(tree, sol, kind, full))
     _write_json(out / "report.json", report.to_dict())

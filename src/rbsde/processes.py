@@ -22,13 +22,13 @@ builds each level's table of distinct states from the one before it
 m=1, N=10 and 765 at m=2, N=8), goes only as deep as the last level
 some spec reads, calls each function on its level's table, and then
 fills every level array by gathering from these tables along a depth
-first walk of int32 state codes (``rbsde.tree.Lattice.fill``).  Each
+first walk of state codes (``rbsde.tree.Lattice.fill``).  Each
 declared left limit is a function of its parent level's states and is
 stored there.  The state tables are kept with the tree and only ever
 grow, so a state's code never changes, and the memo keeps each spec's
 values per state with its evaluation: ``_on_lattice`` hands a direct
-solve the tree's ``Lattice`` and the problem's data on it, one value per
-state.  A walk that refuses its data keeps none of its values.
+solve, and the check of its solution, the tree's ``Lattice`` and the
+problem's data on it, one value per state.  A walk that refuses its data keeps none of its values.
 
 An evaluated obstacle level is its deterministic base, one float, plus a
 read-only level array of its stochastic part, or no array where there is
@@ -203,7 +203,7 @@ class _States:
     float operations of ``_state_step``, so each row has the bits of the
     node chain.  A state is keyed by the int64 view of ``w`` and its integer
     counts, so +0.0 and -0.0 stay apart.  ``child[k]`` is a (states, B)
-    int32 table: entry (s, b) is the code, the row of ``tables[k + 1]``,
+    intp table: entry (s, b) is the code, the row of ``tables[k + 1]``,
     of branch b's child of state s.  Every state of a table occurs at its
     level, since each is a child of one that does.  Levels are only ever
     added, so a code means one state for the tree's lifetime, and values
@@ -232,7 +232,7 @@ class _States:
                 codes: dict = {}
                 keys = zip(w.view(np.int64).tolist(), *counts.astype(np.int64).T.tolist())
                 child = np.fromiter((codes.setdefault(key, len(codes)) for key in keys),
-                                    dtype=np.int32, count=len(w))
+                                    dtype=np.intp, count=len(w))
                 # the rows of one code are one state, so any of them will do
                 rows = np.empty(len(codes), dtype=np.intp)
                 rows[child] = np.arange(len(w))
@@ -280,7 +280,7 @@ def _walk(tree: ScenarioTree, specs) -> list:
                 levels.append(k)
                 tables.append(values)
                 outs.append(out)
-        lattice.fill(tree, levels, tables, outs)
+        lattice.fill(levels, tables, outs)
     for level in fills.levels:
         for _, out in level:
             _read_only(out)
@@ -294,16 +294,21 @@ def _on_lattice(tree: ScenarioTree, specs: tuple, values: tuple):
     The lattice is the tree's ``Lattice`` of levels 0 .. N, and the values
     per state are those ``evaluate`` kept with each spec.  A terminal
     comes back as its values per leaf state, and an obstacle as
-    ``BarrierValues`` of its levels alone, each the same base over its
-    part's values per state; its left limits stay on the nodes.  None
-    where some spec is the caller's own data, a terminal array or
-    ``BarrierValues``: such data have no states.
+    ``BarrierValues`` whose levels, and whose left limits, are each the
+    same base over its part's values per state: a left limit is on the
+    states of its parent level, as on the nodes.  None where some spec is
+    the caller's own data, a terminal array or ``BarrierValues``: such
+    data have no states.
     """
     if not all(spec is None or isinstance(spec, (TerminalSpec, BarrierSpec)) for spec in specs):
         return None
     n = tree.num_steps
     lattice = _states(tree).lattice(tree, n)
     per_tree = _EVALUATED[tree]
+
+    def on_rows(level, part, k):
+        return ObstacleLevel(level.base, part, lattice.level_size(k), level.span)
+
     out = []
     for spec, value in zip(specs, values):
         on_states = None if spec is None else per_tree[id(spec)][2]
@@ -311,9 +316,12 @@ def _on_lattice(tree: ScenarioTree, specs: tuple, values: tuple):
             value = (np.full(lattice.level_size(n), float(spec.constant))
                      if on_states is None else on_states)
         elif value is not None:
-            levels = tuple(ObstacleLevel(level.base, part, lattice.level_size(k), level.span)
-                           for k, (level, part) in enumerate(zip(value.levels, on_states)))
-            value = BarrierValues(levels, MappingProxyType({}), ())
+            parts, left_parts = on_states
+            levels = tuple(on_rows(level, part, k)
+                           for k, (level, part) in enumerate(zip(value.levels, parts)))
+            left = {k: on_rows(value.left_levels[k], left_parts[k], k - 1)
+                    for k in value.jump_levels}
+            value = BarrierValues(levels, MappingProxyType(left), value.jump_levels)
         out.append(value)
     return lattice, out
 
@@ -552,8 +560,17 @@ class _BarrierRun:
         return BarrierValues(levels, MappingProxyType(left), tuple(sorted(left)))
 
     def on_states(self, fills: _Fills) -> tuple:
-        """Each level's stochastic part per distinct state, or None where it has none."""
-        return tuple(None if part is None else fills.tables[id(part)] for _, part, _ in self.levels)
+        """Each level's stochastic part per distinct state, and each declared left limit's.
+
+        A part is None where there is none; the left limits are keyed by
+        their declared level.
+        """
+        def on_states(part):
+            return None if part is None else fills.tables[id(part)]
+
+        left = {grid_level(t_j, self.tree.num_steps): on_states(parents[1])
+                for (t_j, _), parents in zip(self.spec.declared_jumps, self.left)}
+        return tuple(on_states(part) for _, part, _ in self.levels), left
 
 
 def lipschitz_constant(driver, marks: MarkSet) -> float:

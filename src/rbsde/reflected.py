@@ -29,19 +29,20 @@ own array where K_d is +0.0 at every node.  The envelope route's
 
 A direct solve (``solve_reflected``) of data with states, a
 ``TerminalSpec`` and ``BarrierSpec``s, runs on the tree's ``Lattice`` of
-distinct node states: a node's state fixes its subtree, so Y_k and the
-increments of K are functions of it.  The obstacle validation, the sweep,
-the finiteness test of Y and the booking run there, one row per state
-(a few hundred per level where the tree has millions of nodes), and only
-the Y levels 0 .. N-1 and the increment levels with mass are then filled
-on the nodes; K is a sum along the path, so ``_accumulate`` and
-``_split_side`` run on the nodes.  Every step is row by row and every
-state of a lattice level occurs at that level, so each bit, each level
-without mass and each message is the node sweep's.  The caller's own
-arrays (a terminal array, ``BarrierValues``) have no states, and the
-sweeps that store Z and V (``_solve(store=True)``, Picard rounds and
-penalised rungs) keep their node-level Z, V and ``LastStep``: these run on
-the nodes.
+distinct node states: a node's state fixes its subtree, so Y_k, the
+increments of K and the jump-type masses of K_d are functions of it (of
+the parent's state and the branch, for a mass).  The obstacle
+validation, the sweep, the finiteness test of Y, the booking and the
+split run there, one row per state (a few hundred per level where the
+tree has millions of nodes), and the solution stays there
+(``rbsde.tree.StateLevels``): a node level of Y, K or K_d is formed on
+read, K and K_d as sums along the path by ``_accumulate``.  Every step is
+row by row and every state of a lattice level occurs at that level, so
+each bit, each level without mass and each message is the node solve's.
+The caller's own arrays (a terminal array, ``BarrierValues``) have no
+states, and the sweeps that store Z and V (``_solve(store=True)``, Picard
+rounds and penalised rungs) keep their node-level Z, V and ``LastStep``:
+these run on the nodes.
 """
 
 from __future__ import annotations
@@ -58,46 +59,56 @@ from .errors import (BarriersTouch, DriverNotCoefficientFree, NonFiniteData,
 from .processes import ObstacleLevel, _on_lattice, evaluate
 from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import (_BLOCK_NODES, Process, ScenarioTree, _accumulate, _all_finite,
+from .tree import (_BLOCK_NODES, Process, ScenarioTree, StateLevels, _accumulate, _all_finite,
                    _children, _parent_blocks, _parent_rows, expand, sup_diff, terminal_mean)
 
 TERMINAL_SLACK = 1e-12
 
 
-def _split_side(tree: ScenarioTree, y: Process, k_total: Process, obstacle,
-                sign: int) -> Compensator:
-    """K_d of one compensator K stored by the level rule, over parent blocks.
+def _split_side(grid, y: Process, obstacle, sign: int) -> Process:
+    """The jump-type part K_d of one compensator, over parent blocks of ``grid``.
 
     At a declared level the jump-type increment is (sign*(left - Y_k))^+
     on the event that the solution sat on the left limit one step
     earlier; the k - 1 slot stands in for the left limit of Y.  ``sign``
-    is +1 for an obstacle below the solution and -1 for one above it.
-    K_d is a whole-level array at declared levels where some increment is
-    not ±0.0 (a NaN is mass), and shared by the levels after them.  A
-    declared level that adds no mass shares its predecessor too: K_d is
-    +0.0 or above, or NaN, so x + (±0.0) is x, and the level is formed
-    from the first block with mass, as its predecessor's expanded values
-    plus each later block's masses.  No K_c level is stored: the
-    compensator's K_c is the ``ContinuousPart`` K - K_d, formed from K and
-    K_d on each read.
+    is +1 for an obstacle below the solution and -1 for one above it.  A
+    declared level has mass where some increment is not ±0.0 (a NaN is
+    mass); the level is formed from the first block with mass, and each
+    later block's masses are added in place.
+
+    On the tree, the result is K_d by the level rule: a whole-level array
+    at declared levels with mass, their predecessor's expanded values plus
+    the masses, and shared by the levels after them and by a declared
+    level without mass.  K_d is +0.0 or above, or NaN, so x + (±0.0) is x,
+    and a block without mass adds nothing.  On the tree's ``Lattice`` the
+    result is each level's masses, a (parent rows, B) table at a declared
+    level with mass, rows before the first block with mass +0.0, and None
+    elsewhere: ``rbsde.tree.StateLevels`` sums them along the path with
+    the node split's bits.  No K_c level is stored: the compensator's K_c
+    is the ``ContinuousPart`` K - K_d, formed from K and K_d on each read.
     """
-    n = tree.num_steps
-    k_d: Process = [np.zeros(1)]
+    n = grid.num_steps
+    on_nodes = isinstance(grid, ScenarioTree)
+    k_d: Process = [np.zeros(1) if on_nodes else None]
     with np.errstate(over="ignore"):   # as in the sweep, an overflow warns nothing
         for k in range(1, n + 1):
             left = obstacle.left_levels.get(k)
             kd = None   # until a block adds mass, the level is the one before it
-            for rows in () if left is None else _parent_blocks(tree, k - 1):
+            for rows in () if left is None else _parent_blocks(grid, k - 1):
                 left_b = left.rows((rows, None))   # a column against the children
                 binding = np.abs(y[k - 1][rows, None] - left_b) <= BIND_TOL
-                gap = np.maximum(sign * (left_b - _children(tree, y[k], rows)), 0.0)
+                gap = np.maximum(sign * (left_b - grid.children(y[k], k - 1, rows)), 0.0)
                 mass = np.where(binding, gap, 0.0)
                 if mass.any():
                     if kd is None:
-                        kd = expand(tree, k_d[k - 1], k)
-                    _children(tree, kd, rows)[...] += mass
-            k_d.append(k_d[k - 1] if kd is None else kd)
-    return Compensator(k=k_total, k_d=k_d)
+                        kd = (expand(grid, k_d[k - 1], k) if on_nodes
+                              else np.zeros(grid.level_size(k - 1) * grid.branching))
+                    _children(grid, kd, rows)[...] += mass
+            if on_nodes:
+                k_d.append(k_d[k - 1] if kd is None else kd)
+            else:
+                k_d.append(None if kd is None else kd.reshape(-1, grid.branching))
+    return k_d
 
 
 def _own(block):
@@ -237,7 +248,7 @@ class _Increments:
         n = grid.num_steps
         self.levels: Process = [None] * n
         widest = max(grid.level_size(k) for k in range(n))
-        self._scratch = np.empty(min(_parent_rows(grid), widest))
+        self._scratch = np.empty(min(_parent_rows(grid) + 1, widest))   # see ``_parent_blocks``
 
     def book(self, k: int, rows: slice, high, low) -> np.ndarray:
         """Book the ``rows`` block of level ``k``; returns the block as booked."""
@@ -255,16 +266,17 @@ class _Increments:
 
 
 def _book(tree: ScenarioTree, swept, low, up=None) -> Solution:
-    """Solution of a ``_reflected_sweep`` result, each side's K accumulated and split.
+    """Solution of a ``_reflected_sweep`` result on the nodes, each side's K accumulated and split.
 
     A sweep that stored no Z or V gives the ``Projection``s of its Y.
     """
     y, z, v, inc_p, inc_m = swept
-    k_plus = None if low is None else _split_side(tree, y, _accumulate(inc_p), low, +1)
-    k_minus = None if up is None else _split_side(tree, y, _accumulate(inc_m), up, -1)
+    sides = [None if obstacle is None else
+             Compensator(k=_accumulate(inc), k_d=_split_side(tree, y, obstacle, sign))
+             for inc, obstacle, sign in ((inc_p, low, +1), (inc_m, up, -1))]
     if z is None:
         z, v = Projection(tree, y, _project_z), Projection(tree, y, _project_v)
-    return Solution(y=y, z=z, v=v, lower=k_plus, upper=k_minus)
+    return Solution(y, z, v, *sides)
 
 
 def solve_reflected(tree: ScenarioTree, driver, terminal, lower=None,
@@ -287,19 +299,15 @@ def _solve(tree: ScenarioTree, driver, terminal, lower=None, upper=None, *,
     """``solve_reflected``, with Z and V stored where ``store`` asks for them.
 
     A solve that stores nothing, of data with states (specs, not the
-    caller's own arrays), runs on the tree's ``Lattice``: the obstacles
-    are validated, Y is swept and tested for finiteness, and the
-    increments are booked there, one row per state (``_on_states``); then
-    only the Y levels and the increment levels with mass are expanded to
-    the nodes (``_on_nodes``), and nothing of the lattice's is held while
-    K is accumulated and split.  Every other solve runs on the nodes.
+    caller's own arrays), runs on the tree's ``Lattice`` and keeps its
+    solution there (``_on_states``).  Every other solve runs on the nodes.
     """
     check_stepsize(driver, tree)
     data = _evaluated(tree, terminal, lower, upper)
-    swept = None if store else _on_states(tree, driver, (terminal, lower, upper), data)
-    if swept is None:
-        swept = _swept(tree, driver, tree, *data, store=store)
-    return _book(tree, swept, *data[1:])
+    on_lattice = None if store else _on_lattice(tree, (terminal, lower, upper), data)
+    if on_lattice is not None:
+        return _on_states(tree, driver, *on_lattice)
+    return _book(tree, _swept(tree, driver, tree, *data, store=store), *data[1:])
 
 
 def _swept(tree: ScenarioTree, driver, grid, xi: np.ndarray, low, up, *, store: bool) -> tuple:
@@ -316,42 +324,25 @@ def _swept(tree: ScenarioTree, driver, grid, xi: np.ndarray, low, up, *, store: 
     return swept
 
 
-def _on_states(tree: ScenarioTree, driver, specs: tuple, data: tuple):
-    """A direct solve's sweep on the tree's ``Lattice``, on the nodes; None for data without states.
+def _on_states(tree: ScenarioTree, driver, lattice, values: tuple) -> Solution:
+    """A direct solve on the tree's ``Lattice``, its solution kept per state.
 
-    The lattice's data and levels are dropped on return, before the caller
-    accumulates and splits K on the nodes.
+    The obstacles are validated, Y is swept and tested for finiteness,
+    each side's increments are booked and its K_d masses split there, one
+    row per state.  The solution keeps Y per state, each side's K
+    increments per parent state and its K_d masses as (parent rows, B)
+    tables (``rbsde.tree.StateLevels``): every node level of Y, K and K_d
+    is formed on read, with the bits the node sweep, ``_accumulate`` and
+    the node ``_split_side`` give, and Z and V are the ``Projection``s of
+    Y.  It keeps nothing of the tree's but its shape.
     """
-    on_lattice = _on_lattice(tree, specs, data)
-    if on_lattice is None:
-        return None
-    lattice, values = on_lattice
-    return _on_nodes(tree, lattice, _swept(tree, driver, lattice, *values, store=False), data[0])
-
-
-def _on_nodes(tree: ScenarioTree, lattice, swept, xi: np.ndarray) -> tuple:
-    """A lattice sweep's Y levels 0 .. N-1 and increment levels with mass, on the nodes.
-
-    Each level is a fresh node array, filled by one walk (``Lattice.fill``);
-    Y_N is the evaluated terminal ``xi`` itself.  A level without mass stays
-    None, so ``_accumulate`` shares K exactly where a node sweep would.
-    """
-    y, _, _, *sides = swept
-    levels, values, outs = [], [], []
-    node_y: Process = []
-    increments: list[Process | None] = [None if side is None else [] for side in sides]
-    for k in range(tree.num_steps):
-        for level, node_levels in zip((y, *sides), (node_y, *increments)):
-            if node_levels is None:
-                continue
-            out = None if level[k] is None else np.empty(tree.level_size(k))
-            node_levels.append(out)
-            if out is not None:
-                levels.append(k)
-                values.append(level[k])
-                outs.append(out)
-    lattice.fill(tree, levels, values, outs)
-    return node_y + [xi], None, None, *increments
+    y, _, _, *increments = _swept(tree, driver, lattice, *values, store=False)
+    sides = [None if obstacle is None else Compensator(
+                 k=StateLevels(lattice, [None, *inc], sums=True, lag=1),
+                 k_d=StateLevels(lattice, _split_side(lattice, y, obstacle, sign), sums=True))
+             for inc, obstacle, sign in zip(increments, values[1:], (+1, -1))]
+    y = StateLevels(lattice, y)
+    return Solution(y, Projection(tree, y, _project_z), Projection(tree, y, _project_v), *sides)
 
 
 # The unreflected and one-obstacle names of the same function: call sites that
@@ -415,7 +406,6 @@ def regularity_check(tree: ScenarioTree, result: SnellResult, cum: np.ndarray,
     """
     y = [result.envelope[k] - cum[k] for k in range(tree.num_steps + 1)]
     _, obstacle = evaluate(tree, None, barrier)
-    split = _split_side(tree, y, result.compensator, obstacle, +1)
-    kd_mass = terminal_mean(tree, split.k_d)
-    return RegularityReport(kd_mass=kd_mass, total_mass=terminal_mean(tree, split.k),
+    kd_mass = terminal_mean(tree, _split_side(tree, y, obstacle, +1))
+    return RegularityReport(kd_mass=kd_mass, total_mass=terminal_mean(tree, result.compensator),
                             regular=kd_mass <= REGULAR_TOL)

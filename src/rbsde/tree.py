@@ -17,7 +17,7 @@ solvers need, and ``rbsde.processes.evaluate``, its one reader, calls
 each payoff and obstacle function once per level, on that level's
 distinct states, not on its nodes: a function reading ``len(w)`` or a
 row's position is outside its contract.  It then fills the levels along
-one such walk of int32 state codes (``Lattice.fill``).
+one such walk of state codes (``Lattice.fill``).
 
 Grids.  The backward sweep (``rbsde.bsde._backward_sweep``) reads a grid
 through ``num_steps``, ``branching``, ``level_size`` and
@@ -25,11 +25,12 @@ through ``num_steps``, ``branching``, ``level_size`` and
 Its ``Lattice`` is the other: one row per distinct node state of a level
 and a (rows, B) table of the rows the branches lead to.  The direct solve
 of data with states sweeps the lattice, a few hundred rows a level where
-the tree has millions of nodes, and fills only Y and the compensator
-increments on the nodes.  Node probabilities are built per
-level on first read by ``atom_prob``, which serves the weighted sums of
-``expectation``; the checker walks them with ``_node_blocks`` instead
-and reads no ``atom_prob`` level.
+the tree has millions of nodes, and keeps its solution there: a
+``StateLevels`` forms a node level of Y, or of a compensator summed along
+the path, on read.  Node probabilities are built per level on first read
+by ``atom_prob``, which serves the weighted sums of ``expectation``; the
+node checker walks them with ``_node_blocks`` instead and reads no
+``atom_prob`` level, and the per-state checker sums state masses.
 
 Level rule for compensators.  A process is a list of level arrays, and
 a level array may be shorter than its level: then it holds the values
@@ -69,6 +70,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
+import weakref
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -359,10 +361,21 @@ def _parent_rows(tree: ScenarioTree) -> int:
 
 
 def _parent_blocks(tree: ScenarioTree, level: int) -> list[slice]:
-    """Contiguous parent slices of ``level`` holding about _BLOCK_NODES children each."""
+    """Contiguous parent slices of ``level`` holding about _BLOCK_NODES children each.
+
+    ``tree`` is the tree or its ``Lattice``.  A last slice of one row joins
+    the slice before it: BLAS takes a product of one row with other
+    kernels than a longer one, whose last bits can differ, and a state's
+    row must have its nodes' bits.  No level of a tree ends in such a
+    slice (B**k is never 1 modulo a multiple of ``_BLOCK_ALIGN``), so only
+    a lattice's can, and a slice holds at most ``_parent_rows`` + 1 rows.
+    """
     step = _parent_rows(tree)
     size = tree.level_size(level)
-    return [slice(lo, min(lo + step, size)) for lo in range(0, size, step)]
+    bounds = [*range(0, size, step), size]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _state_root(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
@@ -387,7 +400,8 @@ def _frozen(arrays: tuple) -> tuple:
     return arrays
 
 
-def _node_blocks(tree: ScenarioTree, last: int, roots: tuple, step) -> Iterator[tuple]:
+def _node_blocks(tree: ScenarioTree, last: int, roots: tuple, step,
+                 seal=_frozen) -> Iterator[tuple]:
     """Read-only ``(level, rows, *values)`` for every block of levels 0 .. ``last``.
 
     ``step(tree, level, *parents)`` makes the children of some parent rows
@@ -400,22 +414,25 @@ def _node_blocks(tree: ScenarioTree, last: int, roots: tuple, step) -> Iterator[
     level larger than one parent slice is alive whole, and a level's blocks
     come left to right, each a ``_parent_blocks`` slice, the children of
     one or the whole level: aligned on ``_BLOCK_ALIGN``, at most
-    ``_BLOCK_NODES`` rows.
+    ``_BLOCK_NODES`` rows.  ``seal`` takes each block's values:
+    ``_frozen`` makes them read-only.  A walk whose values only its caller
+    reads, such as the row codes of ``Lattice.fill``, passes ``tuple`` and
+    keeps them writeable: ``take`` copies indices that are read-only.
     """
-    level, values = 0, _frozen(roots)
+    level, values = 0, seal(roots)
     yield level, slice(0, 1), *values
     while level < last and tree.level_size(level + 1) <= _parent_rows(tree):
-        level, values = level + 1, _frozen(step(tree, level, *values))
+        level, values = level + 1, seal(step(tree, level, *values))
         yield level, slice(0, tree.level_size(level)), *values
     if level == last:
         return
-    for start, block in _split(tree, level, values, step):
+    for start, block in _split(tree, level, values, step, seal):
         yield level + 1, slice(start, start + len(block[0])), *block
         if level + 1 < last:
-            yield from _descend(tree, last, level + 1, start, block, step)
+            yield from _descend(tree, last, level + 1, start, block, step, seal)
 
 
-def _split(tree: ScenarioTree, level: int, values: tuple, step) -> Iterator[tuple]:
+def _split(tree: ScenarioTree, level: int, values: tuple, step, seal) -> Iterator[tuple]:
     """``(start, children)`` of the children of a whole ``level``, in ``_parent_blocks`` slices.
 
     Each slice steps only the parents the slices before it did not.  A
@@ -434,11 +451,11 @@ def _split(tree: ScenarioTree, level: int, values: tuple, step) -> Iterator[tupl
             children = tuple(np.concatenate(pair) for pair in zip(carry, children))
         done, cut = need, stop - start
         carry = tuple(c[cut:] for c in children)
-        yield start, _frozen(tuple(c[:cut] for c in children))
+        yield start, seal(tuple(c[:cut] for c in children))
 
 
 def _descend(tree: ScenarioTree, last: int, level: int, start: int, values: tuple,
-             step) -> Iterator[tuple]:
+             step, seal) -> Iterator[tuple]:
     """The blocks of ``_node_blocks`` below one block of ``level`` that starts at row ``start``.
 
     A module-level function that takes the tree: a closure that called
@@ -448,11 +465,11 @@ def _descend(tree: ScenarioTree, last: int, level: int, start: int, values: tupl
     """
     width = _parent_rows(tree)
     for lo in range(0, len(values[0]), width):
-        children = _frozen(step(tree, level, *(v[lo:lo + width] for v in values)))
+        children = seal(step(tree, level, *(v[lo:lo + width] for v in values)))
         first = (start + lo) * tree.branching
         yield level + 1, slice(first, first + len(children[0])), *children
         if level + 1 < last:
-            yield from _descend(tree, last, level + 1, first, children, step)
+            yield from _descend(tree, last, level + 1, first, children, step, seal)
         del children   # not alive while the next slice's children are built
 
 
@@ -462,29 +479,45 @@ def _children(tree: ScenarioTree, values_next: np.ndarray, parents: slice) -> np
     return values_next[start * tree.branching:stop * tree.branching].reshape(-1, tree.branching)
 
 
+class _Nodes:
+    """The node counts of a tree's levels: all ``Lattice.fill`` reads of the tree.
+
+    A lattice keeps this in place of its tree, so nothing that fills node
+    levels from a lattice keeps the tree, or the data evaluated on it, alive.
+    """
+
+    def __init__(self, branching: int) -> None:
+        self.branching = branching
+
+    def level_size(self, level: int) -> int:
+        return self.branching ** level
+
+
 class Lattice:
     """The distinct node states of levels 0 .. ``num_steps`` of a tree: a grid of the sweep.
 
     Level k has one row per distinct node state of the tree's level k (a
     state is keyed by the bits of ``w`` and its counts, as
-    ``rbsde.processes`` builds them), and ``child[k]`` is a (rows, B) int32
+    ``rbsde.processes`` builds them), and ``child[k]`` is a (rows, B) intp
     table: entry (s, b) is the row of level k + 1 that branch b of state s
-    leads to.  A node's state fixes its whole subtree, so data that are
-    functions of the state, and the Y and compensator increments a direct
-    solve derives from them, have one value per row.  With ``ScenarioTree``
-    it shares what ``rbsde.bsde._backward_sweep`` reads of a grid:
-    ``num_steps``, ``branching``, ``level_size`` and ``children``.  Every
-    state of a level occurs at it, so a level's least or largest value, or
-    whether it has a value that is not ±0.0, is its nodes' own.  ``fill``
-    expands values per row to the nodes of the tree it is handed: a
-    lattice holds no reference to its tree, which keeps it
-    (``rbsde.processes`` keeps one per depth in a table weakly keyed by
-    the tree).
+    leads to.  Its codes index with no conversion, so a gather by them
+    makes no copy of them.  A node's state fixes its whole subtree, so data
+    that are functions of the state, and the Y and compensator increments a
+    direct solve derives from them, have one value per row.  With
+    ``ScenarioTree`` it shares what ``rbsde.bsde._backward_sweep`` reads of
+    a grid: ``num_steps``, ``branching``, ``level_size`` and ``children``.
+    Every state of a level occurs at it, so a level's least or largest
+    value, or whether it has a value that is not ±0.0, is its nodes' own.
+    ``fill`` expands values per row to the nodes of the tree: a lattice
+    holds no reference to its tree, only its node counts (``_Nodes``), so
+    ``rbsde.processes`` can keep one per depth in a table weakly keyed by
+    the tree.
     """
 
     def __init__(self, child: Sequence[np.ndarray], sizes: Sequence[int], branching: int) -> None:
         self.child, self._sizes, self.branching = tuple(child), tuple(sizes), branching
         self.num_steps = len(self.child)
+        self._nodes = _Nodes(branching)
 
     def level_size(self, level: int) -> int:
         return self._sizes[level]
@@ -493,21 +526,23 @@ class Lattice:
         """(rows, B) table of the values of the children of some ``rows`` of ``level``, gathered."""
         return values_next[self.child[level][rows]]
 
-    def _child_codes(self, tree: ScenarioTree, level: int, codes: np.ndarray) -> tuple:
+    def _child_codes(self, tree, level: int, codes: np.ndarray) -> tuple:
         """A ``_node_blocks`` step: the rows of the children of some nodes of ``level``."""
         return (self.child[level].take(codes, axis=0, mode="clip").ravel(),)
 
-    def fill(self, tree: ScenarioTree, levels: Sequence[int], values: Sequence,
-             outs: Sequence) -> None:
-        """Fill node arrays from values per row: ``outs[j]`` is level ``levels[j]`` of ``tree``.
+    def fill(self, levels: Sequence[int], values: Sequence, outs: Sequence) -> None:
+        """Fill node arrays from values per row: ``outs[j]`` is level ``levels[j]`` of the tree.
 
-        ``levels`` is in nondecreasing order; ``values[j]`` has one value
-        per row of that level of the lattice and ``outs[j]`` one per node,
-        and each node gets its row's value, bits and all.  Level 0 is one
-        node and one row.  Every deeper level is gathered from a (parent
-        rows, B) table of its values by the int32 row codes of each block
+        ``levels`` is in nondecreasing order and ``outs[j]`` has one value
+        per node.  ``values[j]`` has one value per row of that level of the
+        lattice, or, at a level k > 0, is a (rows of level k - 1, B) table
+        of one value per parent row and branch.  Each node gets its row's
+        (or its parent row's and branch's) value, bits and all.  Level 0 is
+        one node and one row.  Every deeper level is gathered from a
+        (parent rows, B) table of its values by the row codes of each block
         of parents that one ``_node_blocks`` walk yields, so the codes of
-        the deepest level filled are never built.  The arrays are taken as
+        the deepest level filled are never built.  The codes are intp and
+        writeable, so no ``take`` copies them.  The arrays are taken as
         flat lists, not grouped per level, so a fill makes few Python
         objects besides its tables.
         """
@@ -516,18 +551,80 @@ class Lattice:
         branching, last = self.branching, levels[-1]
         # the arrays of level k are outs[first[k]:first[k + 1]]
         first = [bisect.bisect_left(levels, k) for k in range(last + 2)]
-        tables = [values[j] if k == 0 else values[j][self.child[k - 1]]
+        tables = [values[j] if k == 0 or values[j].ndim == 2 else values[j][self.child[k - 1]]
                   for j, k in enumerate(levels)]
         for j in range(first[1]):
             outs[j][...] = tables[j]
-        root = (np.zeros(1, dtype=np.int32),)
-        walk = _node_blocks(tree, last - 1, root, self._child_codes) if last else ()
+        root = (np.zeros(1, dtype=np.intp),)
+        walk = (_node_blocks(self._nodes, last - 1, root, self._child_codes, seal=tuple)
+                if last else ())
         for k, rows, codes in walk:
             children = slice(rows.start * branching, rows.stop * branching)
             for j in range(first[k + 1], first[k + 2]):
                 # the codes are rows of the table by construction: "clip" writes in place
                 tables[j].take(codes, axis=0, out=outs[j][children].reshape(-1, branching),
                                mode="clip")
+
+
+class StateLevels(Sequence):
+    """A process on a tree's nodes kept per ``Lattice`` row, each node level formed on read.
+
+    ``values[j]`` gives level j of the process: one value per row of the
+    lattice's level ``j - lag``, a (rows of level j - lag - 1, B) table of
+    one value per parent row and branch, or None.  Each node of the tree's
+    level ``j - lag`` takes its state's value (``Lattice.fill``).  Without
+    ``sums`` these are the levels themselves.  With ``sums`` they are the
+    steps of a sum along the path, in the level rule of this module: level
+    0 is +0.0, and level j is level j - 1 plus step j, added by
+    ``_accumulate`` and stored at level j - lag, or level j - 1's array
+    where the step is None.  So a compensator keeps K's increments with
+    ``lag`` 1 (K_{k+1} is known at level k) and K_d's jump masses as
+    tables with ``lag`` 0, and every level read has the bits and the
+    storage the solver's node arrays would have.
+
+    A read forms node arrays, the caller's to edit: no edit reaches the
+    values per row.  A read of one level forms that level alone, or for a
+    sum the levels before it too.  Iterating forms every level in one
+    walk, a level of a sum without mass being its predecessor's array, as
+    on the nodes; while one of those arrays is held, a read of its level
+    returns it rather than forming it again, so a caller that iterates and
+    then indexes, as ``np.concatenate`` does, forms each level once.  The
+    lattice keeps no tree, so neither does this: it holds nothing of the
+    data evaluated on the tree.
+    """
+
+    def __init__(self, lattice: Lattice, values: Sequence, *, sums: bool = False,
+                 lag: int = 0) -> None:
+        self.lattice, self.values, self.sums, self.lag = lattice, list(values), sums, lag
+        self._held: list = []   # weak references to the levels the last iteration formed
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, level):
+        if isinstance(level, slice):
+            return list(self)[level]
+        level = range(len(self))[level]   # negative levels, and IndexError past the last
+        held = self._held[level]() if self._held else None
+        if held is not None:
+            return held
+        return self._levels(level + 1, 0 if self.sums else level)[level]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        levels = self._levels(len(self))
+        self._held = [weakref.ref(level) for level in levels]
+        return iter(levels)
+
+    def _levels(self, count: int, first: int = 0) -> Process:
+        """Levels ``first`` .. ``count`` - 1 (the others None), formed by one fill."""
+        given = [j for j in range(max(first, self.sums), count) if self.values[j] is not None]
+        at = [j - self.lag for j in given]
+        outs = [np.empty(self.lattice._nodes.level_size(k)) for k in at]
+        self.lattice.fill(at, [self.values[j] for j in given], outs)
+        levels: list = [None] * count
+        for j, out in zip(given, outs):
+            levels[j] = out
+        return _accumulate(levels[1:]) if self.sums else levels
 
 
 def _ratio(tree: ScenarioTree, values: np.ndarray, level: int) -> int:
@@ -616,7 +713,10 @@ def _worst(*values: float) -> float:
     residual on non-finite data would read as small.
     """
     worst = max(values)
-    return worst if all(v == v for v in values) else math.nan
+    for value in values:
+        if value != value:
+            return math.nan
+    return worst
 
 
 def _lined_up(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,27 @@
 Every clause of the reflected equations becomes a residual: the
 projected dynamics identity, obstacle dominance, the minimality sums for
 the continuous-type compensator mass, the left-limit jump formulas, and
-compensator monotonicity.  All clauses come from one pass over the
+compensator monotonicity.  One ``_check_block`` takes every clause of a
+slice of parents with their children, on either grid.
+
+A direct solve's solution as it came, kept per state on the ``Lattice``
+of this very tree (``rbsde.tree.StateLevels``), is checked there, one
+row per state, when the data have states too (``_StateReads``): the
+states of levels 0 .. N - 1 are stacked into one level, so a few slices
+take every clause.  The clauses read the increments the solve booked, K's
+per parent state and K_d's per parent state and branch, and K_c's as
+their difference, not differences of cumulative K; the obstacles and
+left limits per state come from ``rbsde.processes._on_lattice``, and
+P(parent) is the states' masses.  Every formula is taken in full, and
+each row's products are BLAS's on row-major tables, which give a row the
+same bits wherever it sits in a table of two rows or more (``_by_row``;
+no slice has one row, ``rbsde.tree._parent_blocks``).  So the pointwise residuals are those of the same
+formulas on the nodes, and the left-limit integral, summed by state
+mass, is theirs to rounding.  Any other solution (a loaded dump, a copy,
+a mutant, a Picard or penalised solve, a solve of the caller's own
+arrays) is read on the nodes.
+
+On the nodes all clauses come from one pass over the
 cache-sized parent slices of each level, in which each increment of K,
 K_c and K_d is taken once from the cumulative processes of the solution;
 the leaf clauses are taken in the slices of the last parent level, so no
@@ -26,8 +46,8 @@ solution without continuous-type mass off its obstacles the checker
 reads no ``tree.atom_prob`` level, and each slice's and each side's
 arrays are freed with it.
 
-The checker skips work only where the skipped operations have known
-bits, so every report is the one the full passes give:
+On the nodes the checker skips work only where the skipped operations
+have known bits, so every report is the one the full passes give:
 
 - An increment whose level k + 1 is stored at level k or above is a
   (parents, 1) column: its minima and maxima are those of the (parents,
@@ -83,11 +103,11 @@ from .bsde import (Compensator, ContinuousPart, Projection, Solution, _driver_va
                    _project_v, _project_z, _step_projections)
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
-from .processes import BarrierValues, ProblemSpec, evaluate
+from .processes import BarrierValues, ProblemSpec, _on_lattice, evaluate
 from .reflected import _own, _solve, _source_rates, obstacle_payoff
 from .snell import BIND_TOL, REGULAR_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
-from .tree import (Process, ScenarioTree, _block_rows, _children, _node_blocks,
+from .tree import (Process, ScenarioTree, StateLevels, _block_rows, _children, _node_blocks,
                    _parent_blocks, _parent_rows, _prob_step, _ratio, _self_gap, _worst,
                    sup_diff, terminal_mean)
 from .twobarrier import _closure, _mean_mass, picard_snell_solve
@@ -137,10 +157,11 @@ class _Side:
     """One obstacle with its compensator K = K_c + K_d and the clause residuals.
 
     ``sign`` is +1 for an obstacle below the solution and -1 for one
-    above it, so that ``sign*(Y - obstacle)`` is the slack.  ``k_c`` holds
-    K_c's stored levels, or for the compensator's own ``ContinuousPart``
-    its ``parts``: the (K, K_d) pair of a level, or None where K_d is +0.0
-    at every node and K_c is K's own array.
+    above it, so that ``sign*(Y - obstacle)`` is the slack.  On the nodes
+    ``k_c`` holds K_c's stored levels, or for the compensator's own
+    ``ContinuousPart`` its ``parts``: the (K, K_d) pair of a level, or None
+    where K_d is +0.0 at every node and K_c is K's own array
+    (``_NodeReads``).
     """
 
     obstacle: BarrierValues
@@ -153,19 +174,19 @@ class _Side:
     split: float = 0.0
     left_integral: float = 0.0
     terms: list = field(default_factory=list)   # the left-limit integral's, per level
-    k_c: list = field(init=False)   # K_c's levels as ``_stored`` takes them, None for K's own
+    k_c: list | None = None   # K_c's levels as ``_stored`` takes them, None for K's own
 
     def __post_init__(self) -> None:
-        comp = self.compensator
-        if comp is None:
+        if self.compensator is None:
             name = "lower" if self.sign > 0 else "upper"
             raise ValueError(f"the solution has no {name} compensator to check "
                              f"against the {name} obstacle")
-        k_c = comp.k_c
-        if isinstance(k_c, ContinuousPart) and k_c.k is comp.k and k_c.k_d is comp.k_d:
-            k_c = [part if isinstance(part, tuple) else None
-                   for part in map(k_c.parts, range(len(k_c)))]
-        self.k_c = k_c
+
+
+def _own_part(comp: Compensator) -> bool:
+    """Whether K_c is the compensator's own ``ContinuousPart`` K - K_d."""
+    k_c = comp.k_c
+    return isinstance(k_c, ContinuousPart) and k_c.k is comp.k and k_c.k_d is comp.k_d
 
 
 def _abs_max(values: np.ndarray) -> float:
@@ -248,38 +269,295 @@ def _table(tree: ScenarioTree, increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_levels(tree: ScenarioTree, sol, driver, xi: np.ndarray,
+def _check_levels(grid, tree: ScenarioTree, sol, driver, xi: np.ndarray,
                   sides) -> tuple[float, float]:
-    """Every clause residual over the ``_parent_blocks`` slices of levels 0 to N - 1.
+    """Every clause residual over the parent slices of ``grid``: the tree or its ``Lattice``.
 
-    ``_check_block`` takes the clauses of each slice (``_slices``).  The
-    left-limit integral adds its terms level by level, each level's slices
-    left to right, as a pass per level would; the other residuals are
-    NaN-keeping maxima, which the order of the slices does not change.
-    Fills the per-side residuals; returns the dynamics residual and, for
-    two sides, the worst simultaneous jump-type mass.
+    ``_check_block`` takes the clauses of each slice, of one level's nodes
+    (``_NodeReads``) or of the lattice's states of every level at once
+    (``_StateReads``).  The left-limit integral adds its terms level by
+    level, each level's slices left to right, as a pass per level would;
+    the other residuals are NaN-keeping maxima, which the order of the
+    slices does not change.  Fills the per-side residuals; returns the
+    dynamics residual and, for two sides, the worst simultaneous jump-type
+    mass.
     """
-    y = [np.asarray(level, dtype=float) for level in sol.y]
-    zv = _slice_zv(tree, sol, driver)
+    for side in sides:
+        side.terms = [[] for _ in range(tree.num_steps)]
+    reads = (_NodeReads(tree, sol, driver, xi, sides) if grid is tree
+             else _StateReads(grid, tree, sol, driver, xi, sides))
     dyn = 0.0
     simultaneous = 0.0
-    for side in sides:
-        comp = side.compensator
-        side.monotone = float(np.max(np.abs(comp.k[0])))
-        root_c = comp.k[0] if side.k_c[0] is None else _expand(
-            *_stored(tree, side.k_c[0], 0, slice(0, 1)))
-        side.split = float(np.max(np.abs(comp.k[0] - root_c - comp.k_d[0])))
-        side.terms = [[] for _ in range(tree.num_steps)]
-    declared = max((level for side in sides for level in side.obstacle.left_levels), default=0)
-    for k, rows, parent_prob in _slices(tree, declared):
-        block_dyn, block_simultaneous = _check_block(tree, y, zv, driver, xi, sides, k,
-                                                     rows, parent_prob)
+    for k, rows, parent_prob in reads.slices:
+        block_dyn, block_simultaneous = _check_block(reads, tree, driver, sides, k, rows,
+                                                     parent_prob)
         dyn = _worst(dyn, block_dyn)
         simultaneous = _worst(simultaneous, block_simultaneous)
     for side in sides:
         for term in itertools.chain.from_iterable(side.terms):
             side.left_integral += term
     return dyn, simultaneous
+
+
+class _NodeReads:
+    """What ``_check_block`` reads of a parent slice ``(k, rows)`` of the tree's nodes.
+
+    ``y`` is Y's levels, ``zv`` a slice's Z and V (``_slice_zv``) and
+    ``slices`` the slices with their node probabilities (``_slices``).
+    Each side's residuals at the root are taken here.  A compensator whose
+    levels are formed on read (``StateLevels``) is read once, whole, with
+    its levels shared where it adds no mass.  The node route skips
+    operations whose bits are known (``known``).
+    """
+
+    known = True
+
+    def __init__(self, tree: ScenarioTree, sol, driver, xi: np.ndarray, sides) -> None:
+        for side in sides:
+            comp = side.compensator
+            own = _own_part(comp)
+            if isinstance(comp.k, StateLevels) or isinstance(comp.k_d, StateLevels):
+                comp = side.compensator = Compensator(k=list(comp.k), k_d=list(comp.k_d),
+                                                      k_c=None if own else comp.k_c)
+            k_c = comp.k_c
+            if own:
+                k_c = [part if isinstance(part, tuple) else None
+                       for part in map(k_c.parts, range(len(k_c)))]
+            side.k_c = k_c
+            side.monotone = float(np.max(np.abs(comp.k[0])))
+            root_c = comp.k[0] if k_c[0] is None else _expand(*_stored(tree, k_c[0], 0,
+                                                                        slice(0, 1)))
+            side.split = float(np.max(np.abs(comp.k[0] - root_c - comp.k_d[0])))
+        declared = max((level for side in sides for level in side.obstacle.left_levels),
+                       default=0)
+        self.grid, self.tree, self.xi = tree, tree, xi
+        self.y = [np.asarray(level, dtype=float) for level in sol.y]
+        self.zv = _slice_zv(tree, sol, driver)
+        self.slices = _slices(tree, declared)
+
+    def base(self, k: int, rows: slice) -> None:
+        return None   # the driver's g(t_k)
+
+    def terminal(self, k: int, rows: slice):
+        """``(slice rows, their children's ξ)`` at level N - 1, else None.
+
+        A Y_N that is the terminal array itself (a solver's) gives Y_N - ξ
+        = x - x, which is 0.0: ``evaluate`` rejected a ξ that is not finite.
+        """
+        if k < self.tree.num_steps - 1 or self.y[k + 1] is self.xi:
+            return None
+        return slice(None), _children(self.tree, self.xi, rows)
+
+    def increments(self, side: _Side, k: int, rows: slice) -> tuple:
+        return _side_increments(self.tree, side, k, rows)
+
+    def obstacle(self, side: _Side, k: int, rows: slice):
+        return side.obstacle.levels[k].rows(rows)
+
+    def leaf(self, side: _Side, k: int, rows: slice):
+        """``(slice rows, the obstacle at their children)`` at level N - 1, else None."""
+        n, branching = self.tree.num_steps, self.tree.branching
+        if k < n - 1:
+            return None
+        leaf = side.obstacle.levels[n].rows(slice(rows.start * branching,
+                                                  rows.stop * branching))
+        return slice(None), leaf.reshape(-1, branching) if isinstance(leaf, np.ndarray) else leaf
+
+    def lefts(self, side: _Side, k: int, rows: slice, out: np.ndarray) -> tuple:
+        """``(slice rows, left limit column)`` of a declared level k + 1, in ``out``."""
+        left = side.obstacle.left_levels.get(k + 1)
+        return () if left is None else ((slice(None), left.rows((rows, None), out=out)),)
+
+    def weigh(self, k: int, rows: slice, mass: np.ndarray,
+              parent_prob: np.ndarray | None) -> float:
+        return _integral_term(self.tree, k, rows, mass, parent_prob)
+
+
+class _Stacked:
+    """The parent states of levels 0 .. N - 1 of a ``Lattice`` as one level, a grid of the check.
+
+    Row ``start[k] + s`` is state s of level k, and ``codes`` gives its
+    children's rows in the states of levels 1 .. N, stacked the same way.
+    """
+
+    def __init__(self, lattice) -> None:
+        n = lattice.num_steps
+        self.branching = lattice.branching
+        self.sizes = [lattice.level_size(k) for k in range(n + 1)]
+        self.start = np.cumsum([0] + self.sizes)
+        shift = np.repeat(self.start[1:n + 1] - self.start[1], self.sizes[:n])
+        self.codes = np.concatenate(lattice.child) + shift[:, None]
+
+    def level_size(self, level: int) -> int:
+        return len(self.codes)
+
+    def children(self, values_next: np.ndarray, level: int, rows: slice) -> np.ndarray:
+        return values_next[self.codes[rows]]
+
+
+def _by_row(tree: ScenarioTree, values: np.ndarray) -> np.ndarray:
+    """``values @ branch_prob`` of a row-major (rows, B) table of ``values``, a column or a table.
+
+    BLAS gives a row of a row-major table of two rows or more the same
+    bits wherever the row sits, as the sweep's products rely on; of a
+    column-major table, bits that depend on the row's place and the
+    table's length.  A row-major table is taken as it is.
+    """
+    if values.shape[1] != tree.branching or not values.flags.c_contiguous:
+        table = np.empty((len(values), tree.branching))
+        table[...] = values
+        values = table
+    return values @ tree.branch_prob
+
+
+def _within(part: slice, rows: slice):
+    """``(rows of part within the slice rows, the same rows within part)``, or None."""
+    lo, hi = max(part.start, rows.start), min(part.stop, rows.stop)
+    if lo >= hi:
+        return None
+    return slice(lo - rows.start, hi - rows.start), slice(lo - part.start, hi - part.start)
+
+
+class _StateReads:
+    """What ``_check_block`` reads of a slice of every level's states on the tree's ``Lattice``.
+
+    The states of levels 0 .. N - 1 are stacked into one level
+    (``_Stacked``), and each value per state with them: Y, the driver's
+    g(t) at its level, each side's obstacle, its booked K increments
+    (+0.0 at a level without any) and K_d masses (+0.0 off the levels
+    with mass).  The leaves' parents, and each declared level's parents
+    with its left limit per state, are row ranges of the stack.  z is
+    projected in full from each slice's children, and v where the driver
+    reads it.  K_0 and K_d,0 are +0.0 by construction, so the root adds
+    no residual.  P(parent) is the states' masses, summed forward over
+    ``Lattice.child`` by ``np.bincount``, whose sums run in input order: no
+    BLAS product, whose bits would depend on the thread count.  Every
+    formula is taken in full (``known`` False).
+    """
+
+    known = False
+
+    def __init__(self, lattice, tree: ScenarioTree, sol, driver, xi: np.ndarray,
+                 sides) -> None:
+        n, branching = tree.num_steps, tree.branching
+        self.grid = stack = _Stacked(lattice)
+        self.tree = tree
+        self._reads_v = driver.c != 0.0 and tree.marks.count > 0
+        sizes = stack.sizes[:n]
+        values = sol.y.values
+        self.y = [np.concatenate(values[:n]), np.concatenate(values[1:])]
+        self._base = np.repeat([driver.base_at(tree.time(k)) for k in range(n)], sizes)
+        last = slice(stack.start[n - 1], stack.start[n])
+        self._xi = last, xi[lattice.child[n - 1]]
+        self._sides = {}
+        total = len(stack.codes)
+        for side in sides:
+            comp, obstacle = side.compensator, side.obstacle
+            leaf = obstacle.levels[n]
+            leaf = (leaf.base if leaf.part is None
+                    else np.add(leaf.base, leaf.part[lattice.child[n - 1]]))
+            lefts = [(slice(stack.start[level - 1], stack.start[level]),
+                      obstacle.left_levels[level].whole()[:, None])
+                     for level in obstacle.jump_levels]
+            # base + part, as ``ObstacleLevel.rows`` forms it
+            levels = np.repeat([level.base for level in obstacle.levels[:n]], sizes)
+            parts = [level.part for level in obstacle.levels[:n]]
+            whole = all(part is not None for part in parts)
+            if whole:
+                levels += np.concatenate(parts)
+            # +0.0 masses for every row where no level has K_d mass
+            has_mass = any(mass is not None for mass in comp.k_d.values)
+            booked = np.zeros(total)
+            masses = np.zeros((total, branching)) if has_mass else np.float64(0.0)
+            for k in range(n):
+                rows = slice(stack.start[k], stack.start[k + 1])
+                if parts[k] is not None and not whole:
+                    levels[rows] += parts[k]
+                for out, values in ((booked, comp.k.values[k + 1]),
+                                    (masses, comp.k_d.values[k + 1])):
+                    if values is not None:
+                        out[rows] = values
+            self._sides[id(side)] = {"obstacle": levels, "booked": booked, "masses": masses,
+                                     "leaf": (last, leaf), "lefts": lefts}
+        prob, masses = np.ones(1), []
+        for k in range(n):
+            masses.append(prob)
+            prob = np.bincount(lattice.child[k].ravel(), np.outer(prob, tree.branch_prob).ravel(),
+                               minlength=stack.sizes[k + 1])
+        prob = np.concatenate(masses)
+        self.slices = [(0, rows, prob[rows]) for rows in _parent_blocks(stack, 0)]
+
+    def zv(self, k: int, rows: slice, y_child: np.ndarray) -> tuple:
+        """z in full, and v where the driver reads it (``_driver_value``)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (_project_z(self.tree, y_child),
+                    _project_v(self.tree, y_child) if self._reads_v else None)
+
+    def base(self, k: int, rows: slice) -> np.ndarray:
+        """The driver's g(t) at each row's level."""
+        return self._base[rows]
+
+    def _part(self, part: slice, values, rows: slice):
+        within = _within(part, rows)
+        if within is None:
+            return None
+        sub, own = within
+        return sub, values if np.ndim(values) == 0 else values[own]
+
+    def terminal(self, k: int, rows: slice):
+        return self._part(*self._xi, rows)
+
+    def increments(self, side: _Side, k: int, rows: slice) -> tuple:
+        """K's booked increments, a column per parent, and K_d's masses: see ``_side_increments``."""
+        stacked = self._sides[id(side)]
+        d_k, d_kd = stacked["booked"][rows, None], _rows(stacked["masses"], rows)
+        d_kc = np.subtract(d_k, d_kd)
+        split = _abs_max(np.subtract(np.subtract(d_k, d_kc), d_kd))
+        # the largest increment serves only the node route's shortcuts
+        return split, float(d_k.min()), None, d_k, d_kc, d_kd
+
+    def obstacle(self, side: _Side, k: int, rows: slice) -> np.ndarray:
+        return np.array(self._sides[id(side)]["obstacle"][rows])
+
+    def weigh(self, k: int, rows: slice, mass: np.ndarray, parent_prob: np.ndarray) -> float:
+        """A term of a left-limit integral, as ``_integral_term`` takes it (``_by_row``)."""
+        return float(np.add.reduce(parent_prob * _by_row(self.tree, mass)))
+
+    def leaf(self, side: _Side, k: int, rows: slice):
+        found = self._part(*self._sides[id(side)]["leaf"], rows)
+        if found is None or np.ndim(found[1]) == 0:
+            return found
+        return found[0], np.array(found[1])   # a fresh block, as on the nodes
+
+    def lefts(self, side: _Side, k: int, rows: slice, out: np.ndarray) -> list:
+        return [found for part, left in self._sides[id(side)]["lefts"]
+                if (found := self._part(part, left, rows)) is not None]
+
+
+def _per_state(tree: ScenarioTree, sol, specs: tuple, data: tuple, count: int):
+    """``_on_lattice`` of the check's data where ``sol`` is kept on this tree's lattice, else None.
+
+    The solution must be a direct solve's as it came: Y, and K and K_d of
+    each of the first ``count`` sides, per state on the ``Lattice`` of this
+    very tree, K_c their ``ContinuousPart`` and Z and V the ``Projection``s
+    of Y; and the data must have states.  Anything else, an edited or
+    stored level included, is read on the nodes.
+    """
+    if not isinstance(sol.y, StateLevels):
+        return None
+    on_lattice = _on_lattice(tree, specs, data)
+    if on_lattice is None:
+        return None
+    lattice = on_lattice[0]
+    comps = (sol.lower, sol.upper)[:count]
+    kept = [sol.y] + [p for comp in comps if comp is not None for p in (comp.k, comp.k_d)]
+    if not (all(isinstance(p, StateLevels) and p.lattice is lattice for p in kept)
+            and all(comp is None or _own_part(comp) for comp in comps)
+            and all(isinstance(p, Projection) and p.y is sol.y and p.tree is tree
+                    and p.kernel is kernel
+                    for p, kernel in ((sol.z, _project_z), (sol.v, _project_v)))):
+        return None
+    return on_lattice
 
 
 def _slices(tree: ScenarioTree, declared: int):
@@ -322,40 +600,46 @@ def _slice_zv(tree: ScenarioTree, sol, driver):
     return lambda k, rows, y_child: (z[k][rows], v[k][rows])
 
 
-def _check_block(tree: ScenarioTree, y: Process, zv, driver, xi: np.ndarray,
-                 sides, k: int, rows: slice,
+def _check_block(reads, tree: ScenarioTree, driver, sides, k: int, rows: slice,
                  parent_prob: np.ndarray | None) -> tuple[float, float]:
-    """The clauses of one parent slice of level ``k``, of node probabilities ``parent_prob``.
+    """The clauses of one parent slice ``(k, rows)`` of ``reads.grid``, of probabilities ``parent_prob``.
 
-    ``zv`` gives the slice's Z and V rows (``_slice_zv``), and
+    ``reads`` gives the slice's values on its grid (``_NodeReads`` or
+    ``_StateReads``), and its children through ``reads.grid.children``;
     ``parent_prob`` None leaves the node probabilities to a clause that
-    reads them (``_slices``).  Returns its dynamics and simultaneous
-    residuals.  The slice's arrays, and each side's, are local to one
-    call, so none outlives its slice.
+    reads them (``_slices``).  Only the node route skips operations whose
+    bits are known.  Returns its dynamics and simultaneous residuals.  The
+    slice's arrays, and each side's, are local to one call, so none
+    outlives its slice.
     """
+    known = reads.known
     prob = tree.branch_prob
-    y_par = y[k][rows]
-    y_child = _children(tree, y[k + 1], rows)
-    f_val = _driver_value(driver, tree, k, y_par, *zv(k, rows, y_child))
+    y_par = reads.y[k][rows]
+    y_child = reads.grid.children(reads.y[k + 1], k, rows)
+    f_val = _driver_value(driver, tree, k, y_par, *reads.zv(k, rows, y_child),
+                          base=reads.base(k, rows))
     dyn = 0.0
-    # a Y_N that is the terminal array itself (a solver's) gives Y_N - ξ = x - x,
-    # which is 0.0: ``evaluate`` rejected a ξ that is not finite
-    if k == tree.num_steps - 1 and y[k + 1] is not xi:
-        dyn = _abs_max(np.subtract(y_child, _children(tree, xi, rows)))
-    increments = [_check_side(tree, side, k, rows, y_par, y_child, parent_prob)
+    terminal = reads.terminal(k, rows)
+    if terminal is not None:
+        leaves, xi = terminal
+        dyn = _abs_max(np.subtract(y_child[leaves], xi))
+    increments = [_check_side(reads, tree, side, k, rows, y_par, y_child, parent_prob)
                   for side in sides]
     rhs = y_child @ prob
     rhs += np.multiply(f_val, tree.dt, out=f_val)
     # K increments that are all ±0.0 weigh to +0.0 (BLAS adds each product
     # into a zeroed result), so no table and no product is formed
-    if not all(zero for _, _, zero in increments):
+    if known and all(zero for _, _, zero in increments):
+        rhs += 0.0
+    else:
         # K+ - K- for two sides, K alone for one
         compensator = (increments[0][0] if len(sides) == 1
                        else increments[0][0] - increments[1][0])
-        # a 0-d increment here is NaN (K shared and not finite): NaN at each parent
-        rhs += _table(tree, compensator) @ prob if compensator.ndim else compensator
-    else:
-        rhs += 0.0
+        if not known:
+            rhs += _by_row(tree, compensator)
+        else:
+            # a 0-d increment here is NaN (K shared and not finite): NaN at each parent
+            rhs += _table(tree, compensator) @ prob if compensator.ndim else compensator
     dyn = _worst(dyn, _abs_max(np.subtract(y_par, rhs, out=rhs)))
     simultaneous = 0.0
     if len(sides) == 2:
@@ -469,33 +753,36 @@ def _increment(tree: ScenarioTree, process: Process, k: int, rows: slice,
     return _minus(tree, later, process[k], k, rows)
 
 
-def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.ndarray,
-                y_child: np.ndarray, parent_prob: np.ndarray | None) -> tuple:
+def _rows(values, rows):
+    """``values[rows]``, or ``values`` itself where it is one number for every row."""
+    return values if np.ndim(values) == 0 else values[rows]
+
+
+def _check_side(reads, tree: ScenarioTree, side: _Side, k: int, rows: slice,
+                y_par: np.ndarray, y_child: np.ndarray, parent_prob: np.ndarray | None) -> tuple:
     """One side's clauses on one parent slice.
 
-    Returns its K and K_d increments, and whether every K increment is ±0.0.
+    Returns its K and K_d increments, and whether every K increment is
+    known to be ±0.0 (on the node route only).
     """
-    n = tree.num_steps
-    split, low, high, d_k, d_kc, d_kd = _side_increments(tree, side, k, rows)
+    known = reads.known
+    split, low, high, d_k, d_kc, d_kd = reads.increments(side, k, rows)
     side.split = _worst(side.split, split)
     side.monotone = _worst(side.monotone, -low)
-    zero = low == 0.0 == high
+    zero = known and low == 0.0 == high
     # the obstacle's blocks are fresh arrays (or its base alone): each
     # clause is formed in the block that reads the obstacle
-    obstacle = side.obstacle.levels[k].rows(rows)
+    obstacle = reads.obstacle(side, k, rows)
     slack = np.subtract(y_par, obstacle, out=_own(obstacle))
     if side.sign < 0:
         np.negative(slack, out=slack)
-    slack_low, slack_high = float(slack.min()), float(slack.max())
+    slack_low = float(slack.min())
     side.contain = _worst(side.contain, -slack_low)
-    if k == n - 1:
-        branching = tree.branching
-        leaf = side.obstacle.levels[n].rows(slice(rows.start * branching,
-                                                  rows.stop * branching))
-        if isinstance(leaf, np.ndarray):
-            leaf = leaf.reshape(-1, branching)
+    leaf = reads.leaf(side, k, rows)
+    if leaf is not None:
+        leaves, leaf = leaf
         # the largest sign*(leaf - Y_N) without forming it: max(x) for +1, -min(x) for -1
-        excess = np.subtract(leaf, y_child, out=_own(leaf))
+        excess = np.subtract(leaf, y_child[leaves], out=_own(leaf))
         side.contain = _worst(side.contain, float(excess.max()) if side.sign > 0
                               else -float(excess.min()))
         del leaf, excess
@@ -506,40 +793,50 @@ def _check_side(tree: ScenarioTree, side: _Side, k: int, rows: slice, y_par: np.
     # solution.  ±0.0 increments times a finite slack are ±0.0, mass that
     # is all ±0.0 weighs to +0.0 (BLAS adds into a zeroed result), and so
     # does each parent's term: then no mass, table or product is formed
-    if d_kc is d_k and zero and math.isfinite(slack_high - slack_low):
+    if d_kc is d_k and zero and math.isfinite(float(slack.max()) - slack_low):
         side.terms[k].append(0.0)
     else:
         # a 0-d d_kc (K shared with level k) meets the slack as a column
-        shape = np.broadcast_shapes(d_kc.shape, (len(slack), 1))
-        mass_c = np.multiply(d_kc, slack[:, None],
-                             out=np.empty(shape, order="F") if d_kc is d_k else d_kc)
+        out = d_kc
+        if d_kc is d_k:
+            out = np.empty(np.broadcast_shapes(d_kc.shape, (len(slack), 1)), order="F")
+        mass_c = np.multiply(d_kc, slack[:, None], out=out)
         skorokhod = _abs_max(mass_c)
         side.skorokhod = _worst(side.skorokhod, skorokhod)
-        side.terms[k].append(0.0 if skorokhod == 0.0 else
-                             _integral_term(tree, k, rows, _table(tree, mass_c), parent_prob))
+        if known:
+            side.terms[k].append(0.0 if skorokhod == 0.0 else
+                                 reads.weigh(k, rows, _table(tree, mass_c), parent_prob))
+        else:
+            side.terms[k].append(reads.weigh(k, rows, mass_c, parent_prob))
         del mass_c
-    left = side.obstacle.left_levels.get(k + 1)
-    if left is None:
+    lefts = reads.lefts(side, k, rows, slack[:, None])
+    if not lefts:
         side.jump = _worst(side.jump, _abs_max(d_kd))
         return d_k, d_kd, zero
-    # The left limit and the gap to it are columns per parent, the left
-    # limit in the spent slack block.  One row-major block takes the
-    # formula and then gap * d_kd, which the product reads.  The formula is
-    # +0.0 off the binding parents: +0.0 is the all-zero bit pattern, so
-    # and-ing each row's bits with all ones or all zeros keeps or clears it
-    # exactly, as a masked copy would.
-    left = left.rows((rows, None), out=slack[:, None])
-    gap = np.subtract(y_par[:, None], left)
-    gap *= side.sign
-    keep = np.negative(np.abs(gap) <= BIND_TOL, dtype=np.int64)
-    formula = _by_branch(np.subtract, left, y_child, np.empty(y_child.shape))
-    if side.sign < 0:
-        np.negative(formula, out=formula)
-    np.maximum(formula, 0.0, out=formula)
-    _by_branch(np.bitwise_and, formula.view(np.int64), keep, formula.view(np.int64))
+    # The left limit and the gap to it are columns per parent, on the node
+    # route the left limit in the spent slack block.  One row-major block
+    # takes the formula and then gap * d_kd, which the product reads.  The
+    # formula is +0.0 off the binding parents, and off the rows without a
+    # left limit: +0.0 is the all-zero bit pattern, so and-ing each row's
+    # bits with all ones or all zeros keeps or clears it exactly, as a
+    # masked copy would.
+    formula = np.empty(y_child.shape) if known else np.zeros(y_child.shape)
+    gaps = []
+    for parents, left in lefts:
+        gap = np.subtract(y_par[parents, None], left)
+        gap *= side.sign
+        keep = np.negative(np.abs(gap) <= BIND_TOL, dtype=np.int64)
+        part = formula[parents]
+        _by_branch(np.subtract, left, y_child[parents], part)
+        if side.sign < 0:
+            np.negative(part, out=part)
+        np.maximum(part, 0.0, out=part)
+        _by_branch(np.bitwise_and, part.view(np.int64), keep, part.view(np.int64))
+        gaps.append(gap)
     side.jump = _worst(side.jump, _abs_max(_by_branch(np.subtract, d_kd, formula, formula)))
-    side.terms[k].append(_integral_term(tree, k, rows,
-                                        _by_branch(np.multiply, gap, d_kd, formula), parent_prob))
+    for (parents, _), gap in zip(lefts, gaps):
+        part = _by_branch(np.multiply, gap, _rows(d_kd, parents), formula[parents])
+        side.terms[k].append(reads.weigh(k, rows, part, _rows(parent_prob, parents)))
     return d_k, d_kd, zero
 
 
@@ -566,11 +863,13 @@ def check_solution(tree: ScenarioTree, sol: Solution, driver, terminal, lower,
     ``upper=None`` checks the one-obstacle equation (U = +inf) against
     ``sol.lower``; with an upper obstacle ``sol.upper`` is checked too.
     """
-    xi, low, up = evaluate(tree, terminal, lower, upper)
+    data = evaluate(tree, terminal, lower, upper)
+    on_lattice = _per_state(tree, sol, (terminal, lower, upper), data, 1 + (upper is not None))
+    grid, (xi, low, up) = (tree, data) if on_lattice is None else on_lattice
     sides = [_Side(low, sol.lower, +1)]
     if up is not None:
         sides.append(_Side(up, sol.upper, -1))
-    dyn, simultaneous = _check_levels(tree, sol, driver, xi, sides)
+    dyn, simultaneous = _check_levels(grid, tree, sol, driver, xi, sides)
     contain, skorokhod, jump, monotone_note, left_note = _CLAUSE_NAMES[len(sides)]
 
     def clause(residual: float, note: str) -> ClauseCheck:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
                    build_tree, solve_reflected)
@@ -24,17 +25,93 @@ def distinct_states(w, counts) -> int:
 def on_nodes(tree, values, level: int) -> np.ndarray:
     """Values per distinct state of ``level`` (the tree's kept state table) at each node.
 
-    Each node's state is looked up by the bits of its ``w`` and its counts,
-    built by ``tree.states()``, not by the solver's walk of state codes.
+    Each node's state is looked up by the bits of its ``w`` and its counts
+    (``oracles.state_rows``), not by the solver's walk of state codes.
     """
-    from rbsde.processes import _states
-    w, counts = _states(tree).tables[level]
-    rows = {(x, *c): i for i, (x, c) in enumerate(zip(w.view(np.int64).tolist(),
-                                                      counts.astype(np.int64).tolist()))}
-    w, counts = list(tree.states())[level]
-    index = [rows[(x, *c)] for x, c in zip(w.view(np.int64).tolist(),
-                                           counts.astype(np.int64).tolist())]
-    return np.asarray(values)[np.asarray(index, dtype=np.intp)]
+    from oracles import state_rows
+    return np.asarray(values)[state_rows(tree, level)]
+
+
+# ---------------------------------------------------------------------------
+# problems of data with states, for the lattice route
+
+# Data larger than this can round past the checker's absolute tolerance:
+# there the node check's differences of cumulative K and the per-state
+# check's booked increments may pass or fail a clause apart.
+ROUNDING_SCALE = 2.0 ** 20
+
+
+def data_scale(driver, xi) -> float:
+    """The size of a problem's data: its source and its terminal."""
+    return max(abs(driver.base_at(0.0)), float(np.max(np.abs(xi))))
+
+
+
+def _signed(lo, hi):
+    return st.builds(lambda x, s: x * s, st.floats(lo, hi), st.sampled_from((-1.0, 1.0)))
+
+
+def _coefficient():
+    return st.one_of(st.just(0.0), _signed(0.05, 0.3))
+
+
+def _side(draw, steps, scale, center, stochastic, sign):
+    """An obstacle ``sign`` * a step function from ``center``, its form, or its value alone.
+
+    Breakpoints may fall on the horizon, which declares a jump at level N,
+    and the jumps may be declared outright instead, with their own offsets.
+    A step of the wrong sign puts the side across the terminal or the
+    other side somewhere.
+    """
+    cuts = sorted({0.0} | {draw(st.integers(1, steps)) / steps
+                           for _ in range(draw(st.integers(0, 2)))})
+    crossed = draw(st.sampled_from((None, None, *range(len(cuts)))))
+    pieces = tuple((t, center.intercept * (not stochastic)
+                    + sign * scale * draw(st.floats(-0.3, -0.05) if i == crossed
+                                          else st.floats(0.05, 0.6)))
+                   for i, t in enumerate(cuts))
+    jumps = None
+    if draw(st.booleans()):
+        times = {draw(st.integers(1, steps)) / steps for _ in range(draw(st.integers(0, 2)))}
+        jumps = tuple((t, scale * draw(st.floats(-0.3, 0.3))) for t in sorted(times))
+    return BarrierSpec(pieces=pieces, stochastic=center if stochastic else None, jumps=jumps)
+
+
+@st.composite
+def state_problems(draw):
+    """(tree, driver, terminal, obstacles) of data with states: zero, one or two sides.
+
+    The sides lie around E[xi | F], stochastic or steps, and may cross the
+    terminal or each other.  The data are scaled by 2^k up to near the
+    largest float, so that some solves leave the float range.
+    """
+    m = draw(st.sampled_from((1, 0, 2)))
+    steps = draw(st.integers(1, 6 - m // 2))   # 7,776 leaves at most
+    marks = MarkSet(sizes=tuple(float(i + 1) for i in range(m)),
+                    intensities=tuple(draw(st.floats(0.1, 0.45)) for _ in range(m)))
+    # at 2^1023 the data are near the largest float, and sums of them leave it
+    scale = 2.0 ** draw(st.sampled_from((0, 1023, 3, 1023, -4, 1021, 8)))
+    # |a| + |b| + |c| sqrt(sum lam) < 1 at dt = 1 keeps every grid solvable
+    driver = DriverSpec(base=scale * draw(_signed(0.5, 1.9)), a=draw(_coefficient()),
+                        b=draw(_coefficient()), c=draw(_coefficient()))
+    alpha, beta = draw(_signed(0.2, 0.5)), draw(_signed(0.3, 0.6))
+    gammas = tuple(draw(st.floats(-0.5, 0.5)) for _ in range(m))
+    if draw(st.booleans()):
+        # E[xi | F_t] of this payoff is the compensated form
+        shift = float(np.sum(np.asarray(gammas) * marks.intensity_array))
+        terminal = TerminalSpec(payoff=linear_payoff(scale * (alpha - shift), scale * beta,
+                                                     tuple(scale * g for g in gammas)))
+        center = linear_obstacle(scale * alpha, scale * beta,
+                                 tuple(scale * g for g in gammas), compensate=marks)
+        stochastic = True
+    else:
+        terminal = TerminalSpec(constant=scale * alpha)
+        center = linear_obstacle(scale * alpha)
+        stochastic = draw(st.booleans())
+    sides = draw(st.sampled_from((1, 2, 0)))
+    obstacles = tuple(_side(draw, steps, scale, center, stochastic, sign)
+                      for sign in (-1.0, 1.0)[:sides])
+    return build_tree(steps, marks), driver, terminal, obstacles
 
 
 def step_function(pairs):
@@ -194,6 +271,26 @@ def clone_solution(tree, sol):
 
     return Solution(y=_whole(tree, sol.y), z=copy_process(sol.z), v=copy_process(sol.v),
                     lower=whole_side(sol.lower), upper=whole_side(sol.upper))
+
+
+def node_levels(tree, sol):
+    """A direct solve's solution with each level read once, which the checker reads on the nodes.
+
+    Y, K and K_d are read whole, each once, a level without mass being
+    its predecessor's array as the node solve stores it, and Z and V stay
+    the ``Projection``s of that Y.  So the node checker takes every
+    shortcut it takes on a node solve; ``clone_solution`` expands every
+    level and stores Z and V, which leaves those shortcuts out.
+    """
+    from rbsde import Compensator, Solution
+    from rbsde.bsde import Projection
+
+    def listed(side):
+        return None if side is None else Compensator(k=list(side.k), k_d=list(side.k_d))
+
+    y = list(sol.y)
+    return Solution(y=y, z=Projection(tree, y, sol.z.kernel), v=Projection(tree, y, sol.v.kernel),
+                    lower=listed(sol.lower), upper=listed(sol.upper))
 
 
 def process_of(sol, name):

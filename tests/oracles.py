@@ -4,11 +4,13 @@ Tests import them as they import ``conftest``: ``from oracles import ...``.
 The stopping oracles walk the tree node by node or enumerate every
 stopping rule, so they refuse trees past ``MAX_ORACLE_DEPTH`` and
 ``MAX_ORACLE_LEAVES``.  ``saddle_replies`` values the Dynkin game behind
-the two-obstacle solution.
+the two-obstacle solution, and ``per_state_check`` takes each clause of
+the check on the nodes from a direct solve's booked increments.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -205,3 +207,109 @@ def saddle_replies(tree: ScenarioTree, driver, terminal, lower, upper,
         return [value[k] - cum[k] for k in range(n + 1)]
 
     return reply(up, low, np.maximum), reply(low, up, np.minimum)
+
+
+def state_rows(tree: ScenarioTree, level: int) -> np.ndarray:
+    """Each node's row in the tree's kept state table of ``level``.
+
+    Each node's state is looked up by the bits of its ``w`` and its counts,
+    built by ``tree.states()``, not by the solver's walk of state codes.
+    """
+    from rbsde.processes import _states
+    w, counts = _states(tree).tables[level]
+    rows = {(x, *c): i for i, (x, c) in enumerate(zip(w.view(np.int64).tolist(),
+                                                      counts.astype(np.int64).tolist()))}
+    w, counts = list(tree.states())[level]
+    return np.asarray([rows[(x, *c)] for x, c in zip(w.view(np.int64).tolist(),
+                                                     counts.astype(np.int64).tolist())],
+                      dtype=np.intp)
+
+
+@dataclass
+class StateCheck:
+    """``per_state_check``'s result: each clause's residual but the left-limit integral's,
+    and that integral's exact value and the sum of its terms' sizes."""
+
+    residuals: dict
+    left_integral: float
+    left_size: float
+
+
+def per_state_check(tree: ScenarioTree, sol, driver, terminal, lower,
+                    upper=None) -> StateCheck:
+    """Every clause of the check, on the nodes of every level at once, from a per-state solution.
+
+    Y is read on the nodes, and each side's K increments and K_d masses are
+    the ones the solve booked per state, gathered to the nodes by each
+    node's state (``state_rows``): no difference of cumulative K is taken.
+    The increments of K_c are K's less K_d's.  Each formula is the
+    checker's in full, on the nodes of levels 0 .. N - 1 taken as one
+    table, each row with its children, as the checker takes the states;
+    the left-limit integral adds each child's term P(node) * p_b * mass
+    exactly (``math.fsum``).
+    """
+    from rbsde.bsde import _driver_value, _project_v, _project_z
+    from rbsde.snell import BIND_TOL
+
+    xi, low, up = evaluate(tree, terminal, lower, upper)
+    n, branching, prob = tree.num_steps, tree.branching, tree.branch_prob
+    y = list(sol.y)
+    sizes = [tree.level_size(k) for k in range(n)]
+    leaves = slice(sum(sizes[:-1]), sum(sizes))   # the rows of level N - 1
+    rows = [state_rows(tree, k) for k in range(n)]
+    y_par = np.concatenate(y[:n])
+    y_child = np.concatenate([level.reshape(-1, branching) for level in y[1:]])
+    base = np.repeat([driver.base_at(tree.time(k)) for k in range(n)], sizes)
+    weights = np.concatenate([tree.atom_prob[k] for k in range(n)])[:, None] * prob
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _driver_value(driver, tree, 0, y_par, _project_z(tree, y_child),
+                          _project_v(tree, y_child), base=base)
+        rhs = y_child @ prob + f * tree.dt
+        sides = [(low, sol.lower, 1.0)] + ([] if up is None else [(up, sol.upper, -1.0)])
+        residuals, booked, terms = {}, [], []
+        for obstacle, comp, sign in sides:
+            d_k = np.concatenate([np.zeros(size) if inc is None else inc[at] for size, inc, at
+                                  in zip(sizes, comp.k.values[1:], rows)])[:, None]
+            d_kd = np.concatenate([np.zeros((size, branching)) if mass is None else mass[at]
+                                   for size, mass, at in zip(sizes, comp.k_d.values[1:], rows)])
+            d_kc = d_k - d_kd
+            booked.append((d_k, d_kd))
+            slack = sign * (y_par - np.concatenate([obstacle.levels[k].whole()
+                                                    for k in range(n)]))
+            leaf = obstacle.levels[n].whole().reshape(-1, branching)
+            mass_c = d_kc * slack[:, None]
+            formula, side_terms = np.zeros(y_child.shape), (weights * mass_c).ravel().tolist()
+            for level in obstacle.jump_levels:
+                parents = slice(sum(sizes[:level - 1]), sum(sizes[:level]))
+                left = obstacle.left_levels[level].whole()[:, None]
+                gap = sign * (y_par[parents, None] - left)
+                formula[parents] = np.where(np.abs(gap) <= BIND_TOL,
+                                            np.maximum(sign * (left - y_child[parents]), 0.0),
+                                            0.0)
+                side_terms += (weights[parents] * (gap * d_kd[parents])).ravel().tolist()
+            terms.append(side_terms)
+            residuals[sign] = {
+                "contain": _worst(0.0, -float(slack.min()),
+                                  float((sign * (leaf - y_child[leaves])).max())),
+                "skorokhod": _worst(0.0, float(np.abs(mass_c).max())),
+                "jump": _worst(0.0, float(np.abs(d_kd - formula).max())),
+                "monotone": _worst(0.0, -float(d_k.min()),
+                                   float(np.abs(d_k - d_kc - d_kd).max()))}
+        compensator = booked[0][0] if len(sides) == 1 else booked[0][0] - booked[1][0]
+        rhs += np.ascontiguousarray(np.broadcast_to(compensator, y_child.shape)) @ prob
+        dyn = _worst(0.0, float(np.abs(y_par - rhs).max()),
+                     float(np.abs(y_child[leaves] - xi.reshape(-1, branching)).max()))
+    names = (("barrier_dominance", ("skorokhod_c",), ("jump_formula_d",)) if len(sides) == 1
+             else ("containment", ("skorokhod_lower_c", "skorokhod_upper_c"),
+                   ("jump_formula_lower", "jump_formula_upper")))
+    sided = [residuals[sign] for _, _, sign in sides]
+    out = {"dynamics": dyn, names[0]: _worst(0.0, *(r["contain"] for r in sided))}
+    out.update(zip(names[1], (r["skorokhod"] for r in sided)))
+    out.update(zip(names[2], (r["jump"] for r in sided)))
+    out["compensator_monotone"] = _worst(*(r["monotone"] for r in sided))
+    if len(sides) == 2:
+        out["no_simultaneous_jumps"] = _worst(0.0, float(np.minimum(booked[0][1],
+                                                                    booked[1][1]).max()))
+    integrals = [math.fsum(side) for side in terms]
+    return StateCheck(out, _worst(*map(abs, integrals)),
+                      max(math.fsum(map(abs, side)) for side in terms))

@@ -77,10 +77,15 @@ def test_one_obstacle_solve_and_check_match_single_block(monkeypatch):
     assert report.passed, report.to_dict()
     assert float(np.max(blocked.lower.k_d[N])) > 0.0
 
+    # the node checker's slices, on a copy of the solution's node levels
+    nodes = clone_solution(tree, blocked)
+    node_report = check_solution(tree, nodes, driver, terminal, barrier)
+
     _whole_levels(monkeypatch)
     whole = solve_reflected(tree, driver, terminal, barrier)
     _assert_identical(tree, blocked, whole, ONE_FIELDS)
     _assert_same_report(report, check_solution(tree, blocked, driver, terminal, barrier))
+    _assert_same_report(node_report, check_solution(tree, nodes, driver, terminal, barrier))
 
 
 def test_two_obstacle_solve_and_check_match_single_block(monkeypatch):
@@ -90,11 +95,17 @@ def test_two_obstacle_solve_and_check_match_single_block(monkeypatch):
     assert report.passed, report.to_dict()
     assert float(np.max(blocked.upper.k[N])) > 0.0
 
+    # the node checker's slices, on a copy of the solution's node levels
+    nodes = clone_solution(tree, blocked)
+    node_report = check_solution(tree, nodes, driver, terminal, lower, upper)
+
     _whole_levels(monkeypatch)
     whole = solve_reflected(tree, driver, terminal, lower, upper)
     _assert_identical(tree, blocked, whole, TWO_FIELDS)
     _assert_same_report(report, check_solution(tree, blocked, driver, terminal,
                                                lower, upper))
+    _assert_same_report(node_report, check_solution(tree, nodes, driver, terminal,
+                                                    lower, upper))
 
 
 def test_penalised_and_plain_solves_match_single_block(monkeypatch):

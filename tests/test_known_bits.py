@@ -30,7 +30,7 @@ from rbsde import (BarrierSpec, DriverSpec, MarkSet, NonFiniteData, TerminalSpec
 from rbsde.bsde import _Z_LIMIT, Projection, Solution, _project_v, _project_z, _step_projections
 from rbsde.processes import linear_obstacle, linear_payoff
 from rbsde.tree import expand
-from conftest import clone_solution
+from conftest import clone_solution, node_levels
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -108,8 +108,10 @@ def _outcome(tree, driver, terminal, obstacles, check=None):
         sol = solve_reflected(tree, driver, terminal, *obstacles)
     except NonFiniteData as exc:
         return "raised", str(exc)
+    # the node checker's shortcuts, on the solve's levels read once
     with check if check is not None else contextlib.nullcontext():
-        report = _report(check_solution(tree, sol, driver, terminal, *obstacles))
+        report = _report(check_solution(tree, node_levels(tree, sol), driver, terminal,
+                                        *obstacles))
     levels = [sol.y]
     for side in (sol.lower, sol.upper):
         if side is not None:

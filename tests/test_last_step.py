@@ -138,7 +138,7 @@ def test_later_storing_solves_share_the_first_ones_last_z_and_v(monkeypatch):
     monkeypatch.setattr(rbsde.bsde, "_last_step",
                         lambda tree, xi: asked.append(xi) or _last_step(tree, xi))
     direct = _direct(tree, problem)
-    last = _last_step(tree, direct.y[-1])
+    last = _last_step(tree, evaluate(tree, problem.terminal)[0])
     # a direct solve sweeps the tree's states: it neither reads nor keeps a last step
     assert asked == [] and last.zv is None and last.mean is None
     first = _stored(tree, problem)

@@ -3,12 +3,12 @@
 The direct solvers keep K_{k+1} as a level-k array and K_d only at the
 declared jump levels, each only where it moves: an increment level
 without mass is None, and the level it would set shares its
-predecessor's array.  Here the increments each solver hands to
-``_accumulate`` are recorded, whole-level cumulative processes and the
-jump-type split are rebuilt from them level by level in the test, and
-``expand`` of every stored level must equal them bit for bit.  The
-checker must also report the same on the compact solution as on its
-whole-level copy, bit for bit, with deep levels cut into many parent
+predecessor's array.  Here the increments each solver books are put on
+the nodes, whole-level cumulative processes and the jump-type split are
+rebuilt from them level by level in the test, and ``expand`` of every
+level read must equal them bit for bit.  The node checker must also
+report the same on the compact solution (its levels each read once) as
+on its whole-level copy, bit for bit, with deep levels cut into many parent
 slices and with non-finite values planted where its shortcuts would
 read them.  ``expectation`` weighs a level-rule array as its
 expanded level, the sup gaps of a level both processes share read as
@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import rbsde.reflected
 import rbsde.tree
 import rbsde.verify
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree, check_solution,
@@ -33,7 +32,8 @@ from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree, c
 from rbsde.processes import eval_barrier
 from rbsde.snell import BIND_TOL
 from rbsde.tree import _max_excess, copy_process, sup_diff, terminal_mean
-from conftest import clone_solution, process_of, random_one_barrier, random_two_barrier
+from conftest import (clone_solution, node_levels, on_nodes, process_of, random_one_barrier,
+                      random_two_barrier)
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -43,19 +43,15 @@ def _coefficients():
                                   "b": st.floats(-0.3, 0.3), "c": st.floats(-0.3, 0.3)})
 
 
-def _record_increments(monkeypatch, module):
-    """Copies of the increment lists the solver accumulates, in call order."""
-    recorded = []
-    accumulate = module._accumulate
+def _booked_increments(tree, side):
+    """The K increments a direct solve booked, put on the nodes; None for a level without mass.
 
-    def recording(increments):
-        # an increment level without mass is None, and no allocated level lacks mass
-        assert all(inc is None or inc.any() for inc in increments)
-        recorded.append([None if inc is None else np.array(inc) for inc in increments])
-        return accumulate(increments)
-
-    monkeypatch.setattr(module, "_accumulate", recording)
-    return recorded
+    The solve keeps them per state (``rbsde.tree.StateLevels``), each
+    level with mass allocated and no other.
+    """
+    booked = side.k.values[1:]
+    assert all(inc is None or inc.any() for inc in booked)   # a NaN is mass
+    return [None if inc is None else on_nodes(tree, inc, k) for k, inc in enumerate(booked)]
 
 
 def _whole_cumulative(tree, increments):
@@ -100,16 +96,14 @@ def test_one_obstacle_levels_match_whole_level_reference(seed, coefficients):
     problem = random_one_barrier(np.random.default_rng(seed), max_steps=5, max_marks=2)
     tree = problem.build_tree()
     driver = _with_coefficients(problem, coefficients)
-    with pytest.MonkeyPatch.context() as patch:
-        recorded = _record_increments(patch, rbsde.reflected)
-        sol = solve_reflected(tree, driver, problem.terminal, problem.barrier)
-    (increments,) = recorded
-    k = _whole_cumulative(tree, increments)
+    sol = solve_reflected(tree, driver, problem.terminal, problem.barrier)
+    k = _whole_cumulative(tree, _booked_increments(tree, sol.lower))
     k_c, k_d = _whole_split(tree, sol.y, k, eval_barrier(problem.barrier, tree), +1)
     for name, whole in (("k", k), ("k_c", k_c), ("k_d", k_d)):
         _assert_expands_to(tree, process_of(sol, name), whole, name)
 
-    compact = check_solution(tree, sol, driver, problem.terminal, problem.barrier)
+    compact = check_solution(tree, node_levels(tree, sol), driver, problem.terminal,
+                             problem.barrier)
     expanded = check_solution(tree, clone_solution(tree, sol), driver,
                               problem.terminal, problem.barrier)
     assert compact.to_dict() == expanded.to_dict()
@@ -121,20 +115,17 @@ def test_two_obstacle_levels_match_whole_level_reference(seed, coefficients):
     problem = random_two_barrier(np.random.default_rng(seed), max_steps=5, max_marks=2)
     tree = problem.build_tree()
     driver = _with_coefficients(problem, coefficients)
-    with pytest.MonkeyPatch.context() as patch:
-        recorded = _record_increments(patch, rbsde.reflected)
-        sol = solve_reflected(tree, driver, problem.terminal, problem.lower,
-                              problem.upper)
-    plus, minus = recorded
-    k_plus, k_minus = _whole_cumulative(tree, plus), _whole_cumulative(tree, minus)
+    sol = solve_reflected(tree, driver, problem.terminal, problem.lower, problem.upper)
+    k_plus, k_minus = (_whole_cumulative(tree, _booked_increments(tree, side))
+                       for side in (sol.lower, sol.upper))
     kpc, kpd = _whole_split(tree, sol.y, k_plus, eval_barrier(problem.lower, tree), +1)
     kmc, kmd = _whole_split(tree, sol.y, k_minus, eval_barrier(problem.upper, tree), -1)
     for name, whole in (("k_plus", k_plus), ("k_minus", k_minus), ("k_plus_c", kpc),
                         ("k_plus_d", kpd), ("k_minus_c", kmc), ("k_minus_d", kmd)):
         _assert_expands_to(tree, process_of(sol, name), whole, name)
 
-    compact = check_solution(tree, sol, driver, problem.terminal, problem.lower,
-                             problem.upper)
+    compact = check_solution(tree, node_levels(tree, sol), driver, problem.terminal,
+                             problem.lower, problem.upper)
     expanded = check_solution(tree, clone_solution(tree, sol), driver,
                               problem.terminal, problem.lower, problem.upper)
     assert compact.to_dict() == expanded.to_dict()
@@ -291,9 +282,12 @@ def test_checker_reads_compact_levels_as_whole_ones_across_slices(monkeypatch, m
     tree, driver, terminal, obstacles = _sliced_problem(marks, sides, jumps, coefficients)
     assert tree.level_size(tree.num_steps - 1) >= 4 * rbsde.tree._parent_rows(tree)
     sol = solve_reflected(tree, driver, terminal, *obstacles)
-    compact = check_solution(tree, sol, driver, terminal, *obstacles)
+    compact = check_solution(tree, node_levels(tree, sol), driver, terminal, *obstacles)
     expanded = check_solution(tree, clone_solution(tree, sol), driver, terminal, *obstacles)
     assert _report_key(compact) == _report_key(expanded)
+    per_state = check_solution(tree, sol, driver, terminal, *obstacles)
+    assert {name: c.passed for name, c in per_state.clauses.items()} == \
+        {name: c.passed for name, c in compact.clauses.items()}
     # the compensator binds, and past a declared jump K_d holds mass
     assert terminal_mean(tree, sol.lower.k) > 0.0
     assert (terminal_mean(tree, sol.lower.k_d) > 0.0) == jumps
@@ -312,7 +306,8 @@ def test_random_levels_check_alike_across_slices(seed, coefficients, two):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rbsde.tree, "_BLOCK_NODES", 1)
         sol = solve_reflected(tree, driver, problem.terminal, *obstacles)
-        compact = check_solution(tree, sol, driver, problem.terminal, *obstacles)
+        compact = check_solution(tree, node_levels(tree, sol), driver, problem.terminal,
+                                 *obstacles)
         expanded = check_solution(tree, clone_solution(tree, sol), driver, problem.terminal,
                                   *obstacles)
     assert _report_key(compact) == _report_key(expanded)
@@ -364,7 +359,7 @@ def test_non_finite_values_fail_alike_on_compact_and_whole_levels(monkeypatch, m
     # case needs a slice where K_c is K's own array, so no level is declared
     jumps = where != "slack of zero mass"
     tree, driver, terminal, (barrier,) = _sliced_problem(marks, 1, jumps, False)
-    sol = solve_reflected(tree, driver, terminal, barrier)
+    sol = node_levels(tree, solve_reflected(tree, driver, terminal, barrier))
     comp = sol.lower
     if where == "k shared by k_c":
         level = comp.k[_shared_k_level(tree, comp)]

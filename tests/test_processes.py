@@ -212,8 +212,11 @@ def test_memo_arrays_are_read_only():
 
 
 def test_solution_terminal_is_the_read_only_leaf_evaluation():
-    # every solver keeps the shared leaf evaluation as Y_N instead of a copy;
-    # being read-only, it cannot be corrupted through the solution
+    # every solver that keeps node levels keeps the shared leaf evaluation as
+    # Y_N instead of a copy; being read-only, it cannot be corrupted through
+    # the solution.  A direct solve keeps Y per state and forms its Y_N on
+    # read: the leaf evaluation's bits in a fresh array, whose edits reach
+    # neither the evaluation nor the solution
     from rbsde import picard_solve, solve_bsde, solve_penalized, solve_reflected
     tree = build_tree(3)
     terminal = TerminalSpec(payoff=lambda w, c: np.maximum(w, 0.0) + 1.0)
@@ -227,7 +230,12 @@ def test_solution_terminal_is_the_read_only_leaf_evaluation():
                  picard_solve(tree, DriverSpec(a=0.2), terminal)[0],
                  picard_solve(tree, DriverSpec(a=0.2), terminal, solver_kind="one_barrier",
                               barrier=barrier)[0]]
-    for sol in solutions:
+    for sol in solutions[:3]:
+        leaf = sol.y[-1]
+        assert leaf is not cached and leaf.tobytes() == cached.tobytes()
+        leaf += 1.0
+        assert sol.y[-1].tobytes() == cached.tobytes()
+    for sol in solutions[3:]:
         assert sol.y[-1] is cached
         assert not sol.y[-1].flags.writeable
         with pytest.raises(ValueError):

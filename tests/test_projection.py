@@ -19,7 +19,7 @@ from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree, c
 from rbsde.bsde import Projection, Solution, _project_v, _project_z
 from rbsde.reflected import _solve
 from rbsde.tree import _parent_blocks, copy_process
-from conftest import clone_solution
+from conftest import clone_solution, node_levels
 
 # (marks, steps): the last parent level spans 2, 4 and 5 parent blocks
 SHAPES = {0: 17, 1: 9, 2: 7}
@@ -119,7 +119,9 @@ def test_a_direct_solve_peaks_below_a_stored_one_by_its_z_and_v(obstacles):
 @pytest.mark.parametrize("obstacles", [1, 2])
 def test_the_checker_forms_no_z_or_v_level_of_a_direct_solve(monkeypatch, obstacles, marks):
     tree, driver, terminal, sides = _problem(obstacles, marks)
-    sol = solve_reflected(tree, driver, terminal, *sides)
+    # the node checker, on the solve's levels read once: Z and V are the
+    # Projections of that Y
+    sol = node_levels(tree, solve_reflected(tree, driver, terminal, *sides))
     # the same solution with its Z and V levels stored, read as they are
     stored = Solution(sol.y, list(sol.z), list(sol.v), sol.lower, sol.upper)
     expected, stored_peak = _peak(check_solution, tree, stored, driver, terminal, *sides)

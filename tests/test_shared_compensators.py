@@ -92,6 +92,7 @@ def _assert_only_moving_levels_stored(tree, booker, k_total, lattice=False):
         assert [len(level) for level in whole] == [tree.level_size(k)
                                                    for k in range(tree.num_steps)]
     reference = _whole_accumulation(whole)
+    k_total = list(k_total)   # one read of every level shares them as the nodes do
     assert len(k_total) == len(reference) == tree.num_steps + 1
     for k, (level, ref) in enumerate(zip(k_total, reference)):
         assert np.array_equal(_bits(expand(tree, level, k)), _bits(expand(tree, ref, k))), k
@@ -148,13 +149,14 @@ def test_a_k_that_shares_a_level_with_mass_fails_the_check(seed, two, coefficien
     side = max((comp for comp in (sol.lower, sol.upper) if comp is not None),
                key=lambda comp: float(np.max(comp.k[-1])))
     n = tree.num_steps
+    levels = list(side.k)   # one read of every level shares them as the nodes do
     # the level where K moves most, shared with the one before it
-    moves = [float(np.max(expand(tree, side.k[k + 1], k + 1) - expand(tree, side.k[k], k + 1)))
+    moves = [float(np.max(expand(tree, levels[k + 1], k + 1) - expand(tree, levels[k], k + 1)))
              for k in range(n)]
     k = int(np.argmax(moves))
     assume(moves[k] > 1e-6)
-    assert side.k[k + 1] is not side.k[k]
-    shared = Compensator(k=[*side.k[:k + 1], side.k[k], *side.k[k + 2:]], k_d=side.k_d)
+    assert levels[k + 1] is not levels[k]
+    shared = Compensator(k=[*levels[:k + 1], levels[k], *levels[k + 2:]], k_d=side.k_d)
     mutant = Solution(y=sol.y, z=sol.z, v=sol.v,
                       lower=shared if side is sol.lower else sol.lower,
                       upper=shared if side is sol.upper else sol.upper)

@@ -12,11 +12,11 @@ from rbsde import (BarrierSpec, DriverSpec, MarkSet, ProblemSpec, TerminalSpec,
 from rbsde.bsde import ContinuousPart
 from rbsde.config import parse_config
 from rbsde.errors import TreeTooLarge
-from rbsde.processes import eval_barrier, put_payoff
+from rbsde.processes import eval_barrier, evaluate, put_payoff
 from rbsde.reflected import obstacle_payoff
 from rbsde.snell import REGULAR_TOL
 from rbsde.tree import _BLOCK_NODES
-from conftest import (clone_solution, counterexample_pieces, one_barrier_mutants, process_of,
+from conftest import (clone_solution, counterexample_pieces, node_levels, one_barrier_mutants, process_of,
                       random_one_barrier, random_two_barrier, two_barrier_mutants)
 from oracles import whole_obstacle
 
@@ -133,8 +133,10 @@ def test_solve_and_check_leave_the_leaf_atom_probabilities_unbuilt():
     tree, driver, terminal, obstacles = _deep_problem(DEEP_N)
     for sides in (1, 2):
         sol = solve_reflected(tree, driver, terminal, *obstacles[:sides])
-        assert check_solution(tree, sol, driver, terminal, *obstacles[:sides]).passed
-    # the checker walks its own node probabilities: no level past the root is built
+        for checked in (sol, node_levels(tree, sol)):   # per state, and on the nodes
+            assert check_solution(tree, checked, driver, terminal, *obstacles[:sides]).passed
+    # the checker walks its own node probabilities, or sums the lattice's state
+    # masses: no level past the root is built
     assert tree.level_size(DEEP_N - 1) > _BLOCK_NODES
     assert [len(level) for level in tree.atom_prob._levels] == [1]
 
@@ -144,7 +146,8 @@ def test_checker_transient_stays_below_one_leaf_level():
     tree, driver, terminal, obstacles = _deep_problem(steps)
     leaf_bytes = tree.level_size(steps) * 8
     for sides in (1, 2):
-        sol = solve_reflected(tree, driver, terminal, *obstacles[:sides])
+        # the node checker, on the solve's levels read once
+        sol = node_levels(tree, solve_reflected(tree, driver, terminal, *obstacles[:sides]))
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -179,7 +182,8 @@ def test_checker_block_transient_at_a_declared_leaf_level(sides, blocks):
                              stochastic=lambda t, w, c: 0.5 * w),
                  BarrierSpec(pieces=((0.0, 2.0), (1.0, 1.5)),
                              stochastic=lambda t, w, c: 1.0 + np.abs(w)))[:sides]
-    sol = solve_reflected(tree, driver, terminal, *obstacles)
+    # the node checker, on the solve's levels read once
+    sol = node_levels(tree, solve_reflected(tree, driver, terminal, *obstacles))
     assert all(eval_barrier(spec, tree).jump_levels == (steps,) for spec in obstacles)
     block_bytes = 8 * _BLOCK_NODES   # one block's children
     tracemalloc.start()
@@ -210,7 +214,7 @@ def test_a_solve_keeps_no_k_c_level_and_the_check_builds_none(monkeypatch):
     # Y sits on the obstacle at every node: K moves on every level, and at the
     # drop at t = 1/2 K_d books the gap
     barrier = BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.5)))
-    eval_barrier(barrier, tree)   # memoised on the tree, so its levels are kept apart
+    evaluate(tree, terminal, barrier)   # memoised on the tree, so its levels are kept apart
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -218,21 +222,24 @@ def test_a_solve_keeps_no_k_c_level_and_the_check_builds_none(monkeypatch):
         held = tracemalloc.get_traced_memory()[0] - entry
     finally:
         tracemalloc.stop()
-    comp = sol.lower
-    # what a solve stores: Z and V are projections of Y, formed on each read
-    kept = _array_bytes(sol.y, comp.k, comp.k_d)
+    # the node levels a solve on the nodes stores: Z and V are projections of
+    # Y, formed on each read
+    nodes = node_levels(tree, sol)
+    comp = nodes.lower
+    kept = _array_bytes(nodes.y, comp.k, comp.k_d)
     # the K_c levels that are not K's own array, as a stored split kept them
     fresh = [level for level, total in zip(comp.k_c, comp.k) if level is not total]
     k_c_bytes = sum(level.nbytes for level in fresh)
     assert len(fresh) == steps // 2 + 1 and k_c_bytes > 100_000
-    # what the solve holds past its arrays is objects: lists and headers
-    assert held < kept + k_c_bytes / 4, (held - kept, k_c_bytes)
+    # the direct solve keeps its levels per state: objects and a few hundred rows
+    assert held < k_c_bytes / 4 < kept, (held, k_c_bytes, kept)
 
     reads = []
     get = ContinuousPart.__getitem__
     monkeypatch.setattr(ContinuousPart, "__getitem__",
                         lambda self, level: reads.append(level) or get(self, level))
-    assert check_solution(tree, sol, driver, terminal, barrier).passed
+    for checked in (sol, nodes):   # per state, and on the nodes
+        assert check_solution(tree, checked, driver, terminal, barrier).passed
     assert reads == []
     # a whole-level read still gives the levels of K - K_d
     assert np.array_equal(expand(tree, comp.k_c[steps], steps),
@@ -287,7 +294,9 @@ def test_a_correct_solve_weighs_no_continuous_mass(monkeypatch, sides):
     term = verify._integral_term
     monkeypatch.setattr(verify, "_integral_term",
                         lambda *args: weighed.append(args) or term(*args))
-    report = check_solution(tree, sol, driver, terminal, *obstacles)
+    # the node checker's shortcut, on the solve's levels read once; the
+    # per-state check takes every formula in full
+    report = check_solution(tree, node_levels(tree, sol), driver, terminal, *obstacles)
     assert report.passed, report.to_dict()
     assert weighed == []
     # continuous mass off the obstacle is weighed, and the integral reads

@@ -32,7 +32,7 @@ from rbsde.processes import _walk, call_payoff, evaluate, linear_obstacle, linea
 from rbsde.reflected import obstacle_payoff
 from rbsde.tree import (_BLOCK_ALIGN, _BLOCK_NODES, _branch_pass, _count_pass, _node_blocks,
                         _prob_step, _state_root, _state_step)
-from conftest import distinct_states
+from conftest import distinct_states, node_levels
 
 # (marks, steps) whose deepest parent level spans several parent blocks
 SHAPES = ((0, 17), (1, 9), (2, 7))
@@ -123,17 +123,17 @@ def _counting_walks(monkeypatch):
     """Rows each step function of ``_node_blocks`` builds.
 
     The walks that fill levels from values per state (``Lattice.fill``: the
-    evaluation's and the direct solve's) run in ``rbsde.tree``; the
-    checker's runs in ``rbsde.verify``.
+    evaluation's and each read of a direct solve's levels) run in
+    ``rbsde.tree``; the node checker's runs in ``rbsde.verify``.
     """
     built = collections.Counter()
 
-    def counting(tree, last, roots, step):
+    def counting(tree, last, roots, step, **seal):
         def counted(tree, *parents):
             children = step(tree, *parents)
             built[step.__name__] += len(children[0])
             return children
-        return _node_blocks(tree, last, roots, counted)
+        return _node_blocks(tree, last, roots, counted, **seal)
 
     for module in (rbsde.tree, rbsde.verify):
         monkeypatch.setattr(module, "_node_blocks", counting)
@@ -155,10 +155,11 @@ def test_evaluation_and_check_build_each_row_once(monkeypatch, m, steps):
 
     The leaves are filled from their parents' codes, so no leaf code is
     built, and the float state is built only for the children of each
-    level's distinct states.  The direct solve, which sweeps the states,
-    builds the codes once more to put Y and K's increments on the nodes,
-    down to the parents of level N - 1, the last level it fills, and no
-    float state.
+    level's distinct states.  The direct solve sweeps the states and keeps
+    its solution there, and its check runs there too: neither builds a
+    code, a float state or a node probability.  A read of every level of Y
+    builds the codes once more, down to the parents of the leaves, and the
+    node checker builds each node probability once.
     """
     built = _counting_walks(monkeypatch)
     marks = _marks(m)
@@ -173,10 +174,14 @@ def test_evaluation_and_check_build_each_row_once(monkeypatch, m, steps):
     assert built_states < tree.level_size(steps) // 100
     assert built == {"_child_codes": parents, "_state_step": built_states}
     sol = solve_reflected(tree, driver, terminal, obstacle)
-    codes = parents + parents - tree.level_size(steps - 1)
-    assert built == {"_child_codes": codes, "_state_step": built_states}
     assert check_solution(tree, sol, driver, terminal, obstacle).passed
-    assert built == {"_child_codes": codes, "_state_step": built_states, "_prob_step": parents}
+    assert built == {"_child_codes": parents, "_state_step": built_states}
+    list(sol.y)
+    assert built == {"_child_codes": 2 * parents, "_state_step": built_states}
+    nodes = node_levels(tree, sol)
+    before = collections.Counter(built)
+    assert check_solution(tree, nodes, driver, terminal, obstacle).passed
+    assert built - before == {"_prob_step": parents}
 
 
 def test_state_sequences_build_each_read_and_keep_nothing():
@@ -450,7 +455,7 @@ def test_k_c_is_k_itself_exactly_where_k_d_is_positive_zero():
     # the solution sits on the obstacle until its drop at t = 1/2, where K_d books it
     barrier = BarrierSpec(pieces=((0.0, 1.0), (0.5, 0.0)))
     sol = solve_reflected(tree, driver, terminal, barrier)
-    comp = sol.lower
+    comp = node_levels(tree, sol).lower   # K and K_d read once, as the nodes store them
     zero = [not level.view(np.uint64).any() for level in comp.k_d]
     assert zero == [True] * 4 + [False] * 5
     for k, (k_c, k_total) in enumerate(zip(comp.k_c, comp.k)):
