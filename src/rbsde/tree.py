@@ -582,13 +582,15 @@ class StateLevels(Sequence):
     tables with ``lag`` 0, and every level read has the bits and the
     storage the solver's node arrays would have.
 
-    A read forms node arrays, the caller's to edit: no edit reaches the
-    values per row.  A read of one level forms that level alone, or for a
-    sum the levels before it too.  Iterating forms every level in one
-    walk, a level of a sum without mass being its predecessor's array, as
-    on the nodes; while one of those arrays is held, a read of its level
-    returns it rather than forming it again, so a caller that iterates and
-    then indexes, as ``np.concatenate`` does, forms each level once.  The
+    No edit reaches the values per row.  A read of one level forms that
+    level alone, or for a sum the levels before it too, as a fresh array
+    the caller may edit.  Iterating forms every level in one walk, a level
+    of a sum without mass being its predecessor's array, as on the nodes;
+    these arrays are read-only, and while one of them is held a read of
+    its level returns it rather than forming it again, so a caller that
+    iterates and then indexes, as ``np.concatenate`` does, forms each level
+    once, and an edit of a level so shared raises rather than reaching
+    another reader.  The
     lattice keeps no tree, so neither does this: it holds nothing of the
     data evaluated on the tree.
     """
@@ -612,6 +614,8 @@ class StateLevels(Sequence):
 
     def __iter__(self) -> Iterator[np.ndarray]:
         levels = self._levels(len(self))
+        for level in levels:
+            level.setflags(write=False)
         self._held = [weakref.ref(level) for level in levels]
         return iter(levels)
 
@@ -713,10 +717,7 @@ def _worst(*values: float) -> float:
     residual on non-finite data would read as small.
     """
     worst = max(values)
-    for value in values:
-        if value != value:
-            return math.nan
-    return worst
+    return worst if all(v == v for v in values) else math.nan
 
 
 def _lined_up(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

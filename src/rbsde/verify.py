@@ -81,7 +81,13 @@ The compensators are read through the level-rule readers of
 ``rbsde.tree``, so compact solver output and whole-level solutions (a
 loaded dump, a hand-built mutant) go through the same checker, which
 takes one obstacle or two as the solver does.  A clause passes at a
-residual of at most ``CHECK_TOL``, and the jump clauses apply the
+residual of at most ``CHECK_TOL``, or of at most ``ROUNDING_TOL`` times
+the size of the data (its square for a product of a mass and a slack)
+where that is larger: data near the largest float round past any
+absolute bound, and the node check's differences of cumulative K and the
+per-state check's booked increments round apart, so without it one
+solution could pass on one grid and fail on the other.  Below a size of
+about 10 every bound is ``CHECK_TOL``.  The jump clauses apply the
 left-limit formula with ``BIND_TOL``, the very constant the solver's
 split reads, so solver and checker share one convention; neither
 tolerance is an argument.  The probes re-solve problems along
@@ -119,6 +125,10 @@ from .reflected import solve_bsde, solve_reflected_one  # noqa: F401
 from .twobarrier import solve_double_obstacle  # noqa: F401
 
 CHECK_TOL = 1e-10
+# The rounding a residual may carry, relative to the size of the data
+# (``_data_size``): 4,096 ulps.  Below a size of about 110 (10.5 for the
+# clauses of a product of two sizes) ``CHECK_TOL`` is the larger bound.
+ROUNDING_TOL = 2.0 ** -40
 EXACT_PENALTY_LEVEL = 1e13
 # The tables that ``_by_branch`` takes a column at a time: at least this
 # many rows, and at most this many columns.
@@ -776,7 +786,7 @@ def _check_side(reads, tree: ScenarioTree, side: _Side, k: int, rows: slice,
     slack = np.subtract(y_par, obstacle, out=_own(obstacle))
     if side.sign < 0:
         np.negative(slack, out=slack)
-    slack_low = float(slack.min())
+    slack_low, slack_high = float(slack.min()), float(slack.max())
     side.contain = _worst(side.contain, -slack_low)
     leaf = reads.leaf(side, k, rows)
     if leaf is not None:
@@ -793,14 +803,13 @@ def _check_side(reads, tree: ScenarioTree, side: _Side, k: int, rows: slice,
     # solution.  ±0.0 increments times a finite slack are ±0.0, mass that
     # is all ±0.0 weighs to +0.0 (BLAS adds into a zeroed result), and so
     # does each parent's term: then no mass, table or product is formed
-    if d_kc is d_k and zero and math.isfinite(float(slack.max()) - slack_low):
+    if d_kc is d_k and zero and math.isfinite(slack_high - slack_low):
         side.terms[k].append(0.0)
     else:
         # a 0-d d_kc (K shared with level k) meets the slack as a column
-        out = d_kc
-        if d_kc is d_k:
-            out = np.empty(np.broadcast_shapes(d_kc.shape, (len(slack), 1)), order="F")
-        mass_c = np.multiply(d_kc, slack[:, None], out=out)
+        shape = np.broadcast_shapes(d_kc.shape, (len(slack), 1))
+        mass_c = np.multiply(d_kc, slack[:, None],
+                             out=np.empty(shape, order="F") if d_kc is d_k else d_kc)
         skorokhod = _abs_max(mass_c)
         side.skorokhod = _worst(side.skorokhod, skorokhod)
         if known:
@@ -871,16 +880,18 @@ def check_solution(tree: ScenarioTree, sol: Solution, driver, terminal, lower,
         sides.append(_Side(up, sol.upper, -1))
     dyn, simultaneous = _check_levels(grid, tree, sol, driver, xi, sides)
     contain, skorokhod, jump, monotone_note, left_note = _CLAUSE_NAMES[len(sides)]
+    size = _data_size(tree, driver, xi, sides)
 
-    def clause(residual: float, note: str) -> ClauseCheck:
-        return ClauseCheck(residual <= CHECK_TOL, residual, note)
+    def clause(residual: float, note: str, size: float = size) -> ClauseCheck:
+        return ClauseCheck(residual <= max(CHECK_TOL, ROUNDING_TOL * size), residual, note)
 
     clauses = {
         "dynamics": clause(dyn, "projected step identity and terminal"),
         contain[0]: clause(_worst(0.0, *(s.contain for s in sides)), contain[1]),
     }
+    # the mass times the slack, and the left-limit integral, are products of two sizes
     for (name, note), side in zip(skorokhod, sides):
-        clauses[name] = clause(side.skorokhod, note)
+        clauses[name] = clause(side.skorokhod, note, size * size)
     for (name, note), side in zip(jump, sides):
         clauses[name] = clause(side.jump, note)
     clauses["compensator_monotone"] = clause(
@@ -889,8 +900,31 @@ def check_solution(tree: ScenarioTree, sol: Solution, driver, terminal, lower,
         clauses["no_simultaneous_jumps"] = clause(_worst(0.0, simultaneous),
                                                   "K+d and K-d never fire together")
     clauses["left_limit_skorokhod"] = clause(
-        _worst(*(abs(s.left_integral) for s in sides)), left_note)
+        _worst(*(abs(s.left_integral) for s in sides)), left_note, size * size)
     return CheckReport(tolerance=CHECK_TOL, clauses=clauses)
+
+
+def _data_size(tree: ScenarioTree, driver, xi: np.ndarray, sides) -> float:
+    """The size of a problem's data: the largest |value| of ξ, of the driver's g(t_k), of
+    each obstacle level and of each left limit.
+
+    A maximum of the data alone, which a solution cannot move, and the
+    same on either grid: a state's values are its nodes'.
+    """
+    levels = [level for side in sides
+              for level in (*side.obstacle.levels, *side.obstacle.left_levels.values())]
+    return max(_abs_max(xi), *(abs(driver.base_at(tree.time(k)))
+                               for k in range(tree.num_steps)),
+               *map(_level_size, levels))
+
+
+def _level_size(level) -> float:
+    """max |base + part| of an ``ObstacleLevel``: its span's, rounding being monotone."""
+    if level.part is None:
+        return abs(level.base)
+    if level.span is None:   # the caller's own levels
+        return _abs_max(level.whole())
+    return max(abs(level.base + x) for x in level.span)
 
 
 # The one- and two-obstacle names of the same checker, for the call sites of

@@ -35,17 +35,6 @@ def on_nodes(tree, values, level: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # problems of data with states, for the lattice route
 
-# Data larger than this can round past the checker's absolute tolerance:
-# there the node check's differences of cumulative K and the per-state
-# check's booked increments may pass or fail a clause apart.
-ROUNDING_SCALE = 2.0 ** 20
-
-
-def data_scale(driver, xi) -> float:
-    """The size of a problem's data: its source and its terminal."""
-    return max(abs(driver.base_at(0.0)), float(np.max(np.abs(xi))))
-
-
 
 def _signed(lo, hi):
     return st.builds(lambda x, s: x * s, st.floats(lo, hi), st.sampled_from((-1.0, 1.0)))
@@ -280,15 +269,20 @@ def node_levels(tree, sol):
     its predecessor's array as the node solve stores it, and Z and V stay
     the ``Projection``s of that Y.  So the node checker takes every
     shortcut it takes on a node solve; ``clone_solution`` expands every
-    level and stores Z and V, which leaves those shortcuts out.
+    level and stores Z and V, which leaves those shortcuts out.  The
+    levels are the caller's own writeable copies, shared alike.
     """
     from rbsde import Compensator, Solution
     from rbsde.bsde import Projection
 
-    def listed(side):
-        return None if side is None else Compensator(k=list(side.k), k_d=list(side.k_d))
+    def own(process):
+        copies = {}   # each read-only level copied once, so shared levels stay shared
+        return [copies.setdefault(id(level), np.array(level)) for level in process]
 
-    y = list(sol.y)
+    def listed(side):
+        return None if side is None else Compensator(k=own(side.k), k_d=own(side.k_d))
+
+    y = own(sol.y)
     return Solution(y=y, z=Projection(tree, y, sol.z.kernel), v=Projection(tree, y, sol.v.kernel),
                     lower=listed(sol.lower), upper=listed(sol.upper))
 

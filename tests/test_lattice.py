@@ -31,7 +31,7 @@ from rbsde import (BarrierSpec, BarriersTouch, DriverSpec, MarkSet, NonFiniteDat
 from rbsde.bsde import _project_block
 from rbsde.processes import _states, evaluate, linear_obstacle, linear_payoff
 from rbsde.tree import Lattice, expand
-from conftest import ROUNDING_SCALE, data_scale, distinct_states, on_nodes, state_problems
+from conftest import distinct_states, on_nodes, state_problems
 from oracles import whole_obstacle
 
 SETTINGS = settings(derandomize=True, max_examples=80, deadline=None)
@@ -101,17 +101,7 @@ def _same_on_both_grids(tree, driver, terminal, obstacles):
     assert lattice[:2] == nodes[:2]
     # Y_N is the node route's terminal array, and its bits on the lattice route
     assert nodes[3].y[-1] is xi and lattice[3].y[-1] is not xi
-    # Each clause passes or fails alike, and the node route's own data check
-    # alike.  Near the largest float the node check's differences of
-    # cumulative K round past the absolute tolerance, where the per-state
-    # check reads the booked increments: there only the clauses that read
-    # no increment are compared, and ``tests/test_state_check.py`` pins
-    # every per-state residual to the oracle's.
-    if lattice[2] is not None and data_scale(driver, xi) > ROUNDING_SCALE:
-        lattice, nodes = ({name: passed[name] for name in ("barrier_dominance", "containment")
-                           if name in passed} for passed in (lattice[2], nodes[2]))
-        assert lattice == nodes
-        return None
+    # Each clause passes or fails alike, and the node route's own data check alike
     assert lattice[2] == nodes[2]
     assert _outcome(tree, driver, xi, whole, (xi, *whole))[1][2] == lattice[2]
     return None

@@ -92,6 +92,33 @@ def test_a_level_read_is_the_callers_to_edit():
     assert check_solution(tree, sol, driver, terminal, *sides).passed
 
 
+@pytest.mark.parametrize("obstacles", [1, 2])
+def test_no_edit_of_a_listed_level_reaches_the_solution(obstacles):
+    tree, driver, terminal, sides = _problem(obstacles, 1)
+    sol = solve_reflected(tree, driver, terminal, *sides)
+    k = 3
+    processes = [sol.y] + [p for side in (sol.lower, sol.upper)[:obstacles]
+                           for p in (side.k, side.k_d)]
+    k_c = [side.k_c for side in (sol.lower, sol.upper)[:obstacles]]
+    before = [[level.tobytes() for level in process] for process in processes + k_c]
+    z_before = sol.z[k - 1].tobytes()
+    # a plain read is a fresh array of the caller's
+    level = sol.y[k]
+    level += 1.0
+    assert sol.y[k].tobytes() == before[0][k]
+    # a listed level is shared with later reads of it while it is held, and read-only
+    held = [list(process) for process in processes]
+    assert sol.y[k] is held[0][k]
+    for levels in held:
+        with pytest.raises(ValueError):
+            levels[k] += 1.0
+        with pytest.raises(ValueError):
+            levels[k][0] = np.nan
+    assert sol.z[k - 1].tobytes() == z_before
+    assert [[level.tobytes() for level in process] for process in processes + k_c] == before
+    assert check_solution(tree, sol, driver, terminal, *sides).passed
+
+
 def _peak(fn, *args, **kwargs):
     """``fn``'s result and its traced peak above what was held when it was called."""
     gc.collect()

@@ -20,7 +20,7 @@ from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree,
                    check_solution, eval_barrier, solve_reflected)
 from rbsde.config import parse_config
 from rbsde.tree import _weigh
-from conftest import random_two_barrier
+from conftest import clone_solution, random_two_barrier
 from oracles import whole_obstacle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -215,8 +215,7 @@ def test_data_scaled_by_a_power_of_two_scale_the_solution_bit_for_bit(name):
 
     A power of two scales every float operation of the solve exactly, so
     this is an exact oracle for scale-relative tolerances.  The checker is
-    not asserted: its tolerance is absolute, and at 2^30 and 2^40 the band
-    fails ``dynamics``.
+    asserted below.
     """
     config = json.loads((CONFIGS / name).read_text())
     unit_spec, _ = parse_config(config)
@@ -232,6 +231,28 @@ def test_data_scaled_by_a_power_of_two_scale_the_solution_bit_for_bit(name):
         for process, levels in unit.items():
             for k, (got, want) in enumerate(zip(scaled[process], levels, strict=True)):
                 assert _same_bits(got, s * want), (s, process, k)
+
+
+@pytest.mark.parametrize("name", ["counterexample.json", "two_barrier_band.json"])
+def test_data_scaled_by_a_power_of_two_pass_every_clause_on_either_grid(name):
+    """The solve of data scaled by s passes every clause, per state and on the nodes.
+
+    Past a size of about 110 the data's rounding, not ``CHECK_TOL``, bounds
+    a residual (``rbsde.verify.ROUNDING_TOL``), so a defect of 1e-6 of the
+    data's size still fails the dynamics at every scale.
+    """
+    config = json.loads((CONFIGS / name).read_text())
+    tree = parse_config(config)[0].build_tree()
+    for s in (2.0 ** -20, 1.0, 2.0 ** 20, 2.0 ** 30, 2.0 ** 40, 2.0 ** 500):
+        spec = parse_config(_scaled(config, s))[0]
+        sol = solve_reflected(tree, spec.driver, spec.terminal, *spec.obstacles)
+        copy = clone_solution(tree, sol)
+        for solution in (sol, copy):
+            report = check_solution(tree, solution, spec.driver, spec.terminal, *spec.obstacles)
+            assert report.passed, (s, report.to_dict())
+        copy.y[1][0] += 1e-6 * max(s, 1.0)
+        report = check_solution(tree, copy, spec.driver, spec.terminal, *spec.obstacles)
+        assert not report.clauses["dynamics"].passed, s
 
 
 EXTREMES = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308)

@@ -8,8 +8,7 @@ gathered to the nodes by each node's state: each pointwise residual of
 the per-state report must be the oracle's, bit for bit, the left-limit
 integral must be within 8 ulp of the sum of its terms' sizes, and each
 clause must pass or fail as the node checker has it on a whole-level copy
-(``clone_solution``), wherever the data are too small to round past the
-tolerance.  Mutants that edit the per-state values must fail exactly
+(``clone_solution``), at every drawn scale.  Mutants that edit the per-state values must fail exactly
 their clause on either route, and the per-state check must build no node
 level.  Derandomised, so the suite is deterministic.
 """
@@ -27,11 +26,9 @@ import rbsde.verify
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree, check_solution,
                    solve_reflected)
 from rbsde.errors import RbsdeError
-from rbsde.processes import evaluate
 from rbsde.tree import _node_blocks
 from rbsde.verify import _NodeReads
-from conftest import (ROUNDING_SCALE, _transplant_pieces, clone_solution, counterexample_pieces,
-                      data_scale, state_problems)
+from conftest import _transplant_pieces, clone_solution, counterexample_pieces, state_problems
 from oracles import per_state_check
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
@@ -65,8 +62,7 @@ def test_the_per_state_check_is_the_oracles(problem):
             left, oracle.left_integral, oracle.left_size)
     else:
         assert not math.isfinite(left) or not math.isfinite(oracle.left_integral)
-    if data_scale(driver, evaluate(tree, terminal)[0]) <= ROUNDING_SCALE:
-        assert _passed(report) == _passed(nodes)
+    assert _passed(report) == _passed(nodes)
 
 
 # ---------------------------------------------------------------------------
