@@ -8,6 +8,14 @@ says why in CHANGES.md: run ``rbsde <command> --config configs/<config>
 --out tests/golden/<command>`` for each entry of ``COMMANDS``, then
 delete each file above 64 KiB and put its digest in ``SHA256SUMS`` as
 ``<digest>  <command>/<file>``.
+
+``tests/golden/verify-one/`` and ``verify-two/`` hold the ``report.json``
+that ``rbsde verify`` writes for the ``--full`` dump of ``solve-one`` and
+``solve-two`` (``VERIFIED``), which the checker reads on the tree's nodes
+with every level stored.  Regenerate each with ``rbsde <solve> --config
+configs/<config> --full --out dump`` and ``rbsde verify --config
+configs/<config> --solution dump/solution.json --out
+tests/golden/verify-<kind>``, and put its digest in ``SHA256SUMS`` too.
 """
 
 import hashlib
@@ -30,6 +38,12 @@ COMMANDS = {
     "snell": ("counterexample.json", ["snell.csv", "snell.json"]),
     "solve-two": ("two_barrier_band.json", ["solution.json", "report.json", "summary.csv"]),
     "contraction-study": ("contraction.json", ["contraction.csv"]),
+}
+
+# verify of a --full dump: golden folder -> (solve command, config)
+VERIFIED = {
+    "verify-one": ("solve-one", "counterexample.json"),
+    "verify-two": ("solve-two", "two_barrier_band.json"),
 }
 
 
@@ -55,6 +69,19 @@ def test_cli_outputs_match_golden(command, tmp_path):
             assert hashlib.sha256(produced).hexdigest() == digests[key], key
         else:
             assert produced == (GOLDEN / command / name).read_bytes(), key
+
+
+@pytest.mark.parametrize("golden", sorted(VERIFIED))
+def test_verify_of_a_full_dump_matches_golden(golden, tmp_path):
+    solve, config = VERIFIED[golden]
+    config = str(CONFIGS / config)
+    assert main([solve, "--config", config, "--full", "--out", str(tmp_path / "dump")]) == 0
+    assert main(["verify", "--config", config, "--solution",
+                 str(tmp_path / "dump" / "solution.json"), "--out", str(tmp_path / "check")]) == 0
+    assert sorted(p.name for p in (tmp_path / "check").iterdir()) == ["report.json"]
+    produced = (tmp_path / "check" / "report.json").read_bytes()
+    assert produced == (GOLDEN / golden / "report.json").read_bytes()
+    assert hashlib.sha256(produced).hexdigest() == _digests()[f"{golden}/report.json"]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
