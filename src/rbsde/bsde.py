@@ -26,17 +26,13 @@ solve of data with states; a ``Projection`` of such a Y reads its node
 levels, formed on read.  Each operation of a step is row by row (ufuncs,
 ``_weigh``, the implicit step, the clamps, and a BLAS product whose row
 depends on that row alone), so a state's row has the bits of each of its
-nodes.
-The sweep projects each block in full; the checker takes a slice's z and
-v through ``_step_projections``, which leaves out a z or v whose term the
-driver's coefficients fix, and with a = 0 the implicit step makes no
-divide.  Every bit of Y, K and each check report is the one the full
-formulas give.
+nodes.  The sweep projects each block in full, and the checker projects
+a slice's z in full and its v where the driver reads it.  With a = 0 the
+implicit step makes no divide, which gives the bits of dividing by 1.0.
 """
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -57,7 +53,7 @@ class ContinuousPart(Sequence):
     of K's and K_d's stored levels is lined up with the values of the finer
     one it holds for (``rbsde.tree._lined_up``), so neither is expanded
     and the result is stored like the finer one.  ``rbsde.verify`` takes a
-    block's rows of a level from the rows of K and K_d with the same
+    slice's rows of a level from the rows of K and K_d with the same
     subtraction, building no level.
     """
 
@@ -67,16 +63,11 @@ class ContinuousPart(Sequence):
     def __len__(self) -> int:
         return len(self.k)
 
-    def parts(self, level: int):
-        """K's array where K_d is +0.0 at every node of ``level``, else the pair (K, K_d)."""
-        total, jump = self.k[level], self.k_d[level]
-        return (total, jump) if jump.view(np.uint64).any() else total
-
     def __getitem__(self, level: int) -> np.ndarray:
-        parts = self.parts(level)
-        if not isinstance(parts, tuple):
-            return parts
-        total, jump = _lined_up(*parts)
+        total, jump = self.k[level], self.k_d[level]
+        if not jump.view(np.uint64).any():
+            return total
+        total, jump = _lined_up(total, jump)
         return np.subtract(total, jump).ravel()
 
 
@@ -89,8 +80,8 @@ class Projection(Sequence):
     it, or for its state on the tree's ``Lattice``.  Each read returns a
     fresh array, the caller's to edit;
     the levels follow Y, so edit a copy of Y, not Y itself.
-    ``rbsde.verify`` takes a slice's rows from the children table it reads
-    anyway (``_step_projections``), building no level.
+    ``rbsde.verify`` projects a slice's rows from the children table it
+    reads anyway, building no level.
     """
 
     def __init__(self, tree: ScenarioTree, y: Process, kernel) -> None:
@@ -203,49 +194,17 @@ def _driver_value(driver, tree: ScenarioTree, level: int, y, z, v, base=None):
     """f(t_level, y, z, v) at rows of one level, v weighted by the tree's marks.
 
     ``base``, each row's g(t), stands in for g(t_level) where the rows are
-    of several levels.  z or v may be None where ``_step_projections`` left
-    it out: its term is then not added, which gives the bits of adding it.
+    of several levels.  v may be None where the driver does not read it
+    (c = 0, or no marks).
     """
     if base is None:
         base = driver.base_at(tree.time(level))
     # + 0.0 turns a -0.0 base into +0.0, so no source value is ever -0.0
-    out = base + 0.0 + driver.a * y
-    if z is not None:
-        out = out + driver.b * z
+    out = base + 0.0 + driver.a * y + driver.b * z
     lam = tree.marks.intensity_array
     if lam.size and driver.c != 0.0:
         out = out + driver.c * _weigh(v, lam)
     return out
-
-
-# A computed z is at most the block's largest |Y| times sum_b |p_b dB_b| / dt
-# times (1 + 2^-53)^(B + 3), a factor per rounding: below this limit z is
-# finite for any branching B under 2^22.
-_Z_LIMIT = sys.float_info.max * (1.0 - 2.0 ** -30)
-
-
-def _step_projections(tree: ScenarioTree, driver):
-    """``zv(table)``: the (z, v) of a (parents, B) block of Y_{k+1} that the step reads.
-
-    v is None where ``_driver_value`` does not read it (c = 0, or no
-    marks).  With b = 0, z is None where the block's largest |Y| times
-    sum_b |p_b dB_b| / dt is below ``_Z_LIMIT``: z is finite there, so b*z
-    is ±0.0, and adding ±0.0 to a driver value, never -0.0, keeps its
-    bits.  A block with a NaN or an infinity fails the bound and is
-    projected, as is every block of a driver with b != 0.
-    """
-    reads_v = driver.c != 0.0 and tree.marks.count > 0
-    scale = float(np.abs(tree.branch_prob * tree.branch_db).sum()) / tree.dt
-
-    def zv(table: np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            # a NaN makes the comparison false, and an infinity the product
-            known = (driver.b == 0.0
-                     and max(float(table.max()), -float(table.min())) * scale < _Z_LIMIT)
-            return (None if known else _project_z(tree, table),
-                    _project_v(tree, table) if reads_v else None)
-
-    return zv
 
 
 def _sweep_source(tree: ScenarioTree, driver):

@@ -226,19 +226,6 @@ def counterexample_pieces(tree_steps: int = 4, b_coeff: float = 0.0):
     return tree, driver, terminal, barrier
 
 
-def binding_pieces(tree_steps: int = 4, b_coeff: float = 0.5):
-    """Problem whose solution sits on the obstacle at every node.
-
-    With xi = w_1 and driver b*z the solution is Y = w + b*(1 - t),
-    Z = 1, K = 0; the obstacle is chosen equal to it.
-    """
-    tree = build_tree(tree_steps)
-    driver = DriverSpec(b=b_coeff)
-    terminal = TerminalSpec(payoff=lambda w, counts: w)
-    barrier = BarrierSpec(stochastic=lambda t, w, counts: w + b_coeff * (1.0 - t))
-    return tree, driver, terminal, barrier
-
-
 def _whole(tree, process):
     """Own copies of every level, expanded to whole levels for in-place edits."""
     return [np.array(expand(tree, np.asarray(level, dtype=float), k))
@@ -287,6 +274,35 @@ def node_levels(tree, sol):
                     lower=listed(sol.lower), upper=listed(sol.upper))
 
 
+def _reproject(tree, sol):
+    """Store in ``sol`` the Z and V of its own Y, as a solve would after an edit of Y.
+
+    A mutant that edits Y and keeps the Z and V of the solve fails the
+    representation clause too; this keeps a mutant's Z and V the
+    projections of the Y it has.
+    """
+    from rbsde.bsde import Projection, _project_v, _project_z
+    sol.z, sol.v = (copy_process(Projection(tree, sol.y, kernel))
+                    for kernel in (_project_z, _project_v))
+
+
+def _root_push_pieces(delta: float, upper: bool = False):
+    """A problem whose solution is pushed up by ``delta`` at the root and nowhere else.
+
+    The obstacle is 0.5 + delta at t = 0 and 0.5 from t = 1/4 on, with no
+    declared jump, and the terminal is 0.5: Y = 0.5 below the root, and K
+    books ``delta`` of continuous-type mass at the root, where Y touches
+    the obstacle.  ``upper`` adds an upper obstacle far above.
+    """
+    tree = build_tree(4)
+    def stochastic(t, w, counts):
+        return 0.0 * w + delta * max(0.0, 1.0 - 4.0 * t)
+
+    barrier = BarrierSpec(pieces=((0.0, 0.5),), stochastic=stochastic)
+    sides = (barrier, BarrierSpec(pieces=((0.0, 10.0),))) if upper else (barrier,)
+    return (tree, DriverSpec(), TerminalSpec(constant=0.5)) + sides
+
+
 def process_of(sol, name):
     """A solution process by its output name: y, z, v, k, k_c, k_plus, k_minus_d, ..."""
     if name in ("y", "z", "v"):
@@ -307,14 +323,14 @@ def one_barrier_mutants():
     tree, driver, terminal, barrier = counterexample_pieces()
     sol = clone_solution(tree, solve_reflected(tree, driver, terminal, barrier))
     sol.y[3][0] += 1e-6
+    _reproject(tree, sol)
     entries.append(("dynamics", tree, driver, terminal, barrier, sol))
 
-    # barrier dominance: dip the root below an everywhere-binding obstacle,
-    # compensating the dynamics through the z-coefficient of the driver
-    tree, driver, terminal, barrier = binding_pieces()
+    # barrier dominance: take the root's push off both Y and K, which puts
+    # Y_0 below the obstacle with the dynamics kept
+    tree, driver, terminal, barrier = _root_push_pieces(1e-6)
     sol = clone_solution(tree, solve_reflected(tree, driver, terminal, barrier))
-    sol.y[0][0] -= 1e-6
-    sol.z[0][0] -= 1e-6 / (driver.b * tree.dt)
+    _drop_the_root_push(tree, sol, 1e-6)
     entries.append(("barrier_dominance", tree, driver, terminal, barrier, sol))
 
     # continuous-type Skorokhod: inject c-mass deep in the tree where the
@@ -339,6 +355,7 @@ def one_barrier_mutants():
         idx = node // tree.branching ** (level - lvl)
         sol.y[lvl][idx] += bump
         bump *= float(tree.branch_prob[idx % tree.branching]) if lvl else 1.0
+    _reproject(tree, sol)
     entries.append(("skorokhod_c", tree, driver, terminal, barrier, sol))
 
     # jump formula: move mass between the c and d parts at the declared jump
@@ -361,13 +378,35 @@ def one_barrier_mutants():
     # left limit (inside the binding tolerance, outside the integral's)
     tree, driver, terminal, barrier = counterexample_pieces(b_coeff=0.5)
     sol = clone_solution(tree, solve_reflected(tree, driver, terminal, barrier))
-    eps = 5e-10
-    sol.y[1] += eps
-    sol.z[1] += eps / (driver.b * tree.dt)
-    sol.z[0] -= eps / (driver.b * tree.dt)
+    _lift_before_the_jump(tree, sol, sol.lower, 5e-10)
     entries.append(("left_limit_skorokhod", tree, driver, terminal, barrier, sol))
 
     return entries
+
+
+def _drop_the_root_push(tree, sol, delta):
+    """Take the root's push of ``delta`` (``_root_push_pieces``) off Y_0 and the lower K."""
+    sol.y[0][0] -= delta
+    for lvl in range(1, tree.num_steps + 1):
+        sol.lower.k[lvl] -= delta
+        sol.lower.k_c[lvl] -= delta
+
+
+def _lift_before_the_jump(tree, sol, side, eps):
+    """Lift Y at levels 0 and 1 by ``eps``, booked as continuous-type mass at level 1.
+
+    On the closed-form problem Y sits on the obstacle at levels 0 and 1
+    and K_d books the drop at t = 1/2: the lift keeps the dynamics (E[Y_1]
+    rises with Y_0, K's level-1 increment with Y_1), puts Y_1 ``eps`` above
+    the left limit, and adds mass ``eps`` times a slack of ``eps``.  Z and V
+    are projected again from the lifted Y.
+    """
+    for lvl in (0, 1):
+        sol.y[lvl] += eps
+    for lvl in range(2, tree.num_steps + 1):
+        side.k[lvl] += eps
+        side.k_c[lvl] += eps
+    _reproject(tree, sol)
 
 
 def _cascade_bump(tree, sol, level, node, delta):
@@ -401,15 +440,14 @@ def two_barrier_mutants():
     tree, driver, terminal, lower, upper = _transplant_pieces()
     sol = clone_solution(tree, solve_reflected(tree, driver, terminal, lower, upper))
     sol.y[3][0] += 1e-6
+    _reproject(tree, sol)
     entries.append(("dynamics", tree, driver, terminal, lower, upper, sol))
 
-    # containment: everywhere-binding lower obstacle, dip the root below it
-    tree, driver, terminal, barrier = binding_pieces()
-    upper = BarrierSpec(stochastic=lambda t, w, counts: w + 0.5 * (1.0 - t) + 1.0)
-    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, barrier, upper))
-    sol.y[0][0] -= 1e-6
-    sol.z[0][0] -= 1e-6 / (driver.b * tree.dt)
-    entries.append(("containment", tree, driver, terminal, barrier, upper, sol))
+    # containment: take the root's push off both Y and K+
+    tree, driver, terminal, lower, upper = _root_push_pieces(1e-6, upper=True)
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, lower, upper))
+    _drop_the_root_push(tree, sol, 1e-6)
+    entries.append(("containment", tree, driver, terminal, lower, upper, sol))
 
     # continuous-type Skorokhod, lower side
     tree = build_tree(6)
@@ -424,6 +462,7 @@ def two_barrier_mutants():
         sol.lower.k[lvl][:span] += delta
         sol.lower.k_c[lvl][:span] += delta
     _cascade_bump(tree, sol, 5, 0, delta)
+    _reproject(tree, sol)
     entries.append(("skorokhod_lower_c", tree, driver, terminal, lower, upper, sol))
 
     # continuous-type Skorokhod, upper side (solution cascades down)
@@ -434,6 +473,7 @@ def two_barrier_mutants():
         sol.upper.k[lvl][:span] += delta
         sol.upper.k_c[lvl][:span] += delta
     _cascade_bump(tree, sol, 5, 0, -delta)
+    _reproject(tree, sol)
     entries.append(("skorokhod_upper_c", tree, driver, terminal, lower, upper, sol))
 
     # declared-jump formulas, each side on its own transplant
@@ -462,10 +502,42 @@ def two_barrier_mutants():
     # left-limit integral, binding-tolerance whisker
     tree, driver, terminal, lower, upper = _transplant_pieces(b_coeff=0.5)
     sol = clone_solution(tree, solve_reflected(tree, driver, terminal, lower, upper))
-    eps = 5e-10
-    sol.y[1] += eps
-    sol.z[1] += eps / (driver.b * tree.dt)
-    sol.z[0] -= eps / (driver.b * tree.dt)
+    _lift_before_the_jump(tree, sol, sol.lower, 5e-10)
     entries.append(("left_limit_skorokhod", tree, driver, terminal, lower, upper, sol))
 
+    return entries
+
+
+def representation_mutants():
+    """Mutants of Z or V alone, each failing exactly the representation clause.
+
+    Each entry is (name, tree, driver, terminal, obstacles, mutant).  The
+    driver reads neither Z nor V (b = c = 0), so no other clause sees the
+    edit.  The problem has two marks of unlike sizes and intensities, so
+    V's two columns differ, and the terminal is not linear in w, so Z
+    moves from level to level.
+    """
+    marks = MarkSet(sizes=(1.0, -0.5), intensities=(0.4, 0.2))
+    tree = build_tree(4, marks)
+    driver = DriverSpec(base=0.3, marks=marks)
+    terminal = TerminalSpec(payoff=lambda w, counts: np.abs(w) + counts @ np.array([0.3, -0.4]))
+    barrier = BarrierSpec(pieces=((0.0, 0.6), (0.5, -2.0)))
+    upper = BarrierSpec(pieces=((0.0, 5.0),))
+    edits = {
+        "z scaled": lambda sol: [level * 3.0 for level in sol.z],
+        "v columns swapped": lambda sol: [level[:, ::-1].copy() for level in sol.v],
+        # each node reads its parent's Z: Z one level late
+        "z one level late": lambda sol: [sol.z[0]] + [expand(tree, sol.z[k - 1], k)
+                                                      for k in range(1, tree.num_steps)],
+        "v sign flipped": lambda sol: [-level for level in sol.v],
+    }
+    entries = []
+    for obstacles in ((barrier,), (barrier, upper)):
+        for name, edit in edits.items():
+            sol = clone_solution(tree, solve_reflected(tree, driver, terminal, *obstacles))
+            if name.startswith("z"):
+                sol.z = edit(sol)
+            else:
+                sol.v = edit(sol)
+            entries.append((name, tree, driver, terminal, obstacles, sol))
     return entries

@@ -262,8 +262,12 @@ def per_state_check(tree: ScenarioTree, sol, driver, terminal, lower,
     base = np.repeat([driver.base_at(tree.time(k)) for k in range(n)], sizes)
     weights = np.concatenate([tree.atom_prob[k] for k in range(n)])[:, None] * prob
     with np.errstate(over="ignore", invalid="ignore"):
-        f = _driver_value(driver, tree, 0, y_par, _project_z(tree, y_child),
-                          _project_v(tree, y_child), base=base)
+        z, v = _project_z(tree, y_child), _project_v(tree, y_child)
+        # Z and V are Y's projections: z - z, and v - v where the driver reads v,
+        # NaN where one is not finite
+        read = (z, v) if driver.c != 0.0 else (z,)
+        represented = _worst(0.0, *(float(np.abs(x - x).max()) for x in read if x.size))
+        f = _driver_value(driver, tree, 0, y_par, z, v, base=base)
         rhs = y_child @ prob + f * tree.dt
         sides = [(low, sol.lower, 1.0)] + ([] if up is None else [(up, sol.upper, -1.0)])
         residuals, booked, terms = {}, [], []
@@ -303,7 +307,8 @@ def per_state_check(tree: ScenarioTree, sol, driver, terminal, lower,
              else ("containment", ("skorokhod_lower_c", "skorokhod_upper_c"),
                    ("jump_formula_lower", "jump_formula_upper")))
     sided = [residuals[sign] for _, _, sign in sides]
-    out = {"dynamics": dyn, names[0]: _worst(0.0, *(r["contain"] for r in sided))}
+    out = {"dynamics": dyn, "representation": represented,
+           names[0]: _worst(0.0, *(r["contain"] for r in sided))}
     out.update(zip(names[1], (r["skorokhod"] for r in sided)))
     out.update(zip(names[2], (r["jump"] for r in sided)))
     out["compensator_monotone"] = _worst(*(r["monotone"] for r in sided))

@@ -215,6 +215,22 @@ def test_verify_round_trip_and_tamper(tmp_path):
                "--solution", tampered, "--out", tmp_path / "v2") == 4
 
 
+def test_verify_rejects_z_and_v_that_do_not_represent_y(tmp_path, capsys):
+    # the band's driver reads neither Z nor V, so only the representation clause sees them
+    config = CONFIGS / "two_barrier_band.json"
+    assert run("solve-two", "--config", config, "--full", "--out", tmp_path / "band") == 0
+    payload = json.loads((tmp_path / "band" / "solution.json").read_text())
+    nodes = payload["nodes"]
+    nodes["z"] = [[3.0 * z + 1.0 for z in level] for level in nodes["z"]]
+    nodes["v"] = [[[-2.0 * v + 1.0 for v in row] for row in level] for level in nodes["v"]]
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload))
+    assert run("verify", "--config", config, "--solution", edited, "--out", tmp_path / "v") == 4
+    assert "verification failed" in capsys.readouterr().err
+    clauses = json.loads((tmp_path / "v" / "report.json").read_text())["clauses"]
+    assert [name for name, c in clauses.items() if not c["passed"]] == ["representation"]
+
+
 def test_byte_identical_outputs(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

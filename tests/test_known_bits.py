@@ -1,10 +1,8 @@
 """The direct solve and the checker form only what the step reads, bit for bit.
 
-The checker takes a slice's z and v through ``rbsde.bsde._step_projections``,
-which leaves out v where c = 0 and z where b = 0 and the block's bound
-keeps z finite; the direct solve projects every block in full, but its
-``_implicit_y`` returns ``rhs`` itself where a = 0.  The oracle here puts
-the full formulas back: every slice of the check projects Z and V, and
+The checker projects every slice's z and v in full (``rbsde.verify._zv``),
+and the direct solve every block, but its ``_implicit_y`` returns
+``rhs`` itself where a = 0.  The oracle here puts the full formula back:
 every step of the solve divides by 1 - a dt.  Each draw must give the
 oracle's bits: Y, K and K_d of the direct solve, every residual of the
 check (NaN included), or the same ``NonFiniteData``.
@@ -13,33 +11,24 @@ solves leave the float range and some blocks fail the bound.
 Derandomised, so the suite is deterministic.
 """
 
-import contextlib
 import json
 import math
+import sys
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-import rbsde.bsde
 import rbsde.reflected
-import rbsde.verify
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, NonFiniteData, TerminalSpec, build_tree,
                    check_solution, solve_reflected)
-from rbsde.bsde import _Z_LIMIT, Projection, Solution, _project_v, _project_z, _step_projections
+from rbsde.bsde import Projection, Solution, _project_v, _project_z
 from rbsde.processes import linear_obstacle, linear_payoff
 from rbsde.tree import expand
 from conftest import clone_solution, node_levels
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
-
-
-def _full_projections(tree, driver):
-    def zv(table):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _project_z(tree, table), _project_v(tree, table)
-    return zv
 
 
 def _full_implicit_y(rhs, a, dt):
@@ -48,9 +37,8 @@ def _full_implicit_y(rhs, a, dt):
 
 @contextmanager
 def _oracle():
-    """The solver and the checker with every projection formed and every divide made."""
-    with mock.patch.object(rbsde.verify, "_step_projections", _full_projections), \
-            mock.patch.object(rbsde.reflected, "_implicit_y", _full_implicit_y):
+    """The solver with every divide made."""
+    with mock.patch.object(rbsde.reflected, "_implicit_y", _full_implicit_y):
         yield
 
 
@@ -99,19 +87,14 @@ def _report(report) -> str:
     return json.dumps(report.to_dict())   # repr bits: -0.0, NaN and inf are kept
 
 
-def _outcome(tree, driver, terminal, obstacles, check=None):
-    """The bits of the direct solve and its check, or the error the solve raises.
-
-    ``check``, a context manager, if given, is entered around the check alone.
-    """
+def _outcome(tree, driver, terminal, obstacles):
+    """The bits of the direct solve and its check, or the error the solve raises."""
     try:
         sol = solve_reflected(tree, driver, terminal, *obstacles)
     except NonFiniteData as exc:
         return "raised", str(exc)
     # the node checker's shortcuts, on the solve's levels read once
-    with check if check is not None else contextlib.nullcontext():
-        report = _report(check_solution(tree, node_levels(tree, sol), driver, terminal,
-                                        *obstacles))
+    report = _report(check_solution(tree, node_levels(tree, sol), driver, terminal, *obstacles))
     levels = [sol.y]
     for side in (sol.lower, sol.upper):
         if side is not None:
@@ -158,53 +141,28 @@ def _scale(tree) -> float:
     return float(np.abs(tree.branch_prob * tree.branch_db).sum()) / tree.dt
 
 
-def test_a_block_at_the_bound_projects_z_and_one_below_it_does_not():
-    tree = build_tree(4, MarkSet(sizes=(1.0,), intensities=(0.3,)))
-    rule = _step_projections(tree, DriverSpec())
-    top = _Z_LIMIT / _scale(tree)
-    for y, known in ((top * (1 - 2.0 ** -20), True), (top * (1 + 2.0 ** -20), False),
-                     (math.nan, False), (math.inf, False)):
-        table = np.full((3, tree.branching), y)
-        table[1] *= -1.0
-        z, v = rule(table)
-        assert v is None and (z is None) == known
-        if known:
-            with np.errstate(over="raise", invalid="raise"):
-                assert np.all(np.isfinite(_project_z(tree, table)))
-    # b != 0 projects every block, and c != 0 with marks every v
-    z, v = _step_projections(tree, DriverSpec(b=0.1, c=0.1))(np.zeros((2, tree.branching)))
-    assert z is not None and v is not None
+# A computed z is at most the block's largest |Y| times sum_b |p_b dB_b| / dt
+# times (1 + 2^-53)^(B + 3): below this bound it is finite.
+_Z_BOUND = sys.float_info.max * (1.0 - 2.0 ** -30)
 
 
 def test_a_solve_whose_y_reaches_the_bound_keeps_the_full_formulas_outcome():
-    """Y_N = s w with max |Y_N| * sum |p dB| / dt at the bound: the leaf slices project z.
+    """Y_N = s w with max |Y_N| * sum |p dB| / dt at the bound where z stays finite.
 
-    Just below the bound the check forms no z, and just above it each leaf
-    slice projects z, with b = 0 or not.  Past the bound, with a source
-    near the largest float, Y_{N-1} leaves the float range.  Each outcome, the
+    Just below the bound and just above it, with b = 0 or not, the solve
+    and its check give the oracle's bits.  Past the bound, with a source near the
+    largest float, Y_{N-1} leaves the float range.  Each outcome, the
     residuals or the ``NonFiniteData`` level, is the oracle's.
     """
     steps = 5
     tree = build_tree(steps)
-    top = _Z_LIMIT / (_scale(tree) * steps * math.sqrt(tree.dt))
-    for factor, base, b, projected in ((1 - 2.0 ** -20, 0.0, 0.0, False),
-                                       (1 + 2.0 ** -20, 0.0, 0.0, True),
-                                       (1 + 2.0 ** -20, 0.0, 0.5, True),
-                                       (2.2, 1.5e308, 0.0, True)):
+    top = _Z_BOUND / (_scale(tree) * steps * math.sqrt(tree.dt))
+    for factor, base, b in ((1 - 2.0 ** -20, 0.0, 0.0), (1 + 2.0 ** -20, 0.0, 0.0),
+                            (1 + 2.0 ** -20, 0.0, 0.5), (2.2, 1.5e308, 0.0)):
         terminal = TerminalSpec(payoff=linear_payoff(0.0, top * factor))
         lower = BarrierSpec(stochastic=linear_obstacle(-1.0, top * factor))
         driver = DriverSpec(base=base, a=0.25, b=b)
-        spies = []
-
-        @contextmanager
-        def spying():
-            with mock.patch.object(rbsde.bsde, "_project_z", wraps=_project_z) as spy:
-                spies.append(spy)
-                yield
-
-        outcome = _outcome(tree, driver, terminal, (lower,), check=spying())
-        # the solve projects every block; the check, only the slices past the bound
-        assert [spy.called for spy in spies] == ([] if base else [projected])
+        outcome = _outcome(tree, driver, terminal, (lower,))
         assert (outcome[0] == "raised") == (base != 0.0)
         if base:
             assert outcome[1].startswith(f"the solution Y is not finite at level {steps - 1};")

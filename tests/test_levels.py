@@ -160,9 +160,10 @@ def test_block_readers_match_expand(monkeypatch, marks, steps):
                     whole = expand(tree, values, level)[rows]
                     assert np.array_equal(rbsde.tree._block_rows(tree, values, level, rows),
                                           whole)
-                    # the checker's read of the stored values, each for ``ratio`` rows
-                    read, ratio = rbsde.verify._stored(tree, values, level, rows)
-                    assert np.array_equal(np.repeat(read, ratio), whole)
+                    # the checker's read of level ``level``, a column per parent
+                    read, _ = rbsde.verify._levels(tree, {level: values, level + 1: values},
+                                                   level, rows)
+                    assert np.array_equal(read[:, 0], whole)
                 later = rbsde.verify._later(tree, values, level, rows)
                 assert np.array_equal(np.broadcast_to(later, children[rows].shape),
                                       children[rows])
@@ -316,7 +317,7 @@ def test_random_levels_check_alike_across_slices(seed, coefficients, two):
 def _shared_k_level(tree, comp):
     """A level j >= 1 where K_d is +0.0 at every node, so K_c is K's own array, and K moves."""
     for j in range(1, tree.num_steps + 1):
-        if not isinstance(comp.k_c.parts(j), tuple) and np.any(comp.k[j]):
+        if not comp.k_d[j].view(np.uint64).any() and np.any(comp.k[j]):
             return j
     raise AssertionError("no level where K_c is K's own array and K moves")
 
@@ -336,7 +337,7 @@ def _still_slice(tree, comp):
     continuous-type mass is zero wherever the slack is finite.
     """
     for k in range(tree.num_steps):
-        if any(isinstance(comp.k_c.parts(j), tuple) for j in (k, k + 1)):
+        if any(comp.k_d[j].view(np.uint64).any() for j in (k, k + 1)):
             continue
         still = expand(tree, comp.k[k + 1], k) - expand(tree, comp.k[k], k) == 0.0
         for rows in rbsde.tree._parent_blocks(tree, k):

@@ -17,7 +17,8 @@ from rbsde.reflected import obstacle_payoff
 from rbsde.snell import REGULAR_TOL
 from rbsde.tree import _BLOCK_NODES
 from conftest import (clone_solution, counterexample_pieces, node_levels, one_barrier_mutants, process_of,
-                      random_one_barrier, random_two_barrier, two_barrier_mutants)
+                      random_one_barrier, random_two_barrier, representation_mutants,
+                      two_barrier_mutants)
 from oracles import whole_obstacle
 
 
@@ -52,8 +53,8 @@ def test_counterexample_report_is_clean():
 # NaN at one node must fail the clauses that read it, not drop out of a maximum
 @pytest.mark.parametrize("poison,failing", [
     ((("k", 3, 1),), {"dynamics", "compensator_monotone"}),
-    ((("z", 2, 0),), {"dynamics"}),
-    ((("k", 3, 1), ("z", 2, 0)), {"dynamics", "compensator_monotone"}),
+    ((("z", 2, 0),), {"dynamics", "representation"}),
+    ((("k", 3, 1), ("z", 2, 0)), {"dynamics", "compensator_monotone", "representation"}),
     ((("k_d", 4, 3),), {"jump_formula_d", "compensator_monotone"}),
 ])
 def test_nan_in_one_barrier_solution_fails_its_clauses(poison, failing):
@@ -107,7 +108,8 @@ def test_nan_leaf_in_the_last_block_fails_dynamics(sides, contain):
     sol = clone_solution(tree, solve_reflected(tree, driver, terminal, *obstacles))
     sol.y[DEEP_N][-1] = np.nan
     report = check_solution(tree, sol, driver, terminal, *obstacles)
-    assert _failing(report) == {"dynamics", contain}
+    # the copy's stored Z and V no longer represent the poisoned Y_N
+    assert _failing(report) == {"dynamics", "representation", contain}
     assert all(np.isnan(report.clauses[name].residual) for name in _failing(report))
 
 
@@ -270,6 +272,19 @@ def test_two_barrier_mutants_flip_exactly_their_clause(case):
             assert result.passed, (clause, name, report.to_dict())
 
 
+@pytest.mark.parametrize("case", representation_mutants(),
+                         ids=[f"{len(entry[4])}-{entry[0]}" for entry in representation_mutants()])
+def test_representation_mutants_fail_exactly_the_representation_clause(case):
+    _, tree, driver, terminal, obstacles, mutant = case
+    report = check_solution(tree, mutant, driver, terminal, *obstacles)
+    assert _failing(report) == {"representation"}, report.to_dict()
+    assert report.clauses["representation"].residual > 1e-3
+    # the unedited copy represents its Y to the last bit
+    sol = clone_solution(tree, solve_reflected(tree, driver, terminal, *obstacles))
+    assert check_solution(tree, sol, driver, terminal, *obstacles).clauses[
+        "representation"].residual == 0.0
+
+
 def _continuous_band(steps):
     """Obstacles with no declared jump that Y meets: the lower one early, the upper one late."""
     tree = build_tree(steps)
@@ -283,8 +298,7 @@ def _continuous_band(steps):
 @pytest.mark.parametrize("sides", [1, 2])
 def test_a_correct_solve_weighs_no_continuous_mass(monkeypatch, sides):
     # On a correct solve K_c moves only where the slack is +0.0, so every
-    # continuous-type mass is ±0.0 and its left-limit term is +0.0 without a
-    # branch_prob product; with no declared jump no other term is weighed.
+    # continuous-type mass is ±0.0 and its left-limit term is +0.0.
     tree, driver, terminal, obstacles = _continuous_band(12)
     obstacles = obstacles[:sides]
     sol = solve_reflected(tree, driver, terminal, *obstacles)
@@ -294,11 +308,10 @@ def test_a_correct_solve_weighs_no_continuous_mass(monkeypatch, sides):
     term = verify._integral_term
     monkeypatch.setattr(verify, "_integral_term",
                         lambda *args: weighed.append(args) or term(*args))
-    # the node checker's shortcut, on the solve's levels read once; the
-    # per-state check takes every formula in full
     report = check_solution(tree, node_levels(tree, sol), driver, terminal, *obstacles)
     assert report.passed, report.to_dict()
-    assert weighed == []
+    assert report.clauses["left_limit_skorokhod"].residual == 0.0
+    weighed.clear()
     # continuous mass off the obstacle is weighed, and the integral reads
     # it; it is K_c's mass, also where K does not move
     skorokhod = "skorokhod_c" if sides == 1 else "skorokhod_lower_c"
@@ -353,7 +366,7 @@ def test_report_serialisation_round_trip():
     payload = check_solution(tree, sol, driver, terminal, barrier).to_dict()
     assert payload["passed"] is True
     assert set(payload["clauses"]) == {
-        "dynamics", "barrier_dominance", "skorokhod_c", "jump_formula_d",
+        "dynamics", "representation", "barrier_dominance", "skorokhod_c", "jump_formula_d",
         "compensator_monotone", "left_limit_skorokhod"}
 
 
