@@ -14,31 +14,36 @@ pure, and row-wise in the state: row i of the output depends only on
 row i of ``(w, counts)``.  A function is called once per level it is
 read on, with that level's distinct states, one row each, not with its
 nodes; a function that reads ``len(w)`` or a row's position to tell
-nodes or levels apart is outside this contract.  ``evaluate`` is the one
-reader: it gives a problem's terminal and obstacles on a tree,
-evaluating every spec the tree has not seen in one pass.  The pass
-builds each level's table of distinct states from the one before it
+nodes or levels apart is outside this contract.  The specs a tree has
+not seen are evaluated together in one walk (``_walk``), which builds
+each level's table of distinct states from the one before it
 (``_States``: 43 states on the leaf level of the m=0, N=20 tree, 253 at
 m=1, N=10 and 765 at m=2, N=8), goes only as deep as the last level
-some spec reads, calls each function on its level's table, and then
-fills every level array by gathering from these tables along a depth
-first walk of state codes (``rbsde.tree.Lattice.fill``).  Each
+some spec reads, and calls each function on its level's table.  Each
 declared left limit is a function of its parent level's states and is
-stored there.  The state tables are kept with the tree and only ever
-grow, so a state's code never changes, and the memo keeps each spec's
-values per state with its evaluation: ``_on_lattice`` hands a direct
-solve, and the check of its solution, the tree's ``Lattice`` and the
-problem's data on it, one value per state.  A walk that refuses its data keeps none of its values.
+kept there.  The walk keeps these values per state, their extremes and
+its refusals, and opens no node array (``_Walk``).  The state tables
+are kept with the tree and only ever grow, so a state's code never
+changes.  There are two readers, and both walk what the tree has not
+seen: ``_on_lattice`` hands a direct solve, and the check of its
+solution, the tree's ``Lattice`` and the problem's data on it, one
+value per state, so neither forms a node level of the data; and
+``evaluate`` gives the data on the nodes, to every other route.  The
+first node read of a walk's data fills every node level of it, by
+gathering from the tables along a depth first walk of state codes (one
+``rbsde.tree.Lattice.fill``), and the walk keeps them.  A walk that
+refuses its data keeps none of its values.
 
 An evaluated obstacle level is its deterministic base, one float, plus a
-read-only level array of its stochastic part, or no array where there is
-none (``ObstacleLevel``): a reader forms a block as ``np.add(base,
-part[rows])``, or a whole level with ``whole``, the addition that once
-filled a stored level, so every value keeps its bits.  The pass
-evaluates each distinct (stochastic part, time, level) once, so the two
-sides of a band whose parts are equal (``LinearObstacle`` compares by
-value, bit for bit) keep one copy of it.  A linear form that reads no t
-is keyed without it (``_Fills.part``), so a linear terminal payoff and a
+read-only array of its stochastic part, on the nodes or per state, or no
+array where there is none (``ObstacleLevel``): a reader forms a block as
+``np.add(base, part[rows])``, or a whole level with ``whole``, the
+addition that once filled a stored level, so every value keeps its
+bits.  The walk evaluates each distinct (stochastic part, time, level)
+once, so the two sides of a band whose parts are equal
+(``LinearObstacle`` compares by value, bit for bit) keep one copy of it,
+per state and on the nodes.  A linear form that reads no t is keyed
+without it (``_Parts.slot``), so a linear terminal payoff and a
 time-free obstacle part with the same numbers, which give the same leaf
 bits, share one array too.  The state tables are read-only, and every
 evaluated part is a fresh array, so a function that returns or keeps its
@@ -48,16 +53,16 @@ input cannot change a later level or a memoised result.
 
 Each part's NaN-keeping least and largest value is taken on its state
 table (``ObstacleLevel.span``), and the finiteness tests read these and
-no stored level: every state of a table occurs at its level, so the
+no node level: every state of a table occurs at its level, so the
 table's extremes are the level's.
 
-Next to each evaluated terminal the tree keeps its last backward step
-(``LastStep``), which only the sweeps that store Z and V fill: Z_{N-1}
-and V_{N-1} of the first such sweep, and E[xi | F_{N-1}] from the second
-on, which every later sweep of it reads instead of projecting xi again.
-A direct solve of a ``TerminalSpec`` sweeps the lattice of states and
-neither reads nor keeps it; one of a terminal array reads what is kept
-and keeps nothing.  A terminal array
+Next to each terminal whose leaf level ``evaluate`` formed, the tree
+keeps its last backward step (``LastStep``), which only the sweeps that
+store Z and V fill: Z_{N-1} and V_{N-1} of the first such sweep, and
+E[xi | F_{N-1}] from the second on, which every later sweep of it reads
+instead of projecting xi again.  A direct solve of a ``TerminalSpec``
+sweeps the lattice of states and neither reads nor keeps it; one of a
+terminal array reads what is kept and keeps nothing.  A terminal array
 that ``evaluate`` did not make is projected on every sweep: its caller
 may change it between solves.
 """
@@ -90,14 +95,14 @@ GRID_SNAP = 1e-9
 # A problem's kind, indexed by its number of obstacles (``ProblemSpec.obstacles``).
 KINDS = ("standard", "one_barrier", "two_barrier")
 
-# tree -> {id(spec): (spec, evaluated, on_states)}: ``on_states`` is the
-# spec's values per distinct state (the ``on_states`` of its run).  Trees hash by
-# identity and the entry keeps its spec alive, so an id cannot be reused
-# while it is cached; the whole table goes with the tree.
+# tree -> {id(spec): (spec, walk, index)}: the ``_Walk`` that evaluated the
+# spec and its place among that walk's specs.  Trees hash by identity and the
+# entry keeps its spec alive, so an id cannot be reused while it is cached; a
+# walk holds no tree, so the whole table goes with the tree.
 _EVALUATED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# tree -> {id(xi): LastStep} for each terminal evaluated on the tree.  Each
-# entry keeps its xi alive, so an id cannot be reused while it is kept; the
-# whole table goes with the tree.
+# tree -> {id(xi): LastStep} for each terminal whose leaf level ``evaluate``
+# formed on the tree.  Each entry keeps its xi alive, so an id cannot be reused
+# while it is kept; the whole table goes with the tree.
 _LAST_STEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # tree -> its ``_States``, which go with the tree.
 _STATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -127,32 +132,30 @@ def _last_step(tree: ScenarioTree, xi) -> LastStep | None:
 
 
 def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
-    """(xi, *obstacle values) of a problem's data on ``tree``.
+    """(xi, *obstacle values) of a problem's data on the nodes of ``tree``.
 
     A ``TerminalSpec`` or ``BarrierSpec`` gives its evaluation, memoised
     per tree and read-only; the specs not yet evaluated on the tree are
-    evaluated together in one pass (``_walk``).  ``BarrierValues``
-    and None pass through, and a terminal array must hold one value per
-    leaf.
+    evaluated together in one walk (``_walk``), and the first node read of
+    a walk's data forms every node level of it (``_Walk.nodes``).
+    ``BarrierValues`` and None pass through, and a terminal array must
+    hold one value per leaf.
     """
-    per_tree = _EVALUATED.setdefault(tree, {})
-    missing = list({id(spec): spec for spec in (*obstacles, terminal)
-                    if isinstance(spec, (TerminalSpec, BarrierSpec))
-                    and id(spec) not in per_tree}.values())
-    if missing:
-        for spec, (evaluated, on_states) in zip(missing, _walk(tree, missing)):
-            per_tree[id(spec)] = (spec, evaluated, on_states)
-            if isinstance(spec, TerminalSpec):
-                _LAST_STEPS.setdefault(tree, {}).setdefault(id(evaluated), LastStep(evaluated))
+    per_tree = _kept(tree, (*obstacles, terminal))
+
+    def on_nodes(spec):
+        _, walk, index = per_tree[id(spec)]
+        return walk.nodes(tree)[index]
+
     values = []
     for obstacle in obstacles:
         if isinstance(obstacle, BarrierSpec):
-            obstacle = per_tree[id(obstacle)][1]
+            obstacle = on_nodes(obstacle)
         elif not (obstacle is None or isinstance(obstacle, BarrierValues)):
             raise TypeError("expected a BarrierSpec or pre-evaluated BarrierValues")
         values.append(obstacle)
     if isinstance(terminal, TerminalSpec):
-        terminal = per_tree[id(terminal)][1]
+        terminal = on_nodes(terminal)
     elif terminal is not None:
         terminal = np.asarray(terminal, dtype=float)
         if terminal.shape != (tree.level_size(tree.num_steps),):
@@ -162,37 +165,123 @@ def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
     return (terminal, *values)
 
 
-class _Fills:
-    """The level arrays one walk fills: each distinct (function, time, level) once.
+def _on_lattice(tree: ScenarioTree, terminal, *obstacles):
+    """``(lattice, (xi, *obstacle values))``: a problem's data on the tree's states.
+
+    The lattice is the tree's ``Lattice`` of levels 0 .. N.  The specs are
+    walked as ``evaluate`` walks them, with the same refusals, and their
+    values are read from the walk's tables, one value per state, so no
+    node level is formed.  A terminal comes back as its values per leaf
+    state, and an obstacle as ``BarrierValues`` whose levels, and whose
+    left limits, are each its base over its part's values per state: a
+    left limit is on the states of its parent level, as on the nodes.
+    None where some datum is the caller's own, a terminal array or
+    ``BarrierValues``: such data have no states.
+    """
+    if not all(spec is None or isinstance(spec, (TerminalSpec, BarrierSpec))
+               for spec in (terminal, *obstacles)):
+        return None
+    per_tree = _kept(tree, (*obstacles, terminal))
+    lattice = _states(tree).lattice(tree, tree.num_steps)
+
+    def on_states(spec):
+        if spec is None:
+            return None
+        _, walk, index = per_tree[id(spec)]
+        return walk.runs[index].result(walk.tables, walk.spans, lattice.level_size)
+
+    return lattice, (on_states(terminal), *map(on_states, obstacles))
+
+
+def _kept(tree: ScenarioTree, specs) -> dict:
+    """The tree's memo, once it holds every ``TerminalSpec`` and ``BarrierSpec`` of ``specs``.
+
+    The specs not in it yet are walked together, in the order of
+    ``specs``; a walk that refuses its data raises, and keeps nothing.
+    Threads that walk one spec at once each make a walk, and the memo
+    keeps the first one stored.
+    """
+    per_tree = _EVALUATED.setdefault(tree, {})
+    missing = list({id(spec): spec for spec in specs
+                    if isinstance(spec, (TerminalSpec, BarrierSpec))
+                    and id(spec) not in per_tree}.values())
+    if missing:
+        walk = _walk(tree, missing)
+        for index, spec in enumerate(missing):
+            per_tree.setdefault(id(spec), (spec, walk, index))
+    return per_tree
+
+
+class _Parts:
+    """The stochastic parts one walk evaluates: each distinct (function, time, level) once.
 
     A function is keyed by ``(fn, t)``, or by its ``fill_key(t)`` where it
     has one: a linear form's numbers, with t only where it reads t, so a
-    payoff and an obstacle part that give the same bits share an array.
-    A function that cannot be hashed is keyed by its identity.  Once the
-    walk is done, ``spans[id(array)]`` is an array's NaN-keeping (least,
-    largest) value and ``tables[id(array)]`` its read-only values per
-    distinct state.
+    payoff and an obstacle part that give the same bits share a part.  A
+    function that cannot be hashed is keyed by its identity.  Each part
+    has a slot, numbered in the order the parts are asked for, and
+    ``calls[slot]`` is its level and its function of ``(w, counts)``.
     """
 
-    def __init__(self, tree: ScenarioTree) -> None:
-        self.tree = tree
-        self.parts: dict = {}
-        self.levels: list[list] = [[] for _ in range(tree.num_steps + 1)]
-        self.spans: dict = {}
-        self.tables: dict = {}
+    def __init__(self) -> None:
+        self.slots: dict = {}
+        self.calls: list[tuple] = []
 
-    def part(self, fn, level: int, t: float | None = None) -> np.ndarray:
-        """``fn(t, w, counts)`` on ``level``, or ``fn(w, counts)`` with ``t`` None."""
+    def slot(self, fn, level: int, t: float | None = None) -> int:
+        """The slot of ``fn(t, w, counts)`` on ``level``, or of ``fn(w, counts)`` with ``t`` None."""
         key = (fn.fill_key(t) if hasattr(fn, "fill_key") else (fn, t), level)
         try:
             hash(key)
         except TypeError:
             key = (id(fn), t, level)
-        out = self.parts.get(key)
-        if out is None:
-            out = self.parts[key] = np.empty(self.tree.level_size(level))
-            self.levels[level].append((fn if t is None else functools.partial(fn, t), out))
-        return out
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = len(self.calls)
+            self.calls.append((level, fn if t is None else functools.partial(fn, t)))
+        return slot
+
+
+class _Walk:
+    """One walk's evaluation of its specs, kept per state; node levels formed on first read.
+
+    ``runs[i]`` is the evaluation of the walk's i-th spec, whose stochastic
+    parts are slots: slot s is one function on level ``levels[s]``,
+    ``tables[s]`` its read-only values per distinct state and ``spans[s]``
+    their NaN-keeping (least, largest) value.  ``nodes`` gives each spec's
+    values on the nodes; ``_on_lattice`` reads ``runs`` over the tables.
+    A walk holds no tree, so the memo that keeps it goes with the tree.
+    """
+
+    def __init__(self, runs: list, levels: list, tables: list, spans: list) -> None:
+        self.runs, self.levels, self.tables, self.spans = runs, levels, tables, spans
+        self._nodes: list | None = None
+        self._lock = threading.Lock()
+
+    def nodes(self, tree: ScenarioTree) -> list:
+        """Each spec's evaluation on the nodes of ``tree``, the tree this walk walked.
+
+        The first read opens a node array for each slot and fills them all
+        from the tables by one gather along a depth first walk of state
+        codes (``rbsde.tree.Lattice.fill``), level by level; the arrays are
+        read-only, and two specs that read one part share its array.  Each
+        terminal's leaf level gets its ``LastStep``.  Later reads, on any
+        thread, return what the first one kept.
+        """
+        with self._lock:
+            if self._nodes is None:
+                outs = [np.empty(tree.level_size(k)) for k in self.levels]
+                order = sorted(range(len(outs)), key=self.levels.__getitem__)
+                if order:
+                    lattice = _states(tree).lattice(tree, max(self.levels))
+                    lattice.fill(*([values[s] for s in order]
+                                   for values in (self.levels, self.tables, outs)))
+                parts = [_read_only(out) for out in outs]
+                nodes = [run.result(parts, self.spans, tree.level_size) for run in self.runs]
+                for run, xi in zip(self.runs, nodes):
+                    if isinstance(run, _TerminalRun):
+                        _LAST_STEPS.setdefault(tree, {}).setdefault(id(xi), LastStep(xi))
+                self._nodes = nodes
+            return self._nodes
 
 
 class _States:
@@ -249,90 +338,45 @@ def _states(tree: ScenarioTree) -> _States:
     return _STATES.setdefault(tree, _States(tree)) if states is None else states
 
 
-def _walk(tree: ScenarioTree, specs) -> list:
-    """``(evaluation, values per state)`` of each of ``specs``: each function once per level.
+def _walk(tree: ScenarioTree, specs) -> _Walk:
+    """The ``_Walk`` of ``specs``: each function called once per level, on its distinct states.
 
-    Every level array is opened first, whole; specs that read one
-    function at one time on one level share its array.  Each such
-    function is called once, on the level's table of distinct states
-    (``_States``).  The level arrays are then filled by gathers from
-    these small tables along one walk of state codes (``Lattice.fill``).
-    The walk goes only as deep as the last level some array reads, so a
-    walk with nothing to fill builds no state.  Each spec's errors are raised after
-    the pass, in the order of ``specs``, from the tables' extremes; an
-    overflow on the way warns nothing, since the results' finiteness is
-    tested.  Only once every spec has passed are the values per state
-    handed out (``on_states``), so a refused walk keeps nothing.
+    Specs that read one function at one time on one level share its slot
+    (``_Parts``).  Each such function is called once, on the level's table
+    of distinct states (``_States``), levels in order, and the walk keeps
+    these tables and their extremes; it opens no node array.  It goes only
+    as deep as the last level some part reads, so a walk with no part
+    builds no state.  Each spec's errors are raised after the pass, in the
+    order of ``specs``, from the tables' extremes; an overflow on the way
+    warns nothing, since the results' finiteness is tested.  A refused
+    walk is not handed out, so it keeps nothing.
     """
-    fills = _Fills(tree)
-    runs = [_TerminalRun(spec, tree, fills) if isinstance(spec, TerminalSpec)
-            else _BarrierRun(spec, tree, fills) for spec in specs]
-    read = [k for k, level in enumerate(fills.levels) if level]
-    if read:
-        states = _states(tree)
-        lattice = states.lattice(tree, read[-1])
-        levels, tables, outs = [], [], []
-        for k, level in enumerate(fills.levels):
-            for fn, out in level:
-                values = fills.tables[id(out)] = _read_only(_table(fn, *states.tables[k]))
-                # np.min and np.max keep a NaN; every state of a table occurs at its level
-                fills.spans[id(out)] = (float(np.min(values)), float(np.max(values)))
-                levels.append(k)
-                tables.append(values)
-                outs.append(out)
-        lattice.fill(levels, tables, outs)
-    for level in fills.levels:
-        for _, out in level:
-            _read_only(out)
-    results = [run.result(fills) for run in runs]
-    return [(result, run.on_states(fills)) for result, run in zip(results, runs)]
-
-
-def _on_lattice(tree: ScenarioTree, specs: tuple, values: tuple):
-    """``(lattice, values on it)``: ``evaluate``'s ``values`` of ``specs`` on the tree's states.
-
-    The lattice is the tree's ``Lattice`` of levels 0 .. N, and the values
-    per state are those ``evaluate`` kept with each spec.  A terminal
-    comes back as its values per leaf state, and an obstacle as
-    ``BarrierValues`` whose levels, and whose left limits, are each the
-    same base over its part's values per state: a left limit is on the
-    states of its parent level, as on the nodes.  None where some spec is
-    the caller's own data, a terminal array or ``BarrierValues``: such
-    data have no states.
-    """
-    if not all(spec is None or isinstance(spec, (TerminalSpec, BarrierSpec)) for spec in specs):
-        return None
     n = tree.num_steps
-    lattice = _states(tree).lattice(tree, n)
-    per_tree = _EVALUATED[tree]
-
-    def on_rows(level, part, k):
-        return ObstacleLevel(level.base, part, lattice.level_size(k), level.span)
-
-    out = []
-    for spec, value in zip(specs, values):
-        on_states = None if spec is None else per_tree[id(spec)][2]
-        if isinstance(spec, TerminalSpec):
-            value = (np.full(lattice.level_size(n), float(spec.constant))
-                     if on_states is None else on_states)
-        elif value is not None:
-            parts, left_parts = on_states
-            levels = tuple(on_rows(level, part, k)
-                           for k, (level, part) in enumerate(zip(value.levels, parts)))
-            left = {k: on_rows(value.left_levels[k], left_parts[k], k - 1)
-                    for k in value.jump_levels}
-            value = BarrierValues(levels, MappingProxyType(left), value.jump_levels)
-        out.append(value)
-    return lattice, out
+    parts = _Parts()
+    runs = [(_TerminalRun if isinstance(spec, TerminalSpec) else _BarrierRun)(spec, n, parts)
+            for spec in specs]
+    levels = [k for k, _ in parts.calls]
+    tables: list = [None] * len(levels)
+    spans: list = [None] * len(levels)
+    if levels:
+        states = _states(tree)
+        states.lattice(tree, max(levels))   # builds the state tables down to the last level read
+        for s in sorted(range(len(levels)), key=levels.__getitem__):
+            k, fn = parts.calls[s]
+            values = tables[s] = _read_only(_table(fn, *states.tables[k]))
+            # np.min and np.max keep a NaN; every state of a table occurs at its level
+            spans[s] = (float(np.min(values)), float(np.max(values)))
+    for run in runs:
+        run.check(spans)
+    return _Walk(runs, levels, tables, spans)
 
 
 def _table(fn, w: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``fn(w, counts)`` on one level's distinct states, as one contiguous float row per state.
 
     The array is always a fresh one, the walk's own: a function may keep,
-    and later change, the array it returns, while the walk fills the
-    levels from these tables after every function has been called, and
-    the memo keeps them.
+    and later change, the array it returns, while the memo keeps these
+    tables and the first node read fills the levels from them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(fn(w, counts), dtype=float)
@@ -363,25 +407,24 @@ class TerminalSpec:
 
 
 class _TerminalRun:
-    """A terminal's evaluation in the walk: the leaf level alone."""
+    """A terminal's evaluation in the walk: the leaf level alone, a slot or a constant."""
 
-    def __init__(self, spec: TerminalSpec, tree: ScenarioTree, fills: _Fills) -> None:
-        self.spec = spec
-        n = tree.num_steps
-        if spec.constant is not None:
-            self.values = np.full(tree.level_size(n), float(spec.constant))
-        else:
-            self.values = fills.part(spec.payoff, n)
+    def __init__(self, spec: TerminalSpec, n: int, parts: _Parts) -> None:
+        self.spec, self.n = spec, n
+        self.slot = None if spec.payoff is None else parts.slot(spec.payoff, n)
 
-    def result(self, fills: _Fills) -> np.ndarray:
-        if self.spec.payoff is not None and not all(map(math.isfinite,
-                                                        fills.spans[id(self.values)])):
+    def check(self, spans: list) -> None:
+        if self.slot is not None and not all(map(math.isfinite, spans[self.slot])):
             raise NonFiniteData("terminal payoff must be finite on every leaf")
-        return _read_only(self.values)
 
-    def on_states(self, fills: _Fills) -> np.ndarray | None:
-        """The payoff's values per leaf state, or None for a constant."""
-        return None if self.spec.payoff is None else fills.tables[id(self.values)]
+    def result(self, parts: list, spans: list, size: Callable[[int], int]) -> np.ndarray:
+        """The leaf values in ``parts`` (node arrays or tables per state), read-only.
+
+        A constant is formed in a fresh array of ``size(N)`` values.
+        """
+        if self.slot is None:
+            return _read_only(np.full(size(self.n), float(self.spec.constant)))
+        return parts[self.slot]
 
 
 @dataclass(frozen=True)
@@ -441,13 +484,14 @@ class BarrierSpec:
 
 @dataclass(frozen=True, eq=False)
 class ObstacleLevel:
-    """One level of an evaluated obstacle, ``size`` nodes of ``base + part``.
+    """One level of an evaluated obstacle, ``size`` values of ``base + part``, one per node or state.
 
     ``base`` is the deterministic part, one float.  ``part`` is the
-    read-only array of the stochastic part, shared by every obstacle of
-    the walk that reads the same part at the same time, or None where there
-    is none.  ``span`` is the part's NaN-keeping (least, largest) value,
-    taken by the walk that filled it.
+    read-only array of the stochastic part, one value per node or per
+    state, shared by every obstacle of the walk that reads the same part
+    at the same time, or None where there is none.  ``span`` is the
+    part's NaN-keeping (least, largest) value, taken by the walk on its
+    states.
     """
 
     base: float
@@ -470,17 +514,19 @@ class ObstacleLevel:
             return np.full(self.size, self.base)
         return np.add(self.base, self.part)
 
-    def finite(self) -> bool:
-        """Whether base + part is finite at every node; both can be finite while it is not.
 
-        Rounding is monotone, so base + part is finite exactly where base
-        plus its largest and base plus its smallest value are (a NaN or
-        infinite part gives a NaN or infinite extreme): no sum is formed,
-        and no level is read.
-        """
-        if self.part is None:
-            return math.isfinite(self.base)
-        return all(math.isfinite(self.base + x) for x in self.span)
+
+def _finite_sum(base: float, span: tuple[float, float] | None) -> bool:
+    """Whether base + part is finite at every node, ``span`` the part's extremes (None: no part).
+
+    Both can be finite while their sum is not.  Rounding is monotone, so
+    base + part is finite exactly where base plus its largest and base
+    plus its smallest value are (a NaN or infinite part gives a NaN or
+    infinite extreme): no sum is formed, and no level is read.
+    """
+    if span is None:
+        return math.isfinite(base)
+    return all(math.isfinite(base + x) for x in span)
 
 
 class BarrierValues:
@@ -520,57 +566,50 @@ class _BarrierRun:
 
     Level k reads the states of level k.  The left limit at a declared
     level L is F_{L-1}-measurable: it reads the states of level L - 1 and
-    is stored there, one value per parent, by the level rule.
+    is stored there, one value per parent, by the level rule.  Each level
+    is kept as ``(base, slot, k)``, the slot None without a stochastic
+    part.
     """
 
-    def __init__(self, spec: BarrierSpec, tree: ScenarioTree, fills: _Fills) -> None:
-        self.spec, self.tree = spec, tree
-        n = tree.num_steps
-        self.levels = [self._level(fills, k / n, spec.deterministic_at(k / n), k)
+    def __init__(self, spec: BarrierSpec, n: int, parts: _Parts) -> None:
+        self.spec, self.n = spec, n
+        self.levels = [self._level(parts, k / n, spec.deterministic_at(k / n), k)
                        for k in range(n + 1)]
         self.left: list[tuple | None] = []
         for t, offset in spec.declared_jumps:
-            level = round(t * n)   # the nearest level; ``result`` rejects a time off the grid
-            self.left.append(self._level(fills, t, spec.deterministic_at(t) + offset, level - 1)
+            level = round(t * n)   # the nearest level; ``check`` rejects a time off the grid
+            self.left.append(self._level(parts, t, spec.deterministic_at(t) + offset, level - 1)
                              if 1 <= level <= n else None)
 
-    def _level(self, fills: _Fills, t: float, base: float, k: int) -> tuple:
-        """``(base, part, size)`` of level ``k``: ``base`` plus the stochastic part at ``t``."""
+    def _level(self, parts: _Parts, t: float, base: float, k: int) -> tuple:
+        """``(base, slot, k)`` of level ``k``: ``base`` plus the stochastic part at ``t``."""
         stochastic = self.spec.stochastic
-        part = None if stochastic is None else fills.part(stochastic, k, t)
-        return base, part, self.tree.level_size(k)
+        return base, None if stochastic is None else parts.slot(stochastic, k, t), k
 
-    def result(self, fills: _Fills) -> BarrierValues:
-        def obstacle_level(base, part, size):
-            return ObstacleLevel(base, part, size, fills.spans.get(id(part)))
+    def check(self, spans: list) -> None:
+        def finite(base, slot, k):
+            return _finite_sum(base, None if slot is None else spans[slot])
 
-        levels = tuple(obstacle_level(*level) for level in self.levels)
-        for k, level in enumerate(levels):
-            if not level.finite():
+        for k, level in enumerate(self.levels):
+            if not finite(*level):
                 raise NonFiniteData(f"obstacle is not finite at level {k}")
-        left: dict[int, ObstacleLevel] = {}
         for (t_j, _), parents in zip(self.spec.declared_jumps, self.left):
-            level = grid_level(t_j, self.tree.num_steps)
+            level = grid_level(t_j, self.n)
             if level == 0:
                 raise JumpTimeOffGrid("declared jumps at time 0 are not representable")
-            parents = obstacle_level(*parents)
-            if not parents.finite():
+            if not finite(*parents):
                 raise NonFiniteData(f"obstacle left limit is not finite at level {level}")
-            left[level] = parents
-        return BarrierValues(levels, MappingProxyType(left), tuple(sorted(left)))
 
-    def on_states(self, fills: _Fills) -> tuple:
-        """Each level's stochastic part per distinct state, and each declared left limit's.
+    def result(self, parts: list, spans: list, size: Callable[[int], int]) -> BarrierValues:
+        """The obstacle over ``parts`` (node arrays or tables per state), level k of ``size(k)`` values."""
+        def level(base, slot, k):
+            if slot is None:
+                return ObstacleLevel(base, None, size(k))
+            return ObstacleLevel(base, parts[slot], size(k), spans[slot])
 
-        A part is None where there is none; the left limits are keyed by
-        their declared level.
-        """
-        def on_states(part):
-            return None if part is None else fills.tables[id(part)]
-
-        left = {grid_level(t_j, self.tree.num_steps): on_states(parents[1])
-                for (t_j, _), parents in zip(self.spec.declared_jumps, self.left)}
-        return tuple(on_states(part) for _, part, _ in self.levels), left
+        left = {k + 1: level(base, slot, k) for base, slot, k in self.left}
+        return BarrierValues(tuple(level(*level_k) for level_k in self.levels),
+                             MappingProxyType(left), tuple(sorted(left)))
 
 
 def lipschitz_constant(driver, marks: MarkSet) -> float:

@@ -31,7 +31,10 @@ A direct solve (``solve_reflected``) of data with states, a
 ``TerminalSpec`` and ``BarrierSpec``s, runs on the tree's ``Lattice`` of
 distinct node states: a node's state fixes its subtree, so Y_k, the
 increments of K and the jump-type masses of K_d are functions of it (of
-the parent's state and the branch, for a mass).  The obstacle
+the parent's state and the branch, for a mass).  It takes the data per
+state from the evaluation's own tables (``rbsde.processes._on_lattice``),
+with the refusals ``evaluate`` gives, and forms no node level of ξ or
+of an obstacle.  The obstacle
 validation, the sweep, the finiteness test of Y, the booking and the
 split run there, one row per state (a few hundred per level where the
 tree has millions of nodes), and the solution stays there
@@ -42,7 +45,7 @@ each bit, each level without mass and each message is the node solve's.
 The caller's own arrays (a terminal array, ``BarrierValues``) have no
 states, and the sweeps that store Z and V (``_solve(store=True)``, Picard
 rounds and penalised rungs) keep their node-level Z, V and ``LastStep``:
-these run on the nodes.
+these run on the nodes, with the data read through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -167,16 +170,16 @@ def _validate_obstacles(grid, xi: np.ndarray, low, up=None) -> None:
                 "before the horizon is required")
 
 
-def _evaluated(tree: ScenarioTree, terminal, lower=None, upper=None) -> tuple:
-    """(xi, L, U) from ``evaluate``; None is -inf for L, +inf for U."""
+def _paired(lower, upper) -> None:
+    """Refuse an upper obstacle without a lower one; None is -inf for L, +inf for U."""
     if lower is None and upper is not None:
         raise ValueError("an upper obstacle needs a lower one")
-    return evaluate(tree, terminal, lower, upper)
 
 
 def _obstacle_inputs(tree: ScenarioTree, terminal, lower=None, upper=None):
     """(L, U, xi) once the terminal lies in [L, U] and L < U; None is -inf for L, +inf for U."""
-    xi, low, up = _evaluated(tree, terminal, lower, upper)
+    _paired(lower, upper)
+    xi, low, up = evaluate(tree, terminal, lower, upper)
     if low is not None:
         _validate_obstacles(tree, xi, low, up)
     return low, up, xi
@@ -299,14 +302,17 @@ def _solve(tree: ScenarioTree, driver, terminal, lower=None, upper=None, *,
     """``solve_reflected``, with Z and V stored where ``store`` asks for them.
 
     A solve that stores nothing, of data with states (specs, not the
-    caller's own arrays), runs on the tree's ``Lattice`` and keeps its
-    solution there (``_on_states``).  Every other solve runs on the nodes.
+    caller's own arrays), takes its data per state (``_on_lattice``), runs
+    on the tree's ``Lattice`` and keeps its solution there
+    (``_on_states``): it forms no node level of the data.  Every other
+    solve reads the data on the nodes (``evaluate``) and runs there.
     """
     check_stepsize(driver, tree)
-    data = _evaluated(tree, terminal, lower, upper)
-    on_lattice = None if store else _on_lattice(tree, (terminal, lower, upper), data)
+    _paired(lower, upper)
+    on_lattice = None if store else _on_lattice(tree, terminal, lower, upper)
     if on_lattice is not None:
         return _on_states(tree, driver, *on_lattice)
+    data = evaluate(tree, terminal, lower, upper)
     return _book(tree, _swept(tree, driver, tree, *data, store=store), *data[1:])
 
 

@@ -13,9 +13,10 @@ row per state, when the data have states too (``_StateReads``): the
 states of levels 0 .. N - 1 are stacked into one level, so a few slices
 take every clause.  The clauses read the increments the solve booked, K's
 per parent state and K_d's per parent state and branch, and K_c's as
-their difference, not differences of cumulative K; the obstacles and
-left limits per state come from ``rbsde.processes._on_lattice``, and
-P(parent) is the states' masses.  Each row's products are BLAS's on
+their difference, not differences of cumulative K; the terminal, the
+obstacles and the left limits per state come from the evaluation's own
+tables (``rbsde.processes._on_lattice``), so the check forms no node
+level of the data, and P(parent) is the states' masses.  Each row's products are BLAS's on
 row-major tables, which give a row the same bits wherever it sits in a
 table of two rows or more (no slice has one row,
 ``rbsde.tree._parent_blocks``).  So the pointwise residuals are those of
@@ -503,7 +504,7 @@ class _StateReads:
                 if (found := self._part(part, left, rows)) is not None]
 
 
-def _per_state(tree: ScenarioTree, sol, specs: tuple, data: tuple, count: int):
+def _per_state(tree: ScenarioTree, sol, specs: tuple, count: int):
     """``_on_lattice`` of the check's data where ``sol`` is kept on this tree's lattice, else None.
 
     The solution must be a direct solve's as it came: Y, and K and K_d of
@@ -514,7 +515,7 @@ def _per_state(tree: ScenarioTree, sol, specs: tuple, data: tuple, count: int):
     """
     if not isinstance(sol.y, StateLevels):
         return None
-    on_lattice = _on_lattice(tree, specs, data)
+    on_lattice = _on_lattice(tree, *specs)
     if on_lattice is None:
         return None
     lattice = on_lattice[0]
@@ -660,9 +661,9 @@ def check_solution(tree: ScenarioTree, sol: Solution, driver, terminal, lower,
     ``upper=None`` checks the one-obstacle equation (U = +inf) against
     ``sol.lower``; with an upper obstacle ``sol.upper`` is checked too.
     """
-    data = evaluate(tree, terminal, lower, upper)
-    on_lattice = _per_state(tree, sol, (terminal, lower, upper), data, 1 + (upper is not None))
-    grid, (xi, low, up) = (tree, data) if on_lattice is None else on_lattice
+    on_lattice = _per_state(tree, sol, (terminal, lower, upper), 1 + (upper is not None))
+    grid, (xi, low, up) = ((tree, evaluate(tree, terminal, lower, upper)) if on_lattice is None
+                           else on_lattice)
     sides = [_Side(low, sol.lower, +1)]
     if up is not None:
         sides.append(_Side(up, sol.upper, -1))

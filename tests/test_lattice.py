@@ -13,8 +13,12 @@ leave the float range.  Derandomised, so the suite is deterministic.
 """
 
 import gc
+import json
+import threading
+import time
 import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,6 +33,9 @@ from rbsde import (BarrierSpec, BarriersTouch, DriverSpec, MarkSet, NonFiniteDat
                    TerminalBelowBarrier, TerminalOutsideBarriers, TerminalSpec, build_tree,
                    check_solution, solve_reflected)
 from rbsde.bsde import _project_block
+from rbsde.cli import main
+from rbsde.config import parse_config
+from rbsde.errors import JumpTimeOffGrid
 from rbsde.processes import _states, evaluate, linear_obstacle, linear_payoff
 from rbsde.tree import Lattice, expand
 from conftest import distinct_states, on_nodes, state_problems
@@ -213,16 +220,18 @@ def test_a_lattice_fills_each_node_from_its_state():
 
 @pytest.mark.parametrize("poisoned", ["terminal", "obstacle"])
 def test_a_refused_evaluation_keeps_none_of_its_values(monkeypatch, poisoned):
-    """Data refused as not finite leave no level array or value per state behind."""
+    """Data refused as not finite leave no value per state behind, and form no node level."""
     tree = build_tree(4, MarkSet(sizes=(1.0,), intensities=(0.4,)))
-    kept = []
-    fill = Lattice.fill
+    kept, fills = [], []
+    table = rbsde.processes._table
 
-    def recording_fill(self, levels, values, outs):
-        fill(self, levels, values, outs)
-        kept.extend(weakref.ref(array) for array in (*values, *outs))
+    def recording_table(fn, w, counts):
+        values = table(fn, w, counts)
+        kept.append(weakref.ref(values))
+        return values
 
-    monkeypatch.setattr(Lattice, "fill", recording_fill)
+    monkeypatch.setattr(rbsde.processes, "_table", recording_table)
+    monkeypatch.setattr(Lattice, "fill", lambda self, *args: fills.append(args))
     finite = BarrierSpec(stochastic=lambda t, w, c: 0.1 * w)
     poison = BarrierSpec(stochastic=lambda t, w, c: np.where(w > 1.5, np.nan, w))
     payoff = TerminalSpec(payoff=(lambda w, c: np.where(w > 1.5, np.inf, w))
@@ -231,6 +240,7 @@ def test_a_refused_evaluation_keeps_none_of_its_values(monkeypatch, poisoned):
     with pytest.raises(NonFiniteData):
         evaluate(tree, payoff, *specs)
     assert kept and all(ref() is None for ref in kept)
+    assert not fills
     assert not any(id(spec) in rbsde.processes._EVALUATED.get(tree, {})
                    for spec in (payoff, *specs))
 
@@ -325,3 +335,164 @@ def test_a_level_one_row_past_a_slice_is_swept_with_the_node_bits(monkeypatch):
     assert [rows.stop - rows.start for rows in rbsde.tree._parent_blocks(lattice, 2)] == [9]
     assert all(rows.stop - rows.start > 1 for k in range(1, 6)
                for rows in rbsde.tree._parent_blocks(tree, k))
+
+
+def _band(marks):
+    """A driver, a terminal, and a band whose two sides have the same stochastic part.
+
+    The part is the terminal's compensated conditional mean, so the
+    terminal sits 0.3 above the lower side and 0.12 below the upper one at
+    the horizon; each side jumps once, at t = 0.4 and t = 0.6.
+    """
+    coeffs = (0.4,) * marks.count
+    part = linear_obstacle(0.3, 0.5, coeffs, compensate=marks)
+    terminal = TerminalSpec(payoff=linear_payoff(0.3 - 0.4 * sum(marks.intensities), 0.5, coeffs))
+    lower = BarrierSpec(pieces=((0.0, -0.15), (0.4, -0.3)), stochastic=part)
+    upper = BarrierSpec(pieces=((0.0, 0.3), (0.6, 0.12)), stochastic=part)
+    return DriverSpec(base=0.1, a=0.2, b=0.1, marks=marks), terminal, (lower, upper)
+
+
+def _same_levels(a, b) -> bool:
+    return all(x.whole().tobytes() == y.whole().tobytes() for x, y in zip(a, b))
+
+
+# (marks, steps): the deepest trees of no and of one mark, 2^20 and 4^10 leaves
+@pytest.mark.parametrize("m,steps", [(0, 20), (1, 10)])
+@pytest.mark.parametrize("sides", [1, 2])
+def test_the_lattice_route_forms_no_node_data(monkeypatch, m, steps, sides):
+    """A direct solve of specs and its check read ξ and the obstacles per state only.
+
+    The walk, the solve and the check, traced together, call no
+    ``Lattice.fill`` and peak at under a sixteenth of one leaf level (8 MB
+    here): 1.6% of it for one side and 1.8% for two at m = 0, 2.7% and
+    3.0% at m = 1, where the eager fill of every node level took about
+    2.3 leaf levels.  The first node read then fills every level of the
+    walk in one ``Lattice.fill``, with a fresh tree's bits; equal parts
+    stay one array, and the memo hands out the same read-only arrays.
+    """
+    fills = []
+    fill = Lattice.fill
+
+    def recording_fill(self, *args):
+        fills.append(args)
+        fill(self, *args)
+
+    monkeypatch.setattr(Lattice, "fill", recording_fill)
+    marks = MarkSet(sizes=(1.0,), intensities=(0.6,)) if m else MarkSet()
+    driver, terminal, band = _band(marks)
+    obstacles = band[:sides]
+    tree = build_tree(steps, marks)
+    leaf_bytes = 8 * tree.level_size(steps)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sol = solve_reflected(tree, driver, terminal, *obstacles)
+        report = check_solution(tree, sol, driver, terminal, *obstacles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.to_dict()
+    assert not fills
+    assert peak < leaf_bytes // 16, peak / leaf_bytes
+    xi, *values = evaluate(tree, terminal, *obstacles)
+    assert len(fills) == 1
+    fresh_xi, *fresh = evaluate(build_tree(steps, marks), terminal, *obstacles)
+    assert xi.tobytes() == fresh_xi.tobytes()
+    for value, expected in zip(values, fresh):
+        assert value.jump_levels == expected.jump_levels
+        assert _same_levels(value.levels, expected.levels)
+        assert _same_levels(value.left_levels.values(), expected.left_levels.values())
+    if sides == 2:
+        assert all(low.part is up.part for low, up in zip(*(v.levels for v in values)))
+    again = evaluate(tree, terminal, *obstacles)
+    assert again[0] is xi and not xi.flags.writeable
+    for value, kept in zip(values, again[1:]):
+        assert value is kept
+        assert not any(level.part.flags.writeable for level in value.levels)
+    assert len(fills) == 2   # the fresh tree's
+
+
+# Obstacles the walk refuses, in configuration form, on the 8-step, one-mark
+# grid of configs/counterexample.json: a part that overflows from level 6
+# on (its w reaches 6 sqrt(1/8) > 1.8 there), a left limit whose base and
+# part are each finite but whose sum is not, and a jump declared off the grid
+REFUSED = {
+    "middle_level": ({"pieces": [[0.0, 0.0]], "stochastic": {"kind": "linear", "w_coeff": 1e308}},
+                     NonFiniteData, "obstacle is not finite at level 6"),
+    "left_limit": ({"pieces": [[0.0, 0.0]], "jumps": [[0.5, 1e308]],
+                    "stochastic": {"kind": "linear", "intercept": 1e308}},
+                   NonFiniteData, "obstacle left limit is not finite at level 4"),
+    "off_grid": ({"pieces": [[0.0, 0.0]], "jumps": [[0.3, 0.1]],
+                  "stochastic": {"kind": "linear", "w_coeff": 0.1}},
+                 JumpTimeOffGrid, "time 0.3 is not a grid point of an 8-step grid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_the_lattice_route_refuses_data_as_evaluate_does(monkeypatch, tmp_path, capsys, case):
+    """A direct solve of specs raises the walk's error, with its message, and keeps nothing.
+
+    The solve takes its data per state without calling ``evaluate``, so
+    its refusals must be those of ``evaluate`` on the same data, and the
+    CLI exits 3 on them.
+    """
+    obstacle, error, message = REFUSED[case]
+    counterexample = Path(__file__).resolve().parent.parent / "configs" / "counterexample.json"
+    config = dict(json.loads(counterexample.read_text()), barrier=obstacle)
+    problem, _ = parse_config(config)
+    kept = []
+    table = rbsde.processes._table
+
+    def recording_table(fn, w, counts):
+        values = table(fn, w, counts)
+        kept.append(weakref.ref(values))
+        return values
+
+    monkeypatch.setattr(rbsde.processes, "_table", recording_table)
+    tree = problem.build_tree()
+    with pytest.raises(error) as solved:
+        solve_reflected(tree, problem.driver, problem.terminal, problem.barrier)
+    with pytest.raises(error) as evaluated:
+        evaluate(problem.build_tree(), problem.terminal, problem.barrier)
+    assert str(solved.value) == str(evaluated.value) == message
+    del solved, evaluated   # their tracebacks hold the walks' frames
+    gc.collect()
+    assert id(problem.barrier) not in rbsde.processes._EVALUATED.get(tree, {})
+    assert kept and all(ref() is None for ref in kept)
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve-one", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_threads_that_read_a_walk_first_share_one_fill(monkeypatch):
+    """Two threads whose first node reads of one walk meet get the same arrays, filled once."""
+    marks = MarkSet(sizes=(1.0,), intensities=(0.6,))
+    driver, terminal, band = _band(marks)
+    tree = build_tree(5, marks)
+    solve_reflected(tree, driver, terminal, *band)
+    fills = []
+    fill = Lattice.fill
+    meet = threading.Barrier(2)
+
+    def slow_fill(self, *args):
+        fills.append(args)
+        time.sleep(0.05)   # the other thread's read arrives while this one fills
+        fill(self, *args)
+
+    monkeypatch.setattr(Lattice, "fill", slow_fill)
+    read = [None, None]
+
+    def reader(i):
+        meet.wait()
+        read[i] = evaluate(tree, terminal, *band)
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(fills) == 1
+    (xi, *values), (xi_2, *values_2) = read
+    assert xi is xi_2 and all(a is b for a, b in zip(values, values_2))
+    assert rbsde.processes._last_step(tree, xi).xi is xi

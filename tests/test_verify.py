@@ -150,6 +150,9 @@ def test_checker_transient_stays_below_one_leaf_level():
     for sides in (1, 2):
         # the node checker, on the solve's levels read once
         sol = node_levels(tree, solve_reflected(tree, driver, terminal, *obstacles[:sides]))
+        # the first node read of the data forms their node levels, which the
+        # tree keeps: the evaluation's, not the checker's
+        evaluate(tree, terminal, *obstacles[:sides])
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]

@@ -310,7 +310,7 @@ def test_functions_that_alias_or_keep_their_input_change_nothing():
         w_kept[0] = 99.0   # the kept state is read-only
     with pytest.raises(ValueError):
         counts_kept[0] = 99.0
-    (fresh, _), = _walk(tree, [aliasing])
+    fresh, = _walk(tree, [aliasing]).nodes(tree)
     for k in range(steps + 1):
         base = 0.0 if k < 3 else -1.0
         assert np.array_equal(values.levels[k].whole(), base + w[k])
@@ -323,7 +323,7 @@ def test_functions_that_alias_or_keep_their_input_change_nothing():
     assert len(rows) == len(w_kept) == _distinct_states(tree)[steps]
     assert rows == {(x, *c) for x, c in zip(w[steps].view(np.int64).tolist(),
                                             counts[steps].tolist())}
-    (fresh, _), = _walk(tree, [terminal])
+    fresh, = _walk(tree, [terminal]).nodes(tree)
     assert np.array_equal(fresh, leaves)
 
 
