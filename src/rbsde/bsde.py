@@ -13,22 +13,22 @@ implicit step: the reflected, penalised and Picard steps are rules of
 sweep takes the leaf values as an array: every solver reads its terminal
 and obstacles with ``rbsde.processes.evaluate``.  A solution's Y_N is
 that array itself.  A direct solve stores no Z or V: its Z and V are
-``Projection``s of its Y, each level formed on read.  The sweeps whose
-callers read Z and V again (Picard rounds and penalised rungs) store
-them, and for a terminal ``evaluate`` made, their Z_{N-1} and V_{N-1}
-are read-only arrays that every such sweep of it on the tree shares: the
-tree keeps the terminal's last step (``rbsde.processes.LastStep``), so
-only the first storing sweep projects it.
+``Projection``s of its Y, each level formed on read.  Picard rounds,
+whose next round reads them, and penalised rungs, whose gaps the ladder
+takes, store them; on the tree's ``Lattice`` the solution's
+``Projection``s keep them per state.
 
 The sweep walks a grid: the tree's nodes, or its ``Lattice`` of distinct
-node states, on which ``rbsde.reflected`` runs, and keeps, every direct
-solve of data with states; a ``Projection`` of such a Y reads its node
-levels, formed on read.  Each operation of a step is row by row (ufuncs,
-``_weigh``, the implicit step, the clamps, and a BLAS product whose row
-depends on that row alone), so a state's row has the bits of each of its
-nodes.  The sweep projects each block in full, and the checker projects
-a slice's z in full and its v where the driver reads it.  With a = 0 the
-implicit step makes no divide, which gives the bits of dividing by 1.0.
+node states, on which every solve of data with states runs and keeps
+its solution (direct solves, penalised rungs and Picard rounds from
+zero); a ``Projection`` of such a Y reads its node levels, formed on
+read, or its values per state (``states``).  Each operation of a step
+is row by row (ufuncs, ``_weigh``, the implicit step, the clamps, and a
+BLAS product whose row depends on that row alone), so a state's row has
+the bits of each of its nodes.  The sweep projects each block in full,
+and the checker projects a slice's z in full and its v where the driver
+reads it.  With a = 0 the implicit step makes no divide, which gives the
+bits of dividing by 1.0.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import StepsizeTooLarge
 from .processes import eval_barrier  # noqa: F401  (kept importable from this module)
-from .processes import _last_step, _read_only, lipschitz_constant
-from .tree import Process, ScenarioTree, _children, _lined_up, _parent_blocks, _weigh
+from .processes import _read_only, lipschitz_constant
+from .tree import Process, ScenarioTree, _lined_up, _parent_blocks, _weigh
 
 
 class ContinuousPart(Sequence):
@@ -72,33 +72,49 @@ class ContinuousPart(Sequence):
 
 
 class Projection(Sequence):
-    """Z or V of a direct solve: level k is the projection of Y_{k+1}, formed on read.
+    """Z or V of a solve that stores none: level k is the projection of Y_{k+1}, formed on read.
 
-    Nothing is stored.  A read of level k projects Y_{k+1} over the
+    No node level is stored.  A read of level k projects Y_{k+1} over the
     ``_parent_blocks`` slices of level k; each row of a product depends on
     that row alone, so a node's z and v have the bits the sweep formed for
     it, or for its state on the tree's ``Lattice``.  Each read returns a
-    fresh array, the caller's to edit;
-    the levels follow Y, so edit a copy of Y, not Y itself.
-    ``rbsde.verify`` projects a slice's rows from the children table it
-    reads anyway, building no level.
+    fresh array, the caller's to edit; the levels follow Y, so edit a copy
+    of Y, not Y itself.  Where Y is kept per state, ``per_state`` is that
+    lattice and ``states`` projects its values per state the same way,
+    each level kept read-only from its first read, for the ladder that
+    compares one solve with each rung; ``states`` given are levels a sweep
+    stored, which have those bits.  ``rbsde.verify`` projects a slice's
+    rows from the children table it reads anyway, building no level.
     """
 
-    def __init__(self, tree: ScenarioTree, y: Process, kernel) -> None:
+    def __init__(self, tree: ScenarioTree, y: Process, kernel, states: Process = ()) -> None:
         self.tree, self.y, self.kernel = tree, y, kernel
+        self.per_state = getattr(y, "per_state", None)
+        self._states: dict[int, np.ndarray] = dict(enumerate(map(_read_only, states)))
 
     def __len__(self) -> int:
         return len(self.y) - 1
 
     def __getitem__(self, level: int) -> np.ndarray:
         level = range(len(self))[level]   # negative levels, and IndexError past the last
-        tree = self.tree
+        return self._project(self.tree, self.y[level + 1], level)
+
+    def states(self, level: int) -> np.ndarray:
+        """Level ``level`` per state of the lattice Y is kept on, read-only, kept once read."""
+        level = range(len(self))[level]
+        kept = self._states.get(level)
+        if kept is None:
+            kept = self._states[level] = _read_only(
+                self._project(self.per_state, self.y.states(level + 1), level))
+        return kept
+
+    def _project(self, grid, y_next: np.ndarray, level: int) -> np.ndarray:
         out = None
-        for rows in _parent_blocks(tree, level):
+        for rows in _parent_blocks(grid, level):
             with np.errstate(over="ignore", invalid="ignore"):
-                block = self.kernel(tree, _children(tree, self.y[level + 1], rows))
+                block = self.kernel(self.tree, grid.children(y_next, level, rows))
             if out is None:
-                out = np.empty((tree.level_size(level),) + block.shape[1:])
+                out = np.empty((grid.level_size(level),) + block.shape[1:])
             out[rows] = block
         return out
 
@@ -132,11 +148,9 @@ class Solution:
     ``lower`` is K (K+ with two obstacles), which pushes Y up onto the
     lower obstacle; ``upper`` is K-, which pushes Y down onto the upper
     one.  A side without an obstacle is None, both for the unreflected
-    equation.  Y_N may be the read-only terminal array itself.  A direct
-    solve's Z and V are ``Projection``s of its Y, formed on each read; a
-    Picard round's or a penalised rung's are stored, and their Z_{N-1}
-    and V_{N-1} read-only arrays shared with every other such solve of
-    that terminal on the tree: edit copies.
+    equation.  Y_N may be the read-only terminal array itself.  Z and V
+    are ``Projection``s of Y, formed on each read, but on the nodes a
+    Picard solve and a penalised rung keep their sweep's stored levels.
     """
 
     y: Process
@@ -220,7 +234,7 @@ def _implicit_y(rhs, a: float, dt: float):
     return rhs if a == 0.0 else rhs / (1.0 - a * dt)
 
 
-def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, *, store: bool = True,
+def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, *, store: bool,
                     grid=None):
     """Backward induction over cache-sized blocks of each level of ``grid``.
 
@@ -238,14 +252,6 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, *, store
     Values that leave the float range become inf or NaN without a warning:
     the solvers test each level of Y once the sweep is done
     (``rbsde.reflected._finite``).
-
-    A terminal that ``rbsde.processes.evaluate`` made on the tree has its
-    last step kept there (``LastStep``), filled by storing sweeps only:
-    the first freezes its Z_{N-1} and V_{N-1} read-only and keeps them,
-    and every later sweep reads them in place of projecting; the second
-    keeps its blocks' conditional means, which later sweeps read.  A
-    storing sweep takes the kept Z_{N-1} and V_{N-1} as its own levels.
-    Every block has the bits it would have if projected.
     """
     grid = tree if grid is None else grid
     n = tree.num_steps
@@ -254,32 +260,10 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, *, store
     y[n] = xi
     z: Process | None = [None] * n if store else None
     v: Process | None = [None] * n if store else None
-    last = _last_step(tree, xi) if grid is tree else None
-    # read once, so a sweep on another thread that fills the memo changes nothing here
-    shared, mean = (None, None) if last is None else (last.zv, last.mean)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, -1, -1):
             size = grid.level_size(k)
             y[k] = np.empty(size)
-            if k == n - 1 and shared is not None:
-                # the kept last step: no projection, and no new Z or V level
-                zk, vk = shared
-                if store:
-                    z[k], v[k] = shared
-                # the second storing sweep keeps its conditional means
-                kept = np.empty(size) if mean is None and store else None
-                for rows in _parent_blocks(grid, k):
-                    if mean is not None:
-                        mb = mean[rows]
-                    else:
-                        mb = grid.children(xi, k, rows) @ tree.branch_prob
-                        if kept is not None:
-                            kept[rows] = mb
-                    rhs = mb + source(k, rows, zk[rows], vk[rows]) * dt
-                    y[k][rows] = settle(k, rows, rhs)
-                if kept is not None:
-                    last.mean = _read_only(kept)
-                continue
             if store:
                 z[k], v[k] = np.empty(size), np.empty((size, tree.marks.count))
             for rows in _parent_blocks(grid, k):
@@ -288,6 +272,4 @@ def _backward_sweep(tree: ScenarioTree, source, xi: np.ndarray, settle, *, store
                 y[k][rows] = settle(k, rows, rhs)
                 if store:
                     z[k][rows], v[k][rows] = zb, vb
-    if store and last is not None and shared is None:
-        last.zv = (_read_only(z[n - 1]), _read_only(v[n - 1]))
     return y, z, v

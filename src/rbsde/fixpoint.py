@@ -2,7 +2,11 @@
 
 Each round freezes the driver inputs at the previous iterate, solves the
 resulting coefficient-free problem with the one reflected sweep of every
-kind, and measures the move in the exponentially weighted norm.  The
+kind, and measures the move in the exponentially weighted norm.  Rounds
+from zero on data with states run on the tree's ``Lattice``, their
+(y, z, v) kept per state and their moves weighed by state mass; rounds
+from a start given per node, or on the caller's own arrays, run on the
+nodes.  The
 weight exponent defaults to 2*C_f + 4*C_f^2 + 2, the constant the
 uniqueness estimate produces; the continuous-time contraction constant
 does not transfer verbatim to the discrete norm, so a failure to
@@ -21,7 +25,7 @@ from .bsde import _driver_value
 from .errors import MaxIterExceeded, NoContractionObserved, NonFiniteData, WeightOverflow
 from .processes import KINDS, DriverSpec, lipschitz_constant
 from .reflected import _book, _obstacle_inputs, _reflected_sweep
-from .tree import ScenarioTree, _all_finite, _weigh
+from .tree import ScenarioTree, _weigh
 
 # The rounds call the sweep directly; these solver names stay importable from
 # this module for code that looks them up here (the benchmark's bench/tracing.py).
@@ -43,44 +47,36 @@ def alpha_rule(c_f: float) -> float:
     return alpha
 
 
-def _alpha_distance(tree: ScenarioTree, p, q, alpha: float) -> float:
+def _alpha_distance(tree: ScenarioTree, p, q, alpha: float, grid=None) -> float:
     """Weighted norm of p - q, with one level of differences alive at a time.
 
     With (Y, Z, V) = p - q: sqrt(sum_{k<N} e^{alpha t_k} E[Y_k^2 + Z_k^2 +
-    sum_i lam_i V_{k,i}^2] dt), left-endpoint weights on the grid.  Two
-    rounds on one evaluated terminal share Z_{N-1} and V_{N-1}
-    (``rbsde.bsde._backward_sweep``): ``_gaps`` leaves such a pair out.
+    sum_i lam_i V_{k,i}^2] dt), left-endpoint weights on the grid.  ``grid``
+    is the tree (the default) or its ``Lattice``, with p and q given per
+    state, weighed by state mass.
     """
-    levels = (_gaps((yp, yq), (zp, zq), (vp, vq))
+    levels = ((yp - yq, zp - zq, vp - vq)
               for yp, yq, zp, zq, vp, vq in zip(p[0], q[0], p[1], q[1], p[2], q[2]))
-    return _weighted_norm(tree, levels, alpha)
+    return _weighted_norm(tree, levels, alpha, grid)
 
 
-def _gaps(*pairs) -> tuple:
-    """``a - b`` of each pair, leaving out a pair that is one finite array.
-
-    x - x is +0.0 for every finite x, and zeros add nothing to a sum of
-    squares, so the norm keeps its bits without them; a shared array with
-    a NaN or inf takes the subtraction, whose NaN the norm keeps.
-    """
-    return tuple(a - b for a, b in pairs if a is not b or not _all_finite(a))
-
-
-def _weighted_norm(tree: ScenarioTree, levels, alpha: float) -> float:
+def _weighted_norm(tree: ScenarioTree, levels, alpha: float, grid=None) -> float:
     """sqrt(sum_{k<N} e^{alpha t_k} dt E[sum of squares]) over the arrays ``levels`` yields.
 
     ``levels`` yields one tuple of float arrays per level, which become the
     kernel's own: each is squared in place, a marked (2-D) one is weighed
     by the intensities, and all are summed into the first.  A marked array
-    without marks adds nothing, and so does a level with no array, which
-    is what its zeros add under the finite weights of the callers.  At
-    alpha = 0 this is the dt (x) dP norm.
+    without marks adds nothing.  At alpha = 0 this is the dt (x) dP norm.
+    ``grid`` is the tree (the default), or its ``Lattice`` with the arrays
+    given per state: E is then weighed by state mass
+    (``rbsde.tree.Lattice.expectation``).
     A norm past the largest float is inf, and ``levels`` may take its
-    differences (``_gaps``) as it yields, where inf - inf is NaN, which
-    the norm keeps: neither warns.
+    differences as it yields, where inf - inf is NaN, which the norm
+    keeps: neither warns.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    grid = tree if grid is None else grid
     lam = tree.marks.intensity_array
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -93,7 +89,7 @@ def _weighted_norm(tree: ScenarioTree, levels, alpha: float) -> float:
                     part = _weigh(part, lam, scratch=True) if part.ndim == 2 else part
                     sq = part if sq is None else np.add(sq, part, out=sq)
             if sq is not None:
-                total += weight * tree.expectation(k, sq, out=sq)
+                total += weight * grid.expectation(k, sq, out=sq)
     return float(np.sqrt(total))
 
 
@@ -108,18 +104,20 @@ class FixpointTrace:
     iterations: int
 
 
-def _sweep(tree: ScenarioTree, driver: DriverSpec, previous, xi: np.ndarray, low, up):
-    """One round: Y, Z, V and each side's compensator increments (None without it).
+def _sweep(tree: ScenarioTree, driver: DriverSpec, previous, xi: np.ndarray, low, up,
+           grid=None):
+    """One round on ``grid``: Y, Z, V and each side's compensator increments (None without it).
 
-    The driver is frozen block by block at the previous iterate's (y, z, v)
-    and is the whole source, with no implicit y part.
+    The driver is frozen block by block at the previous iterate's (y, z, v),
+    given on ``grid`` as the data are, and is the whole source, with no
+    implicit y part.
     """
     y, z, v = previous
 
     def source(k, rows, _z, _v):
         return _driver_value(driver, tree, k, y[k][rows], z[k][rows], v[k][rows])
 
-    return _reflected_sweep(tree, source, 0.0, xi, low, up)
+    return _reflected_sweep(tree, source, 0.0, xi, low, up, store=True, grid=grid)
 
 
 def _start(tree: ScenarioTree, initial):
@@ -138,8 +136,13 @@ def _start(tree: ScenarioTree, initial):
     return start
 
 
-def zero_triple(tree: ScenarioTree):
-    return tree.zero_adapted(), tree.zero_predictable(), tree.zero_marked()
+def zero_triple(tree: ScenarioTree, grid=None):
+    """(Y, Z, V) = 0 on every level of ``grid``: the tree (the default) or its ``Lattice``."""
+    grid = tree if grid is None else grid
+    n, m = grid.num_steps, tree.marks.count
+    return ([np.zeros(grid.level_size(k)) for k in range(n + 1)],
+            [np.zeros(grid.level_size(k)) for k in range(n)],
+            [np.zeros((grid.level_size(k), m)) for k in range(n)])
 
 
 def random_triple(tree: ScenarioTree, rng: np.random.Generator, scale: float = 1.0):
@@ -185,9 +188,10 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
     if overflows:
         raise WeightOverflow(f"e^(alpha t) overflows at t = {last:.6g} with alpha = {alpha:.6g}")
 
-    low, up, xi = _obstacle_inputs(tree, terminal, *obstacles)
-    start = zero_triple(tree) if initial is None else _start(tree, initial)
-    swept = _sweep(tree, driver, start, xi, low, up)
+    # a start given per node keeps the rounds on the nodes
+    grid, xi, low, up = _obstacle_inputs(tree, terminal, *obstacles, states=initial is None)
+    start = zero_triple(tree, grid) if initial is None else _start(tree, initial)
+    swept = _sweep(tree, driver, start, xi, low, up, grid)
     del start  # a zero start is not held through the loop
     distances: list[float] = []
     ratios: list[float] = []
@@ -196,8 +200,8 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
         # a round that did not converge passes on its (Y, Z, V), not its increments
         previous = swept[:3]
         del swept
-        swept = _sweep(tree, driver, previous, xi, low, up)
-        d = _alpha_distance(tree, swept, previous, alpha)
+        swept = _sweep(tree, driver, previous, xi, low, up, grid)
+        d = _alpha_distance(tree, swept, previous, alpha, grid)
         if math.isnan(d):
             raise NonFiniteData(f"the move of round {len(distances) + 1} is NaN; "
                                 "the iterates leave the float range")
@@ -211,7 +215,7 @@ def picard_solve(tree: ScenarioTree, driver: DriverSpec, terminal,
                     f"{ratios[-3:]}", ratios=ratios)
         distances.append(d)
         if d < tol:
-            solution = _book(tree, swept, low, up)
+            solution = _book(tree, grid, swept, low, up)
             trace = FixpointTrace(alpha=alpha, distances=distances, ratios=ratios,
                                   converged=True, iterations=len(distances))
             return solution, trace

@@ -3,7 +3,10 @@
 The implicit step solves the penalised equation exactly at every n, so
 no stepsize restriction in n applies.  The ladder of penalty levels is
 pointwise nondecreasing and dominated by the reflected solution; the
-report records how the gaps close.
+report records how the gaps close.  Rungs of data with states, and the
+ladder's reflected solve, run on the tree's ``Lattice`` and are compared
+per state (``rbsde.tree._level_pairs``); K at the horizon is compared on
+the nodes.
 """
 
 from __future__ import annotations
@@ -15,16 +18,16 @@ import numpy as np
 
 from .bsde import Solution, _backward_sweep, _implicit_y, _sweep_source, check_stepsize
 from .errors import MonotonicityViolation
-from .fixpoint import _gaps, _weighted_norm
-from .processes import BarrierSpec, DriverSpec, evaluate
-from .reflected import _Increments, _finite, _solve
+from .fixpoint import _weighted_norm
+from .processes import BarrierSpec, DriverSpec, _on_grid
+from .reflected import _Increments, _book, _finite, _summed, solve_reflected
 from .snell import MONOTONE_TOL
-from .tree import (Process, ScenarioTree, _accumulate, _lined_up, _max_excess, _worst,
+from .tree import (Process, ScenarioTree, _level_pairs, _lined_up, _max_excess, _worst,
                    sup_diff)
 
 # The penalised solves call the sweep directly, and the ladder's reflected solve
-# stores its Z and V; these names stay importable from this module for code that
-# looks them up here (the benchmark's bench/tracing.py).
+# is ``solve_reflected``; these names stay importable from this module for code
+# that looks them up here (the benchmark's bench/tracing.py).
 from .reflected import solve_bsde, solve_reflected_one  # noqa: F401
 
 
@@ -44,14 +47,17 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
     a*dt < 1, so the case split picks the unique root.  The flux
     n*dt*(S - Y)^+ is booked block by block as each block settles, and a
     level of it without mass is never allocated: ``kn`` there is its
-    predecessor's array, as a solver's K is.
+    predecessor's array, as a solver's K is.  The sweep stores Z and V,
+    which the ladder's gaps read.  Data with states run on the tree's
+    ``Lattice``, and the solution and ``kn`` stay there
+    (``rbsde.reflected._book``).
     """
     if not (math.isfinite(n) and n >= 0):
         raise ValueError(f"penalty weight must be finite and nonnegative, got {n}")
     check_stepsize(driver, tree)
     weight, dt = float(n), tree.dt
-    xi, obstacle = evaluate(tree, terminal, barrier)
-    flux = _Increments(tree, weight * dt)
+    grid, (xi, obstacle) = _on_grid(tree, terminal, barrier)
+    flux = _Increments(grid, weight * dt)
 
     def settle(k, rows, rhs):
         s = obstacle.levels[k].rows(rows)
@@ -65,15 +71,21 @@ def solve_penalized(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec
         flux.book(k, rows, s, y)
         return y
 
-    y, z, v = _backward_sweep(tree, _sweep_source(tree, driver), xi, settle)
+    y, z, v = _backward_sweep(tree, _sweep_source(tree, driver), xi, settle, store=True,
+                              grid=grid)
     _finite(y[:-1], "the penalised solution Y")   # level N: evaluate tests a TerminalSpec
-    return PenalizedSolution(level=weight, solution=Solution(y=y, z=z, v=v),
-                             kn=_accumulate(flux.levels))
+    solution = _book(tree, grid, (y, z, v, None, None), None)
+    return PenalizedSolution(level=weight, solution=solution, kn=_summed(grid, flux.levels))
 
 
 def _dt_dp_gap(tree: ScenarioTree, p: Process, q: Process) -> float:
-    """The dt (x) dP norm of p - q, the alpha norm at alpha = 0, shared finite levels left out."""
-    return _weighted_norm(tree, (_gaps((a, b)) for a, b in zip(p, q)), 0.0)
+    """The dt (x) dP norm of p - q, the alpha norm at alpha = 0.
+
+    Two processes kept on one lattice are compared per state, weighed by
+    state mass (``rbsde.tree._level_pairs``).
+    """
+    lattice, pairs = _level_pairs(p, q)
+    return _weighted_norm(tree, ((a - b,) for a, b in pairs), 0.0, lattice)
 
 
 @dataclass(eq=False)
@@ -109,17 +121,14 @@ def sweep(tree: ScenarioTree, driver: DriverSpec, barrier: BarrierSpec, terminal
     Y^n <= Y^{n+1} pointwise along the ladder (raising
     MonotonicityViolation beyond 1e-12, once every rung is solved) and
     records sup-norm gaps of Y, dt (x) dP gaps of (Z, V) and the L2 gap
-    of the compensators at the horizon.  The reflected solve stores its Z
-    and V, which every rung's gaps read, so no level is projected twice.
-    With an evaluated terminal every solve here shares Z_{N-1} and V_{N-1}
-    (``rbsde.bsde._backward_sweep``), and the dt (x) dP gaps leave out
-    such a shared, finite level, whose differences would be +0.0.
+    of the compensators at the horizon.  Data with states are solved and
+    compared on the tree's ``Lattice``, K at the horizon on the nodes.
     """
     levels = tuple(float(n) for n in n_list)
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("n_list must be ascending with at least two entries")
 
-    reflected = _solve(tree, driver, terminal, barrier, store=True)
+    reflected = solve_reflected(tree, driver, terminal, barrier)
     n = tree.num_steps
     reflected_k = reflected.lower.k[n]
     solutions: list = []

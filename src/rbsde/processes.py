@@ -25,14 +25,15 @@ kept there.  The walk keeps these values per state, their extremes and
 its refusals, and opens no node array (``_Walk``).  The state tables
 are kept with the tree and only ever grow, so a state's code never
 changes.  There are two readers, and both walk what the tree has not
-seen: ``_on_lattice`` hands a direct solve, and the check of its
-solution, the tree's ``Lattice`` and the problem's data on it, one
-value per state, so neither forms a node level of the data; and
-``evaluate`` gives the data on the nodes, to every other route.  The
-first node read of a walk's data fills every node level of it, by
-gathering from the tables along a depth first walk of state codes (one
-``rbsde.tree.Lattice.fill``), and the walk keeps them.  A walk that
-refuses its data keeps none of its values.
+seen: ``_on_lattice`` hands the solves of data with states (direct,
+penalised, and Picard from zero), and the check of their solutions, the
+tree's ``Lattice`` and the problem's data on it, one value per state, so
+none of them forms a node level of the data; and ``evaluate`` gives the
+data on the nodes, to every other route (the envelope routes, Picard
+from a given start).  The first node read of a walk's data fills every
+node level of it, by gathering from the tables along a depth first walk
+of state codes (one ``rbsde.tree.Lattice.fill``), and the walk keeps
+them.  A walk that refuses its data keeps none of its values.
 
 An evaluated obstacle level is its deterministic base, one float, plus a
 read-only array of its stochastic part, on the nodes or per state, or no
@@ -55,16 +56,6 @@ Each part's NaN-keeping least and largest value is taken on its state
 table (``ObstacleLevel.span``), and the finiteness tests read these and
 no node level: every state of a table occurs at its level, so the
 table's extremes are the level's.
-
-Next to each terminal whose leaf level ``evaluate`` formed, the tree
-keeps its last backward step (``LastStep``), which only the sweeps that
-store Z and V fill: Z_{N-1} and V_{N-1} of the first such sweep, and
-E[xi | F_{N-1}] from the second on, which every later sweep of it reads
-instead of projecting xi again.  A direct solve of a ``TerminalSpec``
-sweeps the lattice of states and neither reads nor keeps it; one of a
-terminal array reads what is kept and keeps nothing.  A terminal array
-that ``evaluate`` did not make is projected on every sweep: its caller
-may change it between solves.
 """
 
 from __future__ import annotations
@@ -100,35 +91,8 @@ KINDS = ("standard", "one_barrier", "two_barrier")
 # entry keeps its spec alive, so an id cannot be reused while it is cached; a
 # walk holds no tree, so the whole table goes with the tree.
 _EVALUATED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# tree -> {id(xi): LastStep} for each terminal whose leaf level ``evaluate``
-# formed on the tree.  Each entry keeps its xi alive, so an id cannot be reused
-# while it is kept; the whole table goes with the tree.
-_LAST_STEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # tree -> its ``_States``, which go with the tree.
 _STATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-class LastStep:
-    """The last backward step of an evaluated terminal xi, shared by every sweep of xi.
-
-    ``zv`` is the pair (Z_{N-1}, V_{N-1}) of the first sweep that stores
-    Z and V, frozen read-only, and ``mean`` is E[xi | F_{N-1}], kept from
-    the second such sweep on; each is None until then.  They depend on xi and the tree alone, and
-    xi is read-only, so ``rbsde.bsde._backward_sweep`` reads them in place
-    of projecting xi again.  Sweeps on several threads may each fill an
-    entry; every fill has the same bits, so whichever is kept serves alike.
-    """
-
-    def __init__(self, xi: np.ndarray) -> None:
-        self.xi = xi
-        self.zv: tuple[np.ndarray, np.ndarray] | None = None
-        self.mean: np.ndarray | None = None
-
-
-def _last_step(tree: ScenarioTree, xi) -> LastStep | None:
-    """The ``LastStep`` of ``xi`` where ``evaluate`` made it on ``tree``, else None."""
-    last = _LAST_STEPS.get(tree, {}).get(id(xi))
-    return last if last is not None and last.xi is xi else None
 
 
 def evaluate(tree: ScenarioTree, terminal, *obstacles) -> tuple:
@@ -191,6 +155,17 @@ def _on_lattice(tree: ScenarioTree, terminal, *obstacles):
         return walk.runs[index].result(walk.tables, walk.spans, lattice.level_size)
 
     return lattice, (on_states(terminal), *map(on_states, obstacles))
+
+
+def _on_grid(tree: ScenarioTree, terminal, *obstacles) -> tuple:
+    """``(grid, (xi, *obstacle values))``: the data on the grid they give.
+
+    Data with states are read per state on the tree's ``Lattice``
+    (``_on_lattice``); the caller's own are read on the nodes
+    (``evaluate``), and ``grid`` is the tree.
+    """
+    on_lattice = _on_lattice(tree, terminal, *obstacles)
+    return (tree, evaluate(tree, terminal, *obstacles)) if on_lattice is None else on_lattice
 
 
 def _kept(tree: ScenarioTree, specs) -> dict:
@@ -263,9 +238,8 @@ class _Walk:
         The first read opens a node array for each slot and fills them all
         from the tables by one gather along a depth first walk of state
         codes (``rbsde.tree.Lattice.fill``), level by level; the arrays are
-        read-only, and two specs that read one part share its array.  Each
-        terminal's leaf level gets its ``LastStep``.  Later reads, on any
-        thread, return what the first one kept.
+        read-only, and two specs that read one part share its array.  Later
+        reads, on any thread, return what the first one kept.
         """
         with self._lock:
             if self._nodes is None:
@@ -276,11 +250,8 @@ class _Walk:
                     lattice.fill(*([values[s] for s in order]
                                    for values in (self.levels, self.tables, outs)))
                 parts = [_read_only(out) for out in outs]
-                nodes = [run.result(parts, self.spans, tree.level_size) for run in self.runs]
-                for run, xi in zip(self.runs, nodes):
-                    if isinstance(run, _TerminalRun):
-                        _LAST_STEPS.setdefault(tree, {}).setdefault(id(xi), LastStep(xi))
-                self._nodes = nodes
+                self._nodes = [run.result(parts, self.spans, tree.level_size)
+                               for run in self.runs]
             return self._nodes
 
 
@@ -328,7 +299,7 @@ class _States:
                 self.tables.append(_frozen((w[rows], counts[rows])))
                 self.child.append(child.reshape(-1, tree.branching))
             sizes = [len(w) for w, _ in self.tables[:last + 1]]
-            lattice = self._lattices[last] = Lattice(self.child[:last], sizes, tree.branching)
+            lattice = self._lattices[last] = Lattice(self.child[:last], sizes, tree.branch_prob)
             return lattice
 
 

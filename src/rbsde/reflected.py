@@ -27,11 +27,13 @@ own array where K_d is +0.0 at every node.  The envelope route's
 ``regularity_check`` splits the Snell envelope's K with the same
 ``_split_side``.
 
-A direct solve (``solve_reflected``) of data with states, a
-``TerminalSpec`` and ``BarrierSpec``s, runs on the tree's ``Lattice`` of
-distinct node states: a node's state fixes its subtree, so Y_k, the
-increments of K and the jump-type masses of K_d are functions of it (of
-the parent's state and the branch, for a mass).  It takes the data per
+A solve of data with states, a ``TerminalSpec`` and ``BarrierSpec``s,
+runs on the tree's ``Lattice`` of distinct node states: the direct solve
+(``solve_reflected``) here, and the penalised rungs and Picard rounds
+from zero of ``rbsde.penalty`` and ``rbsde.fixpoint``, which book their
+solutions through the same ``_book``.  A node's state fixes its
+subtree, so Y_k, the increments of K and the jump-type masses of K_d are
+functions of it (of the parent's state and the branch, for a mass).  It takes the data per
 state from the evaluation's own tables (``rbsde.processes._on_lattice``),
 with the refusals ``evaluate`` gives, and forms no node level of ξ or
 of an obstacle.  The obstacle
@@ -43,9 +45,8 @@ read, K and K_d as sums along the path by ``_accumulate``.  Every step is
 row by row and every state of a lattice level occurs at that level, so
 each bit, each level without mass and each message is the node solve's.
 The caller's own arrays (a terminal array, ``BarrierValues``) have no
-states, and the sweeps that store Z and V (``_solve(store=True)``, Picard
-rounds and penalised rungs) keep their node-level Z, V and ``LastStep``:
-these run on the nodes, with the data read through ``evaluate``.
+states, and neither has a Picard start given per node: these run on the
+nodes, on the same sweep, with the data read through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .bsde import (Compensator, Projection, Solution, _backward_sweep, _implicit
 from .bsde import project_level  # noqa: F401  (kept importable from this module)
 from .errors import (BarriersTouch, DriverNotCoefficientFree, NonFiniteData,
                      TerminalBelowBarrier, TerminalOutsideBarriers)
-from .processes import ObstacleLevel, _on_lattice, evaluate
+from .processes import ObstacleLevel, _on_grid, evaluate
 from .snell import BIND_TOL, REGULAR_TOL, SnellResult, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (_BLOCK_NODES, Process, ScenarioTree, StateLevels, _accumulate, _all_finite,
@@ -84,11 +85,12 @@ def _split_side(grid, y: Process, obstacle, sign: int) -> Process:
     the masses, and shared by the levels after them and by a declared
     level without mass.  K_d is +0.0 or above, or NaN, so x + (±0.0) is x,
     and a block without mass adds nothing.  On the tree's ``Lattice`` the
-    result is each level's masses, a (parent rows, B) table at a declared
-    level with mass, rows before the first block with mass +0.0, and None
-    elsewhere: ``rbsde.tree.StateLevels`` sums them along the path with
-    the node split's bits.  No K_c level is stored: the compensator's K_c
-    is the ``ContinuousPart`` K - K_d, formed from K and K_d on each read.
+    result is a ``rbsde.tree.StateLevels`` of each level's masses, a
+    (parent rows, B) table at a declared level with mass, rows before the
+    first block with mass +0.0, and None elsewhere, which it sums along
+    the path with the node split's bits.  No K_c level is stored: the
+    compensator's K_c is the ``ContinuousPart`` K - K_d, formed from K and
+    K_d on each read.
     """
     n = grid.num_steps
     on_nodes = isinstance(grid, ScenarioTree)
@@ -111,7 +113,7 @@ def _split_side(grid, y: Process, obstacle, sign: int) -> Process:
                 k_d.append(k_d[k - 1] if kd is None else kd)
             else:
                 k_d.append(None if kd is None else kd.reshape(-1, grid.branching))
-    return k_d
+    return k_d if on_nodes else StateLevels(grid, k_d, sums=True)
 
 
 def _own(block):
@@ -176,13 +178,20 @@ def _paired(lower, upper) -> None:
         raise ValueError("an upper obstacle needs a lower one")
 
 
-def _obstacle_inputs(tree: ScenarioTree, terminal, lower=None, upper=None):
-    """(L, U, xi) once the terminal lies in [L, U] and L < U; None is -inf for L, +inf for U."""
+def _obstacle_inputs(tree: ScenarioTree, terminal, lower=None, upper=None, *,
+                     states: bool = False):
+    """``(grid, xi, L, U)`` once the terminal lies in [L, U] and L < U.
+
+    None is -inf for L, +inf for U.  With ``states``, data with states are
+    read and validated on the grid they give (``_on_grid``); else on the
+    nodes, and ``grid`` is the tree.
+    """
     _paired(lower, upper)
-    xi, low, up = evaluate(tree, terminal, lower, upper)
+    grid, (xi, low, up) = (_on_grid(tree, terminal, lower, upper) if states
+                           else (tree, evaluate(tree, terminal, lower, upper)))
     if low is not None:
-        _validate_obstacles(tree, xi, low, up)
-    return low, up, xi
+        _validate_obstacles(grid, xi, low, up)
+    return grid, xi, low, up
 
 
 def _finite(process: Process, name: str) -> None:
@@ -194,7 +203,7 @@ def _finite(process: Process, name: str) -> None:
 
 
 def _reflected_sweep(tree: ScenarioTree, source, a: float, xi: np.ndarray, low, up=None, *,
-                     store: bool = True, grid=None):
+                     store: bool, grid=None):
     """Y, Z, V and the assigned compensator increments of each side.
 
     ``source`` is the ``_backward_sweep`` source and ``a`` the driver's
@@ -268,17 +277,42 @@ class _Increments:
         return out
 
 
-def _book(tree: ScenarioTree, swept, low, up=None) -> Solution:
-    """Solution of a ``_reflected_sweep`` result on the nodes, each side's K accumulated and split.
+def _summed(grid, increments: Process) -> Process:
+    """K from its increment levels (None without mass), K_{k+1} at level k.
 
-    A sweep that stored no Z or V gives the ``Projection``s of its Y.
+    On the tree, the node levels ``_accumulate`` sums.  On its ``Lattice``,
+    the increments per parent state, summed along the path on each node
+    read with ``_accumulate``'s bits (``rbsde.tree.StateLevels``).
+    """
+    if isinstance(grid, ScenarioTree):
+        return _accumulate(increments)
+    return StateLevels(grid, [None, *increments], sums=True, lag=1)
+
+
+def _book(tree: ScenarioTree, grid, swept, low, up=None) -> Solution:
+    """Solution of a ``_reflected_sweep`` on ``grid``, each side's K summed and split.
+
+    On the tree, K and K_d are node levels by the level rule, and Z and V
+    the sweep's, or the ``Projection``s of Y where it stored none.  On the
+    tree's ``Lattice`` the solution stays there (``StateLevels``): Y per
+    state, K's increments per parent state and K_d's masses as (parent
+    rows, B) tables, each node level formed on read with the bits the node
+    sweep, ``_accumulate`` and the node ``_split_side`` give, and Z and V
+    the ``Projection``s of Y, which have the bits of the sweep's own,
+    since every step works row by row, and keep the sweep's levels per
+    state where it stored them.  It keeps nothing of the tree's but its
+    shape.
     """
     y, z, v, inc_p, inc_m = swept
     sides = [None if obstacle is None else
-             Compensator(k=_accumulate(inc), k_d=_split_side(tree, y, obstacle, sign))
+             Compensator(k=_summed(grid, inc), k_d=_split_side(grid, y, obstacle, sign))
              for inc, obstacle, sign in ((inc_p, low, +1), (inc_m, up, -1))]
-    if z is None:
-        z, v = Projection(tree, y, _project_z), Projection(tree, y, _project_v)
+    if not isinstance(grid, ScenarioTree):
+        y = StateLevels(grid, y)
+    elif z is not None:
+        return Solution(y, z, v, *sides)
+    z, v = (Projection(tree, y, kernel, stored or ())
+            for kernel, stored in ((_project_z, z), (_project_v, v)))
     return Solution(y, z, v, *sides)
 
 
@@ -292,63 +326,16 @@ def solve_reflected(tree: ScenarioTree, driver, terminal, lower=None,
     leaf, the obstacles are strictly separated before the horizon (an
     upper one needs a lower one), and dt times the driver's Lipschitz
     constant on the tree's intensities is below one.  The solution stores
-    Y, K and K_d; its Z and V are ``rbsde.bsde.Projection``s of Y.
-    """
-    return _solve(tree, driver, terminal, lower, upper, store=False)
-
-
-def _solve(tree: ScenarioTree, driver, terminal, lower=None, upper=None, *,
-           store: bool) -> Solution:
-    """``solve_reflected``, with Z and V stored where ``store`` asks for them.
-
-    A solve that stores nothing, of data with states (specs, not the
-    caller's own arrays), takes its data per state (``_on_lattice``), runs
-    on the tree's ``Lattice`` and keeps its solution there
-    (``_on_states``): it forms no node level of the data.  Every other
-    solve reads the data on the nodes (``evaluate``) and runs there.
+    Y, K and K_d; its Z and V are ``rbsde.bsde.Projection``s of Y.  Data
+    with states run on the tree's ``Lattice`` and the solution stays there
+    (``_book``): no node level of the data is formed.
     """
     check_stepsize(driver, tree)
-    _paired(lower, upper)
-    on_lattice = None if store else _on_lattice(tree, terminal, lower, upper)
-    if on_lattice is not None:
-        return _on_states(tree, driver, *on_lattice)
-    data = evaluate(tree, terminal, lower, upper)
-    return _book(tree, _swept(tree, driver, tree, *data, store=store), *data[1:])
-
-
-def _swept(tree: ScenarioTree, driver, grid, xi: np.ndarray, low, up, *, store: bool) -> tuple:
-    """The ``_reflected_sweep`` on ``grid`` of data given on it, validated before and after.
-
-    The obstacles are validated first (``_validate_obstacles``), and each
-    level of Y but the terminal is tested for finiteness after.
-    """
-    if low is not None:
-        _validate_obstacles(grid, xi, low, up)
+    grid, xi, low, up = _obstacle_inputs(tree, terminal, lower, upper, states=True)
     swept = _reflected_sweep(tree, _sweep_source(tree, driver), driver.a, xi, low, up,
-                             store=store, grid=grid)
+                             store=False, grid=grid)
     _finite(swept[0][:-1], "the solution Y")   # level N: evaluate tests a TerminalSpec
-    return swept
-
-
-def _on_states(tree: ScenarioTree, driver, lattice, values: tuple) -> Solution:
-    """A direct solve on the tree's ``Lattice``, its solution kept per state.
-
-    The obstacles are validated, Y is swept and tested for finiteness,
-    each side's increments are booked and its K_d masses split there, one
-    row per state.  The solution keeps Y per state, each side's K
-    increments per parent state and its K_d masses as (parent rows, B)
-    tables (``rbsde.tree.StateLevels``): every node level of Y, K and K_d
-    is formed on read, with the bits the node sweep, ``_accumulate`` and
-    the node ``_split_side`` give, and Z and V are the ``Projection``s of
-    Y.  It keeps nothing of the tree's but its shape.
-    """
-    y, _, _, *increments = _swept(tree, driver, lattice, *values, store=False)
-    sides = [None if obstacle is None else Compensator(
-                 k=StateLevels(lattice, [None, *inc], sums=True, lag=1),
-                 k_d=StateLevels(lattice, _split_side(lattice, y, obstacle, sign), sums=True))
-             for inc, obstacle, sign in zip(increments, values[1:], (+1, -1))]
-    y = StateLevels(lattice, y)
-    return Solution(y, Projection(tree, y, _project_z), Projection(tree, y, _project_v), *sides)
+    return _book(tree, grid, swept, low, up)
 
 
 # The unreflected and one-obstacle names of the same function: call sites that
@@ -375,7 +362,7 @@ def obstacle_payoff(tree: ScenarioTree, driver, terminal, barrier):
     a payoff level that leaves the float range raises NonFiniteData.
     """
     rates = _source_rates(tree, driver)
-    obstacle, _, xi = _obstacle_inputs(tree, terminal, barrier)
+    _, xi, obstacle, _ = _obstacle_inputs(tree, terminal, barrier)
     n = tree.num_steps
     with np.errstate(over="ignore"):   # the data are finite, so sums can only overflow
         cum = np.concatenate(([0.0], np.cumsum(rates * tree.dt)))

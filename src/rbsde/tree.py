@@ -23,14 +23,15 @@ Grids.  The backward sweep (``rbsde.bsde._backward_sweep``) reads a grid
 through ``num_steps``, ``branching``, ``level_size`` and
 ``children(values_next, level, rows)``.  The tree is one, node by node.
 Its ``Lattice`` is the other: one row per distinct node state of a level
-and a (rows, B) table of the rows the branches lead to.  The direct solve
-of data with states sweeps the lattice, a few hundred rows a level where
-the tree has millions of nodes, and keeps its solution there: a
-``StateLevels`` forms a node level of Y, or of a compensator summed along
-the path, on read.  Node probabilities are built per level on first read
-by ``atom_prob``, which serves the weighted sums of ``expectation``; the
-node checker walks them with ``_node_blocks`` instead and reads no
-``atom_prob`` level, and the per-state checker sums state masses.
+and a (rows, B) table of the rows the branches lead to.  Every solve of
+data with states (direct, penalised, Picard from zero) sweeps the
+lattice, a few hundred rows a level where the tree has millions of
+nodes, and keeps its solution there: a ``StateLevels`` forms a node level
+of Y, or of a compensator summed along the path, on read, and two solves
+kept on one lattice are compared per state (``_level_pairs``).  Node
+probabilities are built per level on first read by ``atom_prob``, which
+serves ``ScenarioTree.expectation``; the node checker walks them with
+``_node_blocks`` instead, and ``Lattice.masses`` weigh the states.
 
 Level rule for compensators.  A process is a list of level arrays, and
 a level array may be shorter than its level: then it holds the values
@@ -235,18 +236,6 @@ class ScenarioTree:
         np.multiply(prob.reshape(-1, ratio), np.asarray(values)[:, None],
                     out=out.reshape(-1, ratio))
         return float(np.add.reduce(out))
-
-    def constant(self, value: float) -> Process:
-        return [np.full(self.level_size(k), float(value)) for k in range(self.num_steps + 1)]
-
-    def zero_adapted(self) -> Process:
-        return self.constant(0.0)
-
-    def zero_predictable(self) -> Process:
-        return [np.zeros(self.level_size(k)) for k in range(self.num_steps)]
-
-    def zero_marked(self) -> Process:
-        return [np.zeros((self.level_size(k), self.marks.count)) for k in range(self.num_steps)]
 
 
 def build_tree(num_steps: int, mark_set: MarkSet | None = None,
@@ -503,7 +492,7 @@ class Lattice:
     leads to.  Its codes index with no conversion, so a gather by them
     makes no copy of them.  A node's state fixes its whole subtree, so data
     that are functions of the state, and the Y and compensator increments a
-    direct solve derives from them, have one value per row.  With
+    solve derives from them, have one value per row.  With
     ``ScenarioTree`` it shares what ``rbsde.bsde._backward_sweep`` reads of
     a grid: ``num_steps``, ``branching``, ``level_size`` and ``children``.
     Every state of a level occurs at it, so a level's least or largest
@@ -514,13 +503,34 @@ class Lattice:
     the tree.
     """
 
-    def __init__(self, child: Sequence[np.ndarray], sizes: Sequence[int], branching: int) -> None:
-        self.child, self._sizes, self.branching = tuple(child), tuple(sizes), branching
+    def __init__(self, child: Sequence[np.ndarray], sizes: Sequence[int],
+                 branch_prob: np.ndarray) -> None:
+        self.child, self._sizes, self.branch_prob = tuple(child), tuple(sizes), branch_prob
+        self.branching = len(branch_prob)
         self.num_steps = len(self.child)
-        self._nodes = _Nodes(branching)
+        self._nodes = _Nodes(self.branching)
 
     def level_size(self, level: int) -> int:
         return self._sizes[level]
+
+    @cached_property
+    def masses(self) -> tuple[np.ndarray, ...]:
+        """Each level's state masses, read-only: the summed probability of a state's nodes.
+
+        Summed forward over ``child`` by ``np.bincount``, in input order: no
+        BLAS product, whose bits would depend on the thread count.
+        """
+        masses = [np.ones(1)]
+        for k, child in enumerate(self.child):
+            masses.append(np.bincount(child.ravel(),
+                                      np.outer(masses[-1], self.branch_prob).ravel(),
+                                      minlength=self._sizes[k + 1]))
+        return _frozen(tuple(masses))
+
+    def expectation(self, level: int, values: np.ndarray,
+                    out: np.ndarray | None = None) -> float:
+        """Mass-weighted sum of one value per state of ``level``: the node sum's, rounded apart."""
+        return float(np.add.reduce(np.multiply(self.masses[level], values, out=out)))
 
     def children(self, values_next: np.ndarray, level: int, rows: slice) -> np.ndarray:
         """(rows, B) table of the values of the children of some ``rows`` of ``level``, gathered."""
@@ -611,6 +621,17 @@ class StateLevels(Sequence):
         if held is not None:
             return held
         return self._levels(level + 1, 0 if self.sums else level)[level]
+
+    @property
+    def per_state(self) -> Lattice | None:
+        """The lattice whose rows ``states`` reads, or None for a sum, which is per path."""
+        return None if self.sums else self.lattice
+
+    def states(self, level: int) -> np.ndarray:
+        """Level ``level``'s values per row of the lattice, read-only (``per_state`` processes)."""
+        values = self.values[level].view()
+        values.flags.writeable = False
+        return values
 
     def __iter__(self) -> Iterator[np.ndarray]:
         levels = self._levels(len(self))
@@ -776,14 +797,36 @@ def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(diff, out=diff)
 
 
+def _level_pairs(p: Process, q: Process) -> tuple:
+    """``(lattice, pairs)``: the levels of two processes, paired level by level.
+
+    Per state where both are kept on one ``Lattice`` (their ``per_state``),
+    else node levels, with ``lattice`` None.  Every state of a lattice
+    level occurs at that level, so a maximum is the node level's own.
+    """
+    lattice = getattr(p, "per_state", None)
+    if lattice is not None and getattr(q, "per_state", None) is lattice:
+        return lattice, zip(*(map(x.states, range(len(x))) for x in (p, q)))
+    return None, zip(p, q)
+
+
+def _maximised(p: Process, q: Process):
+    """The pairs a maximum over two processes reads: ``_level_pairs``, the states of every
+    level stacked into one pair where both are kept on one lattice (a maximum is exact)."""
+    lattice, pairs = _level_pairs(p, q)
+    return pairs if lattice is None else [tuple(map(np.concatenate, zip(*pairs)))]
+
+
 def sup_diff(p: Process, q: Process) -> float:
     """Largest absolute node-wise gap between two per-level processes (NaN kept).
 
     The two arrays of a level may be stored at different ancestor levels
     by the level rule (``_lined_up``); the gap is the expanded levels' own.
+    Two processes kept on one lattice are compared per state
+    (``_level_pairs``).
     """
     worst = 0.0
-    for a, b in zip(p, q):
+    for a, b in _maximised(p, q):
         shared = a is b
         a, b = np.asarray(a), np.asarray(b)
         if a.size:
@@ -795,10 +838,10 @@ def sup_diff(p: Process, q: Process) -> float:
 def _max_excess(p: Process, q: Process) -> float:
     """Largest node-wise excess ``p - q`` over the levels of two processes (NaN kept).
 
-    Levels are lined up by the level rule as in ``sup_diff``.
+    Levels are lined up by the level rule, or read per state, as in ``sup_diff``.
     """
     worst = 0.0
-    for a, b in zip(p, q):
+    for a, b in _maximised(p, q):
         if len(a):
             gap = _self_gap(a) if a is b else _reduce_blocks(np.max, np.subtract, a, b)
             worst = _worst(worst, gap)

@@ -154,7 +154,7 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     two closures the bounds reuse, when none is supplied).
     """
     g = _source_rates(tree, driver)
-    low, up, xi = _obstacle_inputs(tree, terminal, lower, upper)
+    _, xi, low, up = _obstacle_inputs(tree, terminal, lower, upper)
     own = martingale_witness(tree, xi)
     if witness is None:
         witness = own
@@ -218,7 +218,7 @@ def picard_snell_solve(tree: ScenarioTree, driver, terminal, lower, upper,
     # and a level without mass (every value ±0.0; a NaN is mass) shares K's level before it
     inc_plus, inc_minus = ([level if level.any() else None for level in inc]
                            for inc in (inc_plus, inc_minus))
-    solution = _book(tree, (y, z, v, inc_plus, inc_minus), low, up)
+    solution = _book(tree, tree, (y, z, v, inc_plus, inc_minus), low, up)
     return solution, trace
 
 

@@ -7,9 +7,10 @@ the left-limit jump formulas, and compensator monotonicity.  One
 ``_check_block`` takes every clause of a slice of parents with their
 children, on either grid, by the same full formulas.
 
-A direct solve's solution as it came, kept per state on the ``Lattice``
-of this very tree (``rbsde.tree.StateLevels``), is checked there, one
-row per state, when the data have states too (``_StateReads``): the
+A solution as a solve of data with states handed it out (direct, or
+Picard from zero), kept per state on the ``Lattice`` of this very tree
+(``rbsde.tree.StateLevels``), is checked there, one row per state, when
+the data have states too (``_StateReads``): the
 states of levels 0 .. N - 1 are stacked into one level, so a few slices
 take every clause.  The clauses read the increments the solve booked, K's
 per parent state and K_d's per parent state and branch, and K_c's as
@@ -22,8 +23,8 @@ table of two rows or more (no slice has one row,
 ``rbsde.tree._parent_blocks``).  So the pointwise residuals are those of
 the same formulas on the nodes, and the left-limit integral, summed by
 state mass, is theirs to rounding.  Any other solution (a loaded dump, a
-copy, a mutant, a Picard or penalised solve, a solve of the caller's own
-arrays) is read on the nodes (``_NodeReads``).
+copy, a mutant, a Picard solve from a given start, a solve of the
+caller's own arrays) is read on the nodes (``_NodeReads``).
 
 On the nodes all clauses come from one pass over the cache-sized parent
 slices of each level, with the node probabilities of each slice walked
@@ -78,14 +79,14 @@ from .bsde import (Compensator, ContinuousPart, Projection, Solution, _driver_va
 from .fixpoint import picard_solve, random_triple
 from .penalty import solve_penalized, sweep
 from .processes import BarrierValues, ProblemSpec, _on_lattice, evaluate
-from .reflected import _own, _solve, _source_rates, obstacle_payoff
+from .reflected import _own, _source_rates, obstacle_payoff, solve_reflected
 from .snell import BIND_TOL, REGULAR_TOL, _envelope
 from .snell import snell  # noqa: F401  (kept importable from this module)
 from .tree import (Process, ScenarioTree, StateLevels, _block_rows, _children, _node_blocks,
                    _parent_blocks, _parent_rows, _prob_step, _worst, sup_diff, terminal_mean)
 from .twobarrier import _closure, _mean_mass, picard_snell_solve
 
-# The probe's direct route stores its Z and V (``_solve``); these solver names stay
+# The probe's direct route is ``solve_reflected``; these solver names stay
 # importable from this module for code that looks them up here (the benchmark's
 # bench/tracing.py).
 from .reflected import solve_bsde, solve_reflected_one  # noqa: F401
@@ -411,9 +412,7 @@ class _StateReads:
     with its left limit per state, are row ranges of the stack.  Z and V
     are the projections of Y (``_zv``).  K_0 and K_d,0 are +0.0 by
     construction, so the root adds no residual.  P(parent) is the states'
-    masses, summed forward over ``Lattice.child`` by ``np.bincount``, whose
-    sums run in input order: no BLAS product, whose bits would depend on
-    the thread count.
+    masses (``rbsde.tree.Lattice.masses``).
     """
 
     order = "C"
@@ -460,12 +459,7 @@ class _StateReads:
                         out[rows] = values
             self._sides[id(side)] = {"obstacle": levels, "booked": booked, "masses": masses,
                                      "leaf": (last, leaf), "lefts": lefts}
-        prob, masses = np.ones(1), []
-        for k in range(n):
-            masses.append(prob)
-            prob = np.bincount(lattice.child[k].ravel(), np.outer(prob, tree.branch_prob).ravel(),
-                               minlength=stack.sizes[k + 1])
-        prob = np.concatenate(masses)
+        prob = np.concatenate(lattice.masses[:n])
         self.slices = [(0, rows, prob[rows]) for rows in _parent_blocks(stack, 0)]
 
     def base(self, k: int, rows: slice) -> np.ndarray:
@@ -507,10 +501,10 @@ class _StateReads:
 def _per_state(tree: ScenarioTree, sol, specs: tuple, count: int):
     """``_on_lattice`` of the check's data where ``sol`` is kept on this tree's lattice, else None.
 
-    The solution must be a direct solve's as it came: Y, and K and K_d of
-    each of the first ``count`` sides, per state on the ``Lattice`` of this
-    very tree, K_c their ``ContinuousPart`` and Z and V the ``Projection``s
-    of Y; and the data must have states.  Anything else, an edited or
+    The solution must be as a lattice solve handed it out: Y, and K and
+    K_d of each of the first ``count`` sides, per state on the ``Lattice``
+    of this very tree, K_c their ``ContinuousPart`` and Z and V the
+    ``Projection``s of Y; and the data must have states.  Anything else, an edited or
     stored level included, is read on the nodes.
     """
     if not isinstance(sol.y, StateLevels):
@@ -727,15 +721,16 @@ def uniqueness_probe(problem: ProblemSpec, n_restarts: int = 2) -> float:
 
     The routes are the direct solve, a penalised rung with one obstacle, and
     Picard from random starts or, for a coefficient-free driver, an envelope.
-    The direct solve stores its Z and V, as the sweeps of the routes after it
-    do, so it keeps the terminal's last step that they then share
-    (``rbsde.processes.LastStep``) and none of them projects it again.
+    The direct solve and the rung run on the tree's ``Lattice``, and their
+    gap is taken per state; a random start is given per node, so Picard
+    from it runs on the nodes, as the envelopes do, and projects ξ on
+    every round.
     """
     if n_restarts < 2:
         raise ValueError("need at least two restarts")
     tree = problem.build_tree()
     driver, terminal, obstacles = problem.driver, problem.terminal, problem.obstacles
-    routes: list[Process] = [_solve(tree, driver, terminal, *obstacles, store=True).y]
+    routes: list[Process] = [solve_reflected(tree, driver, terminal, *obstacles).y]
     if len(obstacles) == 1:
         routes.append(solve_penalized(tree, driver, *obstacles, terminal,
                                       EXACT_PENALTY_LEVEL).solution.y)
@@ -781,11 +776,12 @@ def regularity_probe(problem: ProblemSpec) -> RegularityProbeReport:
     reflected = report.reflected
     kd_mass = terminal_mean(tree, reflected.lower.k_d)
 
-    # non-uniformity shows at the slot announcing each jump
-    _, obstacle = evaluate(tree, None, problem.barrier)
+    # non-uniformity shows at the slot announcing each jump, read per state
+    _, (_, obstacle) = _on_lattice(tree, None, problem.barrier)
     slots = [level - 1 for level in obstacle.jump_levels]
-    gaps_at_jumps = [sup_diff([rung.solution.y[k] for k in slots],
-                              [reflected.y[k] for k in slots]) for rung in report.solutions]
+    gaps_at_jumps = [sup_diff([rung.solution.y.states(k) for k in slots],
+                              [reflected.y.states(k) for k in slots])
+                     for rung in report.solutions]
 
     verdict = "irregular" if kd_mass > REGULAR_TOL else "regular"
     return RegularityProbeReport(levels=report.levels, kd_mass=kd_mass,

@@ -226,6 +226,21 @@ def counterexample_pieces(tree_steps: int = 4, b_coeff: float = 0.0):
     return tree, driver, terminal, barrier
 
 
+def caller_owned(tree, terminal, obstacles):
+    """The evaluated data as the caller's own: a copy of xi and whole-level obstacles.
+
+    Such data have no states, so every solver takes them on the nodes.
+    """
+    from rbsde.processes import evaluate
+    from oracles import whole_obstacle
+
+    xi, *values = evaluate(tree, terminal, *obstacles)
+    whole = [whole_obstacle([level.whole() for level in value.levels],
+                            {k: level.whole() for k, level in value.left_levels.items()})
+             for value in values]
+    return np.array(xi), whole
+
+
 def _whole(tree, process):
     """Own copies of every level, expanded to whole levels for in-place edits."""
     return [np.array(expand(tree, np.asarray(level, dtype=float), k))

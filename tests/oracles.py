@@ -164,7 +164,10 @@ def constant_witness(tree: ScenarioTree, plus: float, minus: float = 0.0) -> Mok
     """The witness pair (plus, minus), constant over the tree."""
     if plus < 0 or minus < 0:
         raise ValueError("witness constants must be nonnegative")
-    return MokobodskiWitness(h=tree.constant(plus), h_prime=tree.constant(minus))
+    def constant(value):
+        return [np.full(tree.level_size(k), float(value)) for k in range(tree.num_steps + 1)]
+
+    return MokobodskiWitness(h=constant(plus), h_prime=constant(minus))
 
 
 def whole_obstacle(levels, left) -> BarrierValues:

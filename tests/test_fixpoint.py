@@ -26,8 +26,7 @@ def test_alpha_rule_values():
 def test_alpha_norm_examples():
     tree = build_tree(4)
     assert alpha_norm(tree, zero_triple(tree), 3.0) == 0.0
-    ones = ([np.ones(tree.level_size(k)) for k in range(5)],
-            tree.zero_predictable(), tree.zero_marked())
+    ones = ([np.ones(tree.level_size(k)) for k in range(5)], *zero_triple(tree)[1:])
     assert alpha_norm(tree, ones, 0.0) == pytest.approx(1.0, abs=1e-14)
 
 

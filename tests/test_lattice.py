@@ -38,20 +38,10 @@ from rbsde.config import parse_config
 from rbsde.errors import JumpTimeOffGrid
 from rbsde.processes import _states, evaluate, linear_obstacle, linear_payoff
 from rbsde.tree import Lattice, expand
-from conftest import distinct_states, on_nodes, state_problems
-from oracles import whole_obstacle
+from conftest import caller_owned, distinct_states, on_nodes, state_problems
 
 SETTINGS = settings(derandomize=True, max_examples=80, deadline=None)
 REFUSALS = (NonFiniteData, TerminalBelowBarrier, TerminalOutsideBarriers, BarriersTouch)
-
-
-def _caller_owned(tree, terminal, obstacles):
-    """The evaluated data as the caller's own: a copy of xi and whole-level obstacles."""
-    xi, *values = evaluate(tree, terminal, *obstacles)
-    whole = [whole_obstacle([level.whole() for level in value.levels],
-                            {k: level.whole() for k, level in value.left_levels.items()})
-             for value in values]
-    return np.array(xi), whole
 
 
 def _outcome(tree, driver, terminal, obstacles, checked):
@@ -91,7 +81,7 @@ def _outcome(tree, driver, terminal, obstacles, checked):
 def _same_on_both_grids(tree, driver, terminal, obstacles):
     """Solve on the lattice and on the nodes; returns the refusal, if any, both gave."""
     try:
-        xi, whole = _caller_owned(tree, terminal, obstacles)
+        xi, whole = caller_owned(tree, terminal, obstacles)
     except NonFiniteData:
         return None   # data that leave the float range are refused before a route is taken
     specs = (terminal, *obstacles)
@@ -188,7 +178,7 @@ def test_a_direct_solve_sweeps_the_states_and_puts_nothing_on_the_nodes(monkeypa
     assert sum(rows) < tree.level_size(steps - 1) // 20
     assert peak < tree.level_size(steps - 1) * 8, peak
     monkeypatch.undo()
-    xi, whole = _caller_owned(tree, terminal, (lower,))
+    xi, whole = caller_owned(tree, terminal, (lower,))
     nodes = solve_reflected(tree, driver, xi, *whole)
     k, node_k = list(sol.lower.k), nodes.lower.k
     assert 0 < sum(level is not k[0] for level in k[1:]) < steps   # some levels move
@@ -495,4 +485,3 @@ def test_threads_that_read_a_walk_first_share_one_fill(monkeypatch):
     assert len(fills) == 1
     (xi, *values), (xi_2, *values_2) = read
     assert xi is xi_2 and all(a is b for a, b in zip(values, values_2))
-    assert rbsde.processes._last_step(tree, xi).xi is xi

@@ -118,7 +118,7 @@ def test_sweep_monotonicity_catches_a_nan(monkeypatch):
     def poisoned(tree, driver, barrier, terminal, n):
         out = solve(tree, driver, barrier, terminal, n)
         if n == 4.0:
-            out.solution.y[2][1] = np.nan
+            out.solution.y.values[2][1] = np.nan   # the rung's Y per state
         return out
 
     monkeypatch.setattr(rbsde.penalty, "solve_penalized", poisoned)

@@ -212,12 +212,11 @@ def test_memo_arrays_are_read_only():
 
 
 def test_solution_terminal_is_the_read_only_leaf_evaluation():
-    # every solver that keeps node levels keeps the shared leaf evaluation as
-    # Y_N instead of a copy; being read-only, it cannot be corrupted through
-    # the solution.  A direct solve keeps Y per state and forms its Y_N on
-    # read: the leaf evaluation's bits in a fresh array, whose edits reach
-    # neither the evaluation nor the solution
+    # a solve of data with states (direct, penalised, Picard from zero) keeps
+    # Y per state and forms its Y_N on read: the leaf evaluation's bits in a
+    # fresh array, whose edits reach neither the evaluation nor the solution
     from rbsde import picard_solve, solve_bsde, solve_penalized, solve_reflected
+    from rbsde.fixpoint import zero_triple
     tree = build_tree(3)
     terminal = TerminalSpec(payoff=lambda w, c: np.maximum(w, 0.0) + 1.0)
     barrier = BarrierSpec(pieces=((0.0, 0.5),))
@@ -230,16 +229,17 @@ def test_solution_terminal_is_the_read_only_leaf_evaluation():
                  picard_solve(tree, DriverSpec(a=0.2), terminal)[0],
                  picard_solve(tree, DriverSpec(a=0.2), terminal, solver_kind="one_barrier",
                               barrier=barrier)[0]]
-    for sol in solutions[:3]:
+    for sol in solutions:
         leaf = sol.y[-1]
         assert leaf is not cached and leaf.tobytes() == cached.tobytes()
         leaf += 1.0
         assert sol.y[-1].tobytes() == cached.tobytes()
-    for sol in solutions[3:]:
-        assert sol.y[-1] is cached
-        assert not sol.y[-1].flags.writeable
-        with pytest.raises(ValueError):
-            sol.y[-1] += 1.0
+    # Picard from a start given per node runs on the nodes and keeps the shared,
+    # read-only leaf evaluation as Y_N
+    sol = picard_solve(tree, DriverSpec(a=0.2), terminal, initial=zero_triple(tree))[0]
+    assert sol.y[-1] is cached and not sol.y[-1].flags.writeable
+    with pytest.raises(ValueError):
+        sol.y[-1] += 1.0
     fresh, = _walk(tree, [terminal]).nodes(tree)
     assert np.array_equal(cached, fresh)
     again = solve_reflected(tree, DriverSpec(), terminal, barrier)

@@ -17,9 +17,9 @@ import pytest
 
 from rbsde import (BarrierSpec, DriverSpec, MarkSet, TerminalSpec, build_tree, check_solution,
                    solve_reflected)
-from rbsde.bsde import Projection, Solution, _project_v, _project_z
+from rbsde.bsde import Projection, Solution, _project_v, _project_z, _sweep_source
 from rbsde.processes import evaluate
-from rbsde.reflected import _solve
+from rbsde.reflected import _reflected_sweep
 from rbsde.tree import _parent_blocks, copy_process
 from conftest import clone_solution, node_levels
 
@@ -56,6 +56,14 @@ def _problem(obstacles: int, marks: int):
     return tree, driver, terminal, (lower, upper)[:obstacles]
 
 
+def _stored(tree, driver, terminal, sides):
+    """The node sweep of the evaluated data, with Z and V stored as a Picard round stores them."""
+    xi, *values = evaluate(tree, terminal, *sides)
+    y, z, v, *_ = _reflected_sweep(tree, _sweep_source(tree, driver), driver.a, xi,
+                                   *(*values, None, None)[:2], store=True)
+    return Solution(y, z, v)
+
+
 def _digest(z, v) -> str:
     h = hashlib.sha256()
     for zk, vk in zip(z, v):
@@ -72,7 +80,7 @@ def test_a_direct_solves_z_and_v_read_as_they_were_stored(obstacles, marks):
     sol = solve_reflected(tree, driver, terminal, *sides)
     assert isinstance(sol.z, Projection) and isinstance(sol.v, Projection)
     assert len(sol.z) == len(sol.v) == tree.num_steps
-    stored = _solve(tree, driver, terminal, *sides, store=True)
+    stored = _stored(tree, driver, terminal, sides)
     assert all(isinstance(level, np.ndarray) for level in (*stored.z, *stored.v))
     assert _digest(sol.z, sol.v) == _digest(stored.z, stored.v)
     assert _digest(sol.z, sol.v) == STORED_DIGESTS[obstacles, marks]
@@ -137,7 +145,7 @@ def _peak(fn, *args, **kwargs):
 def test_a_direct_solve_peaks_below_a_stored_one_by_its_z_and_v(obstacles):
     tree, driver, terminal, sides = _problem(obstacles, 1)
     evaluate(tree, terminal, *sides)   # the data's node levels are formed outside the runs
-    stored, stored_peak = _peak(_solve, tree, driver, terminal, *sides, store=True)
+    stored, stored_peak = _peak(_stored, tree, driver, terminal, sides)
     zv_bytes = sum(level.nbytes for level in (*stored.z, *stored.v))
     del stored
     sol, peak = _peak(solve_reflected, tree, driver, terminal, *sides)

@@ -6,7 +6,8 @@ mass (every value ±0.0) is never allocated: ``_accumulate`` makes K at
 the next level K's own array at the one before.  Here every booked block
 is recorded into whole increment levels, the cumulative process is
 accumulated from them as whole levels were before, and every stored
-level must expand to it bit for bit.  A direct solve books its increments
+level must expand to it bit for bit.  A direct solve and a penalised
+rung book their increments
 on the tree's lattice of distinct states, one row per state: each booked
 row is put on the nodes of its state, looked up by the bits of their
 state (``conftest.on_nodes``), before the accumulation.  A level without mass must be its
@@ -132,7 +133,7 @@ def test_penalised_rungs_store_only_the_levels_where_the_flux_moves(seed, coeffi
         made = _record_bookings(patch)
         rung = solve_penalized(tree, driver, problem.barrier, problem.terminal, weight)
     (booker,) = made
-    _assert_only_moving_levels_stored(tree, booker, rung.kn)
+    _assert_only_moving_levels_stored(tree, booker, rung.kn, lattice=True)
     if weight == 0.0:
         assert all(level is rung.kn[0] for level in rung.kn)
 

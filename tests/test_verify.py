@@ -472,7 +472,8 @@ def test_uniqueness_probe_keeps_a_nan_route(monkeypatch):
 
     def poisoned(*args, **kwargs):
         out = solve(*args, **kwargs)
-        out.solution.y[1] = np.full_like(out.solution.y[1], np.nan)
+        values = out.solution.y.values   # the rung's Y per state
+        values[1] = np.full_like(values[1], np.nan)
         return out
 
     monkeypatch.setattr(verify, "solve_penalized", poisoned)
@@ -484,7 +485,7 @@ def test_regularity_probe_keeps_nan_gaps_at_jumps(monkeypatch):
 
     def poisoned(*args, **kwargs):
         report = ladder(*args, **kwargs)
-        y = report.solutions[0].solution.y
+        y = report.solutions[0].solution.y.values   # the rung's Y per state
         y[:] = [np.full_like(level, np.nan) for level in y]
         return report
 
